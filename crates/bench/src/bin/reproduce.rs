@@ -9,10 +9,10 @@
 //! (E5), `steady` (the zero-allocation perf gate, emitting
 //! `BENCH_steady_state.json`), `steady-gate` (CI regression gate: re-runs
 //! the steady measurement and exits non-zero when any mode's median
-//! regresses >25% vs the committed artifact, when allocs, string compares
-//! or Arc clones per transaction leave 0, when the baseline scenario's
-//! deadline contract records a miss, or when MERGE-ALL's median falls
-//! behind SOLEIL's by more than noise; never part of `all`), `chaos-gate`
+//! regresses >25% vs the committed artifact, when allocs or string
+//! compares per transaction leave 0, when the baseline scenario's deadline
+//! contract records a miss, or when MERGE-ALL's median falls behind
+//! SOLEIL's by more than noise; never part of `all`), `chaos-gate`
 //! (fault-containment gate: deterministic seeded fault storms against all
 //! three modes must end with `pushed == delivered + counted-dropped` and
 //! every quarantine/drop verdict explained by SOL-020…022; exits non-zero
@@ -48,7 +48,7 @@ use soleil_bench::{
     fig7b_table, fig7c_table, reconfig_gate_failures, reconfig_gate_table, recovery_gate_failures,
     recovery_gate_table, run_chaos_gate, run_codegen, run_determinism, run_footprint, run_overhead,
     run_reconfig_gate, run_recovery_gate, run_steady_state, steady_state_json,
-    steady_state_regressions,
+    steady_state_regressions, SteadyStateRow,
 };
 
 // Installs the counting global allocator so the steady artifact can report
@@ -58,6 +58,25 @@ mod alloc_probe;
 
 const DEFAULT_OBSERVATIONS: usize = 10_000;
 const WARMUP: usize = 2_000;
+
+/// Prints the steady-state rows as the `steady`/`steady-gate` table.
+fn print_steady_rows(rows: &[SteadyStateRow]) {
+    println!(
+        "steady-state transaction (median ns, allocs/txn, substrate allocs/txn, \
+         string compares/txn, deadline misses):"
+    );
+    for r in rows {
+        println!(
+            "  {:<12} {:>10} ns   {:>6} heap   {:>6} substrate   {:>6} compares   {:>6} misses",
+            r.label,
+            r.median_ns,
+            r.allocs_per_transaction,
+            r.substrate_allocs_per_transaction,
+            r.string_compares_per_transaction,
+            r.deadline_misses
+        );
+    }
+}
 
 fn main() -> Result<(), SoleilError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -147,22 +166,7 @@ fn main() -> Result<(), SoleilError> {
             "running steady-state perf gate ({observations} observations x 5 implementations)..."
         );
         let rows = run_steady_state(WARMUP, observations, alloc_probe::allocations)?;
-        println!(
-            "steady-state transaction (median ns, allocs/txn, substrate allocs/txn, \
-             string compares/txn, Arc clones/txn, deadline misses):"
-        );
-        for r in &rows {
-            println!(
-                "  {:<12} {:>10} ns   {:>6} heap   {:>6} substrate   {:>6} compares   {:>6} arcs   {:>6} misses",
-                r.label,
-                r.median_ns,
-                r.allocs_per_transaction,
-                r.substrate_allocs_per_transaction,
-                r.string_compares_per_transaction,
-                r.arc_clones_per_transaction,
-                r.deadline_misses
-            );
-        }
+        print_steady_rows(&rows);
         let json = steady_state_json(&rows, observations);
         fs::write("BENCH_steady_state.json", &json)?;
         fs::write(out_dir.join("BENCH_steady_state.json"), &json)?;
@@ -182,22 +186,7 @@ fn main() -> Result<(), SoleilError> {
             "running steady-state regression gate ({observations} observations x 5 implementations)..."
         );
         let rows = run_steady_state(WARMUP, observations, alloc_probe::allocations)?;
-        println!(
-            "steady-state transaction (median ns, allocs/txn, substrate allocs/txn, \
-             string compares/txn, Arc clones/txn, deadline misses):"
-        );
-        for r in &rows {
-            println!(
-                "  {:<12} {:>10} ns   {:>6} heap   {:>6} substrate   {:>6} compares   {:>6} arcs   {:>6} misses",
-                r.label,
-                r.median_ns,
-                r.allocs_per_transaction,
-                r.substrate_allocs_per_transaction,
-                r.string_compares_per_transaction,
-                r.arc_clones_per_transaction,
-                r.deadline_misses
-            );
-        }
+        print_steady_rows(&rows);
         // Re-emit the fresh artifact next to the raw data (the committed
         // file stays the baseline; refresh it with `steady`).
         fs::write(
@@ -209,9 +198,9 @@ fn main() -> Result<(), SoleilError> {
         if failures.is_empty() {
             eprintln!(
                 "steady-state gate passed: no mode regressed >{THRESHOLD_PCT}% vs the \
-                 committed artifact; allocs, string compares and Arc clones per \
-                 transaction are 0 everywhere; no deadline miss under the baseline \
-                 contract; MERGE-ALL kept its lead on SOLEIL"
+                 committed artifact; allocs and string compares per transaction \
+                 are 0 everywhere; no deadline miss under the baseline contract; \
+                 MERGE-ALL kept its lead on SOLEIL"
             );
         } else {
             eprintln!("steady-state gate FAILED:");

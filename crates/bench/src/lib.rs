@@ -367,9 +367,6 @@ pub struct SteadyStateRow {
     /// Port-name string comparisons per transaction (0 is the gate: the
     /// compiled dispatch plan interns every hot port at warm-up).
     pub string_compares_per_transaction: f64,
-    /// `Arc` clones per transaction (0 is the gate: dispatch headers are
-    /// `Copy`, the enter-path arena is indexed by range).
-    pub arc_clones_per_transaction: f64,
     /// Deadline misses recorded across the measured observations by the
     /// baseline scenario's timing contract (0 is the gate: every steady
     /// run arms a generous deadline contract plus an unfired release
@@ -397,12 +394,12 @@ pub fn run_steady_state(
     use std::time::Instant;
 
     let mut rows = Vec::with_capacity(4);
-    // `dispatch` reads the engine's (string_compares, arc_clones) pair;
-    // warm-up precedes the baseline reading, so one-time interning scans
-    // are excluded from the steady-state deltas.
+    // `dispatch` reads the engine's string-compare counter; warm-up
+    // precedes the baseline reading, so one-time interning scans are
+    // excluded from the steady-state deltas.
     let measure = |label: &str,
                    substrate: &mut dyn FnMut() -> u64,
-                   dispatch: &mut dyn FnMut() -> (u64, u64),
+                   dispatch: &mut dyn FnMut() -> u64,
                    misses: &mut dyn FnMut() -> u64,
                    op: &mut dyn FnMut() -> HarnessResult<()>|
      -> HarnessResult<SteadyStateRow> {
@@ -411,7 +408,7 @@ pub fn run_steady_state(
         }
         let mut nanos: Vec<u64> = Vec::with_capacity(observations);
         let substrate_before = substrate();
-        let (compares_before, arcs_before) = dispatch();
+        let compares_before = dispatch();
         let misses_before = misses();
         let heap_before = heap_allocs();
         for _ in 0..observations {
@@ -421,7 +418,7 @@ pub fn run_steady_state(
         }
         let heap_delta = heap_allocs() - heap_before;
         let substrate_delta = substrate() - substrate_before;
-        let (compares_after, arcs_after) = dispatch();
+        let compares_after = dispatch();
         let samples = soleil::runtime::instrument::LatencySamples::from_nanos(nanos);
         Ok(SteadyStateRow {
             label: label.to_string(),
@@ -430,7 +427,6 @@ pub fn run_steady_state(
             substrate_allocs_per_transaction: substrate_delta as f64 / observations as f64,
             string_compares_per_transaction: (compares_after - compares_before) as f64
                 / observations as f64,
-            arc_clones_per_transaction: (arcs_after - arcs_before) as f64 / observations as f64,
             deadline_misses: misses() - misses_before,
         })
     };
@@ -440,7 +436,7 @@ pub fn run_steady_state(
     rows.push(measure(
         "OO",
         &mut || oo.borrow().alloc_count(),
-        &mut || (0, 0),
+        &mut || 0,
         &mut || 0,
         &mut || Ok(oo.borrow_mut().run_transaction()?),
     )?);
@@ -460,7 +456,7 @@ pub fn run_steady_state(
         rows.push(measure(
             &mode.to_string(),
             &mut || dep.borrow().memory().alloc_count(),
-            &mut || (dep.borrow().string_compares(), dep.borrow().arc_clones()),
+            &mut || dep.borrow().string_compares(),
             &mut || dep.borrow().deadline_misses(),
             &mut || Ok(dep.borrow_mut().run_transaction(head)?),
         )?);
@@ -506,7 +502,6 @@ pub fn run_parallel_steady(
     // stay out of the measured dispatch-counter deltas.
     sys.run_ticks(warmup as u64)?;
     let compares_before = sys.string_compares();
-    let arcs_before = sys.arc_clones();
     let misses_before = sys.deadline_misses();
     let runs = sys.run_ticks_instrumented(0, observations as u64, &heap_allocs)?;
     Ok(SteadyStateRow {
@@ -519,7 +514,6 @@ pub fn run_parallel_steady(
             / observations as f64,
         string_compares_per_transaction: (sys.string_compares() - compares_before) as f64
             / observations as f64,
-        arc_clones_per_transaction: (sys.arc_clones() - arcs_before) as f64 / observations as f64,
         deadline_misses: sys.deadline_misses() - misses_before,
     })
 }
@@ -602,12 +596,6 @@ pub fn steady_state_regressions(
                 row.label, row.string_compares_per_transaction
             ));
         }
-        if row.arc_clones_per_transaction != 0.0 {
-            failures.push(format!(
-                "{}: {} Arc clones/transaction; compiled dispatch must stay at 0",
-                row.label, row.arc_clones_per_transaction
-            ));
-        }
         if row.deadline_misses != 0 {
             failures.push(format!(
                 "{}: {} deadline miss(es); the baseline scenario's contract must never miss",
@@ -649,14 +637,12 @@ pub fn steady_state_json(rows: &[SteadyStateRow], observations: usize) -> String
             out,
             "    {{\"mode\": \"{}\", \"median_ns_per_transaction\": {}, \
              \"allocs_per_transaction\": {}, \"substrate_allocs_per_transaction\": {}, \
-             \"string_compares_per_transaction\": {}, \"arc_clones_per_transaction\": {}, \
-             \"deadline_misses\": {}}}",
+             \"string_compares_per_transaction\": {}, \"deadline_misses\": {}}}",
             r.label,
             r.median_ns,
             r.allocs_per_transaction,
             r.substrate_allocs_per_transaction,
             r.string_compares_per_transaction,
-            r.arc_clones_per_transaction,
             r.deadline_misses
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
@@ -1526,7 +1512,6 @@ mod tests {
                 allocs_per_transaction: 0.0,
                 substrate_allocs_per_transaction: 0.0,
                 string_compares_per_transaction: 0.0,
-                arc_clones_per_transaction: 0.0,
                 deadline_misses: 0,
             },
             SteadyStateRow {
@@ -1535,7 +1520,6 @@ mod tests {
                 allocs_per_transaction: 0.0,
                 substrate_allocs_per_transaction: 0.0,
                 string_compares_per_transaction: 0.0,
-                arc_clones_per_transaction: 0.0,
                 deadline_misses: 0,
             },
         ];
@@ -1550,7 +1534,6 @@ mod tests {
             json.contains("\"string_compares_per_transaction\": 0"),
             "{json}"
         );
-        assert!(json.contains("\"arc_clones_per_transaction\": 0"), "{json}");
         assert!(json.contains("\"deadline_misses\": 0"), "{json}");
         let other = steady_state_json(&rows, 77);
         assert!(other.contains("\"observations\": 77"), "{other}");
@@ -1573,7 +1556,6 @@ mod tests {
             allocs_per_transaction: allocs,
             substrate_allocs_per_transaction: 0.0,
             string_compares_per_transaction: 0.0,
-            arc_clones_per_transaction: 0.0,
             deadline_misses: 0,
         };
 
@@ -1623,21 +1605,20 @@ mod tests {
     {"mode": "MERGE-ALL", "median_ns_per_transaction": 1000, "allocs_per_transaction": 0, "substrate_allocs_per_transaction": 0}
   ]
 }"#;
-        let row = |label: &str, median_ns: u64, compares: f64, arcs: f64| SteadyStateRow {
+        let row = |label: &str, median_ns: u64, compares: f64| SteadyStateRow {
             label: label.into(),
             median_ns,
             allocs_per_transaction: 0.0,
             substrate_allocs_per_transaction: 0.0,
             string_compares_per_transaction: compares,
-            arc_clones_per_transaction: arcs,
             deadline_misses: 0,
         };
 
         // A deadline miss is its own failure line, even with every other
         // counter clean.
-        let mut missed = row("SOLEIL", 1000, 0.0, 0.0);
+        let mut missed = row("SOLEIL", 1000, 0.0);
         missed.deadline_misses = 2;
-        let fresh = vec![missed, row("MERGE-ALL", 1000, 0.0, 0.0)];
+        let fresh = vec![missed, row("MERGE-ALL", 1000, 0.0)];
         let failures = steady_state_regressions(committed, &fresh, 25.0).unwrap();
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(
@@ -1649,10 +1630,7 @@ mod tests {
         // behind SOLEIL by more than the 5% lead noise: the lead gate must
         // still fire — that's exactly the regression the committed-median
         // comparison alone cannot see.
-        let fresh = vec![
-            row("SOLEIL", 900, 0.0, 0.0),
-            row("MERGE-ALL", 990, 0.0, 0.0),
-        ];
+        let fresh = vec![row("SOLEIL", 900, 0.0), row("MERGE-ALL", 990, 0.0)];
         let failures = steady_state_regressions(committed, &fresh, 25.0).unwrap();
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(
@@ -1660,22 +1638,16 @@ mod tests {
             "{failures:?}"
         );
 
-        // Non-zero dispatch counters each produce a failure line, even
-        // when every median is fine.
-        let fresh = vec![
-            row("SOLEIL", 1000, 3.0, 0.0),
-            row("MERGE-ALL", 900, 0.0, 1.0),
-        ];
+        // A non-zero dispatch counter produces a failure line per row,
+        // even when every median is fine.
+        let fresh = vec![row("SOLEIL", 1000, 3.0), row("MERGE-ALL", 900, 1.0)];
         let failures = steady_state_regressions(committed, &fresh, 25.0).unwrap();
         assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(failures[0].contains("SOLEIL") && failures[0].contains("string compares"));
-        assert!(failures[1].contains("MERGE-ALL") && failures[1].contains("Arc clones"));
+        assert!(failures[1].contains("MERGE-ALL") && failures[1].contains("string compares"));
 
         // At exactly the noise boundary the lead gate stays quiet.
-        let fresh = vec![
-            row("SOLEIL", 1000, 0.0, 0.0),
-            row("MERGE-ALL", 1050, 0.0, 0.0),
-        ];
+        let fresh = vec![row("SOLEIL", 1000, 0.0), row("MERGE-ALL", 1050, 0.0)];
         assert!(steady_state_regressions(committed, &fresh, 25.0)
             .unwrap()
             .is_empty());
@@ -1701,7 +1673,6 @@ mod tests {
                 allocs_per_transaction: 0.0,
                 substrate_allocs_per_transaction: 0.0,
                 string_compares_per_transaction: 0.0,
-                arc_clones_per_transaction: 0.0,
                 deadline_misses: 0,
             })
             .collect();

@@ -82,7 +82,6 @@ fn steady_state_transactions_never_touch_the_rust_heap() {
         let substrate_before = dep.memory().alloc_count();
         let heap_before = alloc_probe::allocations();
         let compares_before = dep.string_compares();
-        let arcs_before = dep.arc_clones();
         for _ in 0..OBSERVATIONS {
             dep.run_transaction(head).expect("steady transaction");
         }
@@ -99,16 +98,11 @@ fn steady_state_transactions_never_touch_the_rust_heap() {
             "{mode}: substrate allocations must stay pinned at their bootstrap value"
         );
         // The compiled dispatch plan: once warm-up has interned the port
-        // ids, steady-state transactions scan no strings and clone no Arcs.
+        // ids, steady-state transactions scan no strings.
         assert_eq!(
             dep.string_compares() - compares_before,
             0,
             "{mode}: steady-state dispatch must not compare port names"
-        );
-        assert_eq!(
-            dep.arc_clones() - arcs_before,
-            0,
-            "{mode}: steady-state dispatch must not clone Arcs"
         );
         // The release engine stayed live the whole run without disturbing
         // the counters above — and the generous contract never missed.
@@ -215,7 +209,6 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
     // the measured steady phase (interning pays its name scans here).
     sys.run_ticks(WARMUP as u64).expect("parallel warmup");
     let compares_before = sys.string_compares();
-    let arcs_before = sys.arc_clones();
     let runs = sys
         .run_ticks_instrumented(0, OBSERVATIONS, &alloc_probe::allocations)
         .expect("parallel run");
@@ -244,11 +237,6 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
         sys.string_compares() - compares_before,
         0,
         "parallel steady-state dispatch must not compare port names on any shard"
-    );
-    assert_eq!(
-        sys.arc_clones() - arcs_before,
-        0,
-        "parallel steady-state dispatch must not clone Arcs on any shard"
     );
     assert_eq!(sys.armed_timers(), 1, "release must stay armed");
     assert_eq!(

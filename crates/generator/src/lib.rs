@@ -26,7 +26,7 @@ pub use compile::{compile, GeneratorError};
 
 use soleil_core::validate::ValidatedArchitecture;
 use soleil_membrane::content::{ContentRegistry, Payload};
-use soleil_runtime::{Deployment, Mode, ParallelSystem, System};
+use soleil_runtime::{Deployment, Mode, System};
 
 /// Compiles `arch` and builds the executable system in one step — the
 /// paper's "final composition process" (functional implementations from
@@ -82,17 +82,17 @@ pub fn deploy<P: Payload>(
         .map_err(GeneratorError::Build)
 }
 
-/// Deploys the architecture **sharded by thread domain**: one engine per
-/// independent domain group, each ticking on its own OS thread, with
-/// cross-shard bindings riding wait-free SPSC rings
-/// ([`soleil_runtime::parallel`]).
+/// Deploys the architecture **sharded by thread domain**: the same
+/// [`Deployment`] handle as [`deploy`], over one engine per independent
+/// domain group, each ticking on its own OS thread, with cross-shard
+/// bindings riding wait-free SPSC rings ([`soleil_runtime::parallel`]).
 ///
 /// The partition is derived from the same structure the validator checks:
 /// synchronous bindings and shared scoped areas serialize the domains they
 /// connect (`soleil_core::validate::parallel_coupling` reports these at
 /// design time); everything else parallelizes. The deployment carries the
-/// architectural model, so [`ParallelSystem::reconfigure`] transactions
-/// are re-validated against the full RTSJ rule set at commit time.
+/// architectural model, so [`Deployment::reconfigure`] transactions are
+/// re-validated against the full RTSJ rule set at commit time.
 ///
 /// # Errors
 ///
@@ -101,9 +101,9 @@ pub fn deploy_parallel<P: Payload>(
     arch: &ValidatedArchitecture,
     mode: Mode,
     registry: &ContentRegistry<P>,
-) -> Result<ParallelSystem<P>, GeneratorError> {
+) -> Result<Deployment<P>, GeneratorError> {
     let spec = compile(arch)?;
-    ParallelSystem::build_with_arch(&spec, mode, registry, arch.architecture().clone())
+    Deployment::build_parallel(&spec, mode, registry, Some(arch.architecture().clone()))
         .map_err(GeneratorError::Build)
 }
 

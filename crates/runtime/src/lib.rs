@@ -19,11 +19,18 @@
 //! buffer placement); what differs is the framework machinery around the
 //! functional code — exactly the overhead Fig. 7 measures.
 //!
-//! For deployments whose thread domains are independent, [`parallel`]
-//! shards the engine by domain — one `System` (and one slab-backed
-//! memory manager) per shard, each ticking on its own OS thread, with
-//! cross-shard bindings on wait-free SPSC rings. Payloads and content are
-//! `Send` to make that legal; the partition rules live in the module docs.
+//! Running systems are driven through one handle, [`Deployment`], over
+//! one or more *shards* — one `System` (and one slab-backed memory
+//! manager) each. [`Deployment::build`] (the generator's `deploy`) puts
+//! every component on one shard, driven on the caller's thread;
+//! [`Deployment::build_parallel`] (`deploy_parallel`) shards the
+//! components by thread domain ([`parallel`]), each shard ticking on its
+//! own OS thread, with cross-shard bindings on wait-free SPSC rings.
+//! Payloads and content are `Send` to make that legal; the partition rules
+//! live in the [`parallel`] module docs. Either way, components are
+//! addressed by resolve-once [`ComponentRef`] tokens or by name, and
+//! reconfigured through one transactional journal
+//! ([`Deployment::reconfigure`]).
 //!
 //! The engine is also a **release engine**: [`timer`] provides a
 //! preallocated binary-heap timer queue over [`rtsj::time::AbsoluteTime`]
@@ -73,10 +80,13 @@ pub mod spec;
 pub mod system;
 pub mod timer;
 
-pub use deploy::{ComponentRef, Deployment, PortRef, Reconfiguration};
+pub use deploy::{
+    Address, ComponentRef, Deployment, ParallelReconfiguration, ParallelSystem, PortRef,
+    Reconfiguration,
+};
 pub use footprint::FootprintReport;
 pub use instrument::LatencySamples;
-pub use parallel::{ParallelReconfiguration, ParallelSystem, ShardRun};
+pub use parallel::ShardRun;
 pub use sim::{run_recovery_campaign, RecoveryEpisode, RecoveryMetrics};
 pub use spec::{Mode, SystemSpec};
 pub use system::{EngineStats, FaultPolicy, System};

@@ -1,18 +1,19 @@
-//! Parallel domain sharding: one engine per thread-domain group, ticking
-//! on real OS threads.
+//! Parallel domain sharding: the partition a sharded [`Deployment`] runs
+//! on, its cross-domain rings, quiescence and the per-shard worker loop.
 //!
 //! The paper deploys one `RealtimeThread` per merged active composite —
 //! thread domains are its natural units of parallelism. This module turns
-//! that design-time structure into runtime parallelism:
+//! that design-time structure into runtime parallelism for
+//! [`Deployment::build_parallel`] (the generator's `deploy_parallel`):
 //!
-//! 1. **Planning.** [`ParallelSystem::build`] partitions a [`SystemSpec`]
-//!    into *shards* with a union-find over components: components in the
-//!    same domain stay together; synchronous bindings (nested
-//!    run-to-completion calls cannot cross threads) and shared scoped
-//!    memory areas (a scope is owned by exactly one engine — the slab
-//!    substrate's per-area ownership is the sharding boundary) merge the
-//!    groups they connect; domainless components attach to the shard of a
-//!    binding peer. What remains independent runs independently.
+//! 1. **Planning.** The spec's components are partitioned into *shards*
+//!    with a union-find: components in the same domain stay together;
+//!    synchronous bindings (nested run-to-completion calls cannot cross
+//!    threads) and shared scoped memory areas (a scope is owned by exactly
+//!    one engine — the slab substrate's per-area ownership is the sharding
+//!    boundary) merge the groups they connect; domainless components
+//!    attach to the shard of a binding peer. What remains independent runs
+//!    independently.
 //! 2. **Materialization.** Each shard gets its *own* [`System`] — its own
 //!    slab-backed [`MemoryManager`](rtsj::memory::MemoryManager), its own
 //!    pending-message heap, its own compiled binding tables. Heap and
@@ -24,21 +25,30 @@
 //!    engine-local exchange buffers — the carrier is chosen here, at build
 //!    time, exactly like RTSJ's `WaitFreeWriteQueue` sits between a
 //!    no-heap producer and a heap consumer.
-//! 3. **Execution.** [`ParallelSystem::run_ticks`] spawns one OS thread
-//!    per shard ([`std::thread::scope`]); each thread releases its own
-//!    periodic heads ([`System::run_tick`]) and drains its incoming rings
-//!    (highest consumer priority first) in **batches**: each drain pass
-//!    snapshots a ring's published head once and pops the whole visible
-//!    run against the cached value, amortizing the `Acquire` load over
-//!    the batch instead of paying it per message; every popped message
-//!    injects as a run-to-completion activation. A tick round ends with a
-//!    quiescence protocol: a shared in-flight counter is incremented
-//!    *before* every cross push and decremented **batch-wise** after the
-//!    batch's activations complete (later-than-necessary decrements are
+//! 3. **Execution.** [`Deployment::run_ticks`] spawns one OS thread per
+//!    shard ([`std::thread::scope`]); each thread releases its own periodic
+//!    heads ([`System::run_tick`]) and drains its incoming rings (highest
+//!    consumer priority first) in **batches**: each drain pass snapshots a
+//!    ring's published head once and pops the whole visible run against
+//!    the cached value, amortizing the `Acquire` load over the batch
+//!    instead of paying it per message; every popped message injects as a
+//!    run-to-completion activation. A tick round ends with a quiescence
+//!    protocol: a shared in-flight counter is incremented *before* every
+//!    cross push and decremented **batch-wise** after the batch's
+//!    activations complete (later-than-necessary decrements are
 //!    conservative), so `all ticks done ∧ in-flight == 0` still proves no
 //!    message exists anywhere — only then do the workers exit.
 //!    Steady-state ticks allocate nothing on any thread: rings, slabs and
 //!    scope stacks are provisioned at build/warmup time.
+//!
+//! A one-shard deployment ([`Deployment::build`], the generator's `deploy`)
+//! skips the planner and the rings: its one shard is exactly the engine
+//! [`System::build`] makes.
+//!
+//! [`Deployment`]: crate::Deployment
+//! [`Deployment::build`]: crate::Deployment::build
+//! [`Deployment::build_parallel`]: crate::Deployment::build_parallel
+//! [`Deployment::run_ticks`]: crate::Deployment::run_ticks
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -46,31 +56,22 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
-use rtsj::time::AbsoluteTime;
-use soleil_core::contract::TimingContract;
-use soleil_core::model::{ComponentId, ComponentKind, Protocol};
-use soleil_core::validate::parallel_reconfiguration_report;
-use soleil_core::{Architecture, ValidationReport};
+// Deterministic smaller-root-wins unions (shard order follows component
+// declaration order); shared with the design-time SOL-015 advisory so the
+// two partitions cannot drift.
+use soleil_core::disjoint::UnionFind;
 use soleil_membrane::content::{ContentRegistry, Payload};
-use soleil_membrane::interceptors::{FaultInjector, InterceptStep};
-use soleil_membrane::monitor::LatencySnapshot;
 use soleil_membrane::FrameworkError;
 use soleil_patterns::spsc::{spsc_ring, SpscConsumer};
 
 use crate::spec::{
     AreaSpec, BindingSpec, ComponentSpec, DomainSpec, Mode, ProtocolSpec, SystemSpec,
 };
-use crate::system::{AsyncRepointUndo, CrossOutput, EngineStats, FaultPolicy, MonitorSlot, System};
-use crate::timer::TimerHandle;
+use crate::system::{AsyncRepointUndo, CrossOutput, EngineStats, System};
 
 // ---------------------------------------------------------------------------
 // Planning
 // ---------------------------------------------------------------------------
-
-// Deterministic smaller-root-wins unions (shard order follows component
-// declaration order); shared with the design-time SOL-015 advisory so the
-// two partitions cannot drift.
-use soleil_core::disjoint::UnionFind;
 
 /// The scoped-area chain of a component (area indices, innermost last).
 fn scoped_chain(spec: &SystemSpec, comp: usize) -> Vec<usize> {
@@ -176,16 +177,16 @@ fn plan_shards(spec: &SystemSpec) -> (Vec<usize>, usize) {
 }
 
 // ---------------------------------------------------------------------------
-// The sharded system
+// Shards and rings
 // ---------------------------------------------------------------------------
 
-/// An incoming cross-domain ring: messages pop here and inject into the
-/// consumer's server port as ordinary run-to-completion activations.
 /// Build-time staging for a [`CrossIn`]: (consumer local slot, server
 /// port name, consumer ring endpoint, ring tag), collected per shard
 /// before port names are interned.
 type PendingCrossIn<P> = (usize, String, SpscConsumer<P>, u64);
 
+/// An incoming cross-domain ring: messages pop here and inject into the
+/// consumer's server port as ordinary run-to-completion activations.
 struct CrossIn<P> {
     rx: SpscConsumer<P>,
     slot: usize,
@@ -196,44 +197,394 @@ struct CrossIn<P> {
     tag: u64,
 }
 
-struct Shard<P: Payload> {
-    label: String,
-    domains: Vec<String>,
-    components: Vec<String>,
-    system: System<P>,
+/// One engine of a deployment, with the rings it drains.
+pub(crate) struct Shard<P: Payload> {
+    /// Thread-domain names joined with `+` (`shard{N}` without any).
+    pub(crate) label: String,
+    /// The thread domains materialized on this shard.
+    pub(crate) domains: Vec<String>,
+    /// Engine slot → global spec component index.
+    pub(crate) globals: Vec<usize>,
+    pub(crate) system: System<P>,
     incoming: Vec<CrossIn<P>>,
 }
 
+impl<P: Payload> Shard<P> {
+    /// Shard `ix` over `system`, labelled by its thread domains and
+    /// draining `incoming` highest consumer priority first, mirroring the
+    /// single-engine pending heap.
+    fn new(
+        ix: usize,
+        domains: &[DomainSpec],
+        globals: Vec<usize>,
+        system: System<P>,
+        incoming: Vec<CrossIn<P>>,
+    ) -> Shard<P> {
+        let domains: Vec<String> = domains.iter().map(|d| d.name.clone()).collect();
+        let label = if domains.is_empty() {
+            format!("shard{ix}")
+        } else {
+            domains.join("+")
+        };
+        let mut shard = Shard {
+            label,
+            domains,
+            globals,
+            system,
+            incoming,
+        };
+        shard.resort_incoming();
+        shard
+    }
+
+    /// Re-sorts the incoming rings to the consumer-priority drain order
+    /// (build does the same once; reconfiguration re-establishes it after a
+    /// priority or ring change).
+    pub(crate) fn resort_incoming(&mut self) {
+        let Shard {
+            system, incoming, ..
+        } = self;
+        incoming.sort_by_key(|c| std::cmp::Reverse(system.node_priority(c.slot)));
+    }
+}
+
 /// How one spec binding is carried at runtime — settled at build, and
-/// rewritten by live rewiring transactions. Indexed by the *global* spec
-/// binding position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// rewritten by live rewiring transactions.
+#[derive(Debug, Clone, Copy)]
 enum Carrier {
     /// Both endpoints on one shard: engine-local dispatch (sync call or
     /// `ExchangeBuffer`).
-    Local { shard: usize },
-    /// Cross-shard (or rewired) SPSC ring: the producer endpoint sits at
-    /// `cross_ix` of `producer_shard`'s engine, the consumer endpoint is
-    /// the `incoming` entry tagged `tag` on `consumer_shard`.
-    Ring {
-        producer_shard: usize,
-        cross_ix: usize,
-        consumer_shard: usize,
-        tag: u64,
-    },
+    Local,
+    /// An SPSC ring whose consumer endpoint is the `incoming` entry tagged
+    /// `tag` on `consumer_shard`.
+    Ring { consumer_shard: usize, tag: u64 },
 }
 
-/// Re-sorts a shard's incoming rings to the consumer-priority drain order
-/// (build does the same once; reconfiguration re-establishes it after a
-/// priority or ring change).
-fn resort_incoming<P: Payload>(shard: &mut Shard<P>) {
-    let Shard {
-        system, incoming, ..
-    } = shard;
-    incoming.sort_by_key(|c| std::cmp::Reverse(system.node_priority(c.slot)));
+/// The ring topology of a deployment: per global spec binding, its
+/// carrier; the ring-tag mint; and the in-flight counter every engine
+/// shares (the quiescence condition).
+pub(crate) struct Rings {
+    carriers: Vec<Carrier>,
+    next_tag: u64,
+    in_flight: Arc<AtomicU64>,
 }
 
-/// Per-shard report of one [`ParallelSystem::run_ticks_instrumented`] run.
+/// Backing-store bytes of one ring slot: the ring physically holds a
+/// power-of-two array of locked `Option<P>` cells.
+fn ring_slot_bytes<P>() -> usize {
+    std::mem::size_of::<Mutex<Option<P>>>().max(1)
+}
+
+/// Materializes the engines of a deployment: every component on one shard
+/// (exactly [`System::build`], no rings), or — when `sharded` — the
+/// planner's partition, with one engine per shard and every cross-shard
+/// binding on a wait-free SPSC ring. See the [module docs](self).
+///
+/// # Errors
+///
+/// Spec inconsistencies ([`FrameworkError::Content`]) and build errors
+/// from the per-shard [`System`] builds.
+pub(crate) fn build_shards<P: Payload>(
+    spec: &SystemSpec,
+    mode: Mode,
+    registry: &ContentRegistry<P>,
+    sharded: bool,
+) -> Result<(Vec<Shard<P>>, Rings), FrameworkError> {
+    let mut rings = Rings {
+        carriers: vec![Carrier::Local; spec.bindings.len()],
+        next_tag: 1,
+        in_flight: Arc::default(),
+    };
+    if !sharded {
+        let system = System::build(spec, mode, registry)?;
+        let globals = (0..spec.components.len()).collect();
+        let shard = Shard::new(0, &spec.domains, globals, system, Vec::new());
+        return Ok((vec![shard], rings));
+    }
+    spec.check().map_err(FrameworkError::Content)?;
+    let (shard_of_comp, shard_count) = plan_shards(spec);
+
+    // --- Per-shard index remappings. -------------------------------
+    // Areas: heap/immortal replicate everywhere; a scoped area lives
+    // only in the shard owning it — via any resident component, or,
+    // for a resident-free scope, its nearest scoped ancestor's owner
+    // (its sub-spec must contain its parent chain; areas are ordered
+    // parents-first, so the ancestor's owner is already settled).
+    // Resident-free roots default to shard 0.
+    let mut scoped_owner: Vec<usize> = vec![usize::MAX; spec.areas.len()];
+    for (aix, a) in spec.areas.iter().enumerate() {
+        if a.kind != rtsj::memory::MemoryKind::Scoped {
+            continue; // replicated
+        }
+        scoped_owner[aix] = spec
+            .components
+            .iter()
+            .enumerate()
+            .find(|(cix, _)| scoped_chain(spec, *cix).contains(&aix))
+            .map(|(cix, _)| shard_of_comp[cix])
+            .or_else(|| {
+                let mut cursor = a.parent;
+                while let Some(p) = cursor {
+                    if scoped_owner[p] != usize::MAX {
+                        return Some(scoped_owner[p]);
+                    }
+                    cursor = spec.areas[p].parent;
+                }
+                None
+            })
+            .unwrap_or(0);
+    }
+
+    let mut area_map: Vec<HashMap<usize, usize>> = vec![HashMap::new(); shard_count];
+    let mut shard_areas: Vec<Vec<AreaSpec>> = vec![Vec::new(); shard_count];
+    for (aix, a) in spec.areas.iter().enumerate() {
+        for shard in 0..shard_count {
+            let replicated = scoped_owner[aix] == usize::MAX;
+            if replicated || scoped_owner[aix] == shard {
+                let mut local = a.clone();
+                local.parent = a.parent.map(|p| {
+                    *area_map[shard]
+                        .get(&p)
+                        .expect("parents precede children in a checked spec")
+                });
+                area_map[shard].insert(aix, shard_areas[shard].len());
+                shard_areas[shard].push(local);
+            }
+        }
+    }
+
+    // Domains: those referenced by a shard's components (unused
+    // domains default to shard 0 so every roster entry materializes).
+    let mut domain_shard = vec![0usize; spec.domains.len()];
+    for (cix, c) in spec.components.iter().enumerate() {
+        if let Some(d) = c.domain {
+            domain_shard[d] = shard_of_comp[cix];
+        }
+    }
+    let mut domain_map: Vec<HashMap<usize, usize>> = vec![HashMap::new(); shard_count];
+    let mut shard_domains: Vec<Vec<DomainSpec>> = vec![Vec::new(); shard_count];
+    for (dix, d) in spec.domains.iter().enumerate() {
+        let shard = domain_shard[dix];
+        domain_map[shard].insert(dix, shard_domains[shard].len());
+        shard_domains[shard].push(d.clone());
+    }
+
+    // Components.
+    let mut comp_map: Vec<HashMap<usize, usize>> = vec![HashMap::new(); shard_count];
+    let mut shard_comps: Vec<Vec<ComponentSpec>> = vec![Vec::new(); shard_count];
+    let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
+    for (cix, c) in spec.components.iter().enumerate() {
+        let shard = shard_of_comp[cix];
+        let mut local = c.clone();
+        local.area = area_map[shard][&c.area];
+        local.domain = c.domain.map(|d| domain_map[shard][&d]);
+        comp_map[shard].insert(cix, shard_comps[shard].len());
+        shard_comps[shard].push(local);
+        globals[shard].push(cix);
+    }
+
+    // Bindings: intra-shard remap in place; cross-shard must be
+    // asynchronous (planning merged everything synchronous) and
+    // becomes a ring.
+    let mut shard_bindings: Vec<Vec<BindingSpec>> = vec![Vec::new(); shard_count];
+    let mut cross_outputs: Vec<Vec<CrossOutput<P>>> =
+        (0..shard_count).map(|_| Vec::new()).collect();
+    let mut cross_inputs: Vec<Vec<PendingCrossIn<P>>> =
+        (0..shard_count).map(|_| Vec::new()).collect();
+    for (bix, b) in spec.bindings.iter().enumerate() {
+        let (cs, ss) = (shard_of_comp[b.client], shard_of_comp[b.server]);
+        if cs == ss {
+            let mut local = b.clone();
+            local.client = comp_map[cs][&b.client];
+            local.server = comp_map[cs][&b.server];
+            local.enter_path = b.enter_path.iter().map(|a| area_map[cs][a]).collect();
+            shard_bindings[cs].push(local);
+            continue;
+        }
+        let ProtocolSpec::Async { capacity, .. } = b.protocol else {
+            return Err(FrameworkError::Content(format!(
+                "planner bug: synchronous binding {}→{} crosses shards",
+                spec.components[b.client].name, spec.components[b.server].name
+            )));
+        };
+        let (tx, rx) = spsc_ring::<P>(capacity)?;
+        let tag = rings.next_tag;
+        rings.next_tag += 1;
+        rings.carriers[bix] = Carrier::Ring {
+            consumer_shard: ss,
+            tag,
+        };
+        cross_outputs[cs].push(CrossOutput {
+            client: comp_map[cs][&b.client],
+            client_port: b.client_port.clone(),
+            tx,
+            charge_bytes: capacity.next_power_of_two() * ring_slot_bytes::<P>(),
+        });
+        cross_inputs[ss].push((comp_map[ss][&b.server], b.server_port.clone(), rx, tag));
+    }
+
+    // --- Materialize each shard. -----------------------------------
+    let mut shards: Vec<Shard<P>> = Vec::with_capacity(shard_count);
+    for shard in 0..shard_count {
+        let sub = SystemSpec {
+            name: format!("{}/shard{}", spec.name, shard),
+            areas: std::mem::take(&mut shard_areas[shard]),
+            domains: std::mem::take(&mut shard_domains[shard]),
+            components: std::mem::take(&mut shard_comps[shard]),
+            bindings: std::mem::take(&mut shard_bindings[shard]),
+        };
+        let system = System::build_with_cross(
+            &sub,
+            mode,
+            registry,
+            std::mem::take(&mut cross_outputs[shard]),
+            Arc::clone(&rings.in_flight),
+        )?;
+        let mut incoming = Vec::with_capacity(cross_inputs[shard].len());
+        for (slot, port, rx, tag) in std::mem::take(&mut cross_inputs[shard]) {
+            let port_ix = system.port_ix_of(slot, &port)?;
+            incoming.push(CrossIn {
+                rx,
+                slot,
+                port_ix,
+                tag,
+            });
+        }
+        let globals = std::mem::take(&mut globals[shard]);
+        shards.push(Shard::new(shard, &sub.domains, globals, system, incoming));
+    }
+    Ok((shards, rings))
+}
+
+/// Undo record of [`Rings::rewire`].
+pub(crate) struct Rewire<P> {
+    gbix: usize,
+    old_carrier: Carrier,
+    producer_shard: usize,
+    consumer_shard: usize,
+    installed_tag: u64,
+    engine: AsyncRepointUndo,
+    /// The old ring's consumer endpoint and its shard, when the binding
+    /// already rode a ring.
+    retired: Option<(usize, CrossIn<P>)>,
+}
+
+impl Rings {
+    /// The ring half of `rebind_async`: installs a fresh SPSC ring of
+    /// `capacity` for spec binding `gbix`. The client's compiled slot
+    /// `port` at `client = (shard, slot)` is repointed at the producer
+    /// endpoint with `is_cross` set — exactly the shape deploy-time rings
+    /// get — and the consumer endpoint is seated on
+    /// `server = (shard, slot, port index)`, priority-sorted. If the
+    /// binding already rode a ring, that ring's consumer endpoint is
+    /// retired (the quiescence epoch guarantees it is empty; its producer
+    /// entry stays tombstoned in its engine, where nothing routes to it).
+    /// Returns the undo record and the bytes to charge to the producer
+    /// shard's immortal area at commit.
+    ///
+    /// # Errors
+    ///
+    /// Ring allocation errors; [`FrameworkError::Binding`] for unbound or
+    /// synchronous ports.
+    pub(crate) fn rewire<P: Payload>(
+        &mut self,
+        shards: &mut [Shard<P>],
+        gbix: usize,
+        capacity: usize,
+        client: (usize, usize),
+        port: &str,
+        server: (usize, usize, u16),
+    ) -> Result<(Rewire<P>, usize), FrameworkError> {
+        let (producer_shard, client_slot) = client;
+        let (consumer_shard, server_slot, port_ix) = server;
+        let (tx, rx) = spsc_ring::<P>(capacity)?;
+        let engine = shards[producer_shard]
+            .system
+            .repoint_async_to_cross(client_slot, port, tx)?;
+
+        let old_carrier = self.carriers[gbix];
+        let retired = if let Carrier::Ring {
+            consumer_shard: old_cs,
+            tag,
+        } = old_carrier
+        {
+            let incoming = &mut shards[old_cs].incoming;
+            let pos = incoming
+                .iter()
+                .position(|c| c.tag == tag)
+                .expect("carrier table desynced from shard drain set");
+            debug_assert!(
+                incoming[pos].rx.is_empty(),
+                "retiring a non-empty ring inside a quiescence epoch"
+            );
+            Some((old_cs, incoming.remove(pos)))
+        } else {
+            None
+        };
+
+        // Self-rings — producer and consumer on one shard — are allowed:
+        // the drain pass serves them like any other ring.
+        let installed_tag = self.next_tag;
+        self.next_tag += 1;
+        shards[consumer_shard].incoming.push(CrossIn {
+            rx,
+            slot: server_slot,
+            port_ix,
+            tag: installed_tag,
+        });
+        shards[consumer_shard].resort_incoming();
+        if let Some((old_cs, _)) = &retired {
+            if *old_cs != consumer_shard {
+                shards[*old_cs].resort_incoming();
+            }
+        }
+        self.carriers[gbix] = Carrier::Ring {
+            consumer_shard,
+            tag: installed_tag,
+        };
+        let undo = Rewire {
+            gbix,
+            old_carrier,
+            producer_shard,
+            consumer_shard,
+            installed_tag,
+            engine,
+            retired,
+        };
+        Ok((undo, capacity.next_power_of_two() * ring_slot_bytes::<P>()))
+    }
+
+    /// Rolls back a [`Rings::rewire`]: retires the installed ring, restores
+    /// the client's compiled binding byte-identically and re-seats the
+    /// retired consumer endpoint.
+    pub(crate) fn unwire<P: Payload>(&mut self, shards: &mut [Shard<P>], undo: Rewire<P>) {
+        let incoming = &mut shards[undo.consumer_shard].incoming;
+        let pos = incoming
+            .iter()
+            .position(|c| c.tag == undo.installed_tag)
+            .expect("rollback: ring installed by this transaction vanished");
+        debug_assert!(
+            incoming[pos].rx.is_empty(),
+            "rollback of a ring that carried traffic inside the epoch"
+        );
+        incoming.remove(pos);
+        shards[undo.producer_shard]
+            .system
+            .restore_async_binding(undo.engine);
+        if let Some((old_cs, cin)) = undo.retired {
+            shards[old_cs].incoming.push(cin);
+            shards[old_cs].resort_incoming();
+        }
+        shards[undo.consumer_shard].resort_incoming();
+        self.carriers[undo.gbix] = undo.old_carrier;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Execution
+// ---------------------------------------------------------------------------
+
+/// Per-shard report of one `Deployment::run_ticks_instrumented` run.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
     /// Shard label (its thread-domain names joined with `+`).
@@ -274,1895 +625,102 @@ struct DrainStats {
     messages: u64,
 }
 
-/// A deployment sharded by thread domain, ticking every shard on its own
-/// OS thread. See the [module docs](self).
-pub struct ParallelSystem<P: Payload> {
-    name: String,
-    mode: Mode,
-    shards: Vec<Shard<P>>,
-    in_flight: Arc<AtomicU64>,
-    /// The global spec, kept in lock-step with every committed
-    /// reconfiguration (commit-time `check()` runs against it, and
-    /// teardown-and-redeploy equivalence is defined by it).
-    spec: SystemSpec,
-    /// Global component index → (shard, shard-local engine slot).
-    comp_slot: Vec<(usize, usize)>,
-    /// Global spec-binding index → how that binding is carried.
-    carriers: Vec<Carrier>,
-    /// Next ring tag to mint (build consumed the ones below it).
-    next_tag: u64,
-    /// The architectural mirror when deployed through the generator
-    /// (`deploy_parallel`): reconfiguration transactions keep it in
-    /// lock-step and re-validate it against the full rule set at commit.
-    arch: Option<Architecture>,
-}
-
-impl<P: Payload> std::fmt::Debug for ParallelSystem<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelSystem")
-            .field("name", &self.name)
-            .field("mode", &self.mode)
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
-impl<P: Payload> ParallelSystem<P> {
-    /// Plans the shard partition of `spec`, materializes one engine per
-    /// shard and wires every cross-shard binding through a wait-free SPSC
-    /// ring. See the [module docs](self) for the partition rules.
-    ///
-    /// # Errors
-    ///
-    /// Spec inconsistencies ([`FrameworkError::Content`]) and build errors
-    /// from the per-shard [`System::build`]s.
-    pub fn build(
-        spec: &SystemSpec,
-        mode: Mode,
-        registry: &ContentRegistry<P>,
-    ) -> Result<ParallelSystem<P>, FrameworkError> {
-        Self::build_inner(spec, mode, registry, None)
-    }
-
-    /// [`ParallelSystem::build`] with the architectural model retained as
-    /// a live mirror: reconfiguration transactions then update it
-    /// operation-by-operation and re-validate it against the full RTSJ
-    /// rule set at commit, exactly like serial [`crate::Deployment`]s.
-    /// The generator's `deploy_parallel` passes the validated architecture
-    /// through here.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ParallelSystem::build`].
-    pub fn build_with_arch(
-        spec: &SystemSpec,
-        mode: Mode,
-        registry: &ContentRegistry<P>,
-        arch: Architecture,
-    ) -> Result<ParallelSystem<P>, FrameworkError> {
-        Self::build_inner(spec, mode, registry, Some(arch))
-    }
-
-    fn build_inner(
-        spec: &SystemSpec,
-        mode: Mode,
-        registry: &ContentRegistry<P>,
-        arch: Option<Architecture>,
-    ) -> Result<ParallelSystem<P>, FrameworkError> {
-        spec.check().map_err(FrameworkError::Content)?;
-        let (shard_of_comp, shard_count) = plan_shards(spec);
-        let in_flight: Arc<AtomicU64> = Arc::default();
-
-        // --- Per-shard index remappings. -------------------------------
-        // Areas: heap/immortal replicate everywhere; a scoped area lives
-        // only in the shard owning it — via any resident component, or,
-        // for a resident-free scope, its nearest scoped ancestor's owner
-        // (its sub-spec must contain its parent chain; areas are ordered
-        // parents-first, so the ancestor's owner is already settled).
-        // Resident-free roots default to shard 0.
-        let mut scoped_owner: Vec<usize> = vec![usize::MAX; spec.areas.len()];
-        for (aix, a) in spec.areas.iter().enumerate() {
-            if a.kind != rtsj::memory::MemoryKind::Scoped {
-                continue; // replicated
-            }
-            scoped_owner[aix] = spec
-                .components
-                .iter()
-                .enumerate()
-                .find(|(cix, _)| scoped_chain(spec, *cix).contains(&aix))
-                .map(|(cix, _)| shard_of_comp[cix])
-                .or_else(|| {
-                    let mut cursor = a.parent;
-                    while let Some(p) = cursor {
-                        if scoped_owner[p] != usize::MAX {
-                            return Some(scoped_owner[p]);
-                        }
-                        cursor = spec.areas[p].parent;
+/// Releases every periodic head of every shard `ticks` times after
+/// `warmup` unmeasured ticks, each shard on its own OS thread, then runs
+/// cross-shard traffic to quiescence (see `Deployment::run_ticks_instrumented`).
+///
+/// # Errors
+///
+/// The first engine error from any shard aborts the run everywhere; the
+/// error names that shard and its root cause.
+pub(crate) fn run_shards<P: Payload, F>(
+    shards: &mut [Shard<P>],
+    rings: &Rings,
+    warmup: u64,
+    ticks: u64,
+    probe: &F,
+) -> Result<Vec<ShardRun>, FrameworkError>
+where
+    F: Fn() -> u64 + Sync,
+{
+    let ctl = &Ctl::new(shards.len(), rings);
+    let results: Vec<Result<ShardRun, FrameworkError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter_mut()
+            .enumerate()
+            .map(|(shard_ix, shard)| {
+                scope.spawn(move || {
+                    let out = shard_worker(shard, ctl, warmup, ticks, probe);
+                    if let Err(e) = &out {
+                        ctl.record_fault(shard_ix, &shard.label, e);
                     }
-                    None
+                    out
                 })
-                .unwrap_or(0);
-        }
-
-        let mut area_map: Vec<HashMap<usize, usize>> = vec![HashMap::new(); shard_count];
-        let mut shard_areas: Vec<Vec<AreaSpec>> = vec![Vec::new(); shard_count];
-        for (aix, a) in spec.areas.iter().enumerate() {
-            for shard in 0..shard_count {
-                let replicated = scoped_owner[aix] == usize::MAX;
-                if replicated || scoped_owner[aix] == shard {
-                    let mut local = a.clone();
-                    local.parent = a.parent.map(|p| {
-                        *area_map[shard]
-                            .get(&p)
-                            .expect("parents precede children in a checked spec")
-                    });
-                    area_map[shard].insert(aix, shard_areas[shard].len());
-                    shard_areas[shard].push(local);
-                }
-            }
-        }
-
-        // Domains: those referenced by a shard's components (unused
-        // domains default to shard 0 so every roster entry materializes).
-        let mut domain_shard = vec![0usize; spec.domains.len()];
-        for (cix, c) in spec.components.iter().enumerate() {
-            if let Some(d) = c.domain {
-                domain_shard[d] = shard_of_comp[cix];
-            }
-        }
-        let mut domain_map: Vec<HashMap<usize, usize>> = vec![HashMap::new(); shard_count];
-        let mut shard_domains: Vec<Vec<DomainSpec>> = vec![Vec::new(); shard_count];
-        for (dix, d) in spec.domains.iter().enumerate() {
-            let shard = domain_shard[dix];
-            domain_map[shard].insert(dix, shard_domains[shard].len());
-            shard_domains[shard].push(d.clone());
-        }
-
-        // Components.
-        let mut comp_map: Vec<HashMap<usize, usize>> = vec![HashMap::new(); shard_count];
-        let mut shard_comps: Vec<Vec<ComponentSpec>> = vec![Vec::new(); shard_count];
-        for (cix, c) in spec.components.iter().enumerate() {
-            let shard = shard_of_comp[cix];
-            let mut local = c.clone();
-            local.area = area_map[shard][&c.area];
-            local.domain = c.domain.map(|d| domain_map[shard][&d]);
-            comp_map[shard].insert(cix, shard_comps[shard].len());
-            shard_comps[shard].push(local);
-        }
-
-        // Bindings: intra-shard remap in place; cross-shard must be
-        // asynchronous (planning merged everything synchronous) and
-        // becomes a ring.
-        let mut shard_bindings: Vec<Vec<BindingSpec>> = vec![Vec::new(); shard_count];
-        let mut cross_outputs: Vec<Vec<CrossOutput<P>>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        let mut cross_inputs: Vec<Vec<PendingCrossIn<P>>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        let mut carriers: Vec<Carrier> = Vec::with_capacity(spec.bindings.len());
-        let mut next_tag: u64 = 1;
-        for b in &spec.bindings {
-            let (cs, ss) = (shard_of_comp[b.client], shard_of_comp[b.server]);
-            if cs == ss {
-                let mut local = b.clone();
-                local.client = comp_map[cs][&b.client];
-                local.server = comp_map[cs][&b.server];
-                local.enter_path = b.enter_path.iter().map(|a| area_map[cs][a]).collect();
-                shard_bindings[cs].push(local);
-                carriers.push(Carrier::Local { shard: cs });
-                continue;
-            }
-            let ProtocolSpec::Async { capacity, .. } = b.protocol else {
-                return Err(FrameworkError::Content(format!(
-                    "planner bug: synchronous binding {}→{} crosses shards",
-                    spec.components[b.client].name, spec.components[b.server].name
-                )));
-            };
-            let (tx, rx) = spsc_ring::<P>(capacity)?;
-            let tag = next_tag;
-            next_tag += 1;
-            carriers.push(Carrier::Ring {
-                producer_shard: cs,
-                cross_ix: cross_outputs[cs].len(),
-                consumer_shard: ss,
-                tag,
-            });
-            // Charge what the ring physically holds: the power-of-two slot
-            // array of locked Option<P> cells, not just the logical
-            // payload bytes.
-            let slot_bytes = std::mem::size_of::<std::sync::Mutex<Option<P>>>().max(1);
-            cross_outputs[cs].push(CrossOutput {
-                client: comp_map[cs][&b.client],
-                client_port: b.client_port.clone(),
-                tx,
-                charge_bytes: capacity.next_power_of_two() * slot_bytes,
-            });
-            cross_inputs[ss].push((comp_map[ss][&b.server], b.server_port.clone(), rx, tag));
-        }
-
-        // --- Materialize each shard. -----------------------------------
-        let mut shards: Vec<Shard<P>> = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            let sub = SystemSpec {
-                name: format!("{}/shard{}", spec.name, shard),
-                areas: std::mem::take(&mut shard_areas[shard]),
-                domains: shard_domains[shard].clone(),
-                components: std::mem::take(&mut shard_comps[shard]),
-                bindings: std::mem::take(&mut shard_bindings[shard]),
-            };
-            let system = System::build_with_cross(
-                &sub,
-                mode,
-                registry,
-                std::mem::take(&mut cross_outputs[shard]),
-                Arc::clone(&in_flight),
-            )?;
-            let mut incoming = Vec::with_capacity(cross_inputs[shard].len());
-            for (slot, port, rx, tag) in std::mem::take(&mut cross_inputs[shard]) {
-                let port_ix = system.port_ix_of(slot, &port)?;
-                incoming.push(CrossIn {
-                    rx,
-                    slot,
-                    port_ix,
-                    tag,
-                });
-            }
-            // Drain order: highest consumer priority first, mirroring the
-            // single-engine pending heap.
-            incoming.sort_by_key(|c| std::cmp::Reverse(system.node_priority(c.slot)));
-            let domains: Vec<String> = sub.domains.iter().map(|d| d.name.clone()).collect();
-            let label = if domains.is_empty() {
-                format!("shard{shard}")
-            } else {
-                domains.join("+")
-            };
-            shards.push(Shard {
-                label,
-                domains,
-                components: sub.components.iter().map(|c| c.name.clone()).collect(),
-                system,
-                incoming,
-            });
-        }
-
-        let comp_slot: Vec<(usize, usize)> = (0..spec.components.len())
-            .map(|cix| {
-                let s = shard_of_comp[cix];
-                (s, comp_map[s][&cix])
             })
             .collect();
-
-        Ok(ParallelSystem {
-            name: spec.name.clone(),
-            mode,
-            shards,
-            in_flight,
-            spec: spec.clone(),
-            comp_slot,
-            carriers,
-            next_tag,
-            arch,
-        })
-    }
-
-    /// The system name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The generation mode every shard runs in.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Number of shards (independent engines / OS threads per tick run).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard labels (thread-domain names joined with `+`), in shard order.
-    pub fn shard_labels(&self) -> Vec<&str> {
-        self.shards.iter().map(|s| s.label.as_str()).collect()
-    }
-
-    /// The shard a thread domain was planned into.
-    pub fn shard_of_domain(&self, domain: &str) -> Option<usize> {
-        self.shards
-            .iter()
-            .position(|s| s.domains.iter().any(|d| d == domain))
-    }
-
-    /// The shard a component was planned into.
-    pub fn shard_of_component(&self, component: &str) -> Option<usize> {
-        self.shards
-            .iter()
-            .position(|s| s.components.iter().any(|c| c == component))
-    }
-
-    /// Engine counters of one shard.
-    pub fn shard_stats(&self, shard: usize) -> EngineStats {
-        self.shards[shard].system.stats()
-    }
-
-    /// Engine counters summed across shards. Cross-ring traffic lands in
-    /// the ledger split across engines: the producer shard counts the push
-    /// (`async_messages`), the consumer shard counts the delivery or the
-    /// quarantine drop — the sum is what conservation is asserted on.
-    pub fn stats(&self) -> EngineStats {
-        let mut total = EngineStats::default();
-        for s in &self.shards {
-            let st = s.system.stats();
-            total.transactions += st.transactions;
-            total.activations += st.activations;
-            total.sync_calls += st.sync_calls;
-            total.async_messages += st.async_messages;
-            total.dropped_messages += st.dropped_messages;
-            total.delivered_messages += st.delivered_messages;
-            total.quarantine_drops += st.quarantine_drops;
-            total.faults_contained += st.faults_contained;
-            total.timer_fires += st.timer_fires;
-        }
-        total
-    }
-
-    /// String comparisons performed by port dispatch, summed across
-    /// shards (see [`System::string_compares`]).
-    pub fn string_compares(&self) -> u64 {
-        self.shards.iter().map(|s| s.system.string_compares()).sum()
-    }
-
-    /// Arc clones performed by port dispatch, summed across shards (see
-    /// [`System::arc_clones`]).
-    pub fn arc_clones(&self) -> u64 {
-        self.shards.iter().map(|s| s.system.arc_clones()).sum()
-    }
-
-    /// Read-only access to one shard's engine (introspection, footprint).
-    pub fn shard_system(&self, shard: usize) -> &System<P> {
-        &self.shards[shard].system
-    }
-
-    // -----------------------------------------------------------------
-    // Release engine: per-shard timers + runtime contracts
-    // -----------------------------------------------------------------
-
-    /// The shard and shard-local slot of a component, by name.
-    fn locate(&self, component: &str) -> Result<(usize, usize), FrameworkError> {
-        for (six, s) in self.shards.iter().enumerate() {
-            if let Some(slot) = s.components.iter().position(|c| c == component) {
-                return Ok((six, slot));
-            }
-        }
-        Err(FrameworkError::Content(format!(
-            "unknown component '{component}'"
-        )))
-    }
-
-    /// Schedules an extra release of periodic `component` at absolute
-    /// engine time `at`, on the timer queue of whichever shard it was
-    /// planned into; each shard's worker fires its own due timers inside
-    /// its tick loop (see [`System::schedule_release`]).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components,
-    /// [`FrameworkError::Timer`] for non-periodic ones or a full queue.
-    pub fn schedule_release(
-        &mut self,
-        component: &str,
-        at: AbsoluteTime,
-    ) -> Result<TimerHandle, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard].system.schedule_release(slot, at)
-    }
-
-    /// Cancels a release scheduled on `component`'s shard; `false` for
-    /// stale handles. The component names the shard — handles are only
-    /// meaningful against the queue that issued them.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn cancel_release(
-        &mut self,
-        component: &str,
-        handle: TimerHandle,
-    ) -> Result<bool, FrameworkError> {
-        let (shard, _) = self.locate(component)?;
-        Ok(self.shards[shard].system.cancel_release(handle))
-    }
-
-    /// Currently armed timers, summed across shards.
-    pub fn armed_timers(&self) -> usize {
-        self.shards.iter().map(|s| s.system.armed_timers()).sum()
-    }
-
-    /// Attaches a declarative timing contract to a component, wherever it
-    /// was sharded (see [`System`]'s contract machinery); every later
-    /// activation on that shard's thread is stamped into its
-    /// allocation-free histogram.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn attach_contract(
-        &mut self,
-        component: &str,
-        contract: TimingContract,
-    ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard]
-            .system
-            .attach_contract_at(slot, contract)
-            .map(|_| ())
-    }
-
-    /// A component's latency-monitor snapshot; `None` when no contract is
-    /// attached.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn latency_snapshot(
-        &self,
-        component: &str,
-    ) -> Result<Option<LatencySnapshot>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.latency_snapshot_at(slot))
-    }
-
-    /// Deadline misses observed across every monitored component of every
-    /// shard.
-    pub fn deadline_misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.system.deadline_misses()).sum()
-    }
-
-    /// Checks every attached contract on every shard and folds the
-    /// verdicts into one report (SOL-016…SOL-019).
-    pub fn contract_report(&self) -> ValidationReport {
-        let mut report = ValidationReport::default();
-        for s in &self.shards {
-            report.merge(s.system.contract_report());
-        }
-        report
-    }
-
-    // -----------------------------------------------------------------
-    // Fault containment & supervision (per-shard engines)
-    // -----------------------------------------------------------------
-
-    /// Sets a component's [`FaultPolicy`] on whichever shard owns it;
-    /// returns the previous policy. Under `Isolate` or `Restart`, a fault
-    /// in this component quarantines it on its own shard while every
-    /// sibling shard keeps ticking.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn set_fault_policy(
-        &mut self,
-        component: &str,
-        policy: FaultPolicy,
-    ) -> Result<FaultPolicy, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard].system.set_fault_policy_at(slot, policy)
-    }
-
-    /// A component's current [`FaultPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn fault_policy(&self, component: &str) -> Result<FaultPolicy, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.fault_policy_at(slot))
-    }
-
-    /// True while a component is quarantined by its fault policy.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn quarantined(&self, component: &str) -> Result<bool, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.quarantined_at(slot))
-    }
-
-    /// Restarts a quarantined component now with a fresh content instance,
-    /// on its own shard. Idempotent on healthy components.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components, content
-    /// `on_start` failures.
-    pub fn restart_component(&mut self, component: &str) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard].system.restart_slot(slot)
-    }
-
-    /// Installs a deterministic [`FaultInjector`] at a component's
-    /// activation boundary on whichever shard owns it (replaces any
-    /// previous injector).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn install_fault_injector(
-        &mut self,
-        component: &str,
-        injector: FaultInjector,
-    ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard]
-            .system
-            .install_fault_injector_at(slot, injector)?;
-        Ok(())
-    }
-
-    /// `(activations seen, faults injected)` of a component's injector;
-    /// `None` when no injector is installed.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn injector_counts(&self, component: &str) -> Result<Option<(u64, u64)>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.injector_counts_at(slot))
-    }
-
-    /// Supervision counters of a component:
-    /// `(faults contained, supervised restarts, suppressed releases)`.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn supervision_counts(&self, component: &str) -> Result<(u64, u64, u64), FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.supervision_counts_at(slot))
-    }
-
-    /// Declares (or clears) a component's supervisor on its own shard,
-    /// returning the previous edge's component name. Supervision trees
-    /// are **shard-local**: each shard's engine walks its own tree with no
-    /// cross-thread coordination, so a supervisor edge between components
-    /// planned onto different shards is refused — declare the tree so
-    /// related components share a shard (synchronous neighbourhoods
-    /// already do), or supervise shard-locally.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components, cycles, or
-    /// self-supervision; [`FrameworkError::Unsupported`] for a cross-shard
-    /// edge.
-    pub fn set_supervisor(
-        &mut self,
-        component: &str,
-        supervisor: Option<&str>,
-    ) -> Result<Option<String>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        let sup_slot = match supervisor {
-            Some(name) => {
-                let (sup_shard, sup_slot) = self.locate(name)?;
-                if sup_shard != shard {
-                    return Err(FrameworkError::Unsupported(format!(
-                        "supervisor edge '{component}' -> '{name}' crosses shards \
-                         ({shard} -> {sup_shard}); supervision trees are shard-local \
-                         — escalation must never block on another shard's thread"
-                    )));
-                }
-                Some(sup_slot)
-            }
-            None => None,
-        };
-        let prev = self.shards[shard]
-            .system
-            .set_supervisor_at(slot, sup_slot)?;
-        Ok(prev.map(|s| self.shards[shard].components[s].clone()))
-    }
-
-    /// A component's declared supervisor's name, if any.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn supervisor_of(&self, component: &str) -> Result<Option<String>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard]
-            .system
-            .supervisor_of_at(slot)
-            .map(|s| self.shards[shard].components[s].clone()))
-    }
-
-    /// The rendered escalation path of the last fault this component
-    /// contained as a supervisor on its shard (`None` until an escalation
-    /// walked through it).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn escalation_path(&self, component: &str) -> Result<Option<String>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.escalation_path_at(slot))
-    }
-
-    /// Opts a component into the warm-state Checkpoint capability on its
-    /// own shard (see `Deployment::enable_checkpoint` for the contract).
-    /// The two preallocated images are charged against the component's
-    /// allocation area immediately; a refused charge tears the capability
-    /// back out.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components, a zero cadence,
-    /// or content without the capability; substrate budget exhaustion.
-    pub fn enable_checkpoint(
-        &mut self,
-        component: &str,
-        cadence: u32,
-    ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        let system = &mut self.shards[shard].system;
-        let bytes = system.enable_checkpoint_at(slot, cadence)?;
-        let area_ix = system.area_ix_at(slot);
-        if let Err(e) = system.charge_area(area_ix, bytes) {
-            system.disable_checkpoint_at(slot);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// `(captures, restores)` of a component's checkpoint storage; `None`
-    /// when the capability is not enabled.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn checkpoint_counts(&self, component: &str) -> Result<Option<(u64, u64)>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.checkpoint_counts_at(slot))
-    }
-
-    /// The full runtime health report folded across every shard: contract
-    /// verdicts (SOL-016…019) plus supervision findings (SOL-020…023).
-    pub fn health_report(&self) -> ValidationReport {
-        let mut report = ValidationReport::default();
-        for s in &self.shards {
-            report.merge(s.system.health_report());
-        }
-        report
-    }
-
-    /// Releases every periodic head of every shard `ticks` times, each
-    /// shard on its own OS thread, then runs cross-shard traffic to
-    /// quiescence. Equivalent to [`run_ticks_instrumented`] with no warmup
-    /// and a constant probe.
-    ///
-    /// # Errors
-    ///
-    /// The first engine error from any shard aborts the run everywhere.
-    ///
-    /// [`run_ticks_instrumented`]: Self::run_ticks_instrumented
-    pub fn run_ticks(&mut self, ticks: u64) -> Result<Vec<ShardRun>, FrameworkError> {
-        self.run_ticks_instrumented(0, ticks, &|| 0)
-    }
-
-    /// The instrumented tick loop: `warmup` unmeasured ticks per shard
-    /// (provisioning lazily-grown structures), a quiescence point, then
-    /// `ticks` measured ticks with per-tick timing. `probe` is sampled on
-    /// each shard's own thread around the measured phase — pass a
-    /// per-thread allocation counter to gate the steady state at 0
-    /// allocations, as `soleil-bench` does.
-    ///
-    /// # Errors
-    ///
-    /// The first engine error from any shard aborts the run everywhere.
-    pub fn run_ticks_instrumented<F>(
-        &mut self,
-        warmup: u64,
-        ticks: u64,
-        probe: &F,
-    ) -> Result<Vec<ShardRun>, FrameworkError>
-    where
-        F: Fn() -> u64 + Sync,
-    {
-        let ctl = Ctl {
-            n: self.shards.len(),
-            abort: AtomicBool::new(false),
-            warmup_done: AtomicUsize::new(0),
-            measure_gate: AtomicUsize::new(0),
-            ticks_done: AtomicUsize::new(0),
-            in_flight: Arc::clone(&self.in_flight),
-            fault: Mutex::new(None),
-        };
-        let ctl = &ctl;
-        let results: Vec<Result<ShardRun, FrameworkError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(shard_ix, shard)| {
-                    scope.spawn(move || {
-                        let label = shard.label.clone();
-                        let out = shard_worker(shard, ctl, warmup, ticks, probe);
-                        if let Err(e) = &out {
-                            ctl.record_fault(shard_ix, &label, e);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        // On abort every shard returns an error, but only one of them is
-        // the root cause — surface that one (with its shard named), never
-        // whichever sibling happened to come first in shard order.
-        if results.iter().any(|r| r.is_err()) {
-            return Err(ctl.aborted());
-        }
-        let mut runs = Vec::with_capacity(results.len());
-        for r in results {
-            runs.push(r.expect("checked above"));
-        }
-        Ok(runs)
-    }
-
-    /// Tears every shard down (see [`System::shutdown`]).
-    ///
-    /// # Errors
-    ///
-    /// Substrate errors releasing pins.
-    pub fn shutdown(&mut self) -> Result<(), FrameworkError> {
-        for s in &mut self.shards {
-            s.system.shutdown()?;
-        }
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Transactional reconfiguration of the live partition
-    // -----------------------------------------------------------------
-
-    /// Per-shard structural digests (see [`System::structural_digest`]):
-    /// the byte-identical-rollback witness for parallel transactions. A
-    /// refused [`reconfigure`](Self::reconfigure) leaves every entry
-    /// unchanged.
-    pub fn structural_digests(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.system.structural_digest())
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
             .collect()
+    });
+    // On abort every shard returns an error, but only one of them is
+    // the root cause — surface that one (with its shard named), never
+    // whichever sibling happened to come first in shard order.
+    if results.iter().any(|r| r.is_err()) {
+        return Err(ctl.aborted());
     }
+    Ok(results
+        .into_iter()
+        .map(|r| r.expect("checked above"))
+        .collect())
+}
 
-    /// Drives every shard to a quiescence epoch: no message in flight, no
-    /// message in any cross-domain ring. Between parallel runs the
-    /// partition is normally already quiescent (run-to-completion drains
-    /// before workers exit), so the fast path is two loads; otherwise the
-    /// shards' own drain loops run — on each shard's data, priority order
-    /// preserved — until the in-flight counter proves global silence.
-    fn quiesce(&mut self) -> Result<(), FrameworkError> {
-        if self.in_flight.load(Ordering::SeqCst) == 0
-            && self
-                .shards
-                .iter()
-                .all(|s| s.incoming.iter().all(|c| c.rx.is_empty()))
-        {
-            return Ok(());
-        }
-        let ctl = Ctl {
-            n: self.shards.len(),
-            abort: AtomicBool::new(false),
-            warmup_done: AtomicUsize::new(0),
-            measure_gate: AtomicUsize::new(0),
-            ticks_done: AtomicUsize::new(0),
-            in_flight: Arc::clone(&self.in_flight),
-            fault: Mutex::new(None),
-        };
-        let ctl = &ctl;
-        let failed = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(shard_ix, shard)| {
-                    scope.spawn(move || {
-                        let label = shard.label.clone();
-                        let mut ds = DrainStats::default();
-                        ctl.warmup_done.fetch_add(1, Ordering::SeqCst);
-                        let out = drain_until_quiescent(shard, ctl, &ctl.warmup_done, &mut ds);
-                        if let Err(e) = &out {
-                            ctl.record_fault(shard_ix, &label, e);
-                        }
-                        out.is_err()
-                    })
+/// Drives every shard to a quiescence epoch: no message in flight, no
+/// message in any cross-domain ring. Between runs the partition is
+/// normally already quiescent (run-to-completion drains before workers
+/// exit), so the fast path is two loads; otherwise the shards' own drain
+/// loops run — on each shard's data, priority order preserved — until the
+/// in-flight counter proves global silence.
+///
+/// # Errors
+///
+/// A shard's fault while draining a buffered message.
+pub(crate) fn quiesce<P: Payload>(
+    shards: &mut [Shard<P>],
+    rings: &Rings,
+) -> Result<(), FrameworkError> {
+    if rings.in_flight.load(Ordering::SeqCst) == 0
+        && shards
+            .iter()
+            .all(|s| s.incoming.iter().all(|c| c.rx.is_empty()))
+    {
+        return Ok(());
+    }
+    let ctl = &Ctl::new(shards.len(), rings);
+    let failed = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter_mut()
+            .enumerate()
+            .map(|(shard_ix, shard)| {
+                scope.spawn(move || {
+                    let mut ds = DrainStats::default();
+                    ctl.warmup_done.fetch_add(1, Ordering::SeqCst);
+                    let out = drain_until_quiescent(shard, ctl, &ctl.warmup_done, &mut ds);
+                    if let Err(e) = &out {
+                        ctl.record_fault(shard_ix, &shard.label, e);
+                    }
+                    out.is_err()
                 })
-                .collect();
-            handles
-                .into_iter()
-                .any(|h| h.join().expect("quiescence drainer panicked"))
-        });
-        if failed {
-            return Err(ctl.aborted());
-        }
-        Ok(())
-    }
-
-    /// Runs a reconfiguration transaction against the live partition: the
-    /// partition is first driven to a quiescence epoch (every ring
-    /// drained, zero messages in flight — the parallel analogue of the
-    /// run-to-completion guarantee single-engine reconfiguration gets for
-    /// free), then the closure applies operations through the
-    /// [`ParallelReconfiguration`] handle, journaled per shard. On `Ok`
-    /// the resulting deployment is re-validated — partition invariants
-    /// *and*, for architecture-carrying deployments (see
-    /// [`ParallelSystem::build_with_arch`]), the full RTSJ rule set — and
-    /// commits only if compliant; substrate charges for rings and
-    /// re-homed state are deferred to this point so a refused transaction
-    /// is charge-neutral. On a closure error or validator refusal every
-    /// shard's journal is replayed in reverse, restoring engines, rings,
-    /// spec and architecture byte-identically (witness:
-    /// [`structural_digests`](Self::structural_digests)).
-    ///
-    /// # Errors
-    ///
-    /// * [`FrameworkError::Unsupported`] under ULTRA-MERGE (purely
-    ///   static).
-    /// * The quiescence drain's error if a shard faults on a buffered
-    ///   message.
-    /// * The closure's error, after rollback.
-    /// * [`FrameworkError::Rejected`] with the full validation report when
-    ///   the resulting architecture violates RTSJ, after rollback.
-    pub fn reconfigure<T>(
-        &mut self,
-        f: impl FnOnce(&mut ParallelReconfiguration<'_, P>) -> Result<T, FrameworkError>,
-    ) -> Result<T, FrameworkError> {
-        if self.mode == Mode::UltraMerge {
-            return Err(FrameworkError::Unsupported(
-                "ULTRA-MERGE systems are purely static".into(),
-            ));
-        }
-        self.quiesce()?;
-        let mut txn = ParallelReconfiguration {
-            sys: self,
-            journal: Vec::new(),
-            pending_charges: Vec::new(),
-        };
-        match f(&mut txn) {
-            Ok(value) => match txn.validate_commit() {
-                Ok(()) => {
-                    // Commit: make the deferred substrate charges. A
-                    // failing charge refuses the transaction; charges
-                    // already made stand — immortal/scoped accounting is
-                    // monotonic, exactly like build.
-                    let charges = std::mem::take(&mut txn.pending_charges);
-                    for charge in charges {
-                        if let Err(e) = txn.apply_charge(charge) {
-                            txn.rollback();
-                            return Err(e);
-                        }
-                    }
-                    Ok(value)
-                }
-                Err(e) => {
-                    txn.rollback();
-                    Err(e)
-                }
-            },
-            Err(e) => {
-                txn.rollback();
-                Err(e)
-            }
-        }
-    }
-}
-
-/// A substrate charge deferred to commit time: refused transactions never
-/// reach the allocator, so they are charge-neutral (the paper's memory
-/// model makes immortal/scoped charges permanent — a speculative charge
-/// could never be given back).
-enum PendingCharge {
-    /// State bytes of a re-homed component, charged to its new region.
-    Area {
-        shard: usize,
-        area_ix: usize,
-        bytes: usize,
-    },
-    /// The slot array of a freshly installed cross-domain ring, charged
-    /// to immortal memory on the producer shard (build charges deploy-time
-    /// rings the same way).
-    Immortal { shard: usize, bytes: usize },
-}
-
-/// One applied parallel operation's undo record. Rollback replays these in
-/// reverse, restoring every shard engine, the ring topology, the shared
-/// spec and the architectural model.
-enum PUndo<P> {
-    /// Undo of `start`: stop the slot again.
-    Stop { shard: usize, slot: usize },
-    /// Undo of `stop`: restart the slot.
-    Start { shard: usize, slot: usize },
-    /// Undo of a same-shard synchronous `rebind`.
-    Rebind {
-        shard: usize,
-        client_slot: usize,
-        port: String,
-        old_server_slot: usize,
-        gbix: usize,
-        old_server_g: usize,
-        arch: Option<(ComponentId, ComponentId, String, Protocol)>,
-    },
-    /// Undo of `rebind_async`'s cross-ring rewiring: retire the installed
-    /// ring, restore the client's compiled binding byte-identically, and
-    /// re-seat the retired consumer endpoint (if the old carrier was a
-    /// ring).
-    AsyncRewire {
-        gbix: usize,
-        old_carrier: Carrier,
-        old_server_g: usize,
-        producer_shard: usize,
-        consumer_shard: usize,
-        installed_tag: u64,
-        engine: AsyncRepointUndo,
-        retired: Option<(usize, CrossIn<P>)>,
-        arch: Option<(ComponentId, ComponentId, String, Protocol)>,
-    },
-    /// Undo of `reassign_domain`: re-seat the domain (and, for a re-homed
-    /// component, migrate the allocation region back).
-    Domain {
-        shard: usize,
-        slot: usize,
-        g: usize,
-        old_domain_ix: Option<usize>,
-        old_domain_g: Option<usize>,
-        /// `(old local area ix, old global area ix)` when the move
-        /// re-homed the allocation region.
-        rehome: Option<(usize, usize)>,
-        arch: Option<(ComponentId, Option<ComponentId>, ComponentId)>,
-    },
-    /// Undo of an interceptor installation: remove it again.
-    RemoveInterceptor {
-        shard: usize,
-        slot: usize,
-        name: &'static str,
-    },
-    /// Undo of an interceptor removal: splice the taken step back.
-    InstallStep {
-        shard: usize,
-        slot: usize,
-        index: usize,
-        step: InterceptStep,
-    },
-    /// Undo of a contract attach or detach: put the previous monitor slot
-    /// back, recorded histogram included.
-    Contract {
-        shard: usize,
-        slot: usize,
-        previous: Option<Box<MonitorSlot>>,
-    },
-    /// Undo of `set_fault_policy`: restore the pre-transaction policy.
-    Policy {
-        shard: usize,
-        slot: usize,
-        previous: FaultPolicy,
-    },
-    /// Undo of `set_supervisor`: restore the pre-transaction edge.
-    Supervisor {
-        shard: usize,
-        slot: usize,
-        previous: Option<usize>,
-    },
-}
-
-/// The in-flight transaction handle passed to
-/// [`ParallelSystem::reconfigure`]'s closure. Operations are
-/// name-addressed (the partition owns placement — callers never see shard
-/// indices), apply eagerly, and journal their inverses; the whole set
-/// reverts together on failure.
-pub struct ParallelReconfiguration<'s, P: Payload> {
-    sys: &'s mut ParallelSystem<P>,
-    journal: Vec<PUndo<P>>,
-    pending_charges: Vec<PendingCharge>,
-}
-
-impl<P: Payload> ParallelReconfiguration<'_, P> {
-    /// Global spec index of a component, by name.
-    fn gix(&self, component: &str) -> Result<usize, FrameworkError> {
-        self.sys
-            .spec
-            .component_index(component)
-            .ok_or_else(|| FrameworkError::Content(format!("unknown component '{component}'")))
-    }
-
-    /// Mirrors a rebind into the architectural model (when the deployment
-    /// carries one): unbind the client port, bind it to the new server's
-    /// same-named interface. Returns the restore record.
-    fn arch_rebind(
-        &mut self,
-        client: &str,
-        port: &str,
-        new_server: &str,
-    ) -> Result<Option<(ComponentId, ComponentId, String, Protocol)>, FrameworkError> {
-        let Some(arch) = self.sys.arch.as_mut() else {
-            return Ok(None);
-        };
-        let client_id = arch
-            .id_of(client)
-            .map_err(|e| FrameworkError::Content(e.to_string()))?;
-        let new_server_id = arch
-            .id_of(new_server)
-            .map_err(|e| FrameworkError::Content(e.to_string()))?;
-        let old = arch
-            .bindings()
-            .iter()
-            .find(|b| b.client.component == client_id && b.client.interface == port)
-            .ok_or_else(|| {
-                FrameworkError::Binding(format!(
-                    "architecture lost binding for client port '{port}'"
-                ))
-            })?;
-        let (old_server_id, old_server_if, protocol) = (
-            old.server.component,
-            old.server.interface.clone(),
-            old.protocol,
-        );
-        if !arch.unbind(client_id, port) {
-            return Err(FrameworkError::Binding(format!(
-                "architecture lost binding for client port '{port}'"
-            )));
-        }
-        if let Err(e) = arch.bind(client_id, port, new_server_id, &old_server_if, protocol) {
-            arch.bind(client_id, port, old_server_id, &old_server_if, protocol)
-                .expect("restoring a binding that existed before the transaction");
-            return Err(FrameworkError::Binding(e.to_string()));
-        }
-        Ok(Some((client_id, old_server_id, old_server_if, protocol)))
-    }
-
-    /// Puts an architectural binding mirrored by [`Self::arch_rebind`]
-    /// back (used both by op-level failure recovery and by rollback).
-    fn arch_unrebind(
-        arch: &mut Option<Architecture>,
-        port: &str,
-        record: &(ComponentId, ComponentId, String, Protocol),
-    ) {
-        let arch = arch.as_mut().expect("record exists only with an arch");
-        let (client_id, old_server_id, old_server_if, protocol) = record;
-        assert!(
-            arch.unbind(*client_id, port),
-            "rollback: transaction binding vanished from the architecture"
-        );
-        arch.bind(*client_id, port, *old_server_id, old_server_if, *protocol)
-            .expect("rollback restore of the pre-transaction binding");
-    }
-
-    /// Stops a component (no-op if already stopped), wherever it was
-    /// sharded.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn stop(&mut self, component: &str) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        if !self.sys.shards[shard].system.node_started(slot) {
-            return Ok(());
-        }
-        self.sys.shards[shard].system.stop_at(slot)?;
-        self.journal.push(PUndo::Start { shard, slot });
-        Ok(())
-    }
-
-    /// (Re)starts a component (no-op if already started).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn start(&mut self, component: &str) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        if self.sys.shards[shard].system.node_started(slot) {
-            return Ok(());
-        }
-        self.sys.shards[shard].system.start_at(slot)?;
-        self.journal.push(PUndo::Stop { shard, slot });
-        Ok(())
-    }
-
-    /// Rebinds `client`'s **synchronous** `port` to `new_server` on the
-    /// same shard. Synchronous invocations are nested calls on the
-    /// caller's thread — they can never cross the domain partition, so a
-    /// rebind whose new server lives on another shard is refused (the
-    /// planner would never have co-located them; use
-    /// [`rebind_async`](Self::rebind_async) for buffered bindings, which
-    /// ride cross-domain rings).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] for a cross-shard target,
-    /// [`FrameworkError::Binding`] for unbound/asynchronous ports, missing
-    /// interfaces or signature mismatches.
-    pub fn rebind(
-        &mut self,
-        client: &str,
-        port: &str,
-        new_server: &str,
-    ) -> Result<(), FrameworkError> {
-        let gclient = self.gix(client)?;
-        let gserver = self.gix(new_server)?;
-        let (cs, client_slot) = self.sys.comp_slot[gclient];
-        let (ss, server_slot) = self.sys.comp_slot[gserver];
-        if cs != ss {
-            return Err(FrameworkError::Unsupported(format!(
-                "synchronous rebind cannot cross the domain partition: '{client}' runs on \
-                 shard {cs} ('{}') and '{new_server}' on shard {ss} ('{}'); nested \
-                 invocations stay on the caller's thread — use rebind_async for buffered \
-                 bindings",
-                self.sys.shards[cs].label, self.sys.shards[ss].label
-            )));
-        }
-        let old_server_slot = self.sys.shards[cs]
-            .system
-            .sync_target_of(client_slot, port)?;
-        let gbix = self
-            .sys
-            .spec
-            .bindings
-            .iter()
-            .position(|b| {
-                b.client == gclient
-                    && b.client_port == port
-                    && matches!(b.protocol, ProtocolSpec::Sync)
             })
-            .ok_or_else(|| {
-                FrameworkError::Binding(format!(
-                    "deployment plan lost binding for client port '{port}'"
-                ))
-            })?;
-        let old_server_g = self.sys.spec.bindings[gbix].server;
-
-        // Architecture first: it runs the stricter checks.
-        let arch = self.arch_rebind(client, port, new_server)?;
-
-        // Engine second; architecture restored if it refuses.
-        if let Err(e) = self.sys.shards[cs]
-            .system
-            .rebind_at(client_slot, port, server_slot)
-        {
-            if let Some(record) = &arch {
-                Self::arch_unrebind(&mut self.sys.arch, port, record);
-            }
-            return Err(e);
-        }
-
-        self.sys.spec.bindings[gbix].server = gserver;
-        self.journal.push(PUndo::Rebind {
-            shard: cs,
-            client_slot,
-            port: port.to_string(),
-            old_server_slot,
-            gbix,
-            old_server_g,
-            arch,
-        });
-        Ok(())
+            .collect();
+        handles
+            .into_iter()
+            .any(|h| h.join().expect("quiescence drainer panicked"))
+    });
+    if failed {
+        return Err(ctl.aborted());
     }
-
-    /// Rebinds `client`'s **asynchronous** `port` to `new_server`,
-    /// anywhere in the partition — the cross-ring rewiring operation. The
-    /// new server must provide a server interface of the same name as the
-    /// old target. A fresh SPSC ring (the old binding's capacity) is
-    /// installed: the client's compiled slot is repointed at its producer
-    /// endpoint with `is_cross` set — exactly the shape deploy-time rings
-    /// get — and the consumer endpoint is seated in the new server's
-    /// shard drain set, priority-sorted. If the old carrier was itself a
-    /// ring, its consumer endpoint is retired (the quiescence epoch
-    /// guarantees it is empty). The ring's immortal charge is deferred to
-    /// commit.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Binding`] for unbound or synchronous ports or a
-    /// missing server interface.
-    pub fn rebind_async(
-        &mut self,
-        client: &str,
-        port: &str,
-        new_server: &str,
-    ) -> Result<(), FrameworkError> {
-        let gclient = self.gix(client)?;
-        let gserver = self.gix(new_server)?;
-        let gbix = self
-            .sys
-            .spec
-            .bindings
-            .iter()
-            .position(|b| {
-                b.client == gclient
-                    && b.client_port == port
-                    && matches!(b.protocol, ProtocolSpec::Async { .. })
-            })
-            .ok_or_else(|| {
-                FrameworkError::Binding(format!(
-                    "no asynchronous binding on client port '{port}' of '{client}'"
-                ))
-            })?;
-        let ProtocolSpec::Async { capacity, .. } = self.sys.spec.bindings[gbix].protocol else {
-            unreachable!("position() matched Async above")
-        };
-        let old_server_g = self.sys.spec.bindings[gbix].server;
-        let server_port = self.sys.spec.bindings[gbix].server_port.clone();
-        let (producer_shard, client_slot) = self.sys.comp_slot[gclient];
-        let (consumer_shard, server_slot) = self.sys.comp_slot[gserver];
-
-        // The new consumer must provide the same-named server port;
-        // resolve it before touching anything.
-        let port_ix = self.sys.shards[consumer_shard]
-            .system
-            .port_ix_of(server_slot, &server_port)?;
-
-        // Architecture first (stricter checks), then the ring + engine.
-        let arch = self.arch_rebind(client, port, new_server)?;
-
-        let slot_bytes = std::mem::size_of::<std::sync::Mutex<Option<P>>>().max(1);
-        let ring = spsc_ring::<P>(capacity)
-            .map_err(FrameworkError::from)
-            .and_then(|(tx, rx)| {
-                self.sys.shards[producer_shard]
-                    .system
-                    .repoint_async_to_cross(client_slot, port, tx)
-                    .map(|undo| (undo, rx))
-            });
-        let (engine, rx) = match ring {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(record) = &arch {
-                    Self::arch_unrebind(&mut self.sys.arch, port, record);
-                }
-                return Err(e);
-            }
-        };
-
-        // Retire the old consumer endpoint if the old carrier was a ring.
-        // Quiescence guarantees it is empty; the old producer entry stays
-        // tombstoned in its shard's `cross_out` (nothing routes to it) —
-        // rollback truncation keeps journal LIFO order intact.
-        let old_carrier = self.sys.carriers[gbix];
-        let retired = if let Carrier::Ring {
-            consumer_shard: old_cs,
-            tag,
-            ..
-        } = old_carrier
-        {
-            let incoming = &mut self.sys.shards[old_cs].incoming;
-            let pos = incoming
-                .iter()
-                .position(|c| c.tag == tag)
-                .expect("carrier table desynced from shard drain set");
-            debug_assert!(
-                incoming[pos].rx.is_empty(),
-                "retiring a non-empty ring inside a quiescence epoch"
-            );
-            Some((old_cs, incoming.remove(pos)))
-        } else {
-            None
-        };
-
-        // Seat the new consumer endpoint (self-rings — producer and
-        // consumer on one shard — are allowed: the drain pass serves
-        // them like any other ring).
-        let installed_tag = self.sys.next_tag;
-        self.sys.next_tag += 1;
-        self.sys.shards[consumer_shard].incoming.push(CrossIn {
-            rx,
-            slot: server_slot,
-            port_ix,
-            tag: installed_tag,
-        });
-        resort_incoming(&mut self.sys.shards[consumer_shard]);
-        if let Some((old_cs, _)) = &retired {
-            if *old_cs != consumer_shard {
-                resort_incoming(&mut self.sys.shards[*old_cs]);
-            }
-        }
-
-        self.sys.carriers[gbix] = Carrier::Ring {
-            producer_shard,
-            cross_ix: engine.cross_ix,
-            consumer_shard,
-            tag: installed_tag,
-        };
-        self.sys.spec.bindings[gbix].server = gserver;
-        self.pending_charges.push(PendingCharge::Immortal {
-            shard: producer_shard,
-            bytes: capacity.next_power_of_two() * slot_bytes,
-        });
-        self.journal.push(PUndo::AsyncRewire {
-            gbix,
-            old_carrier,
-            old_server_g,
-            producer_shard,
-            consumer_shard,
-            installed_tag,
-            engine,
-            retired,
-            arch,
-        });
-        Ok(())
-    }
-
-    /// Re-homes a component onto another ThreadDomain **of its own
-    /// shard**. The engine adopts the new domain's context and priority;
-    /// when the deployment carries an architecture and the domain edge
-    /// moves the component under a different memory area, the allocation
-    /// region migrates with it — a checkpoint/handoff re-homing: the
-    /// slot's scope chain and every dispatch plan touching it are
-    /// recompiled against the new region, and the migrated state's charge
-    /// is deferred to commit. Commit-time validation re-checks
-    /// SOL-001/002/005/006 against the move.
-    ///
-    /// The domain partition itself is static: a reassignment onto a
-    /// domain materialized on a *different* shard would migrate the
-    /// component across OS threads and is refused, as is a re-homing onto
-    /// a memory area owned by another shard.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown domains,
-    /// [`FrameworkError::Binding`] for indirect domain membership,
-    /// [`FrameworkError::Unsupported`] for cross-shard moves.
-    pub fn reassign_domain(&mut self, component: &str, domain: &str) -> Result<(), FrameworkError> {
-        let g = self.gix(component)?;
-        let (shard, slot) = self.sys.comp_slot[g];
-        let Some(new_domain_ix) = self.sys.shards[shard].system.domain_ix_by_name(domain) else {
-            return Err(
-                match self.sys.spec.domains.iter().position(|d| d.name == domain) {
-                    Some(gd) => {
-                        let owner = self
-                            .sys
-                            .shards
-                            .iter()
-                            .position(|s| s.domains.iter().any(|d| d == domain))
-                            .unwrap_or(gd);
-                        FrameworkError::Unsupported(format!(
-                            "domain '{domain}' is materialized on shard {owner} ('{}'); \
-                             '{component}' runs on shard {shard} ('{}') and components \
-                             never migrate across the static domain partition",
-                            self.sys.shards[owner].label, self.sys.shards[shard].label
-                        ))
-                    }
-                    None => FrameworkError::Content(format!("unknown thread domain '{domain}'")),
-                },
-            );
-        };
-        let g_domain = self
-            .sys
-            .spec
-            .domains
-            .iter()
-            .position(|d| d.name == domain)
-            .expect("shard domains are a subset of the plan's");
-
-        // Architectural edge dance + area-change detection (arch-carrying
-        // deployments only — `build` without an architecture reconfigures
-        // the engine alone).
-        let mut arch_undo: Option<(ComponentId, Option<ComponentId>, ComponentId)> = None;
-        let mut rehome_target: Option<String> = None;
-        if let Some(arch) = self.sys.arch.as_mut() {
-            let comp = arch
-                .id_of(component)
-                .map_err(|e| FrameworkError::Content(e.to_string()))?;
-            let new_domain_id = arch
-                .id_of(domain)
-                .map_err(|e| FrameworkError::Content(e.to_string()))?;
-            if !matches!(
-                arch.component(new_domain_id).map(|c| &c.kind),
-                Ok(ComponentKind::ThreadDomain(_))
-            ) {
-                return Err(FrameworkError::Content(format!(
-                    "'{domain}' is not a ThreadDomain"
-                )));
-            }
-            let old_domain_id = arch.thread_domain_of(comp).map(|(id, _)| id);
-            let old_area = arch.memory_area_of(comp).map(|(id, _)| id);
-            if let Some(old) = old_domain_id {
-                if !arch.remove_child(old, comp) {
-                    return Err(FrameworkError::Binding(format!(
-                        "'{component}' is only an indirect member of its ThreadDomain; \
-                         reassignment needs a direct edge"
-                    )));
-                }
-            }
-            if let Err(e) = arch.add_child(new_domain_id, comp) {
-                if let Some(old) = old_domain_id {
-                    arch.add_child(old, comp)
-                        .expect("restoring an edge that existed before the transaction");
-                }
-                return Err(FrameworkError::Binding(e.to_string()));
-            }
-            let new_area = arch.memory_area_of(comp).map(|(id, _)| id);
-            if new_area != old_area {
-                // The domain edge re-homed the allocation region: migrate
-                // it, checkpoint/handoff style, instead of refusing.
-                let name = new_area
-                    .and_then(|id| arch.component(id).ok())
-                    .map(|c| c.name.clone());
-                match name {
-                    Some(name) => rehome_target = Some(name),
-                    None => {
-                        assert!(
-                            arch.remove_child(new_domain_id, comp),
-                            "edge added above must exist"
-                        );
-                        if let Some(old) = old_domain_id {
-                            arch.add_child(old, comp)
-                                .expect("restoring an edge that existed before the transaction");
-                        }
-                        return Err(FrameworkError::Unsupported(format!(
-                            "reassigning '{component}' to domain '{domain}' would move it \
-                             outside every memory area; components keep an allocation region"
-                        )));
-                    }
-                }
-            }
-            arch_undo = Some((comp, old_domain_id, new_domain_id));
-        }
-
-        // Engine half: re-home the allocation region first (it can
-        // refuse), then the domain seat (infallible).
-        let mut rehome = None;
-        if let Some(area_name) = rehome_target {
-            let restore_arch = |arch: &mut Option<Architecture>| {
-                let (comp, old_domain_id, new_domain_id) =
-                    arch_undo.as_ref().expect("rehome implies arch");
-                let arch = arch.as_mut().expect("rehome implies arch");
-                assert!(
-                    arch.remove_child(*new_domain_id, *comp),
-                    "edge added above must exist"
-                );
-                if let Some(old) = old_domain_id {
-                    arch.add_child(*old, *comp)
-                        .expect("restoring an edge that existed before the transaction");
-                }
-            };
-            let Some(new_area_ix) = self.sys.shards[shard].system.area_ix_by_name(&area_name)
-            else {
-                restore_arch(&mut self.sys.arch);
-                return Err(FrameworkError::Unsupported(format!(
-                    "re-homing '{component}' onto memory area '{area_name}' crosses the \
-                     shard partition: the area is materialized on another shard",
-                )));
-            };
-            let old_local = match self.sys.shards[shard]
-                .system
-                .rehome_area_at(slot, new_area_ix)
-            {
-                Ok(old) => old,
-                Err(e) => {
-                    restore_arch(&mut self.sys.arch);
-                    return Err(e);
-                }
-            };
-            let old_g = self.sys.spec.components[g].area;
-            let new_g = self
-                .sys
-                .spec
-                .areas
-                .iter()
-                .position(|a| a.name == area_name)
-                .expect("shard areas are a subset of the plan's");
-            self.sys.spec.components[g].area = new_g;
-            self.pending_charges.push(PendingCharge::Area {
-                shard,
-                area_ix: new_area_ix,
-                bytes: self.sys.shards[shard].system.state_bytes_at(slot),
-            });
-            rehome = Some((old_local, old_g));
-        }
-
-        let old_domain_ix = self.sys.shards[shard].system.node_domain_ix(slot);
-        self.sys.shards[shard]
-            .system
-            .set_domain_at(slot, Some(new_domain_ix));
-        let old_domain_g = self.sys.spec.components[g].domain;
-        self.sys.spec.components[g].domain = Some(g_domain);
-        // The slot's priority changed with its domain: re-sort the drain
-        // order its shard serves rings in.
-        resort_incoming(&mut self.sys.shards[shard]);
-        self.journal.push(PUndo::Domain {
-            shard,
-            slot,
-            g,
-            old_domain_ix,
-            old_domain_g,
-            rehome,
-            arch: arch_undo,
-        });
-        Ok(())
-    }
-
-    /// Installs a
-    /// [`JitterMonitor`](soleil_membrane::interceptors::JitterMonitor) in
-    /// a live component's membrane (SOLEIL only), wherever it was
-    /// sharded; journaled, so rollback removes it again. A no-op when one
-    /// is already installed.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes,
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn install_jitter_monitor(&mut self, component: &str) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        if self.sys.shards[shard].system.enable_jitter_at(slot)? {
-            self.journal.push(PUndo::RemoveInterceptor {
-                shard,
-                slot,
-                name: "jitter-monitor",
-            });
-        }
-        Ok(())
-    }
-
-    /// Removes a jitter monitor from a live membrane (SOLEIL only); true
-    /// when one was removed. Rollback splices the exact step — recorded
-    /// observations included — back at its old chain position.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes,
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn remove_jitter_monitor(&mut self, component: &str) -> Result<bool, FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        match self.sys.shards[shard]
-            .system
-            .take_interceptor_at(slot, "jitter-monitor")?
-        {
-            Some((index, step)) => {
-                self.journal.push(PUndo::InstallStep {
-                    shard,
-                    slot,
-                    index,
-                    step,
-                });
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Attaches (or replaces) a declarative timing contract on a live
-    /// component; rollback restores the previous monitor slot, recorded
-    /// histogram included.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn attach_contract(
-        &mut self,
-        component: &str,
-        contract: TimingContract,
-    ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        let previous = self.sys.shards[shard]
-            .system
-            .attach_contract_at(slot, contract)?;
-        self.journal.push(PUndo::Contract {
-            shard,
-            slot,
-            previous,
-        });
-        Ok(())
-    }
-
-    /// Detaches a component's timing contract; `true` when one was
-    /// attached.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn detach_contract(&mut self, component: &str) -> Result<bool, FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        match self.sys.shards[shard].system.detach_contract_at(slot) {
-            Some(previous) => {
-                self.journal.push(PUndo::Contract {
-                    shard,
-                    slot,
-                    previous: Some(previous),
-                });
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Declares (or changes) a component's [`FaultPolicy`]; rollback
-    /// restores the pre-transaction policy (and cancels any restart timer
-    /// the new policy armed).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn set_fault_policy(
-        &mut self,
-        component: &str,
-        policy: FaultPolicy,
-    ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        let previous = self.sys.shards[shard]
-            .system
-            .set_fault_policy_at(slot, policy)?;
-        self.journal.push(PUndo::Policy {
-            shard,
-            slot,
-            previous,
-        });
-        Ok(())
-    }
-
-    /// Declares (or clears) a component's supervisor edge, journaled;
-    /// rollback restores the pre-transaction edge. Supervision trees are
-    /// shard-local (see [`ParallelSystem::set_supervisor`]): a cross-shard
-    /// edge is refused eagerly, and every shard's tree is re-validated at
-    /// commit time.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components, cycles, or
-    /// self-supervision; [`FrameworkError::Unsupported`] for a cross-shard
-    /// edge.
-    pub fn set_supervisor(
-        &mut self,
-        component: &str,
-        supervisor: Option<&str>,
-    ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        let sup_slot = match supervisor {
-            Some(name) => {
-                let (sup_shard, sup_slot) = self.sys.locate(name)?;
-                if sup_shard != shard {
-                    return Err(FrameworkError::Unsupported(format!(
-                        "supervisor edge '{component}' -> '{name}' crosses shards \
-                         ({shard} -> {sup_shard}); supervision trees are shard-local \
-                         — escalation must never block on another shard's thread"
-                    )));
-                }
-                Some(sup_slot)
-            }
-            None => None,
-        };
-        let previous = self.sys.shards[shard]
-            .system
-            .set_supervisor_at(slot, sup_slot)?;
-        self.journal.push(PUndo::Supervisor {
-            shard,
-            slot,
-            previous,
-        });
-        Ok(())
-    }
-
-    /// Commit-time validation: the plan's own invariants, the partition
-    /// invariants (synchronous bindings co-sharded; every allocation
-    /// region materialized on its component's shard), and — for
-    /// architecture-carrying deployments — the full RTSJ rule set plus
-    /// the parallel coupling analysis.
-    fn validate_commit(&self) -> Result<(), FrameworkError> {
-        self.sys.spec.check().map_err(FrameworkError::Content)?;
-        for (bix, b) in self.sys.spec.bindings.iter().enumerate() {
-            if matches!(b.protocol, ProtocolSpec::Sync)
-                && self.sys.comp_slot[b.client].0 != self.sys.comp_slot[b.server].0
-            {
-                return Err(FrameworkError::Content(format!(
-                    "partition invariant broken: synchronous binding {bix} \
-                     ({}→{}) crosses shards",
-                    self.sys.spec.components[b.client].name,
-                    self.sys.spec.components[b.server].name
-                )));
-            }
-        }
-        for (g, c) in self.sys.spec.components.iter().enumerate() {
-            let (shard, _) = self.sys.comp_slot[g];
-            let area = &self.sys.spec.areas[c.area].name;
-            if self.sys.shards[shard]
-                .system
-                .area_ix_by_name(area)
-                .is_none()
-            {
-                return Err(FrameworkError::Content(format!(
-                    "partition invariant broken: '{}' charges area '{area}' which is not \
-                     materialized on its shard {shard}",
-                    c.name
-                )));
-            }
-        }
-        // Every shard's supervision tree stays valid and acyclic. Eager
-        // checks in `set_supervisor` make a failure here a framework bug,
-        // but commits re-assert the invariant like the partition rules.
-        for s in &self.sys.shards {
-            s.system.check_supervision()?;
-        }
-        if let Some(arch) = &self.sys.arch {
-            let report = parallel_reconfiguration_report(arch);
-            if !report.is_compliant() {
-                return Err(FrameworkError::Rejected(report));
-            }
-        }
-        Ok(())
-    }
-
-    /// Makes one deferred substrate charge (commit path only).
-    fn apply_charge(&mut self, charge: PendingCharge) -> Result<(), FrameworkError> {
-        match charge {
-            PendingCharge::Area {
-                shard,
-                area_ix,
-                bytes,
-            } => self.sys.shards[shard].system.charge_area(area_ix, bytes),
-            PendingCharge::Immortal { shard, bytes } => {
-                self.sys.shards[shard].system.charge_immortal(bytes)
-            }
-        }
-    }
-
-    /// Replays every shard's journal in reverse, restoring engines, ring
-    /// topology, spec and architecture. Each undo reverses an operation
-    /// that succeeded against a valid state, so failures here are
-    /// framework bugs — surfaced loudly.
-    fn rollback(&mut self) {
-        while let Some(undo) = self.journal.pop() {
-            match undo {
-                PUndo::Stop { shard, slot } => self.sys.shards[shard]
-                    .system
-                    .stop_at(slot)
-                    .expect("rollback stop of a slot started by this transaction"),
-                PUndo::Start { shard, slot } => self.sys.shards[shard]
-                    .system
-                    .start_at(slot)
-                    .expect("rollback restart of a slot stopped by this transaction"),
-                PUndo::Rebind {
-                    shard,
-                    client_slot,
-                    port,
-                    old_server_slot,
-                    gbix,
-                    old_server_g,
-                    arch,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .rebind_at(client_slot, &port, old_server_slot)
-                        .expect("rollback rebind to the pre-transaction server");
-                    self.sys.spec.bindings[gbix].server = old_server_g;
-                    if let Some(record) = &arch {
-                        Self::arch_unrebind(&mut self.sys.arch, &port, record);
-                    }
-                }
-                PUndo::AsyncRewire {
-                    gbix,
-                    old_carrier,
-                    old_server_g,
-                    producer_shard,
-                    consumer_shard,
-                    installed_tag,
-                    engine,
-                    retired,
-                    arch,
-                } => {
-                    let port = engine.port.clone();
-                    let incoming = &mut self.sys.shards[consumer_shard].incoming;
-                    let pos = incoming
-                        .iter()
-                        .position(|c| c.tag == installed_tag)
-                        .expect("rollback: ring installed by this transaction vanished");
-                    debug_assert!(
-                        incoming[pos].rx.is_empty(),
-                        "rollback of a ring that carried traffic inside the epoch"
-                    );
-                    incoming.remove(pos);
-                    self.sys.shards[producer_shard]
-                        .system
-                        .restore_async_binding(engine);
-                    if let Some((old_cs, cin)) = retired {
-                        self.sys.shards[old_cs].incoming.push(cin);
-                        resort_incoming(&mut self.sys.shards[old_cs]);
-                    }
-                    resort_incoming(&mut self.sys.shards[consumer_shard]);
-                    self.sys.carriers[gbix] = old_carrier;
-                    self.sys.spec.bindings[gbix].server = old_server_g;
-                    if let Some(record) = &arch {
-                        Self::arch_unrebind(&mut self.sys.arch, &port, record);
-                    }
-                }
-                PUndo::Domain {
-                    shard,
-                    slot,
-                    g,
-                    old_domain_ix,
-                    old_domain_g,
-                    rehome,
-                    arch,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .set_domain_at(slot, old_domain_ix);
-                    if let Some((old_local, old_g)) = rehome {
-                        self.sys.shards[shard]
-                            .system
-                            .rehome_area_at(slot, old_local)
-                            .expect("rollback re-homing onto the pre-transaction region");
-                        self.sys.spec.components[g].area = old_g;
-                    }
-                    self.sys.spec.components[g].domain = old_domain_g;
-                    resort_incoming(&mut self.sys.shards[shard]);
-                    if let Some((comp, old_domain_id, new_domain_id)) = arch {
-                        let arch = self
-                            .sys
-                            .arch
-                            .as_mut()
-                            .expect("record exists only with an arch");
-                        assert!(
-                            arch.remove_child(new_domain_id, comp),
-                            "rollback: transaction domain edge vanished from the architecture"
-                        );
-                        if let Some(old) = old_domain_id {
-                            arch.add_child(old, comp)
-                                .expect("rollback restore of the pre-transaction domain edge");
-                        }
-                    }
-                }
-                PUndo::RemoveInterceptor { shard, slot, name } => {
-                    let removed = self.sys.shards[shard]
-                        .system
-                        .remove_interceptor_at(slot, name)
-                        .expect("rollback removal in a mode that installed it");
-                    assert!(
-                        removed,
-                        "rollback: interceptor installed by this transaction vanished"
-                    );
-                }
-                PUndo::InstallStep {
-                    shard,
-                    slot,
-                    index,
-                    step,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .insert_step_at(slot, index, step)
-                        .expect("rollback reinstall in a mode that removed it");
-                }
-                PUndo::Contract {
-                    shard,
-                    slot,
-                    previous,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .restore_contract_at(slot, previous);
-                }
-                PUndo::Policy {
-                    shard,
-                    slot,
-                    previous,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .set_fault_policy_at(slot, previous)
-                        .expect("rollback restore of a policy set by this transaction");
-                }
-                PUndo::Supervisor {
-                    shard,
-                    slot,
-                    previous,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .set_supervisor_at(slot, previous)
-                        .expect(
-                            "rollback restore of a supervisor edge valid before the transaction",
-                        );
-                }
-            }
-        }
-    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -2184,6 +742,18 @@ struct Ctl {
 }
 
 impl Ctl {
+    fn new(n: usize, rings: &Rings) -> Ctl {
+        Ctl {
+            n,
+            abort: AtomicBool::new(false),
+            warmup_done: AtomicUsize::new(0),
+            measure_gate: AtomicUsize::new(0),
+            ticks_done: AtomicUsize::new(0),
+            in_flight: Arc::clone(&rings.in_flight),
+            fault: Mutex::new(None),
+        }
+    }
+
     /// Records the run's root cause (first writer wins) and raises the
     /// abort flag that stops every sibling at its next check.
     fn record_fault(&self, shard_ix: usize, label: &str, error: &FrameworkError) {
@@ -2361,10 +931,15 @@ where
 mod tests {
     use super::*;
     use crate::spec::{Activation, BufferPlacement};
+    use crate::system::FaultPolicy;
+    use crate::Deployment;
     use rtsj::memory::MemoryKind;
     use rtsj::thread::ThreadKind;
     use rtsj::time::RelativeTime;
+    use soleil_core::contract::TimingContract;
+    use soleil_core::Architecture;
     use soleil_membrane::content::{Content, InvokeResult, Ports};
+    use soleil_membrane::interceptors::FaultInjector;
     use soleil_patterns::PatternKind;
     use std::sync::Mutex;
 
@@ -2541,7 +1116,8 @@ mod tests {
     #[test]
     fn independent_domains_get_independent_shards() {
         let probe = ThreadProbe::default();
-        let sys = ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+        let sys = Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
+            .unwrap();
         assert_eq!(sys.shard_count(), 3);
         let a = sys.shard_of_domain("A").unwrap();
         let b = sys.shard_of_domain("B").unwrap();
@@ -2556,7 +1132,8 @@ mod tests {
     fn shards_tick_on_distinct_os_threads_in_every_mode() {
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
             let probe = ThreadProbe::default();
-            let mut sys = ParallelSystem::build(&fan_spec(), mode, &registry(&probe)).unwrap();
+            let mut sys =
+                Deployment::build_parallel(&fan_spec(), mode, &registry(&probe), None).unwrap();
             let runs = sys.run_ticks(25).unwrap();
             assert_eq!(runs.len(), 3, "{mode}");
 
@@ -2594,7 +1171,8 @@ mod tests {
         spec.bindings[0].protocol = ProtocolSpec::Sync;
         spec.bindings[0].server_port = "in".into();
         let probe = ThreadProbe::default();
-        let sys = ParallelSystem::build(&spec, Mode::MergeAll, &registry(&probe)).unwrap();
+        let sys =
+            Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         assert_eq!(sys.shard_count(), 2);
         assert_eq!(
             sys.shard_of_domain("A"),
@@ -2618,7 +1196,8 @@ mod tests {
         spec.components[0].area = 1;
         spec.components[2].area = 1;
         let probe = ThreadProbe::default();
-        let sys = ParallelSystem::build(&spec, Mode::MergeAll, &registry(&probe)).unwrap();
+        let sys =
+            Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         assert_eq!(sys.shard_count(), 2);
         assert_eq!(sys.shard_of_domain("A"), sys.shard_of_domain("C"));
     }
@@ -2645,7 +1224,8 @@ mod tests {
         });
         spec.components[2].area = 1; // consumerC into S_owned
         let probe = ThreadProbe::default();
-        let mut sys = ParallelSystem::build(&spec, Mode::MergeAll, &registry(&probe)).unwrap();
+        let mut sys =
+            Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         assert_eq!(sys.shard_count(), 3);
         let c = sys.shard_of_domain("C").unwrap();
         let owned = sys.shard_system(c).memory().area_by_name("S_owned");
@@ -2672,7 +1252,8 @@ mod tests {
             c.domain = Some(0);
         }
         let probe = ThreadProbe::default();
-        let mut sys = ParallelSystem::build(&spec, Mode::MergeAll, &registry(&probe)).unwrap();
+        let mut sys =
+            Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         assert_eq!(sys.shard_count(), 1);
         let runs = sys.run_ticks(10).unwrap();
         assert_eq!(runs.len(), 1);
@@ -2695,7 +1276,8 @@ mod tests {
             placement: BufferPlacement::Immortal,
         };
         let probe = ThreadProbe::default();
-        let mut sys = ParallelSystem::build(&spec, Mode::MergeAll, &registry(&probe)).unwrap();
+        let mut sys =
+            Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         sys.run_ticks(10).unwrap();
         let delivered = probe.count("consumerB");
         let dropped = sys.stats().dropped_messages;
@@ -2726,7 +1308,7 @@ mod tests {
         reg.register("Boom", || Box::new(Exploder));
         let mut spec = fan_spec();
         spec.components[1].content_class = "Boom".into();
-        let mut sys = ParallelSystem::build(&spec, Mode::MergeAll, &reg).unwrap();
+        let mut sys = Deployment::build_parallel(&spec, Mode::MergeAll, &reg, None).unwrap();
         let b = sys.shard_of_component("consumerB").unwrap();
         let err = sys.run_ticks(10).unwrap_err();
         assert_eq!(
@@ -2746,7 +1328,8 @@ mod tests {
     fn isolate_contains_a_panic_to_its_own_shard() {
         let probe = ThreadProbe::default();
         let mut sys =
-            ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+            Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
+                .unwrap();
         sys.set_fault_policy("consumerB", FaultPolicy::Isolate)
             .unwrap();
         sys.install_fault_injector(
@@ -2794,7 +1377,8 @@ mod tests {
     fn instrumented_run_reports_quiescent_counters() {
         let probe = ThreadProbe::default();
         let mut sys =
-            ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+            Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
+                .unwrap();
         let runs = sys.run_ticks_instrumented(20, 50, &|| 0).unwrap();
         for r in &runs {
             assert_eq!(r.ticks, 50);
@@ -2816,7 +1400,8 @@ mod tests {
     fn reconfigure_is_refused_under_ultra_merge() {
         let probe = ThreadProbe::default();
         let mut sys =
-            ParallelSystem::build(&fan_spec(), Mode::UltraMerge, &registry(&probe)).unwrap();
+            Deployment::build_parallel(&fan_spec(), Mode::UltraMerge, &registry(&probe), None)
+                .unwrap();
         let err = sys.reconfigure(|_txn| Ok(())).unwrap_err();
         assert_eq!(
             err.to_string(),
@@ -2828,7 +1413,8 @@ mod tests {
     fn rebind_async_rewires_the_ring_across_shards() {
         for mode in [Mode::Soleil, Mode::MergeAll] {
             let probe = ThreadProbe::default();
-            let mut sys = ParallelSystem::build(&fan_spec(), mode, &registry(&probe)).unwrap();
+            let mut sys =
+                Deployment::build_parallel(&fan_spec(), mode, &registry(&probe), None).unwrap();
             sys.run_ticks(10).unwrap();
             assert_eq!(probe.count("consumerB"), 10, "{mode}");
             assert_eq!(probe.count("consumerC"), 10, "{mode}");
@@ -2861,7 +1447,8 @@ mod tests {
     #[test]
     fn refused_transaction_restores_the_partition_byte_identically() {
         let probe = ThreadProbe::default();
-        let mut sys = ParallelSystem::build(&fan_spec(), Mode::Soleil, &registry(&probe)).unwrap();
+        let mut sys =
+            Deployment::build_parallel(&fan_spec(), Mode::Soleil, &registry(&probe), None).unwrap();
         sys.run_ticks(10).unwrap();
         let digests = sys.structural_digests();
         let policy = sys.fault_policy("consumerC").unwrap();
@@ -2901,7 +1488,8 @@ mod tests {
         spec.bindings[0].protocol = ProtocolSpec::Sync;
         spec.bindings[0].server_port = "in".into();
         let probe = ThreadProbe::default();
-        let mut sys = ParallelSystem::build(&spec, Mode::MergeAll, &registry(&probe)).unwrap();
+        let mut sys =
+            Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         let digests = sys.structural_digests();
         let err = sys
             .reconfigure(|txn| txn.rebind("producer", "out1", "consumerC"))
@@ -2919,7 +1507,8 @@ mod tests {
     fn reassign_domain_across_the_partition_is_refused() {
         let probe = ThreadProbe::default();
         let mut sys =
-            ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+            Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
+                .unwrap();
         let err = sys
             .reconfigure(|txn| txn.reassign_domain("consumerB", "C"))
             .unwrap_err();
@@ -2937,7 +1526,8 @@ mod tests {
     fn health_verdicts_are_exact_after_a_live_policy_swap() {
         let probe = ThreadProbe::default();
         let mut sys =
-            ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+            Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
+                .unwrap();
         sys.run_ticks(5).unwrap();
         assert!(sys.health_report().is_compliant());
 
@@ -3097,11 +1687,11 @@ mod tests {
     fn committed_transaction_combines_rewiring_rehoming_and_policy() {
         for mode in [Mode::Soleil, Mode::MergeAll] {
             let probe = ThreadProbe::default();
-            let mut sys = ParallelSystem::build_with_arch(
+            let mut sys = Deployment::build_parallel(
                 &coupled_spec(),
                 mode,
                 &registry(&probe),
-                coupled_arch(),
+                Some(coupled_arch()),
             )
             .unwrap();
             assert_eq!(
@@ -3153,11 +1743,11 @@ mod tests {
     #[test]
     fn refused_combined_transaction_rolls_back_rehoming_and_rewiring() {
         let probe = ThreadProbe::default();
-        let mut sys = ParallelSystem::build_with_arch(
+        let mut sys = Deployment::build_parallel(
             &coupled_spec(),
             Mode::MergeAll,
             &registry(&probe),
-            coupled_arch(),
+            Some(coupled_arch()),
         )
         .unwrap();
         sys.run_ticks(10).unwrap();

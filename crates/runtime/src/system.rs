@@ -185,6 +185,23 @@ pub struct EngineStats {
     pub timer_fires: u64,
 }
 
+/// Field-wise totals across engines (a sharded deployment's counters).
+impl std::iter::Sum for EngineStats {
+    fn sum<I: Iterator<Item = EngineStats>>(iter: I) -> EngineStats {
+        iter.fold(EngineStats::default(), |a, b| EngineStats {
+            transactions: a.transactions + b.transactions,
+            activations: a.activations + b.activations,
+            sync_calls: a.sync_calls + b.sync_calls,
+            async_messages: a.async_messages + b.async_messages,
+            dropped_messages: a.dropped_messages + b.dropped_messages,
+            delivered_messages: a.delivered_messages + b.delivered_messages,
+            quarantine_drops: a.quarantine_drops + b.quarantine_drops,
+            faults_contained: a.faults_contained + b.faults_contained,
+            timer_fires: a.timer_fires + b.timer_fires,
+        })
+    }
+}
+
 #[derive(Debug)]
 struct RuntimeArea {
     name: String,
@@ -505,11 +522,6 @@ pub struct System<P: Payload> {
     lookups: Cell<u64>,
     /// String-scan dispatch resolutions (see [`System::string_compares`]).
     string_compares: Cell<u64>,
-    /// `Arc` refcount bumps on the dispatch path (see
-    /// [`System::arc_clones`]). The compiled plan removed the per-call
-    /// `Arc<[AreaId]>` clone structurally, so nothing increments this —
-    /// it stays as a tripwire the steady-state suite asserts on.
-    arc_clones: Cell<u64>,
     /// The deployment's client-port intern universe: `PortId(i)` names
     /// `port_names[i]`. Spec binding ports first (first-appearance order),
     /// then cross-domain ring ports the shard compiler appended.
@@ -986,7 +998,6 @@ impl<P: Payload> System<P> {
             stats: EngineStats::default(),
             lookups: Cell::new(0),
             string_compares: Cell::new(0),
-            arc_clones: Cell::new(0),
             port_names,
             dispatch_generation: 0, // minted by recompile_port_jump below
             port_jump: Vec::new(),
@@ -1092,15 +1103,6 @@ impl<P: Payload> System<P> {
         self.string_compares.get()
     }
 
-    /// `Arc` clones performed by dispatch resolution. The compiled
-    /// dispatch plan removed the per-call `Arc<[AreaId]>` clone
-    /// structurally (a `Copy` header + arena ranges replaced it), so this
-    /// is always 0; it stays as a regression tripwire asserted per
-    /// steady-state transaction.
-    pub fn arc_clones(&self) -> u64 {
-        self.arc_clones.get()
-    }
-
     /// Resolves a client-port name to its deployment-interned dense id —
     /// the one-time cold scan [`InternedPort`](soleil_membrane::InternedPort)
     /// memoizes away.
@@ -1183,10 +1185,6 @@ impl<P: Payload> System<P> {
             .ok_or_else(|| FrameworkError::Content(format!("unknown component '{name}'")))
     }
 
-    pub(crate) fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     pub(crate) fn node_name(&self, slot: usize) -> &str {
         &self.nodes[slot].name
     }
@@ -1232,30 +1230,53 @@ impl<P: Payload> System<P> {
             self.supervisors[head].suppressed_releases += 1;
             return Ok(());
         }
-        match self.run_release(head, plan) {
-            Ok(()) => Ok(()),
-            Err(e) => self.handle_fault(e),
-        }
+        self.run_release(head, plan)
     }
 
     /// One release transaction of `head` under its already-fetched plan:
     /// the shared body of [`run_transaction`](Self::run_transaction) and
     /// the timer-fire path.
     fn run_release(&mut self, head: usize, plan: ActivationPlan) -> Result<(), FrameworkError> {
-        // Monitored heads stamp the transaction; the sentinel keeps the
+        let mut msg = P::default();
+        self.cascade(head, plan.release_ix, &mut msg, plan)
+    }
+
+    /// Activates `slot` on `port_ix`, then drains the asynchronous cascade
+    /// to quiescence — the body shared by releases, timer fires and
+    /// injections. A fault goes to supervision where it happens, in this
+    /// activation or in any drained one: a contained fault lets the cascade
+    /// drain on, and only an escalated one returns `Err`. A faulted
+    /// activation counts no transaction and records no latency.
+    fn cascade(
+        &mut self,
+        slot: usize,
+        port_ix: u16,
+        msg: &mut P,
+        plan: ActivationPlan,
+    ) -> Result<(), FrameworkError> {
+        // Monitored slots stamp the transaction; the sentinel keeps the
         // unmonitored path at one integer compare (no clock read).
         let t0 = (plan.monitor_ix != u16::MAX).then(Instant::now);
-        let mut msg = P::default();
-        self.activate(head, plan.release_ix, &mut msg)?;
-        // Healthy activation of a checkpoint-enabled head: one compare,
-        // and a capture only on the configured cadence.
-        if plan.checkpoint_ix != u16::MAX {
-            self.cadence_checkpoint(head);
-        }
+        let activated = match self.activate(slot, port_ix, msg) {
+            Ok(()) => {
+                // Healthy activation of a checkpoint-enabled slot: one
+                // compare, and a capture only on the configured cadence.
+                if plan.checkpoint_ix != u16::MAX {
+                    self.cadence_checkpoint(slot);
+                }
+                true
+            }
+            Err(e) => {
+                self.handle_fault(e)?;
+                false
+            }
+        };
         self.drain()?;
-        self.stats.transactions += 1;
-        if let Some(t0) = t0 {
-            self.observe_latency(plan.monitor_ix, t0);
+        if activated {
+            self.stats.transactions += 1;
+            if let Some(t0) = t0 {
+                self.observe_latency(plan.monitor_ix, t0);
+            }
         }
         Ok(())
     }
@@ -1354,22 +1375,7 @@ impl<P: Payload> System<P> {
         // mirroring the drain path's pop-before-invoke accounting, so the
         // conservation ledger holds even when the activation then faults.
         self.stats.delivered_messages += 1;
-        let t0 = (plan.monitor_ix != u16::MAX).then(Instant::now);
-        let result = self.activate(slot, port_ix, &mut msg).and_then(|()| {
-            if plan.checkpoint_ix != u16::MAX {
-                self.cadence_checkpoint(slot);
-            }
-            self.drain()?;
-            self.stats.transactions += 1;
-            if let Some(t0) = t0 {
-                self.observe_latency(plan.monitor_ix, t0);
-            }
-            Ok(())
-        });
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) => self.handle_fault(e),
-        }
+        self.cascade(slot, port_ix, &mut msg, plan)
     }
 
     /// Checks out the executing context for a slot: its domain's context,
@@ -1533,7 +1539,11 @@ impl<P: Payload> System<P> {
                 Err(e) => Err(e.into()),
             };
             self.restore_ctx(domain_ix, ctx);
-            result?;
+            // A contained fault ends only the faulting activation: the
+            // rest of the cascade drains on. An escalated one aborts it.
+            if let Err(e) = result {
+                self.handle_fault(e)?;
+            }
         }
         Ok(())
     }
@@ -2882,9 +2892,7 @@ impl<P: Payload> System<P> {
                 self.supervisors[slot].suppressed_releases += 1;
                 continue;
             }
-            if let Err(e) = self.run_release(slot, plan) {
-                self.handle_fault(e)?;
-            }
+            self.run_release(slot, plan)?;
         }
         Ok(())
     }
@@ -5049,17 +5057,17 @@ mod tests {
 
     /// The whole point of the compiled plan: after the first (warm-up)
     /// transaction has memoized the port ids, a steady-state transaction
-    /// performs zero string comparisons and zero Arc clones — in every
-    /// mode, with identical functional results to the string-path oracle.
+    /// performs zero string comparisons — in every mode, with identical
+    /// functional results to the string-path oracle.
     #[test]
-    fn interned_steady_state_is_free_of_string_compares_and_arc_clones() {
+    fn interned_steady_state_is_free_of_string_compares() {
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
             let spec = pipeline_spec();
             let mut sys = System::build(&spec, mode, &interned_registry()).unwrap();
             let head = sys.slot_of("producer").unwrap();
             // Warm-up: each InternedPort pays its one-time name scan here.
             sys.run_transaction(head).unwrap();
-            let (sc, ac) = (sys.string_compares(), sys.arc_clones());
+            let sc = sys.string_compares();
             for _ in 0..4 {
                 sys.run_transaction(head).unwrap();
             }
@@ -5068,7 +5076,6 @@ mod tests {
                 0,
                 "steady-state string compares ({mode})"
             );
-            assert_eq!(sys.arc_clones() - ac, 0, "steady-state Arc clones ({mode})");
             let st = sys.stats();
             assert_eq!(st.transactions, 5, "{mode}");
             assert_eq!(st.activations, 15, "{mode}");
@@ -5302,6 +5309,128 @@ mod tests {
             assert!(sys.health_report().by_code("SOL-020").next().is_none());
             let (_, restarts, _) = sys.supervision_counts_at(middle);
             assert_eq!(restarts, 1, "{mode}");
+        }
+    }
+
+    /// A contained fault ends only the faulting activation: the rest of the
+    /// transaction's cascade still drains to quiescence. The producer sends
+    /// to `sinkA` (priority 25, isolated, always faulting) and then to
+    /// `sinkB` (priority 20, healthy); the drain serves `sinkA` first, and
+    /// `sinkB` must still get its message within the same transaction.
+    #[test]
+    fn contained_fault_lets_the_cascade_drain_to_quiescence() {
+        #[derive(Debug)]
+        struct Fan;
+        impl Content<Token> for Fan {
+            fn on_invoke(
+                &mut self,
+                _port: &str,
+                msg: &mut Token,
+                out: &mut dyn Ports<Token>,
+            ) -> InvokeResult {
+                out.send("a", msg.clone())?;
+                out.send("b", msg.clone())
+            }
+        }
+        #[derive(Debug)]
+        struct Counter(Arc<AtomicU64>);
+        impl Content<Token> for Counter {
+            fn on_invoke(
+                &mut self,
+                _port: &str,
+                _msg: &mut Token,
+                _out: &mut dyn Ports<Token>,
+            ) -> InvokeResult {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            }
+        }
+
+        let domain = |name: &str, priority| DomainSpec {
+            name: name.into(),
+            kind: ThreadKind::NoHeapRealtime,
+            priority,
+        };
+        let component = |name: &str, class: &str, activation, domain| ComponentSpec {
+            name: name.into(),
+            content_class: class.into(),
+            activation,
+            domain: Some(domain),
+            area: 0,
+            server_ports: if domain == 0 {
+                vec![]
+            } else {
+                vec!["in".into()]
+            },
+            ceiling: None,
+        };
+        let binding = |port: &str, server| BindingSpec {
+            client: 0,
+            client_port: port.into(),
+            server,
+            server_port: "in".into(),
+            protocol: ProtocolSpec::Async {
+                capacity: 4,
+                placement: BufferPlacement::Immortal,
+            },
+            pattern: PatternKind::ImmortalExchange,
+            enter_path: vec![],
+        };
+        let spec = SystemSpec {
+            name: "contained-drain".into(),
+            areas: vec![AreaSpec {
+                name: "Imm1".into(),
+                kind: MemoryKind::Immortal,
+                size: Some(64 * 1024),
+                parent: None,
+            }],
+            domains: vec![domain("P", 30), domain("A", 25), domain("B", 20)],
+            components: vec![
+                component(
+                    "producer",
+                    "Fan",
+                    Activation::Periodic {
+                        period: RelativeTime::from_millis(10),
+                    },
+                    0,
+                ),
+                component("sinkA", "Sink", Activation::Sporadic, 1),
+                component("sinkB", "Counter", Activation::Sporadic, 2),
+            ],
+            bindings: vec![binding("a", 1), binding("b", 2)],
+        };
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            let served_b = Arc::new(AtomicU64::new(0));
+            let mut registry = registry();
+            registry.register("Fan", || Box::new(Fan));
+            let counter = Arc::clone(&served_b);
+            registry.register("Counter", move || Box::new(Counter(Arc::clone(&counter))));
+            let mut sys = System::build(&spec, mode, &registry).unwrap();
+            let sink_a = sys.slot_of("sinkA").unwrap();
+            sys.set_fault_policy_at(sink_a, FaultPolicy::Isolate)
+                .unwrap();
+            sys.install_fault_injector_at(
+                sink_a,
+                FaultInjector::new("sinkA", 5, 1).with_menu(FaultInjector::MENU_ERROR),
+            )
+            .unwrap();
+            let head = sys.slot_of("producer").unwrap();
+            sys.run_transaction(head).unwrap();
+
+            let st = sys.stats();
+            assert_eq!(st.async_messages, 2, "{mode}");
+            assert_eq!(
+                st.async_messages,
+                st.delivered_messages + st.quarantine_drops,
+                "{mode}: the ledger balances at the end of the transaction: {st:?}"
+            );
+            assert_eq!(
+                served_b.load(Ordering::SeqCst),
+                1,
+                "{mode}: sinkB is served in the transaction that sent to it"
+            );
+            assert!(sys.quarantined_at(sink_a), "{mode}");
+            assert_eq!(st.faults_contained, 1, "{mode}");
         }
     }
 

@@ -34,6 +34,24 @@ use soleil_membrane::FrameworkError;
 pub struct TimerHandle {
     slot: u32,
     generation: u32,
+    /// The deployment shard whose queue issued the handle (0 for a bare
+    /// queue); the queue itself never reads it.
+    shard: u32,
+}
+
+impl TimerHandle {
+    /// The handle tagged with the shard whose queue issued it.
+    pub(crate) fn on_shard(self, shard: usize) -> Self {
+        TimerHandle {
+            shard: shard as u32,
+            ..self
+        }
+    }
+
+    /// The shard whose queue issued the handle.
+    pub(crate) fn shard(self) -> usize {
+        self.shard as usize
+    }
 }
 
 /// Heap entry. Field order *is* the ordering (derived lexicographic
@@ -176,6 +194,7 @@ impl<T> TimerQueue<T> {
         Ok(TimerHandle {
             slot: slot_ix,
             generation,
+            shard: 0,
         })
     }
 
@@ -253,6 +272,7 @@ impl<T> TimerQueue<T> {
                 handle: TimerHandle {
                     slot: e.slot,
                     generation: slot.generation,
+                    shard: 0,
                 },
                 at: slot.at,
                 priority: slot.priority,

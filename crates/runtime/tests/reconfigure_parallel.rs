@@ -27,7 +27,7 @@ use soleil_runtime::spec::{
     Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
     SystemSpec,
 };
-use soleil_runtime::{FaultPolicy, Mode, ParallelSystem};
+use soleil_runtime::{Deployment, FaultPolicy, Mode};
 
 type Counts = Arc<Mutex<HashMap<String, u64>>>;
 
@@ -198,7 +198,7 @@ fn apply_to_model(op: ReOp, spec: &mut SystemSpec, policy_c: &mut FaultPolicy) {
 
 /// Applies `op` to the live partition through one reconfiguration
 /// transaction.
-fn apply_live(sys: &mut ParallelSystem<u64>, op: ReOp) {
+fn apply_live(sys: &mut Deployment<u64>, op: ReOp) {
     sys.reconfigure(|txn| match op {
         ReOp::Rebind { port_ix, server } => txn.rebind_async(
             "producer",
@@ -219,7 +219,7 @@ fn apply_live(sys: &mut ParallelSystem<u64>, op: ReOp) {
 }
 
 /// Runs `ticks` and returns the per-consumer delivery deltas.
-fn measure(sys: &mut ParallelSystem<u64>, counts: &Counts, ticks: u64) -> HashMap<String, u64> {
+fn measure(sys: &mut Deployment<u64>, counts: &Counts, ticks: u64) -> HashMap<String, u64> {
     let before: HashMap<String, u64> = counts.lock().unwrap().clone();
     sys.run_ticks(ticks).unwrap();
     let after = counts.lock().unwrap().clone();
@@ -248,7 +248,7 @@ proptest! {
         // Live path: traffic between every transaction.
         let live_counts: Counts = Counts::default();
         let mut live =
-            ParallelSystem::build(&base_spec(), mode, &registry(&live_counts)).unwrap();
+            Deployment::build_parallel(&base_spec(), mode, &registry(&live_counts), None).unwrap();
         let mut final_spec = base_spec();
         let mut final_policy_c = FaultPolicy::Escalate;
         live.run_ticks(2).unwrap();
@@ -262,7 +262,7 @@ proptest! {
         // Redeploy path: a fresh build of the final topology.
         let fresh_counts: Counts = Counts::default();
         let mut fresh =
-            ParallelSystem::build(&final_spec, mode, &registry(&fresh_counts)).unwrap();
+            Deployment::build_parallel(&final_spec, mode, &registry(&fresh_counts), None).unwrap();
         let fresh_delta = measure(&mut fresh, &fresh_counts, 10);
 
         prop_assert_eq!(&live_delta, &fresh_delta,
@@ -287,7 +287,7 @@ proptest! {
     ) {
         let mode = if mode_merge == 1 { Mode::MergeAll } else { Mode::Soleil };
         let counts: Counts = Counts::default();
-        let mut sys = ParallelSystem::build(&base_spec(), mode, &registry(&counts)).unwrap();
+        let mut sys = Deployment::build_parallel(&base_spec(), mode, &registry(&counts), None).unwrap();
         sys.run_ticks(3).unwrap();
         let digests = sys.structural_digests();
         let policy = sys.fault_policy("consumerC").unwrap();

@@ -134,7 +134,7 @@ impl Content<Alert> for FanProducer {
 /// same-shard `reassign_domain` below legal.
 fn build_parallel(
     mode: Mode,
-) -> Result<(ParallelSystem<Alert>, HandledCounter, HandledCounter), SoleilError> {
+) -> Result<(Deployment<Alert>, HandledCounter, HandledCounter), SoleilError> {
     let mut b = BusinessView::new("adaptive-parallel");
     b.active_periodic("producer", "10ms")?;
     b.active_sporadic("consumerB")?;

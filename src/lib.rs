@@ -92,15 +92,16 @@
 //! # }
 //! ```
 //!
-//! ## Migrating from the pre-witness API
+//! ## Migrating from earlier APIs
 //!
-//! | Removed (pre-witness API) | Replacement |
+//! | Earlier API | Replacement |
 //! |---|---|
 //! | `generate_unvalidated(&arch, …)` | `arch.into_validated()?` then [`deploy`]/[`generator::generate`] |
 //! | `compile_unvalidated(&arch)` | `arch.into_validated()?` then `compile(&validated)` |
 //! | `system.slot_of("name")` per call | [`Deployment::resolve`](runtime::Deployment::resolve) once → `ComponentRef` |
 //! | `system.inject("name", "port", msg)` | [`Deployment::inject`](runtime::Deployment::inject) with a pre-resolved `PortRef` |
 //! | `system.stop(…)` / `rebind(…)` / `start(…)` | [`Deployment::reconfigure`](runtime::Deployment::reconfigure) transaction |
+//! | `ParallelSystem` / `ParallelReconfiguration` (now type aliases) | [`Deployment`](runtime::Deployment) / [`Reconfiguration`](runtime::Reconfiguration): one handle over 1..N shards, built by [`deploy`] (one shard) or [`deploy_parallel`] (the thread-domain partition) |
 //!
 //! The crates underneath (also usable standalone): [`rtsj`] (substrate),
 //! [`core`] (metamodel/ADL/validator), [`patterns`] (cross-scope patterns),

@@ -33,7 +33,7 @@ use soleil::rtsj::RtsjError;
 use soleil::runtime::spec::{
     Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
 };
-use soleil::runtime::ParallelSystem;
+use soleil::runtime::Deployment;
 
 const DOMAINS: usize = 6;
 const WORKERS: usize = 38; // + head + entry + svc = 41 per domain = 246 total
@@ -275,8 +275,13 @@ fn high_fanout_spec() -> SystemSpec {
 #[test]
 fn hundreds_of_components_shard_into_independent_domains() {
     let counters = Counters::default();
-    let sys = ParallelSystem::build(&high_fanout_spec(), Mode::MergeAll, &registry(&counters))
-        .expect("builds");
+    let sys = Deployment::build_parallel(
+        &high_fanout_spec(),
+        Mode::MergeAll,
+        &registry(&counters),
+        None,
+    )
+    .expect("builds");
     assert_eq!(sys.shard_count(), DOMAINS, "one shard per domain");
     for d in 0..DOMAINS {
         let shard = sys
@@ -295,7 +300,8 @@ fn high_fanout_ticks_conserve_messages_across_threads() {
     for mode in [Mode::MergeAll, Mode::UltraMerge] {
         let counters = Counters::default();
         let mut sys =
-            ParallelSystem::build(&high_fanout_spec(), mode, &registry(&counters)).expect("builds");
+            Deployment::build_parallel(&high_fanout_spec(), mode, &registry(&counters), None)
+                .expect("builds");
         let runs = sys.run_ticks(TICKS).expect("parallel run");
 
         // Per-domain tick counts: every shard drove exactly TICKS ticks on
@@ -480,7 +486,8 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
             .collect(),
     };
 
-    let mut sys = ParallelSystem::build(&spec, Mode::MergeAll, &registry).expect("builds");
+    let mut sys =
+        Deployment::build_parallel(&spec, Mode::MergeAll, &registry, None).expect("builds");
     assert_eq!(sys.shard_count(), 3, "producer and both sinks shard apart");
     let runs = sys
         .run_ticks_instrumented(WARMUP, MEASURED, &alloc_probe::allocations)

@@ -9,7 +9,7 @@
 //! | reconfigure (stop/start/rebind/domain) | yes | yes | no |
 //! | reified deployment spec | yes | no | no |
 
-use soleil::generator::deploy;
+use soleil::generator::{deploy, deploy_parallel};
 use soleil::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -1040,5 +1040,139 @@ fn supervisor_edges_reconfigure_transactionally() {
             .unwrap_err();
         assert!(matches!(err, FrameworkError::Content(_)), "got {err}");
         assert_eq!(dep.supervisor_of(caller).unwrap(), Some(svc_a), "{mode}");
+    }
+}
+
+/// One journal, any shard count: the same architecture deployed on one
+/// shard (`deploy`) and partitioned (`deploy_parallel`) takes the same
+/// committed batch to the same architecture, policies and contracts, and
+/// refuses the same failing batch without moving any structural digest.
+#[test]
+fn one_journal_commits_and_refuses_alike_on_one_and_many_shards() {
+    let mut bv = BusinessView::new("parity");
+    bv.active_periodic("caller", "5ms").unwrap();
+    bv.passive("svc-a").unwrap();
+    bv.passive("svc-b").unwrap();
+    bv.active_periodic("other", "5ms").unwrap();
+    bv.content("caller", "Caller").unwrap();
+    bv.content("svc-a", "A").unwrap();
+    bv.content("svc-b", "B").unwrap();
+    bv.content("other", "O").unwrap();
+    bv.require("caller", "svc", "ISvc").unwrap();
+    bv.provide("svc-a", "svc", "ISvc").unwrap();
+    bv.provide("svc-b", "svc", "ISvc").unwrap();
+    bv.bind_sync("caller", "svc", "svc-a", "svc").unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("rt-high", ThreadKind::Realtime, 30, &["caller"])
+        .unwrap();
+    flow.thread_domain("rt-low", ThreadKind::Realtime, 12, &[])
+        .unwrap();
+    flow.thread_domain("rt-other", ThreadKind::Realtime, 20, &["other"])
+        .unwrap();
+    flow.memory_area(
+        "imm",
+        MemoryKind::Immortal,
+        Some(64 * 1024),
+        &["rt-high", "rt-low", "rt-other", "svc-a", "svc-b"],
+    )
+    .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+
+    let b = Arc::new(AtomicU32::new(0));
+    let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+    registry.register("Caller", || Box::new(Caller));
+    registry.register("A", || Box::new(Counter(Arc::default())));
+    let bc = b.clone();
+    registry.register("B", move || Box::new(Counter(bc.clone())));
+    registry.register("O", || Box::new(Counter(Arc::default())));
+
+    let names = ["caller", "svc-a", "svc-b", "other"];
+    let contract = TimingContract::new().with_deadline(RelativeTime::from_millis(500));
+    // Architecture, fault policies and contracts: what a commit changes.
+    let state = |dep: &Deployment<Ping>| {
+        let arch = dep.architecture();
+        let caller = arch.id_of("caller").unwrap();
+        let (domain, _) = arch.thread_domain_of(caller).unwrap();
+        let mut bindings: Vec<String> = arch
+            .bindings()
+            .iter()
+            .map(|bi| {
+                format!(
+                    "{}.{} -> {}",
+                    arch.component(bi.client.component).unwrap().name,
+                    bi.client.interface,
+                    arch.component(bi.server.component).unwrap().name
+                )
+            })
+            .collect();
+        bindings.sort();
+        let per_component: Vec<String> = names
+            .iter()
+            .map(|&n| {
+                format!(
+                    "{n}: {:?} {:?}",
+                    dep.fault_policy(n).unwrap(),
+                    dep.contract_of(n).unwrap()
+                )
+            })
+            .collect();
+        (
+            arch.component(domain).unwrap().name.clone(),
+            bindings,
+            per_component,
+        )
+    };
+
+    let mut serial = deploy(&arch, Mode::MergeAll, &registry).unwrap();
+    let mut sharded = deploy_parallel(&arch, Mode::MergeAll, &registry).unwrap();
+    assert_eq!(serial.shard_count(), 1);
+    assert!(sharded.shard_count() >= 2, "{}", sharded.shard_count());
+    assert_ne!(
+        sharded.shard_of_component("caller"),
+        sharded.shard_of_component("other")
+    );
+
+    for dep in [&mut serial, &mut sharded] {
+        dep.attach_contract("caller", contract.clone()).unwrap();
+        dep.reconfigure(|txn| {
+            txn.stop("caller")?;
+            txn.rebind("caller", "svc", "svc-b")?;
+            txn.start("caller")?;
+            txn.set_fault_policy("other", FaultPolicy::Isolate)?;
+            txn.attach_contract("other", contract.clone())?;
+            txn.detach_contract("caller")?;
+            txn.reassign_domain("caller", "rt-low")
+        })
+        .unwrap();
+    }
+    let committed = state(&serial);
+    assert_eq!(committed.0, "rt-low");
+    assert!(committed.1.contains(&"caller.svc -> svc-b".to_string()));
+    assert_eq!(state(&sharded), committed, "both shapes commit alike");
+
+    // The rebound caller now reaches svc-b on either shape.
+    serial
+        .run_transaction(serial.resolve("caller").unwrap())
+        .unwrap();
+    assert_eq!(b.load(Ordering::Relaxed), 1);
+    sharded.run_ticks(1).unwrap();
+    assert_eq!(b.load(Ordering::Relaxed), 2);
+
+    for dep in [&mut serial, &mut sharded] {
+        let digests = dep.structural_digests();
+        let err = dep
+            .reconfigure(|txn| {
+                txn.stop("other")?;
+                txn.rebind("caller", "svc", "svc-a")?;
+                txn.set_fault_policy("caller", FaultPolicy::Isolate)?;
+                txn.attach_contract("caller", contract.clone())?;
+                txn.detach_contract("other")?;
+                txn.reassign_domain("caller", "rt-high")?;
+                Err::<(), _>(FrameworkError::Content("refused".into()))
+            })
+            .unwrap_err();
+        assert!(matches!(err, FrameworkError::Content(_)), "got {err}");
+        assert_eq!(dep.structural_digests(), digests, "refusal is a no-op");
+        assert_eq!(state(dep), committed, "refusal restores the commit");
     }
 }
