@@ -25,6 +25,12 @@ const OBSERVATIONS: u64 = 2_000;
 /// Checkpoint cadence for the gates: captures land every 500 activations.
 const CADENCE: u32 = 500;
 
+/// The baseline deadline contract with jitter checking armed: every
+/// release gap is compared with the previous one on the measured path.
+fn jitter_bounded_contract() -> TimingContract {
+    soleil_bench::baseline_contract().with_max_jitter(RelativeTime::from_millis(500))
+}
+
 #[test]
 fn steady_state_transactions_never_touch_the_rust_heap() {
     let arch = motivation_validated().expect("fixture validates");
@@ -34,10 +40,11 @@ fn steady_state_transactions_never_touch_the_rust_heap() {
         let head = dep.resolve("ProductionLine").expect("head exists");
 
         // The claim must hold for the *monitored* hot path too: a deadline
-        // contract records every transaction into its preallocated
-        // histogram and an armed-but-never-due release keeps the timer
-        // queue live throughout the measured run.
-        dep.attach_contract(head, soleil_bench::baseline_contract())
+        // and jitter contract records every transaction into its
+        // preallocated histogram and checks every release gap, and an
+        // armed-but-never-due release keeps the timer queue live
+        // throughout the measured run.
+        dep.attach_contract(head, jitter_bounded_contract())
             .expect("contract attaches in every mode");
         dep.schedule_release(head, AbsoluteTime::MAX)
             .expect("release arms");
@@ -117,6 +124,10 @@ fn steady_state_transactions_never_touch_the_rust_heap() {
             .expect("head resolves")
             .expect("contract attached");
         assert_eq!(
+            snapshot.jitter_violations, 0,
+            "{mode}: the generous jitter bound must never trip"
+        );
+        assert_eq!(
             snapshot.activations,
             WARMUP as u64 + OBSERVATIONS,
             "{mode}: every transaction lands in the histogram"
@@ -166,7 +177,7 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
 
     // Same monitored-hot-path discipline as the serial gate: contract on
     // the head's shard, release armed but never due.
-    sys.attach_contract("ProductionLine", soleil_bench::baseline_contract())
+    sys.attach_contract("ProductionLine", jitter_bounded_contract())
         .expect("contract attaches");
     sys.schedule_release("ProductionLine", AbsoluteTime::MAX)
         .expect("release arms");
@@ -243,6 +254,14 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
         sys.deadline_misses(),
         0,
         "the baseline contract must never miss on any shard"
+    );
+    assert_eq!(
+        sys.latency_snapshot("ProductionLine")
+            .expect("head resolves")
+            .expect("contract attached")
+            .jitter_violations,
+        0,
+        "the generous jitter bound must never trip on any shard"
     );
     let (seen, injected) = sys
         .injector_counts("ProductionLine")

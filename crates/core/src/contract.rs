@@ -1,6 +1,6 @@
 //! Declarative runtime timing contracts, checked online.
 //!
-//! Design-time validation ([`crate::validate`]) proves an architecture
+//! Design-time validation ([`mod@crate::validate`]) proves an architecture
 //! *can* satisfy RTSJ; a [`TimingContract`] states what a deployed
 //! component *must* deliver while running — a deadline per activation, a
 //! release-jitter bound, a throughput floor, latency-quantile bounds — in

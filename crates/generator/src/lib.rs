@@ -33,7 +33,7 @@ use soleil_runtime::{Deployment, Mode, System};
 /// `registry` wrapped by generated infrastructure).
 ///
 /// The input is the design-time conformance witness; an unchecked
-/// [`Architecture`] does not type-check:
+/// [`Architecture`](soleil_core::Architecture) does not type-check:
 ///
 /// ```compile_fail
 /// use soleil_core::Architecture;

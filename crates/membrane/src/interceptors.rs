@@ -13,6 +13,10 @@
 //!
 //! Interceptors expose a split `pre`/`post` protocol so the membrane can
 //! run them around the content invocation.
+//!
+//! The module also hosts the [`FaultInjector`]: not an interceptor but a
+//! seeded fault schedule the engine draws from at each activation
+//! boundary, in every generation mode.
 
 use std::fmt::Debug;
 
@@ -30,8 +34,8 @@ pub trait Interceptor: Debug + Send {
     /// Stable name for introspection.
     fn name(&self) -> &str;
 
-    /// Downcast support, so membrane-level reconfiguration can reach a
-    /// concrete interceptor installed at runtime.
+    /// Downcast support, so the plan compiler can recognize the
+    /// framework's own interceptor types.
     fn as_any(&self) -> &dyn std::any::Any;
 
     /// Owned downcast support: surrenders the interceptor to the plan
@@ -348,81 +352,15 @@ impl Interceptor for MemoryInterceptor {
 }
 
 // ---------------------------------------------------------------------------
-// JitterMonitor
-// ---------------------------------------------------------------------------
-
-/// An optional interceptor measuring inter-activation gaps in wall-clock
-/// time — the "additional functionality" (§3.3) the framework can inject
-/// into a membrane, and the show-piece of *membrane-level* runtime
-/// reconfiguration: SOLEIL-mode systems can install it on a live component.
-#[derive(Debug, Default)]
-pub struct JitterMonitor {
-    last: Option<std::time::Instant>,
-    gaps_ns: Vec<u64>,
-}
-
-impl JitterMonitor {
-    /// Creates an idle monitor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observed inter-activation gaps, in nanoseconds.
-    pub fn gaps_ns(&self) -> &[u64] {
-        &self.gaps_ns
-    }
-
-    /// Number of activations observed (gaps + 1, once started).
-    pub fn observations(&self) -> usize {
-        self.gaps_ns.len() + usize::from(self.last.is_some())
-    }
-}
-
-impl Interceptor for JitterMonitor {
-    fn name(&self) -> &str {
-        "jitter-monitor"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send> {
-        self
-    }
-
-    fn pre(
-        &mut self,
-        _mm: &mut MemoryManager,
-        _ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        let now = std::time::Instant::now();
-        if let Some(last) = self.last.replace(now) {
-            self.gaps_ns
-                .push(now.duration_since(last).as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    fn post(
-        &mut self,
-        _mm: &mut MemoryManager,
-        _ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // FaultInjector
 // ---------------------------------------------------------------------------
 
 /// The fault a [`FaultInjector`] manufactured on a given activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
-    /// A content-style error returned from `pre`.
+    /// A content-style error returned from the draw.
     Error,
-    /// A real `panic!` raised from `pre` — exercises the activation
+    /// A real `panic!` raised from the draw — exercises the activation
     /// boundary's `catch_unwind` and the membrane poison protocol.
     Panic,
     /// A busy-wait long enough to trip latency contracts, then success.
@@ -431,16 +369,16 @@ pub enum InjectedFault {
     Drop,
 }
 
-/// Deterministic fault-injection interceptor: a seeded schedule keyed by
+/// Deterministic fault injector: a seeded schedule keyed by
 /// the component's activation count decides, with no wall-clock or OS
 /// randomness, whether an activation faults and how. Replaying the same
 /// seed against the same activation sequence reproduces the exact same
 /// fault storm — the property chaos tests and the `chaos-gate` CI artifact
 /// are built on.
 ///
-/// With `rate == 0` the injector is **idle**: the `pre` hook costs one
-/// branch and allocates nothing, so it can stay compiled into a production
-/// plan (the zero-alloc gate deploys exactly that shape).
+/// With `rate == 0` the injector is **idle**: a draw costs one branch and
+/// allocates nothing, so it can stay installed on a production engine
+/// (the zero-alloc gate deploys exactly that shape).
 #[derive(Debug)]
 pub struct FaultInjector {
     component: String,
@@ -508,11 +446,9 @@ impl FaultInjector {
     /// instead of busy-waiting the OS clock: a spike is accumulated in the
     /// injector and drained by the engine via
     /// [`take_pending_spike_ns`](FaultInjector::take_pending_spike_ns),
-    /// which advances virtual time by the spike. Use for engine-level
-    /// injectors under simulated deployments — a busy-wait there would
-    /// pollute the simulated timeline with wall-clock noise. (Membrane
-    /// chain injectors have no engine clock in reach; leave those on the
-    /// default wall-clock spike.)
+    /// which advances virtual time by the spike. Use under simulated
+    /// deployments — a busy-wait there would pollute the simulated
+    /// timeline with wall-clock noise.
     #[must_use]
     pub fn with_virtual_clock(mut self) -> Self {
         self.virtual_clock = true;
@@ -547,6 +483,11 @@ impl FaultInjector {
         self.injected
     }
 
+    /// Estimated bytes of injector state (Fig. 7(c) accounting).
+    pub fn footprint_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.component.capacity()
+    }
+
     /// The deterministic schedule: what (if anything) this injector does
     /// on activation `n` (1-based). Pure — tests and replay tooling can
     /// predict a storm without running it.
@@ -579,10 +520,8 @@ impl FaultInjector {
     /// fault: `Ok(())` on a clean draw (or an idle injector), a typed
     /// [`FrameworkError::Faulted`] for error/drop faults, a real `panic!`
     /// for panic faults, a busy-wait then `Ok(())` for latency spikes.
-    /// This is the whole injector — the [`Interceptor`] `pre` hook and the
-    /// engine-level activation-boundary injector both delegate here (the
-    /// latter has no memory context in hand, which is why the draw does
-    /// not take one).
+    /// The engine calls this at the activation boundary, before the
+    /// content runs.
     ///
     /// # Errors
     ///
@@ -639,40 +578,6 @@ fn splitmix(seed: u64, n: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl Interceptor for FaultInjector {
-    fn name(&self) -> &str {
-        "fault-injector"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send> {
-        self
-    }
-
-    fn pre(
-        &mut self,
-        _mm: &mut MemoryManager,
-        _ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        self.draw()
-    }
-
-    fn post(
-        &mut self,
-        _mm: &mut MemoryManager,
-        _ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        Ok(())
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.component.capacity()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // InterceptStep — the compiled interceptor plan
 // ---------------------------------------------------------------------------
@@ -692,10 +597,6 @@ pub enum InterceptStep {
     Active(ActiveInterceptor),
     /// A compiled cross-scope pattern executor.
     Memory(MemoryInterceptor),
-    /// A compiled jitter monitor.
-    Jitter(JitterMonitor),
-    /// A compiled deterministic fault injector.
-    Fault(FaultInjector),
     /// An interceptor unknown to the plan compiler: dynamic dispatch, the
     /// pre-flattening price.
     Dyn(Box<dyn Interceptor>),
@@ -720,20 +621,6 @@ impl InterceptStep {
                 .expect("type checked above");
             return InterceptStep::Memory(*m);
         }
-        if interceptor.as_any().is::<JitterMonitor>() {
-            let j = interceptor
-                .into_any()
-                .downcast::<JitterMonitor>()
-                .expect("type checked above");
-            return InterceptStep::Jitter(*j);
-        }
-        if interceptor.as_any().is::<FaultInjector>() {
-            let fi = interceptor
-                .into_any()
-                .downcast::<FaultInjector>()
-                .expect("type checked above");
-            return InterceptStep::Fault(*fi);
-        }
         InterceptStep::Dyn(interceptor)
     }
 
@@ -742,8 +629,6 @@ impl InterceptStep {
         match self {
             InterceptStep::Active(a) => a.name(),
             InterceptStep::Memory(m) => m.name(),
-            InterceptStep::Jitter(j) => j.name(),
-            InterceptStep::Fault(fi) => fi.name(),
             InterceptStep::Dyn(d) => d.name(),
         }
     }
@@ -752,17 +637,6 @@ impl InterceptStep {
     /// except the `Dyn` fallback).
     pub fn is_compiled(&self) -> bool {
         !matches!(self, InterceptStep::Dyn(_))
-    }
-
-    /// The step viewed as an interceptor (introspection / downcasting).
-    pub fn as_interceptor(&self) -> &dyn Interceptor {
-        match self {
-            InterceptStep::Active(a) => a,
-            InterceptStep::Memory(m) => m,
-            InterceptStep::Jitter(j) => j,
-            InterceptStep::Fault(fi) => fi,
-            InterceptStep::Dyn(d) => d.as_ref(),
-        }
     }
 
     /// Runs the step's pre-invocation action (match dispatch; direct,
@@ -779,8 +653,6 @@ impl InterceptStep {
         match self {
             InterceptStep::Active(a) => a.pre(mm, ctx),
             InterceptStep::Memory(m) => m.pre(mm, ctx),
-            InterceptStep::Jitter(j) => j.pre(mm, ctx),
-            InterceptStep::Fault(fi) => fi.pre(mm, ctx),
             InterceptStep::Dyn(d) => d.pre(mm, ctx),
         }
     }
@@ -798,8 +670,6 @@ impl InterceptStep {
         match self {
             InterceptStep::Active(a) => a.post(mm, ctx),
             InterceptStep::Memory(m) => m.post(mm, ctx),
-            InterceptStep::Jitter(j) => j.post(mm, ctx),
-            InterceptStep::Fault(fi) => fi.post(mm, ctx),
             InterceptStep::Dyn(d) => d.post(mm, ctx),
         }
     }
@@ -813,8 +683,6 @@ impl InterceptStep {
                 InterceptStep::Memory(m) => {
                     m.plan().enter_path.capacity() * std::mem::size_of::<AreaId>()
                 }
-                InterceptStep::Jitter(j) => std::mem::size_of_val(j.gaps_ns()),
-                InterceptStep::Fault(fi) => fi.component.capacity(),
                 InterceptStep::Dyn(d) => d.footprint_bytes(),
             }
     }
@@ -825,24 +693,6 @@ mod tests {
     use super::*;
     use rtsj::memory::ScopedMemoryParams;
     use rtsj::thread::ThreadKind;
-
-    #[test]
-    fn jitter_monitor_records_gaps() {
-        let mut mm = MemoryManager::default();
-        let mut ctx = mm.context(ThreadKind::Realtime);
-        let mut jm = JitterMonitor::new();
-        assert_eq!(jm.observations(), 0);
-        for _ in 0..5 {
-            jm.pre(&mut mm, &mut ctx).unwrap();
-            jm.post(&mut mm, &mut ctx).unwrap();
-        }
-        assert_eq!(jm.observations(), 5);
-        assert_eq!(jm.gaps_ns().len(), 4);
-        // Downcast through the trait object works.
-        let boxed: Box<dyn Interceptor> = Box::new(jm);
-        assert!(boxed.as_any().downcast_ref::<JitterMonitor>().is_some());
-        assert!(boxed.as_any().downcast_ref::<ActiveInterceptor>().is_none());
-    }
 
     #[test]
     fn active_interceptor_guards_reentrancy() {
@@ -972,19 +822,13 @@ mod tests {
             InterceptStep::compile(Box::new(MemoryInterceptor::new(MemoryPlan::direct(
                 AreaId::HEAP,
             )))),
-            InterceptStep::compile(Box::new(JitterMonitor::new())),
         ];
         assert!(steps.iter().all(InterceptStep::is_compiled));
         assert_eq!(
             steps.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            vec!["active-interceptor", "memory-interceptor", "jitter-monitor"]
+            vec!["active-interceptor", "memory-interceptor"]
         );
-        // Introspection still reaches the concrete type through the step.
-        assert!(steps[0]
-            .as_interceptor()
-            .as_any()
-            .downcast_ref::<ActiveInterceptor>()
-            .is_some());
+        assert!(matches!(steps[0], InterceptStep::Active(_)));
 
         // An unknown type stays dynamic — and keeps working.
         #[derive(Debug)]
@@ -1073,11 +917,9 @@ mod tests {
 
     #[test]
     fn fault_injector_pre_raises_typed_faults() {
-        let mut mm = MemoryManager::default();
-        let mut ctx = mm.context(ThreadKind::Realtime);
         // Error-only menu at rate 1: every activation faults.
         let mut fi = FaultInjector::new("Det", 5, 1).with_menu(FaultInjector::MENU_ERROR);
-        let err = fi.pre(&mut mm, &mut ctx).unwrap_err();
+        let err = fi.draw().unwrap_err();
         let FrameworkError::Faulted {
             component, kind, ..
         } = &err
@@ -1092,7 +934,7 @@ mod tests {
         // Panic faults really panic (the engine catches at the boundary).
         let mut pi = FaultInjector::new("Det", 5, 1).with_menu(FaultInjector::MENU_PANIC);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = pi.pre(&mut mm, &mut ctx);
+            let _ = pi.draw();
         }));
         assert!(caught.is_err(), "panic fault must unwind");
 
@@ -1100,22 +942,8 @@ mod tests {
         let mut li = FaultInjector::new("Det", 5, 1)
             .with_menu(FaultInjector::MENU_LATENCY)
             .with_latency_spike_ns(1_000);
-        li.pre(&mut mm, &mut ctx).unwrap();
+        li.draw().unwrap();
         assert_eq!(li.injected(), 1);
-    }
-
-    #[test]
-    fn fault_injector_compiles_to_a_flat_step() {
-        let step = InterceptStep::compile(Box::new(FaultInjector::new("c", 1, 0)));
-        assert!(step.is_compiled());
-        assert_eq!(step.name(), "fault-injector");
-        assert!(matches!(step, InterceptStep::Fault(_)));
-        assert!(step.footprint_bytes() > 0);
-        assert!(step
-            .as_interceptor()
-            .as_any()
-            .downcast_ref::<FaultInjector>()
-            .is_some());
     }
 
     #[test]

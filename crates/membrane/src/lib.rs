@@ -205,22 +205,9 @@ impl Membrane {
         self.push_step(InterceptStep::compile(interceptor));
     }
 
-    /// Appends an already-compiled step (deploy-time construction and the
-    /// reconfiguration journal's rollback path).
+    /// Appends an already-compiled step (deploy-time construction).
     pub fn push_step(&mut self, step: InterceptStep) {
         self.chain.steps.push(step);
-        self.chain.recompile();
-    }
-
-    /// Splices a step back at `index` in the chain — the rollback half of
-    /// a journaled [`take_interceptor`](Self::take_interceptor): the plan
-    /// recompiles to exactly its pre-removal form, state included.
-    ///
-    /// # Panics
-    ///
-    /// When `index` exceeds the chain length.
-    pub fn insert_step(&mut self, index: usize, step: InterceptStep) {
-        self.chain.steps.insert(index, step);
         self.chain.recompile();
     }
 
@@ -235,30 +222,15 @@ impl Membrane {
         self.chain.steps.iter().map(|s| s.name()).collect()
     }
 
-    /// The first interceptor with the given name, for downcasting
-    /// (membrane-level introspection).
-    pub fn interceptor(&self, name: &str) -> Option<&dyn Interceptor> {
-        self.chain
-            .steps
-            .iter()
-            .find(|s| s.name() == name)
-            .map(|s| s.as_interceptor())
-    }
-
     /// Removes the first interceptor with the given name; true when one was
     /// removed (membrane-level reconfiguration; recompiles the plan).
     pub fn remove_interceptor(&mut self, name: &str) -> bool {
-        self.take_interceptor(name).is_some()
-    }
-
-    /// Removes and returns the first step with the given name together
-    /// with its chain position, so a reconfiguration journal can restore
-    /// the plan byte-identically on rollback (recompiles the plan).
-    pub fn take_interceptor(&mut self, name: &str) -> Option<(usize, InterceptStep)> {
-        let ix = self.chain.steps.iter().position(|s| s.name() == name)?;
-        let step = self.chain.steps.remove(ix);
+        let Some(ix) = self.chain.steps.iter().position(|s| s.name() == name) else {
+            return false;
+        };
+        self.chain.steps.remove(ix);
         self.chain.recompile();
-        Some((ix, step))
+        true
     }
 
     /// Number of control units (controllers + interceptors) in this
@@ -381,7 +353,7 @@ impl Membrane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use interceptors::{ActiveInterceptor, JitterMonitor};
+    use interceptors::{ActiveInterceptor, MemoryInterceptor, MemoryPlan};
     use rtsj::thread::ThreadKind;
 
     #[test]
@@ -467,13 +439,15 @@ mod tests {
         assert_eq!(m.plan().fusion(), ChainFusion::FusedActive);
         assert!(m.plan().is_fully_compiled(), "Active flattens to a step");
 
-        m.push_interceptor(Box::new(JitterMonitor::new()));
+        m.push_interceptor(Box::new(MemoryInterceptor::new(MemoryPlan::direct(
+            rtsj::memory::AreaId::HEAP,
+        ))));
         assert_eq!(m.plan().fusion(), ChainFusion::Walk);
-        assert!(m.plan().is_fully_compiled(), "Jitter flattens too");
+        assert!(m.plan().is_fully_compiled(), "Memory flattens too");
         assert_eq!(m.plan().len(), 2);
 
         // Removing recompiles back down to the fused shape.
-        assert!(m.remove_interceptor("jitter-monitor"));
+        assert!(m.remove_interceptor("memory-interceptor"));
         assert_eq!(m.plan().fusion(), ChainFusion::FusedActive);
     }
 
@@ -520,43 +494,6 @@ mod tests {
         m.pre_invoke(&mut mm, &mut ctx).unwrap();
         m.post_invoke(&mut mm, &mut ctx).unwrap();
         assert_eq!(m.interceptor_names(), vec!["active-interceptor", "opaque"]);
-    }
-
-    #[test]
-    fn take_and_insert_restore_the_plan_byte_identically() {
-        let mut mm = MemoryManager::default();
-        let mut ctx = mm.context(ThreadKind::Realtime);
-        let mut m = Membrane::new("c");
-        m.lifecycle.start();
-        m.push_interceptor(Box::new(ActiveInterceptor::new()));
-        m.push_interceptor(Box::new(JitterMonitor::new()));
-        for _ in 0..3 {
-            m.pre_invoke(&mut mm, &mut ctx).unwrap();
-            m.post_invoke(&mut mm, &mut ctx).unwrap();
-        }
-        let gaps_before = m
-            .interceptor("jitter-monitor")
-            .and_then(|i| i.as_any().downcast_ref::<JitterMonitor>())
-            .map(|j| j.gaps_ns().len())
-            .unwrap();
-        assert_eq!(gaps_before, 2);
-
-        let (ix, step) = m.take_interceptor("jitter-monitor").unwrap();
-        assert_eq!(ix, 1);
-        assert_eq!(m.plan().fusion(), ChainFusion::FusedActive);
-        // Rollback: splice the very step back — position and state intact.
-        m.insert_step(ix, step);
-        assert_eq!(m.plan().fusion(), ChainFusion::Walk);
-        assert_eq!(
-            m.interceptor_names(),
-            vec!["active-interceptor", "jitter-monitor"]
-        );
-        let gaps_after = m
-            .interceptor("jitter-monitor")
-            .and_then(|i| i.as_any().downcast_ref::<JitterMonitor>())
-            .map(|j| j.gaps_ns().len())
-            .unwrap();
-        assert_eq!(gaps_after, gaps_before, "monitor state survived the cycle");
     }
 
     /// Satellite: when several interceptors fail in one unwind, the first

@@ -45,7 +45,7 @@ use soleil_core::model::{ComponentId, ComponentKind, Protocol};
 use soleil_core::validate::{parallel_reconfiguration_report, validate};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
-use soleil_membrane::interceptors::{FaultInjector, InterceptStep};
+use soleil_membrane::interceptors::FaultInjector;
 use soleil_membrane::monitor::LatencySnapshot;
 use soleil_membrane::FrameworkError;
 
@@ -561,46 +561,7 @@ impl<P: Payload> Deployment<P> {
     ///
     /// [`FrameworkError::Content`] for unknown components.
     pub fn ceiling_of(&self, component: impl Address) -> Result<Option<Priority>, FrameworkError> {
-        self.on(component, |system, slot| {
-            system.ceiling_of(system.node_name(slot))
-        })
-    }
-
-    /// Inter-activation gaps recorded by a component's jitter monitor, in
-    /// nanoseconds (empty when no monitor is installed).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn jitter_observations(&self, component: impl Address) -> Result<Vec<u64>, FrameworkError> {
-        self.on(component, |system, slot| system.jitter_at(slot))
-    }
-
-    /// Installs a jitter monitor in a live membrane (SOLEIL only).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn enable_jitter_monitoring(
-        &mut self,
-        component: impl Address,
-    ) -> Result<(), FrameworkError> {
-        self.on_mut(component, |system, slot| {
-            system.enable_jitter_at(slot).map(|_| ())
-        })
-    }
-
-    /// Removes a previously installed jitter monitor; true when one was
-    /// removed.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn disable_jitter_monitoring(
-        &mut self,
-        component: impl Address,
-    ) -> Result<bool, FrameworkError> {
-        self.on_mut(component, |system, slot| system.disable_jitter_at(slot))
+        self.on(component, |system, slot| Ok(system.ceiling_at(slot)))
     }
 
     // -----------------------------------------------------------------
@@ -1234,20 +1195,6 @@ enum Undo<P> {
         rehome: Option<(usize, usize)>,
         edge: Option<DomainEdge>,
     },
-    /// Undo of an interceptor installation: remove it again (the
-    /// membrane's compiled plan recompiles back to its old form).
-    RemoveInterceptor {
-        at: ComponentRef,
-        name: &'static str,
-    },
-    /// Undo of an interceptor removal: splice the taken step — state
-    /// included — back at its old chain position, restoring the compiled
-    /// plan byte-identically.
-    InstallStep {
-        at: ComponentRef,
-        index: usize,
-        step: InterceptStep,
-    },
     /// Undo of a contract attach *or* detach: both reduce to putting the
     /// pre-transaction monitor slot — recorded histogram included — back.
     Contract {
@@ -1677,55 +1624,6 @@ impl<P: Payload> Reconfiguration<'_, P> {
         Ok(())
     }
 
-    /// Installs a [`JitterMonitor`](soleil_membrane::interceptors::JitterMonitor)
-    /// in a live component's membrane (SOLEIL only), recompiling its
-    /// interceptor plan; journaled, so rollback removes it again. A no-op
-    /// when a monitor is already installed.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes,
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn install_jitter_monitor(
-        &mut self,
-        component: impl Address,
-    ) -> Result<(), FrameworkError> {
-        let at = component.locate(self.dep)?;
-        if self.engine(at).enable_jitter_at(at.slot())? {
-            self.journal.push(Undo::RemoveInterceptor {
-                at,
-                name: "jitter-monitor",
-            });
-        }
-        Ok(())
-    }
-
-    /// Removes a jitter monitor from a live membrane (SOLEIL only); true
-    /// when one was removed. Journaled: rollback splices the exact step —
-    /// recorded observations included — back at its old chain position, so
-    /// a rejected transaction restores the compiled plan byte-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes,
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn remove_jitter_monitor(
-        &mut self,
-        component: impl Address,
-    ) -> Result<bool, FrameworkError> {
-        let at = component.locate(self.dep)?;
-        match self
-            .engine(at)
-            .take_interceptor_at(at.slot(), "jitter-monitor")?
-        {
-            Some((index, step)) => {
-                self.journal.push(Undo::InstallStep { at, index, step });
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
     /// Attaches (or replaces) a declarative timing contract on a live
     /// component, journaled: rollback restores the previous monitor slot —
     /// recorded histogram included — or removes the new one. Works in any
@@ -1916,20 +1814,6 @@ impl<P: Payload> Reconfiguration<'_, P> {
                         edge.restore(arch);
                     }
                 }
-                Undo::RemoveInterceptor { at, name } => {
-                    let removed = dep.shards[at.shard()]
-                        .system
-                        .remove_interceptor_at(at.slot(), name)
-                        .expect("rollback removal in a mode that installed it");
-                    assert!(
-                        removed,
-                        "rollback: interceptor installed by this transaction vanished"
-                    );
-                }
-                Undo::InstallStep { at, index, step } => dep.shards[at.shard()]
-                    .system
-                    .insert_step_at(at.slot(), index, step)
-                    .expect("rollback reinstall in a mode that removed it"),
                 Undo::Contract { at, previous } => dep.shards[at.shard()]
                     .system
                     .restore_contract_at(at.slot(), previous),

@@ -1457,7 +1457,10 @@ mod tests {
             .reconfigure(|txn| -> Result<(), FrameworkError> {
                 txn.rebind_async("producer", "out1", "consumerC")?;
                 txn.set_fault_policy("consumerC", FaultPolicy::Isolate)?;
-                txn.install_jitter_monitor("consumerB")?;
+                txn.attach_contract(
+                    "consumerB",
+                    TimingContract::new().with_max_jitter(RelativeTime::from_millis(500)),
+                )?;
                 Err(FrameworkError::Content(
                     "operator changed their mind".into(),
                 ))
@@ -1474,6 +1477,7 @@ mod tests {
             "rollback restores every shard engine byte-identically"
         );
         assert_eq!(sys.fault_policy("consumerC").unwrap(), policy);
+        assert_eq!(sys.contract_of("consumerB").unwrap(), None);
 
         // The restored topology still routes out1 to consumerB.
         sys.run_ticks(10).unwrap();
@@ -1680,9 +1684,9 @@ mod tests {
     /// Acceptance: a live arch-carrying partition, under traffic, commits
     /// one transaction combining a cross-ring rebind, a domain
     /// re-assignment that re-homes the allocation region, a policy swap
-    /// and (under SOLEIL) an interceptor installation — with exact message
-    /// conservation through the quiescence epoch and allocation-free
-    /// steady-state ticks afterwards.
+    /// and a jitter-bounded contract — with exact message conservation
+    /// through the quiescence epoch and allocation-free steady-state ticks
+    /// afterwards.
     #[test]
     fn committed_transaction_combines_rewiring_rehoming_and_policy() {
         for mode in [Mode::Soleil, Mode::MergeAll] {
@@ -1705,10 +1709,10 @@ mod tests {
                 txn.rebind_async("producer", "out1", "consumerC")?;
                 txn.reassign_domain("consumerB", "C")?;
                 txn.set_fault_policy("consumerC", FaultPolicy::Isolate)?;
-                if mode == Mode::Soleil {
-                    txn.install_jitter_monitor("consumerB")?;
-                }
-                Ok(())
+                txn.attach_contract(
+                    "consumerB",
+                    TimingContract::new().with_max_jitter(RelativeTime::from_millis(500)),
+                )
             })
             .unwrap();
 
@@ -1720,6 +1724,7 @@ mod tests {
                 FaultPolicy::Isolate,
                 "{mode}"
             );
+            assert!(sys.contract_of("consumerB").unwrap().is_some(), "{mode}");
             let stats = sys.stats();
             assert_eq!(stats.dropped_messages, 0, "{mode}");
             assert_eq!(stats.async_messages, 40, "{mode}: exact conservation");

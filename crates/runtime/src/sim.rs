@@ -275,7 +275,8 @@ impl RecoveryMetrics {
 /// Runs a virtual-time fault campaign against a live engine deployment:
 /// `ticks` release ticks, watching `watch` for quarantine/recovery
 /// transitions between transactions. The deployment is expected to carry
-/// seeded engine-level [`FaultInjector`]s built
+/// seeded engine-level
+/// [`FaultInjector`](soleil_membrane::interceptors::FaultInjector)s built
 /// [`with_virtual_clock`](soleil_membrane::interceptors::FaultInjector::with_virtual_clock)
 /// — their latency spikes then advance the engine's release clock instead
 /// of the OS clock, so a campaign with multi-millisecond spikes still

@@ -435,7 +435,7 @@ struct PendingKey {
 /// Undo record of a [`System::repoint_async_to_cross`]: the
 /// pre-transaction binding state of the repointed client port, restorable
 /// byte-identically by [`System::restore_async_binding`]. Carried by the
-/// parallel runtime's per-shard undo journals.
+/// deployment's reconfiguration journal.
 #[derive(Debug)]
 pub(crate) struct AsyncRepointUndo {
     pub(crate) client_slot: usize,
@@ -1063,14 +1063,11 @@ impl<P: Payload> System<P> {
             .collect()
     }
 
-    /// The priority ceiling of a shared passive service, when the
-    /// validator assigned one (RTSJ priority-ceiling emulation metadata).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown names.
-    pub fn ceiling_of(&self, name: &str) -> Result<Option<Priority>, FrameworkError> {
-        Ok(self.nodes[self.slot_ix(name)?].ceiling)
+    /// The priority ceiling of `slot`, when the validator assigned one to
+    /// a shared passive service (RTSJ priority-ceiling emulation
+    /// metadata).
+    pub(crate) fn ceiling_at(&self, slot: usize) -> Option<Priority> {
+        self.nodes[slot].ceiling
     }
 
     /// Resolves a component name to its engine slot.
@@ -1627,10 +1624,10 @@ impl<P: Payload> System<P> {
                 self.nodes[slot].name
             ))
         })?;
-        // The pre-gate can panic (a fault injector in the chain): catch it
-        // here, poison the membrane — the chain may be half-wound, so the
-        // component must not re-activate without a restart — and surface
-        // the typed fault.
+        // The pre-gate can panic (a `Dyn` interceptor is user code): catch
+        // it here, poison the membrane — the chain may be half-wound, so
+        // the component must not re-activate without a restart — and
+        // surface the typed fault.
         let pre = catch_unwind(AssertUnwindSafe(|| membrane.pre_invoke(&mut self.mm, ctx)));
         match pre {
             Ok(Ok(())) => {}
@@ -2397,7 +2394,7 @@ impl<P: Payload> System<P> {
     /// across the domain partition. The ring index is appended to
     /// `cross_out` and the binding's compiled slot is recompiled with
     /// `is_cross` set, exactly the shape build gives deploy-time rings.
-    /// Returns the undo record for the per-shard journal.
+    /// Returns the undo record for the reconfiguration journal.
     ///
     /// # Errors
     ///
@@ -2668,130 +2665,6 @@ impl<P: Payload> System<P> {
     /// introspection; merged modes drop it.
     pub fn reified_spec(&self) -> Option<&SystemSpec> {
         self.reified_spec.as_ref()
-    }
-
-    /// Installs a [`JitterMonitor`](soleil_membrane::interceptors::JitterMonitor)
-    /// in a live component's membrane — *membrane-level* reconfiguration,
-    /// available only where membranes are reified (SOLEIL mode).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn enable_jitter_monitoring(&mut self, component: &str) -> Result<(), FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        let slot = self.slot_ix(component)?;
-        self.enable_jitter_at(slot).map(|_| ())
-    }
-
-    /// Slot-indexed jitter-monitor installation (SOLEIL mode only);
-    /// true when a monitor was newly installed (the plan recompiled).
-    pub(crate) fn enable_jitter_at(&mut self, slot: usize) -> Result<bool, FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        let m = self.membranes[slot]
-            .as_mut()
-            .expect("membrane present outside invocation");
-        if m.interceptor("jitter-monitor").is_none() {
-            m.push_interceptor(Box::new(soleil_membrane::interceptors::JitterMonitor::new()));
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Removes the named interceptor from a slot's membrane, returning its
-    /// chain position and the step itself so a reconfiguration journal can
-    /// restore the plan byte-identically on rollback (SOLEIL mode only;
-    /// the plan recompiles).
-    pub(crate) fn take_interceptor_at(
-        &mut self,
-        slot: usize,
-        name: &str,
-    ) -> Result<Option<(usize, InterceptStep)>, FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        Ok(self.membranes[slot]
-            .as_mut()
-            .expect("membrane present outside invocation")
-            .take_interceptor(name))
-    }
-
-    /// Splices a step back into a slot's membrane at its old chain
-    /// position — the rollback half of [`take_interceptor_at`]
-    /// (SOLEIL mode only; the plan recompiles).
-    ///
-    /// [`take_interceptor_at`]: Self::take_interceptor_at
-    pub(crate) fn insert_step_at(
-        &mut self,
-        slot: usize,
-        index: usize,
-        step: InterceptStep,
-    ) -> Result<(), FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        self.membranes[slot]
-            .as_mut()
-            .expect("membrane present outside invocation")
-            .insert_step(index, step);
-        Ok(())
-    }
-
-    /// Removes the named interceptor from a slot's membrane; true when one
-    /// was removed (SOLEIL mode only; undo of a journaled installation).
-    pub(crate) fn remove_interceptor_at(
-        &mut self,
-        slot: usize,
-        name: &str,
-    ) -> Result<bool, FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        Ok(self.membranes[slot]
-            .as_mut()
-            .expect("membrane present outside invocation")
-            .remove_interceptor(name))
-    }
-
-    /// Removes a previously installed jitter monitor; true when one was
-    /// removed.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn disable_jitter_monitoring(&mut self, component: &str) -> Result<bool, FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        let slot = self.slot_ix(component)?;
-        self.disable_jitter_at(slot)
-    }
-
-    /// Slot-indexed jitter-monitor removal (SOLEIL mode only).
-    pub(crate) fn disable_jitter_at(&mut self, slot: usize) -> Result<bool, FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        Ok(self.membranes[slot]
-            .as_mut()
-            .expect("membrane present outside invocation")
-            .remove_interceptor("jitter-monitor"))
-    }
-
-    /// Inter-activation gaps recorded by a component's jitter monitor, in
-    /// nanoseconds (empty when no monitor is installed).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn jitter_observations(&self, component: &str) -> Result<Vec<u64>, FrameworkError> {
-        self.require_soleil("membrane introspection")?;
-        let slot = self.slot_ix(component)?;
-        self.jitter_at(slot)
-    }
-
-    /// Slot-indexed jitter readout (SOLEIL mode only).
-    pub(crate) fn jitter_at(&self, slot: usize) -> Result<Vec<u64>, FrameworkError> {
-        self.require_soleil("membrane introspection")?;
-        let m = self.membranes[slot]
-            .as_ref()
-            .expect("membrane present outside invocation");
-        Ok(m.interceptor("jitter-monitor")
-            .and_then(|i| {
-                i.as_any()
-                    .downcast_ref::<soleil_membrane::interceptors::JitterMonitor>()
-            })
-            .map(|jm| jm.gaps_ns().to_vec())
-            .unwrap_or_default())
     }
 
     // -----------------------------------------------------------------
@@ -4603,36 +4476,6 @@ mod tests {
         let service = sys.slot_of("service").unwrap();
         assert!(matches!(
             sys.rebind_at(middle, "svc", service),
-            Err(FrameworkError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn jitter_monitor_installs_at_runtime_in_soleil_only() {
-        let spec = pipeline_spec();
-        let mut sys = System::build(&spec, Mode::Soleil, &registry()).unwrap();
-        let head = sys.slot_of("producer").unwrap();
-        sys.run_transaction(head).unwrap();
-
-        // Install on a live component (membrane-level reconfiguration).
-        sys.enable_jitter_monitoring("middle").unwrap();
-        assert!(sys
-            .membrane_info("middle")
-            .unwrap()
-            .interceptors
-            .contains(&"jitter-monitor".to_string()));
-        for _ in 0..5 {
-            sys.run_transaction(head).unwrap();
-        }
-        let gaps = sys.jitter_observations("middle").unwrap();
-        assert_eq!(gaps.len(), 4, "5 monitored activations -> 4 gaps");
-        assert!(sys.disable_jitter_monitoring("middle").unwrap());
-        assert!(!sys.disable_jitter_monitoring("middle").unwrap());
-
-        // Merged modes refuse: membranes are not reified.
-        let mut merged = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        assert!(matches!(
-            merged.enable_jitter_monitoring("middle"),
             Err(FrameworkError::Unsupported(_))
         ));
     }

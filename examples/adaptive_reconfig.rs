@@ -220,19 +220,23 @@ fn main() -> Result<(), SoleilError> {
     assert_eq!(primary.load(std::sync::atomic::Ordering::Relaxed), 10);
     assert_eq!(backup.load(std::sync::atomic::Ordering::Relaxed), 10);
 
-    // Membrane-level reconfiguration: inject a jitter monitor into the
-    // live producer membrane, observe, remove it again.
-    dep.enable_jitter_monitoring(producer)?;
+    // Inject monitoring into the live producer: a jitter-bounded timing
+    // contract, attached in a committed transaction, observed, then
+    // detached again.
+    let jitter_bound = TimingContract::new().with_max_jitter(RelativeTime::from_millis(10));
+    dep.reconfigure(|txn| txn.attach_contract(producer, jitter_bound))?;
     for _ in 0..20 {
         dep.run_transaction(producer)?;
     }
-    let gaps = dep.jitter_observations(producer)?;
+    let snap = dep.latency_snapshot(producer)?.expect("contract attached");
     println!(
-        "  jitter monitor installed at runtime: {} gaps, mean {:.2} us",
-        gaps.len(),
-        gaps.iter().sum::<u64>() as f64 / gaps.len().max(1) as f64 / 1000.0
+        "  jitter contract attached at runtime: {} activations, {} jitter violations, mean {:.2} us",
+        snap.activations,
+        snap.jitter_violations,
+        snap.mean_ns as f64 / 1000.0
     );
-    dep.disable_jitter_monitoring(producer)?;
+    assert_eq!(snap.activations, 20);
+    assert!(dep.reconfigure(|txn| txn.detach_contract(producer))?);
     assert_eq!(backup.load(std::sync::atomic::Ordering::Relaxed), 30);
 
     // Fault policies are reconfiguration ops too: journaled, applied
@@ -329,7 +333,7 @@ fn main() -> Result<(), SoleilError> {
     // --- PARALLEL: live reconfiguration of a running partition -----------
     // The same transaction discipline, across the shard boundary: the
     // engine drives every shard to a quiescence epoch (rings drained),
-    // applies the batch through per-shard undo journals, re-validates at
+    // applies the batch through one undo journal, re-validates at
     // commit, and rolls back byte-identically on refusal.
     println!("\n== PARALLEL deployment (SOLEIL mode) ==");
     let (mut sys, b_count, c_count) = build_parallel(Mode::Soleil)?;

@@ -76,6 +76,47 @@ fn fixture(mode: Mode) -> Fixture {
     Fixture { dep, a, b }
 }
 
+/// The SOL-006 fixture: an NHRT caller bound to an immortal service,
+/// whose rebind onto the heap-held `svc-heap` the commit-time validator
+/// refuses. `a` counts `svc-imm` calls, `b` counts `svc-heap` calls.
+fn heap_rebind_fixture(mode: Mode) -> Fixture {
+    let mut bv = BusinessView::new("rebind-into-heap");
+    bv.active_periodic("caller", "5ms").unwrap();
+    bv.passive("svc-imm").unwrap();
+    bv.passive("svc-heap").unwrap();
+    bv.content("caller", "Caller").unwrap();
+    bv.content("svc-imm", "A").unwrap();
+    bv.content("svc-heap", "B").unwrap();
+    bv.require("caller", "svc", "ISvc").unwrap();
+    bv.provide("svc-imm", "svc", "ISvc").unwrap();
+    bv.provide("svc-heap", "svc", "ISvc").unwrap();
+    bv.bind_sync("caller", "svc", "svc-imm", "svc").unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("nhrt", ThreadKind::NoHeapRealtime, 30, &["caller"])
+        .unwrap();
+    flow.memory_area(
+        "imm",
+        MemoryKind::Immortal,
+        Some(64 * 1024),
+        &["nhrt", "svc-imm"],
+    )
+    .unwrap();
+    flow.memory_area("heap", MemoryKind::Heap, None, &["svc-heap"])
+        .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+
+    let a = Arc::new(AtomicU32::new(0));
+    let b = Arc::new(AtomicU32::new(0));
+    let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+    registry.register("Caller", || Box::new(Caller));
+    let ac = a.clone();
+    registry.register("A", move || Box::new(Counter(ac.clone())));
+    let bc = b.clone();
+    registry.register("B", move || Box::new(Counter(bc.clone())));
+    let dep = deploy(&arch, mode, &registry).unwrap();
+    Fixture { dep, a, b }
+}
+
 #[test]
 fn soleil_full_matrix() {
     let Fixture { mut dep, a, b } = fixture(Mode::Soleil);
@@ -194,7 +235,11 @@ fn failing_transaction_rolls_back_completely() {
     let caller = dep.resolve("caller").unwrap();
     let svc_a = dep.resolve("svc-a").unwrap();
     let svc_b = dep.resolve("svc-b").unwrap();
-    dep.enable_jitter_monitoring(caller).unwrap();
+    dep.attach_contract(
+        caller,
+        TimingContract::new().with_max_jitter(RelativeTime::from_millis(500)),
+    )
+    .unwrap();
     for _ in 0..3 {
         dep.run_transaction(caller).unwrap();
     }
@@ -208,16 +253,19 @@ fn failing_transaction_rolls_back_completely() {
             format!("{:?}", dep.domain_info()),
             format!("{:?}", dep.architecture().bindings()),
             membranes,
-            dep.jitter_observations(caller).unwrap(),
+            dep.contract_of(caller).unwrap(),
+            dep.latency_snapshot(caller).unwrap().map(|s| s.activations),
             format!("{:?}", dep.system().reified_spec()),
         )
     };
     let before = snapshot(&dep);
 
     // Closure failure: the rebind targets a port svc-b does not provide,
-    // after a stop and a successful rebind already applied.
+    // after a contract detach, a stop and a successful rebind already
+    // applied.
     let err = dep
         .reconfigure(|txn| {
+            assert!(txn.detach_contract(caller)?);
             txn.stop(caller)?;
             txn.rebind(caller, "svc", svc_b)?;
             txn.rebind(caller, "no-such-port", svc_a)
@@ -237,129 +285,31 @@ fn failing_transaction_rolls_back_completely() {
     assert_eq!(b.load(Ordering::Relaxed), 0);
 }
 
-/// A reconfiguration that installs/removes an interceptor mid-run must
-/// recompile the membrane's interceptor plan: the new step executes on the
-/// very next transaction, and the plan stays fully compiled (no dyn
-/// fallback) throughout.
-#[test]
-fn reconfigure_recompiles_the_interceptor_plan() {
-    use soleil::membrane::ChainFusion;
-    let Fixture { mut dep, .. } = fixture(Mode::Soleil);
-    let caller = dep.resolve("caller").unwrap();
-    dep.run_transaction(caller).unwrap();
-
-    let info = dep.membrane_info(caller).unwrap();
-    assert!(info.plan_fully_compiled);
-    assert_eq!(info.plan_fusion, ChainFusion::FusedActive);
-
-    // Install through a committed transaction: the plan recompiles from
-    // the fused single-Active shape to the general walk.
-    dep.reconfigure(|txn| txn.install_jitter_monitor(caller))
-        .unwrap();
-    let info = dep.membrane_info(caller).unwrap();
-    assert!(info.interceptors.contains(&"jitter-monitor".to_string()));
-    assert_eq!(info.plan_fusion, ChainFusion::Walk);
-    assert!(
-        info.plan_fully_compiled,
-        "the monitor flattens to a compiled step"
-    );
-
-    // The new step executes on the next transactions.
-    dep.run_transaction(caller).unwrap();
-    dep.run_transaction(caller).unwrap();
-    assert_eq!(
-        dep.jitter_observations(caller).unwrap().len(),
-        1,
-        "two monitored activations -> one gap: the recompiled plan ran"
-    );
-
-    // Removal through a committed transaction recompiles back down.
-    assert!(dep
-        .reconfigure(|txn| txn.remove_jitter_monitor(caller))
-        .unwrap());
-    let info = dep.membrane_info(caller).unwrap();
-    assert!(!info.interceptors.contains(&"jitter-monitor".to_string()));
-    assert_eq!(info.plan_fusion, ChainFusion::FusedActive);
-
-    // A failed closure rolls an installation back out of the plan.
-    let err = dep
-        .reconfigure(|txn| {
-            txn.install_jitter_monitor(caller)?;
-            Err::<(), _>(FrameworkError::Content("abort".into()))
-        })
-        .unwrap_err();
-    assert!(matches!(err, FrameworkError::Content(_)));
-    let info = dep.membrane_info(caller).unwrap();
-    assert!(!info.interceptors.contains(&"jitter-monitor".to_string()));
-    assert_eq!(info.plan_fusion, ChainFusion::FusedActive);
-
-    // Merged modes refuse membrane-level operations inside transactions
-    // exactly like outside them.
-    let Fixture { mut dep, .. } = fixture(Mode::MergeAll);
-    let caller = dep.resolve("caller").unwrap();
-    let err = dep
-        .reconfigure(|txn| txn.install_jitter_monitor(caller))
-        .unwrap_err();
-    assert!(matches!(err, FrameworkError::Unsupported(_)));
-}
-
-/// A rejected transaction must restore the compiled plan byte-identically:
-/// the removed step returns at its old chain position with its recorded
-/// state intact.
+/// A transaction the commit-time validator refuses restores the compiled
+/// membrane plan byte-identically — lifecycle, bindings, interceptor order
+/// and fusion — together with the contract monitor it detached, and the
+/// restored plan still executes.
 #[test]
 fn rejected_transaction_restores_the_compiled_plan_byte_identically() {
-    use soleil::membrane::ChainFusion;
-    // The SOL-006 fixture: an NHRT caller whose rebind onto heap-held
-    // state the commit-time validator refuses.
-    let mut bv = BusinessView::new("plan-rollback");
-    bv.active_periodic("caller", "5ms").unwrap();
-    bv.passive("svc-imm").unwrap();
-    bv.passive("svc-heap").unwrap();
-    bv.content("caller", "Caller").unwrap();
-    bv.content("svc-imm", "A").unwrap();
-    bv.content("svc-heap", "B").unwrap();
-    bv.require("caller", "svc", "ISvc").unwrap();
-    bv.provide("svc-imm", "svc", "ISvc").unwrap();
-    bv.provide("svc-heap", "svc", "ISvc").unwrap();
-    bv.bind_sync("caller", "svc", "svc-imm", "svc").unwrap();
-    let mut flow = DesignFlow::new(bv);
-    flow.thread_domain("nhrt", ThreadKind::NoHeapRealtime, 30, &["caller"])
-        .unwrap();
-    flow.memory_area(
-        "imm",
-        MemoryKind::Immortal,
-        Some(64 * 1024),
-        &["nhrt", "svc-imm"],
-    )
-    .unwrap();
-    flow.memory_area("heap", MemoryKind::Heap, None, &["svc-heap"])
-        .unwrap();
-    let arch = flow.merge().unwrap().into_validated().unwrap();
-
-    let a = Arc::new(AtomicU32::new(0));
-    let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
-    registry.register("Caller", || Box::new(Caller));
-    let ac = a.clone();
-    registry.register("A", move || Box::new(Counter(ac.clone())));
-    registry.register("B", || Box::new(Counter(Arc::new(AtomicU32::new(0)))));
-
-    let mut dep = deploy(&arch, Mode::Soleil, &registry).unwrap();
+    let Fixture { mut dep, a, b } = heap_rebind_fixture(Mode::Soleil);
     let caller = dep.resolve("caller").unwrap();
     let heap_svc = dep.resolve("svc-heap").unwrap();
-    dep.reconfigure(|txn| txn.install_jitter_monitor(caller))
+    let contract = TimingContract::new().with_deadline(RelativeTime::from_millis(500));
+    dep.reconfigure(|txn| txn.attach_contract(caller, contract.clone()))
         .unwrap();
     for _ in 0..4 {
         dep.run_transaction(caller).unwrap();
     }
     let info_before = dep.membrane_info(caller).unwrap();
-    let gaps_before = dep.jitter_observations(caller).unwrap();
-    assert_eq!(gaps_before.len(), 3, "monitor state accumulated");
+    let snap_before = dep.latency_snapshot(caller).unwrap().unwrap();
+    assert_eq!(snap_before.activations, 4, "monitor state accumulated");
 
-    // The transaction removes the monitor (recompiling the plan), then
+    // The transaction stops the caller, detaches its contract and then
     // trips SOL-006: everything must roll back, the plan included.
     let err = dep
         .reconfigure(|txn| {
-            assert!(txn.remove_jitter_monitor(caller)?);
+            txn.stop(caller)?;
+            assert!(txn.detach_contract(caller)?);
             txn.rebind(caller, "svc", heap_svc)
         })
         .unwrap_err();
@@ -368,22 +318,33 @@ fn rejected_transaction_restores_the_compiled_plan_byte_identically() {
     assert_eq!(
         dep.membrane_info(caller).unwrap(),
         info_before,
-        "compiled plan restored byte-identically (names, order, fusion)"
+        "compiled plan restored byte-identically (lifecycle, ports, order, fusion)"
     );
+    assert_eq!(dep.contract_of(caller).unwrap(), Some(contract));
+    // `observed_hz` is the recorded count over wall time since attach, so
+    // it is compared apart: same count, same attach instant, later clock.
+    let snap_after = dep.latency_snapshot(caller).unwrap().unwrap();
     assert_eq!(
-        dep.jitter_observations(caller).unwrap(),
-        gaps_before,
-        "the reinstalled step kept its recorded state"
+        LatencySnapshot {
+            observed_hz: snap_before.observed_hz,
+            ..snap_after
+        },
+        snap_before,
+        "the reattached monitor kept its recorded state"
     );
-    assert_eq!(
-        dep.membrane_info(caller).unwrap().plan_fusion,
-        ChainFusion::Walk
-    );
+    assert!(snap_after.observed_hz <= snap_before.observed_hz);
 
-    // And the restored plan still executes: one more transaction extends
-    // the very same monitor's record.
+    // And the restored plan still executes: one more transaction reaches
+    // svc-imm and extends the very same monitor's record.
     dep.run_transaction(caller).unwrap();
-    assert_eq!(dep.jitter_observations(caller).unwrap().len(), 4);
+    assert_eq!(
+        dep.latency_snapshot(caller).unwrap().unwrap().activations,
+        5
+    );
+    assert_eq!(
+        (a.load(Ordering::Relaxed), b.load(Ordering::Relaxed)),
+        (5, 0)
+    );
 }
 
 /// Commit-time validation: a rebind that makes an NHRT client call
@@ -391,42 +352,8 @@ fn rejected_transaction_restores_the_compiled_plan_byte_identically() {
 /// design-time validator enforces, and the whole transaction rolls back.
 #[test]
 fn validator_refuses_illegal_rebind_and_rolls_back() {
-    let mut bv = BusinessView::new("rebind-into-heap");
-    bv.active_periodic("caller", "5ms").unwrap();
-    bv.passive("svc-imm").unwrap();
-    bv.passive("svc-heap").unwrap();
-    bv.content("caller", "Caller").unwrap();
-    bv.content("svc-imm", "A").unwrap();
-    bv.content("svc-heap", "B").unwrap();
-    bv.require("caller", "svc", "ISvc").unwrap();
-    bv.provide("svc-imm", "svc", "ISvc").unwrap();
-    bv.provide("svc-heap", "svc", "ISvc").unwrap();
-    bv.bind_sync("caller", "svc", "svc-imm", "svc").unwrap();
-    let mut flow = DesignFlow::new(bv);
-    flow.thread_domain("nhrt", ThreadKind::NoHeapRealtime, 30, &["caller"])
-        .unwrap();
-    flow.memory_area(
-        "imm",
-        MemoryKind::Immortal,
-        Some(64 * 1024),
-        &["nhrt", "svc-imm"],
-    )
-    .unwrap();
-    flow.memory_area("heap", MemoryKind::Heap, None, &["svc-heap"])
-        .unwrap();
-    let arch = flow.merge().unwrap().into_validated().unwrap();
-
-    let a = Arc::new(AtomicU32::new(0));
-    let b = Arc::new(AtomicU32::new(0));
-    let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
-    registry.register("Caller", || Box::new(Caller));
-    let ac = a.clone();
-    registry.register("A", move || Box::new(Counter(ac.clone())));
-    let bc = b.clone();
-    registry.register("B", move || Box::new(Counter(bc.clone())));
-
     for mode in [Mode::Soleil, Mode::MergeAll] {
-        let mut dep = deploy(&arch, mode, &registry).unwrap();
+        let Fixture { mut dep, a, b } = heap_rebind_fixture(mode);
         let caller = dep.resolve("caller").unwrap();
         let heap_svc = dep.resolve("svc-heap").unwrap();
         let bindings_before = format!("{:?}", dep.architecture().bindings());
@@ -449,7 +376,6 @@ fn validator_refuses_illegal_rebind_and_rolls_back() {
             bindings_before,
             "{mode}"
         );
-        a.store(0, Ordering::Relaxed);
         dep.run_transaction(caller).unwrap();
         assert_eq!(
             (a.load(Ordering::Relaxed), b.load(Ordering::Relaxed)),
@@ -727,13 +653,14 @@ fn deployment_schedules_and_cancels_releases() {
 
 /// Runtime contracts are engine-level observability: they attach in any
 /// reconfigurable mode through the same journaled transaction machinery as
-/// interceptor operations, and a failed transaction restores the previous
-/// monitor — recorded histogram included.
+/// structural operations, and a failed or refused transaction restores the
+/// previous monitor — recorded histogram included.
 #[test]
 fn contracts_attach_and_detach_transactionally() {
     for mode in [Mode::Soleil, Mode::MergeAll] {
-        let Fixture { mut dep, .. } = fixture(mode);
+        let Fixture { mut dep, .. } = heap_rebind_fixture(mode);
         let caller = dep.resolve("caller").unwrap();
+        let heap_svc = dep.resolve("svc-heap").unwrap();
 
         // Attach through a committed transaction; observe activations.
         let generous = TimingContract::new().with_deadline(RelativeTime::from_millis(500));
@@ -782,6 +709,26 @@ fn contracts_attach_and_detach_transactionally() {
             dep.latency_snapshot(caller).unwrap().unwrap().activations,
             5,
             "{mode}: rolled-back detach restored the monitor"
+        );
+
+        // And for a detach the commit-time validator refuses: the SOL-006
+        // rebind onto heap-held state rejects the whole transaction.
+        let err = dep
+            .reconfigure(|txn| {
+                assert!(txn.detach_contract(caller)?);
+                txn.rebind(caller, "svc", heap_svc)
+            })
+            .unwrap_err();
+        assert!(matches!(err, FrameworkError::Rejected(_)), "{mode}: {err}");
+        assert_eq!(
+            dep.contract_of(caller).unwrap(),
+            Some(generous.clone()),
+            "{mode}: refused detach restored the contract"
+        );
+        assert_eq!(
+            dep.latency_snapshot(caller).unwrap().unwrap().activations,
+            5,
+            "{mode}: refused detach restored the histogram"
         );
 
         // A committed detach really removes it (histogram discarded).

@@ -195,14 +195,9 @@ fn runtime_contract_verdicts_agree_with_the_analytic_simulator() {
     assert_eq!(report.by_code("SOL-016").count(), 1, "{report}");
 }
 
-#[test]
-fn ceiling_metadata_reaches_the_spec() {
-    // The motivation example's Console is called from a single domain: no
-    // ceiling. A variant with a second NHRT domain calling it gets one.
-    let spec = compile(&motivation_validated().unwrap()).unwrap();
-    let console = &spec.components[spec.component_index("Console").unwrap()];
-    assert_eq!(console.ceiling, None);
-
+/// Two NHRT domains (priorities 25 and 31) calling one passive console:
+/// the validator gives the console a priority ceiling (SOL-014).
+fn shared_console_arch() -> soleil::core::ValidatedArchitecture {
     use soleil::prelude::*;
     let mut b = BusinessView::new("shared-console");
     b.active_sporadic("m1").unwrap();
@@ -228,7 +223,18 @@ fn ceiling_metadata_reaches_the_spec() {
         &["d1", "d2", "console"],
     )
     .unwrap();
-    let arch = flow.merge().unwrap().into_validated().unwrap();
+    flow.merge().unwrap().into_validated().unwrap()
+}
+
+#[test]
+fn ceiling_metadata_reaches_the_spec() {
+    // The motivation example's Console is called from a single domain: no
+    // ceiling. A variant with a second NHRT domain calling it gets one.
+    let spec = compile(&motivation_validated().unwrap()).unwrap();
+    let console = &spec.components[spec.component_index("Console").unwrap()];
+    assert_eq!(console.ceiling, None);
+
+    let arch = shared_console_arch();
     let report = arch.report();
     assert!(report.by_code("SOL-014").next().is_some(), "{report}");
     let spec = compile(&arch).unwrap();
@@ -238,4 +244,35 @@ fn ceiling_metadata_reaches_the_spec() {
         Some(31),
         "max of the two client priorities"
     );
+}
+
+/// A deployment reads the ceiling through a resolved token: the
+/// `ComponentRef` is checked, never looked up again by name.
+#[test]
+fn ceiling_of_a_token_performs_no_name_lookup() {
+    use soleil::prelude::*;
+    #[derive(Debug)]
+    struct Noop;
+    impl Content<u64> for Noop {
+        fn on_invoke(&mut self, _p: &str, _m: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+            Ok(())
+        }
+    }
+    let mut registry: ContentRegistry<u64> = ContentRegistry::new();
+    registry.register("M", || Box::new(Noop));
+    registry.register("C", || Box::new(Noop));
+    let arch = shared_console_arch();
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        let dep = soleil::deploy(&arch, mode, &registry).unwrap();
+        let console = dep.resolve("console").unwrap();
+        let m1 = dep.resolve("m1").unwrap();
+        let lookups = dep.name_lookups();
+        assert_eq!(
+            dep.ceiling_of(console).unwrap(),
+            Some(Priority::new(31)),
+            "{mode}"
+        );
+        assert_eq!(dep.ceiling_of(m1).unwrap(), None, "{mode}");
+        assert_eq!(dep.name_lookups(), lookups, "{mode}");
+    }
 }
