@@ -8,7 +8,8 @@
 //! transactions of the motivation scenario and requires **zero**
 //! allocations per steady-state transaction in every generation mode, and
 //! the substrate's own allocation counter must stay pinned at its
-//! bootstrap value.
+//! bootstrap value. Commit-time validation, which every live
+//! reconfiguration pays, has an allocation bound of its own.
 //!
 //! Run in release (CI's `bench-smoke` job does):
 //! `cargo test -p soleil-bench --release --test zero_alloc`
@@ -297,4 +298,39 @@ fn oo_baseline_is_equally_allocation_free() {
         oo.run_transaction().expect("steady transaction");
     }
     assert_eq!(alloc_probe::allocations() - before, 0);
+}
+
+/// Heap allocations one `validate` of the motivation architecture may
+/// make: the diagnostics it reports, plus one containment walk per
+/// question it asks of the hierarchy.
+const VALIDATE_ALLOCS: u64 = 45;
+
+/// Commit-time validation is bounded too. Live reconfiguration re-checks
+/// RTSJ conformance on every commit, so `validate` stays within
+/// [`VALIDATE_ALLOCS`], and a compliant empty transaction — nothing
+/// journaled, nothing charged — costs no more than that one `validate`.
+#[test]
+fn commit_time_validation_allocates_within_its_bound() {
+    let arch = motivation_validated().expect("fixture validates");
+    let before = alloc_probe::allocations();
+    let report = validate(&arch);
+    let validate_allocs = alloc_probe::allocations() - before;
+    assert!(report.is_compliant(), "{report}");
+    assert!(
+        validate_allocs <= VALIDATE_ALLOCS,
+        "validate of the motivation architecture made {validate_allocs} heap allocations \
+         (bound {VALIDATE_ALLOCS})"
+    );
+
+    let probe = ScenarioProbe::new();
+    let mut dep = deploy(&arch, Mode::MergeAll, &registry_with_probe(&probe)).expect("deploys");
+    let before = alloc_probe::allocations();
+    dep.reconfigure(|_| Ok(()))
+        .expect("an empty transaction commits");
+    let commit_allocs = alloc_probe::allocations() - before;
+    assert!(
+        commit_allocs <= validate_allocs.min(VALIDATE_ALLOCS),
+        "an empty MERGE-ALL commit made {commit_allocs} heap allocations; one validate \
+         makes {validate_allocs} (bound {VALIDATE_ALLOCS})"
+    );
 }

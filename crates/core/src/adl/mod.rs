@@ -423,7 +423,13 @@ pub fn to_json(arch: &Architecture) -> String {
 ///
 /// # Errors
 ///
-/// [`ModelError::Parse`] when the JSON is malformed.
+/// [`ModelError::Parse`] when the JSON is malformed or describes an
+/// architecture the builder API refuses: ids that are not their table
+/// indices, duplicate component or interface names, interfaces or a
+/// content class on a non-functional component, sub-components of an
+/// active or passive component, a `parents` table that does not mirror
+/// `children`, a containment cycle, or a binding
+/// [`Architecture::bind`] refuses.
 pub fn from_json(text: &str) -> Result<Architecture> {
     let value = crate::json::parse(text)?;
     let mut arch = Architecture::from_json_value(&value)?;
@@ -571,6 +577,7 @@ mod tests {
         let arch = from_xml(MOTIVATION_EXAMPLE_XML).unwrap();
         let json = to_json(&arch);
         let back = from_json(&json).unwrap();
+        assert_eq!(to_json(&back), json, "the loader keeps every table's order");
         assert_eq!(back.components().len(), arch.components().len());
         assert_eq!(
             back.id_of("Console").unwrap(),

@@ -7,7 +7,7 @@
 //! typically shared between one ThreadDomain (fixing its thread) and one
 //! MemoryArea (fixing its allocation region), or reaches them transitively.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use rtsj::memory::MemoryKind;
 use rtsj::thread::ThreadKind;
@@ -205,6 +205,31 @@ impl Architecture {
         server_if: &str,
         protocol: Protocol,
     ) -> Result<()> {
+        self.check_endpoints(client, client_if, server, server_if)?;
+        self.bindings.push(Binding {
+            client: Endpoint {
+                component: client,
+                interface: client_if.to_string(),
+            },
+            server: Endpoint {
+                component: server,
+                interface: server_if.to_string(),
+            },
+            protocol,
+        });
+        Ok(())
+    }
+
+    /// The endpoint checks of [`bind`](Self::bind), shared with the JSON
+    /// loader: both interfaces exist, the roles are client → server, and
+    /// the signatures agree.
+    fn check_endpoints(
+        &self,
+        client: ComponentId,
+        client_if: &str,
+        server: ComponentId,
+        server_if: &str,
+    ) -> Result<()> {
         let (c, s) = (self.component(client)?, self.component(server)?);
         let ci = c
             .interface(client_if)
@@ -239,17 +264,6 @@ impl Architecture {
                 ),
             });
         }
-        self.bindings.push(Binding {
-            client: Endpoint {
-                component: client,
-                interface: client_if.to_string(),
-            },
-            server: Endpoint {
-                component: server,
-                interface: server_if.to_string(),
-            },
-            protocol,
-        });
         Ok(())
     }
 
@@ -332,104 +346,75 @@ impl Architecture {
 
     /// True when `to` is reachable from `from` following child edges.
     pub fn is_reachable(&self, from: ComponentId, to: ComponentId) -> bool {
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([from]);
-        while let Some(c) = queue.pop_front() {
-            if c == to {
-                return true;
-            }
-            if seen.insert(c) {
-                queue.extend(self.children[c.0 as usize].iter().copied());
-            }
-        }
-        false
+        Walk::new(&self.children, &[from]).any(|c| c == to)
     }
 
     /// Every ancestor of `id` (transitive supers, deduplicated, BFS order).
     pub fn ancestors(&self, id: ComponentId) -> Vec<ComponentId> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        let mut queue: VecDeque<ComponentId> =
-            self.parents[id.0 as usize].iter().copied().collect();
-        while let Some(p) = queue.pop_front() {
-            if seen.insert(p) {
-                out.push(p);
-                queue.extend(self.parents[p.0 as usize].iter().copied());
-            }
-        }
-        out
+        Walk::new(&self.parents, &self.parents[id.0 as usize]).into_visited()
     }
 
     /// Every descendant of `id` (transitive children, deduplicated).
     pub fn descendants(&self, id: ComponentId) -> Vec<ComponentId> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        let mut queue: VecDeque<ComponentId> =
-            self.children[id.0 as usize].iter().copied().collect();
-        while let Some(c) = queue.pop_front() {
-            if seen.insert(c) {
-                out.push(c);
-                queue.extend(self.children[c.0 as usize].iter().copied());
-            }
-        }
-        out
+        Walk::new(&self.children, &self.children[id.0 as usize]).into_visited()
+    }
+
+    /// The ancestors of `id`, nearest first, paired with their kinds.
+    fn ancestor_kinds(
+        &self,
+        id: ComponentId,
+    ) -> impl Iterator<Item = (ComponentId, ComponentKind)> + '_ {
+        Walk::new(&self.parents, &self.parents[id.0 as usize])
+            .map(|a| (a, self.components[a.0 as usize].kind))
     }
 
     // -----------------------------------------------------------------
     // Real-time queries
     // -----------------------------------------------------------------
 
+    /// The ancestors of `id` whose kind passes `keep`, nearest first.
+    fn ancestors_where(
+        &self,
+        id: ComponentId,
+        keep: fn(&ComponentKind) -> bool,
+    ) -> Vec<ComponentId> {
+        let mut kept = self.ancestors(id);
+        kept.retain(|a| keep(&self.components[a.0 as usize].kind));
+        kept
+    }
+
     /// All ThreadDomain ancestors of `id` (usually exactly one for a valid
     /// architecture).
     pub fn thread_domains_of(&self, id: ComponentId) -> Vec<ComponentId> {
-        self.ancestors(id)
-            .into_iter()
-            .filter(|&a| {
-                matches!(
-                    self.components[a.0 as usize].kind,
-                    ComponentKind::ThreadDomain(_)
-                )
-            })
-            .collect()
+        self.ancestors_where(id, |k| matches!(k, ComponentKind::ThreadDomain(_)))
     }
 
     /// The unique ThreadDomain governing `id`, when exactly one exists.
     pub fn thread_domain_of(&self, id: ComponentId) -> Option<(ComponentId, ThreadDomainDesc)> {
-        let domains = self.thread_domains_of(id);
-        match domains.as_slice() {
-            [d] => match self.components[d.0 as usize].kind {
-                ComponentKind::ThreadDomain(desc) => Some((*d, desc)),
-                _ => None,
-            },
+        let mut domains = self.ancestor_kinds(id).filter_map(|(a, kind)| match kind {
+            ComponentKind::ThreadDomain(desc) => Some((a, desc)),
+            _ => None,
+        });
+        match (domains.next(), domains.next()) {
+            (Some(domain), None) => Some(domain),
             _ => None,
         }
     }
 
     /// All MemoryArea ancestors of `id`, nearest first.
     pub fn memory_areas_of(&self, id: ComponentId) -> Vec<ComponentId> {
-        self.ancestors(id)
-            .into_iter()
-            .filter(|&a| {
-                matches!(
-                    self.components[a.0 as usize].kind,
-                    ComponentKind::MemoryArea(_)
-                )
-            })
-            .collect()
+        self.ancestors_where(id, |k| matches!(k, ComponentKind::MemoryArea(_)))
     }
 
     /// The *effective* memory area of `id`: the nearest MemoryArea ancestor
     /// (memory areas may nest, so a component's allocation region is the
     /// innermost enclosing area).
     pub fn memory_area_of(&self, id: ComponentId) -> Option<(ComponentId, MemoryAreaDesc)> {
-        // BFS over supers returns nearest-first.
-        let areas = self.memory_areas_of(id);
-        areas
-            .first()
-            .map(|&a| match self.components[a.0 as usize].kind {
-                ComponentKind::MemoryArea(desc) => (a, desc),
-                _ => unreachable!("filtered on MemoryArea"),
-            })
+        // BFS over supers yields nearest-first.
+        self.ancestor_kinds(id).find_map(|(a, kind)| match kind {
+            ComponentKind::MemoryArea(desc) => Some((a, desc)),
+            _ => None,
+        })
     }
 
     /// All active components, in insertion order.
@@ -447,22 +432,6 @@ impl Architecture {
             .iter()
             .filter(|c| c.kind.is_functional())
             .map(|c| c.id)
-            .collect()
-    }
-
-    /// Bindings whose server side is `id`.
-    pub fn incoming_bindings(&self, id: ComponentId) -> Vec<&Binding> {
-        self.bindings
-            .iter()
-            .filter(|b| b.server.component == id)
-            .collect()
-    }
-
-    /// Bindings whose client side is `id`.
-    pub fn outgoing_bindings(&self, id: ComponentId) -> Vec<&Binding> {
-        self.bindings
-            .iter()
-            .filter(|b| b.client.component == id)
             .collect()
     }
 
@@ -572,14 +541,144 @@ impl Architecture {
         {
             return Err(json_err("component id out of range"));
         }
-        Ok(Architecture {
+        // What the builder refuses, the loader refuses too. The tables are
+        // checked in place, never rebuilt, so the document's order (and
+        // with it every round-trip) is kept.
+        for c in &components {
+            if !c.kind.is_functional() && (!c.interfaces.is_empty() || c.content_class.is_some()) {
+                return Err(json_err(format!(
+                    "non-functional component '{}' declares interfaces or a content class",
+                    c.name
+                )));
+            }
+            let mut seen = HashSet::new();
+            if let Some(i) = c.interfaces.iter().find(|i| !seen.insert(i.name.as_str())) {
+                return Err(json_err(format!(
+                    "duplicate interface '{}.{}'",
+                    c.name, i.name
+                )));
+            }
+        }
+        let arch = Architecture {
             name,
             components,
             children,
             parents,
-            bindings,
+            bindings: Vec::new(),
             by_name: HashMap::new(),
-        })
+        };
+        arch.check_hierarchy()?;
+        for (ix, b) in bindings.iter().enumerate() {
+            arch.check_endpoints(
+                b.client.component,
+                &b.client.interface,
+                b.server.component,
+                &b.server.interface,
+            )
+            .map_err(|e| json_err(format!("binding {ix}: {e}")))?;
+        }
+        Ok(Architecture { bindings, ..arch })
+    }
+
+    /// The containment invariants [`add_child`](Self::add_child) keeps,
+    /// checked on loaded tables: only composites contain, `parents` mirrors
+    /// `children` edge for edge, and the edges form no cycle.
+    fn check_hierarchy(&self) -> Result<()> {
+        for (parent, kids) in self.components.iter().zip(&self.children) {
+            if !kids.is_empty()
+                && matches!(
+                    parent.kind,
+                    ComponentKind::Active(_) | ComponentKind::Passive
+                )
+            {
+                return Err(json_err(format!(
+                    "{} component '{}' cannot contain sub-components",
+                    parent.kind.label(),
+                    parent.name
+                )));
+            }
+            for (i, &child) in kids.iter().enumerate() {
+                if kids[..i].contains(&child)
+                    || !self.parents[child.0 as usize].contains(&parent.id)
+                {
+                    return Err(json_err(format!(
+                        "'parents' does not mirror 'children' at edge '{}' -> '{}'",
+                        parent.name, self.components[child.0 as usize].name
+                    )));
+                }
+            }
+        }
+        // Every child edge is listed in `parents` once; any further entry
+        // is an edge `children` lacks.
+        let edges = |table: &[Vec<ComponentId>]| table.iter().map(Vec::len).sum::<usize>();
+        if edges(&self.parents) != edges(&self.children) {
+            return Err(json_err("'parents' lists edges that 'children' lacks"));
+        }
+        // Peel off components whose parents are all peeled; whatever is
+        // left sits on a cycle or below one.
+        let mut unpeeled: Vec<usize> = self.parents.iter().map(Vec::len).collect();
+        let mut ready: Vec<usize> = (0..unpeeled.len()).filter(|&c| unpeeled[c] == 0).collect();
+        while let Some(parent) = ready.pop() {
+            for child in &self.children[parent] {
+                let n = &mut unpeeled[child.0 as usize];
+                *n -= 1;
+                if *n == 0 {
+                    ready.push(child.0 as usize);
+                }
+            }
+        }
+        match unpeeled.iter().position(|&n| n > 0) {
+            Some(c) => Err(json_err(format!(
+                "containment cycle at or above component '{}'",
+                self.components[c].name
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A breadth-first walk along one edge table (`children` or `parents`).
+/// One `Vec` is both the visited set (all of it) and the queue (past
+/// `head`), so each reachable component is yielded once, nearest first,
+/// and the walk ends on any table, cyclic ones included.
+struct Walk<'a> {
+    edges: &'a [Vec<ComponentId>],
+    visited: Vec<ComponentId>,
+    head: usize,
+}
+
+impl<'a> Walk<'a> {
+    /// A walk yielding `seeds` first. Ids index the table, so one
+    /// allocation holds the whole walk.
+    fn new(edges: &'a [Vec<ComponentId>], seeds: &[ComponentId]) -> Self {
+        let mut visited = Vec::with_capacity(if seeds.is_empty() { 0 } else { edges.len() });
+        visited.extend_from_slice(seeds);
+        Walk {
+            edges,
+            visited,
+            head: 0,
+        }
+    }
+
+    /// Runs the walk to the end and returns everything it reached.
+    fn into_visited(mut self) -> Vec<ComponentId> {
+        while self.next().is_some() {}
+        self.visited
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = ComponentId;
+
+    fn next(&mut self) -> Option<ComponentId> {
+        let &c = self.visited.get(self.head)?;
+        self.head += 1;
+        for &next in &self.edges[c.0 as usize] {
+            if !self.visited.contains(&next) {
+                self.visited.push(next);
+            }
+        }
+        Some(c)
     }
 }
 
@@ -972,8 +1071,13 @@ mod tests {
         a.bind(p, "out", q, "in", Protocol::Asynchronous { buffer_size: 4 })
             .unwrap();
         assert_eq!(a.bindings().len(), 1);
-        assert_eq!(a.incoming_bindings(q).len(), 1);
-        assert_eq!(a.outgoing_bindings(p).len(), 1);
+        assert_eq!(
+            (
+                a.bindings()[0].client.component,
+                a.bindings()[0].server.component
+            ),
+            (p, q)
+        );
     }
 
     #[test]
@@ -1059,6 +1163,125 @@ mod tests {
         }"#;
         let err = crate::adl::from_json(duplicate_names).unwrap_err();
         assert!(err.to_string().contains("duplicate"), "{err}");
+    }
+
+    /// A JSON document must not load what `add_child` refuses: the loaded
+    /// hierarchy would pass `validate` and fail only at deploy time.
+    #[test]
+    fn json_rejects_containment_cycles() {
+        let scope_cycle = r#"{
+            "name": "t",
+            "components": [
+                {"id": 0, "name": "s1", "kind": {"type": "memory-area", "memory": "scope",
+                 "size": 1024}, "interfaces": [], "content_class": null},
+                {"id": 1, "name": "s2", "kind": {"type": "memory-area", "memory": "scope",
+                 "size": 1024}, "interfaces": [], "content_class": null},
+                {"id": 2, "name": "p", "kind": {"type": "passive"},
+                 "interfaces": [], "content_class": null}
+            ],
+            "children": [[1, 2], [0], []],
+            "parents": [[1], [0], [0]],
+            "bindings": []
+        }"#;
+        let err = crate::adl::from_json(scope_cycle).unwrap_err();
+        assert!(matches!(err, ModelError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("cycle"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_parents_that_do_not_mirror_children() {
+        let doc = |parents: &str| {
+            format!(
+                r#"{{
+                "name": "t",
+                "components": [
+                    {{"id": 0, "name": "imm", "kind": {{"type": "memory-area",
+                     "memory": "immortal", "size": 1024}}, "interfaces": [],
+                     "content_class": null}},
+                    {{"id": 1, "name": "p", "kind": {{"type": "passive"}},
+                     "interfaces": [], "content_class": null}}
+                ],
+                "children": [[1], []],
+                "parents": {parents},
+                "bindings": []
+            }}"#
+            )
+        };
+        // The mirror loads; a missing, an extra or a doubled entry does not.
+        assert!(crate::adl::from_json(&doc("[[], [0]]")).is_ok());
+        for parents in ["[[], []]", "[[1], [0]]", "[[], [0, 0]]"] {
+            let err = crate::adl::from_json(&doc(parents)).unwrap_err();
+            assert!(matches!(err, ModelError::Parse { .. }), "{parents}: {err}");
+            assert!(err.to_string().contains("mirror") || err.to_string().contains("lacks"));
+        }
+    }
+
+    #[test]
+    fn json_rejects_bindings_the_builder_refuses() {
+        let doc = |server_if: &str| {
+            format!(
+                r#"{{
+                "name": "t",
+                "components": [
+                    {{"id": 0, "name": "p", "kind": {{"type": "active",
+                     "activation": "sporadic"}}, "interfaces": [{{"name": "out",
+                     "role": "client", "signature": "I"}}], "content_class": null}},
+                    {{"id": 1, "name": "q", "kind": {{"type": "passive"}},
+                     "interfaces": [{{"name": "in", "role": "server", "signature": "I"}}],
+                     "content_class": null}}
+                ],
+                "children": [[], []],
+                "parents": [[], []],
+                "bindings": [{{"client": {{"component": 0, "interface": "out"}},
+                               "server": {{"component": 1, "interface": "{server_if}"}},
+                               "protocol": {{"type": "synchronous"}}}}]
+            }}"#
+            )
+        };
+        assert!(crate::adl::from_json(&doc("in")).is_ok());
+        let err = crate::adl::from_json(&doc("missing")).unwrap_err();
+        assert!(matches!(err, ModelError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("missing"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_components_the_builder_refuses() {
+        let doc = |domain_ifs: &str, passive_ifs: &str, children: &str, parents: &str| {
+            format!(
+                r#"{{
+                "name": "t",
+                "components": [
+                    {{"id": 0, "name": "d", "kind": {{"type": "thread-domain",
+                     "thread": "RT", "priority": 20}}, "interfaces": {domain_ifs},
+                     "content_class": null}},
+                    {{"id": 1, "name": "p", "kind": {{"type": "passive"}},
+                     "interfaces": {passive_ifs}, "content_class": null}}
+                ],
+                "children": {children},
+                "parents": {parents},
+                "bindings": []
+            }}"#
+            )
+        };
+        let one = r#"[{"name": "in", "role": "server", "signature": "I"}]"#;
+        let two = r#"[{"name": "in", "role": "server", "signature": "I"},
+                      {"name": "in", "role": "server", "signature": "J"}]"#;
+        let (d_holds_p, p_holds_d) = (("[[1], []]", "[[], [0]]"), ("[[], [0]]", "[[1], []]"));
+        assert!(crate::adl::from_json(&doc("[]", one, d_holds_p.0, d_holds_p.1)).is_ok());
+        // Interfaces on a ThreadDomain, a doubled interface name, and a
+        // passive component containing its domain.
+        for (text, needle) in [
+            (doc(one, one, d_holds_p.0, d_holds_p.1), "non-functional"),
+            (
+                doc("[]", two, d_holds_p.0, d_holds_p.1),
+                "duplicate interface 'p.in'",
+            ),
+            (doc("[]", one, p_holds_d.0, p_holds_d.1), "cannot contain"),
+        ] {
+            let err = crate::adl::from_json(&text).unwrap_err();
+            assert!(matches!(err, ModelError::Parse { .. }), "{err}");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        }
     }
 
     #[test]

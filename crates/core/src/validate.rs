@@ -34,6 +34,7 @@
 //! | SOL-021 | Error | runtime supervision: restart budget exhausted, fault escalated (online) |
 //! | SOL-022 | Warning | runtime supervision: messages to quarantined components counted-dropped (online) |
 
+use std::borrow::Cow;
 use std::fmt;
 
 use rtsj::memory::MemoryKind;
@@ -376,8 +377,8 @@ pub fn shared_service_ceiling(arch: &Architecture, id: ComponentId) -> Option<u8
     }
     let mut domains = Vec::new();
     let mut ceiling = 0u8;
-    for b in arch.incoming_bindings(id) {
-        if b.protocol.is_async() {
+    for b in arch.bindings() {
+        if b.server.component != id || b.protocol.is_async() {
             continue;
         }
         if let Some((d, desc)) = arch.thread_domain_of(b.client.component) {
@@ -402,22 +403,6 @@ pub fn validate(arch: &Architecture) -> ValidationReport {
     check_nhrt_heap(arch, &mut report);
     check_bindings(arch, &mut report);
     check_shared_services(arch, &mut report);
-    report
-}
-
-/// The commit-time rule set for reconfiguration transactions against a
-/// **parallel** deployment: the full conformance catalog ([`validate`])
-/// folded together with the parallel-coupling advisory
-/// ([`parallel_coupling`]). A live reconfigure of a sharded system
-/// re-validates against this before committing — the SOL-015 findings
-/// matter there because a binding that newly couples two ThreadDomains
-/// must still fit the shard partition that was settled at build time (the
-/// runtime refuses the operation; the merged report documents *why* the
-/// coupling exists). Compliance is judged by [`validate`]'s errors alone:
-/// the advisories are informational here as everywhere else.
-pub fn parallel_reconfiguration_report(arch: &Architecture) -> ValidationReport {
-    let mut report = validate(arch);
-    report.merge(parallel_coupling(arch));
     report
 }
 
@@ -509,7 +494,7 @@ pub fn parallel_coupling(arch: &Architecture) -> ValidationReport {
             }
         }
         if domains.len() > 1 {
-            let names: Vec<String> = domains.iter().map(|&d| name(arch, d)).collect();
+            let names: Vec<_> = domains.iter().map(|&d| name(arch, d)).collect();
             report.push(
                 "SOL-015",
                 Severity::Info,
@@ -578,7 +563,7 @@ pub fn parallel_coupling(arch: &Architecture) -> ValidationReport {
         .collect();
     groups.sort_by_key(|(root, _)| *root);
     for (root, ds) in groups {
-        let names: Vec<String> = ds.iter().map(|&d| name(arch, d)).collect();
+        let names: Vec<_> = ds.iter().map(|&d| name(arch, d)).collect();
         report.push(
             "SOL-015",
             Severity::Info,
@@ -616,10 +601,11 @@ fn check_shared_services(arch: &Architecture, report: &mut ValidationReport) {
     }
 }
 
-fn name(arch: &Architecture, id: ComponentId) -> String {
-    arch.component(id)
-        .map(|c| c.name.clone())
-        .unwrap_or_else(|_| id.to_string())
+fn name(arch: &Architecture, id: ComponentId) -> Cow<'_, str> {
+    arch.component(id).map_or_else(
+        |_| Cow::Owned(id.to_string()),
+        |c| Cow::Borrowed(c.name.as_str()),
+    )
 }
 
 fn check_thread_domains(arch: &Architecture, report: &mut ValidationReport) {
@@ -852,14 +838,16 @@ fn check_bindings(arch: &Architecture, report: &mut ValidationReport) {
         }
     }
 
-    for (ix, b) in arch.bindings().iter().enumerate() {
-        let subject = format!(
-            "{}.{} -> {}.{}",
-            name(arch, b.client.component),
-            b.client.interface,
-            name(arch, b.server.component),
-            b.server.interface
-        );
+    for b in arch.bindings() {
+        let subject = || {
+            format!(
+                "{}.{} -> {}.{}",
+                name(arch, b.client.component),
+                b.client.interface,
+                name(arch, b.server.component),
+                b.server.interface
+            )
+        };
 
         // SOL-010: async buffer capacity.
         if let Protocol::Asynchronous { buffer_size } = b.protocol {
@@ -867,7 +855,7 @@ fn check_bindings(arch: &Architecture, report: &mut ValidationReport) {
                 report.push(
                     "SOL-010",
                     Severity::Error,
-                    subject.clone(),
+                    subject(),
                     "asynchronous binding with zero-capacity buffer",
                     Some("declare bufferSize >= 1".into()),
                 );
@@ -880,7 +868,7 @@ fn check_bindings(arch: &Architecture, report: &mut ValidationReport) {
                 report.push(
                     "SOL-008",
                     Severity::Warning,
-                    subject.clone(),
+                    subject(),
                     "synchronous call into an active component breaks run-to-completion",
                     Some("use an asynchronous binding with a message buffer".into()),
                 );
@@ -898,7 +886,7 @@ fn check_bindings(arch: &Architecture, report: &mut ValidationReport) {
                 report.push(
                     "SOL-006",
                     Severity::Error,
-                    subject.clone(),
+                    subject(),
                     "NHRT client calls synchronously into heap-allocated server",
                     Some(
                         "make the binding asynchronous with the buffer outside the heap, \
@@ -915,13 +903,12 @@ fn check_bindings(arch: &Architecture, report: &mut ValidationReport) {
                 report.push(
                     "SOL-007",
                     Severity::Info,
-                    subject.clone(),
+                    subject(),
                     format!("cross-scope binding: memory interceptor will use '{pattern}'"),
                     Some(format!("pattern {pattern} is generated automatically")),
                 );
             }
         }
-        let _ = ix;
     }
 
     // SOL-009: sporadic actives need a trigger.
@@ -931,9 +918,9 @@ fn check_bindings(arch: &Architecture, report: &mut ValidationReport) {
             ComponentKind::Active(crate::model::ActivationKind::Sporadic)
         ) {
             let triggered = arch
-                .incoming_bindings(c.id())
+                .bindings()
                 .iter()
-                .any(|b| b.protocol.is_async());
+                .any(|b| b.server.component == c.id() && b.protocol.is_async());
             if !triggered {
                 report.push(
                     "SOL-009",

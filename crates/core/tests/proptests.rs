@@ -1,5 +1,5 @@
 //! Property tests for soleil-core: units parsing, ADL escaping, validator
-//! stability.
+//! stability, and the containment walks against a reference BFS.
 
 use proptest::prelude::*;
 use soleil_core::adl::xml::{parse_document, write_node, XmlNode};
@@ -81,5 +81,183 @@ mod validator_stability {
             v
         };
         assert_eq!(codes(&r1), codes(&r2));
+    }
+}
+
+mod containment_walks {
+    use std::collections::{HashSet, VecDeque};
+
+    use proptest::prelude::*;
+    use rtsj::memory::MemoryKind;
+    use rtsj::thread::ThreadKind;
+    use soleil_core::model::{
+        ActivationKind, ComponentId, ComponentKind, MemoryAreaDesc, ThreadDomainDesc,
+    };
+    use soleil_core::Architecture;
+
+    /// The reference walk: a `HashSet` of visited components and a
+    /// `VecDeque` queue, deduplicating on pop.
+    fn reference_walk<'a>(
+        seeds: &[ComponentId],
+        next: impl Fn(ComponentId) -> &'a [ComponentId],
+    ) -> Vec<ComponentId> {
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        let mut queue: VecDeque<ComponentId> = seeds.iter().copied().collect();
+        while let Some(c) = queue.pop_front() {
+            if seen.insert(c) {
+                out.push(c);
+                queue.extend(next(c).iter().copied());
+            }
+        }
+        out
+    }
+
+    fn reference_ancestors(arch: &Architecture, id: ComponentId) -> Vec<ComponentId> {
+        reference_walk(arch.parents_of(id), |c| arch.parents_of(c))
+    }
+
+    fn reference_descendants(arch: &Architecture, id: ComponentId) -> Vec<ComponentId> {
+        reference_walk(arch.children_of(id), |c| arch.children_of(c))
+    }
+
+    fn reference_reachable(arch: &Architecture, from: ComponentId, to: ComponentId) -> bool {
+        from == to || reference_descendants(arch, from).contains(&to)
+    }
+
+    fn kind(arch: &Architecture, id: ComponentId) -> ComponentKind {
+        arch.component(id).expect("generated id").kind
+    }
+
+    fn reference_thread_domain(
+        arch: &Architecture,
+        id: ComponentId,
+    ) -> Option<(ComponentId, ThreadDomainDesc)> {
+        let domains: Vec<_> = reference_ancestors(arch, id)
+            .into_iter()
+            .filter_map(|a| match kind(arch, a) {
+                ComponentKind::ThreadDomain(desc) => Some((a, desc)),
+                _ => None,
+            })
+            .collect();
+        match domains.as_slice() {
+            [one] => Some(*one),
+            _ => None,
+        }
+    }
+
+    fn reference_memory_area(
+        arch: &Architecture,
+        id: ComponentId,
+    ) -> Option<(ComponentId, MemoryAreaDesc)> {
+        reference_ancestors(arch, id)
+            .into_iter()
+            .find_map(|a| match kind(arch, a) {
+                ComponentKind::MemoryArea(desc) => Some((a, desc)),
+                _ => None,
+            })
+    }
+
+    /// Component `i`'s kind: the first two are ThreadDomains and the next
+    /// two MemoryAreas, so every architecture has several of each; the
+    /// rest are drawn from `pick`.
+    fn component_kind(i: usize, pick: u8) -> ComponentKind {
+        let domain =
+            |kind, priority| ComponentKind::ThreadDomain(ThreadDomainDesc { kind, priority });
+        let area = |kind, size| ComponentKind::MemoryArea(MemoryAreaDesc { kind, size });
+        match (i, pick) {
+            (0, _) => domain(ThreadKind::NoHeapRealtime, 30),
+            (1, _) => domain(ThreadKind::Realtime, 20),
+            (2, _) | (_, 0) => area(MemoryKind::Immortal, Some(4096)),
+            (3, _) | (_, 1) => area(MemoryKind::Scoped, Some(1024)),
+            (_, 2) => area(MemoryKind::Heap, None),
+            (_, 3) => domain(ThreadKind::Regular, 5),
+            (_, 4) => ComponentKind::Composite,
+            (_, 5) => ComponentKind::Passive,
+            _ => ComponentKind::Active(ActivationKind::Sporadic),
+        }
+    }
+
+    /// A random containment DAG with sharing. Each edge joins a lower to
+    /// a higher index where the lower one may contain, so components gain
+    /// several parents, diamonds form and areas nest; the builder refuses
+    /// repeated edges silently.
+    fn build(picks: &[u8], edges: &[(usize, usize)]) -> Architecture {
+        let mut arch = Architecture::new("walks");
+        let ids: Vec<ComponentId> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &pick)| {
+                arch.add_component(format!("c{i}"), component_kind(i, pick))
+                    .expect("unique names")
+            })
+            .collect();
+        for &(a, b) in edges {
+            let (a, b) = (a % ids.len(), b % ids.len());
+            let (parent, child) = (ids[a.min(b)], ids[a.max(b)]);
+            if parent != child
+                && !matches!(
+                    kind(&arch, parent),
+                    ComponentKind::Active(_) | ComponentKind::Passive
+                )
+            {
+                arch.add_child(parent, child)
+                    .expect("lower-to-higher edges form a DAG");
+            }
+        }
+        arch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every walk query agrees with the reference BFS, order included.
+        #[test]
+        fn walks_match_the_reference_bfs(
+            picks in proptest::collection::vec(0..8u8, 4..24),
+            edges in proptest::collection::vec((0..64usize, 0..64usize), 0..64),
+        ) {
+            let arch = build(&picks, &edges);
+            let ids: Vec<ComponentId> = arch.components().iter().map(|c| c.id()).collect();
+            for &id in &ids {
+                let ancestors = reference_ancestors(&arch, id);
+                prop_assert_eq!(arch.ancestors(id), ancestors.clone(), "ancestors of {}", id);
+                prop_assert_eq!(
+                    arch.descendants(id),
+                    reference_descendants(&arch, id),
+                    "descendants of {}", id
+                );
+                prop_assert_eq!(
+                    arch.thread_domain_of(id),
+                    reference_thread_domain(&arch, id),
+                    "thread domain of {}", id
+                );
+                prop_assert_eq!(
+                    arch.memory_area_of(id),
+                    reference_memory_area(&arch, id),
+                    "memory area of {}", id
+                );
+                let of_kind = |domains: bool| -> Vec<ComponentId> {
+                    ancestors
+                        .iter()
+                        .copied()
+                        .filter(|&a| match kind(&arch, a) {
+                            ComponentKind::ThreadDomain(_) => domains,
+                            ComponentKind::MemoryArea(_) => !domains,
+                            _ => false,
+                        })
+                        .collect()
+                };
+                prop_assert_eq!(arch.thread_domains_of(id), of_kind(true));
+                prop_assert_eq!(arch.memory_areas_of(id), of_kind(false));
+                for &to in &ids {
+                    prop_assert_eq!(
+                        arch.is_reachable(id, to),
+                        reference_reachable(&arch, id, to),
+                        "{} reaches {}", id, to
+                    );
+                }
+            }
+        }
     }
 }

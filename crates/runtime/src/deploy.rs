@@ -25,8 +25,8 @@
 //!   against the live engines while an undo journal accumulates; when the
 //!   closure finishes, the result is re-validated against the *same* rules
 //!   the design-time validator enforces (plus, with more than one shard,
-//!   the partition invariants and the SOL-015 coupling analysis), and any
-//!   failure — an operation error or a validator refusal — rolls
+//!   the partition invariants; a refusal then lists the SOL-015 couplings),
+//!   and any failure — an operation error or a validator refusal — rolls
 //!   everything back: engines, rings, plan and architectural model.
 //!
 //! Tokens are deployment-scoped: every `ComponentRef`/`PortRef` carries the
@@ -42,7 +42,7 @@ use rtsj::thread::{Priority, ThreadKind};
 use rtsj::time::AbsoluteTime;
 use soleil_core::contract::TimingContract;
 use soleil_core::model::{ComponentId, ComponentKind, Protocol};
-use soleil_core::validate::{parallel_reconfiguration_report, validate};
+use soleil_core::validate::{parallel_coupling, validate};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
 use soleil_membrane::interceptors::FaultInjector;
@@ -1706,7 +1706,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
 
     /// The commit routine: partition invariants (more than one shard
     /// only), the full RTSJ rule set against the architectural mirror
-    /// (plus, sharded, the SOL-015 coupling analysis), every shard's
+    /// (a sharded refusal adds the SOL-015 couplings), every shard's
     /// supervision tree, then the deferred substrate charges. A failing
     /// charge refuses the transaction; charges already made stand —
     /// immortal/scoped accounting is monotonic, exactly like build.
@@ -1717,12 +1717,11 @@ impl<P: Payload> Reconfiguration<'_, P> {
             dep.check_partition()?;
         }
         if let Some(arch) = &dep.arch {
-            let report = if sharded {
-                parallel_reconfiguration_report(arch)
-            } else {
-                validate(arch)
-            };
+            let mut report = validate(arch);
             if !report.is_compliant() {
+                if sharded {
+                    report.merge(parallel_coupling(arch));
+                }
                 return Err(FrameworkError::Rejected(report));
             }
         }

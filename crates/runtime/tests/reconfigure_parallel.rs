@@ -13,6 +13,9 @@
 //!   that ends in an error leaves every shard engine byte-identical to its
 //!   pre-transaction state (witnessed by the structural digests) and the
 //!   traffic flowing exactly as before.
+//!
+//! A fixed case rides along: a sharded transaction the validator refuses
+//! reports the SOL-015 couplings beside the violation.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -21,7 +24,11 @@ use proptest::prelude::*;
 use rtsj::memory::MemoryKind;
 use rtsj::thread::ThreadKind;
 use rtsj::time::RelativeTime;
+use soleil_core::validate::{parallel_coupling, validate};
+use soleil_core::views::{BusinessView, DesignFlow};
+use soleil_core::Architecture;
 use soleil_membrane::content::{Content, ContentRegistry, InvokeResult, Ports};
+use soleil_membrane::FrameworkError;
 use soleil_patterns::PatternKind;
 use soleil_runtime::spec::{
     Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
@@ -328,5 +335,156 @@ proptest! {
         prop_assert_eq!(delta.get("consumerB").copied(), Some(10));
         prop_assert_eq!(delta.get("consumerC").copied(), Some(10));
         prop_assert_eq!(sys.stats().dropped_messages, 0);
+    }
+}
+
+/// A no-op passive service.
+#[derive(Debug)]
+struct Store;
+impl Content<u64> for Store {
+    fn on_invoke(&mut self, _p: &str, _msg: &mut u64, _out: &mut dyn Ports<u64>) -> InvokeResult {
+        Ok(())
+    }
+}
+
+/// [`base_spec`] plus a passive `store` in heap memory that the real-time
+/// `consumerC` calls synchronously: still three domains over two shards,
+/// with `consumerB.peer` the cross-domain synchronous binding.
+fn heap_store_spec() -> SystemSpec {
+    let mut spec = base_spec();
+    spec.areas.push(AreaSpec {
+        name: "Heap".into(),
+        kind: MemoryKind::Heap,
+        size: None,
+        parent: None,
+    });
+    spec.components.push(ComponentSpec {
+        name: "store".into(),
+        content_class: "Store".into(),
+        activation: Activation::Passive,
+        domain: None,
+        area: 3,
+        server_ports: vec!["in".into()],
+        ceiling: None,
+    });
+    spec.bindings.push(BindingSpec {
+        client: 2,
+        client_port: "svc".into(),
+        server: 3,
+        server_port: "in".into(),
+        protocol: ProtocolSpec::Sync,
+        pattern: PatternKind::Direct,
+        enter_path: vec![],
+    });
+    spec
+}
+
+/// The architectural model of [`heap_store_spec`], name for name.
+fn heap_store_arch() -> Architecture {
+    let mut b = BusinessView::new("fan");
+    b.active_periodic("producer", "10ms").unwrap();
+    b.active_sporadic("consumerB").unwrap();
+    b.active_sporadic("consumerC").unwrap();
+    b.passive("store").unwrap();
+    for (name, class) in [
+        ("producer", "Fan"),
+        ("consumerB", "consumerB"),
+        ("consumerC", "consumerC"),
+        ("store", "Store"),
+    ] {
+        b.content(name, class).unwrap();
+    }
+    b.require("producer", "out1", "I").unwrap();
+    b.require("producer", "out2", "I").unwrap();
+    b.require("consumerB", "peer", "I").unwrap();
+    b.require("consumerC", "svc", "I").unwrap();
+    b.provide("consumerB", "in", "I").unwrap();
+    b.provide("consumerC", "in", "I").unwrap();
+    b.provide("store", "in", "I").unwrap();
+    b.bind_async("producer", "out1", "consumerB", "in", 64)
+        .unwrap();
+    b.bind_async("producer", "out2", "consumerC", "in", 64)
+        .unwrap();
+    b.bind_sync("consumerB", "peer", "consumerC", "in").unwrap();
+    b.bind_sync("consumerC", "svc", "store", "in").unwrap();
+    let mut flow = DesignFlow::new(b);
+    flow.thread_domain("A", ThreadKind::NoHeapRealtime, 30, &["producer"])
+        .unwrap();
+    flow.thread_domain("B", ThreadKind::NoHeapRealtime, 25, &["consumerB"])
+        .unwrap();
+    flow.thread_domain("C", ThreadKind::Realtime, 20, &["consumerC"])
+        .unwrap();
+    for (area, domain) in [("Imm1", "A"), ("ImmB", "B"), ("ImmC", "C")] {
+        flow.memory_area(area, MemoryKind::Immortal, Some(256 * 1024), &[domain])
+            .unwrap();
+    }
+    flow.memory_area("Heap", MemoryKind::Heap, None, &["store"])
+        .unwrap();
+    let arch = flow.merge().unwrap();
+    assert!(validate(&arch).is_compliant(), "{}", validate(&arch));
+    arch
+}
+
+/// Rebinding the NHRT `consumerB.peer` onto the heap-held `store` breaks
+/// SOL-006. The sharded refusal carries the validator's findings followed
+/// by the SOL-015 advisories of the refused architecture; a one-shard
+/// deployment of the same fixture refuses with the validator's findings
+/// alone. Both roll back byte-identically.
+#[test]
+fn sharded_refusal_reports_the_coupling_advisories() {
+    // What the refused transaction would have committed.
+    let mut refused = heap_store_arch();
+    let id = |arch: &Architecture, name: &str| arch.id_of(name).unwrap();
+    let (b, store) = (id(&refused, "consumerB"), id(&refused, "store"));
+    assert!(refused.unbind(b, "peer"));
+    refused
+        .bind(
+            b,
+            "peer",
+            store,
+            "in",
+            soleil_core::model::Protocol::Synchronous,
+        )
+        .unwrap();
+    let violations = validate(&refused);
+    assert!(
+        violations.by_code("SOL-006").next().is_some(),
+        "{violations}"
+    );
+    let advisories = parallel_coupling(&refused);
+    assert!(
+        advisories.by_code("SOL-015").next().is_some(),
+        "{advisories}"
+    );
+    let mut expected = violations.clone();
+    expected.merge(advisories);
+
+    let counts = Counts::default();
+    let mut registry = registry(&counts);
+    registry.register("Store", || Box::new(Store));
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        for sharded in [true, false] {
+            let (spec, arch) = (heap_store_spec(), heap_store_arch());
+            let mut dep = if sharded {
+                Deployment::build_parallel(&spec, mode, &registry, Some(arch)).unwrap()
+            } else {
+                Deployment::build(&spec, mode, &registry, arch).unwrap()
+            };
+            assert_eq!(dep.shard_count() > 1, sharded, "{mode}");
+            let digests = dep.structural_digests();
+            let err = dep
+                .reconfigure(|txn| txn.rebind("consumerB", "peer", "store"))
+                .unwrap_err();
+            let FrameworkError::Rejected(report) = err else {
+                panic!("{mode}: expected Rejected, got {err}");
+            };
+            let want = if sharded { &expected } else { &violations };
+            assert_eq!(
+                report.to_string(),
+                want.to_string(),
+                "{mode}, sharded {sharded}"
+            );
+            assert_eq!(dep.structural_digests(), digests, "{mode}: rolled back");
+        }
     }
 }

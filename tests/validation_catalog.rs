@@ -12,6 +12,15 @@ fn refused(arch: &Architecture) -> bool {
     arch.clone().into_validated().is_err()
 }
 
+/// Pins a report's exact rendering, one line per diagnostic: code,
+/// severity, subject, message, suggestion and order.
+#[track_caller]
+fn assert_renders(report: &ValidationReport, expected: &[&str]) {
+    let text = report.to_string();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines, expected, "rendered report:\n{text}");
+}
+
 /// Helper: a business view with one periodic producer and one sporadic
 /// consumer bound asynchronously.
 fn producer_consumer() -> BusinessView {
@@ -37,6 +46,7 @@ fn fully_deployed_architecture_is_compliant_and_compiles() {
     let arch = flow.merge().unwrap();
     let report = validate(&arch);
     assert!(report.is_compliant(), "{report}");
+    assert_renders(&report, &["architecture is RTSJ-compliant (no findings)"]);
     compile(&arch.into_validated().expect("compliant")).expect("compliant architectures compile");
 }
 
@@ -56,6 +66,10 @@ fn sol001_active_component_needs_exactly_one_domain() {
     assert!(!report.is_compliant());
     assert_eq!(report.by_code("SOL-001").count(), 2);
     assert!(refused(&arch), "witness refused");
+    assert_renders(&report, &[
+        "[SOL-001] error (producer): active component is not nested in any ThreadDomain — suggestion: deploy it into a ThreadDomain in the thread-management view",
+        "[SOL-001] error (consumer): active component is not nested in any ThreadDomain — suggestion: deploy it into a ThreadDomain in the thread-management view",
+    ]);
 
     // Two domains for the same component.
     let mut flow = DesignFlow::new(producer_consumer());
@@ -66,9 +80,13 @@ fn sol001_active_component_needs_exactly_one_domain() {
     flow.memory_area("imm", MemoryKind::Immortal, Some(64 * 1024), &["d1", "d2"])
         .unwrap();
     let arch = flow.merge().unwrap();
-    assert!(validate(&arch)
+    let report = validate(&arch);
+    assert!(report
         .by_code("SOL-001")
         .any(|d| d.message.contains("2 ThreadDomains")));
+    assert_renders(&report, &[
+        "[SOL-001] error (producer): active component is nested in 2 ThreadDomains — suggestion: an active component must have a unique ThreadDomain",
+    ]);
 }
 
 #[test]
@@ -87,6 +105,10 @@ fn sol003_nhrt_domain_must_not_reach_heap() {
     let report = validate(&arch);
     assert!(!report.is_compliant());
     assert!(report.by_code("SOL-003").next().is_some(), "{report}");
+    assert_renders(&report, &[
+        "[SOL-003] error (producer): member of NHRT domain 'nhrt' is allocated in heap memory — suggestion: allocate NHRT members in immortal or scoped memory",
+        "[SOL-003] error (consumer): member of NHRT domain 'nhrt' is allocated in heap memory — suggestion: allocate NHRT members in immortal or scoped memory",
+    ]);
 }
 
 #[test]
@@ -102,6 +124,9 @@ fn sol005_priority_bands_enforced() {
     assert!(report
         .by_code("SOL-005")
         .any(|d| d.severity == Severity::Error));
+    assert_renders(&report, &[
+        "[SOL-005] error (reg): priority 40 is outside the band for Regular threads — suggestion: real-time domains need priority >= 11, regular domains < 11",
+    ]);
 }
 
 #[test]
@@ -130,6 +155,10 @@ fn sol007_patterns_reported_for_cross_area_bindings() {
             .any(|d| d.message.contains("enter-inner")),
         "{report}"
     );
+    assert_renders(&report, &[
+        "[SOL-007] info (caller.svc -> scoped-svc.svc): cross-scope binding: memory interceptor will use 'enter-inner' — suggestion: pattern enter-inner is generated automatically",
+        "[SOL-009] warning (caller): sporadic active component has no incoming asynchronous binding to trigger it — suggestion: bind a producer to one of its server interfaces asynchronously",
+    ]);
 }
 
 #[test]
@@ -157,6 +186,10 @@ fn sol008_sync_into_active_warned_but_compliant() {
         .any(|d| d.severity == Severity::Warning));
     // Warnings do not block generation.
     assert!(report.is_compliant());
+    assert_renders(&report, &[
+        "[SOL-008] warning (caller.out -> callee.in): synchronous call into an active component breaks run-to-completion — suggestion: use an asynchronous binding with a message buffer",
+        "[SOL-009] warning (callee): sporadic active component has no incoming asynchronous binding to trigger it — suggestion: bind a producer to one of its server interfaces asynchronously",
+    ]);
 }
 
 #[test]
@@ -175,8 +208,12 @@ fn sol010_zero_capacity_buffer_is_refused() {
     flow.memory_area("imm", MemoryKind::Immortal, Some(64 * 1024), &["rt"])
         .unwrap();
     let arch = flow.merge().unwrap();
-    assert!(!validate(&arch).is_compliant());
+    let report = validate(&arch);
+    assert!(!report.is_compliant());
     assert!(refused(&arch));
+    assert_renders(&report, &[
+        "[SOL-010] error (p.out -> c.in): asynchronous binding with zero-capacity buffer — suggestion: declare bufferSize >= 1",
+    ]);
 }
 
 #[test]
@@ -292,4 +329,57 @@ fn sol020_to_022_supervision_codes_surface_online() {
     assert!(matches!(escalated, FrameworkError::Faulted { .. }));
     let report = dep.health_report();
     assert!(report.by_code("SOL-021").any(|d| d.subject == "consumer"));
+}
+
+/// The Fig. 4 motivation architecture renders one finding: the
+/// enter-inner pattern of the console binding.
+#[test]
+fn motivation_report_is_pinned() {
+    let arch = soleil::scenario::motivation_architecture().unwrap();
+    assert_renders(&validate(&arch), &[
+        "[SOL-007] info (MonitoringSystem.iConsole -> Console.iConsole): cross-scope binding: memory interceptor will use 'enter-inner' — suggestion: pattern enter-inner is generated automatically",
+    ]);
+}
+
+/// A churn-shaped fixture: `worker` calls the active `sink` synchronously
+/// (SOL-008) and nothing triggers `spare` (SOL-009).
+#[test]
+fn churn_shaped_report_is_pinned() {
+    let mut b = BusinessView::new("churn");
+    b.active_periodic("producer", "10ms").unwrap();
+    b.active_sporadic("worker").unwrap();
+    b.active_sporadic("sink").unwrap();
+    b.active_sporadic("spare").unwrap();
+    b.content("producer", "Stamper").unwrap();
+    b.content("worker", "Worker").unwrap();
+    b.content("sink", "Service").unwrap();
+    b.content("spare", "Service").unwrap();
+    b.require("producer", "out1", "I").unwrap();
+    b.require("producer", "out2", "I").unwrap();
+    b.require("worker", "peer", "I").unwrap();
+    b.provide("worker", "in", "I").unwrap();
+    b.provide("sink", "in", "I").unwrap();
+    b.provide("spare", "in", "I").unwrap();
+    b.bind_async("producer", "out1", "worker", "in", 64)
+        .unwrap();
+    b.bind_async("producer", "out2", "sink", "in", 64).unwrap();
+    b.bind_sync("worker", "peer", "sink", "in").unwrap();
+    let mut flow = DesignFlow::new(b);
+    flow.thread_domain("A", ThreadKind::NoHeapRealtime, 30, &["producer"])
+        .unwrap();
+    flow.thread_domain("B", ThreadKind::NoHeapRealtime, 25, &["worker"])
+        .unwrap();
+    flow.thread_domain("C", ThreadKind::Realtime, 20, &["sink", "spare"])
+        .unwrap();
+    for (area, domain) in [("ImmA", "A"), ("ImmB", "B"), ("ImmC", "C")] {
+        flow.memory_area(area, MemoryKind::Immortal, Some(1 << 20), &[domain])
+            .unwrap();
+    }
+    let arch = flow.merge().unwrap();
+    let report = validate(&arch);
+    assert!(report.is_compliant(), "{report}");
+    assert_renders(&report, &[
+        "[SOL-008] warning (worker.peer -> sink.in): synchronous call into an active component breaks run-to-completion — suggestion: use an asynchronous binding with a message buffer",
+        "[SOL-009] warning (spare): sporadic active component has no incoming asynchronous binding to trigger it — suggestion: bind a producer to one of its server interfaces asynchronously",
+    ]);
 }
