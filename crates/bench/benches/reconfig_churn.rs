@@ -4,11 +4,13 @@
 //! Each iteration flips a synchronous client port between two equivalent
 //! services inside one `reconfigure` transaction (stop → rebind → start),
 //! paying the full transactional machinery: undo journaling, the
-//! architectural edit, and commit-time RTSJ re-validation. SOLEIL routes
-//! the rebind through the reified membrane's BindingController; MERGE-ALL
-//! patches the compiled slot. This seeds the perf trajectory for the
-//! multi-deployment/scale direction — reconfiguration is the control-plane
-//! hot path.
+//! architectural edit, and commit-time RTSJ re-validation. In SOLEIL and
+//! MERGE-ALL alike the engine half of the rebind replaces one binding row's
+//! header in place (SOLEIL also re-derives that row's memory interceptor
+//! and gate; its BindingController still maps the port to the same row),
+//! and a rollback writes the row's pre-image back. This seeds the perf
+//! trajectory for the multi-deployment/scale direction — reconfiguration
+//! is the control-plane hot path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use soleil::prelude::*;

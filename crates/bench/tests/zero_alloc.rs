@@ -9,7 +9,8 @@
 //! allocations per steady-state transaction in every generation mode, and
 //! the substrate's own allocation counter must stay pinned at its
 //! bootstrap value. Commit-time validation, which every live
-//! reconfiguration pays, has an allocation bound of its own.
+//! reconfiguration pays, has an allocation bound of its own, and so do a
+//! committed and a refused synchronous rebind.
 //!
 //! Run in release (CI's `bench-smoke` job does):
 //! `cargo test -p soleil-bench --release --test zero_alloc`
@@ -333,4 +334,100 @@ fn commit_time_validation_allocates_within_its_bound() {
         "an empty MERGE-ALL commit made {commit_allocs} heap allocations; one validate \
          makes {validate_allocs} (bound {VALIDATE_ALLOCS})"
     );
+}
+
+/// The caller → svc-a | svc-b shape of the crate-level reconfiguration
+/// example: one periodic caller with a synchronous port two passive
+/// services provide.
+fn rebind_fixture() -> (ValidatedArchitecture, ContentRegistry<u64>) {
+    #[derive(Debug, Default)]
+    struct Noop;
+    impl Content<u64> for Noop {
+        fn on_invoke(&mut self, _p: &str, _m: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+            Ok(())
+        }
+    }
+    let build = || -> SoleilResult<ValidatedArchitecture> {
+        let mut b = BusinessView::new("rebind");
+        b.active_periodic("caller", "5ms")?;
+        b.passive("svc-a")?;
+        b.passive("svc-b")?;
+        b.content("caller", "C")?;
+        b.content("svc-a", "S")?;
+        b.content("svc-b", "S")?;
+        b.require("caller", "svc", "I")?;
+        b.provide("svc-a", "svc", "I")?;
+        b.provide("svc-b", "svc", "I")?;
+        b.bind_sync("caller", "svc", "svc-a", "svc")?;
+        let mut flow = DesignFlow::new(b);
+        flow.thread_domain("rt", ThreadKind::Realtime, 22, &["caller"])?;
+        flow.memory_area(
+            "imm",
+            MemoryKind::Immortal,
+            Some(64 * 1024),
+            &["rt", "svc-a", "svc-b"],
+        )?;
+        Ok(flow.merge()?.into_validated()?)
+    };
+    let mut registry: ContentRegistry<u64> = ContentRegistry::new();
+    registry.register("C", || Box::new(Noop));
+    registry.register("S", || Box::new(Noop));
+    (build().expect("fixture validates"), registry)
+}
+
+/// Heap allocations of one committed and one refused synchronous
+/// `rebind` transaction, `(mode, committed, refused)`. The committed one
+/// includes the commit-time `validate` (an empty commit of the fixture
+/// makes 12); the refused one never reaches commit. In SOLEIL and
+/// MERGE-ALL alike, the engine half of a rebind writes one binding row
+/// in place and journals its pre-image; the rest is the journal entry and
+/// the architectural model's edit and its undo.
+const REBIND_ALLOCS: [(Mode, u64, u64); 2] = [(Mode::Soleil, 17, 7), (Mode::MergeAll, 17, 7)];
+
+/// The write path is bounded too: after two warm-up rebinds, one
+/// committed rebind and one refused one (the closure fails after the
+/// rebind, so rollback writes the pre-image back) each stay within their
+/// allocation bound.
+#[test]
+fn rebind_transactions_allocate_within_their_bounds() {
+    let (arch, registry) = rebind_fixture();
+    for (mode, committed_bound, refused_bound) in REBIND_ALLOCS {
+        let mut dep = deploy(&arch, mode, &registry).expect("deploys");
+        let caller = dep.resolve("caller").expect("caller exists");
+        let a = dep.resolve("svc-a").expect("svc-a exists");
+        let b = dep.resolve("svc-b").expect("svc-b exists");
+        for target in [b, a] {
+            dep.reconfigure(|txn| txn.rebind(caller, "svc", target))
+                .expect("warm-up rebind commits");
+        }
+
+        let before = alloc_probe::allocations();
+        dep.reconfigure(|txn| txn.rebind(caller, "svc", b))
+            .expect("rebind commits");
+        let committed = alloc_probe::allocations() - before;
+
+        let digests = dep.structural_digests();
+        let before = alloc_probe::allocations();
+        dep.reconfigure(|txn| {
+            txn.rebind(caller, "svc", a)?;
+            Err::<(), _>(FrameworkError::Unsupported(String::new()))
+        })
+        .expect_err("the failing closure refuses the transaction");
+        let refused = alloc_probe::allocations() - before;
+        assert_eq!(
+            dep.structural_digests(),
+            digests,
+            "{mode}: refusal restored the row"
+        );
+
+        assert!(
+            committed <= committed_bound,
+            "{mode}: a committed rebind made {committed} heap allocations \
+             (bound {committed_bound})"
+        );
+        assert!(
+            refused <= refused_bound,
+            "{mode}: a refused rebind made {refused} heap allocations (bound {refused_bound})"
+        );
+    }
 }

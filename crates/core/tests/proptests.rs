@@ -1,5 +1,6 @@
 //! Property tests for soleil-core: units parsing, ADL escaping, validator
-//! stability, and the containment walks against a reference BFS.
+//! stability, the containment walks against a reference BFS, and fuzzing
+//! of the two hand-written parsers (the XML ADL and the JSON reader).
 
 use proptest::prelude::*;
 use soleil_core::adl::xml::{parse_document, write_node, XmlNode};
@@ -258,6 +259,95 @@ mod containment_walks {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The XML ADL and the JSON reader are the only parsers of untrusted
+/// input: arbitrary bytes and mutated copies of the motivation document
+/// must never panic them, and whatever a mutant parses to must print to a
+/// print → parse → print fixed point. `Architecture` has no `PartialEq`,
+/// so the printed forms are compared.
+mod parser_fuzzing {
+    use proptest::prelude::*;
+    use soleil_core::adl::{from_json, from_xml, to_json, to_xml, MOTIVATION_EXAMPLE_XML};
+    use soleil_core::json;
+
+    /// Feeds `text` to every parser; each successful parse must print to
+    /// a fixed point.
+    fn parse_everything(text: &str) {
+        if let Ok(arch) = from_xml(text) {
+            let printed = to_xml(&arch);
+            let again = from_xml(&printed).expect("printed XML parses");
+            assert_eq!(to_xml(&again), printed, "XML fixed point of {text:?}");
+        }
+        if let Ok(arch) = from_json(text) {
+            let printed = to_json(&arch);
+            let again = from_json(&printed).expect("printed JSON parses");
+            assert_eq!(to_json(&again), printed, "JSON fixed point of {text:?}");
+        }
+        if let Ok(value) = json::parse(text) {
+            let printed = value.to_pretty();
+            let again = json::parse(&printed).expect("printed JSON value parses");
+            assert_eq!(
+                again.to_pretty(),
+                printed,
+                "JSON value fixed point of {text:?}"
+            );
+        }
+    }
+
+    /// One byte-level edit: `(kind, position, byte)` truncates, inserts,
+    /// deletes or overwrites at `position` modulo the length.
+    fn mutate(bytes: &mut Vec<u8>, (kind, position, byte): (u8, usize, u16)) {
+        let at = position % (bytes.len() + 1);
+        match kind {
+            0 => bytes.truncate(at),
+            1 => bytes.insert(at, byte as u8),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ if at < bytes.len() => bytes[at] = byte as u8,
+            _ => {}
+        }
+    }
+
+    /// A mutant of `seed`: one to three byte-level edits.
+    fn mutant(seed: &str, edits: &[(u8, usize, u16)]) -> String {
+        let mut bytes = seed.as_bytes().to_vec();
+        for &edit in edits {
+            mutate(&mut bytes, edit);
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    fn edits() -> impl Strategy<Value = Vec<(u8, usize, u16)>> {
+        proptest::collection::vec((0u8..4, 0usize..1 << 16, 0u16..256), 1..4)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, lossily decoded, never panic a parser.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parsers(
+            bytes in proptest::collection::vec(0u16..256, 0..256)
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            parse_everything(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Mutants of the motivation document never panic a parser.
+        #[test]
+        fn mutated_xml_never_panics_the_parsers(edits in edits()) {
+            parse_everything(&mutant(MOTIVATION_EXAMPLE_XML, &edits));
+        }
+
+        /// Mutants of the document's JSON form never panic a parser.
+        #[test]
+        fn mutated_json_never_panics_the_parsers(edits in edits()) {
+            let seed = to_json(&from_xml(MOTIVATION_EXAMPLE_XML).expect("fixture parses"));
+            parse_everything(&mutant(&seed, &edits));
         }
     }
 }

@@ -134,49 +134,30 @@ impl Default for LifecycleController {
 // Binding
 // ---------------------------------------------------------------------------
 
-/// Where a client interface is bound: a target component slot and server
-/// port, plus the wire protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BindingTarget {
-    /// Engine slot of the server component.
-    pub target_slot: usize,
-    /// Server interface name on the target (introspection).
-    pub server_port: String,
-    /// Compiled index of that interface in the target's port table.
-    pub server_port_ix: u16,
-    /// True for asynchronous (buffered) bindings.
-    pub is_async: bool,
-    /// Index of the engine-managed buffer for async bindings.
-    pub buffer_index: Option<usize>,
-    /// Index of this binding in the engine's binding table (used to locate
-    /// the binding's memory interceptor).
-    pub binding_ix: usize,
-    /// True when the binding leaves this engine's thread domain:
-    /// `buffer_index` then addresses a wait-free cross-domain SPSC ring
-    /// instead of an engine-managed exchange buffer. Chosen at build time
-    /// by the deployment plan; cross bindings are asynchronous by
-    /// construction.
-    pub cross: bool,
-}
-
-/// Name-keyed binding table supporting runtime rebinding — the SOLEIL-mode
-/// `BindingController`.
+/// Name-keyed binding table — the SOLEIL-mode `BindingController`.
+///
+/// The controller is the reified *resolution* step of a SOLEIL membrane:
+/// it maps each client-port name to the index of the engine's compiled
+/// routing row for that port. The row itself (target, protocol, carrier,
+/// memory plan) lives in the engine's per-slot binding table, shared with
+/// MERGE-ALL; a rebind replaces the row's header in place, so the
+/// controller never changes after deployment.
 ///
 /// Name lookups resolve by string scan; the table is a dense array scanned
 /// with short-circuit compares — for the handful of ports a component
 /// carries, this beats hashing the name on every invocation while keeping
-/// the table fully dynamic (rebindable, introspectable,
-/// insertion-ordered). On top of that, [`BindingController::compile_jump`]
-/// settles the deployment's interned port ids into a jump table so the
-/// steady state resolves by a single index instead of a scan; rebinding
-/// replaces entries in place, keeping compiled indices stable.
+/// the table introspectable and insertion-ordered. On top of that,
+/// [`BindingController::compile_jump`] settles the deployment's interned
+/// port ids into a jump table so the steady state resolves by a single
+/// index instead of a scan; `bind` replaces entries in place, keeping
+/// compiled indices stable.
 #[derive(Debug, Clone, Default)]
 pub struct BindingController {
-    table: Vec<(Box<str>, BindingTarget)>,
+    /// `(client port, row index)` in binding order.
+    table: Vec<(Box<str>, u32)>,
     /// Deployment-interned port id → index into `table`; `u32::MAX` for
     /// ids this component has no binding for.
     jump: Vec<u32>,
-    rebinds: u64,
 }
 
 impl BindingController {
@@ -185,33 +166,14 @@ impl BindingController {
         Self::default()
     }
 
-    /// Installs (or replaces) the binding for `client_port`.
-    pub fn bind(&mut self, client_port: impl Into<String>, target: BindingTarget) {
+    /// Installs (or replaces) the binding of `client_port` to routing row
+    /// `row`.
+    pub fn bind(&mut self, client_port: impl Into<String>, row: usize) {
         let name: Box<str> = client_port.into().into();
+        let row = row as u32;
         match self.table.iter_mut().find(|(k, _)| *k == name) {
-            Some(entry) => {
-                entry.1 = target;
-                self.rebinds += 1;
-            }
-            None => self.table.push((name, target)),
-        }
-    }
-
-    /// Removes the binding for `client_port`; true when one existed.
-    pub fn unbind(&mut self, client_port: &str) -> bool {
-        match self
-            .table
-            .iter()
-            .position(|(k, _)| k.as_ref() == client_port)
-        {
-            Some(ix) => {
-                self.table.remove(ix);
-                // Removal shifts table indices: drop the jump table so
-                // interned lookups fall back cold until recompiled.
-                self.jump.clear();
-                true
-            }
-            None => false,
+            Some(entry) => entry.1 = row,
+            None => self.table.push((name, row)),
         }
     }
 
@@ -231,23 +193,24 @@ impl BindingController {
         self.jump = jump;
     }
 
-    /// Resolves an interned port id through the compiled jump table;
-    /// `None` when the id is unbound here or the table is not compiled.
-    pub fn resolve_id(&self, id: PortId) -> Option<&BindingTarget> {
+    /// Resolves an interned port id through the compiled jump table to its
+    /// routing row; `None` when the id is unbound here or the table is not
+    /// compiled.
+    pub fn resolve_id(&self, id: PortId) -> Option<usize> {
         let ix = *self.jump.get(id.0 as usize)?;
-        self.table.get(ix as usize).map(|(_, t)| t)
+        self.table.get(ix as usize).map(|&(_, row)| row as usize)
     }
 
-    /// Resolves `client_port`.
+    /// Resolves `client_port` to its routing row.
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Binding`] when unbound.
-    pub fn resolve(&self, client_port: &str) -> Result<&BindingTarget, FrameworkError> {
+    pub fn resolve(&self, client_port: &str) -> Result<usize, FrameworkError> {
         self.table
             .iter()
             .find(|(k, _)| k.as_ref() == client_port)
-            .map(|(_, t)| t)
+            .map(|&(_, row)| row as usize)
             .ok_or_else(|| {
                 FrameworkError::Binding(format!("client port '{client_port}' is unbound"))
             })
@@ -258,19 +221,6 @@ impl BindingController {
         self.table.iter().map(|(k, _)| k.as_ref()).collect()
     }
 
-    /// Iterates every `(client port, target)` entry in binding order — the
-    /// recompile paths walk this after a reconfiguration moved a component
-    /// between memory areas and every dispatch plan touching it must be
-    /// recomputed.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &BindingTarget)> {
-        self.table.iter().map(|(k, t)| (k.as_ref(), t))
-    }
-
-    /// Times an existing binding was replaced (introspection).
-    pub fn rebind_count(&self) -> u64 {
-        self.rebinds
-    }
-
     /// Estimated bytes of table machinery (Fig. 7(c) accounting).
     pub fn footprint_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -278,11 +228,7 @@ impl BindingController {
             + self
                 .table
                 .iter()
-                .map(|(k, v)| {
-                    k.len()
-                        + std::mem::size_of::<(Box<str>, BindingTarget)>()
-                        + v.server_port.capacity()
-                })
+                .map(|(k, _)| k.len() + std::mem::size_of::<(Box<str>, u32)>())
                 .sum::<usize>()
     }
 }
@@ -460,71 +406,30 @@ mod tests {
     fn binding_table_resolve_and_rebind() {
         let mut bc = BindingController::new();
         assert!(bc.resolve("out").is_err());
-        bc.bind(
-            "out",
-            BindingTarget {
-                target_slot: 3,
-                server_port: "in".into(),
-                server_port_ix: 0,
-                is_async: true,
-                buffer_index: Some(0),
-                binding_ix: 0,
-                cross: false,
-            },
-        );
-        assert_eq!(bc.resolve("out").unwrap().target_slot, 3);
-        assert_eq!(bc.rebind_count(), 0);
-        bc.bind(
-            "out",
-            BindingTarget {
-                target_slot: 5,
-                server_port: "in".into(),
-                server_port_ix: 0,
-                is_async: true,
-                buffer_index: Some(1),
-                binding_ix: 0,
-                cross: false,
-            },
-        );
-        assert_eq!(bc.rebind_count(), 1);
-        assert_eq!(bc.resolve("out").unwrap().target_slot, 5);
-        assert!(bc.unbind("out"));
-        assert!(!bc.unbind("out"));
+        bc.bind("out", 3);
+        assert_eq!(bc.resolve("out").unwrap(), 3);
+        bc.bind("out", 5);
+        assert_eq!(bc.resolve("out").unwrap(), 5);
+        assert_eq!(bc.ports(), vec!["out"], "rebinding replaces in place");
         assert!(bc.footprint_bytes() > 0);
     }
 
     #[test]
     fn jump_table_resolves_interned_ids_and_survives_rebind() {
         let mut bc = BindingController::new();
-        let target = |slot: usize| BindingTarget {
-            target_slot: slot,
-            server_port: "in".into(),
-            server_port_ix: 0,
-            is_async: true,
-            buffer_index: Some(0),
-            binding_ix: 0,
-            cross: false,
-        };
-        bc.bind("out", target(3));
-        bc.bind("log", target(4));
+        bc.bind("out", 3);
+        bc.bind("log", 4);
         // The deployment universe: ids 0="log", 1="out", 2="ghost".
         let names: Vec<Box<str>> = vec!["log".into(), "out".into(), "ghost".into()];
         bc.compile_jump(&names);
-        assert_eq!(bc.resolve_id(PortId(0)).unwrap().target_slot, 4);
-        assert_eq!(bc.resolve_id(PortId(1)).unwrap().target_slot, 3);
+        assert_eq!(bc.resolve_id(PortId(0)), Some(4));
+        assert_eq!(bc.resolve_id(PortId(1)), Some(3));
         assert!(bc.resolve_id(PortId(2)).is_none(), "unbound id");
         assert!(bc.resolve_id(PortId(9)).is_none(), "out-of-universe id");
 
         // Rebind replaces in place: compiled indices stay valid.
-        bc.bind("out", target(7));
-        assert_eq!(bc.resolve_id(PortId(1)).unwrap().target_slot, 7);
-
-        // Unbind shifts the table: the jump table is invalidated, not
-        // left dangling.
-        assert!(bc.unbind("log"));
-        assert!(bc.resolve_id(PortId(1)).is_none());
-        bc.compile_jump(&names);
-        assert_eq!(bc.resolve_id(PortId(1)).unwrap().target_slot, 7);
+        bc.bind("out", 7);
+        assert_eq!(bc.resolve_id(PortId(1)), Some(7));
     }
 
     #[test]

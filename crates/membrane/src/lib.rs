@@ -139,9 +139,10 @@ impl CompiledChain {
 /// The reified control membrane of one component (SOLEIL mode).
 ///
 /// Holds the mandatory controllers plus the interceptor chain that runs
-/// around every server-interface invocation. The structure is dynamic — a
-/// name-keyed binding table, interceptors installable at runtime — but the
-/// chain executes through a deploy-time [`CompiledChain`]; see the
+/// around every server-interface invocation. The structure is reified — a
+/// name-keyed binding table resolving each client port to the engine's
+/// routing row, interceptors installable at runtime — but the chain
+/// executes through a deploy-time [`CompiledChain`]; see the
 /// [crate docs](self) on compiled membranes.
 #[derive(Debug)]
 pub struct Membrane {
@@ -149,7 +150,7 @@ pub struct Membrane {
     pub component: String,
     /// Start/stop state machine.
     pub lifecycle: LifecycleController,
-    /// Name-keyed client-interface binding table.
+    /// Name-keyed client-interface binding table (port → routing row).
     pub binding: BindingController,
     chain: CompiledChain,
     /// True after a panic was caught mid-activation: the content may be

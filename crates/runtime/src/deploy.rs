@@ -52,7 +52,9 @@ use soleil_membrane::FrameworkError;
 use crate::footprint::FootprintReport;
 use crate::parallel::{self, Rewire, Rings, Shard, ShardRun};
 use crate::spec::{Mode, ProtocolSpec, SystemSpec};
-use crate::system::{EngineStats, FaultPolicy, MembraneInfo, MonitorSlot, System};
+use crate::system::{
+    EngineStats, FaultPolicy, MembraneInfo, MonitorSlot, RehomeUndo, RowPreImage, System,
+};
 use crate::timer::TimerHandle;
 
 /// Mints a fresh deployment identity (token-scoping nonce).
@@ -1164,12 +1166,13 @@ enum Undo<P> {
     Stop(ComponentRef),
     /// Undo of `stop`: restart the component.
     Start(ComponentRef),
-    /// Undo of a synchronous `rebind`: point the port back at the old
-    /// server in the engine, the plan and the architecture.
+    /// Undo of a synchronous `rebind`: write the port's pre-transaction row
+    /// back in the engine and point the plan and the architecture at the
+    /// old server.
     Rebind {
         client: ComponentRef,
         port: String,
-        old_server_slot: usize,
+        old: RowPreImage,
         gbix: usize,
         old_server_g: usize,
         arch: Option<OldBinding>,
@@ -1190,9 +1193,9 @@ enum Undo<P> {
         at: ComponentRef,
         old_domain_ix: Option<usize>,
         old_domain_g: Option<usize>,
-        /// `(old engine area index, old plan area index)` when the move
+        /// `(engine undo record, old plan area index)` when the move
         /// re-homed the allocation region.
-        rehome: Option<(usize, usize)>,
+        rehome: Option<(RehomeUndo, usize)>,
         edge: Option<DomainEdge>,
     },
     /// Undo of a contract attach *or* detach: both reduce to putting the
@@ -1264,8 +1267,8 @@ impl<P: Payload> Reconfiguration<'_, P> {
     /// Mirrors a rebind into the architectural model (when the deployment
     /// carries one): `client.port` is re-pointed at `new_server`'s
     /// interface of the old target's name. The architecture runs the
-    /// stricter checks (interface existence, role, signature equality), so
-    /// it goes first. Returns the restore record.
+    /// stricter checks (interface existence, role, signature equality).
+    /// Returns the restore record.
     fn arch_rebind(
         &mut self,
         client: usize,
@@ -1365,21 +1368,25 @@ impl<P: Payload> Reconfiguration<'_, P> {
                 label(s)
             )));
         }
-        let old_server_slot = self.engine(c).sync_target_of(c.slot(), port)?;
+        // The engine refuses unbound and asynchronous ports first; a plan
+        // or architecture refusal after its write puts the pre-image back.
+        let old = self.engine(c).rebind_at(c.slot(), port, s.slot())?;
         let (gclient, gserver) = (self.global(c), self.global(s));
-        let gbix = self.plan_binding(gclient, port, true)?;
-        let arch = self.arch_rebind(gclient, port, gserver)?;
-        if let Err(e) = self.engine(c).rebind_at(c.slot(), port, s.slot()) {
-            if let (Some(old), Some(a)) = (&arch, self.dep.arch.as_mut()) {
-                old.restore(a, port);
+        let staged = self
+            .plan_binding(gclient, port, true)
+            .and_then(|gbix| Ok((gbix, self.arch_rebind(gclient, port, gserver)?)));
+        let (gbix, arch) = match staged {
+            Ok(staged) => staged,
+            Err(e) => {
+                self.engine(c).restore_row(old);
+                return Err(e);
             }
-            return Err(e);
-        }
+        };
         let old_server_g = std::mem::replace(&mut self.dep.spec.bindings[gbix].server, gserver);
         self.journal.push(Undo::Rebind {
             client: c,
             port: port.to_string(),
-            old_server_slot,
+            old,
             gbix,
             old_server_g,
             arch,
@@ -1581,7 +1588,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
                     ))
                 })
                 .and_then(|new_ix| Ok((new_ix, system.rehome_area_at(slot, new_ix)?)));
-            let (new_area_ix, old_local) = match moved {
+            let (new_area_ix, undo) = match moved {
                 Ok(pair) => pair,
                 Err(e) => {
                     if let (Some(edge), Some(arch)) = (&edge, dep.arch.as_mut()) {
@@ -1602,7 +1609,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
                 .position(|a| a.name == area_name)
                 .expect("shard areas are a subset of the plan's");
             rehome = Some((
-                old_local,
+                undo,
                 std::mem::replace(&mut dep.spec.components[g].area, new_g),
             ));
         }
@@ -1764,15 +1771,12 @@ impl<P: Payload> Reconfiguration<'_, P> {
                 Undo::Rebind {
                     client,
                     port,
-                    old_server_slot,
+                    old,
                     gbix,
                     old_server_g,
                     arch,
                 } => {
-                    dep.shards[client.shard()]
-                        .system
-                        .rebind_at(client.slot(), &port, old_server_slot)
-                        .expect("rollback rebind to the pre-transaction server");
+                    dep.shards[client.shard()].system.restore_row(old);
                     dep.spec.bindings[gbix].server = old_server_g;
                     if let (Some(old), Some(a)) = (arch, dep.arch.as_mut()) {
                         old.restore(a, &port);
@@ -1801,10 +1805,8 @@ impl<P: Payload> Reconfiguration<'_, P> {
                     let g = dep.shards[at.shard()].globals[at.slot()];
                     let system = &mut dep.shards[at.shard()].system;
                     system.set_domain_at(at.slot(), old_domain_ix);
-                    if let Some((old_local, old_g)) = rehome {
-                        system
-                            .rehome_area_at(at.slot(), old_local)
-                            .expect("rollback re-homing onto the pre-transaction region");
+                    if let Some((undo, old_g)) = rehome {
+                        system.restore_area(undo);
                         dep.spec.components[g].area = old_g;
                     }
                     dep.spec.components[g].domain = old_domain_g;

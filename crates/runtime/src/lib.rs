@@ -8,9 +8,17 @@
 //! * **SOLEIL** — membranes reified as objects: every invocation runs
 //!   through lifecycle gates, a name-keyed binding controller and a dynamic
 //!   interceptor chain; full membrane-level introspection/reconfiguration.
+//!   The controller resolves a port to a row of the same per-component
+//!   binding table MERGE-ALL dispatches through, and each row's memory
+//!   interceptor and gate are derived from that row.
 //! * **MERGE-ALL** — membrane logic merged into each component: compiled
-//!   binding slots, inlined memory choreography; functional-level
+//!   binding rows, inlined memory choreography; functional-level
 //!   reconfiguration only.
+//!
+//! In both reconfigurable modes a binding change replaces one row's
+//! header in place (rows never move, so the jump tables compiled at build
+//! stay valid) and journals the replaced header; rollback writes that
+//! pre-image back.
 //! * **ULTRA-MERGE** — the whole system fused into one flat dispatch table;
 //!   purely static, no reconfiguration.
 //!

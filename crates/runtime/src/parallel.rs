@@ -471,12 +471,12 @@ pub(crate) struct Rewire<P> {
 
 impl Rings {
     /// The ring half of `rebind_async`: installs a fresh SPSC ring of
-    /// `capacity` for spec binding `gbix`. The client's compiled slot
-    /// `port` at `client = (shard, slot)` is repointed at the producer
+    /// `capacity` for spec binding `gbix`. The row of the client's `port`
+    /// at `client = (shard, slot)` is rewritten in place to the producer
     /// endpoint with `is_cross` set — exactly the shape deploy-time rings
-    /// get — and the consumer endpoint is seated on
-    /// `server = (shard, slot, port index)`, priority-sorted. If the
-    /// binding already rode a ring, that ring's consumer endpoint is
+    /// get, in SOLEIL and MERGE-ALL alike — and the consumer endpoint is
+    /// seated on `server = (shard, slot, port index)`, priority-sorted. If
+    /// the binding already rode a ring, that ring's consumer endpoint is
     /// retired (the quiescence epoch guarantees it is empty; its producer
     /// entry stays tombstoned in its engine, where nothing routes to it).
     /// Returns the undo record and the bytes to charge to the producer
@@ -554,9 +554,9 @@ impl Rings {
         Ok((undo, capacity.next_power_of_two() * ring_slot_bytes::<P>()))
     }
 
-    /// Rolls back a [`Rings::rewire`]: retires the installed ring, restores
-    /// the client's compiled binding byte-identically and re-seats the
-    /// retired consumer endpoint.
+    /// Rolls back a [`Rings::rewire`]: retires the installed ring, writes
+    /// the client row's pre-image back and re-seats the retired consumer
+    /// endpoint.
     pub(crate) fn unwire<P: Payload>(&mut self, shards: &mut [Shard<P>], undo: Rewire<P>) {
         let incoming = &mut shards[undo.consumer_shard].incoming;
         let pos = incoming

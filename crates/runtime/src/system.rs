@@ -10,8 +10,9 @@
 //! priority order, synchronous calls nest run-to-completion.
 //!
 //! The three generation modes share this engine but walk different code
-//! paths with genuinely different machinery (reified membranes vs. compiled
-//! slots vs. a flat static table) — see the crate docs.
+//! paths with genuinely different machinery (reified membranes around the
+//! per-component binding rows vs. the bare rows vs. a flat static table) —
+//! see the crate docs.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -30,7 +31,7 @@ use soleil_core::ValidationReport;
 use soleil_membrane::content::{
     Content, ContentFactory, ContentRegistry, Payload, PortId, StateImage,
 };
-use soleil_membrane::controllers::{BindingTarget, LifecycleState, MemoryAreaController};
+use soleil_membrane::controllers::{LifecycleState, MemoryAreaController};
 use soleil_membrane::interceptors::{
     ActiveInterceptor, FastGate, FaultInjector, InterceptStep, Interceptor, MemoryInterceptor,
     MemoryPlan,
@@ -65,7 +66,7 @@ const MAX_BACKOFF_SHIFT: u32 = 20;
 
 /// Mints globally unique dispatch-plan generations (see
 /// [`Ports::intern_generation`]): one per compiled plan, re-minted on every
-/// rebind or jump-table recompilation. Process-global so two deployments —
+/// binding-row write. Process-global so two deployments —
 /// or two shard engines of one parallel deployment, each with its own port
 /// universe — can never share a generation: a `static InternedPort` reached
 /// from both re-interns instead of replaying one plan's id against the
@@ -119,9 +120,6 @@ struct SupervisorSlot {
     /// Engine slot of this component's declared supervisor, if any — the
     /// upward edge of the supervision tree an `Escalate` walks.
     supervisor: Option<u32>,
-    /// True while the component is quarantined (mirrors the hot-path flag
-    /// in the activation plan; this copy carries the cold detail).
-    quarantined: bool,
     /// True when the quarantining fault was a panic. Mode-independent copy
     /// of the SOLEIL membrane's poison flag: warm-state handoff must know,
     /// in every mode, that the final instance state may be half-mutated by
@@ -245,11 +243,6 @@ struct Node<P: Payload> {
     // MERGE-ALL lifecycle state (SOLEIL keeps it in the membrane).
     started: bool,
     busy: bool,
-    /// Supervision gate for compiled sync dispatch: MERGE-ALL refuses sync
-    /// calls into a quarantined component here (SOLEIL refuses through the
-    /// membrane's lifecycle; ULTRA-MERGE checks activation boundaries
-    /// only — its sync path is contractually check-free).
-    quarantined: bool,
 }
 
 impl<P: Payload> std::fmt::Debug for Node<P> {
@@ -269,9 +262,11 @@ struct BufferRt<P> {
     consumer_port_ix: u16,
 }
 
-/// A compiled binding slot (MERGE-ALL / ULTRA-MERGE dispatch): the port
-/// name, kept for the cold string-fallback scan and introspection, plus
-/// the `Copy` header the hot path dispatches through.
+/// A compiled binding row: the port name, kept for the cold
+/// string-fallback scan and introspection, plus the `Copy` header the hot
+/// path dispatches through. SOLEIL and MERGE-ALL route through the same
+/// per-slot rows (`System::compiled`); ULTRA-MERGE flattens them into one
+/// static table.
 #[derive(Debug, Clone)]
 struct CompiledBinding {
     port: Box<str>,
@@ -338,6 +333,56 @@ impl DispatchHeader {
             is_cross,
         }
     }
+
+    /// The header of a row routing into cross-domain ring `cross_ix`:
+    /// asynchronous by construction, no scope choreography (the consumer
+    /// re-enters its own chain in its own shard), `buffer_ix` indexes
+    /// `cross_out`. Build and runtime repointing share it.
+    fn cross(arena: &mut Vec<AreaId>, cross_ix: usize) -> DispatchHeader {
+        DispatchHeader::compile(
+            arena,
+            usize::MAX,
+            0,
+            true,
+            cross_ix,
+            PatternKind::ImmortalExchange,
+            AreaId::IMMORTAL,
+            &[],
+            false,
+            true,
+        )
+    }
+}
+
+/// SOLEIL's reified half of one compiled row: the binding's memory
+/// interceptor and the fused gate compiled from its plan, both derived
+/// from the row's header by [`reify_row`]. Cross-ring rows carry no
+/// interceptor: their consumer re-enters its own chain on its own shard.
+#[derive(Debug)]
+struct ReifiedRow {
+    /// When it proves the interceptor's `pre`/`post` are no-ops, the
+    /// SOLEIL sync-call path skips them entirely.
+    gate: FastGate,
+    /// Taken out of its row for the duration of a call.
+    interceptor: Option<MemoryInterceptor>,
+}
+
+/// Builds a row's [`MemoryInterceptor`] and [`FastGate`] from its header —
+/// the one place SOLEIL derives memory choreography, at build and on every
+/// row write.
+fn reify_row(arena: &[AreaId], h: &DispatchHeader) -> ReifiedRow {
+    let (off, len) = (h.enter_off as usize, h.enter_len as usize);
+    let plan = MemoryPlan {
+        pattern: h.pattern,
+        server_area: h.server_area,
+        enter_path: arena[off..off + len].to_vec(),
+        transient_scope: None,
+        outer_on_stack: h.outer_on_stack,
+    };
+    ReifiedRow {
+        gate: plan.fast_gate(),
+        interceptor: (!h.is_cross).then(|| MemoryInterceptor::new(plan)),
+    }
 }
 
 /// Interns `path` into the deployment's flattened enter-path arena,
@@ -384,7 +429,8 @@ struct ActivationPlan {
     checkpoint_ix: u16,
     /// True while the component is quarantined by its fault policy — the
     /// single compare the healthy release/delivery path pays for
-    /// supervision.
+    /// supervision, and the only copy of the flag: MERGE-ALL's sync gate
+    /// and the supervision bookkeeping read it here too.
     quarantined: bool,
 }
 
@@ -432,27 +478,37 @@ struct PendingKey {
     seq: Reverse<u64>,
 }
 
-/// Undo record of a [`System::repoint_async_to_cross`]: the
-/// pre-transaction binding state of the repointed client port, restorable
-/// byte-identically by [`System::restore_async_binding`]. Carried by the
-/// deployment's reconfiguration journal.
+/// The pre-image of one compiled row, captured by the in-place write that
+/// replaced it: [`System::restore_row`] writes it back byte-identically.
+/// Carried by the deployment's reconfiguration journal.
 #[derive(Debug)]
-pub(crate) struct AsyncRepointUndo {
-    pub(crate) client_slot: usize,
-    pub(crate) port: String,
-    /// Index the repoint appended to `cross_out` (LIFO rollback truncates
-    /// back to it).
-    pub(crate) cross_ix: usize,
-    old: OldAsyncBinding,
+pub(crate) struct RowPreImage {
+    slot: usize,
+    row: usize,
+    header: DispatchHeader,
 }
 
-/// The mode-specific half of [`AsyncRepointUndo`].
+/// Undo record of a [`System::rehome_area_at`], rolled back by
+/// [`System::restore_area`]: the slot's previous region, scope chain and
+/// chain range, plus the pre-image of every row the re-homing rewrote.
 #[derive(Debug)]
-enum OldAsyncBinding {
-    /// SOLEIL: the membrane's previous `BindingTarget`.
-    Reified(BindingTarget),
-    /// MERGE-ALL: the previous compiled dispatch header.
-    Compiled(DispatchHeader),
+pub(crate) struct RehomeUndo {
+    slot: usize,
+    area_ix: usize,
+    scope_chain: Vec<AreaId>,
+    /// `(chain_off, chain_len)` of the slot's activation plan.
+    chain: (u32, u16),
+    rows: Vec<RowPreImage>,
+}
+
+/// Undo record of a [`System::repoint_async_to_cross`], rolled back by
+/// [`System::restore_async_binding`].
+#[derive(Debug)]
+pub(crate) struct AsyncRepointUndo {
+    /// Index the repoint appended to `cross_out` (LIFO rollback truncates
+    /// back to it).
+    cross_ix: usize,
+    old: RowPreImage,
 }
 
 /// A cross-domain output requested at build time: the named client port of
@@ -526,15 +582,16 @@ pub struct System<P: Payload> {
     /// `port_names[i]`. Spec binding ports first (first-appearance order),
     /// then cross-domain ring ports the shard compiler appended.
     port_names: Vec<Box<str>>,
-    /// Generation of the current dispatch plan, re-minted on every rebind
-    /// or jump recompilation; content-side `InternedPort` memos carry the
+    /// Generation of the current dispatch plan, re-minted at build and on
+    /// every row write; content-side `InternedPort` memos carry the
     /// generation they were interned under and re-intern on mismatch.
     dispatch_generation: u32,
     /// Jump tables for interned dispatch, `[slot][port_id]` → binding
     /// index (`compiled[slot]` position under MERGE-ALL, absolute
     /// `ultra_table` index under ULTRA-MERGE; `u32::MAX` = unbound here).
     /// SOLEIL slots are empty — their jump tables live in each membrane's
-    /// `BindingController`.
+    /// `BindingController`, which maps to the same `compiled` rows.
+    /// Compiled once at build: rows never move.
     port_jump: Vec<Box<[u32]>>,
     /// Deployment-wide flattened arena of scope paths: binding
     /// `EnterInner` paths and per-slot activation chains, addressed by
@@ -574,17 +631,15 @@ pub struct System<P: Payload> {
     /// because the injector fires at the activation boundary, before any
     /// mode-specific dispatch.
     injectors: Vec<Option<Box<FaultInjector>>>,
-    // SOLEIL mode: reified membranes + per-binding memory interceptors +
-    // the spec kept alive for introspection.
+    // SOLEIL mode: reified membranes, each row's memory interceptor and
+    // gate (`[slot][row]`, parallel to `compiled`; empty in the merged
+    // modes) and the spec kept alive for introspection.
     membranes: Vec<Option<Membrane>>,
-    mem_interceptors: Vec<Option<MemoryInterceptor>>,
-    /// Per-binding fused gates compiled from each binding's `MemoryPlan`
-    /// at build/rebind time: when a gate proves the memory interceptor's
-    /// `pre`/`post` are no-ops, the SOLEIL sync-call path skips them
-    /// entirely (indexed like `mem_interceptors`).
-    mem_gates: Vec<FastGate>,
+    reified: Vec<Vec<ReifiedRow>>,
     reified_spec: Option<SystemSpec>,
-    // MERGE-ALL mode: per-component compiled binding slots.
+    /// SOLEIL and MERGE-ALL: the per-slot binding rows, the only routing
+    /// record. Rows never move after build; a binding change replaces a
+    /// header in place ([`System::write_row`]).
     compiled: Vec<Vec<CompiledBinding>>,
     // ULTRA-MERGE mode: one flat table with per-slot ranges.
     ultra_table: Vec<CompiledBinding>,
@@ -742,7 +797,6 @@ impl<P: Payload> System<P> {
                 scope_chain,
                 started: false,
                 busy: false,
-                quarantined: false,
             });
         }
 
@@ -831,8 +885,7 @@ impl<P: Payload> System<P> {
 
         // --- Mode-specific dispatch machinery.
         let mut membranes: Vec<Option<Membrane>> = Vec::new();
-        let mut mem_interceptors: Vec<Option<MemoryInterceptor>> = Vec::new();
-        let mut mem_gates: Vec<FastGate> = Vec::new();
+        let mut reified: Vec<Vec<ReifiedRow>> = Vec::new();
         let mut compiled: Vec<Vec<CompiledBinding>> = Vec::new();
         let mut ultra_table: Vec<CompiledBinding> = Vec::new();
         let mut ultra_ranges: Vec<(u32, u32)> = Vec::new();
@@ -848,9 +901,9 @@ impl<P: Payload> System<P> {
                     .scope_chain
                     .contains(&areas[spec.components[b.server].area].id)
         };
-        // Both compile helpers funnel through `DispatchHeader::compile` —
-        // the one constructor shared with runtime rebinding — and take the
-        // arena as a parameter so only the calling loop holds it mutably.
+        // Both row constructors funnel through `DispatchHeader` — the
+        // constructors shared with runtime rebinding — and take the arena
+        // as a parameter so only the calling loop holds it mutably.
         let compile_one =
             |arena: &mut Vec<AreaId>, b: &crate::spec::BindingSpec, bix: usize| CompiledBinding {
                 port: b.client_port.as_str().into(),
@@ -870,114 +923,63 @@ impl<P: Payload> System<P> {
                     false,
                 ),
             };
-        // A compiled slot routing into a cross-domain ring: asynchronous by
-        // construction, no scope choreography (the consumer re-enters its
-        // own chain in its own shard), `buffer_ix` indexes `cross_out`.
         let cross_compiled =
             |arena: &mut Vec<AreaId>, port: &str, cross_ix: usize| CompiledBinding {
                 port: port.into(),
-                header: DispatchHeader::compile(
-                    arena,
-                    usize::MAX,
-                    0,
-                    true,
-                    cross_ix,
-                    PatternKind::ImmortalExchange,
-                    AreaId::IMMORTAL,
-                    &[],
-                    false,
-                    true,
-                ),
+                header: DispatchHeader::cross(arena, cross_ix),
             };
-
-        match mode {
-            Mode::Soleil => {
-                for (slot, c) in spec.components.iter().enumerate() {
-                    let mut m = Membrane::new(c.name.clone());
-                    if !matches!(c.activation, Activation::Passive) {
-                        // Deploy-time plan construction: the known guard
-                        // goes straight in as its compiled step (the boxed
-                        // `push_interceptor` route compiles to the same
-                        // plan; this just skips the cold downcast).
-                        m.push_step(InterceptStep::Active(ActiveInterceptor::new()));
-                    }
-                    for (bix, b) in spec.bindings.iter().enumerate() {
-                        if b.client == slot {
-                            m.binding.bind(
-                                b.client_port.clone(),
-                                BindingTarget {
-                                    target_slot: b.server,
-                                    server_port: b.server_port.clone(),
-                                    server_port_ix: port_index(&nodes[b.server], &b.server_port)?,
-                                    is_async: matches!(b.protocol, ProtocolSpec::Async { .. }),
-                                    buffer_index: buffer_of_binding[bix],
-                                    binding_ix: bix,
-                                    cross: false,
-                                },
-                            );
-                        }
-                    }
-                    for (cross_ix, (client, port)) in cross_requests.iter().enumerate() {
-                        if *client == slot {
-                            m.binding.bind(
-                                port.clone(),
-                                BindingTarget {
-                                    target_slot: usize::MAX,
-                                    server_port: String::new(),
-                                    server_port_ix: 0,
-                                    is_async: true,
-                                    buffer_index: Some(cross_ix),
-                                    binding_ix: usize::MAX,
-                                    cross: true,
-                                },
-                            );
-                        }
-                    }
-                    membranes.push(Some(m));
-                }
-                for b in &spec.bindings {
-                    let plan = MemoryPlan {
-                        pattern: b.pattern,
-                        server_area: areas[spec.components[b.server].area].id,
-                        enter_path: b.enter_path.iter().map(|&ix| areas[ix].id).collect(),
-                        transient_scope: None,
-                        outer_on_stack: outer_on_stack(b),
-                    };
-                    mem_gates.push(plan.fast_gate());
-                    mem_interceptors.push(Some(MemoryInterceptor::new(plan)));
+        // One slot's rows: its spec bindings in spec order, then its
+        // cross-domain rings.
+        let rows_of = |arena: &mut Vec<AreaId>, slot: usize, rows: &mut Vec<CompiledBinding>| {
+            for (bix, b) in spec.bindings.iter().enumerate() {
+                if b.client == slot {
+                    rows.push(compile_one(arena, b, bix));
                 }
             }
-            Mode::MergeAll => {
+            for (cross_ix, (client, port)) in cross_requests.iter().enumerate() {
+                if *client == slot {
+                    rows.push(cross_compiled(arena, port, cross_ix));
+                }
+            }
+        };
+
+        match mode {
+            Mode::Soleil | Mode::MergeAll => {
                 for slot in 0..nodes.len() {
-                    let mut row = Vec::new();
-                    for (bix, b) in spec.bindings.iter().enumerate() {
-                        if b.client == slot {
-                            row.push(compile_one(&mut enter_arena, b, bix));
-                        }
-                    }
-                    for (cross_ix, (client, port)) in cross_requests.iter().enumerate() {
-                        if *client == slot {
-                            row.push(cross_compiled(&mut enter_arena, port, cross_ix));
-                        }
-                    }
-                    compiled.push(row);
+                    let mut rows = Vec::new();
+                    rows_of(&mut enter_arena, slot, &mut rows);
+                    compiled.push(rows);
                 }
             }
             Mode::UltraMerge => {
                 for slot in 0..nodes.len() {
                     let start = ultra_table.len() as u32;
-                    for (bix, b) in spec.bindings.iter().enumerate() {
-                        if b.client == slot {
-                            ultra_table.push(compile_one(&mut enter_arena, b, bix));
-                        }
-                    }
-                    for (cross_ix, (client, port)) in cross_requests.iter().enumerate() {
-                        if *client == slot {
-                            ultra_table.push(cross_compiled(&mut enter_arena, port, cross_ix));
-                        }
-                    }
+                    rows_of(&mut enter_arena, slot, &mut ultra_table);
                     ultra_ranges.push((start, ultra_table.len() as u32));
                 }
+            }
+        }
+        if mode == Mode::Soleil {
+            // The reified membranes resolve through their controllers to
+            // the same rows MERGE-ALL dispatches through.
+            for (c, rows) in spec.components.iter().zip(&compiled) {
+                let mut m = Membrane::new(c.name.clone());
+                if !matches!(c.activation, Activation::Passive) {
+                    // Deploy-time plan construction: the known guard
+                    // goes straight in as its compiled step (the boxed
+                    // `push_interceptor` route compiles to the same
+                    // plan; this just skips the cold downcast).
+                    m.push_step(InterceptStep::Active(ActiveInterceptor::new()));
+                }
+                for (row, b) in rows.iter().enumerate() {
+                    m.binding.bind(b.port.as_ref(), row);
+                }
+                membranes.push(Some(m));
+                reified.push(
+                    rows.iter()
+                        .map(|b| reify_row(&enter_arena, &b.header))
+                        .collect(),
+                );
             }
         }
 
@@ -999,7 +1001,7 @@ impl<P: Payload> System<P> {
             lookups: Cell::new(0),
             string_compares: Cell::new(0),
             port_names,
-            dispatch_generation: 0, // minted by recompile_port_jump below
+            dispatch_generation: 0, // minted by compile_port_jump below
             port_jump: Vec::new(),
             enter_arena,
             activation_plans,
@@ -1012,8 +1014,7 @@ impl<P: Payload> System<P> {
             factories,
             injectors: (0..node_count).map(|_| None).collect(),
             membranes,
-            mem_interceptors,
-            mem_gates,
+            reified,
             reified_spec: if mode == Mode::Soleil {
                 Some(spec.clone())
             } else {
@@ -1025,7 +1026,7 @@ impl<P: Payload> System<P> {
         };
 
         system.recompute_periodic_order();
-        system.recompile_port_jump();
+        system.compile_port_jump();
 
         // --- Start everything (paper: activation is framework-managed).
         for slot in 0..system.nodes.len() {
@@ -1120,22 +1121,18 @@ impl<P: Payload> System<P> {
             .unwrap_or("<unknown port id>")
     }
 
-    /// Recompiles the interned-dispatch jump tables from the current
-    /// binding tables — called at build and defensively after rebinding
-    /// (rebinds replace entries in place, so compiled indices stay valid;
-    /// recompiling keeps the invariant local instead of distributed).
-    fn recompile_port_jump(&mut self) {
-        // Every recompilation is a new plan: stale content-side memos must
-        // re-intern rather than index the rebuilt tables.
+    /// Compiles the interned-dispatch jump tables from the binding rows —
+    /// at build only: a binding change replaces a row's header in place
+    /// and rows never move, so the compiled indices stay valid for the
+    /// deployment's lifetime.
+    fn compile_port_jump(&mut self) {
         self.dispatch_generation = mint_dispatch_generation();
         match self.mode {
             Mode::Soleil => {
                 // The reified membranes own their jump tables.
-                let names = std::mem::take(&mut self.port_names);
                 for m in self.membranes.iter_mut().flatten() {
-                    m.binding.compile_jump(&names);
+                    m.binding.compile_jump(&self.port_names);
                 }
-                self.port_names = names;
                 self.port_jump = (0..self.nodes.len()).map(|_| Box::default()).collect();
             }
             Mode::MergeAll => {
@@ -1663,6 +1660,7 @@ impl<P: Payload> System<P> {
         let result = {
             let mut ports = SoleilPorts {
                 sys: self,
+                slot,
                 membrane: &mut membrane,
                 ctx,
             };
@@ -1708,14 +1706,18 @@ impl<P: Payload> System<P> {
         msg: &mut P,
         ctx: &mut MemoryContext,
     ) -> Result<(), FrameworkError> {
+        // Supervision gate for compiled sync dispatch: MERGE-ALL refuses
+        // calls into a quarantined component here (SOLEIL refuses through
+        // the membrane's lifecycle; ULTRA-MERGE checks activation
+        // boundaries only — its sync path is contractually check-free).
+        if self.activation_plans[slot].quarantined {
+            return Err(FrameworkError::Lifecycle(format!(
+                "component '{}' is quarantined pending restart",
+                self.nodes[slot].name
+            )));
+        }
         {
             let node = &mut self.nodes[slot];
-            if node.quarantined {
-                return Err(FrameworkError::Lifecycle(format!(
-                    "component '{}' is quarantined pending restart",
-                    node.name
-                )));
-            }
             if !node.started {
                 return Err(FrameworkError::Lifecycle(format!(
                     "component '{}' is stopped",
@@ -1807,14 +1809,15 @@ impl<P: Payload> System<P> {
     fn lookup_compiled(&self, slot: usize, port: &str) -> Result<DispatchHeader, FrameworkError> {
         self.string_compares.set(self.string_compares.get() + 1);
         let found = match self.mode {
-            Mode::MergeAll => self.compiled[slot].iter().find(|b| b.port.as_ref() == port),
             Mode::UltraMerge => {
                 let (s, e) = self.ultra_ranges[slot];
                 self.ultra_table[s as usize..e as usize]
                     .iter()
                     .find(|b| b.port.as_ref() == port)
             }
-            Mode::Soleil => unreachable!("compiled lookup in SOLEIL mode"),
+            Mode::Soleil | Mode::MergeAll => {
+                self.compiled[slot].iter().find(|b| b.port.as_ref() == port)
+            }
         };
         let b = found.ok_or_else(|| {
             FrameworkError::Binding(format!(
@@ -1832,9 +1835,8 @@ impl<P: Payload> System<P> {
     fn lookup_interned(&self, slot: usize, id: PortId) -> Option<DispatchHeader> {
         let ix = *self.port_jump[slot].get(id.0 as usize)? as usize;
         match self.mode {
-            Mode::MergeAll => self.compiled[slot].get(ix).map(|b| b.header),
             Mode::UltraMerge => self.ultra_table.get(ix).map(|b| b.header),
-            Mode::Soleil => None,
+            Mode::Soleil | Mode::MergeAll => self.compiled[slot].get(ix).map(|b| b.header),
         }
     }
 
@@ -1964,157 +1966,99 @@ impl<P: Payload> System<P> {
         self.start_slot(slot)
     }
 
-    /// The slot currently targeted by `client_slot`'s synchronous `port`
-    /// (used by the transactional reconfiguration journal).
+    /// Rebinds `client_slot`'s **synchronous** `port` to `server_slot`'s
+    /// same-named server port: one in-place write of the port's row (the
+    /// engine half of the transactional path, in SOLEIL and MERGE-ALL
+    /// alike). Returns the row's pre-image for the reconfiguration
+    /// journal.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Binding`] for unbound or asynchronous ports;
-    /// [`FrameworkError::Unsupported`] under ULTRA-MERGE.
-    pub(crate) fn sync_target_of(
-        &self,
-        client_slot: usize,
-        port: &str,
-    ) -> Result<usize, FrameworkError> {
-        self.reject_static()?;
-        let (target_slot, is_async) = match self.mode {
-            Mode::Soleil => {
-                let m = self.membranes[client_slot]
-                    .as_ref()
-                    .expect("membrane present outside invocation");
-                let t = m.binding.resolve(port)?;
-                (t.target_slot, t.is_async)
-            }
-            Mode::MergeAll => {
-                let b = self.compiled[client_slot]
-                    .iter()
-                    .find(|b| b.port.as_ref() == port)
-                    .ok_or_else(|| {
-                        FrameworkError::Binding(format!("client port '{port}' is unbound"))
-                    })?;
-                (b.header.target_slot, b.header.is_async)
-            }
-            Mode::UltraMerge => unreachable!("rejected above"),
-        };
-        if is_async {
-            return Err(FrameworkError::Binding(
-                "cannot rebind asynchronous bindings at runtime".into(),
-            ));
-        }
-        Ok(target_slot)
-    }
-
-    /// Slot-indexed rebinding (the engine half of the transactional path:
-    /// SOLEIL goes through the membrane's BindingController, MERGE-ALL
-    /// patches the compiled slot).
+    /// [`FrameworkError::Binding`] for unbound or asynchronous ports or a
+    /// server without the port; [`FrameworkError::Unsupported`] under
+    /// ULTRA-MERGE.
     pub(crate) fn rebind_at(
         &mut self,
         client_slot: usize,
         port: &str,
         server_slot: usize,
-    ) -> Result<(), FrameworkError> {
+    ) -> Result<RowPreImage, FrameworkError> {
         self.reject_static()?;
-        match self.mode {
-            Mode::Soleil => {
-                let (old, server_port_name) = {
-                    let m = self.membranes[client_slot]
-                        .as_ref()
-                        .expect("membrane present outside invocation");
-                    let t = m.binding.resolve(port)?.clone();
-                    let name = t.server_port.clone();
-                    (t, name)
-                };
-                if old.is_async {
-                    return Err(FrameworkError::Binding(
-                        "cannot rebind asynchronous bindings at runtime".into(),
-                    ));
-                }
-                let new_port_ix = port_index(&self.nodes[server_slot], &server_port_name)?;
-                let new_area = self.areas[self.nodes[server_slot].area_ix].id;
-                let client_area = self.areas[self.nodes[client_slot].area_ix].id;
-                let (pattern, enter_path) = self.pattern_between(client_area, new_area);
-                let outer_on_stack = self.outer_proof(client_slot, pattern, new_area);
-                let plan = MemoryPlan {
-                    pattern,
-                    server_area: new_area,
-                    enter_path,
-                    transient_scope: None,
-                    outer_on_stack,
-                };
-                // Rebinding recompiles the binding's fused gate along with
-                // its interceptor: the plan stays a deploy/rebind-time
-                // artifact, never consulted-and-derived per call.
-                self.mem_gates[old.binding_ix] = plan.fast_gate();
-                self.mem_interceptors[old.binding_ix] = Some(MemoryInterceptor::new(plan));
-                let m = self.membranes[client_slot]
-                    .as_mut()
-                    .expect("membrane present outside invocation");
-                m.binding.bind(
-                    port.to_string(),
-                    BindingTarget {
-                        target_slot: server_slot,
-                        server_port: server_port_name,
-                        server_port_ix: new_port_ix,
-                        is_async: false,
-                        buffer_index: None,
-                        binding_ix: old.binding_ix,
-                        cross: false,
-                    },
-                );
-                // `bind` replaces in place, so compiled jump indices stay
-                // valid; recompiling anyway keeps the plan an invariant of
-                // this one (cold) site rather than of `bind`'s internals.
-                m.binding.compile_jump(&self.port_names);
-                self.dispatch_generation = mint_dispatch_generation();
-                Ok(())
-            }
-            Mode::MergeAll => {
-                let client_area = self.areas[self.nodes[client_slot].area_ix].id;
-                let new_area = self.areas[self.nodes[server_slot].area_ix].id;
-                let (pattern, enter_path) = self.pattern_between(client_area, new_area);
-                let server_port_name = {
-                    let b = self.compiled[client_slot]
-                        .iter()
-                        .find(|b| b.port.as_ref() == port)
-                        .ok_or_else(|| {
-                            FrameworkError::Binding(format!("client port '{port}' is unbound"))
-                        })?;
-                    if b.header.is_async {
-                        return Err(FrameworkError::Binding(
-                            "cannot rebind asynchronous bindings at runtime".into(),
-                        ));
-                    }
-                    self.nodes[b.header.target_slot].server_ports[b.header.server_port_ix as usize]
-                        .to_string()
-                };
-                let new_port_ix = port_index(&self.nodes[server_slot], &server_port_name)?;
-                let outer_on_stack = self.outer_proof(client_slot, pattern, new_area);
-                // The replacement header comes from the same constructor
-                // build uses; the arena's window reuse means rebinding back
-                // to an earlier target restores the old header
-                // byte-identically (transactional rollback relies on it).
-                let header = DispatchHeader::compile(
-                    &mut self.enter_arena,
-                    server_slot,
-                    new_port_ix,
-                    false,
-                    usize::MAX,
-                    pattern,
-                    new_area,
-                    &enter_path,
-                    outer_on_stack,
-                    false,
-                );
-                let b = self.compiled[client_slot]
-                    .iter_mut()
-                    .find(|b| b.port.as_ref() == port)
-                    .expect("found above");
-                b.header = header;
-                self.recompile_port_jump();
-                Ok(())
-            }
-            Mode::UltraMerge => unreachable!("handled above"),
+        let row = self.row_of(client_slot, port)?;
+        let old = self.compiled[client_slot][row].header;
+        if old.is_async {
+            return Err(FrameworkError::Binding(
+                "cannot rebind asynchronous bindings at runtime".into(),
+            ));
         }
+        let server_port = &self.nodes[old.target_slot].server_ports[old.server_port_ix as usize];
+        let server_port_ix = port_index(&self.nodes[server_slot], server_port)?;
+        let header =
+            self.compile_local(client_slot, server_slot, server_port_ix, false, usize::MAX);
+        Ok(self.write_row(client_slot, row, header))
+    }
+
+    /// The index of `slot`'s row for client port `port` (cold path).
+    fn row_of(&self, slot: usize, port: &str) -> Result<usize, FrameworkError> {
+        self.compiled[slot]
+            .iter()
+            .position(|b| b.port.as_ref() == port)
+            .ok_or_else(|| FrameworkError::Binding(format!("client port '{port}' is unbound")))
+    }
+
+    /// Compiles the header of a local binding from `client` to `server`
+    /// against the areas both live in now — the runtime counterpart of
+    /// build's `compile_one`, through the same constructor. The arena's
+    /// window reuse means compiling back to an earlier shape reproduces
+    /// the old header byte-identically.
+    fn compile_local(
+        &mut self,
+        client: usize,
+        server: usize,
+        server_port_ix: u16,
+        is_async: bool,
+        buffer_ix: usize,
+    ) -> DispatchHeader {
+        let client_area = self.areas[self.nodes[client].area_ix].id;
+        let server_area = self.areas[self.nodes[server].area_ix].id;
+        let (pattern, enter_path) = self.pattern_between(client_area, server_area);
+        let outer_on_stack = self.outer_proof(client, pattern, server_area);
+        DispatchHeader::compile(
+            &mut self.enter_arena,
+            server,
+            server_port_ix,
+            is_async,
+            buffer_ix,
+            pattern,
+            server_area,
+            &enter_path,
+            outer_on_stack,
+            false,
+        )
+    }
+
+    /// Replaces row `row` of `slot` with `header` in place — the one write
+    /// every binding change and its undo funnel through. Rows never move,
+    /// so the jump tables stay valid; SOLEIL re-derives the row's memory
+    /// interceptor and gate from the new header. Mints a fresh dispatch
+    /// generation and returns the replaced header's pre-image.
+    fn write_row(&mut self, slot: usize, row: usize, header: DispatchHeader) -> RowPreImage {
+        let old = std::mem::replace(&mut self.compiled[slot][row].header, header);
+        if let Some(rows) = self.reified.get_mut(slot) {
+            rows[row] = reify_row(&self.enter_arena, &header);
+        }
+        self.dispatch_generation = mint_dispatch_generation();
+        RowPreImage {
+            slot,
+            row,
+            header: old,
+        }
+    }
+
+    /// Writes a captured pre-image back — the rollback of every row write.
+    /// Infallible: the row exists, since rows never move.
+    pub(crate) fn restore_row(&mut self, pre: RowPreImage) {
+        self.write_row(pre.slot, pre.row, pre.header);
     }
 
     /// The build-time access proof for `ExecuteInOuter` bindings: the
@@ -2266,12 +2210,11 @@ impl<P: Payload> System<P> {
     /// Re-homes a slot's allocation region onto another runtime area: the
     /// checkpoint/handoff half of a `reassign_domain` whose domain edge
     /// moves the component under a different memory area. Recomputes the
-    /// slot's scope chain and activation plan, then recompiles the
-    /// dispatch state of every local binding touching the slot at either
-    /// end — all through the same constructors build uses, with arena
-    /// window reuse, so re-homing back restores every header
-    /// byte-identically (the transactional-rollback guarantee). Returns
-    /// the previous area index; rollback is the symmetric call.
+    /// slot's scope chain and activation plan, then rewrites in place the
+    /// row of every local binding touching the slot at either end, through
+    /// the same constructors build uses. Returns the undo record:
+    /// [`restore_area`](Self::restore_area) puts the previous region,
+    /// chain and row pre-images back byte-identically.
     ///
     /// The substrate charge for the migrated state is **not** made here:
     /// callers defer it to commit time (see [`System::charge_area`]) so a
@@ -2286,16 +2229,23 @@ impl<P: Payload> System<P> {
         &mut self,
         slot: usize,
         new_area_ix: usize,
-    ) -> Result<usize, FrameworkError> {
+    ) -> Result<RehomeUndo, FrameworkError> {
         self.reject_static()?;
         if new_area_ix >= self.areas.len() {
             return Err(FrameworkError::Content(format!(
                 "re-home target area index {new_area_ix} out of range"
             )));
         }
-        let old_area_ix = self.nodes[slot].area_ix;
-        if new_area_ix == old_area_ix {
-            return Ok(old_area_ix);
+        let plan = self.activation_plans[slot];
+        let mut undo = RehomeUndo {
+            slot,
+            area_ix: self.nodes[slot].area_ix,
+            scope_chain: self.nodes[slot].scope_chain.clone(),
+            chain: (plan.chain_off, plan.chain_len),
+            rows: Vec::new(),
+        };
+        if new_area_ix == undo.area_ix {
+            return Ok(undo);
         }
         // The scoped chain the component's thread now stands in (the same
         // walk as build).
@@ -2314,77 +2264,45 @@ impl<P: Payload> System<P> {
             intern_enter_path(&mut self.enter_arena, &self.nodes[slot].scope_chain);
         self.activation_plans[slot].chain_off = chain_off;
         self.activation_plans[slot].chain_len = chain_len as u16;
-        self.recompile_bindings_touching(slot);
-        self.recompile_port_jump();
-        Ok(old_area_ix)
+        self.recompile_bindings_touching(slot, &mut undo.rows);
+        Ok(undo)
     }
 
-    /// Recompiles the memory plan of every **local** binding with `slot`
-    /// at either end — a re-homing changed the areas those plans were
-    /// computed from. Cross-ring slots are untouched: their dispatch is
-    /// settled on the consumer's shard, not here.
-    fn recompile_bindings_touching(&mut self, slot: usize) {
-        match self.mode {
-            Mode::Soleil => {
-                let mut touched: Vec<(usize, usize, usize)> = Vec::new();
-                for (c, m) in self.membranes.iter().enumerate() {
-                    let Some(m) = m else { continue };
-                    for (_, t) in m.binding.entries() {
-                        if !t.cross
-                            && t.binding_ix != usize::MAX
-                            && (c == slot || t.target_slot == slot)
-                        {
-                            touched.push((c, t.binding_ix, t.target_slot));
-                        }
-                    }
-                }
-                for (c, bix, server) in touched {
-                    let client_area = self.areas[self.nodes[c].area_ix].id;
-                    let server_area = self.areas[self.nodes[server].area_ix].id;
-                    let (pattern, enter_path) = self.pattern_between(client_area, server_area);
-                    let outer_on_stack = self.outer_proof(c, pattern, server_area);
-                    let plan = MemoryPlan {
-                        pattern,
-                        server_area,
-                        enter_path,
-                        transient_scope: None,
-                        outer_on_stack,
-                    };
-                    self.mem_gates[bix] = plan.fast_gate();
-                    self.mem_interceptors[bix] = Some(MemoryInterceptor::new(plan));
-                }
-            }
-            Mode::MergeAll => {
-                let mut touched: Vec<(usize, usize, usize)> = Vec::new();
-                for (c, row) in self.compiled.iter().enumerate() {
-                    for (i, b) in row.iter().enumerate() {
-                        if !b.header.is_cross && (c == slot || b.header.target_slot == slot) {
-                            touched.push((c, i, b.header.target_slot));
-                        }
-                    }
-                }
-                for (c, i, server) in touched {
-                    let client_area = self.areas[self.nodes[c].area_ix].id;
-                    let server_area = self.areas[self.nodes[server].area_ix].id;
-                    let (pattern, enter_path) = self.pattern_between(client_area, server_area);
-                    let outer_on_stack = self.outer_proof(c, pattern, server_area);
-                    let old = self.compiled[c][i].header;
-                    let header = DispatchHeader::compile(
-                        &mut self.enter_arena,
+    /// Rolls back a [`rehome_area_at`](Self::rehome_area_at): the rows it
+    /// rewrote get their pre-images back, newest first, and the slot its
+    /// region, scope chain and chain range. Infallible: nothing is
+    /// recompiled.
+    pub(crate) fn restore_area(&mut self, undo: RehomeUndo) {
+        for pre in undo.rows.into_iter().rev() {
+            self.restore_row(pre);
+        }
+        let node = &mut self.nodes[undo.slot];
+        node.area_ix = undo.area_ix;
+        node.scope_chain = undo.scope_chain;
+        let plan = &mut self.activation_plans[undo.slot];
+        (plan.chain_off, plan.chain_len) = undo.chain;
+    }
+
+    /// Recompiles the row of every **local** binding with `slot` at either
+    /// end — a re-homing changed the areas those rows were compiled from —
+    /// pushing each replaced row's pre-image onto `replaced`. Cross-ring
+    /// rows are untouched: their dispatch is settled on the consumer's
+    /// shard, not here.
+    fn recompile_bindings_touching(&mut self, slot: usize, replaced: &mut Vec<RowPreImage>) {
+        for c in 0..self.compiled.len() {
+            for row in 0..self.compiled[c].len() {
+                let old = self.compiled[c][row].header;
+                if !old.is_cross && (c == slot || old.target_slot == slot) {
+                    let header = self.compile_local(
+                        c,
                         old.target_slot,
                         old.server_port_ix,
                         old.is_async,
                         old.buffer_ix,
-                        pattern,
-                        server_area,
-                        &enter_path,
-                        outer_on_stack,
-                        false,
                     );
-                    self.compiled[c][i].header = header;
+                    replaced.push(self.write_row(c, row, header));
                 }
             }
-            Mode::UltraMerge => unreachable!("re-homing is gated by reject_static"),
         }
     }
 
@@ -2392,9 +2310,9 @@ impl<P: Payload> System<P> {
     /// cross-domain ring whose producer endpoint is `tx` — the engine half
     /// of cross-ring rewiring when a parallel rebind moves a binding
     /// across the domain partition. The ring index is appended to
-    /// `cross_out` and the binding's compiled slot is recompiled with
-    /// `is_cross` set, exactly the shape build gives deploy-time rings.
-    /// Returns the undo record for the reconfiguration journal.
+    /// `cross_out` and the port's row is rewritten with the header build
+    /// gives deploy-time rings. Returns the undo record for the
+    /// reconfiguration journal.
     ///
     /// # Errors
     ///
@@ -2407,92 +2325,26 @@ impl<P: Payload> System<P> {
         tx: SpscProducer<P>,
     ) -> Result<AsyncRepointUndo, FrameworkError> {
         self.reject_static()?;
+        let row = self.row_of(client_slot, port)?;
+        if !self.compiled[client_slot][row].header.is_async {
+            return Err(FrameworkError::Binding(format!(
+                "client port '{port}' is synchronous; cross-domain rings carry \
+                 asynchronous bindings only"
+            )));
+        }
         let cross_ix = self.cross_out.len();
-        let old = match self.mode {
-            Mode::Soleil => {
-                let old = {
-                    let m = self.membranes[client_slot]
-                        .as_ref()
-                        .expect("membrane present outside invocation");
-                    m.binding.resolve(port)?.clone()
-                };
-                if !old.is_async {
-                    return Err(FrameworkError::Binding(format!(
-                        "client port '{port}' is synchronous; cross-domain rings carry \
-                         asynchronous bindings only"
-                    )));
-                }
-                let m = self.membranes[client_slot]
-                    .as_mut()
-                    .expect("membrane present outside invocation");
-                m.binding.bind(
-                    port.to_string(),
-                    BindingTarget {
-                        target_slot: usize::MAX,
-                        server_port: String::new(),
-                        server_port_ix: 0,
-                        is_async: true,
-                        buffer_index: Some(cross_ix),
-                        binding_ix: usize::MAX,
-                        cross: true,
-                    },
-                );
-                m.binding.compile_jump(&self.port_names);
-                OldAsyncBinding::Reified(old)
-            }
-            Mode::MergeAll => {
-                let old = {
-                    let b = self.compiled[client_slot]
-                        .iter()
-                        .find(|b| b.port.as_ref() == port)
-                        .ok_or_else(|| {
-                            FrameworkError::Binding(format!("client port '{port}' is unbound"))
-                        })?;
-                    if !b.header.is_async {
-                        return Err(FrameworkError::Binding(format!(
-                            "client port '{port}' is synchronous; cross-domain rings carry \
-                             asynchronous bindings only"
-                        )));
-                    }
-                    b.header
-                };
-                // Same header shape build compiles for deploy-time rings.
-                let header = DispatchHeader::compile(
-                    &mut self.enter_arena,
-                    usize::MAX,
-                    0,
-                    true,
-                    cross_ix,
-                    PatternKind::ImmortalExchange,
-                    AreaId::IMMORTAL,
-                    &[],
-                    false,
-                    true,
-                );
-                let b = self.compiled[client_slot]
-                    .iter_mut()
-                    .find(|b| b.port.as_ref() == port)
-                    .expect("found above");
-                b.header = header;
-                OldAsyncBinding::Compiled(old)
-            }
-            Mode::UltraMerge => unreachable!("rejected above"),
-        };
         self.cross_out.push(tx);
-        self.recompile_port_jump();
+        let header = DispatchHeader::cross(&mut self.enter_arena, cross_ix);
         Ok(AsyncRepointUndo {
-            client_slot,
-            port: port.to_string(),
             cross_ix,
-            old,
+            old: self.write_row(client_slot, row, header),
         })
     }
 
     /// Rolls back a [`System::repoint_async_to_cross`]: the appended ring
     /// producer is retired (journals replay LIFO, so it is necessarily the
     /// newest `cross_out` entry — truncation cannot disturb ring indices
-    /// baked into other compiled slots) and the previous binding state is
-    /// restored byte-identically.
+    /// baked into other rows) and the row's pre-image is written back.
     pub(crate) fn restore_async_binding(&mut self, undo: AsyncRepointUndo) {
         debug_assert_eq!(
             undo.cross_ix + 1,
@@ -2500,23 +2352,7 @@ impl<P: Payload> System<P> {
             "async repoint rollback out of journal order"
         );
         self.cross_out.truncate(undo.cross_ix);
-        match undo.old {
-            OldAsyncBinding::Reified(t) => {
-                let m = self.membranes[undo.client_slot]
-                    .as_mut()
-                    .expect("membrane present outside invocation");
-                m.binding.bind(undo.port, t);
-                m.binding.compile_jump(&self.port_names);
-            }
-            OldAsyncBinding::Compiled(h) => {
-                let b = self.compiled[undo.client_slot]
-                    .iter_mut()
-                    .find(|b| b.port.as_ref() == undo.port.as_str())
-                    .expect("repointed binding still present");
-                b.header = h;
-            }
-        }
-        self.recompile_port_jump();
+        self.restore_row(undo.old);
     }
 
     /// A structural fingerprint of the reconfigurable state — lifecycle,
@@ -2536,15 +2372,8 @@ impl<P: Payload> System<P> {
         for (i, n) in self.nodes.iter().enumerate() {
             let _ = write!(
                 s,
-                "n{i}:{};{};{};{:?};{};{:?};{:?};{:?}|",
-                n.name,
-                n.started,
-                n.quarantined,
-                n.domain_ix,
-                n.area_ix,
-                n.priority,
-                n.ceiling,
-                n.scope_chain
+                "n{i}:{};{};{:?};{};{:?};{:?};{:?}|",
+                n.name, n.started, n.domain_ix, n.area_ix, n.priority, n.ceiling, n.scope_chain
             );
         }
         for (i, p) in self.activation_plans.iter().enumerate() {
@@ -2556,27 +2385,13 @@ impl<P: Payload> System<P> {
         for (i, row) in self.port_jump.iter().enumerate() {
             let _ = write!(s, "j{i}:{row:?}|");
         }
-        match self.mode {
-            Mode::Soleil => {
-                for (i, m) in self.membranes.iter().enumerate() {
-                    let Some(m) = m else { continue };
-                    for (port, t) in m.binding.entries() {
-                        let _ = write!(s, "b{i}:{port}->{t:?}|");
-                    }
-                }
+        for (i, row) in self.compiled.iter().enumerate() {
+            for b in row {
+                let _ = write!(s, "c{i}:{}:{:?}|", b.port, b.header);
             }
-            Mode::MergeAll => {
-                for (i, row) in self.compiled.iter().enumerate() {
-                    for b in row {
-                        let _ = write!(s, "c{i}:{}:{:?}|", b.port, b.header);
-                    }
-                }
-            }
-            Mode::UltraMerge => {
-                for (i, r) in self.ultra_ranges.iter().enumerate() {
-                    let _ = write!(s, "u{i}:{r:?}|");
-                }
-            }
+        }
+        for (i, r) in self.ultra_ranges.iter().enumerate() {
+            let _ = write!(s, "u{i}:{r:?}|");
         }
         for (i, m) in self.monitors.iter().enumerate() {
             if let Some(m) = m {
@@ -2950,7 +2765,7 @@ impl<P: Payload> System<P> {
             let handler_name = self.nodes[handler].name.clone();
             let origin_name = self.nodes[origin].name.clone();
             for &s in &subtree {
-                if s != origin && !self.supervisors[s].quarantined {
+                if s != origin && !self.activation_plans[s].quarantined {
                     self.quarantine_flags(
                         s,
                         false,
@@ -3024,19 +2839,17 @@ impl<P: Payload> System<P> {
     }
 
     /// The flag half of a quarantine, shared by the faulting slot and the
-    /// rest of its failed subtree: hot-path plan + node flags flip, the
+    /// rest of its failed subtree: the activation plan's flag flips, the
     /// membrane (SOLEIL) is quarantined — poisoned when `poison` — and the
     /// cold supervisor record keeps the detail. Fault *counting* is the
     /// caller's business: subtree members taken down alongside a faulting
     /// sibling did not themselves fault.
     fn quarantine_flags(&mut self, slot: usize, poison: bool, detail: String) {
         self.activation_plans[slot].quarantined = true;
-        self.nodes[slot].quarantined = true;
         if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
             m.quarantine(poison);
         }
         let sup = &mut self.supervisors[slot];
-        sup.quarantined = true;
         sup.poisoned = poison;
         sup.fault_detail = Some(detail);
     }
@@ -3098,7 +2911,7 @@ impl<P: Payload> System<P> {
         if slot >= self.nodes.len() {
             return Err(FrameworkError::Content(format!("bad slot {slot}")));
         }
-        if !self.supervisors[slot].quarantined {
+        if !self.activation_plans[slot].quarantined {
             return Ok(());
         }
         // Warm-state handoff, capture half: a checkpoint-enabled slot
@@ -3131,7 +2944,6 @@ impl<P: Payload> System<P> {
         let node = &mut self.nodes[slot];
         node.content = Some((self.factories[slot])());
         node.busy = false;
-        node.quarantined = false;
         node.started = true;
         self.activation_plans[slot].quarantined = false;
         if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
@@ -3160,7 +2972,6 @@ impl<P: Payload> System<P> {
             }
         }
         let sup = &mut self.supervisors[slot];
-        sup.quarantined = false;
         sup.poisoned = false;
         sup.fault_detail = None;
         sup.restarts += 1;
@@ -3185,7 +2996,7 @@ impl<P: Payload> System<P> {
             return Err(FrameworkError::Content(format!("bad slot {root}")));
         }
         for slot in self.subtree_slots(root) {
-            if self.supervisors[slot].quarantined {
+            if self.activation_plans[slot].quarantined {
                 self.restart_slot(slot)?;
             }
         }
@@ -3459,7 +3270,9 @@ impl<P: Payload> System<P> {
 
     /// True while `slot` is quarantined by its fault policy.
     pub(crate) fn quarantined_at(&self, slot: usize) -> bool {
-        self.supervisors.get(slot).is_some_and(|s| s.quarantined)
+        self.activation_plans
+            .get(slot)
+            .is_some_and(|p| p.quarantined)
     }
 
     /// Installs an engine-level deterministic fault injector at `slot`'s
@@ -3526,7 +3339,7 @@ impl<P: Payload> System<P> {
     pub fn health_report(&self) -> ValidationReport {
         let mut report = self.contract_report();
         for (slot, sup) in self.supervisors.iter().enumerate() {
-            if sup.quarantined {
+            if self.activation_plans[slot].quarantined {
                 report.append(Diagnostic {
                     code: "SOL-020",
                     severity: Severity::Error,
@@ -3609,6 +3422,17 @@ impl<P: Payload> System<P> {
     /// reported in their own bucket so the Fig. 7(c) mode comparison
     /// stays a comparison of *generated* machinery.
     pub fn footprint(&self) -> FootprintReport {
+        // The binding rows SOLEIL and MERGE-ALL both route through.
+        let rows: usize = self
+            .compiled
+            .iter()
+            .map(|v| {
+                std::mem::size_of::<Vec<CompiledBinding>>()
+                    + v.iter()
+                        .map(|b| std::mem::size_of::<CompiledBinding>() + b.port.len())
+                        .sum::<usize>()
+            })
+            .sum();
         let framework_bytes = match self.mode {
             Mode::Soleil => {
                 let membranes: usize = self
@@ -3618,9 +3442,10 @@ impl<P: Payload> System<P> {
                     .map(|m| m.footprint_bytes())
                     .sum();
                 let interceptors: usize = self
-                    .mem_interceptors
+                    .reified
                     .iter()
                     .flatten()
+                    .filter_map(|r| r.interceptor.as_ref())
                     .map(|i| std::mem::size_of_val(i) + 32)
                     .sum();
                 let spec = self
@@ -3628,20 +3453,9 @@ impl<P: Payload> System<P> {
                     .as_ref()
                     .map(|s| s.metadata_bytes())
                     .unwrap_or(0);
-                membranes + interceptors + spec + self.dispatch_plan_bytes()
+                membranes + interceptors + spec + rows + self.dispatch_plan_bytes()
             }
-            Mode::MergeAll => {
-                self.compiled
-                    .iter()
-                    .map(|v| {
-                        std::mem::size_of::<Vec<CompiledBinding>>()
-                            + v.iter()
-                                .map(|b| std::mem::size_of::<CompiledBinding>() + b.port.len())
-                                .sum::<usize>()
-                    })
-                    .sum::<usize>()
-                    + self.dispatch_plan_bytes()
-            }
+            Mode::MergeAll => rows + self.dispatch_plan_bytes(),
             Mode::UltraMerge => {
                 self.ultra_table
                     .iter()
@@ -3740,27 +3554,37 @@ fn port_index<P: Payload>(node: &Node<P>, port: &str) -> Result<u16, FrameworkEr
 
 struct SoleilPorts<'a, P: Payload> {
     sys: &'a mut System<P>,
+    /// The invoking component: its controller resolves ports to rows of
+    /// `sys.compiled[slot]`.
+    slot: usize,
     membrane: &'a mut Membrane,
     ctx: &'a mut MemoryContext,
 }
 
 impl<P: Payload> SoleilPorts<'_, P> {
-    /// The shared synchronous body behind both resolution paths: routing
-    /// scalars in, gate/interceptor choreography around the invoke.
+    /// The header of this component's routing row `row`.
+    fn header(&self, row: usize) -> DispatchHeader {
+        self.sys.compiled[self.slot][row].header
+    }
+
+    /// The shared synchronous body behind both resolution paths: the
+    /// row's header routes the call, its reified gate and interceptor wrap
+    /// it in the memory choreography.
     fn call_sync(
         &mut self,
-        target_slot: usize,
-        server_port_ix: u16,
-        binding_ix: usize,
+        h: DispatchHeader,
+        row: usize,
         msg: &mut P,
     ) -> Result<(), FrameworkError> {
         self.sys.stats.sync_calls += 1;
-        // The binding's fused gate, compiled at build/rebind time: when it
-        // proves the memory interceptor's pre/post are no-ops, both calls
-        // are skipped entirely — only the crossing counter is kept honest.
-        let gate = self.sys.mem_gates[binding_ix];
+        let (target_slot, server_port_ix) = (h.target_slot, h.server_port_ix);
+        // The row's fused gate, compiled with the row: when it proves the
+        // memory interceptor's pre/post are no-ops, both calls are skipped
+        // entirely — only the crossing counter is kept honest.
+        let reified = &mut self.sys.reified[self.slot][row];
+        let gate = reified.gate;
         if gate.skip_choreography {
-            if let Some(mi) = self.sys.mem_interceptors[binding_ix].as_mut() {
+            if let Some(mi) = reified.interceptor.as_mut() {
                 mi.record_crossing();
             }
             return if gate.copy {
@@ -3774,11 +3598,12 @@ impl<P: Payload> SoleilPorts<'_, P> {
                 self.sys.invoke(target_slot, server_port_ix, msg, self.ctx)
             };
         }
-        let mut mi = self.sys.mem_interceptors[binding_ix]
+        let mut mi = reified
+            .interceptor
             .take()
             .ok_or_else(|| FrameworkError::Binding("memory interceptor already in use".into()))?;
         if let Err(e) = mi.pre(&mut self.sys.mm, self.ctx) {
-            self.sys.mem_interceptors[binding_ix] = Some(mi);
+            self.sys.reified[self.slot][row].interceptor = Some(mi);
             return Err(e);
         }
         let result = if mi.needs_copy() {
@@ -3792,54 +3617,46 @@ impl<P: Payload> SoleilPorts<'_, P> {
             self.sys.invoke(target_slot, server_port_ix, msg, self.ctx)
         };
         let post = mi.post(&mut self.sys.mm, self.ctx);
-        self.sys.mem_interceptors[binding_ix] = Some(mi);
+        self.sys.reified[self.slot][row].interceptor = Some(mi);
         result.and(post)
     }
 
     /// The shared asynchronous body: same-engine exchange buffer or
     /// cross-domain ring, decided at deploy time.
-    fn send_buffered(
-        &mut self,
-        buffer_ix: usize,
-        cross: bool,
-        msg: P,
-    ) -> Result<(), FrameworkError> {
-        if cross {
-            return self.sys.enqueue_cross(buffer_ix, msg);
+    fn send_buffered(&mut self, h: DispatchHeader, msg: P) -> Result<(), FrameworkError> {
+        if h.is_cross {
+            return self.sys.enqueue_cross(h.buffer_ix, msg);
         }
-        self.sys.enqueue(buffer_ix, msg, self.ctx)
+        self.sys.enqueue(h.buffer_ix, msg, self.ctx)
     }
 }
 
 impl<P: Payload> Ports<P> for SoleilPorts<'_, P> {
     fn call(&mut self, client_port: &str, msg: &mut P) -> Result<(), FrameworkError> {
-        // Copy only the scalar routing fields out of the binding target:
-        // cloning the whole target would allocate (its server-port name is
-        // a `String`) on every synchronous call.
         self.sys
             .string_compares
             .set(self.sys.string_compares.get() + 1);
-        let t = self.membrane.binding.resolve(client_port)?;
-        let (target_slot, server_port_ix, is_async, binding_ix) =
-            (t.target_slot, t.server_port_ix, t.is_async, t.binding_ix);
-        if is_async {
+        let row = self.membrane.binding.resolve(client_port)?;
+        let h = self.header(row);
+        if h.is_async {
             return Err(FrameworkError::Binding(format!(
                 "port '{client_port}' is asynchronous; use send()"
             )));
         }
-        self.call_sync(target_slot, server_port_ix, binding_ix, msg)
+        self.call_sync(h, row, msg)
     }
 
     fn send(&mut self, client_port: &str, msg: P) -> Result<(), FrameworkError> {
         self.sys
             .string_compares
             .set(self.sys.string_compares.get() + 1);
-        let t = self.membrane.binding.resolve(client_port)?;
-        let (buffer_ix, cross) = (t.buffer_index, t.cross);
-        let buffer_ix = buffer_ix.ok_or_else(|| {
-            FrameworkError::Binding(format!("port '{client_port}' is synchronous; use call()"))
-        })?;
-        self.send_buffered(buffer_ix, cross, msg)
+        let h = self.header(self.membrane.binding.resolve(client_port)?);
+        if !h.is_async {
+            return Err(FrameworkError::Binding(format!(
+                "port '{client_port}' is synchronous; use call()"
+            )));
+        }
+        self.send_buffered(h, msg)
     }
 
     fn intern(&self, client_port: &str) -> Option<PortId> {
@@ -3851,41 +3668,40 @@ impl<P: Payload> Ports<P> for SoleilPorts<'_, P> {
     }
 
     fn call_interned(&mut self, id: PortId, msg: &mut P) -> Result<(), FrameworkError> {
-        // Jump-table resolve through the membrane's compiled table: one
-        // index, no string compare — the name only resurfaces on the cold
-        // error paths below.
-        let Some(t) = self.membrane.binding.resolve_id(id) else {
+        // Jump-table resolve through the membrane's compiled table to the
+        // shared row: one index, no string compare — the name only
+        // resurfaces on the cold error paths below.
+        let Some(row) = self.membrane.binding.resolve_id(id) else {
             return Err(FrameworkError::Binding(format!(
                 "client port '{}' is unbound",
                 self.sys.port_name(id)
             )));
         };
-        let (target_slot, server_port_ix, is_async, binding_ix) =
-            (t.target_slot, t.server_port_ix, t.is_async, t.binding_ix);
-        if is_async {
+        let h = self.header(row);
+        if h.is_async {
             return Err(FrameworkError::Binding(format!(
                 "port '{}' is asynchronous; use send()",
                 self.sys.port_name(id)
             )));
         }
-        self.call_sync(target_slot, server_port_ix, binding_ix, msg)
+        self.call_sync(h, row, msg)
     }
 
     fn send_interned(&mut self, id: PortId, msg: P) -> Result<(), FrameworkError> {
-        let Some(t) = self.membrane.binding.resolve_id(id) else {
+        let Some(row) = self.membrane.binding.resolve_id(id) else {
             return Err(FrameworkError::Binding(format!(
                 "client port '{}' is unbound",
                 self.sys.port_name(id)
             )));
         };
-        let (buffer_ix, cross) = (t.buffer_index, t.cross);
-        let Some(buffer_ix) = buffer_ix else {
+        let h = self.header(row);
+        if !h.is_async {
             return Err(FrameworkError::Binding(format!(
                 "port '{}' is synchronous; use call()",
                 self.sys.port_name(id)
             )));
-        };
-        self.send_buffered(buffer_ix, cross, msg)
+        }
+        self.send_buffered(h, msg)
     }
 }
 
@@ -4316,14 +4132,15 @@ mod tests {
             assert!(info.plan_fully_compiled);
             assert_eq!(info.plan_fusion, expected);
         }
-        // One gate per binding, agreeing with each binding's plan: the
+        // One gate per binding row, agreeing with each row's plan: the
         // no-choreography patterns skip pre/post, EnterInner keeps them.
-        assert_eq!(sys.mem_gates.len(), spec.bindings.len());
-        for (gate, mi) in sys.mem_gates.iter().zip(&sys.mem_interceptors) {
-            assert_eq!(*gate, mi.as_ref().unwrap().plan().fast_gate());
+        let rows: Vec<&ReifiedRow> = sys.reified.iter().flatten().collect();
+        assert_eq!(rows.len(), spec.bindings.len());
+        for r in &rows {
+            assert_eq!(r.gate, r.interceptor.as_ref().unwrap().plan().fast_gate());
         }
         assert!(
-            sys.mem_gates.iter().any(|g| g.skip_choreography)
+            rows.iter().any(|r| r.gate.skip_choreography)
                 || spec
                     .bindings
                     .iter()
@@ -4355,14 +4172,19 @@ mod tests {
             sys.run_transaction(head).unwrap();
         }
         // EnterInner gate: full pre/post path counted both crossings.
-        assert!(!sys.mem_gates[1].skip_choreography);
-        assert_eq!(sys.mem_interceptors[1].as_ref().unwrap().crossings(), 2);
-
         let middle = sys.slot_of("middle").unwrap();
+        let svc = sys.row_of(middle, "svc").unwrap();
+        assert!(!sys.reified[middle][svc].gate.skip_choreography);
+        let crossings = |sys: &System<Token>| {
+            let mi = sys.reified[middle][svc].interceptor.as_ref();
+            mi.unwrap().crossings()
+        };
+        assert_eq!(crossings(&sys), 2);
+
         let service2 = sys.slot_of("service2").unwrap();
         sys.rebind_at(middle, "svc", service2).unwrap();
         assert!(
-            sys.mem_gates[1].skip_choreography,
+            sys.reified[middle][svc].gate.skip_choreography,
             "rebind recompiled the gate to the fused no-op form"
         );
         for _ in 0..3 {
@@ -4371,7 +4193,7 @@ mod tests {
         // Rebinding installed a fresh interceptor; its counter advanced
         // purely through the fused fast path.
         assert_eq!(
-            sys.mem_interceptors[1].as_ref().unwrap().crossings(),
+            crossings(&sys),
             3,
             "the fused fast path still records crossings"
         );
@@ -4768,6 +4590,7 @@ mod tests {
         let mut ctx = sys.mm.context(ThreadKind::Realtime);
         let mut ports = SoleilPorts {
             sys: &mut sys,
+            slot: middle,
             membrane: &mut membrane,
             ctx: &mut ctx,
         };
@@ -4794,7 +4617,8 @@ mod tests {
     /// A rebind-and-revert cycle must restore the dispatch plan
     /// byte-identically: the header compares equal and the shared
     /// enter-path arena does not grow (the intern step reuses the
-    /// original range instead of appending a duplicate).
+    /// original range instead of appending a duplicate). SOLEIL routes
+    /// through the same rows, and its reified gate comes back with them.
     #[test]
     fn rebind_cycle_restores_dispatch_header_byte_identically() {
         let mut spec = pipeline_spec();
@@ -4807,32 +4631,132 @@ mod tests {
             server_ports: vec!["svc".into()],
             ceiling: None,
         });
-        let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
-        let service = sys.slot_of("service").unwrap();
-        let service2 = sys.slot_of("service2").unwrap();
-        let svc_header = |sys: &System<Token>| {
-            sys.compiled[middle]
+        for mode in [Mode::Soleil, Mode::MergeAll] {
+            let mut sys = System::build(&spec, mode, &registry()).unwrap();
+            let middle = sys.slot_of("middle").unwrap();
+            let service = sys.slot_of("service").unwrap();
+            let service2 = sys.slot_of("service2").unwrap();
+            let svc_header = |sys: &System<Token>| {
+                sys.compiled[middle]
+                    .iter()
+                    .find(|b| b.port.as_ref() == "svc")
+                    .map(|b| b.header)
+                    .unwrap()
+            };
+            let svc = sys.row_of(middle, "svc").unwrap();
+            let gate = |sys: &System<Token>| sys.reified.get(middle).map(|rows| rows[svc].gate);
+            let original = svc_header(&sys);
+            let original_gate = gate(&sys);
+            let arena_len = sys.enter_arena.len();
+            let jump = sys.port_jump.clone();
+
+            sys.rebind_at(middle, "svc", service2).unwrap();
+            assert_ne!(
+                svc_header(&sys),
+                original,
+                "{mode}: rebind recompiled the plan"
+            );
+            sys.rebind_at(middle, "svc", service).unwrap();
+
+            assert_eq!(
+                svc_header(&sys),
+                original,
+                "{mode}: revert restored the header"
+            );
+            assert_eq!(
+                sys.enter_arena.len(),
+                arena_len,
+                "{mode}: enter-path interning deduplicated the restored range"
+            );
+            assert_eq!(
+                sys.port_jump, jump,
+                "{mode}: jump table is back to the original"
+            );
+            assert_eq!(gate(&sys), original_gate, "{mode}: the gate is back");
+            if mode == Mode::Soleil {
+                assert!(original_gate.is_some(), "SOLEIL reifies a gate per row");
+            }
+        }
+    }
+
+    /// SOLEIL and MERGE-ALL route through one binding table: both builds of
+    /// the pipeline compile equal rows, and the same rebind and re-homing
+    /// keep them equal.
+    #[test]
+    fn soleil_and_merge_all_compile_and_rewrite_equal_rows() {
+        let mut spec = pipeline_spec();
+        spec.components.push(ComponentSpec {
+            name: "service2".into(),
+            content_class: "Service".into(),
+            activation: Activation::Passive,
+            domain: None,
+            area: 0,
+            server_ports: vec!["svc".into()],
+            ceiling: None,
+        });
+        let rows = |sys: &System<Token>| -> Vec<Vec<(String, DispatchHeader)>> {
+            let row = |b: &CompiledBinding| (b.port.to_string(), b.header);
+            sys.compiled
                 .iter()
-                .find(|b| b.port.as_ref() == "svc")
-                .map(|b| b.header)
-                .unwrap()
+                .map(|rows| rows.iter().map(row).collect())
+                .collect()
         };
-        let original = svc_header(&sys);
-        let arena_len = sys.enter_arena.len();
-        let jump = sys.port_jump.clone();
+        let mut soleil = System::build(&spec, Mode::Soleil, &registry()).unwrap();
+        let mut merged = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
+        assert_eq!(rows(&soleil), rows(&merged), "built rows");
+        assert!(rows(&soleil).iter().any(|r| !r.is_empty()));
 
-        sys.rebind_at(middle, "svc", service2).unwrap();
-        assert_ne!(svc_header(&sys), original, "rebind recompiled the plan");
-        sys.rebind_at(middle, "svc", service).unwrap();
-
-        assert_eq!(svc_header(&sys), original, "revert restored the header");
+        let middle = soleil.slot_of("middle").unwrap();
+        let service2 = soleil.slot_of("service2").unwrap();
+        let heap = soleil.area_ix_by_name("H1").unwrap();
+        for sys in [&mut soleil, &mut merged] {
+            sys.rebind_at(middle, "svc", service2).unwrap();
+        }
+        assert_eq!(rows(&soleil), rows(&merged), "after rebind_at");
+        for sys in [&mut soleil, &mut merged] {
+            sys.rehome_area_at(service2, heap).unwrap();
+        }
+        assert_eq!(rows(&soleil), rows(&merged), "after rehome_area_at");
         assert_eq!(
-            sys.enter_arena.len(),
-            arena_len,
-            "enter-path interning deduplicated the restored range"
+            soleil.compiled[middle][soleil.row_of(middle, "svc").unwrap()]
+                .header
+                .server_area,
+            AreaId::HEAP,
+            "the re-homed server's area reached the client's row"
         );
-        assert_eq!(sys.port_jump, jump, "jump table is back to the original");
+    }
+
+    /// Rolling back a re-homing writes every rewritten row's pre-image
+    /// back: rows, gates and the structural digest return byte-identically,
+    /// including asynchronous rows whose build-time pattern a recompile
+    /// would not reproduce.
+    #[test]
+    fn rehome_rollback_restores_every_row_byte_identically() {
+        for mode in [Mode::Soleil, Mode::MergeAll] {
+            let spec = pipeline_spec();
+            let mut sys = System::build(&spec, mode, &registry()).unwrap();
+            let middle = sys.slot_of("middle").unwrap();
+            let heap = sys.area_ix_by_name("H1").unwrap();
+            let rows = |sys: &System<Token>| -> Vec<Vec<DispatchHeader>> {
+                let headers = |r: &Vec<CompiledBinding>| r.iter().map(|b| b.header).collect();
+                sys.compiled.iter().map(headers).collect()
+            };
+            let gates = |sys: &System<Token>| -> Vec<Vec<FastGate>> {
+                let gates = |r: &Vec<ReifiedRow>| r.iter().map(|r| r.gate).collect();
+                sys.reified.iter().map(gates).collect()
+            };
+            let (rows0, gates0, digest0) = (rows(&sys), gates(&sys), sys.structural_digest());
+
+            let undo = sys.rehome_area_at(middle, heap).unwrap();
+            assert_ne!(rows(&sys), rows0, "{mode}: re-homing rewrote rows");
+            sys.restore_area(undo);
+
+            assert_eq!(rows(&sys), rows0, "{mode}: every row is back");
+            assert_eq!(gates(&sys), gates0, "{mode}: every gate is back");
+            assert_eq!(sys.structural_digest(), digest0, "{mode}");
+            let head = sys.slot_of("producer").unwrap();
+            sys.run_transaction(head).unwrap();
+        }
     }
 
     /// Interned pipeline stations: the same topology as [`pipeline_spec`]

@@ -472,52 +472,71 @@ fn reassign_domain_across_memory_areas_rehomes_the_region() {
         .unwrap();
     let arch = flow.merge().unwrap().into_validated().unwrap();
 
-    let a = Arc::new(AtomicU32::new(0));
-    let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
-    registry.register("Caller", || Box::new(Caller));
-    let ac = a.clone();
-    registry.register("A", move || Box::new(Counter(ac.clone())));
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        let a = Arc::new(AtomicU32::new(0));
+        let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+        registry.register("Caller", || Box::new(Caller));
+        let ac = a.clone();
+        registry.register("A", move || Box::new(Counter(ac.clone())));
 
-    let mut dep = deploy(&arch, Mode::MergeAll, &registry).unwrap();
-    let caller = dep.resolve("caller").unwrap();
-    let arch_before = format!(
-        "{:?}",
-        dep.architecture()
-            .parents_of(dep.architecture().id_of("caller").unwrap())
-    );
+        let mut dep = deploy(&arch, mode, &registry).unwrap();
+        let caller = dep.resolve("caller").unwrap();
+        let arch_before = format!(
+            "{:?}",
+            dep.architecture()
+                .parents_of(dep.architecture().id_of("caller").unwrap())
+        );
+        let digests = dep.structural_digests();
 
-    // A transaction that moves caller into rt-heap and then fails rolls
-    // the migration back: edges, region and engine all pre-transaction.
-    let err = dep
-        .reconfigure(|txn| {
-            txn.reassign_domain(caller, "rt-heap")?;
-            Err::<(), _>(FrameworkError::Content(
-                "operator changed their mind".into(),
-            ))
-        })
-        .unwrap_err();
-    assert!(matches!(err, FrameworkError::Content(_)), "got {err}");
-    let arch_now = dep.architecture();
-    let caller_id = arch_now.id_of("caller").unwrap();
-    assert_eq!(format!("{:?}", arch_now.parents_of(caller_id)), arch_before);
-    let (area_id, _) = arch_now.memory_area_of(caller_id).unwrap();
-    assert_eq!(arch_now.component(area_id).unwrap().name, "imm");
-    dep.run_transaction(caller).unwrap();
-    assert_eq!(a.load(Ordering::Relaxed), 1);
+        // A transaction that moves caller into rt-heap and then fails rolls
+        // the migration back: edges, region and engine all pre-transaction.
+        let err = dep
+            .reconfigure(|txn| {
+                txn.reassign_domain(caller, "rt-heap")?;
+                Err::<(), _>(FrameworkError::Content(
+                    "operator changed their mind".into(),
+                ))
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, FrameworkError::Content(_)),
+            "{mode}: got {err}"
+        );
+        assert_eq!(
+            dep.structural_digests(),
+            digests,
+            "{mode}: the refused move restored the engine"
+        );
+        let arch_now = dep.architecture();
+        let caller_id = arch_now.id_of("caller").unwrap();
+        assert_eq!(
+            format!("{:?}", arch_now.parents_of(caller_id)),
+            arch_before,
+            "{mode}"
+        );
+        let (area_id, _) = arch_now.memory_area_of(caller_id).unwrap();
+        assert_eq!(arch_now.component(area_id).unwrap().name, "imm", "{mode}");
+        dep.run_transaction(caller).unwrap();
+        assert_eq!(a.load(Ordering::Relaxed), 1, "{mode}");
 
-    // rt-heap lives inside the heap area: committing the same move
-    // re-homes caller's allocation region along with the domain edge.
-    dep.reconfigure(|txn| txn.reassign_domain(caller, "rt-heap"))
-        .unwrap();
-    let arch_now = dep.architecture();
-    let (domain_id, _) = arch_now.thread_domain_of(caller_id).unwrap();
-    assert_eq!(arch_now.component(domain_id).unwrap().name, "rt-heap");
-    let (area_id, _) = arch_now.memory_area_of(caller_id).unwrap();
-    assert_eq!(arch_now.component(area_id).unwrap().name, "heap");
+        // rt-heap lives inside the heap area: committing the same move
+        // re-homes caller's allocation region along with the domain edge.
+        dep.reconfigure(|txn| txn.reassign_domain(caller, "rt-heap"))
+            .unwrap();
+        let arch_now = dep.architecture();
+        let (domain_id, _) = arch_now.thread_domain_of(caller_id).unwrap();
+        assert_eq!(
+            arch_now.component(domain_id).unwrap().name,
+            "rt-heap",
+            "{mode}"
+        );
+        let (area_id, _) = arch_now.memory_area_of(caller_id).unwrap();
+        assert_eq!(arch_now.component(area_id).unwrap().name, "heap", "{mode}");
 
-    // The engine still dispatches through the recompiled plans.
-    dep.run_transaction(caller).unwrap();
-    assert_eq!(a.load(Ordering::Relaxed), 2);
+        // The engine still dispatches through the recompiled plans.
+        dep.run_transaction(caller).unwrap();
+        assert_eq!(a.load(Ordering::Relaxed), 2, "{mode}");
+    }
 }
 
 #[test]
