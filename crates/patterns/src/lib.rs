@@ -12,8 +12,10 @@
 //!   its portal object (*Portal* pattern);
 //! * [`handoff_copy`] — deep-copy a payload into a differently-scoped area
 //!   (*Handoff* / *Memory Block* pattern);
-//! * [`ExchangeBuffer`] — a bounded FIFO allocated in a chosen area,
-//!   the substrate for asynchronous bindings (*Immortal Exchange Buffer*);
+//! * [`ExchangeBuffer`] — a bounded FIFO that owns its fixed ring and is
+//!   charged to a chosen area, checked against that area on every
+//!   operation: the substrate for asynchronous bindings (*Immortal
+//!   Exchange Buffer*);
 //! * [`ScopePin`] — keep a scoped area alive across transactions (*Wedge
 //!   Thread* / *Memory Pinning* pattern);
 //! * [`spsc`] — wait-free single-producer/single-consumer rings for
@@ -31,8 +33,9 @@
 pub mod spsc;
 
 use std::any::Any;
+use std::cell::Cell;
 
-use rtsj::memory::{AreaId, Handle, MemoryContext, MemoryKind, MemoryManager};
+use rtsj::memory::{AreaId, Handle, MemoryContext, MemoryKind, MemoryManager, RawHandle};
 use rtsj::thread::ThreadKind;
 use rtsj::{Result, RtsjError};
 
@@ -102,7 +105,7 @@ pub fn enter_inner<R>(
     mm: &mut MemoryManager,
     ctx: &mut MemoryContext,
     inner: AreaId,
-    f: impl FnOnce(&mut MemoryManager, &mut MemoryContext, Option<rtsj::memory::RawHandle>) -> Result<R>,
+    f: impl FnOnce(&mut MemoryManager, &mut MemoryContext, Option<RawHandle>) -> Result<R>,
 ) -> Result<R> {
     mm.enter_with(ctx, inner, |mm, ctx| {
         let portal = mm.portal(inner)?;
@@ -156,54 +159,6 @@ pub fn handoff_copy<T: Any + Clone + Send>(
 // Exchange buffer
 // ---------------------------------------------------------------------------
 
-/// Fixed-ring message storage: every slot exists from `create` onward, so
-/// push/pop are pure index moves — no per-message allocation or free, in
-/// the substrate or on the Rust heap.
-#[derive(Debug)]
-struct RingState<T> {
-    slots: Vec<Option<T>>,
-    head: usize,
-    len: usize,
-    rejected: u64,
-    total_pushed: u64,
-    /// Backing-store charge registered with the owning area.
-    _backing: Handle<rtsj::memory::RawAllocation>,
-}
-
-impl<T> RingState<T> {
-    fn push(&mut self, value: T) -> PushOutcome {
-        let capacity = self.slots.len();
-        if self.len == capacity {
-            self.rejected += 1;
-            return PushOutcome::Rejected;
-        }
-        // Wrap by compare-and-subtract: both operands are < capacity, and
-        // it keeps integer division off the hot path.
-        let mut tail = self.head + self.len;
-        if tail >= capacity {
-            tail -= capacity;
-        }
-        self.slots[tail] = Some(value);
-        self.len += 1;
-        self.total_pushed += 1;
-        PushOutcome::Accepted
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let value = self.slots[self.head].take();
-        debug_assert!(value.is_some(), "occupied ring slot was empty");
-        self.head += 1;
-        if self.head == self.slots.len() {
-            self.head = 0;
-        }
-        self.len -= 1;
-        value
-    }
-}
-
 /// Outcome of [`ExchangeBuffer::push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushOutcome {
@@ -214,16 +169,32 @@ pub enum PushOutcome {
     Rejected,
 }
 
-/// A bounded FIFO allocated inside a memory area — the carrier for
-/// asynchronous bindings and the *Immortal Exchange Buffer* pattern when
-/// placed in immortal memory.
+/// Bytes a ring header charges to its area besides the message backing
+/// store: the slot table's pointer, capacity and length words, the head
+/// and length indices, the two counters and the backing-store reference —
+/// the bookkeeping a region-resident ring keeps next to its slots.
+const RING_HEADER_BYTES: usize = 5 * std::mem::size_of::<usize>()
+    + 2 * std::mem::size_of::<u64>()
+    + std::mem::size_of::<RawHandle>();
+
+/// A bounded FIFO charged to a memory area — the carrier for asynchronous
+/// bindings and the *Immortal Exchange Buffer* pattern when placed in
+/// immortal memory.
 ///
-/// The queue is a **fixed ring**: every message slot is provisioned in
-/// [`ExchangeBuffer::create`], so `push`/`pop` are index moves that never
-/// allocate — neither in the substrate nor on the Rust heap. The ring
-/// state itself is an object in the target area, so buffer footprint shows
-/// up in the area statistics exactly like the paper's Fig. 7(c)
-/// accounting.
+/// The queue is a **fixed ring owned by the buffer**: every message slot is
+/// provisioned in [`ExchangeBuffer::create`], so `push`/`pop` are index
+/// moves that never allocate — neither in the substrate nor on the Rust
+/// heap. The area is charged what a region-resident ring costs (message
+/// backing store plus ring header), so buffer footprint shows up in the
+/// area statistics exactly like the paper's Fig. 7(c) accounting.
+///
+/// The header allocation is the ring's lifetime token: every operation
+/// runs the substrate's access and staleness checks on it
+/// ([`MemoryManager::check_live`]), so an NHRT context is refused a heap
+/// buffer and a buffer whose scope was reclaimed reports
+/// [`RtsjError::StaleHandle`] — with no slab lookup and no downcast per
+/// message. The slots are `Cell`s, so every operation takes `&self`; the
+/// buffer owns its messages and is neither `Copy` nor `Sync`.
 ///
 /// ```
 /// use rtsj::memory::{AreaId, MemoryManager};
@@ -239,19 +210,28 @@ pub enum PushOutcome {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
 pub struct ExchangeBuffer<T> {
-    handle: Handle<RingState<T>>,
-    area: AreaId,
-    capacity: usize,
+    slots: Box<[Cell<Option<T>>]>,
+    head: Cell<usize>,
+    len: Cell<usize>,
+    rejected: Cell<u64>,
+    total_pushed: Cell<u64>,
+    /// The ring header's allocation: the lifetime token checked on every
+    /// operation. Private, so nothing can free it individually.
+    header: RawHandle,
 }
 
-impl<T: Any + Send> ExchangeBuffer<T> {
+impl<T> ExchangeBuffer<T> {
     /// Allocates a buffer of `capacity` messages inside `area`.
+    ///
+    /// The area is charged before any slot exists, with checked
+    /// arithmetic: a capacity whose backing store overflows `usize` or
+    /// exceeds the area's budget is refused without allocating.
     ///
     /// # Errors
     ///
-    /// * [`RtsjError::IllegalState`] for zero capacity.
+    /// * [`RtsjError::IllegalState`] for zero capacity, or when the host
+    ///   cannot provide the slot table of an unbounded heap buffer.
     /// * Substrate allocation errors (out of memory, access checks).
     pub fn create(
         mm: &mut MemoryManager,
@@ -264,41 +244,40 @@ impl<T: Any + Send> ExchangeBuffer<T> {
                 "exchange buffer capacity must be >= 1".into(),
             ));
         }
-        // Charge the message backing store to the area, so a buffer of N
-        // messages of type T costs what it would in a real region, and
-        // reserve the ring's own slab slot — the buffer's entire footprint
-        // is provisioned here, at initialization.
-        let backing = mm.alloc_raw(ctx, area, capacity * std::mem::size_of::<T>().max(1))?;
-        mm.reserve_slots::<RingState<T>>(area, 1)?;
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || None);
-        let handle = mm.alloc(
+        // Charge the message backing store, so a buffer of N messages of
+        // type T costs what it would in a real region, then the ring
+        // header. A saturated backing size is refused by the substrate.
+        mm.alloc_raw(
             ctx,
             area,
-            RingState::<T> {
-                slots,
-                head: 0,
-                len: 0,
-                rejected: 0,
-                total_pushed: 0,
-                _backing: backing,
-            },
+            capacity.saturating_mul(std::mem::size_of::<T>().max(1)),
         )?;
+        let header = mm.alloc_raw(ctx, area, RING_HEADER_BYTES)?.raw();
+        let mut slots = Vec::new();
+        slots.try_reserve_exact(capacity).map_err(|_| {
+            RtsjError::IllegalState(format!(
+                "exchange buffer slot table of {capacity} messages cannot be allocated"
+            ))
+        })?;
+        slots.resize_with(capacity, || Cell::new(None));
         Ok(ExchangeBuffer {
-            handle,
-            area,
-            capacity,
+            slots: slots.into_boxed_slice(),
+            head: Cell::new(0),
+            len: Cell::new(0),
+            rejected: Cell::new(0),
+            total_pushed: Cell::new(0),
+            header,
         })
     }
 
     /// The area holding the buffer.
     pub fn area(&self) -> AreaId {
-        self.area
+        self.header.area()
     }
 
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Enqueues `value`, rejecting it when full.
@@ -312,7 +291,23 @@ impl<T: Any + Send> ExchangeBuffer<T> {
         ctx: &MemoryContext,
         value: T,
     ) -> Result<PushOutcome> {
-        Ok(mm.get_mut(ctx, self.handle)?.push(value))
+        mm.check_live(ctx, self.header)?;
+        let capacity = self.slots.len();
+        let len = self.len.get();
+        if len == capacity {
+            self.rejected.set(self.rejected.get() + 1);
+            return Ok(PushOutcome::Rejected);
+        }
+        // Wrap by compare-and-subtract: both operands are < capacity, and
+        // it keeps integer division off the hot path.
+        let mut tail = self.head.get() + len;
+        if tail >= capacity {
+            tail -= capacity;
+        }
+        self.slots[tail].set(Some(value));
+        self.len.set(len + 1);
+        self.total_pushed.set(self.total_pushed.get() + 1);
+        Ok(PushOutcome::Accepted)
     }
 
     /// Dequeues the oldest message, if any.
@@ -321,7 +316,21 @@ impl<T: Any + Send> ExchangeBuffer<T> {
     ///
     /// Substrate access errors.
     pub fn pop(&self, mm: &mut MemoryManager, ctx: &MemoryContext) -> Result<Option<T>> {
-        Ok(mm.get_mut(ctx, self.handle)?.pop())
+        mm.check_live(ctx, self.header)?;
+        let len = self.len.get();
+        if len == 0 {
+            return Ok(None);
+        }
+        let head = self.head.get();
+        let value = self.slots[head].take();
+        debug_assert!(value.is_some(), "occupied ring slot was empty");
+        self.head.set(if head + 1 == self.slots.len() {
+            0
+        } else {
+            head + 1
+        });
+        self.len.set(len - 1);
+        Ok(value)
     }
 
     /// Current queue length.
@@ -330,7 +339,8 @@ impl<T: Any + Send> ExchangeBuffer<T> {
     ///
     /// Substrate access errors.
     pub fn len(&self, mm: &MemoryManager, ctx: &MemoryContext) -> Result<usize> {
-        Ok(mm.get(ctx, self.handle)?.len)
+        mm.check_live(ctx, self.header)?;
+        Ok(self.len.get())
     }
 
     /// True when no message is queued.
@@ -348,7 +358,8 @@ impl<T: Any + Send> ExchangeBuffer<T> {
     ///
     /// Substrate access errors.
     pub fn rejected(&self, mm: &MemoryManager, ctx: &MemoryContext) -> Result<u64> {
-        Ok(mm.get(ctx, self.handle)?.rejected)
+        mm.check_live(ctx, self.header)?;
+        Ok(self.rejected.get())
     }
 
     /// Total messages ever accepted.
@@ -357,18 +368,20 @@ impl<T: Any + Send> ExchangeBuffer<T> {
     ///
     /// Substrate access errors.
     pub fn total_pushed(&self, mm: &MemoryManager, ctx: &MemoryContext) -> Result<u64> {
-        Ok(mm.get(ctx, self.handle)?.total_pushed)
+        mm.check_live(ctx, self.header)?;
+        Ok(self.total_pushed.get())
     }
 }
 
-// `Handle` is Copy, so buffers are plain-data tokens: sharing one is a
-// register copy, never a heap clone.
-impl<T> Clone for ExchangeBuffer<T> {
-    fn clone(&self) -> Self {
-        *self
+impl<T> std::fmt::Debug for ExchangeBuffer<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExchangeBuffer")
+            .field("area", &self.area())
+            .field("capacity", &self.capacity())
+            .field("len", &self.len.get())
+            .finish()
     }
 }
-impl<T> Copy for ExchangeBuffer<T> {}
 
 // ---------------------------------------------------------------------------
 // Scope pinning (wedge thread)
@@ -626,6 +639,69 @@ mod tests {
         let nhrt = mm.context(ThreadKind::NoHeapRealtime);
         let err = buf.push(&mut mm, &nhrt, 1).unwrap_err();
         assert!(matches!(err, RtsjError::MemoryAccess { .. }));
+    }
+
+    #[test]
+    fn nhrt_is_refused_on_every_heap_buffer_operation() {
+        let mut mm = MemoryManager::new(1 << 20, 1 << 20);
+        let rt = mm.context(ThreadKind::Regular);
+        let buf: ExchangeBuffer<u8> =
+            ExchangeBuffer::create(&mut mm, &rt, AreaId::HEAP, 4).unwrap();
+        buf.push(&mut mm, &rt, 1).unwrap();
+        let nhrt = mm.context(ThreadKind::NoHeapRealtime);
+        let refused = |e: RtsjError| matches!(e, RtsjError::MemoryAccess { area, .. } if area == AreaId::HEAP);
+        assert!(refused(buf.push(&mut mm, &nhrt, 2).unwrap_err()));
+        assert!(refused(buf.pop(&mut mm, &nhrt).unwrap_err()));
+        assert!(refused(buf.len(&mm, &nhrt).unwrap_err()));
+        assert!(refused(buf.is_empty(&mm, &nhrt).unwrap_err()));
+        assert!(refused(buf.rejected(&mm, &nhrt).unwrap_err()));
+        assert!(refused(buf.total_pushed(&mm, &nhrt).unwrap_err()));
+        // The refusals touched nothing: the regular thread still sees the
+        // one message it pushed.
+        assert_eq!(buf.total_pushed(&mm, &rt).unwrap(), 1);
+        assert_eq!(buf.pop(&mut mm, &rt).unwrap(), Some(1));
+    }
+
+    #[test]
+    fn exchange_buffer_in_a_reclaimed_scope_is_stale() {
+        let (mut mm, outer, _) = setup();
+        let mut ctx = mm.context(ThreadKind::Realtime);
+        mm.enter(&mut ctx, outer).unwrap();
+        let buf: ExchangeBuffer<u32> = ExchangeBuffer::create(&mut mm, &ctx, outer, 2).unwrap();
+        buf.push(&mut mm, &ctx, 1).unwrap();
+        // The last occupant leaves: the scope reclaims, and re-entering it
+        // opens a new generation — neither revives the old buffer.
+        mm.exit(&mut ctx).unwrap();
+        for reentered in [false, true] {
+            if reentered {
+                mm.enter(&mut ctx, outer).unwrap();
+            }
+            let stale =
+                |e: RtsjError| matches!(e, RtsjError::StaleHandle { area } if area == outer);
+            assert!(
+                stale(buf.push(&mut mm, &ctx, 2).unwrap_err()),
+                "{reentered}"
+            );
+            assert!(stale(buf.pop(&mut mm, &ctx).unwrap_err()), "{reentered}");
+            assert!(stale(buf.len(&mm, &ctx).unwrap_err()), "{reentered}");
+        }
+    }
+
+    #[test]
+    fn create_charges_the_ring_and_its_header_to_the_area() {
+        // Backing store `capacity × size_of::<T>()` plus a 72-byte ring
+        // header, each with its 16-byte object header: two allocations.
+        fn charge<T: Send + 'static>(capacity: usize) -> (usize, u64, usize) {
+            let mut mm = MemoryManager::new(1 << 20, 1 << 20);
+            let ctx = mm.context(ThreadKind::Realtime);
+            let _buf: ExchangeBuffer<T> =
+                ExchangeBuffer::create(&mut mm, &ctx, AreaId::IMMORTAL, capacity).unwrap();
+            let st = mm.stats(AreaId::IMMORTAL).unwrap();
+            (st.consumed, mm.alloc_count(), st.live_objects)
+        }
+        assert_eq!(charge::<u64>(8), (8 * 8 + 16 + 72 + 16, 2, 2));
+        assert_eq!(charge::<[u8; 64]>(3), (3 * 64 + 16 + 72 + 16, 2, 2));
+        assert_eq!(charge::<()>(5), (5 + 16 + 72 + 16, 2, 2));
     }
 
     #[test]

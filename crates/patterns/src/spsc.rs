@@ -93,15 +93,26 @@ pub struct SpscConsumer<T> {
 ///
 /// # Errors
 ///
-/// [`RtsjError::IllegalState`] for zero capacity.
+/// [`RtsjError::IllegalState`] for zero capacity, for a capacity with no
+/// power of two at or above it in `usize`, and when the host cannot
+/// provide the slot table (refused, never aborted).
 pub fn spsc_ring<T: Send>(capacity: usize) -> Result<(SpscProducer<T>, SpscConsumer<T>)> {
     if capacity == 0 {
         return Err(RtsjError::IllegalState(
             "spsc ring capacity must be >= 1".into(),
         ));
     }
-    let physical = capacity.next_power_of_two();
-    let mut slots = Vec::with_capacity(physical);
+    let physical = capacity.checked_next_power_of_two().ok_or_else(|| {
+        RtsjError::IllegalState(format!(
+            "spsc ring capacity {capacity} has no power-of-two slot count"
+        ))
+    })?;
+    let mut slots = Vec::new();
+    slots.try_reserve_exact(physical).map_err(|_| {
+        RtsjError::IllegalState(format!(
+            "spsc ring slot table of {physical} slots cannot be allocated"
+        ))
+    })?;
     slots.resize_with(physical, || Mutex::new(None));
     let shared = Arc::new(Shared {
         slots: slots.into_boxed_slice(),
@@ -276,6 +287,18 @@ mod tests {
     #[test]
     fn zero_capacity_rejected() {
         assert!(spsc_ring::<u8>(0).is_err());
+    }
+
+    #[test]
+    fn unprovisionable_capacities_are_refused_not_wrapped() {
+        // Above 2^63 the power of two does not exist in `usize`; 2^62
+        // slots exceed the largest allocation Rust can request.
+        for capacity in [usize::MAX, (1 << 63) + 1, 1 << 62] {
+            assert!(
+                matches!(spsc_ring::<u64>(capacity), Err(RtsjError::IllegalState(_))),
+                "{capacity}"
+            );
+        }
     }
 
     #[test]

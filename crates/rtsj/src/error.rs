@@ -52,7 +52,8 @@ pub enum RtsjError {
     OutOfMemory {
         /// The exhausted area.
         area: AreaId,
-        /// Bytes requested by the failing allocation.
+        /// Bytes requested by the failing allocation (saturated at
+        /// `usize::MAX` when the size itself overflows).
         requested: usize,
         /// Bytes remaining in the area at the time of the request.
         remaining: usize,

@@ -30,6 +30,9 @@
 //!
 //! Reclamation bumps the area's generation, so any handle that illegally
 //! outlives its scope is detected as [`RtsjError::StaleHandle`].
+//! [`MemoryManager::check_live`] runs the access and staleness checks
+//! without dereferencing, for owners that keep their payload outside the
+//! slab and hold an allocation in the area as its lifetime token.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -425,10 +428,12 @@ struct Area {
 }
 
 impl Area {
+    /// Bytes still chargeable. An unbounded area can still never charge
+    /// past `usize::MAX` in total, so `consumed + remaining` cannot wrap.
     fn remaining(&self) -> usize {
         match self.size_limit {
             Some(limit) => limit.saturating_sub(self.consumed),
-            None => usize::MAX,
+            None => usize::MAX - self.consumed,
         }
     }
 }
@@ -940,6 +945,10 @@ impl MemoryManager {
     /// framework layers to charge backing stores (component state images,
     /// buffer storage) to the owning area so footprint reports are honest.
     ///
+    /// The charge is checked arithmetic: a size computed from untrusted
+    /// input may saturate at `usize::MAX`, and such a request is refused
+    /// like any other over-budget one, even by an unbounded heap.
+    ///
     /// # Errors
     ///
     /// Same as [`MemoryManager::alloc`].
@@ -950,18 +959,20 @@ impl MemoryManager {
         bytes: usize,
     ) -> Result<Handle<RawAllocation>> {
         self.check_access(ctx, area)?;
-        let charged = bytes + OBJECT_HEADER_BYTES;
         let a = self.area_mut(area)?;
         if a.kind == MemoryKind::Scoped && a.enter_count == 0 {
             return Err(RtsjError::InaccessibleArea { area });
         }
-        if charged > a.remaining() {
+        let Some(charged) = bytes
+            .checked_add(OBJECT_HEADER_BYTES)
+            .filter(|&c| c <= a.remaining())
+        else {
             return Err(RtsjError::OutOfMemory {
                 area,
-                requested: charged,
+                requested: bytes.saturating_add(OBJECT_HEADER_BYTES),
                 remaining: a.remaining(),
             });
-        }
+        };
         a.consumed += charged;
         a.high_watermark = a.high_watermark.max(a.consumed);
         a.total_allocs += 1;
@@ -1058,6 +1069,30 @@ impl MemoryManager {
             }
             None => Err(RtsjError::StaleHandle { area: handle.area }),
         }
+    }
+
+    /// The access and staleness checks of [`MemoryManager::get`] without
+    /// the dereference: `ctx` may touch `handle`'s area, and the area has
+    /// not been reclaimed since `handle` was issued. For owners that keep
+    /// their payload outside the slab and use an allocation in the area as
+    /// its lifetime token — an exchange ring's slot table, for one — so
+    /// each operation pays no slab lookup and no type check.
+    ///
+    /// The slot itself is not inspected: only [`MemoryManager::heap_free`]
+    /// vacates a single slot, so a token its owner never frees stays live
+    /// exactly as long as its area's generation.
+    ///
+    /// # Errors
+    ///
+    /// * [`RtsjError::MemoryAccess`] — NHRT touching heap data.
+    /// * [`RtsjError::StaleHandle`] — the scope was reclaimed.
+    /// * [`RtsjError::IllegalState`] — unknown area.
+    pub fn check_live(&self, ctx: &MemoryContext, handle: RawHandle) -> Result<()> {
+        self.check_access(ctx, handle.area)?;
+        if self.area(handle.area)?.generation != handle.generation {
+            return Err(RtsjError::StaleHandle { area: handle.area });
+        }
+        Ok(())
     }
 
     fn check_access(&self, ctx: &MemoryContext, area: AreaId) -> Result<()> {
@@ -1574,6 +1609,55 @@ mod tests {
             m.alloc_raw(&ctx, s, 4096),
             Err(RtsjError::OutOfMemory { .. })
         ));
+    }
+
+    #[test]
+    fn check_live_runs_the_access_and_staleness_checks_of_get() {
+        let mut m = mm();
+        let s = m.create_scoped(ScopedMemoryParams::new("s", 4096)).unwrap();
+        let mut rt = m.context(ThreadKind::Realtime);
+        let nhrt = m.context(ThreadKind::NoHeapRealtime);
+        let on_heap = m.alloc(&rt, AreaId::HEAP, 1u8).unwrap().raw();
+        m.check_live(&rt, on_heap).unwrap();
+        assert!(matches!(
+            m.check_live(&nhrt, on_heap),
+            Err(RtsjError::MemoryAccess { .. })
+        ));
+        m.enter(&mut rt, s).unwrap();
+        let scoped = m.alloc(&rt, s, 2u8).unwrap().raw();
+        m.check_live(&rt, scoped).unwrap();
+        // Reclaim, then re-enter: a new generation, the old token is stale.
+        m.exit(&mut rt).unwrap();
+        m.enter(&mut rt, s).unwrap();
+        assert!(matches!(
+            m.check_live(&rt, scoped),
+            Err(RtsjError::StaleHandle { .. })
+        ));
+    }
+
+    #[test]
+    fn saturated_raw_charges_are_refused_even_by_an_unbounded_heap() {
+        let mut m = MemoryManager::new(0, 1024);
+        let t = m.context(ThreadKind::Regular);
+        for bytes in [usize::MAX, usize::MAX - OBJECT_HEADER_BYTES + 1] {
+            for area in [AreaId::HEAP, AreaId::IMMORTAL] {
+                assert!(matches!(
+                    m.alloc_raw(&t, area, bytes),
+                    Err(RtsjError::OutOfMemory {
+                        requested: usize::MAX,
+                        ..
+                    })
+                ));
+            }
+        }
+        // A huge but representable heap charge is bookkeeping only; what
+        // is left can never push the total past `usize::MAX`.
+        m.alloc_raw(&t, AreaId::HEAP, usize::MAX / 2).unwrap();
+        assert!(matches!(
+            m.alloc_raw(&t, AreaId::HEAP, usize::MAX / 2),
+            Err(RtsjError::OutOfMemory { .. })
+        ));
+        assert_eq!(m.stats(AreaId::IMMORTAL).unwrap().consumed, 0);
     }
 
     #[test]

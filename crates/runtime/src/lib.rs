@@ -27,6 +27,13 @@
 //! buffer placement); what differs is the framework machinery around the
 //! functional code — exactly the overhead Fig. 7 measures.
 //!
+//! An asynchronous hop is the same in every mode: the message goes into
+//! the binding's `ExchangeBuffer`, and one packed `u128` key (consumer
+//! priority, inverted enqueue sequence, buffer index) goes into the
+//! engine's ready queue. The drain pops keys highest priority first, FIFO
+//! within a priority, and keeps a domain's memory context checked out
+//! across consecutive activations of that domain.
+//!
 //! Running systems are driven through one handle, [`Deployment`], over
 //! one or more *shards* — one `System` (and one slab-backed memory
 //! manager) each. [`Deployment::build`] (the generator's `deploy`) puts

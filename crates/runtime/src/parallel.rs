@@ -56,6 +56,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
+use rtsj::memory::AreaId;
+use rtsj::RtsjError;
 // Deterministic smaller-root-wins unions (shard order follows component
 // declaration order); shared with the design-time SOL-015 advisory so the
 // two partitions cannot drift.
@@ -67,7 +69,7 @@ use soleil_patterns::spsc::{spsc_ring, SpscConsumer};
 use crate::spec::{
     AreaSpec, BindingSpec, ComponentSpec, DomainSpec, Mode, ProtocolSpec, SystemSpec,
 };
-use crate::system::{AsyncRepointUndo, CrossOutput, EngineStats, System};
+use crate::system::{immortal_budget, AsyncRepointUndo, CrossOutput, EngineStats, System};
 
 // ---------------------------------------------------------------------------
 // Planning
@@ -269,10 +271,15 @@ pub(crate) struct Rings {
     in_flight: Arc<AtomicU64>,
 }
 
-/// Backing-store bytes of one ring slot: the ring physically holds a
-/// power-of-two array of locked `Option<P>` cells.
-fn ring_slot_bytes<P>() -> usize {
-    std::mem::size_of::<Mutex<Option<P>>>().max(1)
+/// Backing-store bytes of a ring of `capacity` messages: the ring
+/// physically holds a power-of-two array of locked `Option<P>` cells.
+/// Saturating, so a capacity no ring can have is a charge no budget
+/// grants.
+fn ring_charge_bytes<P>(capacity: usize) -> usize {
+    let slot = std::mem::size_of::<Mutex<Option<P>>>().max(1);
+    capacity
+        .checked_next_power_of_two()
+        .map_or(usize::MAX, |slots| slots.saturating_mul(slot))
 }
 
 /// Materializes the engines of a deployment: every component on one shard
@@ -391,6 +398,10 @@ pub(crate) fn build_shards<P: Payload>(
         (0..shard_count).map(|_| Vec::new()).collect();
     let mut cross_inputs: Vec<Vec<PendingCrossIn<P>>> =
         (0..shard_count).map(|_| Vec::new()).collect();
+    // A ring's storage is checked against its producer shard's immortal
+    // budget before it is allocated; the shard's engine build then
+    // charges it for real.
+    let mut ring_room: Vec<usize> = shard_areas.iter().map(|a| immortal_budget(a)).collect();
     for (bix, b) in spec.bindings.iter().enumerate() {
         let (cs, ss) = (shard_of_comp[b.client], shard_of_comp[b.server]);
         if cs == ss {
@@ -407,6 +418,16 @@ pub(crate) fn build_shards<P: Payload>(
                 spec.components[b.client].name, spec.components[b.server].name
             )));
         };
+        let charge_bytes = ring_charge_bytes::<P>(capacity);
+        if charge_bytes > ring_room[cs] {
+            return Err(RtsjError::OutOfMemory {
+                area: AreaId::IMMORTAL,
+                requested: charge_bytes,
+                remaining: ring_room[cs],
+            }
+            .into());
+        }
+        ring_room[cs] -= charge_bytes;
         let (tx, rx) = spsc_ring::<P>(capacity)?;
         let tag = rings.next_tag;
         rings.next_tag += 1;
@@ -418,7 +439,7 @@ pub(crate) fn build_shards<P: Payload>(
             client: comp_map[cs][&b.client],
             client_port: b.client_port.clone(),
             tx,
-            charge_bytes: capacity.next_power_of_two() * ring_slot_bytes::<P>(),
+            charge_bytes,
         });
         cross_inputs[ss].push((comp_map[ss][&b.server], b.server_port.clone(), rx, tag));
     }
@@ -551,7 +572,7 @@ impl Rings {
             engine,
             retired,
         };
-        Ok((undo, capacity.next_power_of_two() * ring_slot_bytes::<P>()))
+        Ok((undo, ring_charge_bytes::<P>(capacity)))
     }
 
     /// Rolls back a [`Rings::rewire`]: retires the installed ring, writes

@@ -15,7 +15,6 @@
 //! see the crate docs.
 
 use std::cell::Cell;
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -42,7 +41,7 @@ use soleil_patterns::spsc::SpscProducer;
 use soleil_patterns::{ExchangeBuffer, PatternKind, PushOutcome, ScopePin};
 
 use crate::footprint::FootprintReport;
-use crate::spec::{Activation, BufferPlacement, Mode, ProtocolSpec, SystemSpec};
+use crate::spec::{Activation, AreaSpec, BufferPlacement, Mode, ProtocolSpec, SystemSpec};
 use crate::timer::{TimerHandle, TimerQueue};
 
 /// The implicit server port through which periodic components receive their
@@ -472,10 +471,33 @@ pub(crate) struct MonitorSlot {
     pub(crate) monitor: LatencyMonitor,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct PendingKey {
-    priority: Priority,
-    seq: Reverse<u64>,
+/// The immortal budget of an engine over `areas`: every declared immortal
+/// area plus a 256 KiB framework reserve (buffers, markers). Saturating,
+/// because area sizes come from an untrusted ADL.
+pub(crate) fn immortal_budget(areas: &[AreaSpec]) -> usize {
+    areas
+        .iter()
+        .filter(|a| a.kind == MemoryKind::Immortal)
+        .map(|a| a.size.unwrap_or(0))
+        .fold(256 * 1024, usize::saturating_add)
+}
+
+/// A ready-queue entry packed into one `u128` that the max-heap orders
+/// directly: consumer priority in bits 96..104 (highest pops first), the
+/// inverted enqueue sequence in bits 32..96 (FIFO within a priority) and
+/// the buffer index in bits 0..32. Sequences are unique, so the index never
+/// decides the order; it rides along to be unpacked by [`ready_buffer`].
+fn ready_key(priority: Priority, seq: u64, buffer_ix: usize) -> u128 {
+    debug_assert!(
+        u32::try_from(buffer_ix).is_ok(),
+        "one buffer per asynchronous binding: far below 2^32"
+    );
+    (u128::from(priority.get()) << 96) | (u128::from(!seq) << 32) | buffer_ix as u128
+}
+
+/// The buffer index of a [`ready_key`].
+fn ready_buffer(key: u128) -> usize {
+    key as u32 as usize
 }
 
 /// The pre-image of one compiled row, captured by the in-place write that
@@ -563,7 +585,9 @@ pub struct System<P: Payload> {
     /// of the parallel tick protocol). Incremented *before* the ring push
     /// so the counter never under-reports in-flight work.
     cross_in_flight: Arc<AtomicU64>,
-    pending: BinaryHeap<(PendingKey, usize)>,
+    /// The ready queue: one [`ready_key`] per message waiting in
+    /// `buffers`.
+    pending: BinaryHeap<u128>,
     seq: u64,
     /// Periodic slots in release order (highest priority first), computed
     /// at build and invalidated by reconfiguration — `run_tick` walks this
@@ -697,14 +721,7 @@ impl<P: Payload> System<P> {
         }
 
         // --- Areas: immortal budget first, then scoped creation + pinning.
-        let immortal_budget: usize = spec
-            .areas
-            .iter()
-            .filter(|a| a.kind == MemoryKind::Immortal)
-            .map(|a| a.size.unwrap_or(0))
-            .sum::<usize>()
-            + 256 * 1024; // framework reserve (buffers, markers)
-        let mut mm = MemoryManager::new(0, immortal_budget);
+        let mut mm = MemoryManager::new(0, immortal_budget(&spec.areas));
 
         let mut areas: Vec<RuntimeArea> = Vec::with_capacity(spec.areas.len());
         for a in &spec.areas {
@@ -1480,8 +1497,27 @@ impl<P: Payload> System<P> {
         result
     }
 
+    /// Drains the ready queue to quiescence. The executing context of a
+    /// domain stays checked out across consecutive activations of that
+    /// domain — one checkout per run, not per message — and is returned on
+    /// every exit, an escalated fault included.
     fn drain(&mut self) -> Result<(), FrameworkError> {
-        while let Some((_, buffer_ix)) = self.pending.pop() {
+        let mut held = None;
+        let result = self.drain_holding(&mut held);
+        if let Some((domain_ix, ctx)) = held {
+            self.restore_ctx(domain_ix, ctx);
+        }
+        result
+    }
+
+    /// The body of [`System::drain`]; `held` is the checked-out context
+    /// and the domain it belongs to.
+    fn drain_holding(
+        &mut self,
+        held: &mut Option<(Option<usize>, MemoryContext)>,
+    ) -> Result<(), FrameworkError> {
+        while let Some(key) = self.pending.pop() {
+            let buffer_ix = ready_buffer(key);
             let (consumer_slot, consumer_port_ix) = {
                 let b = &self.buffers[buffer_ix];
                 (b.consumer_slot, b.consumer_port_ix)
@@ -1499,11 +1535,19 @@ impl<P: Payload> System<P> {
                 continue;
             }
             let domain_ix = self.nodes[consumer_slot].domain_ix;
-            let mut ctx = self.take_ctx(domain_ix)?;
+            let ctx = match held {
+                Some((d, ctx)) if *d == domain_ix => ctx,
+                _ => {
+                    if let Some((d, ctx)) = held.take() {
+                        self.restore_ctx(d, ctx);
+                    }
+                    let ctx = self.take_ctx(domain_ix)?;
+                    &mut held.insert((domain_ix, ctx)).1
+                }
+            };
             // Index-based buffer access: `buffers` and `mm` are disjoint
-            // fields, so the ring is reached in place — no handle clone per
-            // drained message.
-            let popped = self.buffers[buffer_ix].buffer.pop(&mut self.mm, &ctx);
+            // fields, so the ring is reached in place.
+            let popped = self.buffers[buffer_ix].buffer.pop(&mut self.mm, ctx);
             let result = match popped {
                 Ok(Some(mut msg)) => {
                     self.stats.activations += 1;
@@ -1519,7 +1563,7 @@ impl<P: Payload> System<P> {
                         Ok(())
                     }
                     .and_then(|()| {
-                        self.invoke_in_chain(consumer_slot, consumer_port_ix, &mut msg, &mut ctx)
+                        self.invoke_in_chain(consumer_slot, consumer_port_ix, &mut msg, ctx)
                     });
                     if let (Some(t0), Ok(())) = (t0, &r) {
                         self.observe_latency(plan.monitor_ix, t0);
@@ -1532,7 +1576,6 @@ impl<P: Payload> System<P> {
                 Ok(None) => Ok(()),
                 Err(e) => Err(e.into()),
             };
-            self.restore_ctx(domain_ix, ctx);
             // A contained fault ends only the faulting activation: the
             // rest of the cascade drains on. An escalated one aborts it.
             if let Err(e) = result {
@@ -1556,11 +1599,9 @@ impl<P: Payload> System<P> {
                 self.stats.async_messages += 1;
                 let consumer = self.buffers[buffer_ix].consumer_slot;
                 self.seq += 1;
-                self.pending.push((
-                    PendingKey {
-                        priority: self.nodes[consumer].priority,
-                        seq: Reverse(self.seq),
-                    },
+                self.pending.push(ready_key(
+                    self.nodes[consumer].priority,
+                    self.seq,
                     buffer_ix,
                 ));
                 Ok(())
@@ -5198,6 +5239,182 @@ mod tests {
             );
             assert!(sys.quarantined_at(sink_a), "{mode}");
             assert_eq!(st.faults_contained, 1, "{mode}");
+        }
+    }
+
+    /// The drain keeps one domain's context checked out across a run of
+    /// its activations, so it must switch contexts whenever the domain
+    /// changes and return the held one on every exit. The cascade
+    /// alternates NHRT and heap-capable domains; every stage also sends on
+    /// a heap-placed probe buffer, which the substrate refuses exactly when
+    /// the sender runs under an NHRT context. An escalated fault mid-drain
+    /// must hand every context back, so the next transaction does not find
+    /// a domain "already executing".
+    #[test]
+    fn drain_runs_each_activation_under_its_own_domain_context() {
+        type Log = Arc<std::sync::Mutex<Vec<(&'static str, bool)>>>;
+        #[derive(Debug)]
+        struct Stage {
+            name: &'static str,
+            next: bool,
+            log: Log,
+        }
+        impl Content<Token> for Stage {
+            fn on_invoke(
+                &mut self,
+                _port: &str,
+                msg: &mut Token,
+                out: &mut dyn Ports<Token>,
+            ) -> InvokeResult {
+                let refused = matches!(
+                    out.send("probe", msg.clone()),
+                    Err(FrameworkError::Rtsj(rtsj::RtsjError::MemoryAccess { .. }))
+                );
+                self.log.lock().unwrap().push((self.name, refused));
+                if self.next {
+                    out.send("next", msg.clone())?;
+                }
+                Ok(())
+            }
+        }
+
+        let domain = |name: &str, kind, priority| DomainSpec {
+            name: name.into(),
+            kind,
+            priority,
+        };
+        let stage = |name: &str, activation, domain, area| ComponentSpec {
+            name: name.into(),
+            content_class: name.into(),
+            activation,
+            domain: Some(domain),
+            area,
+            server_ports: if domain == 0 {
+                vec![]
+            } else {
+                vec!["in".into()]
+            },
+            ceiling: None,
+        };
+        let binding = |client, port: &str, server, server_port: &str, placement| BindingSpec {
+            client,
+            client_port: port.into(),
+            server,
+            server_port: server_port.into(),
+            protocol: ProtocolSpec::Async {
+                capacity: 8,
+                placement,
+            },
+            pattern: PatternKind::ImmortalExchange,
+            enter_path: vec![],
+        };
+        let (nhrt, regular) = (ThreadKind::NoHeapRealtime, ThreadKind::Regular);
+        let spec = SystemSpec {
+            name: "alternating-domains".into(),
+            areas: vec![
+                AreaSpec {
+                    name: "Imm1".into(),
+                    kind: MemoryKind::Immortal,
+                    size: Some(64 * 1024),
+                    parent: None,
+                },
+                AreaSpec {
+                    name: "H1".into(),
+                    kind: MemoryKind::Heap,
+                    size: None,
+                    parent: None,
+                },
+            ],
+            domains: vec![
+                domain("n0", nhrt, 40),
+                domain("r1", regular, 35),
+                domain("n2", nhrt, 30),
+                domain("r3", regular, 25),
+                domain("sink", regular, 10),
+            ],
+            components: vec![
+                stage(
+                    "n0",
+                    Activation::Periodic {
+                        period: RelativeTime::from_millis(10),
+                    },
+                    0,
+                    0,
+                ),
+                stage("r1", Activation::Sporadic, 1, 1),
+                stage("n2", Activation::Sporadic, 2, 0),
+                stage("r3", Activation::Sporadic, 3, 1),
+                ComponentSpec {
+                    name: "sink".into(),
+                    content_class: "Sink".into(),
+                    activation: Activation::Sporadic,
+                    domain: Some(4),
+                    area: 1,
+                    server_ports: vec!["probe".into()],
+                    ceiling: None,
+                },
+            ],
+            bindings: vec![
+                binding(0, "next", 1, "in", BufferPlacement::Immortal),
+                binding(1, "next", 2, "in", BufferPlacement::Immortal),
+                binding(2, "next", 3, "in", BufferPlacement::Immortal),
+                binding(0, "probe", 4, "probe", BufferPlacement::Heap),
+                binding(1, "probe", 4, "probe", BufferPlacement::Heap),
+                binding(2, "probe", 4, "probe", BufferPlacement::Heap),
+                binding(3, "probe", 4, "probe", BufferPlacement::Heap),
+            ],
+        };
+        // NHRT stages are refused the heap probe, heap-capable ones are not.
+        let expected = [("n0", true), ("r1", false), ("n2", true), ("r3", false)];
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            let log: Log = Arc::default();
+            let mut registry = registry();
+            for (name, next) in [("n0", true), ("r1", true), ("n2", true), ("r3", false)] {
+                let log = Arc::clone(&log);
+                registry.register(name, move || {
+                    Box::new(Stage {
+                        name,
+                        next,
+                        log: Arc::clone(&log),
+                    })
+                });
+            }
+            let mut sys = System::build(&spec, mode, &registry).unwrap();
+            let head = sys.slot_of("n0").unwrap();
+            let all_returned = |sys: &System<Token>| sys.domains.iter().all(|d| d.ctx.is_some());
+
+            sys.run_transaction(head).unwrap();
+            assert_eq!(*log.lock().unwrap(), expected, "{mode}");
+            // n0 at the head, then r1, n2, r3 and the sink twice in a row.
+            assert_eq!(sys.stats().activations, 6, "{mode}");
+            assert!(all_returned(&sys), "{mode}");
+
+            // r3 faults on its drained activation under the default
+            // Escalate policy: the drain aborts while holding r3's context.
+            let r3 = sys.slot_of("r3").unwrap();
+            sys.install_fault_injector_at(
+                r3,
+                FaultInjector::new("r3", 5, 1).with_menu(FaultInjector::MENU_ERROR),
+            )
+            .unwrap();
+            log.lock().unwrap().clear();
+            let err = sys.run_transaction(head).unwrap_err();
+            assert!(
+                matches!(&err, FrameworkError::Faulted { component, .. } if component == "r3"),
+                "{mode}: {err}"
+            );
+            assert!(
+                all_returned(&sys),
+                "{mode}: escalation returned every context"
+            );
+
+            sys.install_fault_injector_at(r3, FaultInjector::new("r3", 5, 0))
+                .unwrap();
+            log.lock().unwrap().clear();
+            sys.run_transaction(head)
+                .unwrap_or_else(|e| panic!("{mode}: the next transaction runs: {e}"));
+            assert_eq!(*log.lock().unwrap(), expected, "{mode}");
+            assert!(all_returned(&sys), "{mode}");
         }
     }
 

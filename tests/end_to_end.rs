@@ -3,10 +3,13 @@
 //! oracle.
 
 use soleil::core::adl::{from_xml, to_json, to_xml, MOTIVATION_EXAMPLE_XML};
-use soleil::generator::compile;
+use soleil::generator::{compile, GeneratorError};
 use soleil::prelude::*;
+use soleil::rtsj::memory::AreaId;
+use soleil::rtsj::RtsjError;
 use soleil::scenario::{
-    motivation_architecture, motivation_validated, registry_with_probe, OoSystem, ScenarioProbe,
+    motivation_architecture, motivation_validated, registry, registry_with_probe, OoSystem,
+    ScenarioProbe,
 };
 
 const MODES: [Mode; 3] = [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge];
@@ -177,4 +180,48 @@ fn compile_is_deterministic() {
     let a = compile(&arch).expect("compiles");
     let b = compile(&arch).expect("compiles");
     assert_eq!(a, b, "same architecture must compile to the same spec");
+}
+
+/// An untrusted `bufferSize` on the first binding is refused with a typed
+/// out-of-memory error before any ring storage exists — by the serial
+/// deploy (an `ExchangeBuffer`) and the sharded one (an SPSC ring), in
+/// every mode. The sizes overflow the backing-store product (2^61 messages
+/// of 16 bytes), exceed every budget (2^40), and have no power of two in
+/// `usize` (2^63 + 1). In release the overflows would wrap instead of
+/// panicking, so this test runs in both profiles.
+#[test]
+fn untrusted_buffer_sizes_are_refused_before_allocating() {
+    for size in [1usize << 61, 1 << 40, (1 << 63) + 1] {
+        let xml = MOTIVATION_EXAMPLE_XML.replacen(
+            r#"bufferSize="10""#,
+            &format!(r#"bufferSize="{size}""#),
+            1,
+        );
+        let arch = from_xml(&xml)
+            .expect("parses")
+            .into_validated()
+            .expect("validates");
+        for mode in MODES {
+            let refusals = [
+                ("deploy", deploy(&arch, mode, &registry()).map(drop)),
+                (
+                    "deploy_parallel",
+                    deploy_parallel(&arch, mode, &registry()).map(drop),
+                ),
+            ];
+            for (how, result) in refusals {
+                let err = result.expect_err("an unprovisionable buffer must be refused");
+                assert!(
+                    matches!(
+                        err,
+                        GeneratorError::Build(FrameworkError::Rtsj(RtsjError::OutOfMemory {
+                            area: AreaId::IMMORTAL,
+                            ..
+                        }))
+                    ),
+                    "{how} {mode} bufferSize={size}: {err}"
+                );
+            }
+        }
+    }
 }

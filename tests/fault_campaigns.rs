@@ -13,11 +13,14 @@ use soleil::scenario::{motivation_validated, registry_with_probe, ScenarioProbe}
 
 /// A deadline far tighter than the injected spike: the healthy scenario
 /// transaction completes in microseconds, so only spiked activations miss.
+/// It is still generous enough that a healthy debug-build transaction
+/// descheduled under a loaded parallel test harness cannot overrun it —
+/// the miss count is asserted exactly.
 fn tight_contract() -> TimingContract {
-    TimingContract::new().with_deadline(RelativeTime::from_millis(1))
+    TimingContract::new().with_deadline(RelativeTime::from_millis(25))
 }
 
-const SPIKE_NS: u64 = 3_000_000; // 3 ms, three times the deadline
+const SPIKE_NS: u64 = 75_000_000; // 75 ms, three times the deadline
 
 #[test]
 fn latency_spikes_breach_the_deadline_contract_serially() {
@@ -28,7 +31,7 @@ fn latency_spikes_breach_the_deadline_contract_serially() {
         let head = dep.resolve("ProductionLine").expect("head exists");
         dep.attach_contract(head, tight_contract())
             .expect("contract attaches");
-        // Every other activation eats a real 3 ms spike (MENU_LATENCY
+        // Every other activation eats a real 75 ms spike (MENU_LATENCY
         // alone never errors or panics — the transaction itself succeeds).
         dep.install_fault_injector(
             head,
@@ -51,7 +54,7 @@ fn latency_spikes_breach_the_deadline_contract_serially() {
         assert_eq!(
             dep.deadline_misses(),
             injected,
-            "{mode}: exactly the spiked activations miss the 1 ms deadline"
+            "{mode}: exactly the spiked activations miss the 25 ms deadline"
         );
         let report = dep.contract_report();
         assert!(
@@ -105,7 +108,7 @@ fn latency_spikes_breach_the_deadline_contract_in_parallel() {
     assert_eq!(
         sys.deadline_misses(),
         injected,
-        "exactly the spiked activations miss the 1 ms deadline on the shard"
+        "exactly the spiked activations miss the 25 ms deadline on the shard"
     );
     let report = sys.contract_report();
     assert!(
