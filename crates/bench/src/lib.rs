@@ -1368,7 +1368,8 @@ pub fn reconfig_gate_table(rows: &[ReconfigGateRow]) -> String {
 
 /// Builds an `stages`-deep asynchronous relay pipeline (periodic head, then
 /// `stages` sporadic relays, all NHRT in immortal memory) and returns the
-/// running system. Used by the scaling ablation bench and tests.
+/// running system. Every stage but the tail relays its message on; the
+/// tail only consumes it. Used by the scaling ablation bench and tests.
 ///
 /// # Errors
 ///
@@ -1385,7 +1386,7 @@ pub fn build_relay_pipeline(
     for i in 1..=stages {
         let name = format!("stage{i}");
         b.active_sporadic(&name)?;
-        b.content(&name, "Relay")?;
+        b.content(&name, if i == stages { "RelayTail" } else { "Relay" })?;
     }
     for i in 0..stages {
         let (from, to) = (format!("stage{i}"), format!("stage{}", i + 1));
@@ -1413,19 +1414,25 @@ pub fn build_relay_pipeline(
     }
     impl Content<u64> for Relay {
         fn on_invoke(&mut self, _p: &str, msg: &mut u64, out: &mut dyn Ports<u64>) -> InvokeResult {
-            *msg = msg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            match self.out.send(out, *msg) {
-                Ok(()) => Ok(()),
-                // The tail stage has no outgoing binding.
-                Err(FrameworkError::Binding(_)) => Ok(()),
-                Err(e) => Err(e),
-            }
+            *msg = lcg(*msg);
+            self.out.send(out, *msg)
         }
+    }
+    #[derive(Debug, Default)]
+    struct RelayTail;
+    impl Content<u64> for RelayTail {
+        fn on_invoke(&mut self, _p: &str, msg: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+            *msg = lcg(*msg);
+            Ok(())
+        }
+    }
+    fn lcg(x: u64) -> u64 {
+        x.wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
     }
     let mut registry: ContentRegistry<u64> = ContentRegistry::new();
     registry.register("Relay", || Box::new(Relay::default()));
+    registry.register("RelayTail", || Box::new(RelayTail));
     Ok(deploy(&arch.into_validated()?, mode, &registry)?)
 }
 

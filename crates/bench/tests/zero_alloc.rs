@@ -285,6 +285,40 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
     );
 }
 
+/// The scaling ablation's relay pipeline
+/// ([`soleil_bench::build_relay_pipeline`]) at every depth the bench
+/// measures: no heap allocation and no string compare per steady-state
+/// transaction, in every mode.
+#[test]
+fn relay_pipeline_steady_state_is_allocation_free_at_every_depth() {
+    for stages in [1usize, 4, 16] {
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            let mut dep = soleil_bench::build_relay_pipeline(stages, mode).expect("builds");
+            let head = dep.resolve("stage0").expect("head exists");
+            for _ in 0..WARMUP {
+                dep.run_transaction(head).expect("warmup transaction");
+            }
+            let heap_before = alloc_probe::allocations();
+            let compares_before = dep.string_compares();
+            for _ in 0..OBSERVATIONS {
+                dep.run_transaction(head).expect("steady transaction");
+            }
+            let heap_allocs = alloc_probe::allocations() - heap_before;
+            assert_eq!(
+                heap_allocs, 0,
+                "{mode}, {stages} stages: {OBSERVATIONS} steady-state transactions performed \
+                 {heap_allocs} Rust-heap allocations"
+            );
+            assert_eq!(
+                dep.string_compares() - compares_before,
+                0,
+                "{mode}, {stages} stages: steady-state dispatch must not compare port names"
+            );
+            assert_eq!(dep.stats().dropped_messages, 0, "{mode}, {stages} stages");
+        }
+    }
+}
+
 #[test]
 fn oo_baseline_is_equally_allocation_free() {
     // The comparison in Fig. 7 is only fair if the hand-written baseline

@@ -201,19 +201,13 @@ impl BindingController {
         self.table.get(ix as usize).map(|&(_, row)| row as usize)
     }
 
-    /// Resolves `client_port` to its routing row.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Binding`] when unbound.
-    pub fn resolve(&self, client_port: &str) -> Result<usize, FrameworkError> {
+    /// Resolves `client_port` to its routing row by name; `None` when
+    /// unbound (the engine reports the port together with its component).
+    pub fn resolve(&self, client_port: &str) -> Option<usize> {
         self.table
             .iter()
             .find(|(k, _)| k.as_ref() == client_port)
             .map(|&(_, row)| row as usize)
-            .ok_or_else(|| {
-                FrameworkError::Binding(format!("client port '{client_port}' is unbound"))
-            })
     }
 
     /// Bound client-port names, in binding order (introspection).
@@ -405,11 +399,11 @@ mod tests {
     #[test]
     fn binding_table_resolve_and_rebind() {
         let mut bc = BindingController::new();
-        assert!(bc.resolve("out").is_err());
+        assert!(bc.resolve("out").is_none());
         bc.bind("out", 3);
-        assert_eq!(bc.resolve("out").unwrap(), 3);
+        assert_eq!(bc.resolve("out"), Some(3));
         bc.bind("out", 5);
-        assert_eq!(bc.resolve("out").unwrap(), 5);
+        assert_eq!(bc.resolve("out"), Some(5));
         assert_eq!(bc.ports(), vec!["out"], "rebinding replaces in place");
         assert!(bc.footprint_bytes() > 0);
     }

@@ -27,12 +27,23 @@
 //! buffer placement); what differs is the framework machinery around the
 //! functional code — exactly the overhead Fig. 7 measures.
 //!
+//! The modes differ only in the gate around one content boundary and in
+//! how a port resolves to its row. Every release, timer fire, injection
+//! and drained message runs one activation routine (activation count,
+//! injector draw, scope chain and invoke, checkpoint cadence,
+//! supervision) into one content boundary (content and port-name
+//! checkout, `catch_unwind`, restore). Around it sit SOLEIL's membrane
+//! pre/post, MERGE-ALL's lifecycle check, or nothing under ULTRA-MERGE.
+//! One `Ports` façade resolves a client port to its row through SOLEIL's
+//! binding controller or the merged modes' jump table.
+//!
 //! An asynchronous hop is the same in every mode: the message goes into
 //! the binding's `ExchangeBuffer`, and one packed `u128` key (consumer
 //! priority, inverted enqueue sequence, buffer index) goes into the
 //! engine's ready queue. The drain pops keys highest priority first, FIFO
-//! within a priority, and keeps a domain's memory context checked out
-//! across consecutive activations of that domain.
+//! within a priority. A release checks its domain's memory context out
+//! once and holds it into the drain, which keeps it across consecutive
+//! activations of that domain.
 //!
 //! Running systems are driven through one handle, [`Deployment`], over
 //! one or more *shards* — one `System` (and one slab-backed memory

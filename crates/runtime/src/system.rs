@@ -9,10 +9,11 @@
 //! component releases, asynchronous messages activate sporadic consumers in
 //! priority order, synchronous calls nest run-to-completion.
 //!
-//! The three generation modes share this engine but walk different code
-//! paths with genuinely different machinery (reified membranes around the
-//! per-component binding rows vs. the bare rows vs. a flat static table) —
-//! see the crate docs.
+//! The three generation modes share this engine, one activation routine
+//! and one content boundary; they differ in the gate around the boundary
+//! (a reified membrane, an inlined lifecycle check, nothing) and in how a
+//! port resolves to its row (a binding controller, the per-component
+//! rows' jump table, a flat static table) — see the crate docs.
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
@@ -28,7 +29,7 @@ use soleil_core::contract::{ContractObservation, TimingContract};
 use soleil_core::validate::{Diagnostic, Severity};
 use soleil_core::ValidationReport;
 use soleil_membrane::content::{
-    Content, ContentFactory, ContentRegistry, Payload, PortId, StateImage,
+    Content, ContentFactory, ContentRegistry, InvokeResult, Payload, PortId, StateImage,
 };
 use soleil_membrane::controllers::{LifecycleState, MemoryAreaController};
 use soleil_membrane::interceptors::{
@@ -225,7 +226,7 @@ struct Node<P: Payload> {
     /// Server-port names, interned at build time as plain owned strings.
     /// An invocation *checks the name out* of its slot (a pointer swap, no
     /// clone, no refcount) and restores it afterwards — legal because the
-    /// re-entrancy guards fire before the checkout, so a slot is never
+    /// content checkout before it refuses re-entry, so a slot is never
     /// checked out twice. This drops the former per-invocation `Rc<str>`
     /// clone and, with it, the last `!Send` member of the engine.
     server_ports: Vec<Box<str>>,
@@ -241,7 +242,6 @@ struct Node<P: Payload> {
     scope_chain: Vec<AreaId>,
     // MERGE-ALL lifecycle state (SOLEIL keeps it in the membrane).
     started: bool,
-    busy: bool,
 }
 
 impl<P: Payload> std::fmt::Debug for Node<P> {
@@ -461,6 +461,22 @@ struct CheckpointSlot {
     /// truncated image is not used; the health of the capture pipeline is
     /// inspectable instead of silently wrong).
     overflowed: bool,
+}
+
+impl CheckpointSlot {
+    /// Captures `content` into the scratch image and swaps it in on
+    /// success, so an overflowing capture never clobbers the last healthy
+    /// image — the one capture the cadence and the restart boundary share.
+    fn capture<P: Payload>(&mut self, content: &dyn Content<P>) {
+        self.boundary.clear();
+        let ok = content.checkpoint(&mut self.boundary);
+        self.overflowed |= self.boundary.overflowed();
+        if ok && !self.boundary.overflowed() {
+            std::mem::swap(&mut self.image, &mut self.boundary);
+            self.valid = true;
+            self.captures += 1;
+        }
+    }
 }
 
 /// An attached runtime timing contract with its live monitor, boxed so the
@@ -813,7 +829,6 @@ impl<P: Payload> System<P> {
                 ceiling: c.ceiling.map(Priority::new),
                 scope_chain,
                 started: false,
-                busy: false,
             });
         }
 
@@ -1241,52 +1256,33 @@ impl<P: Payload> System<P> {
             self.supervisors[head].suppressed_releases += 1;
             return Ok(());
         }
-        self.run_release(head, plan)
-    }
-
-    /// One release transaction of `head` under its already-fetched plan:
-    /// the shared body of [`run_transaction`](Self::run_transaction) and
-    /// the timer-fire path.
-    fn run_release(&mut self, head: usize, plan: ActivationPlan) -> Result<(), FrameworkError> {
-        let mut msg = P::default();
-        self.cascade(head, plan.release_ix, &mut msg, plan)
+        self.cascade(head, plan.release_ix, &mut P::default())
     }
 
     /// Activates `slot` on `port_ix`, then drains the asynchronous cascade
     /// to quiescence — the body shared by releases, timer fires and
-    /// injections. A fault goes to supervision where it happens, in this
+    /// injections. The slot's context is checked out once and held into
+    /// the drain. A fault goes to supervision where it happens, in this
     /// activation or in any drained one: a contained fault lets the cascade
     /// drain on, and only an escalated one returns `Err`. A faulted
-    /// activation counts no transaction and records no latency.
-    fn cascade(
-        &mut self,
-        slot: usize,
-        port_ix: u16,
-        msg: &mut P,
-        plan: ActivationPlan,
-    ) -> Result<(), FrameworkError> {
+    /// activation counts no transaction and records no latency; a healthy
+    /// one records the latency of the whole cascade, while a drained
+    /// message's latency covers only its own activation.
+    fn cascade(&mut self, slot: usize, port_ix: u16, msg: &mut P) -> Result<(), FrameworkError> {
         // Monitored slots stamp the transaction; the sentinel keeps the
         // unmonitored path at one integer compare (no clock read).
-        let t0 = (plan.monitor_ix != u16::MAX).then(Instant::now);
-        let activated = match self.activate(slot, port_ix, msg) {
-            Ok(()) => {
-                // Healthy activation of a checkpoint-enabled slot: one
-                // compare, and a capture only on the configured cadence.
-                if plan.checkpoint_ix != u16::MAX {
-                    self.cadence_checkpoint(slot);
-                }
-                true
-            }
-            Err(e) => {
-                self.handle_fault(e)?;
-                false
-            }
-        };
-        self.drain()?;
-        if activated {
+        let monitor_ix = self.activation_plans[slot].monitor_ix;
+        let t0 = (monitor_ix != u16::MAX).then(Instant::now);
+        let domain_ix = self.nodes[slot].domain_ix;
+        let mut held = (domain_ix, self.take_ctx(domain_ix)?);
+        let activated = self
+            .activate(slot, port_ix, msg, &mut held.1)
+            .and_then(|activated| self.drain(&mut held).map(|()| activated));
+        self.restore_ctx(held.0, held.1);
+        if activated? {
             self.stats.transactions += 1;
             if let Some(t0) = t0 {
-                self.observe_latency(plan.monitor_ix, t0);
+                self.observe_latency(monitor_ix, t0);
             }
         }
         Ok(())
@@ -1372,12 +1368,11 @@ impl<P: Payload> System<P> {
         port_ix: u16,
         mut msg: P,
     ) -> Result<(), FrameworkError> {
-        let plan = self.activation_plans[slot];
         // A quarantined target counts the drop instead of activating — the
         // same never-silently-lost accounting as the drain path. No
         // transaction is recorded (none ran), which keeps the parallel
         // drain-pass arithmetic honest.
-        if plan.quarantined {
+        if self.activation_plans[slot].quarantined {
             self.stats.dropped_messages += 1;
             self.stats.quarantine_drops += 1;
             return Ok(());
@@ -1386,7 +1381,7 @@ impl<P: Payload> System<P> {
         // mirroring the drain path's pop-before-invoke accounting, so the
         // conservation ledger holds even when the activation then faults.
         self.stats.delivered_messages += 1;
-        self.cascade(slot, port_ix, &mut msg, plan)
+        self.cascade(slot, port_ix, &mut msg)
     }
 
     /// Checks out the executing context for a slot: its domain's context,
@@ -1415,19 +1410,50 @@ impl<P: Payload> System<P> {
         }
     }
 
-    fn activate(&mut self, slot: usize, port_ix: u16, msg: &mut P) -> Result<(), FrameworkError> {
+    /// One activation of `slot` on `port_ix` under the checked-out `ctx` —
+    /// the routine every release, timer fire, injection and drained message
+    /// runs: it counts the activation, draws the fault injector, enters the
+    /// slot's scope chain and invokes, runs the checkpoint cadence after a
+    /// healthy activation, and hands a fault to supervision. Returns
+    /// whether the activation was healthy; a contained fault is
+    /// `Ok(false)`, an escalated one `Err`.
+    #[inline(always)]
+    fn activate(
+        &mut self,
+        slot: usize,
+        port_ix: u16,
+        msg: &mut P,
+        ctx: &mut MemoryContext,
+    ) -> Result<bool, FrameworkError> {
         self.stats.activations += 1;
+        let plan = self.activation_plans[slot];
         // Engine-level fault injection fires at the activation boundary,
         // before any mode-specific dispatch — the sentinel keeps the
         // uninjected path at one integer compare.
-        if self.activation_plans[slot].fault_ix != u16::MAX {
-            self.run_injector(slot)?;
+        let mut result = if plan.fault_ix != u16::MAX {
+            self.run_injector(slot)
+        } else {
+            Ok(())
+        };
+        if result.is_ok() {
+            // A component allocated in scoped memory executes inside its
+            // (wedge-pinned, so entry cannot reclaim) scope chain; having
+            // the chain on the stack is also the premise of the build-time
+            // `ExecuteInOuter` access proofs ([`System::outer_proof`]).
+            let chain = (plan.chain_off, u32::from(plan.chain_len));
+            result = self.invoke_in(chain, slot, port_ix, msg, ctx);
         }
-        let domain_ix = self.nodes[slot].domain_ix;
-        let mut ctx = self.take_ctx(domain_ix)?;
-        let result = self.invoke_in_chain(slot, port_ix, msg, &mut ctx);
-        self.restore_ctx(domain_ix, ctx);
-        result
+        match result {
+            Ok(()) => {
+                // Healthy activation of a checkpoint-enabled slot: one
+                // compare, and a capture only on the configured cadence.
+                if plan.checkpoint_ix != u16::MAX {
+                    self.cadence_checkpoint(slot);
+                }
+                Ok(true)
+            }
+            Err(e) => self.handle_fault(e).map(|()| false),
+        }
     }
 
     /// Draws the slot's engine-level fault injector, converting an
@@ -1450,38 +1476,28 @@ impl<P: Payload> System<P> {
                 .clock
                 .saturating_add(RelativeTime::from_nanos(spike_ns));
         }
-        match drawn {
-            Ok(r) => r,
-            Err(payload) => Err(FrameworkError::Faulted {
-                component: self.nodes[slot].name.clone(),
-                kind: FaultKind::Panic,
-                detail: panic_detail(payload),
-            }),
-        }
+        drawn.unwrap_or_else(|payload| Err(self.caught_panic(slot, payload)))
     }
 
-    /// Enters `slot`'s scope chain, invokes, and exits — the execution
-    /// discipline every activation shares: a component allocated in scoped
-    /// memory executes inside its (wedge-pinned, so entry cannot reclaim)
-    /// scope stack. Both the release path and the asynchronous drain path
-    /// go through here; having the chain on the stack is also the premise
-    /// of the build-time `ExecuteInOuter` access proofs
-    /// ([`System::outer_proof`]).
-    fn invoke_in_chain(
+    /// Enters the arena window `(offset, len)` on `ctx`, invokes `slot` on
+    /// `port_ix` inside it, and exits every scope it entered, on every
+    /// path; the first error wins. An activation's scope chain and an
+    /// `EnterInner` binding's path both run through here.
+    #[inline(always)]
+    fn invoke_in(
         &mut self,
+        (off, len): (u32, u32),
         slot: usize,
         port_ix: u16,
         msg: &mut P,
         ctx: &mut MemoryContext,
     ) -> Result<(), FrameworkError> {
-        // The chain range comes out of the activation plan: one contiguous
-        // arena window, no per-slot `Vec` indirection on the hot path.
-        let plan = self.activation_plans[slot];
-        let (chain_off, chain_len) = (plan.chain_off as usize, plan.chain_len as usize);
+        // The window is read out of the arena: plain `AreaId` copies, no
+        // per-slot `Vec` indirection and no `Arc` traffic.
         let mut entered = 0;
         let mut result = Ok(());
-        for i in 0..chain_len {
-            let scope = self.enter_arena[chain_off + i];
+        while entered < len {
+            let scope = self.enter_arena[(off + entered) as usize];
             if let Err(e) = self.mm.enter(ctx, scope) {
                 result = Err(e.into());
                 break;
@@ -1492,41 +1508,31 @@ impl<P: Payload> System<P> {
             result = self.invoke(slot, port_ix, msg, ctx);
         }
         for _ in 0..entered {
-            self.mm.exit(ctx).expect("balanced activation scope stack");
+            if let Err(e) = self.mm.exit(ctx) {
+                result = result.and(Err(e.into()));
+            }
         }
         result
     }
 
-    /// Drains the ready queue to quiescence. The executing context of a
-    /// domain stays checked out across consecutive activations of that
-    /// domain — one checkout per run, not per message — and is returned on
-    /// every exit, an escalated fault included.
-    fn drain(&mut self) -> Result<(), FrameworkError> {
-        let mut held = None;
-        let result = self.drain_holding(&mut held);
-        if let Some((domain_ix, ctx)) = held {
-            self.restore_ctx(domain_ix, ctx);
-        }
-        result
-    }
-
-    /// The body of [`System::drain`]; `held` is the checked-out context
-    /// and the domain it belongs to.
-    fn drain_holding(
-        &mut self,
-        held: &mut Option<(Option<usize>, MemoryContext)>,
-    ) -> Result<(), FrameworkError> {
+    /// Drains the ready queue to quiescence. `held` is the executing
+    /// context the caller checked out, with its domain: it stays checked
+    /// out across consecutive activations of that domain — one checkout per
+    /// run, not per message — and is swapped when the domain changes. The
+    /// caller returns it on every exit, an escalated fault included.
+    fn drain(&mut self, held: &mut (Option<usize>, MemoryContext)) -> Result<(), FrameworkError> {
         while let Some(key) = self.pending.pop() {
             let buffer_ix = ready_buffer(key);
-            let (consumer_slot, consumer_port_ix) = {
+            let (slot, port_ix) = {
                 let b = &self.buffers[buffer_ix];
                 (b.consumer_slot, b.consumer_port_ix)
             };
+            let plan = self.activation_plans[slot];
             // Messages addressed to a quarantined consumer are popped and
             // *counted*-dropped — conservation over quarantine: nothing
             // waits forever in a queue nobody will drain, nothing is lost
             // off the books. One compare on the healthy path.
-            if self.activation_plans[consumer_slot].quarantined {
+            if plan.quarantined {
                 let ctx = self.mm.context(ThreadKind::Regular);
                 if let Some(_msg) = self.buffers[buffer_ix].buffer.pop(&mut self.mm, &ctx)? {
                     self.stats.dropped_messages += 1;
@@ -1534,52 +1540,23 @@ impl<P: Payload> System<P> {
                 }
                 continue;
             }
-            let domain_ix = self.nodes[consumer_slot].domain_ix;
-            let ctx = match held {
-                Some((d, ctx)) if *d == domain_ix => ctx,
-                _ => {
-                    if let Some((d, ctx)) = held.take() {
-                        self.restore_ctx(d, ctx);
-                    }
-                    let ctx = self.take_ctx(domain_ix)?;
-                    &mut held.insert((domain_ix, ctx)).1
-                }
-            };
+            let domain_ix = self.nodes[slot].domain_ix;
+            if held.0 != domain_ix {
+                let ctx = self.take_ctx(domain_ix)?;
+                let (d, ctx) = std::mem::replace(held, (domain_ix, ctx));
+                self.restore_ctx(d, ctx);
+            }
             // Index-based buffer access: `buffers` and `mm` are disjoint
             // fields, so the ring is reached in place.
-            let popped = self.buffers[buffer_ix].buffer.pop(&mut self.mm, ctx);
-            let result = match popped {
-                Ok(Some(mut msg)) => {
-                    self.stats.activations += 1;
-                    self.stats.delivered_messages += 1;
-                    // Message-triggered activations are monitored and
-                    // fault-injected too: the same one-compare sentinels
-                    // as the release path.
-                    let plan = self.activation_plans[consumer_slot];
-                    let t0 = (plan.monitor_ix != u16::MAX).then(Instant::now);
-                    let r = if plan.fault_ix != u16::MAX {
-                        self.run_injector(consumer_slot)
-                    } else {
-                        Ok(())
-                    }
-                    .and_then(|()| {
-                        self.invoke_in_chain(consumer_slot, consumer_port_ix, &mut msg, ctx)
-                    });
-                    if let (Some(t0), Ok(())) = (t0, &r) {
-                        self.observe_latency(plan.monitor_ix, t0);
-                    }
-                    if r.is_ok() && plan.checkpoint_ix != u16::MAX {
-                        self.cadence_checkpoint(consumer_slot);
-                    }
-                    r
-                }
-                Ok(None) => Ok(()),
-                Err(e) => Err(e.into()),
+            let Some(mut msg) = self.buffers[buffer_ix].buffer.pop(&mut self.mm, &held.1)? else {
+                continue;
             };
-            // A contained fault ends only the faulting activation: the
-            // rest of the cascade drains on. An escalated one aborts it.
-            if let Err(e) = result {
-                self.handle_fault(e)?;
+            self.stats.delivered_messages += 1;
+            let t0 = (plan.monitor_ix != u16::MAX).then(Instant::now);
+            if self.activate(slot, port_ix, &mut msg, &mut held.1)? {
+                if let Some(t0) = t0 {
+                    self.observe_latency(plan.monitor_ix, t0);
+                }
             }
         }
         Ok(())
@@ -1633,6 +1610,10 @@ impl<P: Payload> System<P> {
         }
     }
 
+    /// Invokes `slot` on `port_ix` through the one content boundary, under
+    /// the gate of the generation mode: SOLEIL's reified membrane runs its
+    /// pre/post protocol around it, MERGE-ALL checks the inlined lifecycle
+    /// state, and ULTRA-MERGE adds nothing.
     fn invoke(
         &mut self,
         slot: usize,
@@ -1641,257 +1622,132 @@ impl<P: Payload> System<P> {
         ctx: &mut MemoryContext,
     ) -> Result<(), FrameworkError> {
         match self.mode {
-            Mode::Soleil => self.invoke_soleil(slot, port_ix, msg, ctx),
-            Mode::MergeAll => self.invoke_merged(slot, port_ix, msg, ctx),
-            Mode::UltraMerge => self.invoke_ultra(slot, port_ix, msg, ctx),
+            Mode::Soleil => {
+                // The checked-out membrane is SOLEIL's re-entry guard.
+                let Some(mut membrane) = self.membranes[slot].take() else {
+                    return Err(self.reentrant(slot));
+                };
+                // The pre-gate can panic (a `Dyn` interceptor is user
+                // code): catch it here, poison the membrane — the chain may
+                // be half-wound, so the component must not re-activate
+                // without a restart — and surface the typed fault.
+                match catch_unwind(AssertUnwindSafe(|| membrane.pre_invoke(&mut self.mm, ctx))) {
+                    Ok(Ok(())) => {}
+                    Ok(Err(e)) => {
+                        self.membranes[slot] = Some(membrane);
+                        return Err(e);
+                    }
+                    Err(payload) => {
+                        membrane.quarantine(true);
+                        self.membranes[slot] = Some(membrane);
+                        return Err(self.caught_panic(slot, payload));
+                    }
+                }
+                let result = self.boundary(slot, port_ix, msg, ctx, Some(&mut membrane));
+                let post = membrane.post_invoke(&mut self.mm, ctx);
+                self.membranes[slot] = Some(membrane);
+                result.and(post)
+            }
+            Mode::MergeAll => {
+                // The inlined lifecycle gate; supervision refuses calls
+                // into a quarantined component here too (ULTRA-MERGE checks
+                // activation boundaries only — its sync path is
+                // contractually check-free).
+                if self.activation_plans[slot].quarantined || !self.nodes[slot].started {
+                    return Err(self.lifecycle_refusal(slot));
+                }
+                self.boundary(slot, port_ix, msg, ctx, None)
+            }
+            Mode::UltraMerge => self.boundary(slot, port_ix, msg, ctx, None),
         }
     }
 
-    // --- SOLEIL path: reified membrane around every invocation. ---------
-
-    fn invoke_soleil(
+    /// The content boundary of every mode: checks the content and the
+    /// port name out of the slot (pointer swaps, no clone; the content
+    /// checkout is the re-entry guard), runs `on_invoke` with the engine's
+    /// [`EnginePorts`] façade, and puts both back on every exit. A
+    /// panicking content becomes a typed fault and the unwind stops here,
+    /// so the engine's own invariants survive it (the component's may
+    /// not; that is the supervisor's call). The panic also poisons a
+    /// SOLEIL `membrane`: the content state may be half-mutated, so
+    /// re-activation is refused until a supervised restart installs a
+    /// fresh instance.
+    #[inline(always)]
+    fn boundary(
         &mut self,
         slot: usize,
         port_ix: u16,
         msg: &mut P,
         ctx: &mut MemoryContext,
+        membrane: Option<&mut Membrane>,
     ) -> Result<(), FrameworkError> {
-        let mut membrane = self.membranes[slot].take().ok_or_else(|| {
-            FrameworkError::RunToCompletion(format!(
-                "re-entrant invocation of '{}'",
-                self.nodes[slot].name
-            ))
-        })?;
-        // The pre-gate can panic (a `Dyn` interceptor is user code): catch
-        // it here, poison the membrane — the chain may be half-wound, so
-        // the component must not re-activate without a restart — and
-        // surface the typed fault.
-        let pre = catch_unwind(AssertUnwindSafe(|| membrane.pre_invoke(&mut self.mm, ctx)));
-        match pre {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                self.membranes[slot] = Some(membrane);
-                return Err(e);
-            }
-            Err(payload) => {
-                membrane.quarantine(true);
-                self.membranes[slot] = Some(membrane);
-                return Err(FrameworkError::Faulted {
-                    component: self.nodes[slot].name.clone(),
-                    kind: FaultKind::Panic,
-                    detail: panic_detail(payload),
-                });
-            }
-        }
-        let mut content = match self.nodes[slot].content.take() {
-            Some(c) => c,
-            None => {
-                let _ = membrane.post_invoke(&mut self.mm, ctx);
-                self.membranes[slot] = Some(membrane);
-                return Err(FrameworkError::RunToCompletion(format!(
-                    "content of '{}' is already executing",
-                    self.nodes[slot].name
-                )));
-            }
+        let Some(mut content) = self.nodes[slot].content.take() else {
+            return Err(self.reentrant(slot));
         };
-        // Check the port name out of its slot (a swap, not a clone); the
-        // membrane/content takes above already refused re-entry, so the
-        // slot cannot be checked out twice.
         let port = std::mem::take(&mut self.nodes[slot].server_ports[port_ix as usize]);
-        let result = {
-            let mut ports = SoleilPorts {
-                sys: self,
-                slot,
-                membrane: &mut membrane,
-                ctx,
-            };
-            // The activation boundary: a panicking content becomes a typed
-            // fault and the unwind stops here — port/content/membrane
-            // restoration below runs on every exit path, so the engine's
-            // own invariants survive the panic (the component's may not;
-            // that is the supervisor's call).
-            catch_unwind(AssertUnwindSafe(|| {
-                content.on_invoke(&port, msg, &mut ports)
-            }))
+        let mut ports = EnginePorts {
+            sys: self,
+            slot,
+            membrane,
+            ctx,
         };
-        self.nodes[slot].server_ports[port_ix as usize] = port;
-        let result = match result {
-            Ok(r) => {
-                self.nodes[slot].content = Some(content);
-                r
-            }
-            Err(payload) => {
-                // A caught panic may have half-mutated the content state:
-                // poison the membrane so re-activation is refused until a
-                // supervised restart installs a fresh instance.
-                self.nodes[slot].content = Some(content);
-                membrane.quarantine(true);
-                Err(FrameworkError::Faulted {
-                    component: self.nodes[slot].name.clone(),
-                    kind: FaultKind::Panic,
-                    detail: panic_detail(payload),
-                })
-            }
-        };
-        let post = membrane.post_invoke(&mut self.mm, ctx);
-        self.membranes[slot] = Some(membrane);
-        result.and(post)
-    }
-
-    // --- MERGE-ALL path: inlined membrane logic. ------------------------
-
-    fn invoke_merged(
-        &mut self,
-        slot: usize,
-        port_ix: u16,
-        msg: &mut P,
-        ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        // Supervision gate for compiled sync dispatch: MERGE-ALL refuses
-        // calls into a quarantined component here (SOLEIL refuses through
-        // the membrane's lifecycle; ULTRA-MERGE checks activation
-        // boundaries only — its sync path is contractually check-free).
-        if self.activation_plans[slot].quarantined {
-            return Err(FrameworkError::Lifecycle(format!(
-                "component '{}' is quarantined pending restart",
-                self.nodes[slot].name
-            )));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            content.on_invoke(&port, msg, &mut ports)
+        }));
+        if let (Err(_), Some(m)) = (&caught, ports.membrane) {
+            m.quarantine(true);
         }
-        {
-            let node = &mut self.nodes[slot];
-            if !node.started {
-                return Err(FrameworkError::Lifecycle(format!(
-                    "component '{}' is stopped",
-                    node.name
-                )));
-            }
-            if node.busy {
-                return Err(FrameworkError::RunToCompletion(format!(
-                    "re-entrant invocation of '{}'",
-                    node.name
-                )));
-            }
-            node.busy = true;
-        }
-        let mut content = self.nodes[slot].content.take().expect("busy flag held");
-        // Checkout, not clone: the busy flag above guards re-entry.
-        let port = std::mem::take(&mut self.nodes[slot].server_ports[port_ix as usize]);
-        let result = {
-            let mut ports = CompiledPorts {
-                sys: self,
-                slot,
-                ctx,
-                checked: true,
-            };
-            catch_unwind(AssertUnwindSafe(|| {
-                content.on_invoke(&port, msg, &mut ports)
-            }))
-        };
-        self.nodes[slot].server_ports[port_ix as usize] = port;
-        self.nodes[slot].content = Some(content);
-        self.nodes[slot].busy = false;
-        self.settle_caught(slot, result)
+        let node = &mut self.nodes[slot];
+        node.server_ports[port_ix as usize] = port;
+        node.content = Some(content);
+        caught.unwrap_or_else(|payload| Err(self.caught_panic(slot, payload)))
     }
 
-    // --- ULTRA-MERGE path: flat static dispatch, no checks. -------------
-
-    fn invoke_ultra(
-        &mut self,
-        slot: usize,
-        port_ix: u16,
-        msg: &mut P,
-        ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        let mut content = self.nodes[slot].content.take().ok_or_else(|| {
-            FrameworkError::RunToCompletion(format!(
-                "re-entrant invocation of '{}'",
-                self.nodes[slot].name
-            ))
-        })?;
-        // Checkout, not clone: the content take above guards re-entry.
-        let port = std::mem::take(&mut self.nodes[slot].server_ports[port_ix as usize]);
-        let result = {
-            let mut ports = CompiledPorts {
-                sys: self,
-                slot,
-                ctx,
-                checked: false,
-            };
-            catch_unwind(AssertUnwindSafe(|| {
-                content.on_invoke(&port, msg, &mut ports)
-            }))
+    /// The typed fault a caught panic becomes (cold: the name clone and
+    /// the payload rendering happen only on a panic).
+    #[cold]
+    #[inline(never)]
+    fn caught_panic(&self, slot: usize, payload: Box<dyn std::any::Any + Send>) -> FrameworkError {
+        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            // Payload types are open-ended: a stable placeholder.
+            "non-string panic payload".to_string()
         };
-        self.nodes[slot].server_ports[port_ix as usize] = port;
-        self.nodes[slot].content = Some(content);
-        self.settle_caught(slot, result)
-    }
-
-    /// Settles a caught activation result from the compiled invoke paths:
-    /// passes plain results through and converts a caught panic into the
-    /// typed fault (cold path — the name clone happens only on a panic).
-    fn settle_caught(
-        &mut self,
-        slot: usize,
-        result: std::thread::Result<Result<(), FrameworkError>>,
-    ) -> Result<(), FrameworkError> {
-        match result {
-            Ok(r) => r,
-            Err(payload) => Err(FrameworkError::Faulted {
-                component: self.nodes[slot].name.clone(),
-                kind: FaultKind::Panic,
-                detail: panic_detail(payload),
-            }),
+        FrameworkError::Faulted {
+            component: self.nodes[slot].name.clone(),
+            kind: FaultKind::Panic,
+            detail,
         }
     }
 
-    /// The cold string-fallback resolution for name-based callers: a
-    /// short-circuit scan over the slot's compiled bindings, counted so
-    /// steady-state tests can assert interned transactions never take it.
-    fn lookup_compiled(&self, slot: usize, port: &str) -> Result<DispatchHeader, FrameworkError> {
-        self.string_compares.set(self.string_compares.get() + 1);
-        let found = match self.mode {
-            Mode::UltraMerge => {
-                let (s, e) = self.ultra_ranges[slot];
-                self.ultra_table[s as usize..e as usize]
-                    .iter()
-                    .find(|b| b.port.as_ref() == port)
-            }
-            Mode::Soleil | Mode::MergeAll => {
-                self.compiled[slot].iter().find(|b| b.port.as_ref() == port)
-            }
-        };
-        let b = found.ok_or_else(|| {
-            FrameworkError::Binding(format!(
-                "client port '{port}' of '{}' is unbound",
-                self.nodes[slot].name
-            ))
-        })?;
-        Ok(b.header)
-    }
-
-    /// Interned jump-table dispatch: `[slot][port_id]` indexes straight to
-    /// the compiled header — no string compare, no scan, no refcount.
-    /// `None` when the id is unbound for this slot (the cold error path).
-    #[inline]
-    fn lookup_interned(&self, slot: usize, id: PortId) -> Option<DispatchHeader> {
-        let ix = *self.port_jump[slot].get(id.0 as usize)? as usize;
-        match self.mode {
-            Mode::UltraMerge => self.ultra_table.get(ix).map(|b| b.header),
-            Mode::Soleil | Mode::MergeAll => self.compiled[slot].get(ix).map(|b| b.header),
-        }
-    }
-
-    /// The unbound-port error of the interned path: reconstructs the port
-    /// *name* from the intern universe so cold failures read identically
-    /// to the string-fallback path.
-    fn unbound_interned(&self, slot: usize, id: PortId) -> FrameworkError {
-        FrameworkError::Binding(format!(
-            "client port '{}' of '{}' is unbound",
-            self.port_name(id),
+    /// The refusal of a component whose content is already checked out.
+    #[cold]
+    #[inline(never)]
+    fn reentrant(&self, slot: usize) -> FrameworkError {
+        FrameworkError::RunToCompletion(format!(
+            "re-entrant invocation of '{}'",
             self.nodes[slot].name
         ))
     }
 
+    /// MERGE-ALL's lifecycle refusal: quarantined or stopped.
+    #[cold]
+    #[inline(never)]
+    fn lifecycle_refusal(&self, slot: usize) -> FrameworkError {
+        let state = if self.activation_plans[slot].quarantined {
+            "quarantined pending restart"
+        } else {
+            "stopped"
+        };
+        FrameworkError::Lifecycle(format!("component '{}' is {state}", self.nodes[slot].name))
+    }
+
+    /// Routes a compiled synchronous call through its binding's pattern:
+    /// the merged modes' memory choreography, settled into the header at
+    /// build or rebind time.
     fn cross_scope_call(
         &mut self,
         r: DispatchHeader,
@@ -1915,37 +1771,33 @@ impl<P: Payload> System<P> {
                 self.mm.end_execute_in_area(ctx)?;
                 out
             }
-            PatternKind::EnterInner => {
-                // The enter path is an arena window addressed by the
-                // header's `(offset, len)` range — reading it copies plain
-                // `AreaId`s, no `Arc` traffic anywhere on this path.
-                let (off, len) = (r.enter_off as usize, r.enter_len as usize);
-                let mut entered = 0;
-                let mut out = Ok(());
-                for i in 0..len {
-                    let scope = self.enter_arena[off + i];
-                    if let Err(e) = self.mm.enter(ctx, scope) {
-                        out = Err(e.into());
-                        break;
-                    }
-                    entered += 1;
-                }
-                if out.is_ok() {
-                    out = self.invoke(r.target_slot, r.server_port_ix, msg, ctx);
-                }
-                for _ in 0..entered {
-                    self.mm.exit(ctx)?;
-                }
-                out
-            }
-            PatternKind::HandoffThroughParent => {
-                // Deep-copy in, deep-copy out: no reference crosses.
-                let mut copy = msg.clone();
-                let out = self.invoke(r.target_slot, r.server_port_ix, &mut copy, ctx);
-                *msg = copy;
-                out
-            }
+            PatternKind::EnterInner => self.invoke_in(
+                (r.enter_off, r.enter_len),
+                r.target_slot,
+                r.server_port_ix,
+                msg,
+                ctx,
+            ),
+            PatternKind::HandoffThroughParent => self.invoke_target(r, true, msg, ctx),
         }
+    }
+
+    /// Invokes `r`'s target; with `copy`, on a deep copy of `msg` whose
+    /// result is copied back, so no reference crosses.
+    fn invoke_target(
+        &mut self,
+        r: DispatchHeader,
+        copy: bool,
+        msg: &mut P,
+        ctx: &mut MemoryContext,
+    ) -> Result<(), FrameworkError> {
+        if !copy {
+            return self.invoke(r.target_slot, r.server_port_ix, msg, ctx);
+        }
+        let mut copy = msg.clone();
+        let out = self.invoke(r.target_slot, r.server_port_ix, &mut copy, ctx);
+        *msg = copy;
+        out
     }
 
     // -----------------------------------------------------------------
@@ -1963,6 +1815,19 @@ impl<P: Payload> System<P> {
         Ok(())
     }
 
+    /// Runs `slot`'s `on_stop` and clears its lifecycle state (the
+    /// membrane's too, under SOLEIL): the one stop `stop_at` and `shutdown`
+    /// share, as `start_slot` is for starts.
+    fn stop_slot(&mut self, slot: usize) {
+        if let Some(c) = self.nodes[slot].content.as_mut() {
+            c.on_stop();
+        }
+        self.nodes[slot].started = false;
+        if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
+            m.lifecycle.stop();
+        }
+    }
+
     fn reject_static(&self) -> Result<(), FrameworkError> {
         if self.mode == Mode::UltraMerge {
             return Err(FrameworkError::Unsupported(
@@ -1975,13 +1840,7 @@ impl<P: Payload> System<P> {
     /// Stops `slot`: invocations refused until restarted.
     pub(crate) fn stop_at(&mut self, slot: usize) -> Result<(), FrameworkError> {
         self.reject_static()?;
-        if let Some(c) = self.nodes[slot].content.as_mut() {
-            c.on_stop();
-        }
-        self.nodes[slot].started = false;
-        if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
-            m.lifecycle.stop();
-        }
+        self.stop_slot(slot);
         // An explicit stop overrides supervision: a pending supervised
         // restart must not revive the component behind the user's back.
         self.cancel_restart_timer(slot);
@@ -2457,13 +2316,7 @@ impl<P: Payload> System<P> {
     /// Substrate errors releasing pins (double shutdown).
     pub fn shutdown(&mut self) -> Result<(), FrameworkError> {
         for slot in 0..self.nodes.len() {
-            if let Some(c) = self.nodes[slot].content.as_mut() {
-                c.on_stop();
-            }
-            self.nodes[slot].started = false;
-            if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
-                m.lifecycle.stop();
-            }
+            self.stop_slot(slot);
         }
         for area in &mut self.areas {
             if let Some(mut pin) = area.controller.take_pin() {
@@ -2621,7 +2474,7 @@ impl<P: Payload> System<P> {
                 self.supervisors[slot].suppressed_releases += 1;
                 continue;
             }
-            self.run_release(slot, plan)?;
+            self.cascade(slot, plan.release_ix, &mut P::default())?;
         }
         Ok(())
     }
@@ -2962,21 +2815,13 @@ impl<P: Payload> System<P> {
         // image is the only trustworthy source.
         let poisoned = self.supervisors[slot].poisoned;
         if self.activation_plans[slot].checkpoint_ix != u16::MAX && !poisoned {
+            // The boundary capture of a *healthy* fault is by definition
+            // the freshest healthy state: it becomes the new healthy image.
             if let (Some(cp), Some(c)) = (
                 self.checkpoints[slot].as_deref_mut(),
                 self.nodes[slot].content.as_deref(),
             ) {
-                // The boundary capture of a *healthy* fault is by
-                // definition the freshest healthy state: it becomes the
-                // new healthy image (swap, so overflow cannot clobber it).
-                cp.boundary.clear();
-                let ok = c.checkpoint(&mut cp.boundary);
-                cp.overflowed |= cp.boundary.overflowed();
-                if ok && !cp.boundary.overflowed() {
-                    std::mem::swap(&mut cp.image, &mut cp.boundary);
-                    cp.valid = true;
-                    cp.captures += 1;
-                }
+                cp.capture(c);
             }
         }
         // Fresh instance, same class: the original deploy-time state
@@ -2984,7 +2829,6 @@ impl<P: Payload> System<P> {
         // re-charge against the area budget.
         let node = &mut self.nodes[slot];
         node.content = Some((self.factories[slot])());
-        node.busy = false;
         node.started = true;
         self.activation_plans[slot].quarantined = false;
         if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
@@ -3288,16 +3132,7 @@ impl<P: Payload> System<P> {
         }
         cp.since_capture = 0;
         if let Some(c) = self.nodes[slot].content.as_deref() {
-            // Capture into the scratch image and swap on success, so an
-            // overflowing capture never clobbers the last healthy image.
-            cp.boundary.clear();
-            let ok = c.checkpoint(&mut cp.boundary);
-            cp.overflowed |= cp.boundary.overflowed();
-            if ok && !cp.boundary.overflowed() {
-                std::mem::swap(&mut cp.image, &mut cp.boundary);
-                cp.valid = true;
-                cp.captures += 1;
-            }
+            cp.capture(c);
         }
     }
 
@@ -3563,19 +3398,6 @@ impl<P: Payload> System<P> {
     }
 }
 
-/// Renders a caught panic payload for the typed fault's detail text:
-/// `panic!` string payloads pass through, anything else gets a stable
-/// placeholder (payload types are open-ended).
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 fn port_index<P: Payload>(node: &Node<P>, port: &str) -> Result<u16, FrameworkError> {
     node.server_ports
         .iter()
@@ -3590,114 +3412,155 @@ fn port_index<P: Payload>(node: &Node<P>, port: &str) -> Result<u16, FrameworkEr
 }
 
 // ---------------------------------------------------------------------------
-// Ports façades
+// The Ports façade
 // ---------------------------------------------------------------------------
 
-struct SoleilPorts<'a, P: Payload> {
+/// The [`Ports`] façade handed to content during an invocation, one for
+/// every mode. A client port resolves to a compiled row of the invoking
+/// slot — through SOLEIL's binding controller or the merged modes' jump
+/// table — and the row's header routes the call or send. The only other
+/// mode branches are SOLEIL's reified row gate and ULTRA-MERGE's uncounted
+/// synchronous call.
+struct EnginePorts<'a, P: Payload> {
     sys: &'a mut System<P>,
-    /// The invoking component: its controller resolves ports to rows of
-    /// `sys.compiled[slot]`.
+    /// The invoking component.
     slot: usize,
-    membrane: &'a mut Membrane,
+    /// SOLEIL: the invoking component's membrane, checked out for the
+    /// invocation; its controller resolves ports to rows of
+    /// `sys.compiled[slot]`. `None` in the merged modes.
+    membrane: Option<&'a mut Membrane>,
     ctx: &'a mut MemoryContext,
 }
 
-impl<P: Payload> SoleilPorts<'_, P> {
-    /// The header of this component's routing row `row`.
-    fn header(&self, row: usize) -> DispatchHeader {
-        self.sys.compiled[self.slot][row].header
+impl<P: Payload> EnginePorts<'_, P> {
+    /// Interned resolution: one index into the controller's or the slot's
+    /// jump table yields the row — no string compare, no scan, no
+    /// refcount. `None` when unbound here.
+    #[inline(always)]
+    fn by_id(&self, id: PortId) -> Option<(usize, DispatchHeader)> {
+        let row = match &self.membrane {
+            Some(m) => m.binding.resolve_id(id)?,
+            None => *self.sys.port_jump[self.slot].get(id.0 as usize)? as usize,
+        };
+        self.row(row)
     }
 
-    /// The shared synchronous body behind both resolution paths: the
-    /// row's header routes the call, its reified gate and interceptor wrap
-    /// it in the memory choreography.
-    fn call_sync(
-        &mut self,
-        h: DispatchHeader,
-        row: usize,
-        msg: &mut P,
-    ) -> Result<(), FrameworkError> {
-        self.sys.stats.sync_calls += 1;
-        let (target_slot, server_port_ix) = (h.target_slot, h.server_port_ix);
+    /// The cold string-fallback resolution for name-based callers: a
+    /// short-circuit scan over the controller or the slot's rows, counted
+    /// so steady-state tests can assert interned transactions never take
+    /// it.
+    fn by_name(&self, port: &str) -> Option<(usize, DispatchHeader)> {
+        let sys = &*self.sys;
+        sys.string_compares.set(sys.string_compares.get() + 1);
+        let row = match (&self.membrane, sys.mode) {
+            (Some(m), _) => m.binding.resolve(port)?,
+            (None, Mode::UltraMerge) => {
+                let (s, e) = sys.ultra_ranges[self.slot];
+                let mut scan = sys.ultra_table[s as usize..e as usize].iter();
+                s as usize + scan.position(|b| b.port.as_ref() == port)?
+            }
+            (None, _) => sys.compiled[self.slot]
+                .iter()
+                .position(|b| b.port.as_ref() == port)?,
+        };
+        self.row(row)
+    }
+
+    /// Row `row` and its `Copy` header: a `compiled[slot]` position, or an
+    /// absolute `ultra_table` index under ULTRA-MERGE.
+    #[inline(always)]
+    fn row(&self, row: usize) -> Option<(usize, DispatchHeader)> {
+        let rows = match self.sys.mode {
+            Mode::UltraMerge => &self.sys.ultra_table,
+            Mode::Soleil | Mode::MergeAll => &self.sys.compiled[self.slot],
+        };
+        rows.get(row).map(|b| (row, b.header))
+    }
+
+    /// The synchronous body behind both resolution paths.
+    #[inline(always)]
+    fn call_row(&mut self, row: usize, h: DispatchHeader, msg: &mut P) -> InvokeResult {
+        match self.sys.mode {
+            Mode::Soleil => self.call_reified(row, h, msg),
+            Mode::MergeAll => {
+                self.sys.stats.sync_calls += 1;
+                self.sys.cross_scope_call(h, msg, self.ctx)
+            }
+            Mode::UltraMerge => self.sys.cross_scope_call(h, msg, self.ctx),
+        }
+    }
+
+    /// SOLEIL's synchronous call: the row's reified gate and memory
+    /// interceptor wrap the call in the binding's memory choreography.
+    fn call_reified(&mut self, row: usize, h: DispatchHeader, msg: &mut P) -> InvokeResult {
+        let sys = &mut *self.sys;
+        sys.stats.sync_calls += 1;
         // The row's fused gate, compiled with the row: when it proves the
         // memory interceptor's pre/post are no-ops, both calls are skipped
         // entirely — only the crossing counter is kept honest.
-        let reified = &mut self.sys.reified[self.slot][row];
+        let reified = &mut sys.reified[self.slot][row];
         let gate = reified.gate;
         if gate.skip_choreography {
             if let Some(mi) = reified.interceptor.as_mut() {
                 mi.record_crossing();
             }
-            return if gate.copy {
-                let mut copy = msg.clone();
-                let r = self
-                    .sys
-                    .invoke(target_slot, server_port_ix, &mut copy, self.ctx);
-                *msg = copy;
-                r
-            } else {
-                self.sys.invoke(target_slot, server_port_ix, msg, self.ctx)
-            };
+            return sys.invoke_target(h, gate.copy, msg, self.ctx);
         }
         let mut mi = reified
             .interceptor
             .take()
             .ok_or_else(|| FrameworkError::Binding("memory interceptor already in use".into()))?;
-        if let Err(e) = mi.pre(&mut self.sys.mm, self.ctx) {
-            self.sys.reified[self.slot][row].interceptor = Some(mi);
-            return Err(e);
-        }
-        let result = if mi.needs_copy() {
-            let mut copy = msg.clone();
-            let r = self
-                .sys
-                .invoke(target_slot, server_port_ix, &mut copy, self.ctx);
-            *msg = copy;
-            r
-        } else {
-            self.sys.invoke(target_slot, server_port_ix, msg, self.ctx)
-        };
-        let post = mi.post(&mut self.sys.mm, self.ctx);
-        self.sys.reified[self.slot][row].interceptor = Some(mi);
-        result.and(post)
+        let result = mi.pre(&mut sys.mm, self.ctx).and_then(|()| {
+            let result = sys.invoke_target(h, mi.needs_copy(), msg, self.ctx);
+            result.and(mi.post(&mut sys.mm, self.ctx))
+        });
+        sys.reified[self.slot][row].interceptor = Some(mi);
+        result
     }
 
-    /// The shared asynchronous body: same-engine exchange buffer or
-    /// cross-domain ring, decided at deploy time.
-    fn send_buffered(&mut self, h: DispatchHeader, msg: P) -> Result<(), FrameworkError> {
+    /// The asynchronous body: same-engine exchange buffer or cross-domain
+    /// ring, decided at deploy time.
+    #[inline(always)]
+    fn send_row(&mut self, h: DispatchHeader, msg: P) -> InvokeResult {
         if h.is_cross {
             return self.sys.enqueue_cross(h.buffer_ix, msg);
         }
         self.sys.enqueue(h.buffer_ix, msg, self.ctx)
     }
+
+    /// The error of a port that is unbound (`bound` false), or bound with
+    /// the other protocol; `send` is true for a send. An interned id's
+    /// name is rebuilt from the intern universe, so cold failures read
+    /// identically on both resolution paths.
+    #[cold]
+    #[inline(never)]
+    fn refuse(&self, port: &str, bound: bool, send: bool) -> FrameworkError {
+        FrameworkError::Binding(if !bound {
+            format!(
+                "client port '{port}' of '{}' is unbound",
+                self.sys.nodes[self.slot].name
+            )
+        } else if send {
+            format!("port '{port}' is synchronous; use call()")
+        } else {
+            format!("port '{port}' is asynchronous; use send()")
+        })
+    }
 }
 
-impl<P: Payload> Ports<P> for SoleilPorts<'_, P> {
-    fn call(&mut self, client_port: &str, msg: &mut P) -> Result<(), FrameworkError> {
-        self.sys
-            .string_compares
-            .set(self.sys.string_compares.get() + 1);
-        let row = self.membrane.binding.resolve(client_port)?;
-        let h = self.header(row);
-        if h.is_async {
-            return Err(FrameworkError::Binding(format!(
-                "port '{client_port}' is asynchronous; use send()"
-            )));
+impl<P: Payload> Ports<P> for EnginePorts<'_, P> {
+    fn call(&mut self, client_port: &str, msg: &mut P) -> InvokeResult {
+        match self.by_name(client_port) {
+            Some((row, h)) if !h.is_async => self.call_row(row, h, msg),
+            found => Err(self.refuse(client_port, found.is_some(), false)),
         }
-        self.call_sync(h, row, msg)
     }
 
-    fn send(&mut self, client_port: &str, msg: P) -> Result<(), FrameworkError> {
-        self.sys
-            .string_compares
-            .set(self.sys.string_compares.get() + 1);
-        let h = self.header(self.membrane.binding.resolve(client_port)?);
-        if !h.is_async {
-            return Err(FrameworkError::Binding(format!(
-                "port '{client_port}' is synchronous; use call()"
-            )));
+    fn send(&mut self, client_port: &str, msg: P) -> InvokeResult {
+        match self.by_name(client_port) {
+            Some((_, h)) if h.is_async => self.send_row(h, msg),
+            found => Err(self.refuse(client_port, found.is_some(), true)),
         }
-        self.send_buffered(h, msg)
     }
 
     fn intern(&self, client_port: &str) -> Option<PortId> {
@@ -3708,119 +3571,18 @@ impl<P: Payload> Ports<P> for SoleilPorts<'_, P> {
         self.sys.dispatch_generation
     }
 
-    fn call_interned(&mut self, id: PortId, msg: &mut P) -> Result<(), FrameworkError> {
-        // Jump-table resolve through the membrane's compiled table to the
-        // shared row: one index, no string compare — the name only
-        // resurfaces on the cold error paths below.
-        let Some(row) = self.membrane.binding.resolve_id(id) else {
-            return Err(FrameworkError::Binding(format!(
-                "client port '{}' is unbound",
-                self.sys.port_name(id)
-            )));
-        };
-        let h = self.header(row);
-        if h.is_async {
-            return Err(FrameworkError::Binding(format!(
-                "port '{}' is asynchronous; use send()",
-                self.sys.port_name(id)
-            )));
+    fn call_interned(&mut self, id: PortId, msg: &mut P) -> InvokeResult {
+        match self.by_id(id) {
+            Some((row, h)) if !h.is_async => self.call_row(row, h, msg),
+            found => Err(self.refuse(self.sys.port_name(id), found.is_some(), false)),
         }
-        self.call_sync(h, row, msg)
     }
 
-    fn send_interned(&mut self, id: PortId, msg: P) -> Result<(), FrameworkError> {
-        let Some(row) = self.membrane.binding.resolve_id(id) else {
-            return Err(FrameworkError::Binding(format!(
-                "client port '{}' is unbound",
-                self.sys.port_name(id)
-            )));
-        };
-        let h = self.header(row);
-        if !h.is_async {
-            return Err(FrameworkError::Binding(format!(
-                "port '{}' is synchronous; use call()",
-                self.sys.port_name(id)
-            )));
+    fn send_interned(&mut self, id: PortId, msg: P) -> InvokeResult {
+        match self.by_id(id) {
+            Some((_, h)) if h.is_async => self.send_row(h, msg),
+            found => Err(self.refuse(self.sys.port_name(id), found.is_some(), true)),
         }
-        self.send_buffered(h, msg)
-    }
-}
-
-struct CompiledPorts<'a, P: Payload> {
-    sys: &'a mut System<P>,
-    slot: usize,
-    ctx: &'a mut MemoryContext,
-    /// MERGE-ALL counts stats; ULTRA-MERGE skips them.
-    checked: bool,
-}
-
-impl<P: Payload> Ports<P> for CompiledPorts<'_, P> {
-    fn call(&mut self, client_port: &str, msg: &mut P) -> Result<(), FrameworkError> {
-        let resolved = self.sys.lookup_compiled(self.slot, client_port)?;
-        if resolved.is_async {
-            return Err(FrameworkError::Binding(format!(
-                "port '{client_port}' is asynchronous; use send()"
-            )));
-        }
-        if self.checked {
-            self.sys.stats.sync_calls += 1;
-        }
-        self.sys.cross_scope_call(resolved, msg, self.ctx)
-    }
-
-    fn send(&mut self, client_port: &str, msg: P) -> Result<(), FrameworkError> {
-        let resolved = self.sys.lookup_compiled(self.slot, client_port)?;
-        if !resolved.is_async {
-            return Err(FrameworkError::Binding(format!(
-                "port '{client_port}' is synchronous; use call()"
-            )));
-        }
-        if resolved.is_cross {
-            return self.sys.enqueue_cross(resolved.buffer_ix, msg);
-        }
-        self.sys.enqueue(resolved.buffer_ix, msg, self.ctx)
-    }
-
-    fn intern(&self, client_port: &str) -> Option<PortId> {
-        self.sys.intern_port(client_port)
-    }
-
-    fn intern_generation(&self) -> u32 {
-        self.sys.dispatch_generation
-    }
-
-    fn call_interned(&mut self, id: PortId, msg: &mut P) -> Result<(), FrameworkError> {
-        // The hot path of the compiled plan: two array indexes yield a
-        // `Copy` dispatch header — no string scan, no Arc, no clone.
-        let Some(resolved) = self.sys.lookup_interned(self.slot, id) else {
-            return Err(self.sys.unbound_interned(self.slot, id));
-        };
-        if resolved.is_async {
-            return Err(FrameworkError::Binding(format!(
-                "port '{}' is asynchronous; use send()",
-                self.sys.port_name(id)
-            )));
-        }
-        if self.checked {
-            self.sys.stats.sync_calls += 1;
-        }
-        self.sys.cross_scope_call(resolved, msg, self.ctx)
-    }
-
-    fn send_interned(&mut self, id: PortId, msg: P) -> Result<(), FrameworkError> {
-        let Some(resolved) = self.sys.lookup_interned(self.slot, id) else {
-            return Err(self.sys.unbound_interned(self.slot, id));
-        };
-        if !resolved.is_async {
-            return Err(FrameworkError::Binding(format!(
-                "port '{}' is synchronous; use call()",
-                self.sys.port_name(id)
-            )));
-        }
-        if resolved.is_cross {
-            return self.sys.enqueue_cross(resolved.buffer_ix, msg);
-        }
-        self.sys.enqueue(resolved.buffer_ix, msg, self.ctx)
     }
 }
 
@@ -4586,8 +4348,9 @@ mod tests {
     }
 
     /// The cold error path must survive interning: an unbound port id maps
-    /// back to its *name* in the error, and the string-scan fallback keeps
-    /// reporting the same text it always did — in both façades.
+    /// back to its *name* in the error, and the string-scan fallback
+    /// reports the same text — with SOLEIL's controller resolution and
+    /// the merged modes' jump table alike.
     #[test]
     fn unbound_port_errors_report_the_name_after_interning() {
         // "out" is in the deployment's intern universe (the producer's
@@ -4597,11 +4360,11 @@ mod tests {
         let middle = sys.slot_of("middle").unwrap();
         let id = sys.intern_port("out").unwrap();
         let mut ctx = sys.mm.context(ThreadKind::Realtime);
-        let mut ports = CompiledPorts {
+        let mut ports = EnginePorts {
             sys: &mut sys,
             slot: middle,
+            membrane: None,
             ctx: &mut ctx,
-            checked: true,
         };
         let mut tok = Token::default();
         let interned = ports.call_interned(id, &mut tok).unwrap_err();
@@ -4629,28 +4392,28 @@ mod tests {
         let id = sys.intern_port("out").unwrap();
         let mut membrane = sys.membranes[middle].take().unwrap();
         let mut ctx = sys.mm.context(ThreadKind::Realtime);
-        let mut ports = SoleilPorts {
+        let mut ports = EnginePorts {
             sys: &mut sys,
             slot: middle,
-            membrane: &mut membrane,
+            membrane: Some(&mut membrane),
             ctx: &mut ctx,
         };
         let interned = ports.call_interned(id, &mut tok).unwrap_err();
         assert_eq!(
             interned.to_string(),
-            "binding error: client port 'out' is unbound"
+            "binding error: client port 'out' of 'middle' is unbound"
         );
         let by_name = ports.call("out", &mut tok).unwrap_err();
         assert_eq!(
             by_name.to_string(),
-            "binding error: client port 'out' is unbound"
+            "binding error: client port 'out' of 'middle' is unbound"
         );
         assert_eq!(
             ports
                 .send_interned(id, Token::default())
                 .unwrap_err()
                 .to_string(),
-            "binding error: client port 'out' is unbound"
+            "binding error: client port 'out' of 'middle' is unbound"
         );
         sys.membranes[middle] = Some(membrane);
     }
@@ -5007,6 +4770,49 @@ mod tests {
             assert!(!report.is_compliant(), "{mode}");
             assert_eq!(report.by_code("SOL-016").count(), 1, "{mode}: {report}");
         });
+    }
+
+    /// The latency scope of a contract: a release's latency covers its
+    /// whole drained cascade, a delivered message's only its own
+    /// activation. A sink that sleeps 30 ms downstream of the middle
+    /// therefore breaks the producer's 20 ms deadline on every
+    /// transaction and leaves the middle's untouched.
+    #[test]
+    fn release_latency_spans_the_cascade_and_delivery_latency_one_activation() {
+        #[derive(Debug, Default)]
+        struct SlowSink;
+        impl Content<Token> for SlowSink {
+            fn on_invoke(
+                &mut self,
+                _port: &str,
+                _msg: &mut Token,
+                _out: &mut dyn Ports<Token>,
+            ) -> InvokeResult {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                Ok(())
+            }
+        }
+        let mut registry = registry();
+        registry.register("SlowSink", || Box::new(SlowSink));
+        let mut spec = pipeline_spec();
+        spec.components[3].content_class = "SlowSink".into();
+        let deadline = TimingContract::new().with_deadline(RelativeTime::from_millis(20));
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            let mut sys = System::build(&spec, mode, &registry).unwrap();
+            let producer = sys.slot_of("producer").unwrap();
+            let middle = sys.slot_of("middle").unwrap();
+            sys.attach_contract_at(producer, deadline.clone()).unwrap();
+            sys.attach_contract_at(middle, deadline.clone()).unwrap();
+            for _ in 0..3 {
+                sys.run_transaction(producer).unwrap();
+            }
+            let released = sys.latency_snapshot_at(producer).unwrap();
+            assert_eq!(released.deadline_misses, 3, "{mode}: {released:?}");
+            assert!(released.min_ns >= 30_000_000, "{mode}: {released:?}");
+            let delivered = sys.latency_snapshot_at(middle).unwrap();
+            assert_eq!(delivered.activations, 3, "{mode}");
+            assert_eq!(delivered.deadline_misses, 0, "{mode}: {delivered:?}");
+        }
     }
 
     #[test]
@@ -5469,6 +5275,88 @@ mod tests {
             };
             assert_eq!(component, "middle", "{mode}");
             assert_eq!(*kind, FaultKind::Panic, "{mode}");
+        }
+    }
+
+    /// The engine refuses to re-enter a component whose invocation is
+    /// still on the stack: a synchronous cycle `a.peer → b.svc`,
+    /// `b.back → a.ping` fails with the same typed error on every attempt
+    /// in every mode, and leaves the structure as it found it.
+    #[test]
+    fn synchronous_cycles_are_refused_as_re_entry_in_every_mode() {
+        #[derive(Debug, Default)]
+        struct Caller(&'static str);
+        impl Content<Token> for Caller {
+            fn on_invoke(
+                &mut self,
+                _port: &str,
+                msg: &mut Token,
+                out: &mut dyn Ports<Token>,
+            ) -> InvokeResult {
+                out.call(self.0, msg)
+            }
+        }
+        let mut registry = ContentRegistry::new();
+        registry.register("A", || Box::new(Caller("peer")));
+        registry.register("B", || Box::new(Caller("back")));
+        let component = |name: &str, class: &str, activation, domain, port: &str| ComponentSpec {
+            name: name.into(),
+            content_class: class.into(),
+            activation,
+            domain,
+            area: 0,
+            server_ports: vec![port.into()],
+            ceiling: None,
+        };
+        let sync = |client, client_port: &str, server, server_port: &str| BindingSpec {
+            client,
+            client_port: client_port.into(),
+            server,
+            server_port: server_port.into(),
+            protocol: ProtocolSpec::Sync,
+            pattern: PatternKind::Direct,
+            enter_path: vec![],
+        };
+        let spec = SystemSpec {
+            name: "cycle".into(),
+            areas: vec![AreaSpec {
+                name: "Imm".into(),
+                kind: MemoryKind::Immortal,
+                size: Some(64 * 1024),
+                parent: None,
+            }],
+            domains: vec![DomainSpec {
+                name: "rt".into(),
+                kind: ThreadKind::Realtime,
+                priority: 20,
+            }],
+            components: vec![
+                component(
+                    "a",
+                    "A",
+                    Activation::Periodic {
+                        period: RelativeTime::from_millis(10),
+                    },
+                    Some(0),
+                    "ping",
+                ),
+                component("b", "B", Activation::Passive, None, "svc"),
+            ],
+            bindings: vec![sync(0, "peer", 1, "svc"), sync(1, "back", 0, "ping")],
+        };
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            let mut sys = System::build(&spec, mode, &registry).unwrap();
+            let a = sys.slot_of("a").unwrap();
+            let digest = sys.structural_digest();
+            for attempt in 0..2 {
+                let err = sys.run_transaction(a).unwrap_err();
+                assert!(
+                    matches!(&err, FrameworkError::RunToCompletion(m)
+                        if m == "re-entrant invocation of 'a'"),
+                    "{mode}, attempt {attempt}: {err}"
+                );
+                assert_eq!(sys.structural_digest(), digest, "{mode}, attempt {attempt}");
+            }
         }
     }
 
