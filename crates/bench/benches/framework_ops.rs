@@ -1,13 +1,13 @@
 //! Ablation micro-benches for the framework's design choices (DESIGN.md):
 //! the costs behind the end-to-end numbers — design-time validation, ADL
-//! parsing, compilation, full generation per mode, and the substrate
+//! parsing, compilation, full deployment per mode, and the substrate
 //! operations the memory interceptors execute per crossing.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rtsj::memory::{MemoryManager, ScopedMemoryParams};
 use rtsj::thread::ThreadKind;
 use soleil::core::adl::{from_xml, MOTIVATION_EXAMPLE_XML};
-use soleil::generator::{compile, generate};
+use soleil::generator::{compile, deploy};
 use soleil::prelude::*;
 use soleil::scenario::{motivation_architecture, motivation_validated, registry};
 
@@ -37,7 +37,7 @@ fn bench_generation(c: &mut Criterion) {
         group.bench_function(mode.to_string(), |b| {
             b.iter_batched(
                 registry,
-                |reg| generate(&arch, mode, &reg).expect("builds"),
+                |reg| deploy(&arch, mode, &reg).expect("builds"),
                 BatchSize::SmallInput,
             );
         });

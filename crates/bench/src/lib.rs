@@ -1125,7 +1125,7 @@ pub struct ReconfigGateRow {
     /// Deadline misses under the baseline contract across the run.
     pub deadline_misses: u64,
     /// True when the refused probe transaction left every shard's
-    /// structural digest byte-identical.
+    /// structural digest and the architecture's JSON form byte-identical.
     pub rollback_identical: bool,
 }
 
@@ -1214,8 +1214,10 @@ pub fn run_reconfig_gate(
         sys.run_ticks(ticks_per_txn)?;
 
         // Refusal probe: the combined transaction aborts at the last step;
-        // every shard engine must come back byte-identical.
+        // every shard engine and the architectural mirror must come back
+        // byte-identical.
         let digests = sys.structural_digests();
+        let arch_json = soleil::core::adl::to_json(sys.architecture());
         let refusal = sys.reconfigure(|txn| -> Result<(), FrameworkError> {
             txn.rebind_async("producer", "out1", "consumerC")?;
             txn.reassign_domain("consumerB", "C")?;
@@ -1223,7 +1225,9 @@ pub fn run_reconfig_gate(
                 "reconfig-gate refusal probe".into(),
             ))
         });
-        let rollback_identical = refusal.is_err() && sys.structural_digests() == digests;
+        let rollback_identical = refusal.is_err()
+            && sys.structural_digests() == digests
+            && soleil::core::adl::to_json(sys.architecture()) == arch_json;
 
         // Committed transactions under traffic: ping-pong the ring target,
         // the consumer's domain (re-homing its region each way) and the
@@ -1321,7 +1325,8 @@ pub fn reconfig_gate_failures(rows: &[ReconfigGateRow]) -> Vec<String> {
         }
         if !r.rollback_identical {
             failures.push(format!(
-                "{tag}: the refused probe transaction did not restore the shards byte-identically"
+                "{tag}: the refused probe transaction did not restore the shards and the \
+                 architecture byte-identically"
             ));
         }
     }

@@ -414,9 +414,10 @@ fn rebind_fixture() -> (ValidatedArchitecture, ContentRegistry<u64>) {
 /// includes the commit-time `validate` (an empty commit of the fixture
 /// makes 12); the refused one never reaches commit. In SOLEIL and
 /// MERGE-ALL alike, the engine half of a rebind writes one binding row
-/// in place and journals its pre-image; the rest is the journal entry and
-/// the architectural model's edit and its undo.
-const REBIND_ALLOCS: [(Mode, u64, u64); 2] = [(Mode::Soleil, 17, 7), (Mode::MergeAll, 17, 7)];
+/// in place and the architectural model swaps the binding's server in
+/// place; both journal `Copy` pre-images, so the one allocation left is
+/// the journal's own.
+const REBIND_ALLOCS: [(Mode, u64, u64); 2] = [(Mode::Soleil, 13, 1), (Mode::MergeAll, 13, 1)];
 
 /// The write path is bounded too: after two warm-up rebinds, one
 /// committed rebind and one refused one (the closure fails after the

@@ -19,6 +19,26 @@ use crate::model::{
 };
 use crate::{ModelError, Result};
 
+/// A containment edge taken out by [`Architecture::remove_child`], with its
+/// positions in the parent's child list and the child's parent list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use]
+pub struct ChildEdge {
+    parent: ComponentId,
+    child: ComponentId,
+    in_children: usize,
+    in_parents: usize,
+}
+
+/// The server a binding pointed at before [`Architecture::rebind_server`]
+/// re-pointed it: the binding's index and its previous server component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use]
+pub struct ServerSwap {
+    binding: usize,
+    server: ComponentId,
+}
+
 /// A complete (or in-progress) component architecture.
 ///
 /// Construction is incremental: add components, connect hierarchy edges,
@@ -172,21 +192,36 @@ impl Architecture {
         Ok(())
     }
 
-    /// Removes the containment edge `parent -> child`; returns whether the
-    /// edge existed (parity with [`unbind`](Self::unbind), so callers —
-    /// e.g. the transactional-reconfiguration rollback — can detect a
-    /// hierarchy that diverged from their expectations).
-    pub fn remove_child(&mut self, parent: ComponentId, child: ComponentId) -> bool {
-        let mut removed = false;
-        if let Some(v) = self.children.get_mut(parent.0 as usize) {
-            let before = v.len();
-            v.retain(|&c| c != child);
-            removed = v.len() != before;
+    /// Removes the containment edge `parent -> child`. Returns the edge with
+    /// its positions in `parent`'s children and `child`'s parents — the
+    /// pre-image [`restore_child`](Self::restore_child) re-inserts it at —
+    /// or `None` when there is no such direct edge (the child may still be
+    /// an indirect member, through a composite in between).
+    pub fn remove_child(&mut self, parent: ComponentId, child: ComponentId) -> Option<ChildEdge> {
+        let (p, c) = (parent.0 as usize, child.0 as usize);
+        let in_children = self.children.get(p)?.iter().position(|&x| x == child)?;
+        let in_parents = self.parents.get(c)?.iter().position(|&x| x == parent)?;
+        self.children[p].remove(in_children);
+        self.parents[c].remove(in_parents);
+        Some(ChildEdge {
+            parent,
+            child,
+            in_children,
+            in_parents,
+        })
+    }
+
+    /// Re-inserts an edge [`remove_child`](Self::remove_child) took out, at
+    /// the positions it had — the infallible undo of a containment move, so
+    /// a rolled-back edit leaves every child and parent list in its old
+    /// order.
+    pub fn restore_child(&mut self, edge: ChildEdge) {
+        let (p, c) = (edge.parent.0 as usize, edge.child.0 as usize);
+        if let (Some(children), Some(parents)) = (self.children.get_mut(p), self.parents.get_mut(c))
+        {
+            children.insert(edge.in_children.min(children.len()), edge.child);
+            parents.insert(edge.in_parents.min(parents.len()), edge.parent);
         }
-        if let Some(v) = self.parents.get_mut(child.0 as usize) {
-            v.retain(|&p| p != parent);
-        }
-        removed
     }
 
     /// Adds a binding between a client interface and a server interface.
@@ -273,6 +308,47 @@ impl Architecture {
         self.bindings
             .retain(|b| !(b.client.component == client && b.client.interface == client_if));
         self.bindings.len() != before
+    }
+
+    /// Points the binding on `client`'s interface `client_if` at `server`'s
+    /// interface of the same name as its current target, in place: the
+    /// binding keeps its position in [`bindings`](Self::bindings) and its
+    /// protocol. The endpoint checks of [`bind`](Self::bind) run first, so a
+    /// refusal changes nothing. Returns the pre-image
+    /// [`restore_server`](Self::restore_server) writes back.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::KindMismatch`] when `client_if` is unbound; the
+    /// endpoint errors of [`bind`](Self::bind).
+    pub fn rebind_server(
+        &mut self,
+        client: ComponentId,
+        client_if: &str,
+        server: ComponentId,
+    ) -> Result<ServerSwap> {
+        let Some(binding) = self
+            .bindings
+            .iter()
+            .position(|b| b.client.component == client && b.client.interface == client_if)
+        else {
+            return Err(ModelError::KindMismatch {
+                component: self.component(client)?.name.clone(),
+                detail: format!("client interface '{client_if}' is unbound"),
+            });
+        };
+        let server_if = &self.bindings[binding].server.interface;
+        self.check_endpoints(client, client_if, server, server_if)?;
+        let server = std::mem::replace(&mut self.bindings[binding].server.component, server);
+        Ok(ServerSwap { binding, server })
+    }
+
+    /// Writes a [`rebind_server`](Self::rebind_server) pre-image back — the
+    /// infallible undo of an in-place rebind.
+    pub fn restore_server(&mut self, swap: ServerSwap) {
+        if let Some(b) = self.bindings.get_mut(swap.binding) {
+            b.server.component = swap.server;
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1093,6 +1169,57 @@ mod tests {
         assert!(a.unbind(p, "out"));
         assert!(!a.unbind(p, "out"));
         assert!(a.bindings().is_empty());
+    }
+
+    /// The undo pair of a rebind: the server swaps in place after the
+    /// `bind` checks, and the pre-image writes the old server back.
+    #[test]
+    fn rebind_server_swaps_in_place_and_restores() {
+        let mut a = Architecture::new("t");
+        let p = a
+            .add_component("p", ComponentKind::Active(ActivationKind::Sporadic))
+            .unwrap();
+        a.add_interface(p, "out", Role::Client, "I").unwrap();
+        a.add_interface(p, "log", Role::Client, "I").unwrap();
+        let mut servers = Vec::new();
+        for (name, sig) in [("q", "I"), ("r", "I"), ("bad", "J")] {
+            let id = a.add_component(name, ComponentKind::Passive).unwrap();
+            a.add_interface(id, "in", Role::Server, sig).unwrap();
+            servers.push(id);
+        }
+        let [q, r, bad] = servers[..] else {
+            unreachable!()
+        };
+        a.bind(p, "out", q, "in", Protocol::Synchronous).unwrap();
+        a.bind(p, "log", q, "in", Protocol::Synchronous).unwrap();
+        let before = a.bindings().to_vec();
+
+        assert!(a.rebind_server(p, "out", bad).is_err(), "signature checked");
+        assert!(a.rebind_server(q, "out", r).is_err(), "unbound port");
+        assert_eq!(a.bindings(), before, "refusals change nothing");
+        let swap = a.rebind_server(p, "out", r).unwrap();
+        assert_eq!(a.bindings()[0].server.component, r, "kept its position");
+        a.restore_server(swap);
+        assert_eq!(a.bindings(), before);
+    }
+
+    /// The undo pair of a containment move: the removed edge comes back at
+    /// the positions it had in both lists.
+    #[test]
+    fn remove_child_restores_the_edge_at_its_positions() {
+        let (mut a, comp, domain, _area) = arch_with_sharing();
+        let other = a.add_component("other", ComponentKind::Passive).unwrap();
+        a.add_child(domain, other).unwrap();
+        let (children, parents) = (a.children_of(domain).to_vec(), a.parents_of(comp).to_vec());
+        let edge = a.remove_child(domain, comp).unwrap();
+        assert!(a.remove_child(domain, comp).is_none(), "edge already gone");
+        assert_eq!(a.children_of(domain), [other]);
+        a.add_child(domain, comp).unwrap();
+        assert_eq!(a.children_of(domain), [other, comp], "re-added at the end");
+        assert!(a.remove_child(domain, comp).is_some());
+        a.restore_child(edge);
+        assert_eq!(a.children_of(domain), children);
+        assert_eq!(a.parents_of(comp), parents);
     }
 
     #[test]

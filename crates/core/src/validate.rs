@@ -211,7 +211,7 @@ impl fmt::Display for ValidationReport {
 ///
 /// The paper's contract is that RTSJ conformance is established *before*
 /// generation, so the generator and runtime can trust their input. This
-/// type carries that fact in the type system: `compile`/`generate`/`deploy`
+/// type carries that fact in the type system: `compile`/`deploy`
 /// take `&ValidatedArchitecture`, and the only ways to obtain one are
 /// [`validate_into`] / [`Architecture::into_validated`] (which run every
 /// rule) or the explicit [`ValidatedArchitecture::assume_valid`] escape

@@ -9,8 +9,9 @@
 //!   into a [`soleil_runtime::SystemSpec`] — resolving every component's
 //!   ThreadDomain and MemoryArea, selecting the cross-scope pattern for
 //!   every binding, and placing asynchronous buffers;
-//! * [`generate`] is the one-shot path: compile, then build the executable
-//!   [`soleil_runtime::System`] in a chosen [`Mode`];
+//! * [`deploy`] is the one-shot path: compile, then build the running
+//!   [`Deployment`] in a chosen [`Mode`] ([`deploy_parallel`] shards it by
+//!   thread domain);
 //! * [`codegen`] renders the infrastructure as human-readable source
 //!   listings per mode and computes the §5.2 code-generation metrics
 //!   (generated units, lines, dispatch indirections).
@@ -26,11 +27,13 @@ pub use compile::{compile, GeneratorError};
 
 use soleil_core::validate::ValidatedArchitecture;
 use soleil_membrane::content::{ContentRegistry, Payload};
-use soleil_runtime::{Deployment, Mode, System};
+use soleil_runtime::{Deployment, Mode};
 
-/// Compiles `arch` and builds the executable system in one step — the
-/// paper's "final composition process" (functional implementations from
-/// `registry` wrapped by generated infrastructure).
+/// The canonical entry path — the paper's "final composition process"
+/// (functional implementations from `registry` wrapped by generated
+/// infrastructure): compiles the validated architecture, builds the system
+/// and wraps it in a [`Deployment`] — component names resolved once into
+/// `ComponentRef` tokens, reconfiguration transactional and re-validated.
 ///
 /// The input is the design-time conformance witness; an unchecked
 /// [`Architecture`](soleil_core::Architecture) does not type-check:
@@ -40,38 +43,18 @@ use soleil_runtime::{Deployment, Mode, System};
 /// use soleil_membrane::content::ContentRegistry;
 /// use soleil_runtime::Mode;
 ///
-/// fn try_generate(arch: &Architecture, registry: &ContentRegistry<u64>) {
-///     // ERROR: `generate` takes `&ValidatedArchitecture`, not a raw
+/// fn try_deploy(arch: &Architecture, registry: &ContentRegistry<u64>) {
+///     // ERROR: `deploy` takes `&ValidatedArchitecture`, not a raw
 ///     // `&Architecture` — validate first.
-///     let _ = soleil_generator::generate(arch, Mode::Soleil, registry);
+///     let _ = soleil_generator::deploy(arch, Mode::Soleil, registry);
 /// }
 /// ```
-///
-/// Most callers want [`deploy`] instead, which returns the typed
-/// [`Deployment`] handle.
 ///
 /// # Errors
 ///
 /// * [`GeneratorError::MissingContent`] when a functional component lacks a
 ///   content class.
 /// * Build errors from the runtime (unknown classes, budget overflow).
-pub fn generate<P: Payload>(
-    arch: &ValidatedArchitecture,
-    mode: Mode,
-    registry: &ContentRegistry<P>,
-) -> Result<System<P>, GeneratorError> {
-    let spec = compile(arch)?;
-    System::build(&spec, mode, registry).map_err(GeneratorError::Build)
-}
-
-/// The canonical entry path: compiles the validated architecture, builds
-/// the system and wraps it in a [`Deployment`] — component names resolved
-/// once into `ComponentRef` tokens, reconfiguration transactional and
-/// re-validated.
-///
-/// # Errors
-///
-/// Same failure classes as [`generate`].
 pub fn deploy<P: Payload>(
     arch: &ValidatedArchitecture,
     mode: Mode,
@@ -96,7 +79,7 @@ pub fn deploy<P: Payload>(
 ///
 /// # Errors
 ///
-/// Same failure classes as [`generate`].
+/// Same failure classes as [`deploy`].
 pub fn deploy_parallel<P: Payload>(
     arch: &ValidatedArchitecture,
     mode: Mode,
@@ -198,12 +181,12 @@ mod tests {
             .into_validated()
             .unwrap();
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
-            let mut sys = generate(&arch, mode, &registry()).unwrap();
-            let head = sys.slot_of("ProductionLine").unwrap();
+            let mut dep = deploy(&arch, mode, &registry()).unwrap();
+            let head = dep.resolve("ProductionLine").unwrap();
             for _ in 0..20 {
-                sys.run_transaction(head).unwrap();
+                dep.run_transaction(head).unwrap();
             }
-            let st = sys.stats();
+            let st = dep.stats();
             assert_eq!(st.transactions, 20, "{mode}");
             assert_eq!(st.dropped_messages, 0, "{mode}");
             // Every 10th measurement is anomalous: 2 console calls in

@@ -277,8 +277,8 @@ pub trait Content<P: Payload>: Debug + Send {
     /// constructed instance. Called by the engine after a supervised
     /// restart replaced the faulted instance; the image is either the one
     /// captured at the restart boundary (healthy faults) or the last
-    /// healthy cadence capture (poisoned membranes, whose final state may
-    /// be half-mutated by the panic's unwind).
+    /// healthy cadence capture (after a contained panic, whose unwind may
+    /// have left the final state half-mutated).
     fn restore(&mut self, image: &StateImage) {
         let _ = image;
     }

@@ -23,34 +23,34 @@ use crate::error::FrameworkError;
 // ---------------------------------------------------------------------------
 
 /// The component lifecycle state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LifecycleState {
     /// Not started (or stopped): invocations are refused.
+    #[default]
     Stopped,
     /// Running: invocations flow.
     Started,
     /// Faulted and isolated by supervision: invocations are refused until
-    /// the component is restarted (a plain `start` is not enough — the
-    /// membrane may be poisoned by a mid-activation panic).
+    /// the component is restarted (a plain start is not enough — the
+    /// content may be half-mutated by a mid-activation panic).
     Quarantined,
 }
 
 /// Start/stop controller, the reconfiguration gate of the membrane.
-#[derive(Debug, Clone)]
+///
+/// In a SOLEIL deployment it is a mirror of the engine's per-slot
+/// lifecycle record: the engine's one lifecycle writer sets it, through
+/// [`Membrane::set_lifecycle`](crate::Membrane::set_lifecycle), in the same
+/// step as the record, and nothing else in the engine writes it.
+#[derive(Debug, Clone, Default)]
 pub struct LifecycleController {
     state: LifecycleState,
-    transitions: u64,
-    recoveries: u64,
 }
 
 impl LifecycleController {
     /// Creates a controller in the `Stopped` state.
     pub fn new() -> Self {
-        LifecycleController {
-            state: LifecycleState::Stopped,
-            transitions: 0,
-            recoveries: 0,
-        }
+        Self::default()
     }
 
     /// Current state.
@@ -58,52 +58,19 @@ impl LifecycleController {
         self.state
     }
 
-    /// Moves to `Started` (idempotent).
+    /// Moves to `state`.
+    pub fn set(&mut self, state: LifecycleState) {
+        self.state = state;
+    }
+
+    /// Moves to `Started`.
     pub fn start(&mut self) {
-        if self.state != LifecycleState::Started {
-            self.state = LifecycleState::Started;
-            self.transitions += 1;
-        }
+        self.set(LifecycleState::Started);
     }
 
-    /// Moves to `Stopped` (idempotent).
+    /// Moves to `Stopped`.
     pub fn stop(&mut self) {
-        if self.state != LifecycleState::Stopped {
-            self.state = LifecycleState::Stopped;
-            self.transitions += 1;
-        }
-    }
-
-    /// Moves to `Quarantined` (idempotent). Supervision calls this when a
-    /// fault is contained; only a restart (not a plain `start`) should
-    /// bring the component back.
-    pub fn quarantine(&mut self) {
-        if self.state != LifecycleState::Quarantined {
-            self.state = LifecycleState::Quarantined;
-            self.transitions += 1;
-        }
-    }
-
-    /// Brings a `Quarantined` component back to `Started` through the
-    /// supervised-restart path, counting the recovery. A plain `start`
-    /// deliberately does not leave quarantine — the membrane may be
-    /// poisoned by a mid-activation panic and must go through the restart
-    /// protocol (fresh content instance, poison cleared) first.
-    pub fn recover(&mut self) {
-        if self.state == LifecycleState::Quarantined {
-            self.recoveries += 1;
-        }
-        self.start();
-    }
-
-    /// Number of state transitions (introspection).
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Supervised recoveries completed (quarantine → restart transitions).
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
+        self.set(LifecycleState::Stopped);
     }
 
     /// Errors unless started.
@@ -121,12 +88,6 @@ impl LifecycleController {
                 "component '{component}' is quarantined pending restart"
             ))),
         }
-    }
-}
-
-impl Default for LifecycleController {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -371,10 +332,10 @@ mod tests {
         assert!(lc.assert_started("c").is_err());
         lc.start();
         lc.start(); // idempotent
-        assert_eq!(lc.transitions(), 1);
+        assert_eq!(lc.state(), LifecycleState::Started);
         lc.assert_started("c").unwrap();
         lc.stop();
-        assert_eq!(lc.transitions(), 2);
+        assert_eq!(lc.state(), LifecycleState::Stopped);
         assert!(lc.assert_started("c").is_err());
     }
 
@@ -382,10 +343,9 @@ mod tests {
     fn quarantine_refuses_invocations_until_restarted() {
         let mut lc = LifecycleController::new();
         lc.start();
-        lc.quarantine();
-        lc.quarantine(); // idempotent
+        lc.set(LifecycleState::Quarantined);
+        lc.set(LifecycleState::Quarantined); // idempotent
         assert_eq!(lc.state(), LifecycleState::Quarantined);
-        assert_eq!(lc.transitions(), 2);
         let err = lc.assert_started("Detector").unwrap_err();
         assert_eq!(
             err.to_string(),

@@ -11,7 +11,8 @@ use soleil_core::{SoleilError, ValidationReport};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The content panicked during activation; the panic was caught at the
-    /// activation boundary and the component's membrane was poisoned.
+    /// activation boundary. When the fault policy contains it, the
+    /// component is quarantined poisoned until a restart.
     Panic,
     /// The content (or an injected fault) returned an error the
     /// component's fault policy is asked to handle.

@@ -361,7 +361,7 @@ pub enum InjectedFault {
     /// A content-style error returned from the draw.
     Error,
     /// A real `panic!` raised from the draw — exercises the activation
-    /// boundary's `catch_unwind` and the membrane poison protocol.
+    /// boundary's `catch_unwind` and the poison a contained panic leaves.
     Panic,
     /// A busy-wait long enough to trip latency contracts, then success.
     LatencySpike,

@@ -58,7 +58,7 @@ pub use monitor::{LatencyMonitor, LatencySnapshot};
 
 use rtsj::memory::{MemoryContext, MemoryManager};
 
-use controllers::{BindingController, LifecycleController};
+use controllers::{BindingController, LifecycleController, LifecycleState};
 use interceptors::{InterceptStep, Interceptor};
 
 /// How a [`CompiledChain`] executes the pre/post protocol — settled when
@@ -122,18 +122,6 @@ impl CompiledChain {
     pub fn is_fully_compiled(&self) -> bool {
         self.steps.iter().all(InterceptStep::is_compiled)
     }
-
-    /// Clears per-transaction transient state every step may have left set
-    /// by an activation that never completed — a mid-chain panic skips the
-    /// `post` unwind, so a supervised restart must reset the
-    /// run-to-completion guards by hand before re-admitting invocations.
-    pub fn reset_transient(&mut self) {
-        for step in &mut self.steps {
-            if let InterceptStep::Active(a) = step {
-                a.reset();
-            }
-        }
-    }
 }
 
 /// The reified control membrane of one component (SOLEIL mode).
@@ -155,7 +143,7 @@ pub struct Membrane {
     chain: CompiledChain,
     /// True after a panic was caught mid-activation: the content may be
     /// half-mutated and the chain half-wound, so invocations are refused
-    /// until [`restart`](Membrane::restart) clears the flag.
+    /// until [`set_lifecycle`](Membrane::set_lifecycle) clears the flag.
     poisoned: bool,
 }
 
@@ -171,32 +159,26 @@ impl Membrane {
         }
     }
 
-    /// Quarantines the component after a contained fault: the lifecycle
-    /// moves to [`controllers::LifecycleState::Quarantined`] and, when the
-    /// fault was a panic (`poison` true), the membrane is poisoned so not
-    /// even a plain `start` can re-admit invocations without a
-    /// [`restart`](Membrane::restart).
-    pub fn quarantine(&mut self, poison: bool) {
-        self.lifecycle.quarantine();
-        if poison {
-            self.poisoned = true;
+    /// Sets the lifecycle state and the poison flag together — in a SOLEIL
+    /// deployment, the engine's one lifecycle writer mirrors its record of
+    /// the component here. Clearing the poison also resets the
+    /// run-to-completion guards a mid-chain panic left busy (it skipped
+    /// their `post`); the caller replaces the content instance itself.
+    pub fn set_lifecycle(&mut self, state: LifecycleState, poisoned: bool) {
+        if self.poisoned && !poisoned {
+            for step in &mut self.chain.steps {
+                if let InterceptStep::Active(a) = step {
+                    a.reset();
+                }
+            }
         }
+        self.lifecycle.set(state);
+        self.poisoned = poisoned;
     }
 
     /// True after a panic was contained and before a restart.
     pub fn poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// Supervised restart: clears the poison flag, resets any transient
-    /// interceptor state a mid-chain panic left behind (run-to-completion
-    /// guards stuck busy), and recovers the lifecycle (counting the
-    /// quarantine → started transition). The caller is responsible for
-    /// replacing the content instance itself.
-    pub fn restart(&mut self) {
-        self.poisoned = false;
-        self.chain.reset_transient();
-        self.lifecycle.recover();
     }
 
     /// Appends an interceptor to the chain (pre runs in insertion order,
@@ -403,7 +385,7 @@ mod tests {
         // Simulate a panic caught mid-activation: pre ran (guard busy),
         // post never did, and supervision poisons the membrane.
         m.pre_invoke(&mut mm, &mut ctx).unwrap();
-        m.quarantine(true);
+        m.set_lifecycle(LifecycleState::Quarantined, true);
         assert!(m.poisoned());
         assert!(matches!(
             m.pre_invoke(&mut mm, &mut ctx),
@@ -414,7 +396,7 @@ mod tests {
         let err = m.pre_invoke(&mut mm, &mut ctx).unwrap_err();
         assert!(err.to_string().contains("poisoned by a caught panic"));
         // A supervised restart clears poison AND the stuck busy guard.
-        m.restart();
+        m.set_lifecycle(LifecycleState::Started, false);
         assert!(!m.poisoned());
         m.pre_invoke(&mut mm, &mut ctx).unwrap();
         m.post_invoke(&mut mm, &mut ctx).unwrap();

@@ -35,13 +35,15 @@
 //! wrong slot.
 
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use rtsj::memory::MemoryManager;
 use rtsj::thread::{Priority, ThreadKind};
 use rtsj::time::AbsoluteTime;
+use soleil_core::arch::{ChildEdge, ServerSwap};
 use soleil_core::contract::TimingContract;
-use soleil_core::model::{ComponentId, ComponentKind, Protocol};
+use soleil_core::model::{ComponentId, ComponentKind};
 use soleil_core::validate::{parallel_coupling, validate};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
@@ -53,7 +55,8 @@ use crate::footprint::FootprintReport;
 use crate::parallel::{self, Rewire, Rings, Shard, ShardRun};
 use crate::spec::{Mode, ProtocolSpec, SystemSpec};
 use crate::system::{
-    EngineStats, FaultPolicy, MembraneInfo, MonitorSlot, RehomeUndo, RowPreImage, System,
+    EngineStats, FaultPolicy, Lifecycle, MembraneInfo, MonitorSlot, RehomeUndo, RowPreImage,
+    SupervisionPreImage, System,
 };
 use crate::timer::TimerHandle;
 
@@ -508,11 +511,6 @@ impl<P: Payload> Deployment<P> {
         self.shards.len()
     }
 
-    /// Shard labels (thread-domain names joined with `+`), in shard order.
-    pub fn shard_labels(&self) -> Vec<&str> {
-        self.shards.iter().map(|s| s.label.as_str()).collect()
-    }
-
     /// The shard a thread domain was planned into.
     pub fn shard_of_domain(&self, domain: &str) -> Option<usize> {
         self.shards
@@ -952,17 +950,6 @@ impl<P: Payload> Deployment<P> {
         })
     }
 
-    /// True when the Checkpoint capability is enabled for a component.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn checkpoint_enabled(&self, component: impl Address) -> Result<bool, FrameworkError> {
-        self.on(component, |system, slot| {
-            Ok(system.checkpoint_enabled_at(slot))
-        })
-    }
-
     /// `(captures, restores)` of a component's checkpoint storage; `None`
     /// when the capability is not enabled.
     ///
@@ -1017,7 +1004,14 @@ impl<P: Payload> Deployment<P> {
     /// a refused transaction is charge-neutral. On a closure error *or* a
     /// refusal every applied operation is rolled back, leaving engines,
     /// rings, plan and architecture exactly as before the call (witness:
-    /// [`structural_digests`](Self::structural_digests)).
+    /// [`structural_digests`](Self::structural_digests)). A closure that
+    /// panics — or an `on_start`/`on_stop` hook it ran — is rolled back the
+    /// same way before its unwind continues out of this call.
+    ///
+    /// Every journal entry is a pre-image that rollback only writes back:
+    /// it re-runs no operation, re-checks nothing and calls no hook, so it
+    /// cannot fail halfway. A refused transaction that stopped a component
+    /// has run its `on_stop` once, and does not run `on_start` again.
     ///
     /// A sharded deployment is first driven to a quiescence epoch — every
     /// ring drained, zero messages in flight — the parallel analogue of the
@@ -1049,7 +1043,13 @@ impl<P: Payload> Deployment<P> {
             journal: Vec::new(),
             pending_charges: Vec::new(),
         };
-        let result = f(&mut txn).and_then(|value| txn.commit().map(|()| value));
+        let result = match catch_unwind(AssertUnwindSafe(|| f(&mut txn))) {
+            Ok(result) => result.and_then(|value| txn.commit().map(|()| value)),
+            Err(payload) => {
+                txn.rollback();
+                resume_unwind(payload)
+            }
+        };
         if result.is_err() {
             txn.rollback();
         }
@@ -1087,57 +1087,43 @@ impl<P: Payload> Deployment<P> {
         }
         Ok(())
     }
-}
 
-/// A pre-transaction architectural binding, restorable after a rebind.
-struct OldBinding {
-    client: ComponentId,
-    server: ComponentId,
-    interface: String,
-    protocol: Protocol,
-}
-
-impl OldBinding {
-    /// Puts the pre-transaction edge back (the transaction's edge must
-    /// already be gone).
-    fn rebind(&self, arch: &mut Architecture, port: &str) {
-        arch.bind(
-            self.client,
-            port,
-            self.server,
-            &self.interface,
-            self.protocol,
-        )
-        .expect("restoring a binding that existed before the transaction");
-    }
-
-    /// Replaces the transaction's edge with the pre-transaction one.
-    fn restore(&self, arch: &mut Architecture, port: &str) {
-        assert!(
-            arch.unbind(self.client, port),
-            "transaction binding vanished from the architecture"
-        );
-        self.rebind(arch, port);
+    /// Writes a [`PlanRebind`] back: the plan binding's old server and
+    /// the architecture's server swap.
+    fn restore_plan(&mut self, plan: PlanRebind) {
+        self.spec.bindings[plan.gbix].server = plan.old_server_g;
+        if let (Some(swap), Some(arch)) = (plan.arch, self.arch.as_mut()) {
+            arch.restore_server(swap);
+        }
     }
 }
 
-/// A ThreadDomain containment edge moved by `reassign_domain`.
+/// The plan and architecture half of a rebind's undo: plan binding
+/// `gbix`'s old server, and the architecture's in-place server swap.
+#[derive(Clone, Copy)]
+struct PlanRebind {
+    gbix: usize,
+    old_server_g: usize,
+    arch: Option<ServerSwap>,
+}
+
+/// A ThreadDomain containment edge moved by `reassign_domain`: the old
+/// edge as [`Architecture::remove_child`] took it out, and the new domain.
+#[derive(Clone, Copy)]
 struct DomainEdge {
     comp: ComponentId,
-    old: Option<ComponentId>,
+    removed: Option<ChildEdge>,
     new: ComponentId,
 }
 
 impl DomainEdge {
-    /// Moves the edge back to its pre-transaction domain.
-    fn restore(&self, arch: &mut Architecture) {
-        assert!(
-            arch.remove_child(self.new, self.comp),
-            "transaction domain edge vanished from the architecture"
-        );
-        if let Some(old) = self.old {
-            arch.add_child(old, self.comp)
-                .expect("restoring an edge that existed before the transaction");
+    /// Moves the edge back to its pre-transaction domain, at its old
+    /// positions.
+    fn restore(self, arch: &mut Architecture) {
+        let added = arch.remove_child(self.new, self.comp);
+        debug_assert!(added.is_some(), "transaction domain edge vanished");
+        if let Some(edge) = self.removed {
+            arch.restore_child(edge);
         }
     }
 }
@@ -1159,33 +1145,30 @@ enum PendingCharge {
     Immortal { shard: usize, bytes: usize },
 }
 
-/// One applied operation's undo record. Rollback replays these in reverse,
-/// restoring engines, rings, plan and architectural model.
+/// One applied operation's undo record: a pre-image. Rollback writes
+/// these back in reverse, restoring engines, rings, plan and architectural
+/// model, and re-runs no operation.
 enum Undo<P> {
-    /// Undo of `start`: stop the component again.
-    Stop(ComponentRef),
-    /// Undo of `stop`: restart the component.
-    Start(ComponentRef),
-    /// Undo of a synchronous `rebind`: write the port's pre-transaction row
-    /// back in the engine and point the plan and the architecture at the
-    /// old server.
+    /// Undo of `stop`/`start`: the component's lifecycle record before
+    /// the hook ran.
+    Lifecycle {
+        at: ComponentRef,
+        previous: Lifecycle,
+    },
+    /// Undo of a synchronous `rebind`: the port's pre-transaction row,
+    /// plus the plan and architecture pre-images.
     Rebind {
         client: ComponentRef,
-        port: String,
         old: RowPreImage,
-        gbix: usize,
-        old_server_g: usize,
-        arch: Option<OldBinding>,
+        plan: PlanRebind,
     },
     /// Undo of `rebind_async`: retire the installed ring, restore the
-    /// client's compiled binding and re-seat the retired ring. Boxed: the
-    /// ring record is several times the size of every other arm.
+    /// client's compiled binding and re-seat the retired ring, plus the
+    /// plan and architecture pre-images. Boxed: the ring record is several
+    /// times the size of every other arm.
     Rewire {
         ring: Box<Rewire<P>>,
-        port: String,
-        gbix: usize,
-        old_server_g: usize,
-        arch: Option<OldBinding>,
+        plan: PlanRebind,
     },
     /// Undo of `reassign_domain`: re-seat the domain (and, for a re-homed
     /// component, migrate the allocation region back).
@@ -1204,15 +1187,11 @@ enum Undo<P> {
         at: ComponentRef,
         previous: Option<Box<MonitorSlot>>,
     },
-    /// Undo of `set_fault_policy`: restore the pre-transaction policy.
-    Policy {
+    /// Undo of `set_fault_policy`/`set_supervisor`: the component's
+    /// pre-transaction policy and supervisor edge.
+    Supervision {
         at: ComponentRef,
-        previous: FaultPolicy,
-    },
-    /// Undo of `set_supervisor`: restore the pre-transaction edge.
-    Supervisor {
-        at: ComponentRef,
-        previous: Option<usize>,
+        previous: SupervisionPreImage,
     },
 }
 
@@ -1232,78 +1211,75 @@ impl<P: Payload> Reconfiguration<'_, P> {
         &mut self.dep.shards[at.shard()].system
     }
 
-    /// Stops a component (no-op if already stopped).
+    /// Stops a component (no-op if already stopped): its `on_stop` runs
+    /// once. Journaled as the component's lifecycle record, so a rollback
+    /// writes the record back and runs no hook.
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Content`] for unknown components.
     pub fn stop(&mut self, component: impl Address) -> Result<(), FrameworkError> {
-        let at = component.locate(self.dep)?;
-        let system = self.engine(at);
-        if !system.node_started(at.slot()) {
-            return Ok(());
-        }
-        system.stop_at(at.slot())?;
-        self.journal.push(Undo::Start(at));
-        Ok(())
+        self.set_started(component, false)
     }
 
-    /// (Re)starts a component (no-op if already started).
+    /// (Re)starts a component (no-op if already started): its `on_start`
+    /// runs once. A quarantine survives a start — only a restart lifts it.
+    /// Journaled as the component's lifecycle record, so a rollback writes
+    /// the record back and runs no hook.
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Content`] for unknown components.
     pub fn start(&mut self, component: impl Address) -> Result<(), FrameworkError> {
+        self.set_started(component, true)
+    }
+
+    /// The body of [`stop`](Self::stop) and [`start`](Self::start).
+    fn set_started(
+        &mut self,
+        component: impl Address,
+        started: bool,
+    ) -> Result<(), FrameworkError> {
         let at = component.locate(self.dep)?;
         let system = self.engine(at);
-        if system.node_started(at.slot()) {
+        if system.node_started(at.slot()) == started {
             return Ok(());
         }
-        system.start_at(at.slot())?;
-        self.journal.push(Undo::Stop(at));
+        let previous = if started {
+            system.start_at(at.slot())
+        } else {
+            system.stop_at(at.slot())
+        }?;
+        self.journal.push(Undo::Lifecycle { at, previous });
         Ok(())
     }
 
-    /// Mirrors a rebind into the architectural model (when the deployment
-    /// carries one): `client.port` is re-pointed at `new_server`'s
-    /// interface of the old target's name. The architecture runs the
-    /// stricter checks (interface existence, role, signature equality).
-    /// Returns the restore record.
-    fn arch_rebind(
+    /// Mirrors a rebind into the plan and, when the deployment carries
+    /// one, the architectural model: plan binding `gbix` and its client
+    /// port `port` are re-pointed at `new_server`, in place. The
+    /// architecture runs the stricter checks (interface existence, role,
+    /// signature equality) first, so a refusal changes nothing. Returns
+    /// the pre-images.
+    fn rebind_plan(
         &mut self,
-        client: usize,
+        gbix: usize,
         port: &str,
         new_server: usize,
-    ) -> Result<Option<OldBinding>, FrameworkError> {
+    ) -> Result<PlanRebind, FrameworkError> {
         let dep = &mut *self.dep;
-        let Some(arch) = dep.arch.as_mut() else {
-            return Ok(None);
-        };
-        let (client, new_server) = (dep.ids[client], dep.ids[new_server]);
-        let lost = || {
-            FrameworkError::Binding(format!(
-                "architecture lost binding for client port '{port}'"
-            ))
-        };
-        let old = arch
-            .bindings()
-            .iter()
-            .find(|b| b.client.component == client && b.client.interface == port)
-            .map(|b| OldBinding {
-                client,
-                server: b.server.component,
-                interface: b.server.interface.clone(),
-                protocol: b.protocol,
-            })
-            .ok_or_else(lost)?;
-        if !arch.unbind(client, port) {
-            return Err(lost());
-        }
-        if let Err(e) = arch.bind(client, port, new_server, &old.interface, old.protocol) {
-            old.rebind(arch, port);
-            return Err(FrameworkError::Binding(e.to_string()));
-        }
-        Ok(Some(old))
+        let client = dep.spec.bindings[gbix].client;
+        let arch = dep
+            .arch
+            .as_mut()
+            .map(|arch| arch.rebind_server(dep.ids[client], port, dep.ids[new_server]))
+            .transpose()
+            .map_err(|e| FrameworkError::Binding(e.to_string()))?;
+        let old_server_g = std::mem::replace(&mut dep.spec.bindings[gbix].server, new_server);
+        Ok(PlanRebind {
+            gbix,
+            old_server_g,
+            arch,
+        })
     }
 
     /// The plan binding of `client`'s `port`, with the given protocol
@@ -1372,24 +1348,14 @@ impl<P: Payload> Reconfiguration<'_, P> {
         // or architecture refusal after its write puts the pre-image back.
         let old = self.engine(c).rebind_at(c.slot(), port, s.slot())?;
         let (gclient, gserver) = (self.global(c), self.global(s));
-        let staged = self
+        let plan = self
             .plan_binding(gclient, port, true)
-            .and_then(|gbix| Ok((gbix, self.arch_rebind(gclient, port, gserver)?)));
-        let (gbix, arch) = match staged {
-            Ok(staged) => staged,
-            Err(e) => {
-                self.engine(c).restore_row(old);
-                return Err(e);
-            }
-        };
-        let old_server_g = std::mem::replace(&mut self.dep.spec.bindings[gbix].server, gserver);
+            .and_then(|gbix| self.rebind_plan(gbix, port, gserver))
+            .inspect_err(|_| self.engine(c).restore_row(old))?;
         self.journal.push(Undo::Rebind {
             client: c,
-            port: port.to_string(),
             old,
-            gbix,
-            old_server_g,
-            arch,
+            plan,
         });
         Ok(())
     }
@@ -1429,39 +1395,30 @@ impl<P: Payload> Reconfiguration<'_, P> {
         };
         // The new consumer must provide the same-named server port;
         // resolve it before touching anything.
-        let server_port = binding.server_port.clone();
-        let port_ix = self.engine(s).port_ix_of(s.slot(), &server_port)?;
+        let port_ix = self.dep.shards[s.shard()]
+            .system
+            .port_ix_of(s.slot(), &binding.server_port)?;
 
-        let arch = self.arch_rebind(gclient, port, gserver)?;
+        let plan = self.rebind_plan(gbix, port, gserver)?;
         let dep = &mut *self.dep;
-        let rewired = dep.rings.rewire(
-            &mut dep.shards,
-            gbix,
-            capacity,
-            (c.shard(), c.slot()),
-            port,
-            (s.shard(), s.slot(), port_ix),
-        );
-        let (ring, bytes) = match rewired {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let (Some(old), Some(a)) = (&arch, dep.arch.as_mut()) {
-                    old.restore(a, port);
-                }
-                return Err(e);
-            }
-        };
-        let old_server_g = std::mem::replace(&mut dep.spec.bindings[gbix].server, gserver);
+        let (ring, bytes) = dep
+            .rings
+            .rewire(
+                &mut dep.shards,
+                gbix,
+                capacity,
+                (c.shard(), c.slot()),
+                port,
+                (s.shard(), s.slot(), port_ix),
+            )
+            .inspect_err(|_| dep.restore_plan(plan))?;
         self.pending_charges.push(PendingCharge::Immortal {
             shard: c.shard(),
             bytes,
         });
         self.journal.push(Undo::Rewire {
             ring: Box::new(ring),
-            port: port.to_string(),
-            gbix,
-            old_server_g,
-            arch,
+            plan,
         });
         Ok(())
     }
@@ -1542,24 +1499,23 @@ impl<P: Payload> Reconfiguration<'_, P> {
                     "'{domain}' is not a ThreadDomain"
                 )));
             }
-            let old = arch.thread_domain_of(comp).map(|(id, _)| id);
             let old_area = arch.memory_area_of(comp).map(|(id, _)| id);
-            if let Some(old) = old {
-                if !arch.remove_child(old, comp) {
-                    return Err(FrameworkError::Binding(format!(
+            let removed = match arch.thread_domain_of(comp) {
+                Some((old, _)) => Some(arch.remove_child(old, comp).ok_or_else(|| {
+                    FrameworkError::Binding(format!(
                         "'{name}' is only an indirect member of its ThreadDomain; reassignment \
                          needs a direct edge"
-                    )));
-                }
-            }
+                    ))
+                })?),
+                None => None,
+            };
             if let Err(e) = arch.add_child(new, comp) {
-                if let Some(old) = old {
-                    arch.add_child(old, comp)
-                        .expect("restoring an edge that existed before the transaction");
+                if let Some(edge) = removed {
+                    arch.restore_child(edge);
                 }
                 return Err(FrameworkError::Binding(e.to_string()));
             }
-            let moved = DomainEdge { comp, old, new };
+            let moved = DomainEdge { comp, removed, new };
             let new_area = arch.memory_area_of(comp).map(|(id, _)| id);
             if new_area != old_area {
                 let Some(area) = new_area.and_then(|id| arch.component(id).ok()) else {
@@ -1591,7 +1547,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
             let (new_area_ix, undo) = match moved {
                 Ok(pair) => pair,
                 Err(e) => {
-                    if let (Some(edge), Some(arch)) = (&edge, dep.arch.as_mut()) {
+                    if let (Some(edge), Some(arch)) = (edge, dep.arch.as_mut()) {
                         edge.restore(arch);
                     }
                     return Err(e);
@@ -1669,10 +1625,10 @@ impl<P: Payload> Reconfiguration<'_, P> {
     }
 
     /// Declares (or changes) a component's [`FaultPolicy`], journaled:
-    /// rollback restores the pre-transaction policy (and cancels any
-    /// restart timer the new policy armed). Like contracts, this works in
-    /// any reconfigurable mode — the policy is engine-level supervision,
-    /// not membrane structure.
+    /// rollback writes the pre-transaction policy and supervisor edge back
+    /// (a restart timer the change cancelled stays cancelled). Like
+    /// contracts, this works in any reconfigurable mode — the policy is
+    /// engine-level supervision, not membrane structure.
     ///
     /// # Errors
     ///
@@ -1683,9 +1639,9 @@ impl<P: Payload> Reconfiguration<'_, P> {
         policy: FaultPolicy,
     ) -> Result<(), FrameworkError> {
         let at = component.locate(self.dep)?;
-        let previous = self.engine(at).set_fault_policy_at(at.slot(), policy)?;
-        self.journal.push(Undo::Policy { at, previous });
-        Ok(())
+        self.supervise(at, |system, slot| {
+            system.set_fault_policy_at(slot, policy).map(drop)
+        })
     }
 
     /// Declares (or clears) a component's supervisor edge, journaled:
@@ -1706,8 +1662,22 @@ impl<P: Payload> Reconfiguration<'_, P> {
         supervisor: Option<A>,
     ) -> Result<(), FrameworkError> {
         let (at, sup_slot) = self.dep.supervisor_edge(component, supervisor)?;
-        let previous = self.engine(at).set_supervisor_at(at.slot(), sup_slot)?;
-        self.journal.push(Undo::Supervisor { at, previous });
+        self.supervise(at, |system, slot| {
+            system.set_supervisor_at(slot, sup_slot).map(drop)
+        })
+    }
+
+    /// Applies one supervision write to `at`, journaling the component's
+    /// policy and supervisor edge as they were before it.
+    fn supervise(
+        &mut self,
+        at: ComponentRef,
+        write: impl FnOnce(&mut System<P>, usize) -> Result<(), FrameworkError>,
+    ) -> Result<(), FrameworkError> {
+        let system = self.engine(at);
+        let previous = system.supervision_at(at.slot());
+        write(system, at.slot())?;
+        self.journal.push(Undo::Supervision { at, previous });
         Ok(())
     }
 
@@ -1752,48 +1722,25 @@ impl<P: Payload> Reconfiguration<'_, P> {
         Ok(())
     }
 
-    /// Replays the journal in reverse, restoring engines, rings, plan and
-    /// architecture. Each undo reverses an operation that succeeded
-    /// against a state that was valid, so failures here are framework bugs
-    /// — surfaced loudly.
+    /// Writes the journal's pre-images back in reverse, restoring engines,
+    /// rings, plan and architecture. It re-runs no operation, so nothing
+    /// here can fail.
     fn rollback(&mut self) {
         let dep = &mut *self.dep;
         while let Some(undo) = self.journal.pop() {
             match undo {
-                Undo::Stop(at) => dep.shards[at.shard()]
-                    .system
-                    .stop_at(at.slot())
-                    .expect("rollback stop of a slot started by this transaction"),
-                Undo::Start(at) => dep.shards[at.shard()]
-                    .system
-                    .start_at(at.slot())
-                    .expect("rollback restart of a slot stopped by this transaction"),
-                Undo::Rebind {
-                    client,
-                    port,
-                    old,
-                    gbix,
-                    old_server_g,
-                    arch,
-                } => {
-                    dep.shards[client.shard()].system.restore_row(old);
-                    dep.spec.bindings[gbix].server = old_server_g;
-                    if let (Some(old), Some(a)) = (arch, dep.arch.as_mut()) {
-                        old.restore(a, &port);
-                    }
+                Undo::Lifecycle { at, previous } => {
+                    dep.shards[at.shard()]
+                        .system
+                        .set_lifecycle(at.slot(), previous);
                 }
-                Undo::Rewire {
-                    ring,
-                    port,
-                    gbix,
-                    old_server_g,
-                    arch,
-                } => {
+                Undo::Rebind { client, old, plan } => {
+                    dep.shards[client.shard()].system.restore_row(old);
+                    dep.restore_plan(plan);
+                }
+                Undo::Rewire { ring, plan } => {
                     dep.rings.unwire(&mut dep.shards, *ring);
-                    dep.spec.bindings[gbix].server = old_server_g;
-                    if let (Some(old), Some(a)) = (arch, dep.arch.as_mut()) {
-                        old.restore(a, &port);
-                    }
+                    dep.restore_plan(plan);
                 }
                 Undo::Domain {
                     at,
@@ -1818,20 +1765,9 @@ impl<P: Payload> Reconfiguration<'_, P> {
                 Undo::Contract { at, previous } => dep.shards[at.shard()]
                     .system
                     .restore_contract_at(at.slot(), previous),
-                Undo::Policy { at, previous } => {
-                    dep.shards[at.shard()]
-                        .system
-                        .set_fault_policy_at(at.slot(), previous)
-                        .expect("rollback restore of a policy set by this transaction");
-                }
-                Undo::Supervisor { at, previous } => {
-                    dep.shards[at.shard()]
-                        .system
-                        .set_supervisor_at(at.slot(), previous)
-                        .expect(
-                            "rollback restore of a supervisor edge valid before the transaction",
-                        );
-                }
+                Undo::Supervision { at, previous } => dep.shards[at.shard()]
+                    .system
+                    .restore_supervision(at.slot(), previous),
             }
         }
     }

@@ -34,8 +34,10 @@
 //! supervision) into one content boundary (content and port-name
 //! checkout, `catch_unwind`, restore). Around it sit SOLEIL's membrane
 //! pre/post, MERGE-ALL's lifecycle check, or nothing under ULTRA-MERGE.
-//! One `Ports` façade resolves a client port to its row through SOLEIL's
-//! binding controller or the merged modes' jump table.
+//! Both gates read one lifecycle record per component (started,
+//! quarantined, poisoned), which one engine routine writes and a SOLEIL
+//! membrane mirrors. One `Ports` façade resolves a client port to its row
+//! through SOLEIL's binding controller or the merged modes' jump table.
 //!
 //! An asynchronous hop is the same in every mode: the message goes into
 //! the binding's `ExchangeBuffer`, and one packed `u128` key (consumer
@@ -55,8 +57,9 @@
 //! Payloads and content are `Send` to make that legal; the partition rules
 //! live in the [`parallel`] module docs. Either way, components are
 //! addressed by resolve-once [`ComponentRef`] tokens or by name, and
-//! reconfigured through one transactional journal
-//! ([`Deployment::reconfigure`]).
+//! reconfigured through one transactional journal of pre-images
+//! ([`Deployment::reconfigure`]) that rollback writes back without
+//! re-running an operation or a hook.
 //!
 //! The engine is also a **release engine**: [`timer`] provides a
 //! preallocated binary-heap timer queue over [`rtsj::time::AbsoluteTime`]

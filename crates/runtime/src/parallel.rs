@@ -577,18 +577,16 @@ impl Rings {
 
     /// Rolls back a [`Rings::rewire`]: retires the installed ring, writes
     /// the client row's pre-image back and re-seats the retired consumer
-    /// endpoint.
+    /// endpoint. Infallible: it only writes pre-images back.
     pub(crate) fn unwire<P: Payload>(&mut self, shards: &mut [Shard<P>], undo: Rewire<P>) {
         let incoming = &mut shards[undo.consumer_shard].incoming;
-        let pos = incoming
-            .iter()
-            .position(|c| c.tag == undo.installed_tag)
-            .expect("rollback: ring installed by this transaction vanished");
         debug_assert!(
-            incoming[pos].rx.is_empty(),
-            "rollback of a ring that carried traffic inside the epoch"
+            incoming
+                .iter()
+                .any(|c| c.tag == undo.installed_tag && c.rx.is_empty()),
+            "rollback of a ring that vanished or carried traffic inside the epoch"
         );
-        incoming.remove(pos);
+        incoming.retain(|c| c.tag != undo.installed_tag);
         shards[undo.producer_shard]
             .system
             .restore_async_binding(undo.engine);

@@ -120,11 +120,6 @@ struct SupervisorSlot {
     /// Engine slot of this component's declared supervisor, if any — the
     /// upward edge of the supervision tree an `Escalate` walks.
     supervisor: Option<u32>,
-    /// True when the quarantining fault was a panic. Mode-independent copy
-    /// of the SOLEIL membrane's poison flag: warm-state handoff must know,
-    /// in every mode, that the final instance state may be half-mutated by
-    /// the unwind and only the last *healthy* checkpoint is trustworthy.
-    poisoned: bool,
     /// `"{kind}: {detail}"` of the fault that caused the quarantine.
     fault_detail: Option<String>,
     /// Rendered escalation path (`"origin -> … -> supervisor"`) of the
@@ -240,8 +235,6 @@ struct Node<P: Payload> {
     /// Scoped areas enclosing this component, outermost first: the
     /// component's thread executes inside this scope stack.
     scope_chain: Vec<AreaId>,
-    // MERGE-ALL lifecycle state (SOLEIL keeps it in the membrane).
-    started: bool,
 }
 
 impl<P: Payload> std::fmt::Debug for Node<P> {
@@ -249,7 +242,6 @@ impl<P: Payload> std::fmt::Debug for Node<P> {
         f.debug_struct("Node")
             .field("name", &self.name)
             .field("activation", &self.activation)
-            .field("started", &self.started)
             .finish()
     }
 }
@@ -426,11 +418,61 @@ struct ActivationPlan {
     /// `System::checkpoints`; `u16::MAX` when checkpointing is not enabled
     /// (one integer compare per healthy activation, like `monitor_ix`).
     checkpoint_ix: u16,
-    /// True while the component is quarantined by its fault policy — the
-    /// single compare the healthy release/delivery path pays for
-    /// supervision, and the only copy of the flag: MERGE-ALL's sync gate
-    /// and the supervision bookkeeping read it here too.
-    quarantined: bool,
+    /// The slot's lifecycle record — the single compare the healthy
+    /// release/delivery path pays for supervision, and the only copy of
+    /// the slot's lifecycle facts.
+    life: Lifecycle,
+}
+
+const _: () = assert!(std::mem::size_of::<ActivationPlan>() == 16);
+
+/// A slot's lifecycle record, packed into one byte of its
+/// [`ActivationPlan`]: started; quarantined by its fault policy; poisoned,
+/// when the quarantining fault was a panic — the instance state may then
+/// be half-mutated by the unwind, so warm-state handoff trusts only the
+/// last *healthy* checkpoint. Every mode's gates read it (SOLEIL's
+/// membrane through its mirror), and [`System::set_lifecycle`] is its one
+/// writer.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Lifecycle(u8);
+
+impl Lifecycle {
+    const STARTED: u8 = 1;
+    const QUARANTINED: u8 = 1 << 1;
+    const POISONED: u8 = 1 << 2;
+
+    fn started(self) -> bool {
+        self.0 & Self::STARTED != 0
+    }
+
+    fn quarantined(self) -> bool {
+        self.0 & Self::QUARANTINED != 0
+    }
+
+    fn poisoned(self) -> bool {
+        self.0 & Self::POISONED != 0
+    }
+
+    /// True when invocations are admitted: started and not quarantined.
+    fn admits(self) -> bool {
+        self.0 & (Self::STARTED | Self::QUARANTINED) == Self::STARTED
+    }
+
+    /// This record with `bits` set, or cleared when `on` is false.
+    fn with(self, bits: u8, on: bool) -> Lifecycle {
+        Lifecycle(if on { self.0 | bits } else { self.0 & !bits })
+    }
+
+    /// The state a SOLEIL membrane mirrors.
+    fn state(self) -> LifecycleState {
+        if self.quarantined() {
+            LifecycleState::Quarantined
+        } else if self.started() {
+            LifecycleState::Started
+        } else {
+            LifecycleState::Stopped
+        }
+    }
 }
 
 /// Warm-state checkpoint storage of one checkpoint-enabled slot: the last
@@ -519,11 +561,20 @@ fn ready_buffer(key: u128) -> usize {
 /// The pre-image of one compiled row, captured by the in-place write that
 /// replaced it: [`System::restore_row`] writes it back byte-identically.
 /// Carried by the deployment's reconfiguration journal.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct RowPreImage {
     slot: usize,
     row: usize,
     header: DispatchHeader,
+}
+
+/// The pre-image of one slot's supervision declaration, captured by
+/// [`System::supervision_at`] and written back by
+/// [`System::restore_supervision`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SupervisionPreImage {
+    policy: FaultPolicy,
+    supervisor: Option<u32>,
 }
 
 /// Undo record of a [`System::rehome_area_at`], rolled back by
@@ -828,7 +879,6 @@ impl<P: Payload> System<P> {
                 priority,
                 ceiling: c.ceiling.map(Priority::new),
                 scope_chain,
-                started: false,
             });
         }
 
@@ -894,7 +944,7 @@ impl<P: Payload> System<P> {
                     monitor_ix: u16::MAX,
                     fault_ix: u16::MAX,
                     checkpoint_ix: u16::MAX,
-                    quarantined: false,
+                    life: Lifecycle::default(),
                 }
             })
             .collect();
@@ -1062,7 +1112,7 @@ impl<P: Payload> System<P> {
 
         // --- Start everything (paper: activation is framework-managed).
         for slot in 0..system.nodes.len() {
-            system.start_slot(slot)?;
+            system.set_started(slot, true);
         }
         Ok(system)
     }
@@ -1216,7 +1266,7 @@ impl<P: Payload> System<P> {
     }
 
     pub(crate) fn node_started(&self, slot: usize) -> bool {
-        self.nodes[slot].started
+        self.activation_plans[slot].life.started()
     }
 
     pub(crate) fn port_ix_of(&self, slot: usize, port: &str) -> Result<u16, FrameworkError> {
@@ -1252,7 +1302,7 @@ impl<P: Payload> System<P> {
         }
         // Supervision on the healthy path is this one compare: a
         // quarantined head's release is suppressed (and counted), not run.
-        if plan.quarantined {
+        if plan.life.quarantined() {
             self.supervisors[head].suppressed_releases += 1;
             return Ok(());
         }
@@ -1372,7 +1422,7 @@ impl<P: Payload> System<P> {
         // same never-silently-lost accounting as the drain path. No
         // transaction is recorded (none ran), which keeps the parallel
         // drain-pass arithmetic honest.
-        if self.activation_plans[slot].quarantined {
+        if self.activation_plans[slot].life.quarantined() {
             self.stats.dropped_messages += 1;
             self.stats.quarantine_drops += 1;
             return Ok(());
@@ -1532,7 +1582,7 @@ impl<P: Payload> System<P> {
             // *counted*-dropped — conservation over quarantine: nothing
             // waits forever in a queue nobody will drain, nothing is lost
             // off the books. One compare on the healthy path.
-            if plan.quarantined {
+            if plan.life.quarantined() {
                 let ctx = self.mm.context(ThreadKind::Regular);
                 if let Some(_msg) = self.buffers[buffer_ix].buffer.pop(&mut self.mm, &ctx)? {
                     self.stats.dropped_messages += 1;
@@ -1628,20 +1678,14 @@ impl<P: Payload> System<P> {
                     return Err(self.reentrant(slot));
                 };
                 // The pre-gate can panic (a `Dyn` interceptor is user
-                // code): catch it here, poison the membrane — the chain may
-                // be half-wound, so the component must not re-activate
-                // without a restart — and surface the typed fault.
-                match catch_unwind(AssertUnwindSafe(|| membrane.pre_invoke(&mut self.mm, ctx))) {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        self.membranes[slot] = Some(membrane);
-                        return Err(e);
-                    }
-                    Err(payload) => {
-                        membrane.quarantine(true);
-                        self.membranes[slot] = Some(membrane);
-                        return Err(self.caught_panic(slot, payload));
-                    }
+                // code): the panic becomes the same typed fault a content
+                // panic does, and the slot's fault policy decides.
+                let gated =
+                    catch_unwind(AssertUnwindSafe(|| membrane.pre_invoke(&mut self.mm, ctx)))
+                        .unwrap_or_else(|payload| Err(self.caught_panic(slot, payload)));
+                if let Err(e) = gated {
+                    self.membranes[slot] = Some(membrane);
+                    return Err(e);
                 }
                 let result = self.boundary(slot, port_ix, msg, ctx, Some(&mut membrane));
                 let post = membrane.post_invoke(&mut self.mm, ctx);
@@ -1649,11 +1693,11 @@ impl<P: Payload> System<P> {
                 result.and(post)
             }
             Mode::MergeAll => {
-                // The inlined lifecycle gate; supervision refuses calls
-                // into a quarantined component here too (ULTRA-MERGE checks
-                // activation boundaries only — its sync path is
+                // The inlined lifecycle gate: one test of the slot's record
+                // refuses stopped and quarantined components (ULTRA-MERGE
+                // checks activation boundaries only — its sync path is
                 // contractually check-free).
-                if self.activation_plans[slot].quarantined || !self.nodes[slot].started {
+                if !self.activation_plans[slot].life.admits() {
                     return Err(self.lifecycle_refusal(slot));
                 }
                 self.boundary(slot, port_ix, msg, ctx, None)
@@ -1668,10 +1712,9 @@ impl<P: Payload> System<P> {
     /// [`EnginePorts`] façade, and puts both back on every exit. A
     /// panicking content becomes a typed fault and the unwind stops here,
     /// so the engine's own invariants survive it (the component's may
-    /// not; that is the supervisor's call). The panic also poisons a
-    /// SOLEIL `membrane`: the content state may be half-mutated, so
-    /// re-activation is refused until a supervised restart installs a
-    /// fresh instance.
+    /// not; that is the supervisor's call: a contained panic poisons the
+    /// slot's lifecycle record until a restart installs a fresh instance,
+    /// an escalated one changes no lifecycle state).
     #[inline(always)]
     fn boundary(
         &mut self,
@@ -1694,9 +1737,6 @@ impl<P: Payload> System<P> {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             content.on_invoke(&port, msg, &mut ports)
         }));
-        if let (Err(_), Some(m)) = (&caught, ports.membrane) {
-            m.quarantine(true);
-        }
         let node = &mut self.nodes[slot];
         node.server_ports[port_ix as usize] = port;
         node.content = Some(content);
@@ -1737,7 +1777,7 @@ impl<P: Payload> System<P> {
     #[cold]
     #[inline(never)]
     fn lifecycle_refusal(&self, slot: usize) -> FrameworkError {
-        let state = if self.activation_plans[slot].quarantined {
+        let state = if self.activation_plans[slot].life.quarantined() {
             "quarantined pending restart"
         } else {
             "stopped"
@@ -1804,28 +1844,32 @@ impl<P: Payload> System<P> {
     // Lifecycle & reconfiguration
     // -----------------------------------------------------------------
 
-    fn start_slot(&mut self, slot: usize) -> Result<(), FrameworkError> {
-        if let Some(c) = self.nodes[slot].content.as_mut() {
-            c.on_start();
+    /// The one writer of a slot's lifecycle record, and of the SOLEIL
+    /// membrane's mirror of it (lifecycle state and poison flag), in one
+    /// step. Returns the replaced record: the pre-image a reconfiguration
+    /// journal writes back through this same routine, so rolling back a
+    /// stop or a start runs no hook.
+    pub(crate) fn set_lifecycle(&mut self, slot: usize, life: Lifecycle) -> Lifecycle {
+        if let Some(m) = self.membranes.get_mut(slot).and_then(Option::as_mut) {
+            m.set_lifecycle(life.state(), life.poisoned());
         }
-        self.nodes[slot].started = true;
-        if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
-            m.lifecycle.start();
-        }
-        Ok(())
+        std::mem::replace(&mut self.activation_plans[slot].life, life)
     }
 
-    /// Runs `slot`'s `on_stop` and clears its lifecycle state (the
-    /// membrane's too, under SOLEIL): the one stop `stop_at` and `shutdown`
-    /// share, as `start_slot` is for starts.
-    fn stop_slot(&mut self, slot: usize) {
+    /// Runs `slot`'s `on_start` (`started`) or `on_stop` hook, then records
+    /// the started bit — the one start and the one stop that build,
+    /// `start_at`/`stop_at` and `shutdown` share. A quarantine survives
+    /// both: only a restart lifts it. Returns the replaced record.
+    fn set_started(&mut self, slot: usize, started: bool) -> Lifecycle {
         if let Some(c) = self.nodes[slot].content.as_mut() {
-            c.on_stop();
+            if started {
+                c.on_start();
+            } else {
+                c.on_stop();
+            }
         }
-        self.nodes[slot].started = false;
-        if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
-            m.lifecycle.stop();
-        }
+        let life = self.activation_plans[slot].life;
+        self.set_lifecycle(slot, life.with(Lifecycle::STARTED, started))
     }
 
     fn reject_static(&self) -> Result<(), FrameworkError> {
@@ -1837,14 +1881,15 @@ impl<P: Payload> System<P> {
         Ok(())
     }
 
-    /// Stops `slot`: invocations refused until restarted.
-    pub(crate) fn stop_at(&mut self, slot: usize) -> Result<(), FrameworkError> {
+    /// Stops `slot`: invocations refused until restarted. Returns the
+    /// replaced lifecycle record.
+    pub(crate) fn stop_at(&mut self, slot: usize) -> Result<Lifecycle, FrameworkError> {
         self.reject_static()?;
-        self.stop_slot(slot);
+        let previous = self.set_started(slot, false);
         // An explicit stop overrides supervision: a pending supervised
         // restart must not revive the component behind the user's back.
         self.cancel_restart_timer(slot);
-        Ok(())
+        Ok(previous)
     }
 
     /// Disarms `slot`'s pending supervised-restart timer, if any. Safe on
@@ -1860,10 +1905,10 @@ impl<P: Payload> System<P> {
         }
     }
 
-    /// (Re)starts `slot`.
-    pub(crate) fn start_at(&mut self, slot: usize) -> Result<(), FrameworkError> {
+    /// (Re)starts `slot`. Returns the replaced lifecycle record.
+    pub(crate) fn start_at(&mut self, slot: usize) -> Result<Lifecycle, FrameworkError> {
         self.reject_static()?;
-        self.start_slot(slot)
+        Ok(self.set_started(slot, true))
     }
 
     /// Rebinds `client_slot`'s **synchronous** `port` to `server_slot`'s
@@ -2272,8 +2317,8 @@ impl<P: Payload> System<P> {
         for (i, n) in self.nodes.iter().enumerate() {
             let _ = write!(
                 s,
-                "n{i}:{};{};{:?};{};{:?};{:?};{:?}|",
-                n.name, n.started, n.domain_ix, n.area_ix, n.priority, n.ceiling, n.scope_chain
+                "n{i}:{};{:?};{};{:?};{:?};{:?}|",
+                n.name, n.domain_ix, n.area_ix, n.priority, n.ceiling, n.scope_chain
             );
         }
         for (i, p) in self.activation_plans.iter().enumerate() {
@@ -2316,7 +2361,7 @@ impl<P: Payload> System<P> {
     /// Substrate errors releasing pins (double shutdown).
     pub fn shutdown(&mut self) -> Result<(), FrameworkError> {
         for slot in 0..self.nodes.len() {
-            self.stop_slot(slot);
+            self.set_started(slot, false);
         }
         for area in &mut self.areas {
             if let Some(mut pin) = area.controller.take_pin() {
@@ -2470,7 +2515,7 @@ impl<P: Payload> System<P> {
             self.stats.timer_fires += 1;
             // A release scheduled before the quarantine is suppressed and
             // counted, like the periodic path.
-            if plan.quarantined {
+            if plan.life.quarantined() {
                 self.supervisors[slot].suppressed_releases += 1;
                 continue;
             }
@@ -2624,29 +2669,21 @@ impl<P: Payload> System<P> {
     /// slot on the path escalates past the root, the fault aborts to the
     /// caller, preserving the original root-escalation semantics.
     fn contain_fault(&mut self, origin: usize, e: FrameworkError) -> Result<(), FrameworkError> {
-        let (scope, handler) = {
-            let mut scope = origin;
-            let mut hops = 0usize;
-            loop {
-                if self.supervisors[scope].policy != FaultPolicy::Escalate {
-                    // The failed slot (or branch root) contains itself.
-                    break (scope, scope);
+        // The handler is the first slot on the path origin -> root whose
+        // policy contains; `scope` is the branch root just below it (the
+        // origin itself when the origin contains its own fault).
+        let mut scope = origin;
+        let handler = std::iter::once(origin)
+            .chain(self.supervisor_chain(origin))
+            .find(|&s| {
+                let contains = self.fault_policy_at(s) != FaultPolicy::Escalate;
+                if !contains {
+                    scope = s;
                 }
-                let Some(up) = self.supervisors[scope].supervisor else {
-                    return Err(e); // root escalation: today's abort semantics
-                };
-                let up = up as usize;
-                hops += 1;
-                if hops > self.supervisors.len() {
-                    // Cycles are refused at declaration; never spin anyway.
-                    return Err(e);
-                }
-                if self.supervisors[up].policy != FaultPolicy::Escalate {
-                    // `up` supervises the failed branch rooted at `scope`.
-                    break (scope, up);
-                }
-                scope = up;
-            }
+                contains
+            });
+        let Some(handler) = handler else {
+            return Err(e); // root escalation: today's abort semantics
         };
         // Quarantine the failed subtree: the origin records the fault
         // itself; every other member is taken down *with* it (counted
@@ -2659,8 +2696,8 @@ impl<P: Payload> System<P> {
             let handler_name = self.nodes[handler].name.clone();
             let origin_name = self.nodes[origin].name.clone();
             for &s in &subtree {
-                if s != origin && !self.activation_plans[s].quarantined {
-                    self.quarantine_flags(
+                if s != origin && !self.activation_plans[s].life.quarantined() {
+                    self.quarantine(
                         s,
                         false,
                         format!(
@@ -2716,10 +2753,9 @@ impl<P: Payload> System<P> {
         }
     }
 
-    /// Quarantines `slot`: the hot-path flags flip, the membrane (SOLEIL)
-    /// is quarantined — poisoned for panic faults, whose unwind may have
-    /// left half-mutated state — and the cold supervisor record keeps the
-    /// fault detail for [`health_report`](Self::health_report).
+    /// Quarantines `slot` after its own fault — poisoned for a panic,
+    /// whose unwind may have left half-mutated state — and counts the
+    /// fault.
     fn quarantine_slot(&mut self, slot: usize, fault: &FrameworkError) {
         let poison = matches!(
             fault,
@@ -2728,24 +2764,36 @@ impl<P: Payload> System<P> {
                 ..
             }
         );
-        self.quarantine_flags(slot, poison, fault.to_string());
+        self.quarantine(slot, poison, fault.to_string());
         self.supervisors[slot].faults += 1;
     }
 
-    /// The flag half of a quarantine, shared by the faulting slot and the
-    /// rest of its failed subtree: the activation plan's flag flips, the
-    /// membrane (SOLEIL) is quarantined — poisoned when `poison` — and the
-    /// cold supervisor record keeps the detail. Fault *counting* is the
+    /// The lifecycle half of a quarantine, shared by the faulting slot and
+    /// the rest of its failed subtree: the record gains the quarantine
+    /// (and the poison, when `poison`; a poison stays until a restart),
+    /// and the cold supervisor record keeps the detail for
+    /// [`health_report`](Self::health_report). Fault *counting* is the
     /// caller's business: subtree members taken down alongside a faulting
     /// sibling did not themselves fault.
-    fn quarantine_flags(&mut self, slot: usize, poison: bool, detail: String) {
-        self.activation_plans[slot].quarantined = true;
-        if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
-            m.quarantine(poison);
-        }
-        let sup = &mut self.supervisors[slot];
-        sup.poisoned = poison;
-        sup.fault_detail = Some(detail);
+    fn quarantine(&mut self, slot: usize, poison: bool, detail: String) {
+        let bits = if poison {
+            Lifecycle::QUARANTINED | Lifecycle::POISONED
+        } else {
+            Lifecycle::QUARANTINED
+        };
+        let life = self.activation_plans[slot].life;
+        self.set_lifecycle(slot, life.with(bits, true));
+        self.supervisors[slot].fault_detail = Some(detail);
+    }
+
+    /// The declared supervisor chain above `slot`, nearest first — the one
+    /// walk escalation, subtree membership, path rendering and both cycle
+    /// checks share. It ends at a root or after a slot outside the engine
+    /// (which it yields, for [`check_supervision`](Self::check_supervision)
+    /// to report), and after `len + 1` hops, so a cycle can never spin it.
+    fn supervisor_chain(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
+        let up = |s: usize| Some(self.supervisors.get(s)?.supervisor? as usize);
+        std::iter::successors(up(slot), move |&s| up(s)).take(self.supervisors.len() + 1)
     }
 
     /// The slots of the subtree rooted at `root` in the declared
@@ -2753,50 +2801,30 @@ impl<P: Payload> System<P> {
     /// reaches it. Cold path (fault handling / subtree restart) — the
     /// healthy steady state never walks the tree.
     fn subtree_slots(&self, root: usize) -> Vec<usize> {
-        let mut out = vec![root];
-        for s in 0..self.supervisors.len() {
-            if s == root {
-                continue;
-            }
-            let mut cur = self.supervisors[s].supervisor;
-            let mut hops = 0usize;
-            while let Some(up) = cur {
-                if up as usize == root {
-                    out.push(s);
-                    break;
-                }
-                hops += 1;
-                if hops > self.supervisors.len() {
-                    break;
-                }
-                cur = self.supervisors[up as usize].supervisor;
-            }
-        }
-        out
+        let below = (0..self.supervisors.len())
+            .filter(|&s| s != root && self.supervisor_chain(s).any(|up| up == root));
+        std::iter::once(root).chain(below).collect()
     }
 
     /// Renders the escalation path `origin -> … -> handler` through the
     /// declared supervisor edges (the SOL-023 verdict subject).
     fn supervision_path_string(&self, origin: usize, handler: usize) -> String {
         let mut path = self.nodes[origin].name.clone();
-        let mut cur = origin;
-        let mut hops = 0usize;
-        while cur != handler && hops <= self.supervisors.len() {
-            let Some(up) = self.supervisors[cur].supervisor else {
-                break;
-            };
-            cur = up as usize;
-            hops += 1;
+        for up in self.supervisor_chain(origin) {
             path.push_str(" -> ");
-            path.push_str(&self.nodes[cur].name);
+            path.push_str(&self.nodes[up].name);
+            if up == handler {
+                break;
+            }
         }
         path
     }
 
     /// Restarts a quarantined `slot` with a **fresh content instance** from
-    /// the factory captured at build: flags clear, the membrane's poison
-    /// and transient interceptor state reset, `on_start` runs. Idempotent —
-    /// a restart timer firing after a manual restart is a no-op.
+    /// the factory captured at build: the lifecycle record becomes plain
+    /// started (the membrane's mirror clears its poison and transient
+    /// interceptor state with it), `on_start` runs. Idempotent — a restart
+    /// timer firing after a manual restart is a no-op.
     ///
     /// # Errors
     ///
@@ -2805,16 +2833,16 @@ impl<P: Payload> System<P> {
         if slot >= self.nodes.len() {
             return Err(FrameworkError::Content(format!("bad slot {slot}")));
         }
-        if !self.activation_plans[slot].quarantined {
+        let plan = self.activation_plans[slot];
+        if !plan.life.quarantined() {
             return Ok(());
         }
         // Warm-state handoff, capture half: a checkpoint-enabled slot
         // checkpoints the *outgoing* instance at the activation boundary —
-        // unless the membrane is poisoned (a panic may have left
-        // half-mutated state), in which case the last healthy cadence
-        // image is the only trustworthy source.
-        let poisoned = self.supervisors[slot].poisoned;
-        if self.activation_plans[slot].checkpoint_ix != u16::MAX && !poisoned {
+        // unless the slot is poisoned (a panic may have left half-mutated
+        // state), in which case the last healthy cadence image is the only
+        // trustworthy source.
+        if plan.checkpoint_ix != u16::MAX && !plan.life.poisoned() {
             // The boundary capture of a *healthy* fault is by definition
             // the freshest healthy state: it becomes the new healthy image.
             if let (Some(cp), Some(c)) = (
@@ -2827,21 +2855,16 @@ impl<P: Payload> System<P> {
         // Fresh instance, same class: the original deploy-time state
         // charge stands (same content class, same `state_bytes`), so no
         // re-charge against the area budget.
-        let node = &mut self.nodes[slot];
-        node.content = Some((self.factories[slot])());
-        node.started = true;
-        self.activation_plans[slot].quarantined = false;
-        if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
-            m.restart();
-        }
+        self.nodes[slot].content = Some((self.factories[slot])());
+        self.set_lifecycle(slot, Lifecycle(Lifecycle::STARTED));
         if let Some(c) = self.nodes[slot].content.as_mut() {
             c.on_start();
         }
         // Warm-state handoff, restore half: the fresh instance starts,
         // then the last healthy image is installed (just captured at the
         // boundary for healthy faults; the last cadence capture when the
-        // membrane was poisoned).
-        if self.activation_plans[slot].checkpoint_ix != u16::MAX {
+        // slot was poisoned).
+        if plan.checkpoint_ix != u16::MAX {
             let System {
                 nodes, checkpoints, ..
             } = self;
@@ -2857,7 +2880,6 @@ impl<P: Payload> System<P> {
             }
         }
         let sup = &mut self.supervisors[slot];
-        sup.poisoned = false;
         sup.fault_detail = None;
         sup.restarts += 1;
         // A manual restart landing before the backoff expires supersedes
@@ -2877,13 +2899,8 @@ impl<P: Payload> System<P> {
     ///
     /// The first failing member restart aborts the sweep.
     pub(crate) fn restart_subtree(&mut self, root: usize) -> Result<(), FrameworkError> {
-        if root >= self.nodes.len() {
-            return Err(FrameworkError::Content(format!("bad slot {root}")));
-        }
         for slot in self.subtree_slots(root) {
-            if self.activation_plans[slot].quarantined {
-                self.restart_slot(slot)?;
-            }
+            self.restart_slot(slot)?;
         }
         Ok(())
     }
@@ -2908,8 +2925,7 @@ impl<P: Payload> System<P> {
         let prev = self.supervisors[slot].policy;
         if prev != policy {
             // The old policy's pending restart must not fire under the new
-            // one: rollback restores policies through this same path, so a
-            // rolled-back `Restart` policy disarms its timer automatically.
+            // one.
             self.cancel_restart_timer(slot);
         }
         self.supervisors[slot].policy = policy;
@@ -2950,20 +2966,11 @@ impl<P: Payload> System<P> {
             }
             // Walk up from the proposed supervisor: reaching `slot` means
             // the new edge would close a cycle.
-            let mut cur = Some(sup as u32);
-            let mut hops = 0usize;
-            while let Some(up) = cur {
-                if up as usize == slot {
-                    return Err(FrameworkError::Content(format!(
-                        "supervision cycle: '{}' is (transitively) supervised by '{}'",
-                        self.nodes[sup].name, self.nodes[slot].name
-                    )));
-                }
-                hops += 1;
-                if hops > self.supervisors.len() {
-                    break;
-                }
-                cur = self.supervisors[up as usize].supervisor;
+            if self.supervisor_chain(sup).any(|up| up == slot) {
+                return Err(FrameworkError::Content(format!(
+                    "supervision cycle: '{}' is (transitively) supervised by '{}'",
+                    self.nodes[sup].name, self.nodes[slot].name
+                )));
             }
         }
         let prev = self.supervisors[slot].supervisor.map(|s| s as usize);
@@ -2989,34 +2996,41 @@ impl<P: Payload> System<P> {
     ///
     /// [`FrameworkError::Content`] naming the first broken edge.
     pub(crate) fn check_supervision(&self) -> Result<(), FrameworkError> {
-        for slot in 0..self.supervisors.len() {
-            let mut cur = self.supervisors[slot].supervisor;
-            let mut hops = 0usize;
-            while let Some(up) = cur {
-                let up = up as usize;
-                if up >= self.supervisors.len() {
-                    return Err(FrameworkError::Content(format!(
-                        "supervision edge of '{}' names bad slot {up}",
-                        self.nodes[slot].name
-                    )));
-                }
-                if up == slot {
-                    return Err(FrameworkError::Content(format!(
-                        "supervision cycle through '{}'",
-                        self.nodes[slot].name
-                    )));
-                }
-                hops += 1;
-                if hops > self.supervisors.len() {
-                    return Err(FrameworkError::Content(format!(
-                        "supervision cycle reachable from '{}'",
-                        self.nodes[slot].name
-                    )));
-                }
-                cur = self.supervisors[up].supervisor;
+        let len = self.supervisors.len();
+        for slot in 0..len {
+            for (hop, up) in self.supervisor_chain(slot).enumerate() {
+                let broken = if up >= len {
+                    format!("edge of '{}' names bad slot {up}", self.nodes[slot].name)
+                } else if up == slot {
+                    format!("cycle through '{}'", self.nodes[slot].name)
+                } else if hop == len {
+                    format!("cycle reachable from '{}'", self.nodes[slot].name)
+                } else {
+                    continue;
+                };
+                return Err(FrameworkError::Content(format!("supervision {broken}")));
             }
         }
         Ok(())
+    }
+
+    /// The pre-image of `slot`'s supervision declaration — its fault
+    /// policy and supervisor edge — taken before a journaled write.
+    pub(crate) fn supervision_at(&self, slot: usize) -> SupervisionPreImage {
+        let sup = &self.supervisors[slot];
+        SupervisionPreImage {
+            policy: sup.policy,
+            supervisor: sup.supervisor,
+        }
+    }
+
+    /// Writes a [`supervision_at`](Self::supervision_at) pre-image back —
+    /// the rollback of a policy or supervisor write. It re-checks nothing
+    /// and arms no timer: the pre-image was valid before the transaction.
+    pub(crate) fn restore_supervision(&mut self, slot: usize, pre: SupervisionPreImage) {
+        let sup = &mut self.supervisors[slot];
+        sup.policy = pre.policy;
+        sup.supervisor = pre.supervisor;
     }
 
     /// The rendered escalation path of the last fault `slot` contained as
@@ -3087,11 +3101,6 @@ impl<P: Payload> System<P> {
         Ok(2 * limit)
     }
 
-    /// True when the Checkpoint capability is enabled for `slot`.
-    pub(crate) fn checkpoint_enabled_at(&self, slot: usize) -> bool {
-        self.checkpoints.get(slot).is_some_and(|c| c.is_some())
-    }
-
     /// `(captures, restores)` of `slot`'s checkpoint storage, if enabled.
     pub(crate) fn checkpoint_counts_at(&self, slot: usize) -> Option<(u64, u64)> {
         self.checkpoints
@@ -3148,7 +3157,7 @@ impl<P: Payload> System<P> {
     pub(crate) fn quarantined_at(&self, slot: usize) -> bool {
         self.activation_plans
             .get(slot)
-            .is_some_and(|p| p.quarantined)
+            .is_some_and(|p| p.life.quarantined())
     }
 
     /// Installs an engine-level deterministic fault injector at `slot`'s
@@ -3215,7 +3224,7 @@ impl<P: Payload> System<P> {
     pub fn health_report(&self) -> ValidationReport {
         let mut report = self.contract_report();
         for (slot, sup) in self.supervisors.iter().enumerate() {
-            if self.activation_plans[slot].quarantined {
+            if self.activation_plans[slot].life.quarantined() {
                 report.append(Diagnostic {
                     code: "SOL-020",
                     severity: Severity::Error,
@@ -3595,6 +3604,13 @@ mod tests {
     use crate::spec::{AreaSpec, BindingSpec, ComponentSpec, DomainSpec};
     use rtsj::time::RelativeTime;
     use soleil_membrane::content::{InternedPort, InvokeResult};
+
+    impl<P: Payload> System<P> {
+        /// True when the Checkpoint capability is enabled for `slot`.
+        fn checkpoint_enabled_at(&self, slot: usize) -> bool {
+            self.checkpoints.get(slot).is_some_and(|c| c.is_some())
+        }
+    }
 
     /// A pipeline payload: counts the stations it passed through.
     #[derive(Debug, Clone, Default, PartialEq)]

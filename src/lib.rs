@@ -96,7 +96,8 @@
 //!
 //! | Earlier API | Replacement |
 //! |---|---|
-//! | `generate_unvalidated(&arch, …)` | `arch.into_validated()?` then [`deploy`]/[`generator::generate`] |
+//! | `generate_unvalidated(&arch, …)` | `arch.into_validated()?` then [`deploy`] |
+//! | `generator::generate(&validated, …)` → raw `System` | [`deploy`] → [`Deployment`](runtime::Deployment) |
 //! | `compile_unvalidated(&arch)` | `arch.into_validated()?` then `compile(&validated)` |
 //! | `system.slot_of("name")` per call | [`Deployment::resolve`](runtime::Deployment::resolve) once → `ComponentRef` |
 //! | `system.inject("name", "port", msg)` | [`Deployment::inject`](runtime::Deployment::inject) with a pre-resolved `PortRef` |
@@ -126,7 +127,7 @@ pub mod scenario;
 /// The most commonly used items across all layers.
 pub mod prelude {
     pub use crate::core::prelude::*;
-    pub use crate::generator::{compile, deploy, deploy_parallel, emit_source, generate};
+    pub use crate::generator::{compile, deploy, deploy_parallel, emit_source};
     pub use crate::membrane::content::{Content, ContentRegistry, InvokeResult, Ports, StateImage};
     pub use crate::membrane::interceptors::FaultInjector;
     pub use crate::membrane::monitor::{LatencyMonitor, LatencySnapshot};

@@ -319,7 +319,7 @@ pub fn motivation_architecture() -> crate::core::Result<Architecture> {
 }
 
 /// The Fig. 4 architecture, already validated: the witness the deployment
-/// entry points (`deploy`/`generate`/`compile`) take.
+/// entry points (`deploy`/`compile`) take.
 ///
 /// # Errors
 ///

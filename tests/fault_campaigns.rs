@@ -5,6 +5,8 @@
 //! milliseconds, because the injector charges the engine's release clock
 //! instead of busy-waiting the OS clock.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use soleil::generator::{deploy, deploy_parallel};
@@ -168,4 +170,133 @@ fn virtual_clock_spikes_are_wall_clock_independent() {
         "ledger must balance under virtual spikes"
     );
     assert_eq!(stats.transactions, 20, "every tick completed");
+}
+
+/// A passive service whose first call fails — with a typed error, or with
+/// a panic when `panics` — and whose later calls succeed. `calls` counts
+/// every call, across the fresh instances restarts install.
+#[derive(Debug)]
+struct Flaky {
+    calls: Arc<AtomicU32>,
+    panics: bool,
+}
+
+impl Content<u64> for Flaky {
+    fn on_invoke(&mut self, _p: &str, _m: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+        if self.calls.fetch_add(1, Ordering::Relaxed) > 0 {
+            return Ok(());
+        }
+        if self.panics {
+            panic!("first call panicked");
+        }
+        Err(FrameworkError::Faulted {
+            component: "svc".into(),
+            kind: FaultKind::Error,
+            detail: "first call failed".into(),
+        })
+    }
+}
+
+#[derive(Debug)]
+struct Calling;
+
+impl Content<u64> for Calling {
+    fn on_invoke(&mut self, _p: &str, msg: &mut u64, out: &mut dyn Ports<u64>) -> InvokeResult {
+        out.call("svc", msg)
+    }
+}
+
+/// The periodic `caller` calls the passive `svc`, a `Flaky` service,
+/// synchronously.
+fn flaky_service(mode: Mode, panics: bool, calls: &Arc<AtomicU32>) -> Deployment<u64> {
+    let mut bv = BusinessView::new("flaky-service");
+    bv.active_periodic("caller", "5ms").unwrap();
+    bv.passive("svc").unwrap();
+    bv.content("caller", "Calling").unwrap();
+    bv.content("svc", "Flaky").unwrap();
+    bv.require("caller", "svc", "ISvc").unwrap();
+    bv.provide("svc", "svc", "ISvc").unwrap();
+    bv.bind_sync("caller", "svc", "svc", "svc").unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("rt", ThreadKind::Realtime, 22, &["caller"])
+        .unwrap();
+    flow.memory_area("imm", MemoryKind::Immortal, Some(64 * 1024), &["rt", "svc"])
+        .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+    let mut registry: ContentRegistry<u64> = ContentRegistry::new();
+    registry.register("Calling", || Box::new(Calling));
+    let calls = calls.clone();
+    registry.register("Flaky", move || {
+        Box::new(Flaky {
+            calls: calls.clone(),
+            panics,
+        })
+    });
+    deploy(&arch, mode, &registry).unwrap()
+}
+
+/// One lifecycle record gates every mode: a quarantined service survives
+/// a committed stop and start, and every mode refuses calls into it until
+/// `restart_component` lifts the quarantine.
+#[test]
+fn a_quarantine_survives_stop_and_start_until_restart_in_every_mode() {
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        let calls = Arc::new(AtomicU32::new(0));
+        let mut dep = flaky_service(mode, false, &calls);
+        let (caller, svc) = (dep.resolve("caller").unwrap(), dep.resolve("svc").unwrap());
+        dep.set_fault_policy(svc, FaultPolicy::Isolate).unwrap();
+        dep.run_transaction(caller).unwrap();
+        assert!(dep.quarantined(svc).unwrap(), "{mode}");
+
+        dep.reconfigure(|txn| {
+            txn.stop(svc)?;
+            txn.start(svc)
+        })
+        .unwrap();
+        let err = dep.run_transaction(caller).unwrap_err();
+        assert!(
+            err.to_string().contains("quarantined pending restart"),
+            "{mode}: {err}"
+        );
+        assert!(dep.quarantined(svc).unwrap(), "{mode}");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "{mode}: refused, not served"
+        );
+
+        dep.restart_component(svc).unwrap();
+        dep.run_transaction(caller).unwrap();
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            2,
+            "{mode}: served after restart"
+        );
+    }
+}
+
+/// An escalated fault changes no lifecycle state: after a synchronously
+/// called service panics under the default `Escalate` policy, every mode
+/// keeps serving it.
+#[test]
+fn an_escalated_panic_leaves_the_service_serving_in_every_mode() {
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        let calls = Arc::new(AtomicU32::new(0));
+        let mut dep = flaky_service(mode, true, &calls);
+        let (caller, svc) = (dep.resolve("caller").unwrap(), dep.resolve("svc").unwrap());
+        let err = dep.run_transaction(caller).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FrameworkError::Faulted {
+                    kind: FaultKind::Panic,
+                    ..
+                }
+            ),
+            "{mode}: {err}"
+        );
+        assert!(!dep.quarantined(svc).unwrap(), "{mode}");
+        dep.run_transaction(caller).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "{mode}: still served");
+    }
 }

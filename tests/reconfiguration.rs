@@ -11,6 +11,7 @@
 
 use soleil::generator::{deploy, deploy_parallel};
 use soleil::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -1140,5 +1141,208 @@ fn one_journal_commits_and_refuses_alike_on_one_and_many_shards() {
         assert!(matches!(err, FrameworkError::Content(_)), "got {err}");
         assert_eq!(dep.structural_digests(), digests, "refusal is a no-op");
         assert_eq!(state(dep), committed, "refusal restores the commit");
+    }
+}
+
+/// Hook counters shared by every instance of the `Hooked` content class:
+/// `on_start` and `on_stop` calls, and the number of the `on_start` call
+/// that panics (0: none does).
+#[derive(Debug, Default)]
+struct Hooks {
+    starts: AtomicU32,
+    stops: AtomicU32,
+    panic_on_start: AtomicU32,
+}
+
+impl Hooks {
+    /// `(on_start calls, on_stop calls)`.
+    fn counts(&self) -> (u32, u32) {
+        (
+            self.starts.load(Ordering::Relaxed),
+            self.stops.load(Ordering::Relaxed),
+        )
+    }
+}
+
+#[derive(Debug)]
+struct Hooked(Arc<Hooks>);
+impl Content<Ping> for Hooked {
+    fn on_invoke(&mut self, _p: &str, _m: &mut Ping, _o: &mut dyn Ports<Ping>) -> InvokeResult {
+        Ok(())
+    }
+
+    fn on_start(&mut self) {
+        let n = self.0.starts.fetch_add(1, Ordering::Relaxed) + 1;
+        if n == self.0.panic_on_start.load(Ordering::Relaxed) {
+            panic!("on_start call {n} panicked");
+        }
+    }
+
+    fn on_stop(&mut self) {
+        self.0.stops.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The deployments every rollback probe runs on: one shard and the
+/// thread-domain partition, in SOLEIL and MERGE-ALL.
+const PROBE_SHAPES: [(Mode, bool); 4] = [
+    (Mode::Soleil, false),
+    (Mode::MergeAll, false),
+    (Mode::Soleil, true),
+    (Mode::MergeAll, true),
+];
+
+/// The rollback-probe fixture. `caller` (first child of `rt-high`, ahead
+/// of `ticker`) calls `svc-a` through `svc` and binds `svc-c` through
+/// `aux`, after `svc`; `svc-b` offers the same `svc` interface; `rt-low` is
+/// an empty domain to move into; `other` runs alone in `rt-other`, so the
+/// partition has at least two shards. `svc-a` runs the `Hooked` class.
+fn probe_fixture(mode: Mode, sharded: bool, hooks: &Arc<Hooks>) -> Deployment<Ping> {
+    let mut bv = BusinessView::new("rollback-probes");
+    for periodic in ["caller", "ticker", "other"] {
+        bv.active_periodic(periodic, "5ms").unwrap();
+    }
+    for passive in ["svc-a", "svc-b", "svc-c"] {
+        bv.passive(passive).unwrap();
+        bv.provide(passive, "svc", "ISvc").unwrap();
+    }
+    bv.content("caller", "Caller").unwrap();
+    bv.content("ticker", "Counter").unwrap();
+    bv.content("other", "Counter").unwrap();
+    bv.content("svc-a", "Hooked").unwrap();
+    bv.content("svc-b", "Counter").unwrap();
+    bv.content("svc-c", "Counter").unwrap();
+    bv.require("caller", "svc", "ISvc").unwrap();
+    bv.require("caller", "aux", "ISvc").unwrap();
+    bv.bind_sync("caller", "svc", "svc-a", "svc").unwrap();
+    bv.bind_sync("caller", "aux", "svc-c", "svc").unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("rt-high", ThreadKind::Realtime, 30, &["caller", "ticker"])
+        .unwrap();
+    flow.thread_domain("rt-low", ThreadKind::Realtime, 12, &[])
+        .unwrap();
+    flow.thread_domain("rt-other", ThreadKind::Realtime, 20, &["other"])
+        .unwrap();
+    flow.memory_area(
+        "imm",
+        MemoryKind::Immortal,
+        Some(64 * 1024),
+        &["rt-high", "rt-low", "rt-other", "svc-a", "svc-b", "svc-c"],
+    )
+    .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+
+    let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+    registry.register("Caller", || Box::new(Caller));
+    registry.register("Counter", || Box::new(Counter(Arc::default())));
+    let h = hooks.clone();
+    registry.register("Hooked", move || Box::new(Hooked(h.clone())));
+    let dep = if sharded {
+        deploy_parallel(&arch, mode, &registry).unwrap()
+    } else {
+        deploy(&arch, mode, &registry).unwrap()
+    };
+    assert_eq!(dep.shard_count() > 1, sharded, "{mode}");
+    dep
+}
+
+/// What a refused transaction must leave byte-identical: every shard's
+/// structural digest and the architecture's JSON form.
+fn probe_state(dep: &Deployment<Ping>) -> (Vec<u64>, String) {
+    (
+        dep.structural_digests(),
+        soleil::core::adl::to_json(dep.architecture()),
+    )
+}
+
+fn refused() -> FrameworkError {
+    FrameworkError::Content("refused".into())
+}
+
+/// Rollback writes the stopped component's lifecycle record back instead
+/// of starting it again: the closure's error returns even though a second
+/// `on_start` would panic, `on_stop` ran once and `on_start` never reran.
+#[test]
+fn refused_stop_rolls_back_without_rerunning_on_start() {
+    for (mode, sharded) in PROBE_SHAPES {
+        let hooks = Arc::new(Hooks::default());
+        hooks.panic_on_start.store(2, Ordering::Relaxed);
+        let mut dep = probe_fixture(mode, sharded, &hooks);
+        let before = probe_state(&dep);
+        let err = dep
+            .reconfigure(|txn| {
+                txn.stop("svc-a")?;
+                Err::<(), _>(refused())
+            })
+            .unwrap_err();
+        assert!(matches!(err, FrameworkError::Content(_)), "{mode}: {err}");
+        assert_eq!(probe_state(&dep), before, "{mode} sharded={sharded}");
+        assert_eq!(hooks.counts(), (1, 1), "{mode}: on_start at build only");
+        // The restored record admits calls again.
+        dep.run_ticks(1).unwrap();
+    }
+}
+
+/// A panic inside the transaction — the closure's own, or a hook an
+/// operation ran — rolls back the operations already applied before the
+/// unwind leaves `reconfigure`.
+#[test]
+fn a_panicking_transaction_rolls_back_before_its_unwind_continues() {
+    for (mode, sharded) in PROBE_SHAPES {
+        let hooks = Arc::new(Hooks::default());
+        hooks.panic_on_start.store(2, Ordering::Relaxed);
+        let mut dep = probe_fixture(mode, sharded, &hooks);
+        let before = probe_state(&dep);
+        let unwind = catch_unwind(AssertUnwindSafe(|| {
+            dep.reconfigure(|txn| -> Result<(), FrameworkError> {
+                txn.stop("svc-a")?;
+                panic!("closure panicked mid-transaction");
+            })
+        }));
+        assert!(unwind.is_err(), "{mode}: the unwind propagates");
+        assert_eq!(probe_state(&dep), before, "{mode} sharded={sharded}");
+
+        dep.reconfigure(|txn| txn.stop("svc-a")).unwrap();
+        let before = probe_state(&dep);
+        let unwind = catch_unwind(AssertUnwindSafe(|| {
+            dep.reconfigure(|txn| {
+                txn.stop("other")?;
+                txn.start("svc-a")
+            })
+        }));
+        assert!(unwind.is_err(), "{mode}: the on_start panic propagates");
+        assert_eq!(probe_state(&dep), before, "{mode} sharded={sharded}");
+        assert_eq!(hooks.counts(), (2, 2), "{mode}");
+    }
+}
+
+/// A refused rebind and a refused domain move restore the architectural
+/// model in place: the rebound binding keeps its position in `bindings()`
+/// and the domain its child order, so the JSON form is byte-identical.
+#[test]
+fn refused_rebind_and_domain_move_restore_the_architecture_byte_identically() {
+    for (mode, sharded) in PROBE_SHAPES {
+        let mut dep = probe_fixture(mode, sharded, &Arc::default());
+        let before = probe_state(&dep);
+        dep.reconfigure(|txn| {
+            txn.rebind("caller", "svc", "svc-b")?;
+            Err::<(), _>(refused())
+        })
+        .unwrap_err();
+        assert_eq!(
+            probe_state(&dep),
+            before,
+            "{mode} sharded={sharded}: rebind"
+        );
+        dep.reconfigure(|txn| {
+            txn.reassign_domain("caller", "rt-low")?;
+            Err::<(), _>(refused())
+        })
+        .unwrap_err();
+        assert_eq!(
+            probe_state(&dep),
+            before,
+            "{mode} sharded={sharded}: domain"
+        );
     }
 }
