@@ -422,17 +422,35 @@ impl Architecture {
 
     /// True when `to` is reachable from `from` following child edges.
     pub fn is_reachable(&self, from: ComponentId, to: ComponentId) -> bool {
-        Walk::new(&self.children, &[from]).any(|c| c == to)
+        Walk::new(&self.children, &[from], Vec::new()).any(|c| c == to)
     }
 
     /// Every ancestor of `id` (transitive supers, deduplicated, BFS order).
     pub fn ancestors(&self, id: ComponentId) -> Vec<ComponentId> {
-        Walk::new(&self.parents, &self.parents[id.0 as usize]).into_visited()
+        let mut out = Vec::new();
+        self.ancestors_into(id, &mut out);
+        out
     }
 
     /// Every descendant of `id` (transitive children, deduplicated).
     pub fn descendants(&self, id: ComponentId) -> Vec<ComponentId> {
-        Walk::new(&self.children, &self.children[id.0 as usize]).into_visited()
+        let mut out = Vec::new();
+        self.descendants_into(id, &mut out);
+        out
+    }
+
+    /// [`ancestors`](Self::ancestors) into `out`, replacing its contents
+    /// and reusing its capacity.
+    pub(crate) fn ancestors_into(&self, id: ComponentId, out: &mut Vec<ComponentId>) {
+        let seeds = &self.parents[id.0 as usize];
+        *out = Walk::new(&self.parents, seeds, std::mem::take(out)).into_visited();
+    }
+
+    /// [`descendants`](Self::descendants) into `out`, replacing its
+    /// contents and reusing its capacity.
+    pub(crate) fn descendants_into(&self, id: ComponentId, out: &mut Vec<ComponentId>) {
+        let seeds = &self.children[id.0 as usize];
+        *out = Walk::new(&self.children, seeds, std::mem::take(out)).into_visited();
     }
 
     /// The ancestors of `id`, nearest first, paired with their kinds.
@@ -440,7 +458,7 @@ impl Architecture {
         &self,
         id: ComponentId,
     ) -> impl Iterator<Item = (ComponentId, ComponentKind)> + '_ {
-        Walk::new(&self.parents, &self.parents[id.0 as usize])
+        Walk::new(&self.parents, &self.parents[id.0 as usize], Vec::new())
             .map(|a| (a, self.components[a.0 as usize].kind))
     }
 
@@ -724,10 +742,18 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    /// A walk yielding `seeds` first. Ids index the table, so one
-    /// allocation holds the whole walk.
-    fn new(edges: &'a [Vec<ComponentId>], seeds: &[ComponentId]) -> Self {
-        let mut visited = Vec::with_capacity(if seeds.is_empty() { 0 } else { edges.len() });
+    /// A walk yielding `seeds` first, kept in `visited` (cleared first).
+    /// Ids index the table, so one allocation holds the whole walk, and
+    /// none when `visited` already has the capacity.
+    fn new(
+        edges: &'a [Vec<ComponentId>],
+        seeds: &[ComponentId],
+        mut visited: Vec<ComponentId>,
+    ) -> Self {
+        visited.clear();
+        if !seeds.is_empty() {
+            visited.reserve(edges.len());
+        }
         visited.extend_from_slice(seeds);
         Walk {
             edges,

@@ -9,6 +9,19 @@
 //! implement (the paper's "guidance for implementations of interfaces that
 //! cross different concerns").
 //!
+//! [`is_compliant`] gives the same verdict without the report. Both entry
+//! points run one rule pass, and each rule is written once:
+//!
+//! * the pass first builds a facts table — every component's ThreadDomain
+//!   ancestors (how many, and the nearest) and MemoryArea ancestors — from
+//!   one upward walk per component, and the rules read the table instead
+//!   of walking the hierarchy per question;
+//! * each finding reaches a sink as its code, its severity and a closure
+//!   that renders its text. [`validate`]'s sink renders every finding into
+//!   the report; [`is_compliant`]'s renders none and stops the pass at the
+//!   first *Error*, so a compliant architecture costs no diagnostic text.
+//!   That is the check a live reconfiguration's commit runs.
+//!
 //! | Code | Severity | Rule |
 //! |------|----------|------|
 //! | SOL-001 | Error | every active component lies in exactly one ThreadDomain |
@@ -36,12 +49,15 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::{ControlFlow, Range};
 
 use rtsj::memory::MemoryKind;
 use rtsj::thread::{Priority, ThreadKind};
 
 use crate::arch::Architecture;
-use crate::model::{Binding, ComponentId, ComponentKind, Protocol, Role};
+use crate::model::{
+    Binding, ComponentId, ComponentKind, MemoryAreaDesc, Protocol, Role, ThreadDomainDesc,
+};
 
 /// Diagnostic severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -332,36 +348,68 @@ impl Architecture {
     }
 }
 
+/// Runs every conformance rule against `arch` and renders every finding.
+pub fn validate(arch: &Architecture) -> ValidationReport {
+    let mut report = ValidationReport::default();
+    // A report keeps every finding, so it never stops the pass.
+    let _ = rules(arch, &mut report);
+    report
+}
+
+/// The verdict of [`validate`] without its report: true when no rule finds
+/// an *Error*, exactly when `validate(arch).is_compliant()`. The same rule
+/// pass runs, but no finding is rendered and the pass stops at the first
+/// *Error* — the check a live reconfiguration's commit makes, which
+/// renders the report only when it refuses.
+pub fn is_compliant(arch: &Architecture) -> bool {
+    rules(arch, &mut Verdict).is_continue()
+}
+
 /// Computes the cross-scope pattern a binding needs, from the client's and
 /// server's *effective* memory areas. Returns `None` when either endpoint
 /// has no memory area assigned yet (pure business view).
 pub fn cross_scope_pattern(arch: &Architecture, binding: &Binding) -> Option<CrossScopePattern> {
-    let (c_area, c_desc) = arch.memory_area_of(binding.client.component)?;
-    let (s_area, s_desc) = arch.memory_area_of(binding.server.component)?;
+    Some(pattern_between(
+        arch.memory_area_of(binding.client.component)?,
+        arch.memory_area_of(binding.server.component)?,
+        binding.protocol,
+        |outer, inner| arch.is_reachable(outer, inner),
+    ))
+}
+
+/// The decision of [`cross_scope_pattern`], from the client's and the
+/// server's effective areas; `encloses(outer, inner)` tells whether area
+/// `outer` encloses the distinct area `inner`.
+fn pattern_between(
+    (c_area, c_desc): (ComponentId, MemoryAreaDesc),
+    (s_area, s_desc): (ComponentId, MemoryAreaDesc),
+    protocol: Protocol,
+    encloses: impl Fn(ComponentId, ComponentId) -> bool,
+) -> CrossScopePattern {
     if c_area == s_area {
-        return Some(CrossScopePattern::Direct);
+        return CrossScopePattern::Direct;
     }
     // Server data in heap or immortal is referenceable from anywhere.
     if matches!(s_desc.kind, MemoryKind::Heap | MemoryKind::Immortal) {
-        return Some(CrossScopePattern::Direct);
+        return CrossScopePattern::Direct;
     }
     // Server is scoped. A client outside scoped memory (heap/immortal)
     // reaches it by entering the scope chain from the primordial root.
     if !matches!(c_desc.kind, MemoryKind::Scoped) {
-        return Some(CrossScopePattern::EnterInner);
+        return CrossScopePattern::EnterInner;
     }
     // Both scoped: relation of the two area components in the DAG decides.
-    if arch.is_reachable(s_area, c_area) {
+    if encloses(s_area, c_area) {
         // Server area encloses the client's: outward reference is legal.
-        return Some(CrossScopePattern::ExecuteInOuter);
+        return CrossScopePattern::ExecuteInOuter;
     }
-    if arch.is_reachable(c_area, s_area) {
+    if encloses(c_area, s_area) {
         // Server area nested inside the client's.
-        return Some(CrossScopePattern::EnterInner);
+        return CrossScopePattern::EnterInner;
     }
-    match binding.protocol {
-        Protocol::Synchronous => Some(CrossScopePattern::HandoffThroughParent),
-        Protocol::Asynchronous { .. } => Some(CrossScopePattern::ImmortalExchange),
+    match protocol {
+        Protocol::Synchronous => CrossScopePattern::HandoffThroughParent,
+        Protocol::Asynchronous { .. } => CrossScopePattern::ImmortalExchange,
     }
 }
 
@@ -371,39 +419,34 @@ pub fn cross_scope_pattern(arch: &Architecture, binding: &Binding) -> Option<Cro
 /// emulation; the ceiling is the highest client priority. Returns `None`
 /// for unshared or non-passive components.
 pub fn shared_service_ceiling(arch: &Architecture, id: ComponentId) -> Option<u8> {
+    service_ceiling(arch, id, |client| arch.thread_domain_of(client))
+}
+
+/// The decision of [`shared_service_ceiling`]; `domain_of` answers
+/// [`Architecture::thread_domain_of`].
+fn service_ceiling(
+    arch: &Architecture,
+    id: ComponentId,
+    domain_of: impl Fn(ComponentId) -> Option<(ComponentId, ThreadDomainDesc)>,
+) -> Option<u8> {
     let c = arch.component(id).ok()?;
     if !matches!(c.kind, ComponentKind::Passive) {
         return None;
     }
-    let mut domains = Vec::new();
+    // Two distinct domains exist exactly when one differs from the first.
+    let mut first = None;
+    let mut shared = false;
     let mut ceiling = 0u8;
     for b in arch.bindings() {
         if b.server.component != id || b.protocol.is_async() {
             continue;
         }
-        if let Some((d, desc)) = arch.thread_domain_of(b.client.component) {
-            if !domains.contains(&d) {
-                domains.push(d);
-            }
+        if let Some((d, desc)) = domain_of(b.client.component) {
+            shared |= *first.get_or_insert(d) != d;
             ceiling = ceiling.max(desc.priority);
         }
     }
-    if domains.len() >= 2 {
-        Some(ceiling)
-    } else {
-        None
-    }
-}
-
-/// Runs every conformance rule against `arch`.
-pub fn validate(arch: &Architecture) -> ValidationReport {
-    let mut report = ValidationReport::default();
-    check_thread_domains(arch, &mut report);
-    check_memory_areas(arch, &mut report);
-    check_nhrt_heap(arch, &mut report);
-    check_bindings(arch, &mut report);
-    check_shared_services(arch, &mut report);
-    report
+    shared.then_some(ceiling)
 }
 
 /// The parallel-sharding advisory (rule **SOL-015**, informational, not
@@ -583,22 +626,173 @@ pub fn parallel_coupling(arch: &Architecture) -> ValidationReport {
     report
 }
 
-fn check_shared_services(arch: &Architecture, report: &mut ValidationReport) {
-    for c in arch.components() {
-        if let Some(ceiling) = shared_service_ceiling(arch, c.id()) {
-            report.push(
-                "SOL-014",
-                Severity::Info,
-                &c.name,
-                format!(
-                    "passive service shared by multiple ThreadDomains: priority ceiling {ceiling}"
-                ),
-                Some(
-                    "the generated monitor uses priority-ceiling emulation at this ceiling".into(),
-                ),
-            );
+/// A finding's text: what it concerns, what is wrong, and the suggested
+/// fix. The rule pass hands it to a [`Sink`] as a closure, so only a sink
+/// that keeps the text renders it.
+struct Text {
+    subject: String,
+    message: String,
+    suggestion: Option<String>,
+}
+
+impl Text {
+    fn new(subject: impl Into<String>, message: impl Into<String>) -> Text {
+        Text {
+            subject: subject.into(),
+            message: message.into(),
+            suggestion: None,
         }
     }
+
+    fn suggest(self, suggestion: impl Into<String>) -> Text {
+        Text {
+            suggestion: Some(suggestion.into()),
+            ..self
+        }
+    }
+}
+
+/// Where the rule pass hands its findings, in report order.
+/// [`ControlFlow::Break`] ends the pass.
+trait Sink {
+    fn emit(
+        &mut self,
+        code: &'static str,
+        severity: Severity,
+        text: impl FnOnce() -> Text,
+    ) -> ControlFlow<()>;
+}
+
+/// [`validate`]'s sink: every finding, rendered.
+impl Sink for ValidationReport {
+    fn emit(
+        &mut self,
+        code: &'static str,
+        severity: Severity,
+        text: impl FnOnce() -> Text,
+    ) -> ControlFlow<()> {
+        let Text {
+            subject,
+            message,
+            suggestion,
+        } = text();
+        self.push(code, severity, subject, message, suggestion);
+        ControlFlow::Continue(())
+    }
+}
+
+/// [`is_compliant`]'s sink: renders nothing and stops at the first *Error*.
+struct Verdict;
+
+impl Sink for Verdict {
+    fn emit(
+        &mut self,
+        _code: &'static str,
+        severity: Severity,
+        _text: impl FnOnce() -> Text,
+    ) -> ControlFlow<()> {
+        if severity == Severity::Error {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
+/// What the rules ask of the containment hierarchy, answered for every
+/// component by one upward walk each.
+struct Facts<'a> {
+    arch: &'a Architecture,
+    /// One row per component, indexed by id.
+    rows: Vec<Row>,
+    /// Every component's MemoryArea ancestors, nearest first, one run per
+    /// component.
+    areas: Vec<ComponentId>,
+}
+
+/// One component's ancestry.
+struct Row {
+    /// How many ThreadDomains are its ancestors.
+    domains: usize,
+    /// The nearest of them.
+    domain: Option<(ComponentId, ThreadDomainDesc)>,
+    /// Its run of [`Facts::areas`].
+    areas: Range<usize>,
+}
+
+impl<'a> Facts<'a> {
+    /// Walks up from every component once, each walk into `walk`.
+    fn build(arch: &'a Architecture, walk: &mut Vec<ComponentId>) -> Self {
+        let mut rows = Vec::with_capacity(arch.components().len());
+        let mut areas = Vec::with_capacity(arch.components().len());
+        for c in arch.components() {
+            arch.ancestors_into(c.id(), walk);
+            let start = areas.len();
+            let mut row = Row {
+                domains: 0,
+                domain: None,
+                areas: start..start,
+            };
+            for &a in walk.iter() {
+                match kind(arch, a) {
+                    ComponentKind::ThreadDomain(desc) => {
+                        row.domains += 1;
+                        row.domain.get_or_insert((a, desc));
+                    }
+                    ComponentKind::MemoryArea(_) => areas.push(a),
+                    _ => {}
+                }
+            }
+            row.areas.end = areas.len();
+            rows.push(row);
+        }
+        Facts { arch, rows, areas }
+    }
+
+    fn row(&self, id: ComponentId) -> &Row {
+        &self.rows[id.0 as usize]
+    }
+
+    /// [`Architecture::memory_areas_of`].
+    fn areas_of(&self, id: ComponentId) -> &[ComponentId] {
+        &self.areas[self.row(id).areas.clone()]
+    }
+
+    /// [`Architecture::memory_area_of`]: the nearest MemoryArea ancestor.
+    fn area_of(&self, id: ComponentId) -> Option<(ComponentId, MemoryAreaDesc)> {
+        let &area = self.areas_of(id).first()?;
+        match kind(self.arch, area) {
+            ComponentKind::MemoryArea(desc) => Some((area, desc)),
+            _ => None,
+        }
+    }
+
+    /// [`Architecture::thread_domain_of`]: the ThreadDomain governing
+    /// `id`, when exactly one does.
+    fn domain_of(&self, id: ComponentId) -> Option<(ComponentId, ThreadDomainDesc)> {
+        let row = self.row(id);
+        row.domain.filter(|_| row.domains == 1)
+    }
+
+    /// Whether area `outer` encloses the distinct area `inner` — for two
+    /// areas, [`Architecture::is_reachable`]`(outer, inner)`.
+    fn encloses(&self, outer: ComponentId, inner: ComponentId) -> bool {
+        self.areas_of(inner).contains(&outer)
+    }
+
+    /// [`cross_scope_pattern`].
+    fn pattern(&self, binding: &Binding) -> Option<CrossScopePattern> {
+        Some(pattern_between(
+            self.area_of(binding.client.component)?,
+            self.area_of(binding.server.component)?,
+            binding.protocol,
+            |outer, inner| self.encloses(outer, inner),
+        ))
+    }
+}
+
+fn kind(arch: &Architecture, id: ComponentId) -> ComponentKind {
+    arch.components()[id.0 as usize].kind
 }
 
 fn name(arch: &Architecture, id: ComponentId) -> Cow<'_, str> {
@@ -608,40 +802,52 @@ fn name(arch: &Architecture, id: ComponentId) -> Cow<'_, str> {
     )
 }
 
-fn check_thread_domains(arch: &Architecture, report: &mut ValidationReport) {
+/// The rule pass: every rule once, in report order, reading one facts
+/// table and handing each finding to `sink`.
+fn rules(arch: &Architecture, sink: &mut impl Sink) -> ControlFlow<()> {
+    let mut walk = Vec::with_capacity(arch.components().len());
+    let facts = Facts::build(arch, &mut walk);
+    thread_domains(&facts, sink)?;
+    memory_areas(&facts, sink)?;
+    nhrt_heap(&facts, &mut walk, sink)?;
+    bindings(&facts, sink)?;
+    shared_services(&facts, sink)
+}
+
+fn thread_domains(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
+    let arch = facts.arch;
     for c in arch.components() {
         match c.kind {
             ComponentKind::Active(_) => {
                 // SOL-001: exactly one governing ThreadDomain.
-                let domains = arch.thread_domains_of(c.id());
-                match domains.len() {
+                match facts.row(c.id()).domains {
                     1 => {}
-                    0 => report.push(
-                        "SOL-001",
-                        Severity::Error,
-                        &c.name,
-                        "active component is not nested in any ThreadDomain",
-                        Some("deploy it into a ThreadDomain in the thread-management view".into()),
-                    ),
-                    n => report.push(
-                        "SOL-001",
-                        Severity::Error,
-                        &c.name,
-                        format!("active component is nested in {n} ThreadDomains"),
-                        Some("an active component must have a unique ThreadDomain".into()),
-                    ),
+                    0 => sink.emit("SOL-001", Severity::Error, || {
+                        Text::new(
+                            &c.name,
+                            "active component is not nested in any ThreadDomain",
+                        )
+                        .suggest("deploy it into a ThreadDomain in the thread-management view")
+                    })?,
+                    n => sink.emit("SOL-001", Severity::Error, || {
+                        Text::new(
+                            &c.name,
+                            format!("active component is nested in {n} ThreadDomains"),
+                        )
+                        .suggest("an active component must have a unique ThreadDomain")
+                    })?,
                 }
             }
             ComponentKind::ThreadDomain(desc) => {
                 // SOL-002: no ThreadDomain nesting.
-                if !arch.thread_domains_of(c.id()).is_empty() {
-                    report.push(
-                        "SOL-002",
-                        Severity::Error,
-                        &c.name,
-                        "ThreadDomain is nested inside another ThreadDomain",
-                        Some("flatten the domains; only MemoryAreas nest arbitrarily".into()),
-                    );
+                if facts.row(c.id()).domains > 0 {
+                    sink.emit("SOL-002", Severity::Error, || {
+                        Text::new(
+                            &c.name,
+                            "ThreadDomain is nested inside another ThreadDomain",
+                        )
+                        .suggest("flatten the domains; only MemoryAreas nest arbitrarily")
+                    })?;
                 }
                 // SOL-005: priority band must match the thread class.
                 let prio = Priority::new(desc.priority);
@@ -650,82 +856,78 @@ fn check_thread_domains(arch: &Architecture, report: &mut ValidationReport) {
                     ThreadKind::Regular => !prio.is_realtime(),
                 };
                 if !consistent {
-                    report.push(
-                        "SOL-005",
-                        Severity::Error,
-                        &c.name,
-                        format!(
-                            "priority {} is outside the band for {} threads",
-                            desc.priority,
-                            desc.kind.code()
-                        ),
-                        Some(format!(
+                    sink.emit("SOL-005", Severity::Error, || {
+                        Text::new(
+                            &c.name,
+                            format!(
+                                "priority {} is outside the band for {} threads",
+                                desc.priority,
+                                desc.kind.code()
+                            ),
+                        )
+                        .suggest(format!(
                             "real-time domains need priority >= {}, regular domains < {}",
                             Priority::MIN_RT.get(),
                             Priority::MIN_RT.get()
-                        )),
-                    );
+                        ))
+                    })?;
                 }
                 // SOL-012: passive members.
                 for &child in arch.children_of(c.id()) {
-                    if matches!(
-                        arch.component(child).map(|cc| cc.kind),
-                        Ok(ComponentKind::Passive)
-                    ) {
-                        report.push(
-                            "SOL-012",
-                            Severity::Warning,
-                            name(arch, child),
-                            format!(
-                                "passive component placed directly in ThreadDomain '{}'",
-                                c.name
-                            ),
-                            Some(
-                                "passive components need no thread; place them in a MemoryArea"
-                                    .into(),
-                            ),
-                        );
+                    if matches!(kind(arch, child), ComponentKind::Passive) {
+                        sink.emit("SOL-012", Severity::Warning, || {
+                            Text::new(
+                                name(arch, child),
+                                format!(
+                                    "passive component placed directly in ThreadDomain '{}'",
+                                    c.name
+                                ),
+                            )
+                            .suggest(
+                                "passive components need no thread; place them in a MemoryArea",
+                            )
+                        })?;
                     }
                 }
             }
             _ => {}
         }
     }
+    ControlFlow::Continue(())
 }
 
-fn check_memory_areas(arch: &Architecture, report: &mut ValidationReport) {
+fn memory_areas(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
+    let arch = facts.arch;
     for c in arch.components() {
         if c.kind.is_functional() && !matches!(c.kind, ComponentKind::Composite) {
-            let areas = arch.memory_areas_of(c.id());
+            let areas = facts.areas_of(c.id());
             if areas.is_empty() {
-                report.push(
-                    "SOL-004",
-                    Severity::Error,
-                    &c.name,
-                    "component has no MemoryArea: its allocation region is undefined",
-                    Some(
-                        "assign it (or its ThreadDomain) to a MemoryArea in the memory view".into(),
-                    ),
-                );
+                sink.emit("SOL-004", Severity::Error, || {
+                    Text::new(
+                        &c.name,
+                        "component has no MemoryArea: its allocation region is undefined",
+                    )
+                    .suggest("assign it (or its ThreadDomain) to a MemoryArea in the memory view")
+                })?;
                 continue;
             }
             // Ambiguity: all area ancestors must form a chain; otherwise the
             // "nearest" area is ill-defined.
-            for i in 0..areas.len() {
-                for j in (i + 1)..areas.len() {
-                    let (a, b) = (areas[i], areas[j]);
-                    if !arch.is_reachable(a, b) && !arch.is_reachable(b, a) {
-                        report.push(
-                            "SOL-004",
-                            Severity::Error,
-                            &c.name,
-                            format!(
-                                "ambiguous memory area: '{}' and '{}' both apply but are unrelated",
-                                name(arch, a),
-                                name(arch, b)
-                            ),
-                            Some("remove one membership so a unique innermost area exists".into()),
-                        );
+            for (i, &a) in areas.iter().enumerate() {
+                for &b in &areas[i + 1..] {
+                    if !facts.encloses(a, b) && !facts.encloses(b, a) {
+                        sink.emit("SOL-004", Severity::Error, || {
+                            Text::new(
+                                &c.name,
+                                format!(
+                                    "ambiguous memory area: '{}' and '{}' both apply but are \
+                                     unrelated",
+                                    name(arch, a),
+                                    name(arch, b)
+                                ),
+                            )
+                            .suggest("remove one membership so a unique innermost area exists")
+                        })?;
                     }
                 }
             }
@@ -734,30 +936,37 @@ fn check_memory_areas(arch: &Architecture, report: &mut ValidationReport) {
             // SOL-011: size declarations.
             match desc.kind {
                 MemoryKind::Scoped | MemoryKind::Immortal if desc.size.is_none() => {
-                    report.push(
-                        "SOL-011",
-                        Severity::Warning,
-                        &c.name,
-                        format!("{} area without a size budget", desc.kind.code()),
-                        Some("declare size=... so the bootstrapper can pre-allocate".into()),
-                    );
+                    sink.emit("SOL-011", Severity::Warning, || {
+                        Text::new(
+                            &c.name,
+                            format!("{} area without a size budget", desc.kind.code()),
+                        )
+                        .suggest("declare size=... so the bootstrapper can pre-allocate")
+                    })?;
                 }
                 MemoryKind::Heap if desc.size.is_some() => {
-                    report.push(
-                        "SOL-011",
-                        Severity::Warning,
-                        &c.name,
-                        "heap area with an explicit size (the collector manages the heap)",
-                        None,
-                    );
+                    sink.emit("SOL-011", Severity::Warning, || {
+                        Text::new(
+                            &c.name,
+                            "heap area with an explicit size (the collector manages the heap)",
+                        )
+                    })?;
                 }
                 _ => {}
             }
         }
     }
+    ControlFlow::Continue(())
 }
 
-fn check_nhrt_heap(arch: &Architecture, report: &mut ValidationReport) {
+/// SOL-003, in the order the NHRT domain's descendants are walked; `walk`
+/// is the facts' reused scratch.
+fn nhrt_heap(
+    facts: &Facts<'_>,
+    walk: &mut Vec<ComponentId>,
+    sink: &mut impl Sink,
+) -> ControlFlow<()> {
+    let arch = facts.arch;
     for c in arch.components() {
         let ComponentKind::ThreadDomain(desc) = c.kind else {
             continue;
@@ -765,80 +974,81 @@ fn check_nhrt_heap(arch: &Architecture, report: &mut ValidationReport) {
         if desc.kind != ThreadKind::NoHeapRealtime {
             continue;
         }
-        // SOL-003a: no heap MemoryArea anywhere below an NHRT domain.
-        for d in arch.descendants(c.id()) {
-            if let Ok(dc) = arch.component(d) {
-                if let ComponentKind::MemoryArea(adesc) = dc.kind {
-                    if adesc.kind == MemoryKind::Heap {
-                        report.push(
-                            "SOL-003",
-                            Severity::Error,
+        arch.descendants_into(c.id(), walk);
+        for &d in walk.iter() {
+            let dc = &arch.components()[d.0 as usize];
+            // SOL-003a: no heap MemoryArea anywhere below an NHRT domain.
+            if let ComponentKind::MemoryArea(adesc) = dc.kind {
+                if adesc.kind == MemoryKind::Heap {
+                    sink.emit("SOL-003", Severity::Error, || {
+                        Text::new(
                             &c.name,
                             format!(
                                 "NHRT ThreadDomain encapsulates heap MemoryArea '{}'",
                                 dc.name
                             ),
-                            Some("move the heap area outside the NHRT domain".into()),
-                        );
-                    }
+                        )
+                        .suggest("move the heap area outside the NHRT domain")
+                    })?;
                 }
-                // SOL-003b: members whose effective area is the heap.
-                if dc.kind.is_functional() {
-                    if let Some((_, adesc)) = arch.memory_area_of(d) {
-                        if adesc.kind == MemoryKind::Heap {
-                            report.push(
-                                "SOL-003",
-                                Severity::Error,
+            }
+            // SOL-003b: members whose effective area is the heap.
+            if dc.kind.is_functional() {
+                if let Some((_, adesc)) = facts.area_of(d) {
+                    if adesc.kind == MemoryKind::Heap {
+                        sink.emit("SOL-003", Severity::Error, || {
+                            Text::new(
                                 &dc.name,
                                 format!(
                                     "member of NHRT domain '{}' is allocated in heap memory",
                                     c.name
                                 ),
-                                Some("allocate NHRT members in immortal or scoped memory".into()),
-                            );
-                        }
+                            )
+                            .suggest("allocate NHRT members in immortal or scoped memory")
+                        })?;
                     }
                 }
             }
         }
     }
+    ControlFlow::Continue(())
 }
 
-fn check_bindings(arch: &Architecture, report: &mut ValidationReport) {
+fn bindings(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
+    let arch = facts.arch;
+    let bindings = arch.bindings();
     // SOL-013: client interface bound at most once, and every client bound.
-    let mut seen: Vec<(ComponentId, &str)> = Vec::new();
-    for b in arch.bindings() {
-        let key = (b.client.component, b.client.interface.as_str());
-        if seen.contains(&key) {
-            report.push(
-                "SOL-013",
-                Severity::Error,
-                format!("{}.{}", name(arch, key.0), key.1),
-                "client interface bound more than once",
-                Some("interpose an explicit dispatcher component for fan-out".into()),
-            );
+    for (i, b) in bindings.iter().enumerate() {
+        if bindings[..i]
+            .iter()
+            .any(|earlier| earlier.client == b.client)
+        {
+            sink.emit("SOL-013", Severity::Error, || {
+                Text::new(
+                    format!("{}.{}", name(arch, b.client.component), b.client.interface),
+                    "client interface bound more than once",
+                )
+                .suggest("interpose an explicit dispatcher component for fan-out")
+            })?;
         }
-        seen.push(key);
     }
     for c in arch.components() {
         for i in c.interfaces_with_role(Role::Client) {
-            let bound = arch
-                .bindings()
+            let bound = bindings
                 .iter()
                 .any(|b| b.client.component == c.id() && b.client.interface == i.name);
             if !bound {
-                report.push(
-                    "SOL-013",
-                    Severity::Warning,
-                    format!("{}.{}", c.name, i.name),
-                    "client interface is unbound",
-                    None,
-                );
+                sink.emit("SOL-013", Severity::Warning, || {
+                    Text::new(
+                        format!("{}.{}", c.name, i.name),
+                        "client interface is unbound",
+                    )
+                })?;
             }
         }
     }
 
-    for b in arch.bindings() {
+    for b in bindings {
         let subject = || {
             format!(
                 "{}.{} -> {}.{}",
@@ -850,63 +1060,56 @@ fn check_bindings(arch: &Architecture, report: &mut ValidationReport) {
         };
 
         // SOL-010: async buffer capacity.
-        if let Protocol::Asynchronous { buffer_size } = b.protocol {
-            if buffer_size == 0 {
-                report.push(
-                    "SOL-010",
-                    Severity::Error,
-                    subject(),
-                    "asynchronous binding with zero-capacity buffer",
-                    Some("declare bufferSize >= 1".into()),
-                );
-            }
+        if let Protocol::Asynchronous { buffer_size: 0 } = b.protocol {
+            sink.emit("SOL-010", Severity::Error, || {
+                Text::new(subject(), "asynchronous binding with zero-capacity buffer")
+                    .suggest("declare bufferSize >= 1")
+            })?;
         }
 
         // SOL-008: active servers want async activation.
-        if let Ok(server) = arch.component(b.server.component) {
-            if server.kind.is_active() && !b.protocol.is_async() {
-                report.push(
-                    "SOL-008",
-                    Severity::Warning,
+        if kind(arch, b.server.component).is_active() && !b.protocol.is_async() {
+            sink.emit("SOL-008", Severity::Warning, || {
+                Text::new(
                     subject(),
                     "synchronous call into an active component breaks run-to-completion",
-                    Some("use an asynchronous binding with a message buffer".into()),
-                );
-            }
+                )
+                .suggest("use an asynchronous binding with a message buffer")
+            })?;
         }
 
         // SOL-006: NHRT caller must never need heap data synchronously.
-        let client_domain = arch.thread_domain_of(b.client.component);
-        let server_area = arch.memory_area_of(b.server.component);
-        if let (Some((_, ddesc)), Some((_, adesc))) = (client_domain, server_area) {
+        if let (Some((_, ddesc)), Some((_, adesc))) = (
+            facts.domain_of(b.client.component),
+            facts.area_of(b.server.component),
+        ) {
             if ddesc.kind == ThreadKind::NoHeapRealtime
                 && adesc.kind == MemoryKind::Heap
                 && !b.protocol.is_async()
             {
-                report.push(
-                    "SOL-006",
-                    Severity::Error,
-                    subject(),
-                    "NHRT client calls synchronously into heap-allocated server",
-                    Some(
+                sink.emit("SOL-006", Severity::Error, || {
+                    Text::new(
+                        subject(),
+                        "NHRT client calls synchronously into heap-allocated server",
+                    )
+                    .suggest(
                         "make the binding asynchronous with the buffer outside the heap, \
-                         or move the server out of heap memory"
-                            .into(),
-                    ),
-                );
+                         or move the server out of heap memory",
+                    )
+                })?;
             }
         }
 
         // SOL-007: record the pattern for every cross-area binding.
-        if let Some(pattern) = cross_scope_pattern(arch, b) {
+        if let Some(pattern) = facts.pattern(b) {
             if pattern != CrossScopePattern::Direct {
-                report.push(
-                    "SOL-007",
-                    Severity::Info,
-                    subject(),
-                    format!("cross-scope binding: memory interceptor will use '{pattern}'"),
-                    Some(format!("pattern {pattern} is generated automatically")),
-                );
+                sink.emit("SOL-007", Severity::Info, || {
+                    Text::new(
+                        subject(),
+                        format!("cross-scope binding: memory interceptor will use '{pattern}'"),
+                    )
+                    .suggest(format!("pattern {pattern} is generated automatically"))
+                })?;
             }
         }
     }
@@ -917,27 +1120,47 @@ fn check_bindings(arch: &Architecture, report: &mut ValidationReport) {
             c.kind,
             ComponentKind::Active(crate::model::ActivationKind::Sporadic)
         ) {
-            let triggered = arch
-                .bindings()
+            let triggered = bindings
                 .iter()
                 .any(|b| b.server.component == c.id() && b.protocol.is_async());
             if !triggered {
-                report.push(
-                    "SOL-009",
-                    Severity::Warning,
-                    &c.name,
-                    "sporadic active component has no incoming asynchronous binding to trigger it",
-                    Some("bind a producer to one of its server interfaces asynchronously".into()),
-                );
+                sink.emit("SOL-009", Severity::Warning, || {
+                    Text::new(
+                        &c.name,
+                        "sporadic active component has no incoming asynchronous binding to \
+                         trigger it",
+                    )
+                    .suggest("bind a producer to one of its server interfaces asynchronously")
+                })?;
             }
         }
     }
+    ControlFlow::Continue(())
+}
+
+fn shared_services(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
+    let arch = facts.arch;
+    for c in arch.components() {
+        if let Some(ceiling) = service_ceiling(arch, c.id(), |client| facts.domain_of(client)) {
+            sink.emit("SOL-014", Severity::Info, || {
+                Text::new(
+                    &c.name,
+                    format!(
+                        "passive service shared by multiple ThreadDomains: priority ceiling \
+                         {ceiling}"
+                    ),
+                )
+                .suggest("the generated monitor uses priority-ceiling emulation at this ceiling")
+            })?;
+        }
+    }
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ActivationKind, MemoryAreaDesc, ThreadDomainDesc};
+    use crate::model::ActivationKind;
 
     fn domain(kind: ThreadKind, priority: u8) -> ComponentKind {
         ComponentKind::ThreadDomain(ThreadDomainDesc { kind, priority })
@@ -1579,5 +1802,104 @@ mod tests {
                 .any(|d| d.message.contains("serialized into one engine shard")),
             "{report}"
         );
+    }
+
+    // -----------------------------------------------------------------
+    // The facts table against the walk queries it stands in for
+    // -----------------------------------------------------------------
+
+    /// A random containment DAG with sharing (edges join a lower to a
+    /// higher index) and random bindings between its functional
+    /// components, each of which serves `in` and requires `out`.
+    fn random_arch(
+        picks: &[u8],
+        edges: &[(usize, usize)],
+        binds: &[(usize, usize, u8)],
+    ) -> Architecture {
+        let mut a = Architecture::new("facts");
+        let ids: Vec<ComponentId> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &pick)| {
+                let kind = match pick {
+                    0 => domain(ThreadKind::NoHeapRealtime, 30),
+                    1 => domain(ThreadKind::Realtime, 20),
+                    2 => area(MemoryKind::Immortal, Some(4096)),
+                    3 => area(MemoryKind::Scoped, Some(1024)),
+                    4 => area(MemoryKind::Heap, None),
+                    5 => ComponentKind::Composite,
+                    6 => ComponentKind::Passive,
+                    _ => ComponentKind::Active(ActivationKind::Sporadic),
+                };
+                let id = a.add_component(format!("c{i}"), kind).unwrap();
+                if kind.is_functional() {
+                    a.add_interface(id, "in", Role::Server, "I").unwrap();
+                    a.add_interface(id, "out", Role::Client, "I").unwrap();
+                }
+                id
+            })
+            .collect();
+        for &(x, y) in edges {
+            let (x, y) = (x % ids.len(), y % ids.len());
+            if x != y {
+                let _ = a.add_child(ids[x.min(y)], ids[x.max(y)]);
+            }
+        }
+        for &(client, server, protocol) in binds {
+            let protocol = if protocol == 0 {
+                Protocol::Synchronous
+            } else {
+                Protocol::Asynchronous { buffer_size: 4 }
+            };
+            let (client, server) = (ids[client % ids.len()], ids[server % ids.len()]);
+            let _ = a.bind(client, "out", server, "in", protocol);
+        }
+        a
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every fact the rules read, and every decision they take from
+        /// facts, equals what the `Architecture` walk queries answer.
+        #[test]
+        fn facts_answer_what_the_walk_queries_answer(
+            picks in proptest::collection::vec(0..8u8, 1..20),
+            edges in proptest::collection::vec((0..64usize, 0..64usize), 0..48),
+            binds in proptest::collection::vec((0..64usize, 0..64usize, 0..2u8), 0..16),
+        ) {
+            let a = random_arch(&picks, &edges, &binds);
+            let facts = Facts::build(&a, &mut Vec::new());
+            for c in a.components() {
+                let id = c.id();
+                let domains = a.thread_domains_of(id);
+                proptest::prop_assert_eq!(facts.row(id).domains, domains.len());
+                proptest::prop_assert_eq!(
+                    facts.row(id).domain.map(|(d, _)| d),
+                    domains.first().copied()
+                );
+                proptest::prop_assert_eq!(facts.domain_of(id), a.thread_domain_of(id));
+                proptest::prop_assert_eq!(facts.areas_of(id), a.memory_areas_of(id).as_slice());
+                proptest::prop_assert_eq!(facts.area_of(id), a.memory_area_of(id));
+                proptest::prop_assert_eq!(
+                    service_ceiling(&a, id, |client| facts.domain_of(client)),
+                    shared_service_ceiling(&a, id)
+                );
+                for other in a.components() {
+                    let both_areas = matches!(c.kind, ComponentKind::MemoryArea(_))
+                        && matches!(other.kind, ComponentKind::MemoryArea(_));
+                    if both_areas && id != other.id() {
+                        proptest::prop_assert_eq!(
+                            facts.encloses(id, other.id()),
+                            a.is_reachable(id, other.id())
+                        );
+                    }
+                }
+            }
+            for b in a.bindings() {
+                proptest::prop_assert_eq!(facts.pattern(b), cross_scope_pattern(&a, b));
+            }
+            proptest::prop_assert_eq!(is_compliant(&a), validate(&a).is_compliant());
+        }
     }
 }

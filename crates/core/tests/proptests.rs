@@ -1,6 +1,7 @@
 //! Property tests for soleil-core: units parsing, ADL escaping, validator
-//! stability, the containment walks against a reference BFS, and fuzzing
-//! of the two hand-written parsers (the XML ADL and the JSON reader).
+//! stability, the containment walks against a reference BFS, the
+//! validator's verdict against its report, and fuzzing of the two
+//! hand-written parsers (the XML ADL and the JSON reader).
 
 use proptest::prelude::*;
 use soleil_core::adl::xml::{parse_document, write_node, XmlNode};
@@ -259,6 +260,121 @@ mod containment_walks {
                     );
                 }
             }
+        }
+    }
+}
+
+/// `validate` and `is_compliant` run one rule pass into two sinks, one
+/// that renders every finding and one that stops at the first *Error*. On
+/// random architectures they must give the same verdict. The generator
+/// reaches every rule: domains in and out of their priority band, sized
+/// and unsized areas of every kind, shared and nested containment, and
+/// random bindings, including zero-capacity buffers and client ports
+/// bound twice.
+mod validator_verdicts {
+    use proptest::prelude::*;
+    use rtsj::memory::MemoryKind;
+    use rtsj::thread::ThreadKind;
+    use soleil_core::model::{
+        ActivationKind, ComponentId, ComponentKind, MemoryAreaDesc, Protocol, Role,
+        ThreadDomainDesc,
+    };
+    use soleil_core::validate::{is_compliant, validate};
+    use soleil_core::Architecture;
+
+    fn kind(pick: u8) -> ComponentKind {
+        let domain =
+            |kind, priority| ComponentKind::ThreadDomain(ThreadDomainDesc { kind, priority });
+        let area = |kind, size| ComponentKind::MemoryArea(MemoryAreaDesc { kind, size });
+        match pick {
+            0 => domain(ThreadKind::NoHeapRealtime, 30),
+            1 => domain(ThreadKind::NoHeapRealtime, 3),
+            2 => domain(ThreadKind::Realtime, 20),
+            3 => domain(ThreadKind::Regular, 5),
+            4 => domain(ThreadKind::Regular, 50),
+            5 => area(MemoryKind::Immortal, Some(4096)),
+            6 => area(MemoryKind::Immortal, None),
+            7 => area(MemoryKind::Scoped, Some(1024)),
+            8 => area(MemoryKind::Scoped, None),
+            9 => area(MemoryKind::Heap, None),
+            10 => area(MemoryKind::Heap, Some(64)),
+            11 => ComponentKind::Composite,
+            12 | 13 => ComponentKind::Passive,
+            14 => ComponentKind::Active(ActivationKind::Periodic {
+                period_ns: 1_000_000,
+            }),
+            _ => ComponentKind::Active(ActivationKind::Sporadic),
+        }
+    }
+
+    /// Containment edges join a lower to a higher index, so the hierarchy
+    /// stays acyclic; every functional component serves `in` and requires
+    /// `out` and `aux`. What the builder refuses (children of a leaf) is
+    /// skipped.
+    fn build(
+        picks: &[u8],
+        edges: &[(usize, usize)],
+        binds: &[(usize, usize, u8, u8)],
+    ) -> Architecture {
+        let mut arch = Architecture::new("verdicts");
+        let ids: Vec<ComponentId> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &pick)| {
+                arch.add_component(format!("c{i}"), kind(pick))
+                    .expect("unique names")
+            })
+            .collect();
+        for &(a, b) in edges {
+            let (a, b) = (a % ids.len(), b % ids.len());
+            if a != b {
+                let _ = arch.add_child(ids[a.min(b)], ids[a.max(b)]);
+            }
+        }
+        for &id in &ids {
+            if arch
+                .component(id)
+                .expect("generated id")
+                .kind
+                .is_functional()
+            {
+                for (port, role) in [
+                    ("in", Role::Server),
+                    ("out", Role::Client),
+                    ("aux", Role::Client),
+                ] {
+                    arch.add_interface(id, port, role, "I").expect("fresh port");
+                }
+            }
+        }
+        for &(client, server, aux, protocol) in binds {
+            let protocol = match protocol {
+                0 => Protocol::Synchronous,
+                1 => Protocol::Asynchronous { buffer_size: 0 },
+                _ => Protocol::Asynchronous { buffer_size: 4 },
+            };
+            let port = if aux == 0 { "out" } else { "aux" };
+            let (client, server) = (ids[client % ids.len()], ids[server % ids.len()]);
+            let _ = arch.bind(client, port, server, "in", protocol);
+        }
+        arch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn is_compliant_agrees_with_the_rendered_report(
+            picks in proptest::collection::vec(0..16u8, 2..20),
+            edges in proptest::collection::vec((0..64usize, 0..64usize), 0..48),
+            binds in proptest::collection::vec(
+                (0..64usize, 0..64usize, 0..2u8, 0..3u8),
+                0..16,
+            ),
+        ) {
+            let arch = build(&picks, &edges, &binds);
+            let report = validate(&arch);
+            prop_assert_eq!(is_compliant(&arch), report.is_compliant(), "{}", report);
         }
     }
 }

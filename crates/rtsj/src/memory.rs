@@ -958,21 +958,8 @@ impl MemoryManager {
         area: AreaId,
         bytes: usize,
     ) -> Result<Handle<RawAllocation>> {
-        self.check_access(ctx, area)?;
+        let charged = self.admit_raw(ctx, area, 1, bytes)?;
         let a = self.area_mut(area)?;
-        if a.kind == MemoryKind::Scoped && a.enter_count == 0 {
-            return Err(RtsjError::InaccessibleArea { area });
-        }
-        let Some(charged) = bytes
-            .checked_add(OBJECT_HEADER_BYTES)
-            .filter(|&c| c <= a.remaining())
-        else {
-            return Err(RtsjError::OutOfMemory {
-                area,
-                requested: bytes.saturating_add(OBJECT_HEADER_BYTES),
-                remaining: a.remaining(),
-            });
-        };
         a.consumed += charged;
         a.high_watermark = a.high_watermark.max(a.consumed);
         a.total_allocs += 1;
@@ -984,6 +971,43 @@ impl MemoryManager {
             generation: a.generation,
             slab,
         }))
+    }
+
+    /// The admission check of [`MemoryManager::alloc_raw`], for `blocks`
+    /// opaque blocks holding `bytes` bytes in total: `ctx` may charge
+    /// `area`, a scoped `area` is entered, and the blocks fit its budget
+    /// with one [`OBJECT_HEADER_BYTES`] header each. Returns the bytes
+    /// they would charge. It charges nothing and never allocates, so a
+    /// caller can admit a batch of charges before making any of them, and
+    /// the batch is then refused or charged as a whole.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`MemoryManager::alloc`]; a total that overflows `usize`
+    /// is refused as over budget.
+    pub fn admit_raw(
+        &self,
+        ctx: &MemoryContext,
+        area: AreaId,
+        blocks: usize,
+        bytes: usize,
+    ) -> Result<usize> {
+        self.check_access(ctx, area)?;
+        let a = self.area(area)?;
+        if a.kind == MemoryKind::Scoped && a.enter_count == 0 {
+            return Err(RtsjError::InaccessibleArea { area });
+        }
+        let requested = blocks
+            .checked_mul(OBJECT_HEADER_BYTES)
+            .and_then(|headers| bytes.checked_add(headers));
+        match requested {
+            Some(charged) if charged <= a.remaining() => Ok(charged),
+            _ => Err(RtsjError::OutOfMemory {
+                area,
+                requested: requested.unwrap_or(usize::MAX),
+                remaining: a.remaining(),
+            }),
+        }
     }
 
     /// Immutable access to the object behind `handle`.
@@ -1658,6 +1682,46 @@ mod tests {
             Err(RtsjError::OutOfMemory { .. })
         ));
         assert_eq!(m.stats(AreaId::IMMORTAL).unwrap().consumed, 0);
+    }
+
+    #[test]
+    fn admit_raw_checks_a_batch_without_charging_it() {
+        let mut m = MemoryManager::new(0, 256);
+        let rt = m.context(ThreadKind::Realtime);
+        let block = 100 + OBJECT_HEADER_BYTES;
+        assert_eq!(m.admit_raw(&rt, AreaId::IMMORTAL, 2, 200), Ok(2 * block));
+        assert_eq!(
+            m.admit_raw(&rt, AreaId::IMMORTAL, 3, 300),
+            Err(RtsjError::OutOfMemory {
+                area: AreaId::IMMORTAL,
+                requested: 3 * block,
+                remaining: 256,
+            })
+        );
+        // Header arithmetic that overflows is refused, never wrapped.
+        assert!(matches!(
+            m.admit_raw(&rt, AreaId::HEAP, usize::MAX, 0),
+            Err(RtsjError::OutOfMemory {
+                requested: usize::MAX,
+                ..
+            })
+        ));
+        assert_eq!(m.total_consumed(), 0, "admission charges nothing");
+        // The access and entry rules of a charge apply to its admission.
+        let nhrt = m.context(ThreadKind::NoHeapRealtime);
+        assert!(matches!(
+            m.admit_raw(&nhrt, AreaId::HEAP, 1, 8),
+            Err(RtsjError::MemoryAccess { .. })
+        ));
+        let s = m.create_scoped(ScopedMemoryParams::new("s", 64)).unwrap();
+        assert_eq!(
+            m.admit_raw(&rt, s, 1, 8),
+            Err(RtsjError::InaccessibleArea { area: s })
+        );
+        // What the admission passes, the charges make: two blocks fit.
+        m.alloc_raw(&rt, AreaId::IMMORTAL, 100).unwrap();
+        m.alloc_raw(&rt, AreaId::IMMORTAL, 100).unwrap();
+        assert_eq!(m.total_consumed(), 2 * block);
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!   closure finishes, the result is re-validated against the *same* rules
 //!   the design-time validator enforces (plus, with more than one shard,
 //!   the partition invariants; a refusal then lists the SOL-015 couplings),
-//!   and any failure — an operation error or a validator refusal — rolls
-//!   everything back: engines, rings, plan and architectural model.
+//!   and any failure — an operation error, a validator refusal or deferred
+//!   substrate charges that do not fit — rolls everything back: engines,
+//!   rings, plan and architectural model.
 //!
 //! Tokens are deployment-scoped: every `ComponentRef`/`PortRef` carries the
 //! identity of the deployment that minted it, so a token from one
@@ -38,13 +39,13 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use rtsj::memory::MemoryManager;
+use rtsj::memory::{AreaId, MemoryManager};
 use rtsj::thread::{Priority, ThreadKind};
 use rtsj::time::AbsoluteTime;
 use soleil_core::arch::{ChildEdge, ServerSwap};
 use soleil_core::contract::TimingContract;
 use soleil_core::model::{ComponentId, ComponentKind};
-use soleil_core::validate::{parallel_coupling, validate};
+use soleil_core::validate::{is_compliant, parallel_coupling, validate};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
 use soleil_membrane::interceptors::FaultInjector;
@@ -943,8 +944,8 @@ impl<P: Payload> Deployment<P> {
     ) -> Result<(), FrameworkError> {
         self.on_mut(component, |system, slot| {
             let bytes = system.enable_checkpoint_at(slot, cadence)?;
-            let area_ix = system.area_ix_at(slot);
-            system.charge_area(area_ix, bytes).inspect_err(|_| {
+            let area = system.area_id(system.area_ix_at(slot));
+            system.charge(area, bytes).inspect_err(|_| {
                 system.disable_checkpoint_at(slot);
             })
         })
@@ -999,11 +1000,15 @@ impl<P: Payload> Deployment<P> {
     /// [`Reconfiguration`] handle; when it returns `Ok`, the result is
     /// re-validated — the plan's partition invariants when there is more
     /// than one shard, and, for architecture-carrying deployments, the
-    /// full RTSJ rule set — and commits only if compliant; substrate
-    /// charges for rings and re-homed state are deferred to this point so
-    /// a refused transaction is charge-neutral. On a closure error *or* a
-    /// refusal every applied operation is rolled back, leaving engines,
-    /// rings, plan and architecture exactly as before the call (witness:
+    /// full RTSJ rule set — and commits only if compliant. The rule set
+    /// runs as [`is_compliant`], which renders no diagnostic; the full
+    /// report is built only when the verdict refuses. Substrate charges
+    /// for rings and re-homed state are deferred to the commit and
+    /// admitted together before the first is made, so a transaction
+    /// refused at any step, the charges included, is charge-neutral. On a
+    /// closure error *or* a refusal every applied operation is rolled
+    /// back, leaving engines, rings, plan and architecture exactly as
+    /// before the call (witness:
     /// [`structural_digests`](Self::structural_digests)). A closure that
     /// panics — or an `on_start`/`on_stop` hook it ran — is rolled back the
     /// same way before its unwind continues out of this call.
@@ -1026,6 +1031,8 @@ impl<P: Payload> Deployment<P> {
     /// * The closure's error, after rollback.
     /// * [`FrameworkError::Rejected`] with the full validation report when
     ///   the resulting architecture violates RTSJ, after rollback.
+    /// * The substrate's error when the deferred charges do not fit their
+    ///   areas, after rollback and with none of them made.
     pub fn reconfigure<T>(
         &mut self,
         f: impl FnOnce(&mut Reconfiguration<'_, P>) -> Result<T, FrameworkError>,
@@ -1131,18 +1138,14 @@ impl DomainEdge {
 /// A substrate charge deferred to commit time: refused transactions never
 /// reach the allocator, so they are charge-neutral (the paper's memory
 /// model makes immortal/scoped charges permanent — a speculative charge
-/// could never be given back).
-enum PendingCharge {
-    /// State bytes of a re-homed component, charged to its new region.
-    Area {
-        shard: usize,
-        area_ix: usize,
-        bytes: usize,
-    },
-    /// The slot array of a freshly installed cross-domain ring, charged
-    /// to immortal memory on the producer shard (build charges deploy-time
-    /// rings the same way).
-    Immortal { shard: usize, bytes: usize },
+/// could never be given back). Either the state bytes of a re-homed
+/// component, charged to its new region, or the slot array of a freshly
+/// installed cross-domain ring, charged to immortal memory on the producer
+/// shard.
+struct PendingCharge {
+    shard: usize,
+    area: AreaId,
+    bytes: usize,
 }
 
 /// One applied operation's undo record: a pre-image. Rollback writes
@@ -1412,8 +1415,9 @@ impl<P: Payload> Reconfiguration<'_, P> {
                 (s.shard(), s.slot(), port_ix),
             )
             .inspect_err(|_| dep.restore_plan(plan))?;
-        self.pending_charges.push(PendingCharge::Immortal {
+        self.pending_charges.push(PendingCharge {
             shard: c.shard(),
+            area: AreaId::IMMORTAL,
             bytes,
         });
         self.journal.push(Undo::Rewire {
@@ -1553,9 +1557,9 @@ impl<P: Payload> Reconfiguration<'_, P> {
                     return Err(e);
                 }
             };
-            self.pending_charges.push(PendingCharge::Area {
+            self.pending_charges.push(PendingCharge {
                 shard,
-                area_ix: new_area_ix,
+                area: system.area_id(new_area_ix),
                 bytes: system.state_bytes_at(slot),
             });
             let new_g = dep
@@ -1682,42 +1686,50 @@ impl<P: Payload> Reconfiguration<'_, P> {
     }
 
     /// The commit routine: partition invariants (more than one shard
-    /// only), the full RTSJ rule set against the architectural mirror
-    /// (a sharded refusal adds the SOL-015 couplings), every shard's
-    /// supervision tree, then the deferred substrate charges. A failing
-    /// charge refuses the transaction; charges already made stand —
-    /// immortal/scoped accounting is monotonic, exactly like build.
+    /// only), the RTSJ verdict on the architectural mirror, every shard's
+    /// supervision tree, then the deferred substrate charges. The full
+    /// validation report is rendered only for a refusal (a sharded one
+    /// adds the SOL-015 couplings). Every charge is admitted before any
+    /// is made, so a charge that does not fit refuses the transaction
+    /// with nothing charged — immortal/scoped accounting is monotonic,
+    /// so a charge once made could never be given back.
     fn commit(&mut self) -> Result<(), FrameworkError> {
         let dep = &mut *self.dep;
         let sharded = dep.shards.len() > 1;
         if sharded {
             dep.check_partition()?;
         }
-        if let Some(arch) = &dep.arch {
+        if let Some(arch) = dep.arch.as_ref().filter(|arch| !is_compliant(arch)) {
             let mut report = validate(arch);
-            if !report.is_compliant() {
-                if sharded {
-                    report.merge(parallel_coupling(arch));
-                }
-                return Err(FrameworkError::Rejected(report));
+            if sharded {
+                report.merge(parallel_coupling(arch));
             }
+            return Err(FrameworkError::Rejected(report));
         }
         // Eager checks in `set_supervisor` make a failure here a framework
         // bug, but commits re-assert the invariant like the RTSJ rules.
         for s in &dep.shards {
             s.system.check_supervision()?;
         }
-        for charge in std::mem::take(&mut self.pending_charges) {
-            match charge {
-                PendingCharge::Area {
-                    shard,
-                    area_ix,
-                    bytes,
-                } => dep.shards[shard].system.charge_area(area_ix, bytes)?,
-                PendingCharge::Immortal { shard, bytes } => {
-                    dep.shards[shard].system.charge_immortal(bytes)?
-                }
+        // Admit each area's charges together, at the first charge into it.
+        let charges = &self.pending_charges;
+        for (i, first) in charges.iter().enumerate() {
+            let site = (first.shard, first.area);
+            if charges[..i].iter().any(|c| (c.shard, c.area) == site) {
+                continue;
             }
+            let (blocks, bytes) = charges[i..]
+                .iter()
+                .filter(|c| (c.shard, c.area) == site)
+                .fold((0, 0usize), |(n, sum), c| {
+                    (n + 1, sum.saturating_add(c.bytes))
+                });
+            dep.shards[first.shard]
+                .system
+                .admit_charges(first.area, blocks, bytes)?;
+        }
+        for c in std::mem::take(&mut self.pending_charges) {
+            dep.shards[c.shard].system.charge(c.area, c.bytes)?;
         }
         Ok(())
     }

@@ -2114,41 +2114,55 @@ impl<P: Payload> System<P> {
             .max(1)
     }
 
-    /// Charges `bytes` against runtime area `area_ix` — the commit-time
-    /// half of a deferred reconfiguration charge. Refused transactions
-    /// never reach this, so they stay charge-neutral; a committed charge
-    /// is permanent, because immortal/scoped accounting is monotonic
-    /// (authentic RTSJ: immortal memory is never reclaimed).
-    ///
-    /// # Errors
-    ///
-    /// Substrate budget exhaustion (the commit is then refused).
-    pub(crate) fn charge_area(
-        &mut self,
-        area_ix: usize,
-        bytes: usize,
-    ) -> Result<(), FrameworkError> {
-        let kind = if self.areas[area_ix].kind == MemoryKind::Heap {
+    /// The substrate area behind runtime area `area_ix`.
+    pub(crate) fn area_id(&self, area_ix: usize) -> AreaId {
+        self.areas[area_ix].id
+    }
+
+    /// The context a charge into `area` is made in: a regular thread's for
+    /// the heap, a real-time thread's for every other area.
+    fn charge_context(&self, area: AreaId) -> MemoryContext {
+        self.mm.context(if area == AreaId::HEAP {
             ThreadKind::Regular
         } else {
             ThreadKind::Realtime
-        };
-        let ctx = self.mm.context(kind);
-        self.mm.alloc_raw(&ctx, self.areas[area_ix].id, bytes)?;
-        Ok(())
+        })
     }
 
-    /// Charges `bytes` against immortal memory — the commit-time half of a
-    /// deferred cross-shard ring installation (rings live in immortal
-    /// memory, like the build-time carriers). Same monotonic semantics as
-    /// [`System::charge_area`].
+    /// Checks that `blocks` charges of `bytes` bytes in total would all
+    /// fit into `area` now, charging nothing and allocating nothing. A
+    /// commit admits each area's deferred charges this way before it makes
+    /// the first of them; [`charge`](Self::charge) runs the same
+    /// [`MemoryManager::admit_raw`] per charge, so the two cannot disagree.
     ///
     /// # Errors
     ///
-    /// Substrate budget exhaustion (the commit is then refused).
-    pub(crate) fn charge_immortal(&mut self, bytes: usize) -> Result<(), FrameworkError> {
-        let ctx = self.mm.context(ThreadKind::Realtime);
-        self.mm.alloc_raw(&ctx, AreaId::IMMORTAL, bytes)?;
+    /// Substrate budget exhaustion, or a scoped `area` no one has entered.
+    pub(crate) fn admit_charges(
+        &self,
+        area: AreaId,
+        blocks: usize,
+        bytes: usize,
+    ) -> Result<(), FrameworkError> {
+        self.mm
+            .admit_raw(&self.charge_context(area), area, blocks, bytes)?;
+        Ok(())
+    }
+
+    /// Charges `bytes` against `area` — the commit-time half of a deferred
+    /// reconfiguration charge: the state of a component re-homed into the
+    /// area, or the slot array of a fresh cross-shard ring in immortal
+    /// memory (build charges deploy-time rings the same way). Refused
+    /// transactions never reach this, so they stay charge-neutral; a
+    /// committed charge is permanent, because immortal/scoped accounting
+    /// is monotonic (authentic RTSJ: immortal memory is never reclaimed).
+    ///
+    /// # Errors
+    ///
+    /// Substrate budget exhaustion.
+    pub(crate) fn charge(&mut self, area: AreaId, bytes: usize) -> Result<(), FrameworkError> {
+        let ctx = self.charge_context(area);
+        self.mm.alloc_raw(&ctx, area, bytes)?;
         Ok(())
     }
 
@@ -2162,7 +2176,7 @@ impl<P: Payload> System<P> {
     /// chain and row pre-images back byte-identically.
     ///
     /// The substrate charge for the migrated state is **not** made here:
-    /// callers defer it to commit time (see [`System::charge_area`]) so a
+    /// callers defer it to commit time (see [`System::charge`]) so a
     /// refused transaction is charge-neutral. The old region's charge
     /// stands either way — monotonic accounting, like build.
     ///

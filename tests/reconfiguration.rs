@@ -11,6 +11,7 @@
 
 use soleil::generator::{deploy, deploy_parallel};
 use soleil::prelude::*;
+use soleil::rtsj::RtsjError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -1343,6 +1344,74 @@ fn refused_rebind_and_domain_move_restore_the_architecture_byte_identically() {
             probe_state(&dep),
             before,
             "{mode} sharded={sharded}: domain"
+        );
+    }
+}
+
+/// Content whose state a re-homing move charges to its new region: 64
+/// bytes, 80 with the substrate's object header.
+#[derive(Debug)]
+struct Stateful;
+impl Content<Ping> for Stateful {
+    fn on_invoke(&mut self, _p: &str, _m: &mut Ping, _o: &mut dyn Ports<Ping>) -> InvokeResult {
+        Ok(())
+    }
+
+    fn state_bytes(&self) -> usize {
+        64
+    }
+}
+
+/// A commit admits its deferred charges before it makes any: moving `x`
+/// and `y` into `rt-scope`, whose scoped area has room for one re-homing
+/// charge but not two, is refused with nothing charged, and moving `x`
+/// alone commits and charges its 80 bytes.
+#[test]
+fn a_commit_refused_at_its_charges_makes_none_of_them() {
+    let mut bv = BusinessView::new("charge-admission");
+    for c in ["x", "y"] {
+        bv.active_periodic(c, "5ms").unwrap();
+        bv.content(c, "Stateful").unwrap();
+    }
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("rt", ThreadKind::Realtime, 20, &["x", "y"])
+        .unwrap();
+    flow.thread_domain("rt-scope", ThreadKind::Realtime, 22, &[])
+        .unwrap();
+    flow.memory_area("imm", MemoryKind::Immortal, Some(64 * 1024), &["rt"])
+        .unwrap();
+    flow.memory_area("scope", MemoryKind::Scoped, Some(120), &["rt-scope"])
+        .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+    let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+    registry.register("Stateful", || Box::new(Stateful));
+
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        let mut dep = deploy(&arch, mode, &registry).unwrap();
+        let state =
+            |dep: &Deployment<Ping>| (dep.memory().total_consumed(), dep.structural_digests());
+        let before = state(&dep);
+        let err = dep
+            .reconfigure(|txn| {
+                txn.reassign_domain("x", "rt-scope")?;
+                txn.reassign_domain("y", "rt-scope")
+            })
+            .unwrap_err();
+        assert_eq!(state(&dep), before, "{mode}: the refusal charged nothing");
+        assert!(
+            matches!(
+                err,
+                FrameworkError::Rtsj(RtsjError::OutOfMemory { requested: 160, .. })
+            ),
+            "{mode}: {err}"
+        );
+
+        dep.reconfigure(|txn| txn.reassign_domain("x", "rt-scope"))
+            .unwrap();
+        assert_eq!(
+            dep.memory().total_consumed(),
+            before.0 + 80,
+            "{mode}: one move fits"
         );
     }
 }
