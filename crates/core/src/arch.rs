@@ -50,9 +50,9 @@ pub struct Architecture {
     /// Architecture name (diagnostics, generated-code headers).
     pub name: String,
     components: Vec<Component>,
-    /// children[parent] = list of sub-component ids.
+    /// `children[parent]` = list of sub-component ids.
     children: Vec<Vec<ComponentId>>,
-    /// parents[child] = list of super-component ids (sharing!).
+    /// `parents[child]` = list of super-component ids (sharing!).
     parents: Vec<Vec<ComponentId>>,
     bindings: Vec<Binding>,
     /// Derived name index; rebuilt by [`Architecture::reindex`] and skipped

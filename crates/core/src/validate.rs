@@ -369,47 +369,56 @@ pub fn is_compliant(arch: &Architecture) -> bool {
 /// server's *effective* memory areas. Returns `None` when either endpoint
 /// has no memory area assigned yet (pure business view).
 pub fn cross_scope_pattern(arch: &Architecture, binding: &Binding) -> Option<CrossScopePattern> {
+    let (client, c_desc) = arch.memory_area_of(binding.client.component)?;
+    let (server, s_desc) = arch.memory_area_of(binding.server.component)?;
     Some(pattern_between(
-        arch.memory_area_of(binding.client.component)?,
-        arch.memory_area_of(binding.server.component)?,
-        binding.protocol,
+        (client, c_desc.kind),
+        (server, s_desc.kind),
+        binding.protocol.is_async(),
         |outer, inner| arch.is_reachable(outer, inner),
     ))
 }
 
-/// The decision of [`cross_scope_pattern`], from the client's and the
-/// server's effective areas; `encloses(outer, inner)` tells whether area
-/// `outer` encloses the distinct area `inner`.
-fn pattern_between(
-    (c_area, c_desc): (ComponentId, MemoryAreaDesc),
-    (s_area, s_desc): (ComponentId, MemoryAreaDesc),
-    protocol: Protocol,
-    encloses: impl Fn(ComponentId, ComponentId) -> bool,
+/// The one rule that picks a binding's cross-scope pattern, from the
+/// client's and the server's effective areas with their kinds, and
+/// whether the binding is asynchronous. `encloses(outer, inner)` tells
+/// whether area `outer` encloses the distinct area `inner`.
+///
+/// Generic over the area identifier: the validator decides over the
+/// architecture's area components, and a running engine recompiling a
+/// binding row decides over its own areas, so a pattern chosen at design
+/// time and one chosen again at runtime for the same placement agree.
+pub fn pattern_between<A: Copy + PartialEq>(
+    (client, client_kind): (A, MemoryKind),
+    (server, server_kind): (A, MemoryKind),
+    asynchronous: bool,
+    encloses: impl Fn(A, A) -> bool,
 ) -> CrossScopePattern {
-    if c_area == s_area {
+    if client == server {
         return CrossScopePattern::Direct;
     }
     // Server data in heap or immortal is referenceable from anywhere.
-    if matches!(s_desc.kind, MemoryKind::Heap | MemoryKind::Immortal) {
+    if matches!(server_kind, MemoryKind::Heap | MemoryKind::Immortal) {
         return CrossScopePattern::Direct;
     }
     // Server is scoped. A client outside scoped memory (heap/immortal)
     // reaches it by entering the scope chain from the primordial root.
-    if !matches!(c_desc.kind, MemoryKind::Scoped) {
+    if !matches!(client_kind, MemoryKind::Scoped) {
         return CrossScopePattern::EnterInner;
     }
     // Both scoped: relation of the two area components in the DAG decides.
-    if encloses(s_area, c_area) {
+    if encloses(server, client) {
         // Server area encloses the client's: outward reference is legal.
         return CrossScopePattern::ExecuteInOuter;
     }
-    if encloses(c_area, s_area) {
+    if encloses(client, server) {
         // Server area nested inside the client's.
         return CrossScopePattern::EnterInner;
     }
-    match protocol {
-        Protocol::Synchronous => CrossScopePattern::HandoffThroughParent,
-        Protocol::Asynchronous { .. } => CrossScopePattern::ImmortalExchange,
+    if asynchronous {
+        CrossScopePattern::ImmortalExchange
+    } else {
+        CrossScopePattern::HandoffThroughParent
     }
 }
 
@@ -782,10 +791,12 @@ impl<'a> Facts<'a> {
 
     /// [`cross_scope_pattern`].
     fn pattern(&self, binding: &Binding) -> Option<CrossScopePattern> {
+        let (client, c_desc) = self.area_of(binding.client.component)?;
+        let (server, s_desc) = self.area_of(binding.server.component)?;
         Some(pattern_between(
-            self.area_of(binding.client.component)?,
-            self.area_of(binding.server.component)?,
-            binding.protocol,
+            (client, c_desc.kind),
+            (server, s_desc.kind),
+            binding.protocol.is_async(),
             |outer, inner| self.encloses(outer, inner),
         ))
     }

@@ -13,14 +13,13 @@ use rtsj::memory::MemoryKind;
 use rtsj::thread::ThreadKind;
 use rtsj::time::RelativeTime;
 use soleil_core::model::{ActivationKind, ComponentId, ComponentKind, Protocol, Role};
-use soleil_core::validate::{
-    cross_scope_pattern, CrossScopePattern, ValidatedArchitecture, ValidationReport,
-};
+use soleil_core::validate::{cross_scope_pattern, ValidatedArchitecture, ValidationReport};
 use soleil_core::Architecture;
 use soleil_membrane::FrameworkError;
 use soleil_patterns::PatternKind;
 use soleil_runtime::spec::{
-    Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
+    enter_path, Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec,
+    ProtocolSpec,
 };
 use soleil_runtime::SystemSpec;
 
@@ -66,16 +65,6 @@ impl From<GeneratorError> for soleil_core::SoleilError {
             GeneratorError::Build(framework) => SoleilError::from(framework),
             other => SoleilError::Generator(other.to_string()),
         }
-    }
-}
-
-fn to_pattern(p: CrossScopePattern) -> PatternKind {
-    match p {
-        CrossScopePattern::Direct => PatternKind::Direct,
-        CrossScopePattern::ExecuteInOuter => PatternKind::ExecuteInOuter,
-        CrossScopePattern::EnterInner => PatternKind::EnterInner,
-        CrossScopePattern::HandoffThroughParent => PatternKind::HandoffThroughParent,
-        CrossScopePattern::ImmortalExchange => PatternKind::ImmortalExchange,
     }
 }
 
@@ -236,20 +225,13 @@ pub(crate) fn compile_spec(arch: &Architecture) -> Result<SystemSpec, GeneratorE
     let comp_index = |id: ComponentId| functional.iter().position(|&f| f == id);
 
     // --- Bindings. --------------------------------------------------------
-    // Scoped-area chain of a component (spec-area indices, outermost first).
-    let scoped_chain_of = |comp_ix: usize| -> Vec<usize> {
-        let mut chain = Vec::new();
-        let mut cursor = Some(components[comp_ix].area);
-        while let Some(ix) = cursor {
-            if areas[ix].kind == MemoryKind::Scoped {
-                chain.push(ix);
-            }
-            cursor = areas[ix].parent;
-        }
-        chain.reverse();
-        chain
+    let mut spec = SystemSpec {
+        name: arch.name.clone(),
+        areas,
+        domains,
+        components,
+        bindings: Vec::with_capacity(arch.bindings().len()),
     };
-    let mut bindings = Vec::with_capacity(arch.bindings().len());
     for b in arch.bindings() {
         let client = comp_index(b.client.component).ok_or_else(|| {
             GeneratorError::Inconsistent("binding client is not a functional component".into())
@@ -257,21 +239,10 @@ pub(crate) fn compile_spec(arch: &Architecture) -> Result<SystemSpec, GeneratorE
         let server = comp_index(b.server.component).ok_or_else(|| {
             GeneratorError::Inconsistent("binding server is not a functional component".into())
         })?;
-        let pattern = cross_scope_pattern(arch, b)
-            .map(to_pattern)
-            .unwrap_or(PatternKind::Direct);
-        // For enter-inner crossings: the server's scoped chain relative to
-        // the client's (the common prefix is already on the caller's
-        // stack).
+        let pattern = cross_scope_pattern(arch, b).unwrap_or(PatternKind::Direct);
         let enter_path = if pattern == PatternKind::EnterInner {
-            let client_chain = scoped_chain_of(client);
-            let server_chain = scoped_chain_of(server);
-            let common = client_chain
-                .iter()
-                .zip(server_chain.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-            server_chain[common..].to_vec()
+            let chain = |comp: usize| spec.scope_chain(spec.components[comp].area);
+            enter_path(&chain(client), &chain(server)).to_vec()
         } else {
             Vec::new()
         };
@@ -285,7 +256,7 @@ pub(crate) fn compile_spec(arch: &Architecture) -> Result<SystemSpec, GeneratorE
                 }
             }
         };
-        bindings.push(BindingSpec {
+        spec.bindings.push(BindingSpec {
             client,
             client_port: b.client.interface.clone(),
             server,
@@ -296,13 +267,6 @@ pub(crate) fn compile_spec(arch: &Architecture) -> Result<SystemSpec, GeneratorE
         });
     }
 
-    let spec = SystemSpec {
-        name: arch.name.clone(),
-        areas,
-        domains,
-        components,
-        bindings,
-    };
     spec.check().map_err(GeneratorError::Inconsistent)?;
     Ok(spec)
 }

@@ -1,15 +1,13 @@
 //! RTSJ-oriented interceptors (§4.1).
 //!
 //! Interceptors are "special control components deployed on component
-//! interfaces to arbitrate communication". Two are RTSJ-specific:
-//!
-//! * [`ActiveInterceptor`] — enforces the run-to-completion execution model
-//!   of active components (no re-entrant activation) and counts
-//!   activations;
-//! * [`MemoryInterceptor`] — deployed on every binding that crosses
-//!   MemoryAreas; executes the [`PatternKind`] selected at design time
-//!   (scope entry, allocation-context switching, transient scopes for
-//!   per-invocation temporaries).
+//! interfaces to arbitrate communication". The [`ActiveInterceptor`]
+//! enforces the run-to-completion execution model of active components (no
+//! re-entrant activation) and counts activations. The paper's other
+//! RTSJ-specific interceptor, the memory interceptor on every binding that
+//! crosses MemoryAreas, has no per-binding object here: each binding row
+//! carries the pattern picked for it, and the engine's one crossing routine
+//! runs it in every generation mode.
 //!
 //! Interceptors expose a split `pre`/`post` protocol so the membrane can
 //! run them around the content invocation.
@@ -20,8 +18,7 @@
 
 use std::fmt::Debug;
 
-use rtsj::memory::{AreaId, MemoryContext, MemoryManager};
-use soleil_patterns::PatternKind;
+use rtsj::memory::{MemoryContext, MemoryManager};
 
 use crate::error::FrameworkError;
 
@@ -139,214 +136,6 @@ impl Interceptor for ActiveInterceptor {
         _ctx: &mut MemoryContext,
     ) -> Result<(), FrameworkError> {
         self.busy = false;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MemoryInterceptor
-// ---------------------------------------------------------------------------
-
-/// What the memory interceptor must do around an invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoryPlan {
-    /// The design-time pattern for this binding.
-    pub pattern: PatternKind,
-    /// The server component's area (switched to by `ExecuteInOuter`).
-    pub server_area: AreaId,
-    /// For `EnterInner`: the scoped areas to enter, outermost first,
-    /// *relative* to the caller's scope stack (common ancestors excluded —
-    /// re-entering a scope already on the stack would violate the single
-    /// parent rule).
-    pub enter_path: Vec<AreaId>,
-    /// Optional transient scope entered per invocation for temporaries;
-    /// reclaimed on exit (the classic scoped-memory usage).
-    pub transient_scope: Option<AreaId>,
-    /// Build-time proof that `server_area` is always on the invoking
-    /// component's scope stack when this plan runs (`ExecuteInOuter` only).
-    /// When set, the per-crossing scope-stack containment walk is replaced
-    /// by the substrate's prechecked entry — the design-time validation
-    /// licensing the removal of a runtime check, exactly as the paper's
-    /// generator does for its merged modes.
-    pub outer_on_stack: bool,
-}
-
-impl MemoryPlan {
-    /// A plan that performs no memory choreography (same-area binding).
-    pub fn direct(server_area: AreaId) -> Self {
-        MemoryPlan {
-            pattern: PatternKind::Direct,
-            server_area,
-            enter_path: Vec::new(),
-            transient_scope: None,
-            outer_on_stack: false,
-        }
-    }
-
-    /// An `EnterInner` plan entering `path` (outermost first).
-    pub fn enter_inner(server_area: AreaId, path: Vec<AreaId>) -> Self {
-        MemoryPlan {
-            pattern: PatternKind::EnterInner,
-            server_area,
-            enter_path: path,
-            transient_scope: None,
-            outer_on_stack: false,
-        }
-    }
-
-    /// Compiles this plan's per-invocation **fused gate**: the cross-scope
-    /// pattern selector collapsed into two bits settled at deploy/rebind
-    /// time. When `skip_choreography` holds, the plan *proves* that
-    /// [`MemoryInterceptor::pre`]/[`post`](MemoryInterceptor::post) are
-    /// no-ops (no scope entry, no allocation-context switch, no transient
-    /// scope), so the engine may skip both calls entirely — the same
-    /// design-time-proof-removes-runtime-work idiom as
-    /// `begin_execute_in_area_prechecked`.
-    pub fn fast_gate(&self) -> FastGate {
-        FastGate {
-            skip_choreography: self.transient_scope.is_none()
-                && (self.pattern == PatternKind::Direct || self.needs_copy()),
-            copy: self.needs_copy(),
-        }
-    }
-
-    /// True when the pattern requires the engine to deep-copy the payload
-    /// across the boundary (handoff / immortal-exchange) — the single
-    /// source of the copy decision for both the compiled [`FastGate`] and
-    /// the full interceptor path.
-    pub fn needs_copy(&self) -> bool {
-        matches!(
-            self.pattern,
-            PatternKind::HandoffThroughParent | PatternKind::ImmortalExchange
-        )
-    }
-}
-
-/// A per-binding gate precomputed from the binding's [`MemoryPlan`] when
-/// the membrane plan is compiled (deploy/rebind time, never per call).
-///
-/// The engine checks it in a single pass before a synchronous call: when
-/// `skip_choreography` is set the memory interceptor's `pre`/`post` are
-/// provably no-ops and both calls are elided from the hot path; `copy`
-/// carries the (equally static) payload-copy decision so the fast path
-/// never consults the interceptor at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastGate {
-    /// Plan-time proof that `pre`/`post` perform no scope choreography.
-    pub skip_choreography: bool,
-    /// The engine must deep-copy the payload across the boundary
-    /// (handoff / immortal-exchange patterns).
-    pub copy: bool,
-}
-
-/// Executes the cross-scope pattern around each invocation (§4.1's
-/// "Memory Interceptors … deployed on each binding between different
-/// MemoryAreas").
-#[derive(Debug)]
-pub struct MemoryInterceptor {
-    plan: MemoryPlan,
-    crossings: u64,
-}
-
-impl MemoryInterceptor {
-    /// Creates an interceptor for `plan`.
-    pub fn new(plan: MemoryPlan) -> Self {
-        MemoryInterceptor { plan, crossings: 0 }
-    }
-
-    /// The configured plan.
-    pub fn plan(&self) -> &MemoryPlan {
-        &self.plan
-    }
-
-    /// Number of boundary crossings executed.
-    pub fn crossings(&self) -> u64 {
-        self.crossings
-    }
-
-    /// Counts a boundary crossing executed by the engine's fused fast
-    /// path, which skips `pre`/`post` entirely when the compiled
-    /// [`FastGate`] proves them no-ops — the introspection counter stays
-    /// truthful without the calls.
-    pub fn record_crossing(&mut self) {
-        self.crossings += 1;
-    }
-
-    /// True when the engine must deep-copy the payload (handoff pattern).
-    pub fn needs_copy(&self) -> bool {
-        self.plan.needs_copy()
-    }
-}
-
-impl Interceptor for MemoryInterceptor {
-    fn name(&self) -> &str {
-        "memory-interceptor"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send> {
-        self
-    }
-
-    fn pre(
-        &mut self,
-        mm: &mut MemoryManager,
-        ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        self.crossings += 1;
-        match self.plan.pattern {
-            PatternKind::Direct => {}
-            PatternKind::ExecuteInOuter => {
-                if self.plan.outer_on_stack {
-                    mm.begin_execute_in_area_prechecked(ctx, self.plan.server_area)?;
-                } else {
-                    mm.begin_execute_in_area(ctx, self.plan.server_area)?;
-                }
-            }
-            PatternKind::EnterInner => {
-                for (i, &scope) in self.plan.enter_path.iter().enumerate() {
-                    if let Err(e) = mm.enter(ctx, scope) {
-                        for _ in 0..i {
-                            let _ = mm.exit(ctx);
-                        }
-                        return Err(e.into());
-                    }
-                }
-            }
-            // Copy-based patterns need no scope choreography here: the
-            // engine copies the payload; buffers live in their own area.
-            PatternKind::HandoffThroughParent | PatternKind::ImmortalExchange => {}
-        }
-        if let Some(scope) = self.plan.transient_scope {
-            mm.enter(ctx, scope)?;
-        }
-        Ok(())
-    }
-
-    fn post(
-        &mut self,
-        mm: &mut MemoryManager,
-        ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        if self.plan.transient_scope.is_some() {
-            mm.exit(ctx)?;
-        }
-        match self.plan.pattern {
-            PatternKind::Direct
-            | PatternKind::HandoffThroughParent
-            | PatternKind::ImmortalExchange => {}
-            PatternKind::ExecuteInOuter => {
-                mm.end_execute_in_area(ctx)?;
-            }
-            PatternKind::EnterInner => {
-                for _ in &self.plan.enter_path {
-                    mm.exit(ctx)?;
-                }
-            }
-        }
         Ok(())
     }
 }
@@ -595,8 +384,6 @@ fn splitmix(seed: u64, n: u64) -> u64 {
 pub enum InterceptStep {
     /// A compiled run-to-completion guard.
     Active(ActiveInterceptor),
-    /// A compiled cross-scope pattern executor.
-    Memory(MemoryInterceptor),
     /// An interceptor unknown to the plan compiler: dynamic dispatch, the
     /// pre-flattening price.
     Dyn(Box<dyn Interceptor>),
@@ -614,13 +401,6 @@ impl InterceptStep {
                 .expect("type checked above");
             return InterceptStep::Active(*a);
         }
-        if interceptor.as_any().is::<MemoryInterceptor>() {
-            let m = interceptor
-                .into_any()
-                .downcast::<MemoryInterceptor>()
-                .expect("type checked above");
-            return InterceptStep::Memory(*m);
-        }
         InterceptStep::Dyn(interceptor)
     }
 
@@ -628,7 +408,6 @@ impl InterceptStep {
     pub fn name(&self) -> &str {
         match self {
             InterceptStep::Active(a) => a.name(),
-            InterceptStep::Memory(m) => m.name(),
             InterceptStep::Dyn(d) => d.name(),
         }
     }
@@ -652,7 +431,6 @@ impl InterceptStep {
     ) -> Result<(), FrameworkError> {
         match self {
             InterceptStep::Active(a) => a.pre(mm, ctx),
-            InterceptStep::Memory(m) => m.pre(mm, ctx),
             InterceptStep::Dyn(d) => d.pre(mm, ctx),
         }
     }
@@ -669,7 +447,6 @@ impl InterceptStep {
     ) -> Result<(), FrameworkError> {
         match self {
             InterceptStep::Active(a) => a.post(mm, ctx),
-            InterceptStep::Memory(m) => m.post(mm, ctx),
             InterceptStep::Dyn(d) => d.post(mm, ctx),
         }
     }
@@ -680,9 +457,6 @@ impl InterceptStep {
         std::mem::size_of::<Self>()
             + match self {
                 InterceptStep::Active(_) => 0,
-                InterceptStep::Memory(m) => {
-                    m.plan().enter_path.capacity() * std::mem::size_of::<AreaId>()
-                }
                 InterceptStep::Dyn(d) => d.footprint_bytes(),
             }
     }
@@ -691,7 +465,6 @@ impl InterceptStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtsj::memory::ScopedMemoryParams;
     use rtsj::thread::ThreadKind;
 
     #[test]
@@ -708,127 +481,11 @@ mod tests {
     }
 
     #[test]
-    fn memory_interceptor_enter_inner_roundtrip() {
-        let mut mm = MemoryManager::default();
-        let scope = mm
-            .create_scoped(ScopedMemoryParams::new("s", 4096))
-            .unwrap();
-        let mut ctx = mm.context(ThreadKind::Realtime);
-        let mut mi = MemoryInterceptor::new(MemoryPlan::enter_inner(scope, vec![scope]));
-        mi.pre(&mut mm, &mut ctx).unwrap();
-        assert_eq!(ctx.allocation_area(), scope);
-        mi.post(&mut mm, &mut ctx).unwrap();
-        assert_eq!(ctx.depth(), 0);
-        assert_eq!(mi.crossings(), 1);
-    }
-
-    #[test]
-    fn memory_interceptor_enters_nested_chains() {
-        let mut mm = MemoryManager::default();
-        let outer = mm
-            .create_scoped(ScopedMemoryParams::new("o", 4096))
-            .unwrap();
-        let inner = mm
-            .create_scoped(ScopedMemoryParams::new("i", 4096))
-            .unwrap();
-        // Pin the chain so `inner`'s parent is fixed to `outer`.
-        let mut pin_ctx = mm.context(ThreadKind::Realtime);
-        mm.enter(&mut pin_ctx, outer).unwrap();
-        mm.enter(&mut pin_ctx, inner).unwrap();
-
-        let mut ctx = mm.context(ThreadKind::Realtime);
-        let mut mi = MemoryInterceptor::new(MemoryPlan::enter_inner(inner, vec![outer, inner]));
-        mi.pre(&mut mm, &mut ctx).unwrap();
-        assert_eq!(ctx.depth(), 2);
-        assert_eq!(ctx.allocation_area(), inner);
-        mi.post(&mut mm, &mut ctx).unwrap();
-        assert_eq!(ctx.depth(), 0);
-
-        // A wrong chain (skipping `outer`) is rejected and unwound.
-        let mut bad = MemoryInterceptor::new(MemoryPlan::enter_inner(inner, vec![inner]));
-        let err = bad.pre(&mut mm, &mut ctx).unwrap_err();
-        assert!(matches!(
-            err,
-            FrameworkError::Rtsj(rtsj::RtsjError::ScopedCycle { .. })
-        ));
-        assert_eq!(ctx.depth(), 0, "failed pre leaves the stack balanced");
-    }
-
-    #[test]
-    fn memory_interceptor_execute_in_outer_roundtrip() {
-        let mut mm = MemoryManager::default();
-        let outer = mm
-            .create_scoped(ScopedMemoryParams::new("o", 4096))
-            .unwrap();
-        let inner = mm
-            .create_scoped(ScopedMemoryParams::new("i", 4096))
-            .unwrap();
-        let mut ctx = mm.context(ThreadKind::Realtime);
-        mm.enter(&mut ctx, outer).unwrap();
-        mm.enter(&mut ctx, inner).unwrap();
-        let mut mi = MemoryInterceptor::new(MemoryPlan {
-            pattern: PatternKind::ExecuteInOuter,
-            server_area: outer,
-            enter_path: Vec::new(),
-            transient_scope: None,
-            outer_on_stack: false,
-        });
-        mi.pre(&mut mm, &mut ctx).unwrap();
-        assert_eq!(ctx.allocation_area(), outer);
-        mi.post(&mut mm, &mut ctx).unwrap();
-        assert_eq!(ctx.allocation_area(), inner);
-
-        // The prechecked variant (build-time proof) behaves identically on
-        // the legal path.
-        let mut fast = MemoryInterceptor::new(MemoryPlan {
-            pattern: PatternKind::ExecuteInOuter,
-            server_area: outer,
-            enter_path: Vec::new(),
-            transient_scope: None,
-            outer_on_stack: true,
-        });
-        fast.pre(&mut mm, &mut ctx).unwrap();
-        assert_eq!(ctx.allocation_area(), outer);
-        fast.post(&mut mm, &mut ctx).unwrap();
-        assert_eq!(ctx.allocation_area(), inner);
-    }
-
-    #[test]
-    fn transient_scope_reclaims_temporaries() {
-        let mut mm = MemoryManager::default();
-        let temp = mm
-            .create_scoped(ScopedMemoryParams::new("tmp", 4096))
-            .unwrap();
-        let mut ctx = mm.context(ThreadKind::Realtime);
-        let mut mi = MemoryInterceptor::new(MemoryPlan {
-            pattern: PatternKind::Direct,
-            server_area: AreaId::IMMORTAL,
-            enter_path: Vec::new(),
-            transient_scope: Some(temp),
-            outer_on_stack: false,
-        });
-        mi.pre(&mut mm, &mut ctx).unwrap();
-        mm.alloc_current(&ctx, [0u8; 128]).unwrap();
-        assert!(mm.stats(temp).unwrap().consumed > 0);
-        mi.post(&mut mm, &mut ctx).unwrap();
-        assert_eq!(mm.stats(temp).unwrap().consumed, 0, "temporaries reclaimed");
-        assert_eq!(mm.stats(temp).unwrap().reclaim_count, 1);
-    }
-
-    #[test]
     fn known_interceptors_compile_to_flat_steps() {
-        let steps = [
-            InterceptStep::compile(Box::new(ActiveInterceptor::new())),
-            InterceptStep::compile(Box::new(MemoryInterceptor::new(MemoryPlan::direct(
-                AreaId::HEAP,
-            )))),
-        ];
-        assert!(steps.iter().all(InterceptStep::is_compiled));
-        assert_eq!(
-            steps.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            vec!["active-interceptor", "memory-interceptor"]
-        );
-        assert!(matches!(steps[0], InterceptStep::Active(_)));
+        let step = InterceptStep::compile(Box::new(ActiveInterceptor::new()));
+        assert!(step.is_compiled());
+        assert_eq!(step.name(), "active-interceptor");
+        assert!(matches!(step, InterceptStep::Active(_)));
 
         // An unknown type stays dynamic — and keeps working.
         #[derive(Debug)]
@@ -944,46 +601,5 @@ mod tests {
             .with_latency_spike_ns(1_000);
         li.draw().unwrap();
         assert_eq!(li.injected(), 1);
-    }
-
-    #[test]
-    fn fast_gate_mirrors_the_plan() {
-        // Direct, no transient scope: pre/post provably no-ops.
-        let direct = MemoryPlan::direct(AreaId::HEAP).fast_gate();
-        assert!(direct.skip_choreography && !direct.copy);
-        // Copy patterns skip choreography but demand the payload copy.
-        let handoff = MemoryPlan {
-            pattern: PatternKind::HandoffThroughParent,
-            server_area: AreaId::IMMORTAL,
-            enter_path: Vec::new(),
-            transient_scope: None,
-            outer_on_stack: false,
-        }
-        .fast_gate();
-        assert!(handoff.skip_choreography && handoff.copy);
-        // Scope choreography keeps the full interceptor on the path.
-        let enter = MemoryPlan::enter_inner(AreaId::HEAP, vec![AreaId::HEAP]).fast_gate();
-        assert!(!enter.skip_choreography);
-        // A transient scope always needs pre/post, whatever the pattern.
-        let transient = MemoryPlan {
-            transient_scope: Some(AreaId::IMMORTAL),
-            ..MemoryPlan::direct(AreaId::HEAP)
-        }
-        .fast_gate();
-        assert!(!transient.skip_choreography);
-    }
-
-    #[test]
-    fn copy_requirements_by_pattern() {
-        let direct = MemoryInterceptor::new(MemoryPlan::direct(AreaId::HEAP));
-        assert!(!direct.needs_copy());
-        let handoff = MemoryInterceptor::new(MemoryPlan {
-            pattern: PatternKind::HandoffThroughParent,
-            server_area: AreaId::IMMORTAL,
-            enter_path: Vec::new(),
-            transient_scope: None,
-            outer_on_stack: false,
-        });
-        assert!(handoff.needs_copy());
     }
 }

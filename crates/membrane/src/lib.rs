@@ -10,10 +10,11 @@
 //!   they emit calls through;
 //! * [`controllers`] — Lifecycle, Binding, Content, ThreadDomain and
 //!   MemoryArea controllers (the introspection / reconfiguration surface);
-//! * [`interceptors`] — the RTSJ-oriented interceptors: the
-//!   **ActiveInterceptor** enforcing run-to-completion activation and the
-//!   **MemoryInterceptor** executing the cross-scope pattern selected at
-//!   design time;
+//! * [`interceptors`] — the **ActiveInterceptor** enforcing
+//!   run-to-completion activation, the compiled interceptor steps and the
+//!   engine's seeded fault injector (the cross-scope pattern a binding
+//!   needs is carried by its binding row and run by the engine's one
+//!   crossing routine, in every mode);
 //! * [`monitor`] — the allocation-free [`LatencyMonitor`] backing runtime
 //!   timing contracts: a fixed log₂ latency histogram with deadline-miss
 //!   and jitter-violation counters, attached per component and skipped by
@@ -34,12 +35,9 @@
 //! behavior). The overwhelmingly common deployed shape — a lifecycle gate
 //! plus one run-to-completion guard — is fused further
 //! ([`ChainFusion::FusedActive`]): `pre_invoke`/`post_invoke` collapse to a
-//! single pass with no chain walk at all. The same idea gates each
-//! *binding*: a [`interceptors::FastGate`] precomputed from the binding's
-//! [`interceptors::MemoryPlan`] lets the engine skip the memory
-//! interceptor's `pre`/`post` entirely when the plan proves them no-ops —
-//! decide at deploy time, run straight-line code at tick time, exactly the
-//! erasable-framework claim the MERGE modes exist to demonstrate.
+//! single pass with no chain walk at all — decide at deploy time, run
+//! straight-line code at tick time, exactly the erasable-framework claim
+//! the MERGE modes exist to demonstrate.
 //! `push_interceptor`/`remove_interceptor` remain the cold reconfiguration
 //! API; each call simply recompiles the plan.
 
@@ -336,7 +334,7 @@ impl Membrane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use interceptors::{ActiveInterceptor, MemoryInterceptor, MemoryPlan};
+    use interceptors::ActiveInterceptor;
     use rtsj::thread::ThreadKind;
 
     #[test]
@@ -422,15 +420,13 @@ mod tests {
         assert_eq!(m.plan().fusion(), ChainFusion::FusedActive);
         assert!(m.plan().is_fully_compiled(), "Active flattens to a step");
 
-        m.push_interceptor(Box::new(MemoryInterceptor::new(MemoryPlan::direct(
-            rtsj::memory::AreaId::HEAP,
-        ))));
+        m.push_interceptor(Box::new(ActiveInterceptor::new()));
         assert_eq!(m.plan().fusion(), ChainFusion::Walk);
-        assert!(m.plan().is_fully_compiled(), "Memory flattens too");
+        assert!(m.plan().is_fully_compiled(), "a second guard flattens too");
         assert_eq!(m.plan().len(), 2);
 
         // Removing recompiles back down to the fused shape.
-        assert!(m.remove_interceptor("memory-interceptor"));
+        assert!(m.remove_interceptor("active-interceptor"));
         assert_eq!(m.plan().fusion(), ChainFusion::FusedActive);
     }
 

@@ -14,10 +14,10 @@
 //! jitter, while a GC pause stretching one gap out of a steady train is
 //! flagged immediately.
 //!
-//! Like the [`crate::interceptors::FastGate`], the monitor follows the
-//! pay-nothing-when-unused rule: components without a monitor attached
-//! never reach this module — the engine's activation plan carries a
-//! `u16::MAX` sentinel and the hot path pays a single integer compare.
+//! The monitor follows the pay-nothing-when-unused rule: components
+//! without a monitor attached never reach this module — the engine's
+//! activation plan carries a `u16::MAX` sentinel and the hot path pays a
+//! single integer compare.
 
 use std::time::Instant;
 

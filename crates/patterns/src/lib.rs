@@ -1,17 +1,17 @@
-//! # soleil-patterns — RTSJ cross-scope communication patterns
+//! # soleil-patterns — RTSJ communication carriers
 //!
 //! The paper's memory interceptors "implement cross-scope communication …
 //! depending on the design procedure choosing one of many RTSJ memory
-//! patterns". This crate provides runtime executors for the patterns the
-//! framework deploys, drawn from the catalogs the paper cites (Corsaro &
-//! Santoro; Benowitz & Niessner; Pizlo et al.):
+//! patterns". The design procedure is one rule,
+//! [`soleil_core::validate::pattern_between`], and the engine runs the
+//! synchronous patterns it picks in one crossing routine. This crate holds
+//! the pattern vocabulary and the carriers those patterns need, drawn from
+//! the catalogs the paper cites (Corsaro & Santoro; Benowitz & Niessner;
+//! Pizlo et al.):
 //!
-//! * [`execute_in_outer`] — run code with the allocation context switched to
-//!   an enclosing area (*Execute-In-Area* pattern);
-//! * [`enter_inner`] / portals — enter a nested scope and communicate via
-//!   its portal object (*Portal* pattern);
-//! * [`handoff_copy`] — deep-copy a payload into a differently-scoped area
-//!   (*Handoff* / *Memory Block* pattern);
+//! * [`PatternKind`] — the five patterns, the validator's
+//!   [`CrossScopePattern`](soleil_core::validate::CrossScopePattern) under
+//!   the name deployment plans use;
 //! * [`ExchangeBuffer`] — a bounded FIFO that owns its fixed ring and is
 //!   charged to a chosen area, checked against that area on every
 //!   operation: the substrate for asynchronous bindings (*Immortal
@@ -23,137 +23,24 @@
 //!   `WaitFreeWriteQueue` (same-domain bindings keep the non-atomic
 //!   [`ExchangeBuffer`] fast path).
 //!
-//! All executors work against [`rtsj::memory::MemoryManager`] and therefore
-//! inherit every RTSJ dynamic check: patterns make cross-scope communication
-//! *legal*, they never bypass the assignment rules.
+//! Every carrier works against [`rtsj::memory::MemoryManager`] and
+//! therefore inherits every RTSJ dynamic check: patterns make cross-scope
+//! communication *legal*, they never bypass the assignment rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod spsc;
 
-use std::any::Any;
 use std::cell::Cell;
 
-use rtsj::memory::{AreaId, Handle, MemoryContext, MemoryKind, MemoryManager, RawHandle};
+use rtsj::memory::{AreaId, MemoryContext, MemoryManager, RawHandle};
 use rtsj::thread::ThreadKind;
 use rtsj::{Result, RtsjError};
 
-/// The pattern vocabulary shared with the design-time validator.
-///
-/// Mirrors `soleil_core::validate::CrossScopePattern`; kept separate so this
-/// crate depends only on the substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PatternKind {
-    /// Same area or heap/immortal target: plain invocation.
-    Direct,
-    /// Target state lives in an enclosing area.
-    ExecuteInOuter,
-    /// Target state lives in a nested scope.
-    EnterInner,
-    /// Sibling scopes, synchronous: deep copy through the common parent.
-    HandoffThroughParent,
-    /// Unrelated areas, asynchronous: bounded buffer in immortal memory.
-    ImmortalExchange,
-}
-
-impl std::fmt::Display for PatternKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PatternKind::Direct => "direct",
-            PatternKind::ExecuteInOuter => "execute-in-outer",
-            PatternKind::EnterInner => "enter-inner",
-            PatternKind::HandoffThroughParent => "handoff-through-parent",
-            PatternKind::ImmortalExchange => "immortal-exchange",
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Execute-In-Area
-// ---------------------------------------------------------------------------
-
-/// Runs `f` with the allocation context switched to `outer` — the
-/// *Execute-In-Area* pattern for calling services whose state lives in an
-/// enclosing (longer-lived) area.
-///
-/// # Errors
-///
-/// Propagates [`RtsjError::InaccessibleArea`] / [`RtsjError::MemoryAccess`]
-/// from the substrate.
-pub fn execute_in_outer<R>(
-    mm: &mut MemoryManager,
-    ctx: &mut MemoryContext,
-    outer: AreaId,
-    f: impl FnOnce(&mut MemoryManager, &mut MemoryContext) -> Result<R>,
-) -> Result<R> {
-    mm.execute_in_area(ctx, outer, f)
-}
-
-// ---------------------------------------------------------------------------
-// Enter-Inner (portal)
-// ---------------------------------------------------------------------------
-
-/// Enters the nested scope `inner`, runs `f`, and exits — the *Scoped
-/// Run-Loop* step of the portal pattern. The closure receives the scope's
-/// portal handle, if one is installed.
-///
-/// # Errors
-///
-/// Propagates entry errors (single parent rule, unknown area).
-pub fn enter_inner<R>(
-    mm: &mut MemoryManager,
-    ctx: &mut MemoryContext,
-    inner: AreaId,
-    f: impl FnOnce(&mut MemoryManager, &mut MemoryContext, Option<RawHandle>) -> Result<R>,
-) -> Result<R> {
-    mm.enter_with(ctx, inner, |mm, ctx| {
-        let portal = mm.portal(inner)?;
-        f(mm, ctx, portal)
-    })
-}
-
-/// Installs a freshly allocated `value` as the portal of `scope` (must be
-/// called while inside the scope).
-///
-/// # Errors
-///
-/// Propagates allocation and portal-placement errors.
-pub fn publish_portal<T: Any + Send>(
-    mm: &mut MemoryManager,
-    ctx: &MemoryContext,
-    scope: AreaId,
-    value: T,
-) -> Result<Handle<T>> {
-    let handle = mm.alloc(ctx, scope, value)?;
-    mm.set_portal(scope, handle.raw())?;
-    Ok(handle)
-}
-
-// ---------------------------------------------------------------------------
-// Handoff (deep copy)
-// ---------------------------------------------------------------------------
-
-/// Deep-copies the value behind `from` into `to_area` — the *Handoff*
-/// pattern for moving data between sibling scopes, where direct references
-/// are illegal in both directions.
-///
-/// The copy is legal precisely because no reference crosses the boundary;
-/// the assignment rules are not consulted (that is the point of the
-/// pattern), but access checks on both ends still apply.
-///
-/// # Errors
-///
-/// Propagates access, staleness and allocation errors.
-pub fn handoff_copy<T: Any + Clone + Send>(
-    mm: &mut MemoryManager,
-    ctx: &MemoryContext,
-    from: Handle<T>,
-    to_area: AreaId,
-) -> Result<Handle<T>> {
-    let value = mm.get(ctx, from)?.clone();
-    mm.alloc(ctx, to_area, value)
-}
+/// The cross-scope pattern vocabulary: the one enum the validator picks
+/// from and the engine executes.
+pub use soleil_core::validate::CrossScopePattern as PatternKind;
 
 // ---------------------------------------------------------------------------
 // Exchange buffer
@@ -459,38 +346,10 @@ impl ScopePin {
     }
 }
 
-/// Chooses the buffer placement area for an asynchronous binding: the
-/// common area when both sides agree, otherwise immortal memory (the
-/// *Immortal Exchange* fallback). Heap is only chosen when both sides are
-/// heap-coupled and the consumer may touch it.
-pub fn async_buffer_area(
-    producer_area: AreaId,
-    producer_kind: MemoryKind,
-    consumer_area: AreaId,
-    consumer_kind: MemoryKind,
-    consumer_thread: ThreadKind,
-) -> AreaId {
-    if producer_area == AreaId::HEAP || consumer_area == AreaId::HEAP {
-        // The buffer may sit on the heap only if the consumer can touch it.
-        return if producer_kind == MemoryKind::Heap
-            && consumer_kind == MemoryKind::Heap
-            && consumer_thread.may_access_heap()
-        {
-            AreaId::HEAP
-        } else {
-            AreaId::IMMORTAL
-        };
-    }
-    if producer_area == consumer_area && producer_kind != MemoryKind::Scoped {
-        return producer_area;
-    }
-    AreaId::IMMORTAL
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtsj::memory::ScopedMemoryParams;
+    use rtsj::memory::{Handle, ScopedMemoryParams};
 
     fn setup() -> (MemoryManager, AreaId, AreaId) {
         let mut mm = MemoryManager::new(1 << 20, 1 << 20);
@@ -503,22 +362,27 @@ mod tests {
         (mm, outer, inner)
     }
 
+    /// The premise of the *Execute-In-Outer* pattern: from inside a nested
+    /// scope, allocating with the context switched to the enclosing
+    /// (pinned) scope outlives the nested scope.
     #[test]
     fn execute_in_outer_allocates_outward() {
         let (mut mm, outer, inner) = setup();
+        let _pin = ScopePin::new(&mut mm, outer, &[]).unwrap();
         let mut ctx = mm.context(ThreadKind::Realtime);
         mm.enter(&mut ctx, outer).unwrap();
         mm.enter(&mut ctx, inner).unwrap();
-        let h = execute_in_outer(&mut mm, &mut ctx, outer, |mm, ctx| {
-            mm.alloc_current(ctx, 99u64)
-        })
-        .unwrap();
+        let h = mm
+            .execute_in_area(&mut ctx, outer, |mm, ctx| mm.alloc_current(ctx, 99u64))
+            .unwrap();
         assert_eq!(h.area(), outer);
         // Exiting the inner scope must not invalidate the outer allocation.
         mm.exit(&mut ctx).unwrap();
         assert_eq!(*mm.get(&ctx, h).unwrap(), 99);
     }
 
+    /// The *Portal* pattern needs a pin: a scope reclaimed by its last
+    /// exit loses its portal, and a pinned scope keeps it across entries.
     #[test]
     fn portal_pattern_roundtrip() {
         let (mut mm, outer, _inner) = setup();
@@ -526,31 +390,38 @@ mod tests {
 
         // Service thread sets up the portal, then leaves (scope reclaims).
         mm.enter(&mut ctx, outer).unwrap();
-        publish_portal(&mut mm, &ctx, outer, String::from("service-state")).unwrap();
+        let h = mm
+            .alloc(&ctx, outer, String::from("service-state"))
+            .unwrap();
+        mm.set_portal(outer, h.raw()).unwrap();
         mm.exit(&mut ctx).unwrap();
 
-        // Scope reclaimed (no pin): portal is gone on re-entry.
+        // Scope reclaimed (no pin): the portal is gone on re-entry.
         let mut client = mm.context(ThreadKind::Realtime);
-        enter_inner(&mut mm, &mut client, outer, |_mm, _ctx, portal| {
-            assert!(portal.is_none(), "reclaimed scope lost its portal");
-            Ok(())
-        })
-        .unwrap();
+        mm.enter(&mut client, outer).unwrap();
+        assert!(
+            mm.portal(outer).unwrap().is_none(),
+            "reclaimed scope lost its portal"
+        );
+        mm.exit(&mut client).unwrap();
 
         // With a pin the portal survives across entries.
         let mut pin = ScopePin::new(&mut mm, outer, &[]).unwrap();
-        let pin_ctx = pin.context().clone();
-        publish_portal(&mut mm, &pin_ctx, outer, 42u32).unwrap();
-        enter_inner(&mut mm, &mut client, outer, |mm, ctx, portal| {
-            let raw = portal.expect("portal installed");
-            let h: Handle<u32> = Handle::from_raw(raw);
-            assert_eq!(*mm.get(ctx, h)?, 42);
-            Ok(())
-        })
-        .unwrap();
+        let h = mm.alloc(pin.context(), outer, 42u32).unwrap();
+        mm.set_portal(outer, h.raw()).unwrap();
+        for _ in 0..2 {
+            mm.enter(&mut client, outer).unwrap();
+            let raw = mm.portal(outer).unwrap().expect("portal installed");
+            let portal: Handle<u32> = Handle::from_raw(raw);
+            assert_eq!(*mm.get(&client, portal).unwrap(), 42);
+            mm.exit(&mut client).unwrap();
+        }
         pin.release(&mut mm).unwrap();
+        assert!(mm.portal(outer).unwrap().is_none(), "unpinning reclaims it");
     }
 
+    /// The premise of the *Handoff* pattern: sibling scopes may not
+    /// reference each other, but a deep copy into the sibling is legal.
     #[test]
     fn handoff_copies_between_siblings() {
         let (mut mm, s1, s2) = setup();
@@ -563,7 +434,8 @@ mod tests {
         assert!(mm.check_assignment(s2, s1).is_err());
         // ...but a deep copy is the sanctioned pattern.
         let src = mm.alloc(&t1, s1, vec![1u8, 2, 3]).unwrap();
-        let dst = handoff_copy(&mut mm, &t1, src, s2).unwrap();
+        let copy = mm.get(&t1, src).unwrap().clone();
+        let dst = mm.alloc(&t1, s2, copy).unwrap();
         assert_eq!(dst.area(), s2);
         assert_eq!(mm.get(&t2, dst).unwrap(), &vec![1u8, 2, 3]);
     }
@@ -731,37 +603,5 @@ mod tests {
         let mut inner_pin = ScopePin::new(&mut mm, inner, &[outer]).unwrap();
         assert_eq!(mm.parent_of(inner).unwrap(), Some(outer));
         inner_pin.release(&mut mm).unwrap();
-    }
-
-    #[test]
-    fn buffer_area_selection() {
-        use MemoryKind::*;
-        let heap = AreaId::HEAP;
-        let imm = AreaId::IMMORTAL;
-        let scoped = AreaId::from_raw(5);
-        // Heap-to-heap with a heap-capable consumer stays on the heap.
-        assert_eq!(
-            async_buffer_area(heap, Heap, heap, Heap, ThreadKind::Regular),
-            heap
-        );
-        // NHRT consumer forces the buffer out of the heap.
-        assert_eq!(
-            async_buffer_area(heap, Heap, heap, Heap, ThreadKind::NoHeapRealtime),
-            imm
-        );
-        // Same immortal area: keep it there.
-        assert_eq!(
-            async_buffer_area(imm, Immortal, imm, Immortal, ThreadKind::Realtime),
-            imm
-        );
-        // Scoped or mismatched areas: immortal exchange.
-        assert_eq!(
-            async_buffer_area(scoped, Scoped, imm, Immortal, ThreadKind::Realtime),
-            imm
-        );
-        assert_eq!(
-            async_buffer_area(scoped, Scoped, scoped, Scoped, ThreadKind::Realtime),
-            imm
-        );
     }
 }

@@ -30,10 +30,10 @@
 //!   substrate charges that do not fit — rolls everything back: engines,
 //!   rings, plan and architectural model.
 //!
-//! Tokens are deployment-scoped: every `ComponentRef`/`PortRef` carries the
-//! identity of the deployment that minted it, so a token from one
-//! deployment is refused by another instead of silently addressing the
-//! wrong slot.
+//! Tokens are deployment-scoped: every `ComponentRef`/`PortRef`, and every
+//! `TimerHandle` a deployment issues, carries the identity of the
+//! deployment that minted it, so a token from one deployment is refused by
+//! another instead of silently addressing the wrong slot or timer.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -475,6 +475,8 @@ impl<P: Payload> Deployment<P> {
 
     /// The footprint report of the running deployment: a sharded
     /// deployment lists every shard's areas and sums its byte figures.
+    /// SOLEIL's framework bytes include the reified plan
+    /// ([`reified_spec`](Self::reified_spec)).
     pub fn footprint(&self) -> FootprintReport {
         let mut reports = self.shards.iter().map(|s| s.system.footprint());
         let mut total = reports.next().expect("a deployment has a shard");
@@ -483,7 +485,16 @@ impl<P: Payload> Deployment<P> {
             total.framework_bytes += r.framework_bytes;
             total.release_engine_bytes += r.release_engine_bytes;
         }
+        total.framework_bytes += self.reified_spec().map_or(0, SystemSpec::metadata_bytes);
         total
+    }
+
+    /// The reified deployment plan — SOLEIL keeps it alive for
+    /// introspection, the merged modes drop it. It is the plan every
+    /// committed transaction updates and every rollback restores, so it
+    /// always describes the live bindings and placements.
+    pub fn reified_spec(&self) -> Option<&SystemSpec> {
+        (self.mode == Mode::Soleil).then_some(&self.spec)
     }
 
     /// The architecture this deployment currently implements — kept in
@@ -589,15 +600,18 @@ impl<P: Payload> Deployment<P> {
         self.shards[head.shard()]
             .system
             .schedule_release(head.slot(), at)
-            .map(|handle| handle.on_shard(head.shard()))
+            .map(|handle| handle.issued_by(self.nonce, head.shard()))
     }
 
     /// Cancels a scheduled release; `false` when the handle is stale
-    /// (already fired or cancelled) — generation-checked, always safe.
+    /// (already fired or cancelled) or was issued by another deployment —
+    /// generation-checked and deployment-scoped, always safe.
     pub fn cancel_release(&mut self, handle: TimerHandle) -> bool {
-        self.shards
-            .get_mut(handle.shard())
-            .is_some_and(|s| s.system.cancel_release(handle))
+        handle.deployment() == self.nonce
+            && self
+                .shards
+                .get_mut(handle.shard())
+                .is_some_and(|s| s.system.cancel_release(handle))
     }
 
     /// Advances the engine clock to `now` and fires every due scheduled

@@ -9,10 +9,9 @@
 //!   through lifecycle gates, a name-keyed binding controller and a dynamic
 //!   interceptor chain; full membrane-level introspection/reconfiguration.
 //!   The controller resolves a port to a row of the same per-component
-//!   binding table MERGE-ALL dispatches through, and each row's memory
-//!   interceptor and gate are derived from that row.
+//!   binding table MERGE-ALL dispatches through.
 //! * **MERGE-ALL** — membrane logic merged into each component: compiled
-//!   binding rows, inlined memory choreography; functional-level
+//!   binding rows and an inlined lifecycle check; functional-level
 //!   reconfiguration only.
 //!
 //! In both reconfigurable modes a binding change replaces one row's
@@ -38,6 +37,14 @@
 //! quarantined, poisoned), which one engine routine writes and a SOLEIL
 //! membrane mirrors. One `Ports` façade resolves a client port to its row
 //! through SOLEIL's binding controller or the merged modes' jump table.
+//!
+//! A synchronous call crosses MemoryAreas the same way in every mode: one
+//! engine routine runs the RTSJ pattern settled into the binding's row
+//! (the paper's memory interceptor). The pattern comes from one rule,
+//! `soleil_core::validate::pattern_between`: the generator applies it to
+//! the architecture, and a rebind or a re-homing that recompiles a row
+//! applies it to the engine's own areas, so both pick the same pattern
+//! for the same placement.
 //!
 //! An asynchronous hop is the same in every mode: the message goes into
 //! the binding's `ExchangeBuffer`, and one packed `u128` key (consumer
@@ -103,6 +110,7 @@
 pub mod deploy;
 pub mod footprint;
 pub mod instrument;
+mod interceptors;
 pub mod parallel;
 pub mod sim;
 pub mod spec;

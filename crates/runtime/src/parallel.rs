@@ -75,19 +75,6 @@ use crate::system::{immortal_budget, AsyncRepointUndo, CrossOutput, EngineStats,
 // Planning
 // ---------------------------------------------------------------------------
 
-/// The scoped-area chain of a component (area indices, innermost last).
-fn scoped_chain(spec: &SystemSpec, comp: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut cursor = Some(spec.components[comp].area);
-    while let Some(ix) = cursor {
-        if spec.areas[ix].kind == rtsj::memory::MemoryKind::Scoped {
-            out.push(ix);
-        }
-        cursor = spec.areas[ix].parent;
-    }
-    out
-}
-
 /// Groups components into shards. Returns, per component, its shard index,
 /// plus the number of shards. Pure function of the spec — the same
 /// coupling rules the design-time advisory
@@ -121,7 +108,7 @@ fn plan_shards(spec: &SystemSpec) -> (Vec<usize>, usize) {
     // the same scope (anywhere on their chains) must share a shard.
     let mut first_with_area: HashMap<usize, usize> = HashMap::new();
     for i in 0..n {
-        for a in scoped_chain(spec, i) {
+        for a in spec.scope_chain(spec.components[i].area) {
             match first_with_area.get(&a) {
                 Some(&j) => uf.union(i, j),
                 None => {
@@ -327,17 +314,11 @@ pub(crate) fn build_shards<P: Payload>(
             .components
             .iter()
             .enumerate()
-            .find(|(cix, _)| scoped_chain(spec, *cix).contains(&aix))
+            .find(|(_, c)| spec.scope_chain(c.area).contains(&aix))
             .map(|(cix, _)| shard_of_comp[cix])
             .or_else(|| {
-                let mut cursor = a.parent;
-                while let Some(p) = cursor {
-                    if scoped_owner[p] != usize::MAX {
-                        return Some(scoped_owner[p]);
-                    }
-                    cursor = spec.areas[p].parent;
-                }
-                None
+                let ancestors = spec.scope_chain(a.parent?);
+                ancestors.last().map(|&p| scoped_owner[p])
             })
             .unwrap_or(0);
     }

@@ -174,6 +174,12 @@ impl SystemSpec {
         names
     }
 
+    /// The scoped areas a thread standing in area `area` enters, outermost
+    /// first (area indices, see [`scoped_chain`]).
+    pub fn scope_chain(&self, area: usize) -> Vec<usize> {
+        scoped_chain(area, |ix| (self.areas[ix].kind, self.areas[ix].parent))
+    }
+
     /// Rough byte size of the spec itself (charged as reified metadata in
     /// SOLEIL mode).
     pub fn metadata_bytes(&self) -> usize {
@@ -251,6 +257,41 @@ impl SystemSpec {
         }
         Ok(())
     }
+}
+
+/// The scoped areas area `area` stands in — itself when scoped, then every
+/// scoped ancestor reached through the `parent` links — outermost first,
+/// where `link` gives an area's kind and parent. The one walk up an area
+/// tree: the engine's scope chains and wedge-pin paths, the parallel
+/// planner's scope ownership and the generator's enter paths all take it.
+pub fn scoped_chain(
+    area: usize,
+    link: impl Fn(usize) -> (MemoryKind, Option<usize>),
+) -> Vec<usize> {
+    let mut chain = Vec::new();
+    let mut cursor = Some(area);
+    while let Some(ix) = cursor {
+        let (kind, parent) = link(ix);
+        if kind == MemoryKind::Scoped {
+            chain.push(ix);
+        }
+        cursor = parent;
+    }
+    chain.reverse();
+    chain
+}
+
+/// The `EnterInner` path of a call from a client standing in scope chain
+/// `client` into a server standing in `server` (both outermost first): the
+/// server's chain past their common prefix, which is already on the
+/// caller's stack — re-entering it would break the single parent rule.
+pub fn enter_path<'a, A: PartialEq>(client: &[A], server: &'a [A]) -> &'a [A] {
+    let common = client
+        .iter()
+        .zip(server)
+        .take_while(|(c, s)| c == s)
+        .count();
+    &server[common..]
 }
 
 #[cfg(test)]

@@ -26,23 +26,22 @@ use rtsj::memory::{AreaId, MemoryContext, MemoryKind, MemoryManager};
 use rtsj::thread::{Priority, ThreadKind};
 use rtsj::time::{AbsoluteTime, RelativeTime};
 use soleil_core::contract::{ContractObservation, TimingContract};
-use soleil_core::validate::{Diagnostic, Severity};
+use soleil_core::validate::{pattern_between, Diagnostic, Severity};
 use soleil_core::ValidationReport;
 use soleil_membrane::content::{
     Content, ContentFactory, ContentRegistry, InvokeResult, Payload, PortId, StateImage,
 };
 use soleil_membrane::controllers::{LifecycleState, MemoryAreaController};
-use soleil_membrane::interceptors::{
-    ActiveInterceptor, FastGate, FaultInjector, InterceptStep, Interceptor, MemoryInterceptor,
-    MemoryPlan,
-};
+use soleil_membrane::interceptors::{ActiveInterceptor, FaultInjector, InterceptStep};
 use soleil_membrane::monitor::{LatencyMonitor, LatencySnapshot};
 use soleil_membrane::{ChainFusion, FaultKind, FrameworkError, Membrane, Ports};
 use soleil_patterns::spsc::SpscProducer;
 use soleil_patterns::{ExchangeBuffer, PatternKind, PushOutcome, ScopePin};
 
 use crate::footprint::FootprintReport;
-use crate::spec::{Activation, AreaSpec, BufferPlacement, Mode, ProtocolSpec, SystemSpec};
+use crate::spec::{
+    enter_path, scoped_chain, Activation, AreaSpec, BufferPlacement, Mode, ProtocolSpec, SystemSpec,
+};
 use crate::timer::{TimerHandle, TimerQueue};
 
 /// The implicit server port through which periodic components receive their
@@ -345,37 +344,6 @@ impl DispatchHeader {
     }
 }
 
-/// SOLEIL's reified half of one compiled row: the binding's memory
-/// interceptor and the fused gate compiled from its plan, both derived
-/// from the row's header by [`reify_row`]. Cross-ring rows carry no
-/// interceptor: their consumer re-enters its own chain on its own shard.
-#[derive(Debug)]
-struct ReifiedRow {
-    /// When it proves the interceptor's `pre`/`post` are no-ops, the
-    /// SOLEIL sync-call path skips them entirely.
-    gate: FastGate,
-    /// Taken out of its row for the duration of a call.
-    interceptor: Option<MemoryInterceptor>,
-}
-
-/// Builds a row's [`MemoryInterceptor`] and [`FastGate`] from its header —
-/// the one place SOLEIL derives memory choreography, at build and on every
-/// row write.
-fn reify_row(arena: &[AreaId], h: &DispatchHeader) -> ReifiedRow {
-    let (off, len) = (h.enter_off as usize, h.enter_len as usize);
-    let plan = MemoryPlan {
-        pattern: h.pattern,
-        server_area: h.server_area,
-        enter_path: arena[off..off + len].to_vec(),
-        transient_scope: None,
-        outer_on_stack: h.outer_on_stack,
-    };
-    ReifiedRow {
-        gate: plan.fast_gate(),
-        interceptor: (!h.is_cross).then(|| MemoryInterceptor::new(plan)),
-    }
-}
-
 /// Interns `path` into the deployment's flattened enter-path arena,
 /// reusing an existing window when an identical sequence is already
 /// present — so recompiling a binding back to a previous target yields
@@ -407,8 +375,7 @@ struct ActivationPlan {
     /// Slot of the component's latency monitor in `System::monitors`;
     /// `u16::MAX` when no timing contract is attached. A component without
     /// a contract pays exactly one integer compare per activation — the
-    /// same pay-nothing-when-unused compilation as `release_ix` and the
-    /// membrane `FastGate`s.
+    /// same pay-nothing-when-unused compilation as `release_ix`.
     monitor_ix: u16,
     /// Slot of the component's engine-level fault injector in
     /// `System::injectors`; `u16::MAX` when none is installed (the same
@@ -722,12 +689,8 @@ pub struct System<P: Payload> {
     /// because the injector fires at the activation boundary, before any
     /// mode-specific dispatch.
     injectors: Vec<Option<Box<FaultInjector>>>,
-    // SOLEIL mode: reified membranes, each row's memory interceptor and
-    // gate (`[slot][row]`, parallel to `compiled`; empty in the merged
-    // modes) and the spec kept alive for introspection.
+    /// SOLEIL mode: the reified membranes (empty in the merged modes).
     membranes: Vec<Option<Membrane>>,
-    reified: Vec<Vec<ReifiedRow>>,
-    reified_spec: Option<SystemSpec>,
     /// SOLEIL and MERGE-ALL: the per-slot binding rows, the only routing
     /// record. Rows never move after build; a binding change replaces a
     /// header in place ([`System::write_row`]).
@@ -803,15 +766,7 @@ impl<P: Payload> System<P> {
             let mut controller = MemoryAreaController::new(a.name.clone(), id);
             if a.kind == MemoryKind::Scoped {
                 // Wedge-pin through the scoped ancestor chain.
-                let mut path = Vec::new();
-                let mut cursor = a.parent;
-                while let Some(p) = cursor {
-                    if areas[p].kind == MemoryKind::Scoped {
-                        path.push(areas[p].id);
-                    }
-                    cursor = areas[p].parent;
-                }
-                path.reverse();
+                let path = a.parent.map_or_else(Vec::new, |p| scope_ids(&areas, p));
                 controller.set_pin(ScopePin::new(&mut mm, id, &path)?);
             }
             areas.push(RuntimeArea {
@@ -858,16 +813,6 @@ impl<P: Payload> System<P> {
                 .domain
                 .map(|d| domains[d].priority)
                 .unwrap_or(Priority::NORM);
-            // The scoped chain this component's thread stands in.
-            let mut scope_chain = Vec::new();
-            let mut cursor = Some(c.area);
-            while let Some(ix) = cursor {
-                if areas[ix].kind == MemoryKind::Scoped {
-                    scope_chain.push(areas[ix].id);
-                }
-                cursor = areas[ix].parent;
-            }
-            scope_chain.reverse();
             nodes.push(Node {
                 name: c.name.clone(),
                 content: Some(content),
@@ -878,7 +823,8 @@ impl<P: Payload> System<P> {
                 release_ix,
                 priority,
                 ceiling: c.ceiling.map(Priority::new),
-                scope_chain,
+                // The scoped chain this component's thread stands in.
+                scope_chain: scope_ids(&areas, c.area),
             });
         }
 
@@ -967,27 +913,16 @@ impl<P: Payload> System<P> {
 
         // --- Mode-specific dispatch machinery.
         let mut membranes: Vec<Option<Membrane>> = Vec::new();
-        let mut reified: Vec<Vec<ReifiedRow>> = Vec::new();
         let mut compiled: Vec<Vec<CompiledBinding>> = Vec::new();
         let mut ultra_table: Vec<CompiledBinding> = Vec::new();
         let mut ultra_ranges: Vec<(u32, u32)> = Vec::new();
 
-        // Per-(client, server-area) access decision, settled at build: an
-        // ExecuteInOuter server area that sits on the client's static scope
-        // chain is provably on the stack whenever the binding fires (the
-        // client entered its whole chain at activation), so the per-call
-        // containment walk can be skipped.
-        let outer_on_stack = |b: &crate::spec::BindingSpec| {
-            b.pattern == PatternKind::ExecuteInOuter
-                && nodes[b.client]
-                    .scope_chain
-                    .contains(&areas[spec.components[b.server].area].id)
-        };
         // Both row constructors funnel through `DispatchHeader` — the
         // constructors shared with runtime rebinding — and take the arena
         // as a parameter so only the calling loop holds it mutably.
-        let compile_one =
-            |arena: &mut Vec<AreaId>, b: &crate::spec::BindingSpec, bix: usize| CompiledBinding {
+        let compile_one = |arena: &mut Vec<AreaId>, b: &crate::spec::BindingSpec, bix: usize| {
+            let server_area = areas[spec.components[b.server].area].id;
+            CompiledBinding {
                 port: b.client_port.as_str().into(),
                 header: DispatchHeader::compile(
                     arena,
@@ -996,15 +931,16 @@ impl<P: Payload> System<P> {
                     matches!(b.protocol, ProtocolSpec::Async { .. }),
                     buffer_of_binding[bix].unwrap_or(usize::MAX),
                     b.pattern,
-                    areas[spec.components[b.server].area].id,
+                    server_area,
                     &b.enter_path
                         .iter()
                         .map(|&ix| areas[ix].id)
                         .collect::<Vec<_>>(),
-                    outer_on_stack(b),
+                    outer_proof(&nodes[b.client].scope_chain, b.pattern, server_area),
                     false,
                 ),
-            };
+            }
+        };
         let cross_compiled =
             |arena: &mut Vec<AreaId>, port: &str, cross_ix: usize| CompiledBinding {
                 port: port.into(),
@@ -1057,11 +993,6 @@ impl<P: Payload> System<P> {
                     m.binding.bind(b.port.as_ref(), row);
                 }
                 membranes.push(Some(m));
-                reified.push(
-                    rows.iter()
-                        .map(|b| reify_row(&enter_arena, &b.header))
-                        .collect(),
-                );
             }
         }
 
@@ -1096,12 +1027,6 @@ impl<P: Payload> System<P> {
             factories,
             injectors: (0..node_count).map(|_| None).collect(),
             membranes,
-            reified,
-            reified_spec: if mode == Mode::Soleil {
-                Some(spec.clone())
-            } else {
-                None
-            },
             compiled,
             ultra_table,
             ultra_ranges,
@@ -1489,7 +1414,7 @@ impl<P: Payload> System<P> {
             // A component allocated in scoped memory executes inside its
             // (wedge-pinned, so entry cannot reclaim) scope chain; having
             // the chain on the stack is also the premise of the build-time
-            // `ExecuteInOuter` access proofs ([`System::outer_proof`]).
+            // `ExecuteInOuter` access proofs ([`outer_proof`]).
             let chain = (plan.chain_off, u32::from(plan.chain_len));
             result = self.invoke_in(chain, slot, port_ix, msg, ctx);
         }
@@ -1785,9 +1710,14 @@ impl<P: Payload> System<P> {
         FrameworkError::Lifecycle(format!("component '{}' is {state}", self.nodes[slot].name))
     }
 
-    /// Routes a compiled synchronous call through its binding's pattern:
-    /// the merged modes' memory choreography, settled into the header at
-    /// build or rebind time.
+    /// The one crossing routine: runs a compiled synchronous call through
+    /// the pattern settled into its row at build or rebind time, in every
+    /// generation mode — the paper's memory interceptor. `ExecuteInOuter`
+    /// switches the allocation context outward (prechecked when the
+    /// row's access proof holds, walked otherwise), `EnterInner` enters
+    /// the row's scope path around the call, and `HandoffThroughParent`
+    /// invokes on a deep copy of `msg` that is copied back, so no
+    /// reference crosses between sibling scopes.
     fn cross_scope_call(
         &mut self,
         r: DispatchHeader,
@@ -1818,26 +1748,13 @@ impl<P: Payload> System<P> {
                 msg,
                 ctx,
             ),
-            PatternKind::HandoffThroughParent => self.invoke_target(r, true, msg, ctx),
+            PatternKind::HandoffThroughParent => {
+                let mut copy = msg.clone();
+                let out = self.invoke(r.target_slot, r.server_port_ix, &mut copy, ctx);
+                *msg = copy;
+                out
+            }
         }
-    }
-
-    /// Invokes `r`'s target; with `copy`, on a deep copy of `msg` whose
-    /// result is copied back, so no reference crosses.
-    fn invoke_target(
-        &mut self,
-        r: DispatchHeader,
-        copy: bool,
-        msg: &mut P,
-        ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        if !copy {
-            return self.invoke(r.target_slot, r.server_port_ix, msg, ctx);
-        }
-        let mut copy = msg.clone();
-        let out = self.invoke(r.target_slot, r.server_port_ix, &mut copy, ctx);
-        *msg = copy;
-        out
     }
 
     // -----------------------------------------------------------------
@@ -1953,9 +1870,11 @@ impl<P: Payload> System<P> {
 
     /// Compiles the header of a local binding from `client` to `server`
     /// against the areas both live in now — the runtime counterpart of
-    /// build's `compile_one`, through the same constructor. The arena's
-    /// window reuse means compiling back to an earlier shape reproduces
-    /// the old header byte-identically.
+    /// build's `compile_one`, through the same constructor. The pattern
+    /// comes from the validator's one rule, decided over this engine's
+    /// areas, so it is the pattern the design procedure picks for the same
+    /// placement. The arena's window reuse means compiling back to an
+    /// earlier shape reproduces the old header byte-identically.
     fn compile_local(
         &mut self,
         client: usize,
@@ -1964,10 +1883,23 @@ impl<P: Payload> System<P> {
         is_async: bool,
         buffer_ix: usize,
     ) -> DispatchHeader {
-        let client_area = self.areas[self.nodes[client].area_ix].id;
-        let server_area = self.areas[self.nodes[server].area_ix].id;
-        let (pattern, enter_path) = self.pattern_between(client_area, server_area);
-        let outer_on_stack = self.outer_proof(client, pattern, server_area);
+        let (c, s) = (&self.nodes[client], &self.nodes[server]);
+        let (c_area, s_area) = (&self.areas[c.area_ix], &self.areas[s.area_ix]);
+        // Asked only of two scoped areas, each the client's or the
+        // server's: one encloses the other when it is on the other's chain.
+        let pattern = pattern_between(
+            (c_area.id, c_area.kind),
+            (s_area.id, s_area.kind),
+            is_async,
+            |outer, inner| {
+                let inner = if inner == c_area.id { c } else { s };
+                inner.scope_chain.contains(&outer)
+            },
+        );
+        let path = match pattern {
+            PatternKind::EnterInner => enter_path(&c.scope_chain, &s.scope_chain),
+            _ => &[],
+        };
         DispatchHeader::compile(
             &mut self.enter_arena,
             server,
@@ -1975,23 +1907,19 @@ impl<P: Payload> System<P> {
             is_async,
             buffer_ix,
             pattern,
-            server_area,
-            &enter_path,
-            outer_on_stack,
+            s_area.id,
+            path,
+            outer_proof(&c.scope_chain, pattern, s_area.id),
             false,
         )
     }
 
     /// Replaces row `row` of `slot` with `header` in place — the one write
     /// every binding change and its undo funnel through. Rows never move,
-    /// so the jump tables stay valid; SOLEIL re-derives the row's memory
-    /// interceptor and gate from the new header. Mints a fresh dispatch
-    /// generation and returns the replaced header's pre-image.
+    /// so the jump tables stay valid. Mints a fresh dispatch generation
+    /// and returns the replaced header's pre-image.
     fn write_row(&mut self, slot: usize, row: usize, header: DispatchHeader) -> RowPreImage {
         let old = std::mem::replace(&mut self.compiled[slot][row].header, header);
-        if let Some(rows) = self.reified.get_mut(slot) {
-            rows[row] = reify_row(&self.enter_arena, &header);
-        }
         self.dispatch_generation = mint_dispatch_generation();
         RowPreImage {
             slot,
@@ -2004,67 +1932,6 @@ impl<P: Payload> System<P> {
     /// Infallible: the row exists, since rows never move.
     pub(crate) fn restore_row(&mut self, pre: RowPreImage) {
         self.write_row(pre.slot, pre.row, pre.header);
-    }
-
-    /// The build-time access proof for `ExecuteInOuter` bindings: the
-    /// server area sits on the client's static scope chain, so it is on
-    /// the stack whenever the binding fires and the per-call containment
-    /// walk may be skipped. Single source of truth for rebinding; the
-    /// `outer_on_stack` closure in [`System::build`] mirrors it (it runs
-    /// before `self` exists).
-    fn outer_proof(&self, client_slot: usize, pattern: PatternKind, server_area: AreaId) -> bool {
-        pattern == PatternKind::ExecuteInOuter
-            && self.nodes[client_slot].scope_chain.contains(&server_area)
-    }
-
-    /// Recomputes the cross-scope pattern (and, for `EnterInner`, the
-    /// relative scope chain to enter) between two runtime areas — used by
-    /// runtime rebinding.
-    fn pattern_between(&self, client: AreaId, server: AreaId) -> (PatternKind, Vec<AreaId>) {
-        if client == server {
-            return (PatternKind::Direct, Vec::new());
-        }
-        let kind = |id: AreaId| {
-            self.areas
-                .iter()
-                .find(|a| a.id == id)
-                .map(|a| a.kind)
-                .unwrap_or(MemoryKind::Heap)
-        };
-        if matches!(kind(server), MemoryKind::Heap | MemoryKind::Immortal) {
-            return (PatternKind::Direct, Vec::new());
-        }
-        // Scoped chains (outermost first) from the nesting recorded at
-        // bootstrap.
-        let scoped_chain = |start: AreaId| {
-            let mut out = Vec::new();
-            let mut ix = self.areas.iter().position(|a| a.id == start);
-            while let Some(i) = ix {
-                if self.areas[i].kind == MemoryKind::Scoped {
-                    out.push(self.areas[i].id);
-                }
-                ix = self.areas[i].parent;
-            }
-            out.reverse();
-            out
-        };
-        let client_chain = scoped_chain(client);
-        let server_chain = scoped_chain(server);
-        if client_chain.contains(&server) {
-            // Server scope encloses the client: switch outward.
-            return (PatternKind::ExecuteInOuter, Vec::new());
-        }
-        let common = client_chain
-            .iter()
-            .zip(server_chain.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        if common == client_chain.len() {
-            // The client's whole chain is a prefix of the server's (this
-            // includes unscoped clients): enter the remaining suffix.
-            return (PatternKind::EnterInner, server_chain[common..].to_vec());
-        }
-        (PatternKind::HandoffThroughParent, Vec::new())
     }
 
     /// Domain roster index by name (cold-path resolution for
@@ -2206,19 +2073,9 @@ impl<P: Payload> System<P> {
         if new_area_ix == undo.area_ix {
             return Ok(undo);
         }
-        // The scoped chain the component's thread now stands in (the same
-        // walk as build).
-        let mut scope_chain = Vec::new();
-        let mut cursor = Some(new_area_ix);
-        while let Some(ix) = cursor {
-            if self.areas[ix].kind == MemoryKind::Scoped {
-                scope_chain.push(self.areas[ix].id);
-            }
-            cursor = self.areas[ix].parent;
-        }
-        scope_chain.reverse();
+        // The scoped chain the component's thread now stands in.
         self.nodes[slot].area_ix = new_area_ix;
-        self.nodes[slot].scope_chain = scope_chain;
+        self.nodes[slot].scope_chain = scope_ids(&self.areas, new_area_ix);
         let (chain_off, chain_len) =
             intern_enter_path(&mut self.enter_arena, &self.nodes[slot].scope_chain);
         self.activation_plans[slot].chain_off = chain_off;
@@ -2427,12 +2284,6 @@ impl<P: Payload> System<P> {
             plan_fully_compiled: m.plan().is_fully_compiled(),
             plan_fusion: m.plan().fusion(),
         })
-    }
-
-    /// The reified deployment spec — SOLEIL keeps it alive for
-    /// introspection; merged modes drop it.
-    pub fn reified_spec(&self) -> Option<&SystemSpec> {
-        self.reified_spec.as_ref()
     }
 
     // -----------------------------------------------------------------
@@ -3340,19 +3191,7 @@ impl<P: Payload> System<P> {
                     .flatten()
                     .map(|m| m.footprint_bytes())
                     .sum();
-                let interceptors: usize = self
-                    .reified
-                    .iter()
-                    .flatten()
-                    .filter_map(|r| r.interceptor.as_ref())
-                    .map(|i| std::mem::size_of_val(i) + 32)
-                    .sum();
-                let spec = self
-                    .reified_spec
-                    .as_ref()
-                    .map(|s| s.metadata_bytes())
-                    .unwrap_or(0);
-                membranes + interceptors + spec + rows + self.dispatch_plan_bytes()
+                membranes + rows + self.dispatch_plan_bytes()
             }
             Mode::MergeAll => rows + self.dispatch_plan_bytes(),
             Mode::UltraMerge => {
@@ -3421,6 +3260,24 @@ impl<P: Payload> System<P> {
     }
 }
 
+/// The scoped chain a thread standing in runtime area `area` enters,
+/// outermost first, as substrate ids.
+fn scope_ids(areas: &[RuntimeArea], area: usize) -> Vec<AreaId> {
+    scoped_chain(area, |ix| (areas[ix].kind, areas[ix].parent))
+        .into_iter()
+        .map(|ix| areas[ix].id)
+        .collect()
+}
+
+/// The build-time access proof of an `ExecuteInOuter` row: the server area
+/// sits on the client's static scope `chain`, so it is on the stack
+/// whenever the binding fires (the client entered its whole chain at
+/// activation) and the per-call containment walk may be skipped. Build and
+/// every row recompile decide it here.
+fn outer_proof(chain: &[AreaId], pattern: PatternKind, server_area: AreaId) -> bool {
+    pattern == PatternKind::ExecuteInOuter && chain.contains(&server_area)
+}
+
 fn port_index<P: Payload>(node: &Node<P>, port: &str) -> Result<u16, FrameworkError> {
     node.server_ports
         .iter()
@@ -3442,8 +3299,7 @@ fn port_index<P: Payload>(node: &Node<P>, port: &str) -> Result<u16, FrameworkEr
 /// every mode. A client port resolves to a compiled row of the invoking
 /// slot — through SOLEIL's binding controller or the merged modes' jump
 /// table — and the row's header routes the call or send. The only other
-/// mode branches are SOLEIL's reified row gate and ULTRA-MERGE's uncounted
-/// synchronous call.
+/// mode branch is ULTRA-MERGE's uncounted synchronous call.
 struct EnginePorts<'a, P: Payload> {
     sys: &'a mut System<P>,
     /// The invoking component.
@@ -3460,7 +3316,7 @@ impl<P: Payload> EnginePorts<'_, P> {
     /// jump table yields the row — no string compare, no scan, no
     /// refcount. `None` when unbound here.
     #[inline(always)]
-    fn by_id(&self, id: PortId) -> Option<(usize, DispatchHeader)> {
+    fn by_id(&self, id: PortId) -> Option<DispatchHeader> {
         let row = match &self.membrane {
             Some(m) => m.binding.resolve_id(id)?,
             None => *self.sys.port_jump[self.slot].get(id.0 as usize)? as usize,
@@ -3472,7 +3328,7 @@ impl<P: Payload> EnginePorts<'_, P> {
     /// short-circuit scan over the controller or the slot's rows, counted
     /// so steady-state tests can assert interned transactions never take
     /// it.
-    fn by_name(&self, port: &str) -> Option<(usize, DispatchHeader)> {
+    fn by_name(&self, port: &str) -> Option<DispatchHeader> {
         let sys = &*self.sys;
         sys.string_compares.set(sys.string_compares.get() + 1);
         let row = match (&self.membrane, sys.mode) {
@@ -3489,56 +3345,25 @@ impl<P: Payload> EnginePorts<'_, P> {
         self.row(row)
     }
 
-    /// Row `row` and its `Copy` header: a `compiled[slot]` position, or an
+    /// The `Copy` header of row `row`: a `compiled[slot]` position, or an
     /// absolute `ultra_table` index under ULTRA-MERGE.
     #[inline(always)]
-    fn row(&self, row: usize) -> Option<(usize, DispatchHeader)> {
+    fn row(&self, row: usize) -> Option<DispatchHeader> {
         let rows = match self.sys.mode {
             Mode::UltraMerge => &self.sys.ultra_table,
             Mode::Soleil | Mode::MergeAll => &self.sys.compiled[self.slot],
         };
-        rows.get(row).map(|b| (row, b.header))
+        rows.get(row).map(|b| b.header)
     }
 
-    /// The synchronous body behind both resolution paths.
+    /// The synchronous body behind both resolution paths: the one
+    /// crossing routine, in every mode.
     #[inline(always)]
-    fn call_row(&mut self, row: usize, h: DispatchHeader, msg: &mut P) -> InvokeResult {
-        match self.sys.mode {
-            Mode::Soleil => self.call_reified(row, h, msg),
-            Mode::MergeAll => {
-                self.sys.stats.sync_calls += 1;
-                self.sys.cross_scope_call(h, msg, self.ctx)
-            }
-            Mode::UltraMerge => self.sys.cross_scope_call(h, msg, self.ctx),
+    fn call_row(&mut self, h: DispatchHeader, msg: &mut P) -> InvokeResult {
+        if self.sys.mode != Mode::UltraMerge {
+            self.sys.stats.sync_calls += 1;
         }
-    }
-
-    /// SOLEIL's synchronous call: the row's reified gate and memory
-    /// interceptor wrap the call in the binding's memory choreography.
-    fn call_reified(&mut self, row: usize, h: DispatchHeader, msg: &mut P) -> InvokeResult {
-        let sys = &mut *self.sys;
-        sys.stats.sync_calls += 1;
-        // The row's fused gate, compiled with the row: when it proves the
-        // memory interceptor's pre/post are no-ops, both calls are skipped
-        // entirely — only the crossing counter is kept honest.
-        let reified = &mut sys.reified[self.slot][row];
-        let gate = reified.gate;
-        if gate.skip_choreography {
-            if let Some(mi) = reified.interceptor.as_mut() {
-                mi.record_crossing();
-            }
-            return sys.invoke_target(h, gate.copy, msg, self.ctx);
-        }
-        let mut mi = reified
-            .interceptor
-            .take()
-            .ok_or_else(|| FrameworkError::Binding("memory interceptor already in use".into()))?;
-        let result = mi.pre(&mut sys.mm, self.ctx).and_then(|()| {
-            let result = sys.invoke_target(h, mi.needs_copy(), msg, self.ctx);
-            result.and(mi.post(&mut sys.mm, self.ctx))
-        });
-        sys.reified[self.slot][row].interceptor = Some(mi);
-        result
+        self.sys.cross_scope_call(h, msg, self.ctx)
     }
 
     /// The asynchronous body: same-engine exchange buffer or cross-domain
@@ -3574,14 +3399,14 @@ impl<P: Payload> EnginePorts<'_, P> {
 impl<P: Payload> Ports<P> for EnginePorts<'_, P> {
     fn call(&mut self, client_port: &str, msg: &mut P) -> InvokeResult {
         match self.by_name(client_port) {
-            Some((row, h)) if !h.is_async => self.call_row(row, h, msg),
+            Some(h) if !h.is_async => self.call_row(h, msg),
             found => Err(self.refuse(client_port, found.is_some(), false)),
         }
     }
 
     fn send(&mut self, client_port: &str, msg: P) -> InvokeResult {
         match self.by_name(client_port) {
-            Some((_, h)) if h.is_async => self.send_row(h, msg),
+            Some(h) if h.is_async => self.send_row(h, msg),
             found => Err(self.refuse(client_port, found.is_some(), true)),
         }
     }
@@ -3596,14 +3421,14 @@ impl<P: Payload> Ports<P> for EnginePorts<'_, P> {
 
     fn call_interned(&mut self, id: PortId, msg: &mut P) -> InvokeResult {
         match self.by_id(id) {
-            Some((row, h)) if !h.is_async => self.call_row(row, h, msg),
+            Some(h) if !h.is_async => self.call_row(h, msg),
             found => Err(self.refuse(self.sys.port_name(id), found.is_some(), false)),
         }
     }
 
     fn send_interned(&mut self, id: PortId, msg: P) -> InvokeResult {
         match self.by_id(id) {
-            Some((_, h)) if h.is_async => self.send_row(h, msg),
+            Some(h) if h.is_async => self.send_row(h, msg),
             found => Err(self.refuse(self.sys.port_name(id), found.is_some(), true)),
         }
     }
@@ -3940,9 +3765,7 @@ mod tests {
     /// has *every* membrane's interceptor plan fully compiled — no
     /// `Box<dyn Interceptor>` virtual call anywhere on the steady-state
     /// invoke path — with the common shapes fused (active components get
-    /// the single-pass gate, passives skip the walk entirely), and every
-    /// steady-state binding's memory choreography settled by its compiled
-    /// `FastGate`.
+    /// the single-pass gate, passives skip the walk entirely).
     #[test]
     fn soleil_steady_state_plan_is_fully_compiled_and_fused() {
         use soleil_membrane::ChainFusion;
@@ -3965,71 +3788,6 @@ mod tests {
             assert!(info.plan_fully_compiled);
             assert_eq!(info.plan_fusion, expected);
         }
-        // One gate per binding row, agreeing with each row's plan: the
-        // no-choreography patterns skip pre/post, EnterInner keeps them.
-        let rows: Vec<&ReifiedRow> = sys.reified.iter().flatten().collect();
-        assert_eq!(rows.len(), spec.bindings.len());
-        for r in &rows {
-            assert_eq!(r.gate, r.interceptor.as_ref().unwrap().plan().fast_gate());
-        }
-        assert!(
-            rows.iter().any(|r| r.gate.skip_choreography)
-                || spec
-                    .bindings
-                    .iter()
-                    .all(|b| b.pattern == PatternKind::EnterInner),
-            "the fixture exercises the fused no-op gate"
-        );
-    }
-
-    /// The fused gate must not change observable semantics: the memory
-    /// interceptor's crossing counter still advances when the gate skips
-    /// pre/post, and the full path keeps counting as before.
-    #[test]
-    fn fast_gate_keeps_crossing_counters_honest() {
-        let mut spec = pipeline_spec();
-        // A same-area service: after rebinding, middle -> service2 is a
-        // Direct pattern whose gate skips choreography entirely.
-        spec.components.push(ComponentSpec {
-            name: "service2".into(),
-            content_class: "Service".into(),
-            activation: Activation::Passive,
-            domain: None,
-            area: 0,
-            server_ports: vec!["svc".into()],
-            ceiling: None,
-        });
-        let mut sys = System::build(&spec, Mode::Soleil, &registry()).unwrap();
-        let head = sys.slot_of("producer").unwrap();
-        for _ in 0..2 {
-            sys.run_transaction(head).unwrap();
-        }
-        // EnterInner gate: full pre/post path counted both crossings.
-        let middle = sys.slot_of("middle").unwrap();
-        let svc = sys.row_of(middle, "svc").unwrap();
-        assert!(!sys.reified[middle][svc].gate.skip_choreography);
-        let crossings = |sys: &System<Token>| {
-            let mi = sys.reified[middle][svc].interceptor.as_ref();
-            mi.unwrap().crossings()
-        };
-        assert_eq!(crossings(&sys), 2);
-
-        let service2 = sys.slot_of("service2").unwrap();
-        sys.rebind_at(middle, "svc", service2).unwrap();
-        assert!(
-            sys.reified[middle][svc].gate.skip_choreography,
-            "rebind recompiled the gate to the fused no-op form"
-        );
-        for _ in 0..3 {
-            sys.run_transaction(head).unwrap();
-        }
-        // Rebinding installed a fresh interceptor; its counter advanced
-        // purely through the fused fast path.
-        assert_eq!(
-            crossings(&sys),
-            3,
-            "the fused fast path still records crossings"
-        );
     }
 
     #[test]
@@ -4044,11 +3802,9 @@ mod tests {
                         .interceptors
                         .contains(&"active-interceptor".to_string()));
                     assert_eq!(info.bound_ports.len(), 2);
-                    assert!(sys.reified_spec().is_some());
                 }
                 _ => {
                     assert!(matches!(info, Err(FrameworkError::Unsupported(_))));
-                    assert!(sys.reified_spec().is_none());
                 }
             }
         });
@@ -4452,7 +4208,7 @@ mod tests {
     /// byte-identically: the header compares equal and the shared
     /// enter-path arena does not grow (the intern step reuses the
     /// original range instead of appending a duplicate). SOLEIL routes
-    /// through the same rows, and its reified gate comes back with them.
+    /// through the same rows.
     #[test]
     fn rebind_cycle_restores_dispatch_header_byte_identically() {
         let mut spec = pipeline_spec();
@@ -4477,10 +4233,7 @@ mod tests {
                     .map(|b| b.header)
                     .unwrap()
             };
-            let svc = sys.row_of(middle, "svc").unwrap();
-            let gate = |sys: &System<Token>| sys.reified.get(middle).map(|rows| rows[svc].gate);
             let original = svc_header(&sys);
-            let original_gate = gate(&sys);
             let arena_len = sys.enter_arena.len();
             let jump = sys.port_jump.clone();
 
@@ -4506,10 +4259,6 @@ mod tests {
                 sys.port_jump, jump,
                 "{mode}: jump table is back to the original"
             );
-            assert_eq!(gate(&sys), original_gate, "{mode}: the gate is back");
-            if mode == Mode::Soleil {
-                assert!(original_gate.is_some(), "SOLEIL reifies a gate per row");
-            }
         }
     }
 
@@ -4561,9 +4310,9 @@ mod tests {
     }
 
     /// Rolling back a re-homing writes every rewritten row's pre-image
-    /// back: rows, gates and the structural digest return byte-identically,
-    /// including asynchronous rows whose build-time pattern a recompile
-    /// would not reproduce.
+    /// back: rows and the structural digest return byte-identically,
+    /// including the fixture's hand-written asynchronous rows, whose
+    /// pattern the one rule would not pick for their placement.
     #[test]
     fn rehome_rollback_restores_every_row_byte_identically() {
         for mode in [Mode::Soleil, Mode::MergeAll] {
@@ -4575,21 +4324,225 @@ mod tests {
                 let headers = |r: &Vec<CompiledBinding>| r.iter().map(|b| b.header).collect();
                 sys.compiled.iter().map(headers).collect()
             };
-            let gates = |sys: &System<Token>| -> Vec<Vec<FastGate>> {
-                let gates = |r: &Vec<ReifiedRow>| r.iter().map(|r| r.gate).collect();
-                sys.reified.iter().map(gates).collect()
-            };
-            let (rows0, gates0, digest0) = (rows(&sys), gates(&sys), sys.structural_digest());
+            let (rows0, digest0) = (rows(&sys), sys.structural_digest());
 
             let undo = sys.rehome_area_at(middle, heap).unwrap();
             assert_ne!(rows(&sys), rows0, "{mode}: re-homing rewrote rows");
             sys.restore_area(undo);
 
             assert_eq!(rows(&sys), rows0, "{mode}: every row is back");
-            assert_eq!(gates(&sys), gates0, "{mode}: every gate is back");
             assert_eq!(sys.structural_digest(), digest0, "{mode}");
             let head = sys.slot_of("producer").unwrap();
             sys.run_transaction(head).unwrap();
+        }
+    }
+
+    /// A station of the crossing table: records its visit, then calls its
+    /// client ports in order and records how each call ended. The driver
+    /// also publishes the finished trace.
+    #[derive(Debug)]
+    struct Station {
+        name: &'static str,
+        calls: Vec<&'static str>,
+        trace: Option<Arc<std::sync::Mutex<Vec<String>>>>,
+    }
+    impl Content<Token> for Station {
+        fn on_invoke(
+            &mut self,
+            _port: &str,
+            msg: &mut Token,
+            out: &mut dyn Ports<Token>,
+        ) -> InvokeResult {
+            msg.hops.push(self.name.into());
+            msg.value += 1;
+            for port in &self.calls {
+                let ended = match out.call(port, msg) {
+                    Ok(()) => "ok".to_string(),
+                    Err(e) => e.to_string(),
+                };
+                msg.hops.push(format!("{port}: {ended}"));
+            }
+            if let Some(trace) = &self.trace {
+                *trace.lock().unwrap() = msg.hops.clone();
+            }
+            Ok(())
+        }
+    }
+
+    /// One table drives every arm of the one crossing routine, in every
+    /// mode, through a hand-written spec (areas `Imm` ⊃ `Outer` ⊃ `Inner`,
+    /// and `Sib` beside `Outer`): `Direct`; a nested `EnterInner`;
+    /// `ExecuteInOuter` from a client whose static chain holds the server
+    /// area (prechecked) and from one whose does not (walked, the scope
+    /// being on the stack only dynamically); `HandoffThroughParent`
+    /// between sibling scopes, whose copy-back makes the server's changes
+    /// visible to the caller; and an `EnterInner` path that skips `Outer`,
+    /// which the substrate refuses. The refusal leaves the scope stack as
+    /// it was: the nested entry of `Outer` and `Inner` that follows it on
+    /// the same stack succeeds, and every scope ends the transaction held
+    /// by its wedge pins alone. The modes must agree on every call.
+    #[test]
+    fn one_crossing_routine_runs_every_pattern_alike_in_every_mode() {
+        use PatternKind::*;
+        /// (client, port, server, pattern, enter path, prechecked)
+        type Crossing = (
+            &'static str,
+            &'static str,
+            &'static str,
+            PatternKind,
+            &'static [usize],
+            bool,
+        );
+        let table: [Crossing; 8] = [
+            ("driver", "direct", "imm", Direct, &[], false),
+            ("driver", "refused", "inner", EnterInner, &[2], false),
+            ("driver", "enter", "inner", EnterInner, &[1, 2], false),
+            ("inner", "up", "outer", ExecuteInOuter, &[], true),
+            ("inner", "down", "imm2", Direct, &[], false),
+            ("imm2", "walk", "outer", ExecuteInOuter, &[], false),
+            ("driver", "sib", "sib", EnterInner, &[3], false),
+            ("sib", "handoff", "outer", HandoffThroughParent, &[], false),
+        ];
+        // (component, area)
+        let placed = [
+            ("driver", 0),
+            ("imm", 0),
+            ("imm2", 0),
+            ("outer", 1),
+            ("inner", 2),
+            ("sib", 3),
+        ];
+        let area = |name: &str, kind, parent| AreaSpec {
+            name: name.into(),
+            kind,
+            size: Some(16 * 1024),
+            parent,
+        };
+        let index = |name: &str| placed.iter().position(|&(n, _)| n == name).unwrap();
+        let spec = SystemSpec {
+            name: "crossings".into(),
+            areas: vec![
+                area("Imm", MemoryKind::Immortal, None),
+                area("Outer", MemoryKind::Scoped, Some(0)),
+                area("Inner", MemoryKind::Scoped, Some(1)),
+                area("Sib", MemoryKind::Scoped, Some(0)),
+            ],
+            domains: vec![DomainSpec {
+                name: "rt".into(),
+                kind: ThreadKind::Realtime,
+                priority: 20,
+            }],
+            components: placed
+                .iter()
+                .map(|&(name, area)| ComponentSpec {
+                    name: name.into(),
+                    content_class: name.into(),
+                    activation: if name == "driver" {
+                        Activation::Periodic {
+                            period: RelativeTime::from_millis(10),
+                        }
+                    } else {
+                        Activation::Passive
+                    },
+                    domain: (name == "driver").then_some(0),
+                    area,
+                    server_ports: if name == "driver" {
+                        vec![]
+                    } else {
+                        vec!["svc".into()]
+                    },
+                    ceiling: None,
+                })
+                .collect(),
+            bindings: table
+                .iter()
+                .map(|&(client, port, server, pattern, path, _)| BindingSpec {
+                    client: index(client),
+                    client_port: port.into(),
+                    server: index(server),
+                    server_port: "svc".into(),
+                    protocol: ProtocolSpec::Sync,
+                    pattern,
+                    enter_path: path.to_vec(),
+                })
+                .collect(),
+        };
+
+        let mut runs = Vec::new();
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            let trace = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut reg = ContentRegistry::new();
+            for &(name, _) in &placed {
+                let calls: Vec<&'static str> =
+                    table.iter().filter(|t| t.0 == name).map(|t| t.1).collect();
+                let trace = (name == "driver").then(|| trace.clone());
+                reg.register(name, move || {
+                    Box::new(Station {
+                        name,
+                        calls: calls.clone(),
+                        trace: trace.clone(),
+                    })
+                });
+            }
+            let mut sys = System::build(&spec, mode, &reg).unwrap();
+            for &(client, port, _, pattern, _, prechecked) in &table {
+                let slot = sys.slot_of(client).unwrap();
+                let rows = match mode {
+                    Mode::UltraMerge => {
+                        let (s, e) = sys.ultra_ranges[slot];
+                        &sys.ultra_table[s as usize..e as usize]
+                    }
+                    _ => &sys.compiled[slot][..],
+                };
+                let h = rows
+                    .iter()
+                    .find(|b| b.port.as_ref() == port)
+                    .unwrap()
+                    .header;
+                assert_eq!(h.pattern, pattern, "{mode}: {port}");
+                assert_eq!(h.outer_on_stack, prechecked, "{mode}: {port}");
+            }
+            let scopes = |sys: &System<Token>| {
+                ["Outer", "Inner", "Sib"].map(|name| {
+                    let id = sys.memory().area_by_name(name).unwrap();
+                    let stats = sys.memory().stats(id).unwrap();
+                    (sys.memory().enter_count(id).unwrap(), stats.reclaim_count)
+                })
+            };
+            let pinned = scopes(&sys);
+            let head = sys.slot_of("driver").unwrap();
+            sys.run_transaction(head).unwrap();
+            assert_eq!(
+                scopes(&sys),
+                pinned,
+                "{mode}: only the wedge pins hold scopes"
+            );
+            let trace = trace.lock().unwrap().clone();
+            runs.push((mode, trace));
+        }
+
+        let (_, trace) = &runs[0];
+        let ended = |port: &str| {
+            let prefix = format!("{port}: ");
+            let entry = trace.iter().find(|h| h.starts_with(&prefix));
+            entry.map(|h| h[prefix.len()..].to_string()).unwrap()
+        };
+        for (_, port, ..) in table {
+            if port != "refused" {
+                assert_eq!(ended(port), "ok", "{port}");
+            }
+        }
+        assert!(
+            ended("refused").contains("single parent rule"),
+            "{}",
+            ended("refused")
+        );
+        // The handoff server ran on a copy: its visit reached the caller
+        // only through the copy-back.
+        let sib = trace.iter().position(|h| h == "sib").unwrap();
+        assert_eq!(trace[sib + 1], "outer", "{trace:?}");
+        for (mode, other) in &runs[1..] {
+            assert_eq!(other, trace, "{mode}");
         }
     }
 

@@ -34,18 +34,28 @@ use soleil_membrane::FrameworkError;
 pub struct TimerHandle {
     slot: u32,
     generation: u32,
-    /// The deployment shard whose queue issued the handle (0 for a bare
-    /// queue); the queue itself never reads it.
+    /// The deployment whose queue issued the handle (its token nonce; 0 for
+    /// a bare queue) and the shard of that queue — every queue starts at
+    /// slot 0, generation 0, so slot and generation alone cannot tell two
+    /// deployments' timers apart. The queue itself never reads either.
+    deployment: u32,
     shard: u32,
 }
 
 impl TimerHandle {
-    /// The handle tagged with the shard whose queue issued it.
-    pub(crate) fn on_shard(self, shard: usize) -> Self {
+    /// The handle stamped with the deployment and shard whose queue issued
+    /// it.
+    pub(crate) fn issued_by(self, deployment: u32, shard: usize) -> Self {
         TimerHandle {
+            deployment,
             shard: shard as u32,
             ..self
         }
+    }
+
+    /// The deployment whose queue issued the handle.
+    pub(crate) fn deployment(self) -> u32 {
+        self.deployment
     }
 
     /// The shard whose queue issued the handle.
@@ -194,6 +204,7 @@ impl<T> TimerQueue<T> {
         Ok(TimerHandle {
             slot: slot_ix,
             generation,
+            deployment: 0,
             shard: 0,
         })
     }
@@ -216,42 +227,6 @@ impl<T> TimerQueue<T> {
         true
     }
 
-    /// Disarms every armed timer whose payload matches `pred`, returning
-    /// how many were cancelled. The sweep companion to
-    /// [`cancel`](TimerQueue::cancel) for callers that do not hold the
-    /// handles — reconfiguration rollback and component teardown use it to
-    /// guarantee no stale release (e.g. a supervised-restart timer armed
-    /// mid-backoff) can fire for a component that was stopped, rebound, or
-    /// rolled back out from under it. O(capacity); allocation-free like
-    /// every other operation on the queue.
-    pub fn cancel_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> usize {
-        let mut cancelled = 0;
-        for (ix, slot) in self.slots.iter_mut().enumerate() {
-            if slot.armed && slot.payload.as_ref().is_some_and(&mut pred) {
-                slot.armed = false;
-                slot.payload = None;
-                slot.generation = slot.generation.wrapping_add(1);
-                self.free.push(ix as u32);
-                self.armed -= 1;
-                cancelled += 1;
-            }
-        }
-        cancelled
-    }
-
-    /// The earliest armed deadline, skimming stale heap entries off the
-    /// top as a side effect. `None` when nothing is armed.
-    pub fn next_deadline(&mut self) -> Option<AbsoluteTime> {
-        loop {
-            let e = self.heap.peek()?;
-            let slot = &self.slots[e.slot as usize];
-            if slot.armed && slot.generation == e.generation {
-                return Some(e.at.0);
-            }
-            self.heap.pop();
-        }
-    }
-
     /// Fires the most urgent timer due at or before `now`, if any.
     /// Callers drain with `while let Some(fired) = q.pop_due(now)`.
     pub fn pop_due(&mut self, now: AbsoluteTime) -> Option<Fired<T>> {
@@ -272,6 +247,7 @@ impl<T> TimerQueue<T> {
                 handle: TimerHandle {
                     slot: e.slot,
                     generation: slot.generation,
+                    deployment: 0,
                     shard: 0,
                 },
                 at: slot.at,
@@ -319,7 +295,6 @@ mod tests {
         let mut q = TimerQueue::with_capacity(4);
         let h = q.schedule(t(500), p(1), ()).unwrap();
         assert!(q.pop_due(t(499)).is_none());
-        assert_eq!(q.next_deadline(), Some(t(500)));
         let fired = q.pop_due(t(500)).expect("due exactly at deadline");
         assert_eq!(fired.at, t(500));
         assert_eq!(fired.handle, h, "fired handle names the schedule");
@@ -338,23 +313,6 @@ mod tests {
         assert!(!q.cancel(h1));
         assert_eq!(q.pop_due(t(200)).map(|f| f.payload), Some(2));
         assert!(!q.cancel(h2));
-    }
-
-    #[test]
-    fn cancel_where_sweeps_matching_payloads() {
-        let mut q = TimerQueue::with_capacity(8);
-        q.schedule(t(100), p(1), "restart:a").unwrap();
-        let keep = q.schedule(t(200), p(1), "release:b").unwrap();
-        q.schedule(t(300), p(1), "restart:a").unwrap();
-        assert_eq!(q.cancel_where(|pl| pl.starts_with("restart:")), 2);
-        assert_eq!(q.armed(), 1);
-        // The survivors are untouched, their handles stay live, and the
-        // freed slots are reusable.
-        assert_eq!(q.pop_due(t(1_000)).map(|f| f.payload), Some("release:b"));
-        assert!(!q.cancel(keep), "fired handle is stale");
-        assert_eq!(q.cancel_where(|_| true), 0, "empty sweep is a no-op");
-        q.schedule(t(400), p(1), "restart:a").unwrap();
-        assert_eq!(q.armed(), 1);
     }
 
     #[test]

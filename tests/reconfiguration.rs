@@ -129,7 +129,7 @@ fn soleil_full_matrix() {
     let info = dep.membrane_info(caller).unwrap();
     assert!(info.started);
     assert_eq!(info.bound_ports, vec!["svc".to_string()]);
-    assert!(dep.system().reified_spec().is_some());
+    assert!(dep.reified_spec().is_some());
 
     dep.run_transaction(caller).unwrap();
     assert_eq!(
@@ -159,6 +159,16 @@ fn soleil_full_matrix() {
         .find(|bi| bi.client.component == caller_id)
         .map(|bi| arch.component(bi.server.component).unwrap().name.clone());
     assert_eq!(bound_to.as_deref(), Some("svc-b"));
+    // So does the reified plan: it is the plan the commit updated.
+    let plan = dep.reified_spec().unwrap();
+    let caller_ix = plan.component_index("caller").unwrap();
+    let served_by: Vec<&str> = plan
+        .bindings
+        .iter()
+        .filter(|bi| bi.client == caller_ix)
+        .map(|bi| plan.components[bi.server].name.as_str())
+        .collect();
+    assert_eq!(served_by, ["svc-b"]);
 
     // A stopped component refuses transactions until restarted.
     dep.reconfigure(|txn| txn.stop(caller)).unwrap();
@@ -181,7 +191,7 @@ fn merge_all_functional_level_only() {
         dep.membrane_info(caller),
         Err(FrameworkError::Unsupported(_))
     ));
-    assert!(dep.system().reified_spec().is_none());
+    assert!(dep.reified_spec().is_none());
 
     // Functional-level transactional reconfiguration still works.
     dep.run_transaction(caller).unwrap();
@@ -257,7 +267,7 @@ fn failing_transaction_rolls_back_completely() {
             membranes,
             dep.contract_of(caller).unwrap(),
             dep.latency_snapshot(caller).unwrap().map(|s| s.activations),
-            format!("{:?}", dep.system().reified_spec()),
+            format!("{:?}", dep.reified_spec()),
         )
     };
     let before = snapshot(&dep);
@@ -670,6 +680,118 @@ fn deployment_schedules_and_cancels_releases() {
     );
     assert_eq!(dep.timer_clock(), AbsoluteTime::from_millis(20));
     assert_eq!(dep.armed_timers(), 0);
+}
+
+/// Timer handles are deployment-scoped like component tokens: every timer
+/// queue starts at slot 0, generation 0, so two deployments issue equal
+/// slot/generation pairs, and a handle from one must not cancel the
+/// other's release (nor a supervised restart riding the same queue).
+#[test]
+fn timer_handles_are_scoped_to_their_deployment() {
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        let Fixture { dep: mut dep_a, .. } = fixture(mode);
+        let Fixture {
+            dep: mut dep_b,
+            a: b_calls,
+            ..
+        } = fixture(mode);
+        let at = AbsoluteTime::from_millis(1);
+        let from_a = dep_a
+            .schedule_release(dep_a.resolve("caller").unwrap(), at)
+            .unwrap();
+        dep_b
+            .schedule_release(dep_b.resolve("caller").unwrap(), at)
+            .unwrap();
+
+        assert!(!dep_b.cancel_release(from_a), "{mode}: foreign handle");
+        assert_eq!(
+            dep_b.armed_timers(),
+            1,
+            "{mode}: dep_b's release stays armed"
+        );
+        assert_eq!(
+            dep_b
+                .fire_timers_until(AbsoluteTime::from_millis(2))
+                .unwrap(),
+            1,
+            "{mode}"
+        );
+        assert_eq!(b_calls.load(Ordering::Relaxed), 1, "{mode}: it really ran");
+        assert!(dep_a.cancel_release(from_a), "{mode}: the issuer still can");
+    }
+}
+
+/// Sends its release on to `out`.
+#[derive(Debug)]
+struct Sender;
+impl Content<Ping> for Sender {
+    fn on_invoke(&mut self, _p: &str, msg: &mut Ping, out: &mut dyn Ports<Ping>) -> InvokeResult {
+        out.send("out", *msg)
+    }
+}
+
+/// One rule picks a binding's pattern at design time and again whenever a
+/// re-homing recompiles its row: an asynchronous binding between sibling
+/// scopes is an immortal exchange both times. So moving its client to a
+/// third sibling scope and back restores the engine byte-identically, not
+/// only the architecture.
+#[test]
+fn domain_round_trip_between_sibling_scopes_restores_the_engine() {
+    let mut bv = BusinessView::new("sibling-scopes");
+    bv.active_periodic("a", "5ms").unwrap();
+    bv.active_sporadic("b").unwrap();
+    bv.content("a", "Sender").unwrap();
+    bv.content("b", "B").unwrap();
+    bv.require("a", "out", "I").unwrap();
+    bv.provide("b", "in", "I").unwrap();
+    bv.bind_async("a", "out", "b", "in", 4).unwrap();
+    let mut flow = DesignFlow::new(bv);
+    for (domain, priority, members) in [("d1", 22, &["a"][..]), ("d2", 21, &["b"]), ("d3", 22, &[])]
+    {
+        flow.thread_domain(domain, ThreadKind::Realtime, priority, members)
+            .unwrap();
+    }
+    for (scope, domain) in [("s1", "d1"), ("s2", "d2"), ("s3", "d3")] {
+        flow.memory_area(scope, MemoryKind::Scoped, Some(16 * 1024), &[domain])
+            .unwrap();
+    }
+    flow.memory_area(
+        "imm",
+        MemoryKind::Immortal,
+        Some(64 * 1024),
+        &["s1", "s2", "s3"],
+    )
+    .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        let delivered = Arc::new(AtomicU32::new(0));
+        let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+        registry.register("Sender", || Box::new(Sender));
+        let counter = delivered.clone();
+        registry.register("B", move || Box::new(Counter(counter.clone())));
+        let mut dep = deploy(&arch, mode, &registry).unwrap();
+        let a = dep.resolve("a").unwrap();
+        let state = |dep: &Deployment<Ping>| {
+            (
+                dep.structural_digests(),
+                soleil::core::adl::to_json(dep.architecture()),
+            )
+        };
+        let before = state(&dep);
+
+        dep.reconfigure(|txn| txn.reassign_domain(a, "d3")).unwrap();
+        assert_ne!(state(&dep).0, before.0, "{mode}: the move re-homed a");
+        dep.reconfigure(|txn| txn.reassign_domain(a, "d1")).unwrap();
+        assert_eq!(
+            state(&dep),
+            before,
+            "{mode}: the inverse move restores both"
+        );
+
+        dep.run_transaction(a).unwrap();
+        assert_eq!(delivered.load(Ordering::Relaxed), 1, "{mode}");
+    }
 }
 
 /// Runtime contracts are engine-level observability: they attach in any
