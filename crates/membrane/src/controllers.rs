@@ -78,6 +78,7 @@ impl LifecycleController {
     /// # Errors
     ///
     /// [`FrameworkError::Lifecycle`] when stopped or quarantined.
+    #[inline]
     pub fn assert_started(&self, component: &str) -> Result<(), FrameworkError> {
         match self.state {
             LifecycleState::Started => Ok(()),

@@ -37,7 +37,10 @@
 //! ([`ChainFusion::FusedActive`]): `pre_invoke`/`post_invoke` collapse to a
 //! single pass with no chain walk at all — decide at deploy time, run
 //! straight-line code at tick time, exactly the erasable-framework claim
-//! the MERGE modes exist to demonstrate.
+//! the MERGE modes exist to demonstrate. [`Membrane::pre_invoke`] and
+//! [`Membrane::post_invoke`] are `#[inline]`, so that pass compiles into
+//! the engine's invoke routine rather than costing a cross-crate call on
+//! each side of every activation.
 //! `push_interceptor`/`remove_interceptor` remain the cold reconfiguration
 //! API; each call simply recompiles the plan.
 
@@ -231,6 +234,7 @@ impl Membrane {
     ///
     /// [`FrameworkError::Lifecycle`] when stopped; interceptor errors
     /// otherwise.
+    #[inline]
     pub fn pre_invoke(
         &mut self,
         mm: &mut MemoryManager,
@@ -284,6 +288,7 @@ impl Membrane {
     ///
     /// The first interceptor error encountered (wrapping the suppressed
     /// count when later steps failed too).
+    #[inline]
     pub fn post_invoke(
         &mut self,
         mm: &mut MemoryManager,

@@ -13,9 +13,11 @@
 //!   [`CrossScopePattern`](soleil_core::validate::CrossScopePattern) under
 //!   the name deployment plans use;
 //! * [`ExchangeBuffer`] — a bounded FIFO that owns its fixed ring and is
-//!   charged to a chosen area, checked against that area on every
-//!   operation: the substrate for asynchronous bindings (*Immortal
-//!   Exchange Buffer*);
+//!   charged to a chosen area: the substrate for asynchronous bindings
+//!   (*Immortal Exchange Buffer*). A heap ring checks the thread kind and
+//!   a scoped ring its scope's liveness on every operation; an immortal
+//!   ring, whose area is never reclaimed and admits every thread kind,
+//!   needs neither check and runs none;
 //! * [`ScopePin`] — keep a scoped area alive across transactions (*Wedge
 //!   Thread* / *Memory Pinning* pattern);
 //! * [`spsc`] — wait-free single-producer/single-consumer rings for
@@ -34,7 +36,7 @@ pub mod spsc;
 
 use std::cell::Cell;
 
-use rtsj::memory::{AreaId, MemoryContext, MemoryManager, RawHandle};
+use rtsj::memory::{AreaId, MemoryContext, MemoryKind, MemoryManager, RawHandle};
 use rtsj::thread::ThreadKind;
 use rtsj::{Result, RtsjError};
 
@@ -75,13 +77,21 @@ const RING_HEADER_BYTES: usize = 5 * std::mem::size_of::<usize>()
 /// backing store plus ring header), so buffer footprint shows up in the
 /// area statistics exactly like the paper's Fig. 7(c) accounting.
 ///
-/// The header allocation is the ring's lifetime token: every operation
-/// runs the substrate's access and staleness checks on it
-/// ([`MemoryManager::check_live`]), so an NHRT context is refused a heap
-/// buffer and a buffer whose scope was reclaimed reports
-/// [`RtsjError::StaleHandle`] — with no slab lookup and no downcast per
-/// message. The slots are `Cell`s, so every operation takes `&self`; the
-/// buffer owns its messages and is neither `Copy` nor `Sync`.
+/// The header allocation is the ring's lifetime token, and the area's
+/// kind decides what each operation checks on it:
+///
+/// * **heap** — the access check ([`MemoryManager::check_live`]) on every
+///   operation, so an NHRT context is refused;
+/// * **scoped** — the staleness check on every operation, so a buffer
+///   whose scope was reclaimed reports [`RtsjError::StaleHandle`], even
+///   after the scope is re-entered;
+/// * **immortal** — nothing per operation: immortal memory is never
+///   reclaimed and every thread kind may touch it, so no check could
+///   fail there. `create` records the area's kind once.
+///
+/// No operation pays a slab lookup or a downcast per message. The slots
+/// are `Cell`s, so every operation takes `&self`; the buffer owns its
+/// messages and is neither `Copy` nor `Sync`.
 ///
 /// ```
 /// use rtsj::memory::{AreaId, MemoryManager};
@@ -103,17 +113,23 @@ pub struct ExchangeBuffer<T> {
     len: Cell<usize>,
     rejected: Cell<u64>,
     total_pushed: Cell<u64>,
-    /// The ring header's allocation: the lifetime token checked on every
-    /// operation. Private, so nothing can free it individually.
+    /// The ring header's allocation: the lifetime token. Private, so
+    /// nothing can free it individually.
     header: RawHandle,
+    /// True when the ring lives in immortal memory, where the token can
+    /// never go stale or refuse a thread kind: operations skip its check.
+    immortal: bool,
 }
 
 impl<T> ExchangeBuffer<T> {
     /// Allocates a buffer of `capacity` messages inside `area`.
     ///
-    /// The area is charged before any slot exists, with checked
+    /// The charges are admitted before any slot exists, with checked
     /// arithmetic: a capacity whose backing store overflows `usize` or
-    /// exceeds the area's budget is refused without allocating.
+    /// exceeds the area's budget is refused without allocating. They are
+    /// admitted together and made only once the slot table is reserved,
+    /// so a refused buffer charges its area nothing — immortal memory
+    /// could never give a stray charge back.
     ///
     /// # Errors
     ///
@@ -131,15 +147,13 @@ impl<T> ExchangeBuffer<T> {
                 "exchange buffer capacity must be >= 1".into(),
             ));
         }
-        // Charge the message backing store, so a buffer of N messages of
-        // type T costs what it would in a real region, then the ring
-        // header. A saturated backing size is refused by the substrate.
-        mm.alloc_raw(
-            ctx,
-            area,
-            capacity.saturating_mul(std::mem::size_of::<T>().max(1)),
-        )?;
-        let header = mm.alloc_raw(ctx, area, RING_HEADER_BYTES)?.raw();
+        // The message backing store, so a buffer of N messages of type T
+        // costs what it would in a real region, and the ring header: both
+        // admitted as one batch (a saturated size is refused), then the
+        // slot table reserved, and only then both charged.
+        let backing = capacity.saturating_mul(std::mem::size_of::<T>().max(1));
+        mm.admit_raw(ctx, area, 2, backing.saturating_add(RING_HEADER_BYTES))?;
+        let immortal = mm.kind_of(area)? == MemoryKind::Immortal;
         let mut slots = Vec::new();
         slots.try_reserve_exact(capacity).map_err(|_| {
             RtsjError::IllegalState(format!(
@@ -147,6 +161,8 @@ impl<T> ExchangeBuffer<T> {
             ))
         })?;
         slots.resize_with(capacity, || Cell::new(None));
+        mm.alloc_raw(ctx, area, backing)?;
+        let header = mm.alloc_raw(ctx, area, RING_HEADER_BYTES)?.raw();
         Ok(ExchangeBuffer {
             slots: slots.into_boxed_slice(),
             head: Cell::new(0),
@@ -154,7 +170,20 @@ impl<T> ExchangeBuffer<T> {
             rejected: Cell::new(0),
             total_pushed: Cell::new(0),
             header,
+            immortal,
         })
+    }
+
+    /// The per-operation check of the ring's lifetime token: the access
+    /// and staleness checks of [`MemoryManager::check_live`] for a heap or
+    /// scoped ring, none for an immortal one (see the type docs).
+    #[inline]
+    fn check_live(&self, mm: &MemoryManager, ctx: &MemoryContext) -> Result<()> {
+        if self.immortal {
+            Ok(())
+        } else {
+            mm.check_live(ctx, self.header)
+        }
     }
 
     /// The area holding the buffer.
@@ -178,7 +207,7 @@ impl<T> ExchangeBuffer<T> {
         ctx: &MemoryContext,
         value: T,
     ) -> Result<PushOutcome> {
-        mm.check_live(ctx, self.header)?;
+        self.check_live(mm, ctx)?;
         let capacity = self.slots.len();
         let len = self.len.get();
         if len == capacity {
@@ -203,7 +232,7 @@ impl<T> ExchangeBuffer<T> {
     ///
     /// Substrate access errors.
     pub fn pop(&self, mm: &mut MemoryManager, ctx: &MemoryContext) -> Result<Option<T>> {
-        mm.check_live(ctx, self.header)?;
+        self.check_live(mm, ctx)?;
         let len = self.len.get();
         if len == 0 {
             return Ok(None);
@@ -226,7 +255,7 @@ impl<T> ExchangeBuffer<T> {
     ///
     /// Substrate access errors.
     pub fn len(&self, mm: &MemoryManager, ctx: &MemoryContext) -> Result<usize> {
-        mm.check_live(ctx, self.header)?;
+        self.check_live(mm, ctx)?;
         Ok(self.len.get())
     }
 
@@ -245,7 +274,7 @@ impl<T> ExchangeBuffer<T> {
     ///
     /// Substrate access errors.
     pub fn rejected(&self, mm: &MemoryManager, ctx: &MemoryContext) -> Result<u64> {
-        mm.check_live(ctx, self.header)?;
+        self.check_live(mm, ctx)?;
         Ok(self.rejected.get())
     }
 
@@ -255,7 +284,7 @@ impl<T> ExchangeBuffer<T> {
     ///
     /// Substrate access errors.
     pub fn total_pushed(&self, mm: &MemoryManager, ctx: &MemoryContext) -> Result<u64> {
-        mm.check_live(ctx, self.header)?;
+        self.check_live(mm, ctx)?;
         Ok(self.total_pushed.get())
     }
 }
@@ -574,6 +603,40 @@ mod tests {
         assert_eq!(charge::<u64>(8), (8 * 8 + 16 + 72 + 16, 2, 2));
         assert_eq!(charge::<[u8; 64]>(3), (3 * 64 + 16 + 72 + 16, 2, 2));
         assert_eq!(charge::<()>(5), (5 + 16 + 72 + 16, 2, 2));
+    }
+
+    /// A refused `create` charges nothing: the backing store and the
+    /// header are admitted together, so a budget that holds the first but
+    /// not both keeps no stray backing-store charge.
+    #[test]
+    fn refused_create_charges_nothing() {
+        // 4 × u64 needs 32 + 16 bytes of backing store and 72 + 16 of
+        // header: a 60-byte budget fits the backing store alone.
+        let mut mm = MemoryManager::new(1 << 20, 60);
+        let ctx = mm.context(ThreadKind::Realtime);
+        let err = ExchangeBuffer::<u64>::create(&mut mm, &ctx, AreaId::IMMORTAL, 4).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RtsjError::OutOfMemory {
+                    area: AreaId::IMMORTAL,
+                    requested: 136,
+                    remaining: 60
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(mm.total_consumed(), 0);
+        assert_eq!(mm.alloc_count(), 0);
+        // The same budget in a scope is refused whole too.
+        let scope = mm
+            .create_scoped(ScopedMemoryParams::new("small", 60))
+            .unwrap();
+        let mut inside = mm.context(ThreadKind::Realtime);
+        mm.enter(&mut inside, scope).unwrap();
+        assert!(ExchangeBuffer::<u64>::create(&mut mm, &inside, scope, 4).is_err());
+        assert_eq!(mm.total_consumed(), 0);
+        assert_eq!(mm.alloc_count(), 0);
     }
 
     #[test]

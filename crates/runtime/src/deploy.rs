@@ -45,16 +45,17 @@ use rtsj::time::AbsoluteTime;
 use soleil_core::arch::{ChildEdge, ServerSwap};
 use soleil_core::contract::TimingContract;
 use soleil_core::model::{ComponentId, ComponentKind};
-use soleil_core::validate::{is_compliant, parallel_coupling, validate};
+use soleil_core::validate::{is_compliant, parallel_coupling, pattern_between, validate};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
 use soleil_membrane::interceptors::FaultInjector;
 use soleil_membrane::monitor::LatencySnapshot;
 use soleil_membrane::FrameworkError;
+use soleil_patterns::PatternKind;
 
 use crate::footprint::FootprintReport;
 use crate::parallel::{self, Rewire, Rings, Shard, ShardRun};
-use crate::spec::{Mode, ProtocolSpec, SystemSpec};
+use crate::spec::{enter_path, Mode, ProtocolSpec, SystemSpec};
 use crate::system::{
     EngineStats, FaultPolicy, Lifecycle, MembraneInfo, MonitorSlot, RehomeUndo, RowPreImage,
     SupervisionPreImage, System,
@@ -489,10 +490,14 @@ impl<P: Payload> Deployment<P> {
         total
     }
 
-    /// The reified deployment plan — SOLEIL keeps it alive for
-    /// introspection, the merged modes drop it. It is the plan every
-    /// committed transaction updates and every rollback restores, so it
-    /// always describes the live bindings and placements.
+    /// The reified deployment plan — SOLEIL's introspection surface, and
+    /// part of its framework bytes. Every mode keeps the plan (commits
+    /// read it), but only SOLEIL serves it; the merged modes return
+    /// `None`. It is the plan every committed transaction updates — a
+    /// binding's server, cross-scope pattern and enter path, a
+    /// component's area and domain — and every rollback restores, so it
+    /// always describes the live bindings and placements, as a fresh
+    /// deploy of [`architecture`](Self::architecture) would.
     pub fn reified_spec(&self) -> Option<&SystemSpec> {
         (self.mode == Mode::Soleil).then_some(&self.spec)
     }
@@ -1109,6 +1114,37 @@ impl<P: Payload> Deployment<P> {
         Ok(())
     }
 
+    /// Re-derives plan binding `gbix`'s cross-scope pattern and enter path
+    /// from where its ends are placed now, by the rule build applies:
+    /// [`pattern_between`] over the plan's areas, then [`enter_path`]. The
+    /// engine recompiles the binding's row by the same rule
+    /// (`System::compile_local`), so plan and row agree.
+    fn repattern(&mut self, gbix: usize) {
+        let spec = &self.spec;
+        let b = &spec.bindings[gbix];
+        let (client, server) = (
+            spec.components[b.client].area,
+            spec.components[b.server].area,
+        );
+        // The scope chains are walked only where the rule needs them: to
+        // relate two scoped ends, and for an enter-inner path.
+        let pattern = pattern_between(
+            (client, spec.areas[client].kind),
+            (server, spec.areas[server].kind),
+            !matches!(b.protocol, ProtocolSpec::Sync),
+            |outer, inner| spec.scope_chain(inner).contains(&outer),
+        );
+        let path = match pattern {
+            PatternKind::EnterInner => {
+                enter_path(&spec.scope_chain(client), &spec.scope_chain(server)).to_vec()
+            }
+            _ => Vec::new(),
+        };
+        let b = &mut self.spec.bindings[gbix];
+        b.pattern = pattern;
+        b.enter_path = path;
+    }
+
     /// Writes a [`PlanRebind`] back: the plan binding's old server and
     /// the architecture's server swap.
     fn restore_plan(&mut self, plan: PlanRebind) {
@@ -1701,7 +1737,9 @@ impl<P: Payload> Reconfiguration<'_, P> {
 
     /// The commit routine: partition invariants (more than one shard
     /// only), the RTSJ verdict on the architectural mirror, every shard's
-    /// supervision tree, then the deferred substrate charges. The full
+    /// supervision tree, then the deferred substrate charges, and last,
+    /// with nothing left to refuse, the touched plan bindings' cross-scope
+    /// patterns ([`Deployment::repattern`]). The full
     /// validation report is rendered only for a refusal (a sharded one
     /// adds the SOL-015 couplings). Every charge is admitted before any
     /// is made, so a charge that does not fit refuses the transaction
@@ -1744,6 +1782,28 @@ impl<P: Payload> Reconfiguration<'_, P> {
         }
         for c in std::mem::take(&mut self.pending_charges) {
             dep.shards[c.shard].system.charge(c.area, c.bytes)?;
+        }
+        // Committed: re-derive the pattern of every plan binding the
+        // transaction re-pointed, or re-homed an end of. A refused
+        // transaction never gets here, so rollback has none of it to undo.
+        for undo in &self.journal {
+            match undo {
+                Undo::Rebind { plan, .. } | Undo::Rewire { plan, .. } => dep.repattern(plan.gbix),
+                Undo::Domain {
+                    at,
+                    rehome: Some(_),
+                    ..
+                } => {
+                    let g = dep.shards[at.shard()].globals[at.slot()];
+                    for gbix in 0..dep.spec.bindings.len() {
+                        let b = &dep.spec.bindings[gbix];
+                        if b.client == g || b.server == g {
+                            dep.repattern(gbix);
+                        }
+                    }
+                }
+                _ => {}
+            }
         }
         Ok(())
     }

@@ -689,8 +689,9 @@ pub struct System<P: Payload> {
     /// because the injector fires at the activation boundary, before any
     /// mode-specific dispatch.
     injectors: Vec<Option<Box<FaultInjector>>>,
-    /// SOLEIL mode: the reified membranes (empty in the merged modes).
-    membranes: Vec<Option<Membrane>>,
+    /// SOLEIL mode: the reified membranes (empty in the merged modes),
+    /// boxed so an activation's checkout swaps a pointer.
+    membranes: Vec<Option<Box<Membrane>>>,
     /// SOLEIL and MERGE-ALL: the per-slot binding rows, the only routing
     /// record. Rows never move after build; a binding change replaces a
     /// header in place ([`System::write_row`]).
@@ -912,7 +913,7 @@ impl<P: Payload> System<P> {
         let node_count = nodes.len();
 
         // --- Mode-specific dispatch machinery.
-        let mut membranes: Vec<Option<Membrane>> = Vec::new();
+        let mut membranes: Vec<Option<Box<Membrane>>> = Vec::new();
         let mut compiled: Vec<Vec<CompiledBinding>> = Vec::new();
         let mut ultra_table: Vec<CompiledBinding> = Vec::new();
         let mut ultra_ranges: Vec<(u32, u32)> = Vec::new();
@@ -992,7 +993,7 @@ impl<P: Payload> System<P> {
                 for (row, b) in rows.iter().enumerate() {
                     m.binding.bind(b.port.as_ref(), row);
                 }
-                membranes.push(Some(m));
+                membranes.push(Some(Box::new(m)));
             }
         }
 
@@ -1598,7 +1599,8 @@ impl<P: Payload> System<P> {
     ) -> Result<(), FrameworkError> {
         match self.mode {
             Mode::Soleil => {
-                // The checked-out membrane is SOLEIL's re-entry guard.
+                // The checked-out membrane is SOLEIL's re-entry guard; it
+                // is boxed, so checking it out and back swaps a pointer.
                 let Some(mut membrane) = self.membranes[slot].take() else {
                     return Err(self.reentrant(slot));
                 };
@@ -1612,7 +1614,7 @@ impl<P: Payload> System<P> {
                     self.membranes[slot] = Some(membrane);
                     return Err(e);
                 }
-                let result = self.boundary(slot, port_ix, msg, ctx, Some(&mut membrane));
+                let result = self.boundary(slot, port_ix, msg, ctx, Some(&mut *membrane));
                 let post = membrane.post_invoke(&mut self.mm, ctx);
                 self.membranes[slot] = Some(membrane);
                 result.and(post)

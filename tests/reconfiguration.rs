@@ -10,6 +10,7 @@
 //! | reified deployment spec | yes | no | no |
 
 use soleil::generator::{deploy, deploy_parallel};
+use soleil::patterns::PatternKind;
 use soleil::prelude::*;
 use soleil::rtsj::RtsjError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -589,9 +590,11 @@ fn rebinding_async_ports_is_refused() {
     }
 }
 
-#[test]
-fn rebind_recomputes_cross_scope_pattern() {
-    // caller in immortal; svc-a in immortal; svc-b in a scoped area.
+/// The cross-scope rebind fixture: `caller` (its domain in immortal
+/// memory) calls `svc-a`, also immortal; `svc-b` sits in the scoped area
+/// `scope-b`, so rebinding `caller` onto it turns a direct call into an
+/// enter-inner one.
+fn scoped_rebind_arch() -> ValidatedArchitecture {
     let mut bv = BusinessView::new("pattern-rebind");
     bv.active_periodic("caller", "5ms").unwrap();
     bv.passive("svc-a").unwrap();
@@ -615,8 +618,12 @@ fn rebind_recomputes_cross_scope_pattern() {
     .unwrap();
     flow.memory_area("scope-b", MemoryKind::Scoped, Some(16 * 1024), &["svc-b"])
         .unwrap();
-    let arch = flow.merge().unwrap().into_validated().unwrap();
+    flow.merge().unwrap().into_validated().unwrap()
+}
 
+#[test]
+fn rebind_recomputes_cross_scope_pattern() {
+    let arch = scoped_rebind_arch();
     let a = Arc::new(AtomicU32::new(0));
     let b = Arc::new(AtomicU32::new(0));
     let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
@@ -1535,5 +1542,148 @@ fn a_commit_refused_at_its_charges_makes_none_of_them() {
             before.0 + 80,
             "{mode}: one move fits"
         );
+    }
+}
+
+/// The re-homing fixture: `caller` (domain `rt`, in immortal memory)
+/// calls `svc` in the scoped area `scope`, entering it. Moving `caller` to
+/// `rt-scope`, a domain inside `scope`, re-homes it next to `svc`, and the
+/// call becomes direct. Sharded, `y` keeps `rt-scope` on `caller`'s shard
+/// and `z` runs on a second one.
+fn rehome_arch() -> ValidatedArchitecture {
+    let mut bv = BusinessView::new("pattern-rehome");
+    for c in ["caller", "y", "z"] {
+        bv.active_periodic(c, "5ms").unwrap();
+    }
+    bv.passive("svc").unwrap();
+    bv.content("caller", "Caller").unwrap();
+    bv.content("y", "A").unwrap();
+    bv.content("z", "A").unwrap();
+    bv.content("svc", "B").unwrap();
+    bv.require("caller", "svc", "ISvc").unwrap();
+    bv.provide("svc", "svc", "ISvc").unwrap();
+    bv.bind_sync("caller", "svc", "svc", "svc").unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("rt", ThreadKind::Realtime, 22, &["caller"])
+        .unwrap();
+    flow.thread_domain("rt-scope", ThreadKind::Realtime, 22, &["y"])
+        .unwrap();
+    flow.thread_domain("other", ThreadKind::Realtime, 20, &["z"])
+        .unwrap();
+    flow.memory_area("imm", MemoryKind::Immortal, Some(4 << 20), &["rt", "other"])
+        .unwrap();
+    flow.memory_area(
+        "scope",
+        MemoryKind::Scoped,
+        Some(16 * 1024),
+        &["rt-scope", "svc"],
+    )
+    .unwrap();
+    flow.merge().unwrap().into_validated().unwrap()
+}
+
+/// A caller whose state no 16 KiB scope can hold: re-homing it into one
+/// is refused at the commit's charges.
+#[derive(Debug)]
+struct HeavyCaller;
+impl Content<Ping> for HeavyCaller {
+    fn on_invoke(&mut self, _p: &str, msg: &mut Ping, out: &mut dyn Ports<Ping>) -> InvokeResult {
+        out.call("svc", msg)
+    }
+
+    fn state_bytes(&self) -> usize {
+        1 << 20
+    }
+}
+
+/// The contents of both plan fixtures; `heavy` swaps in [`HeavyCaller`].
+fn plan_registry(heavy: bool) -> ContentRegistry<Ping> {
+    let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+    if heavy {
+        registry.register("Caller", || Box::new(HeavyCaller));
+    } else {
+        registry.register("Caller", || Box::new(Caller));
+    }
+    registry.register("A", || Box::new(Counter(Arc::default())));
+    registry.register("B", || Box::new(Counter(Arc::default())));
+    registry
+}
+
+/// The plan a SOLEIL deployment reifies says what a fresh deploy of its
+/// committed architecture says, cross-scope patterns and enter paths
+/// included: after a committed rebind into a scope and after a committed
+/// re-homing next to a scoped service, on one shard and sharded. A
+/// transaction refused in its closure or at its commit leaves the plan as
+/// it was.
+#[test]
+fn committed_plan_matches_a_fresh_deploy() {
+    for sharded in [false, true] {
+        let build = |arch: &ValidatedArchitecture, registry: &ContentRegistry<Ping>| {
+            if sharded {
+                deploy_parallel(arch, Mode::Soleil, registry)
+            } else {
+                deploy(arch, Mode::Soleil, registry)
+            }
+            .unwrap()
+        };
+        let plan = |dep: &Deployment<Ping>| dep.reified_spec().cloned().unwrap();
+        let fresh = |dep: &Deployment<Ping>| {
+            let arch = dep.architecture().clone().into_validated().unwrap();
+            plan(&build(&arch, &plan_registry(false)))
+        };
+        let crossing = |dep: &Deployment<Ping>| {
+            let b = plan(dep).bindings.swap_remove(0);
+            (b.pattern, b.enter_path)
+        };
+
+        // A rebind into a scope.
+        let mut dep = build(&scoped_rebind_arch(), &plan_registry(false));
+        let before = plan(&dep);
+        dep.reconfigure(|txn| {
+            txn.rebind("caller", "svc", "svc-b")?;
+            Err::<(), _>(refused())
+        })
+        .unwrap_err();
+        assert_eq!(plan(&dep), before, "sharded={sharded}: refused rebind");
+        dep.reconfigure(|txn| txn.rebind("caller", "svc", "svc-b"))
+            .unwrap();
+        assert_eq!(
+            crossing(&dep),
+            (PatternKind::EnterInner, vec![1]),
+            "sharded={sharded}"
+        );
+        assert_eq!(plan(&dep), fresh(&dep), "sharded={sharded}: rebind");
+
+        // A re-homing next to a scoped service.
+        let mut dep = build(&rehome_arch(), &plan_registry(false));
+        assert_eq!(dep.shard_count(), if sharded { 2 } else { 1 });
+        let before = plan(&dep);
+        assert_eq!(crossing(&dep).0, PatternKind::EnterInner);
+        dep.reconfigure(|txn| {
+            txn.reassign_domain("caller", "rt-scope")?;
+            Err::<(), _>(refused())
+        })
+        .unwrap_err();
+        assert_eq!(plan(&dep), before, "sharded={sharded}: refused re-homing");
+        dep.reconfigure(|txn| txn.reassign_domain("caller", "rt-scope"))
+            .unwrap();
+        assert_eq!(
+            crossing(&dep),
+            (PatternKind::Direct, vec![]),
+            "sharded={sharded}"
+        );
+        assert_eq!(plan(&dep), fresh(&dep), "sharded={sharded}: re-homing");
+
+        // The same re-homing, refused at the commit's charges.
+        let mut dep = build(&rehome_arch(), &plan_registry(true));
+        let before = plan(&dep);
+        let err = dep
+            .reconfigure(|txn| txn.reassign_domain("caller", "rt-scope"))
+            .unwrap_err();
+        assert!(
+            matches!(err, FrameworkError::Rtsj(RtsjError::OutOfMemory { .. })),
+            "sharded={sharded}: {err}"
+        );
+        assert_eq!(plan(&dep), before, "sharded={sharded}: refused commit");
     }
 }
