@@ -428,32 +428,48 @@ pub fn pattern_between<A: Copy + PartialEq>(
 /// emulation; the ceiling is the highest client priority. Returns `None`
 /// for unshared or non-passive components.
 pub fn shared_service_ceiling(arch: &Architecture, id: ComponentId) -> Option<u8> {
-    service_ceiling(arch, id, |client| arch.thread_domain_of(client))
+    ceiling_in(arch, id, |client| arch.thread_domain_of(client))
 }
 
-/// The decision of [`shared_service_ceiling`]; `domain_of` answers
-/// [`Architecture::thread_domain_of`].
-fn service_ceiling(
+/// [`shared_service_ceiling`] over the architecture, where `domain_of`
+/// answers [`Architecture::thread_domain_of`].
+fn ceiling_in(
     arch: &Architecture,
     id: ComponentId,
     domain_of: impl Fn(ComponentId) -> Option<(ComponentId, ThreadDomainDesc)>,
 ) -> Option<u8> {
-    let c = arch.component(id).ok()?;
-    if !matches!(c.kind, ComponentKind::Passive) {
+    let passive = matches!(arch.component(id).ok()?.kind, ComponentKind::Passive);
+    let callers = arch
+        .bindings()
+        .iter()
+        .filter(|b| b.server.component == id && !b.protocol.is_async())
+        .filter_map(|b| domain_of(b.client.component).map(|(d, desc)| (d, desc.priority)));
+    service_ceiling(passive, callers)
+}
+
+/// The one rule that decides a priority ceiling: a passive component whose
+/// synchronous `callers` — the ThreadDomain and priority of each caller
+/// that has one — span two or more domains gets the highest caller
+/// priority; any other component gets none.
+///
+/// Generic over the domain identifier, like [`pattern_between`]: the
+/// validator decides over the architecture's domain components, and a
+/// running deployment's plan over its own domains, so the ceiling a fresh
+/// deploy assigns and the one a reconfigured deployment reports agree.
+pub fn service_ceiling<D: Copy + PartialEq>(
+    passive: bool,
+    callers: impl IntoIterator<Item = (D, u8)>,
+) -> Option<u8> {
+    if !passive {
         return None;
     }
     // Two distinct domains exist exactly when one differs from the first.
     let mut first = None;
     let mut shared = false;
     let mut ceiling = 0u8;
-    for b in arch.bindings() {
-        if b.server.component != id || b.protocol.is_async() {
-            continue;
-        }
-        if let Some((d, desc)) = domain_of(b.client.component) {
-            shared |= *first.get_or_insert(d) != d;
-            ceiling = ceiling.max(desc.priority);
-        }
+    for (d, priority) in callers {
+        shared |= *first.get_or_insert(d) != d;
+        ceiling = ceiling.max(priority);
     }
     shared.then_some(ceiling)
 }
@@ -1152,7 +1168,7 @@ fn bindings(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
 fn shared_services(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
     let arch = facts.arch;
     for c in arch.components() {
-        if let Some(ceiling) = service_ceiling(arch, c.id(), |client| facts.domain_of(client)) {
+        if let Some(ceiling) = ceiling_in(arch, c.id(), |client| facts.domain_of(client)) {
             sink.emit("SOL-014", Severity::Info, || {
                 Text::new(
                     &c.name,
@@ -1893,7 +1909,7 @@ mod tests {
                 proptest::prop_assert_eq!(facts.areas_of(id), a.memory_areas_of(id).as_slice());
                 proptest::prop_assert_eq!(facts.area_of(id), a.memory_area_of(id));
                 proptest::prop_assert_eq!(
-                    service_ceiling(&a, id, |client| facts.domain_of(client)),
+                    ceiling_in(&a, id, |client| facts.domain_of(client)),
                     shared_service_ceiling(&a, id)
                 );
                 for other in a.components() {

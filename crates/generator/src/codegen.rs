@@ -135,7 +135,10 @@ fn activation_comment(a: &Activation) -> String {
 
 fn emit_bindings_table(spec: &SystemSpec, slot: usize, out: &mut String) {
     let universe = spec.client_port_names();
-    for b in spec.bindings.iter().filter(|b| b.client == slot) {
+    for (bix, b) in spec.bindings.iter().enumerate() {
+        if b.client != slot {
+            continue;
+        }
         let proto = match b.protocol {
             ProtocolSpec::Sync => "sync".to_string(),
             ProtocolSpec::Async { capacity, .. } => format!("async(cap={capacity})"),
@@ -149,7 +152,10 @@ fn emit_bindings_table(spec: &SystemSpec, slot: usize, out: &mut String) {
         let _ = writeln!(
             out,
             "    //   {} [id {id}] -> {}.{} [{proto}, pattern: {}]",
-            b.client_port, spec.components[b.server].name, b.server_port, b.pattern
+            b.client_port,
+            spec.components[b.server].name,
+            b.server_port,
+            spec.crossing(bix).0
         );
     }
 }
@@ -235,7 +241,8 @@ fn emit_soleil(spec: &SystemSpec) -> Vec<GeneratedUnit> {
         let _ = writeln!(
             src,
             "pub static BINDING_{ix}: MemoryPlan = MemoryPlan {{ pattern: \"{}\", server_area: \"{}\" }};",
-            b.pattern, spec.areas[spec.components[b.server].area].name
+            spec.crossing(ix).0,
+            spec.areas[spec.components[b.server].area].name
         );
         units.push(GeneratedUnit {
             name: format!("MemoryInterceptor{ix}"),

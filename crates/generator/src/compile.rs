@@ -4,22 +4,21 @@
 //! System Architecture: it refuses non-compliant input (the validator runs
 //! first), orders memory areas parent-before-child, resolves every
 //! functional component's governing ThreadDomain and effective MemoryArea,
-//! selects each binding's cross-scope pattern and places asynchronous
-//! buffers out of reach of the collector whenever an NHRT touches them.
+//! and places asynchronous buffers out of reach of the collector whenever
+//! an NHRT touches them. The plan keeps placements only: each binding's
+//! cross-scope pattern and each shared service's priority ceiling are
+//! derived from them by the validator's rules when read
+//! ([`SystemSpec::crossing`], [`SystemSpec::ceiling`]).
 
 use std::fmt;
 
-use rtsj::memory::MemoryKind;
-use rtsj::thread::ThreadKind;
 use rtsj::time::RelativeTime;
 use soleil_core::model::{ActivationKind, ComponentId, ComponentKind, Protocol, Role};
-use soleil_core::validate::{cross_scope_pattern, ValidatedArchitecture, ValidationReport};
+use soleil_core::validate::{ValidatedArchitecture, ValidationReport};
 use soleil_core::Architecture;
 use soleil_membrane::FrameworkError;
-use soleil_patterns::PatternKind;
 use soleil_runtime::spec::{
-    enter_path, Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec,
-    ProtocolSpec,
+    Activation, AreaSpec, BindingSpec, ComponentSpec, DomainSpec, ProtocolSpec,
 };
 use soleil_runtime::SystemSpec;
 
@@ -219,7 +218,6 @@ pub(crate) fn compile_spec(arch: &Architecture) -> Result<SystemSpec, GeneratorE
                 .interfaces_with_role(Role::Server)
                 .map(|i| i.name.clone())
                 .collect(),
-            ceiling: soleil_core::validate::shared_service_ceiling(arch, id),
         });
     }
     let comp_index = |id: ComponentId| functional.iter().position(|&f| f == id);
@@ -239,22 +237,12 @@ pub(crate) fn compile_spec(arch: &Architecture) -> Result<SystemSpec, GeneratorE
         let server = comp_index(b.server.component).ok_or_else(|| {
             GeneratorError::Inconsistent("binding server is not a functional component".into())
         })?;
-        let pattern = cross_scope_pattern(arch, b).unwrap_or(PatternKind::Direct);
-        let enter_path = if pattern == PatternKind::EnterInner {
-            let chain = |comp: usize| spec.scope_chain(spec.components[comp].area);
-            enter_path(&chain(client), &chain(server)).to_vec()
-        } else {
-            Vec::new()
-        };
         let protocol = match b.protocol {
             Protocol::Synchronous => ProtocolSpec::Sync,
-            Protocol::Asynchronous { buffer_size } => {
-                let placement = buffer_placement(arch, b.client.component, b.server.component);
-                ProtocolSpec::Async {
-                    capacity: buffer_size,
-                    placement,
-                }
-            }
+            Protocol::Asynchronous { buffer_size } => ProtocolSpec::Async {
+                capacity: buffer_size,
+                placement: spec.placement(spec.seat(client), spec.seat(server)),
+            },
         };
         spec.bindings.push(BindingSpec {
             client,
@@ -262,42 +250,11 @@ pub(crate) fn compile_spec(arch: &Architecture) -> Result<SystemSpec, GeneratorE
             server,
             server_port: b.server.interface.clone(),
             protocol,
-            pattern,
-            enter_path,
         });
     }
 
     spec.check().map_err(GeneratorError::Inconsistent)?;
     Ok(spec)
-}
-
-/// Buffer placement policy: heap only when both endpoints live in heap
-/// areas *and* neither endpoint's domain is NHRT; immortal otherwise (the
-/// exchange-buffer fallback).
-fn buffer_placement(
-    arch: &Architecture,
-    client: ComponentId,
-    server: ComponentId,
-) -> BufferPlacement {
-    let kind_of = |id: ComponentId| {
-        arch.memory_area_of(id)
-            .map(|(_, d)| d.kind)
-            .unwrap_or(MemoryKind::Heap)
-    };
-    let nhrt = |id: ComponentId| {
-        arch.thread_domain_of(id)
-            .map(|(_, d)| d.kind == ThreadKind::NoHeapRealtime)
-            .unwrap_or(false)
-    };
-    if kind_of(client) == MemoryKind::Heap
-        && kind_of(server) == MemoryKind::Heap
-        && !nhrt(client)
-        && !nhrt(server)
-    {
-        BufferPlacement::Heap
-    } else {
-        BufferPlacement::Immortal
-    }
 }
 
 #[cfg(test)]
@@ -306,6 +263,8 @@ mod tests {
     use soleil_core::adl::{from_xml, MOTIVATION_EXAMPLE_XML};
     use soleil_core::prelude::*;
     use soleil_core::validate::validate;
+    use soleil_patterns::PatternKind;
+    use soleil_runtime::spec::BufferPlacement;
 
     fn motivation() -> ValidatedArchitecture {
         from_xml(MOTIVATION_EXAMPLE_XML)
@@ -341,9 +300,10 @@ mod tests {
         let sync = spec
             .bindings
             .iter()
-            .find(|b| matches!(b.protocol, ProtocolSpec::Sync))
+            .position(|b| matches!(b.protocol, ProtocolSpec::Sync))
             .unwrap();
-        assert_eq!(sync.pattern, PatternKind::EnterInner);
+        let s1 = spec.areas.iter().position(|a| a.name == "S1").unwrap();
+        assert_eq!(spec.crossing(sync), (PatternKind::EnterInner, vec![s1]));
 
         // Async buffers: producer NHRT -> immortal placement everywhere.
         for b in &spec.bindings {

@@ -7,8 +7,10 @@
 //!
 //! * [`fn@compile`] translates a **validated** [`soleil_core::Architecture`]
 //!   into a [`soleil_runtime::SystemSpec`] — resolving every component's
-//!   ThreadDomain and MemoryArea, selecting the cross-scope pattern for
-//!   every binding, and placing asynchronous buffers;
+//!   ThreadDomain and MemoryArea and placing asynchronous buffers. The
+//!   plan keeps those placements only: each binding's cross-scope pattern
+//!   and each shared service's priority ceiling are derived from them by
+//!   the validator's rules where they are read;
 //! * [`deploy`] is the one-shot path: compile, then build the running
 //!   [`Deployment`] in a chosen [`Mode`] ([`deploy_parallel`] shards it by
 //!   thread domain);

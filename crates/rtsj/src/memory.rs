@@ -795,40 +795,6 @@ impl MemoryManager {
         Ok(())
     }
 
-    /// Hot-path variant of [`MemoryManager::begin_execute_in_area`] for
-    /// callers that *proved at build time* that `area` is legal for this
-    /// context — e.g. a deployment whose validator established that the
-    /// target scope is always on the invoking component's scope chain. The
-    /// scope-stack containment walk is skipped; the NHRT heap check (cheap
-    /// and thread-kind-dependent) still runs. Must be balanced by
-    /// [`MemoryManager::end_execute_in_area`].
-    ///
-    /// Debug builds still assert containment, so a wrong build-time proof
-    /// fails loudly under test instead of corrupting allocation contexts.
-    ///
-    /// # Errors
-    ///
-    /// [`RtsjError::MemoryAccess`] if an NHRT context targets the heap.
-    pub fn begin_execute_in_area_prechecked(
-        &self,
-        ctx: &mut MemoryContext,
-        area: AreaId,
-    ) -> Result<()> {
-        debug_assert!(
-            self.kind_of(area).is_ok_and(|k| k != MemoryKind::Scoped)
-                || ctx.scope_stack.contains(&area),
-            "prechecked execute_in_area target {area} not on the scope stack"
-        );
-        if area == AreaId::HEAP && !ctx.kind.may_access_heap() {
-            return Err(RtsjError::MemoryAccess {
-                thread: ctx.kind,
-                area,
-            });
-        }
-        ctx.alloc_override.push(area);
-        Ok(())
-    }
-
     /// Removes the innermost allocation-context override installed by
     /// [`MemoryManager::begin_execute_in_area`].
     ///

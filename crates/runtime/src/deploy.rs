@@ -45,17 +45,16 @@ use rtsj::time::AbsoluteTime;
 use soleil_core::arch::{ChildEdge, ServerSwap};
 use soleil_core::contract::TimingContract;
 use soleil_core::model::{ComponentId, ComponentKind};
-use soleil_core::validate::{is_compliant, parallel_coupling, pattern_between, validate};
+use soleil_core::validate::{is_compliant, parallel_coupling, validate};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
 use soleil_membrane::interceptors::FaultInjector;
 use soleil_membrane::monitor::LatencySnapshot;
 use soleil_membrane::FrameworkError;
-use soleil_patterns::PatternKind;
 
 use crate::footprint::FootprintReport;
 use crate::parallel::{self, Rewire, Rings, Shard, ShardRun};
-use crate::spec::{enter_path, Mode, ProtocolSpec, SystemSpec};
+use crate::spec::{Mode, ProtocolSpec, SystemSpec};
 use crate::system::{
     EngineStats, FaultPolicy, Lifecycle, MembraneInfo, MonitorSlot, RehomeUndo, RowPreImage,
     SupervisionPreImage, System,
@@ -493,11 +492,13 @@ impl<P: Payload> Deployment<P> {
     /// The reified deployment plan — SOLEIL's introspection surface, and
     /// part of its framework bytes. Every mode keeps the plan (commits
     /// read it), but only SOLEIL serves it; the merged modes return
-    /// `None`. It is the plan every committed transaction updates — a
-    /// binding's server, cross-scope pattern and enter path, a
-    /// component's area and domain — and every rollback restores, so it
-    /// always describes the live bindings and placements, as a fresh
-    /// deploy of [`architecture`](Self::architecture) would.
+    /// `None`. It holds placements only — a binding's server, a
+    /// component's area and domain — which every committed transaction
+    /// updates and every rollback restores, so it always describes the
+    /// live bindings and placements, as a fresh deploy of
+    /// [`architecture`](Self::architecture) would. What the RTSJ rules
+    /// decide from them is derived when asked
+    /// ([`SystemSpec::crossing`], [`SystemSpec::ceiling`]).
     pub fn reified_spec(&self) -> Option<&SystemSpec> {
         (self.mode == Mode::Soleil).then_some(&self.spec)
     }
@@ -571,14 +572,17 @@ impl<P: Payload> Deployment<P> {
         self.on(component, |system, slot| system.membrane_info_at(slot))
     }
 
-    /// The priority ceiling the validator assigned to a shared passive
-    /// service, if any.
+    /// The priority ceiling of a shared passive service, if any: the
+    /// validator's rule ([`SystemSpec::ceiling`]) over the synchronous
+    /// callers the live plan seats now, so a committed rebind or domain
+    /// move that changes them changes it, as a fresh deploy would.
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Content`] for unknown components.
     pub fn ceiling_of(&self, component: impl Address) -> Result<Option<Priority>, FrameworkError> {
-        self.on(component, |system, slot| Ok(system.ceiling_at(slot)))
+        let g = self.global(component.locate(self)?);
+        Ok(self.spec.ceiling(g).map(Priority::new))
     }
 
     // -----------------------------------------------------------------
@@ -896,6 +900,11 @@ impl<P: Payload> Deployment<P> {
         Ok((c, Some(s.slot())))
     }
 
+    /// The global spec component index a token addresses.
+    fn global(&self, at: ComponentRef) -> usize {
+        self.shards[at.shard()].globals[at.slot()]
+    }
+
     /// The token of engine slot `slot` on `shard`.
     fn local_ref(&self, shard: usize, slot: usize) -> ComponentRef {
         self.refs[self.shards[shard].globals[slot]]
@@ -1114,37 +1123,6 @@ impl<P: Payload> Deployment<P> {
         Ok(())
     }
 
-    /// Re-derives plan binding `gbix`'s cross-scope pattern and enter path
-    /// from where its ends are placed now, by the rule build applies:
-    /// [`pattern_between`] over the plan's areas, then [`enter_path`]. The
-    /// engine recompiles the binding's row by the same rule
-    /// (`System::compile_local`), so plan and row agree.
-    fn repattern(&mut self, gbix: usize) {
-        let spec = &self.spec;
-        let b = &spec.bindings[gbix];
-        let (client, server) = (
-            spec.components[b.client].area,
-            spec.components[b.server].area,
-        );
-        // The scope chains are walked only where the rule needs them: to
-        // relate two scoped ends, and for an enter-inner path.
-        let pattern = pattern_between(
-            (client, spec.areas[client].kind),
-            (server, spec.areas[server].kind),
-            !matches!(b.protocol, ProtocolSpec::Sync),
-            |outer, inner| spec.scope_chain(inner).contains(&outer),
-        );
-        let path = match pattern {
-            PatternKind::EnterInner => {
-                enter_path(&spec.scope_chain(client), &spec.scope_chain(server)).to_vec()
-            }
-            _ => Vec::new(),
-        };
-        let b = &mut self.spec.bindings[gbix];
-        b.pattern = pattern;
-        b.enter_path = path;
-    }
-
     /// Writes a [`PlanRebind`] back: the plan binding's old server and
     /// the architecture's server swap.
     fn restore_plan(&mut self, plan: PlanRebind) {
@@ -1356,11 +1334,6 @@ impl<P: Payload> Reconfiguration<'_, P> {
             })
     }
 
-    /// The global spec component index a token addresses.
-    fn global(&self, at: ComponentRef) -> usize {
-        self.dep.shards[at.shard()].globals[at.slot()]
-    }
-
     /// Rebinds `client`'s **synchronous** `port` to `new_server`, which
     /// must provide a server interface of the same name as the old target.
     /// The architectural model is updated in the same step, so commit-time
@@ -1400,7 +1373,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
         // The engine refuses unbound and asynchronous ports first; a plan
         // or architecture refusal after its write puts the pre-image back.
         let old = self.engine(c).rebind_at(c.slot(), port, s.slot())?;
-        let (gclient, gserver) = (self.global(c), self.global(s));
+        let (gclient, gserver) = (self.dep.global(c), self.dep.global(s));
         let plan = self
             .plan_binding(gclient, port, true)
             .and_then(|gbix| self.rebind_plan(gbix, port, gserver))
@@ -1440,7 +1413,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
         }
         let c = client.locate(self.dep)?;
         let s = new_server.locate(self.dep)?;
-        let (gclient, gserver) = (self.global(c), self.global(s));
+        let (gclient, gserver) = (self.dep.global(c), self.dep.global(s));
         let gbix = self.plan_binding(gclient, port, false)?;
         let binding = &self.dep.spec.bindings[gbix];
         let ProtocolSpec::Async { capacity, .. } = binding.protocol else {
@@ -1495,22 +1468,27 @@ impl<P: Payload> Reconfiguration<'_, P> {
     /// The domain partition itself is static: a reassignment onto a
     /// domain materialized on another shard would migrate the component
     /// across OS threads and is refused, as is a re-homing onto a memory
-    /// area the component's shard does not hold.
+    /// area the component's shard does not hold. A live exchange buffer
+    /// does not move either: a move after which the generator would place
+    /// the buffer of one of the component's asynchronous bindings
+    /// elsewhere ([`SystemSpec::placement`]) — an NHRT producer left
+    /// pushing onto a heap buffer, say — is refused with nothing changed.
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Content`] for unknown domains,
     /// [`FrameworkError::Binding`] for indirect domain membership or
     /// hierarchy violations, [`FrameworkError::Unsupported`] for
-    /// cross-shard moves or a move that would leave the component outside
-    /// every materialized memory area.
+    /// cross-shard moves, a move that would leave the component outside
+    /// every materialized memory area, or one that would move a live
+    /// buffer.
     pub fn reassign_domain(
         &mut self,
         component: impl Address,
         domain: &str,
     ) -> Result<(), FrameworkError> {
         let at = component.locate(self.dep)?;
-        let g = self.global(at);
+        let g = self.dep.global(at);
         let dep = &mut *self.dep;
         let (shard, slot) = (at.shard(), at.slot());
         let name = &dep.spec.components[g].name;
@@ -1584,40 +1562,78 @@ impl<P: Payload> Reconfiguration<'_, P> {
             edge = Some(moved);
         }
 
+        // Every refusal below puts the moved edge back first.
+        let restore_edge = move |dep: &mut Deployment<P>| {
+            if let (Some(edge), Some(arch)) = (edge, dep.arch.as_mut()) {
+                edge.restore(arch);
+            }
+        };
+        // The region a re-homing moves onto, in the engine and the plan.
+        let onto = match rehome_onto {
+            None => None,
+            Some(area_name) => {
+                let found = dep.shards[shard]
+                    .system
+                    .area_ix_by_name(&area_name)
+                    .zip(dep.spec.areas.iter().position(|a| a.name == area_name));
+                let Some(pair) = found else {
+                    let err = FrameworkError::Unsupported(format!(
+                        "reassigning '{name}' to domain '{domain}' re-homes it onto memory area \
+                         '{area_name}', which is not materialized on its shard"
+                    ));
+                    restore_edge(dep);
+                    return Err(err);
+                };
+                Some(pair)
+            }
+        };
+
+        // A live exchange buffer stays where build placed it: refuse a
+        // move after which the generator would place a buffer of the
+        // component elsewhere (moving a live buffer is not supported).
+        let moved_seat = (
+            onto.map_or(dep.spec.components[g].area, |(_, area)| area),
+            Some(g_domain),
+        );
+        let seat = |c: usize| if c == g { moved_seat } else { dep.spec.seat(c) };
+        let stranded = dep.spec.bindings.iter().find_map(|b| match b.protocol {
+            ProtocolSpec::Async { placement, .. } if b.client == g || b.server == g => {
+                let now = dep.spec.placement(seat(b.client), seat(b.server));
+                (now != placement).then_some((b, placement, now))
+            }
+            _ => None,
+        });
+        if let Some((b, placement, now)) = stranded {
+            let err = FrameworkError::Unsupported(format!(
+                "reassigning '{name}' to domain '{domain}' would move the {placement:?} buffer of \
+                 asynchronous binding '{}.{}' -> '{}.{}' into {now:?} memory; a live exchange \
+                 buffer stays where build placed it",
+                dep.spec.components[b.client].name,
+                b.client_port,
+                dep.spec.components[b.server].name,
+                b.server_port
+            ));
+            restore_edge(dep);
+            return Err(err);
+        }
+
         // Engine half: re-home the allocation region first (it can
         // refuse), then the domain seat (infallible).
         let mut rehome = None;
-        if let Some(area_name) = rehome_onto {
+        if let Some((new_ix, new_g)) = onto {
             let system = &mut dep.shards[shard].system;
-            let moved = system
-                .area_ix_by_name(&area_name)
-                .ok_or_else(|| {
-                    FrameworkError::Unsupported(format!(
-                        "reassigning '{name}' to domain '{domain}' re-homes it onto memory area \
-                         '{area_name}', which is not materialized on its shard"
-                    ))
-                })
-                .and_then(|new_ix| Ok((new_ix, system.rehome_area_at(slot, new_ix)?)));
-            let (new_area_ix, undo) = match moved {
-                Ok(pair) => pair,
+            let undo = match system.rehome_area_at(slot, new_ix) {
+                Ok(undo) => undo,
                 Err(e) => {
-                    if let (Some(edge), Some(arch)) = (edge, dep.arch.as_mut()) {
-                        edge.restore(arch);
-                    }
+                    restore_edge(dep);
                     return Err(e);
                 }
             };
             self.pending_charges.push(PendingCharge {
                 shard,
-                area: system.area_id(new_area_ix),
+                area: system.area_id(new_ix),
                 bytes: system.state_bytes_at(slot),
             });
-            let new_g = dep
-                .spec
-                .areas
-                .iter()
-                .position(|a| a.name == area_name)
-                .expect("shard areas are a subset of the plan's");
             rehome = Some((
                 undo,
                 std::mem::replace(&mut dep.spec.components[g].area, new_g),
@@ -1737,9 +1753,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
 
     /// The commit routine: partition invariants (more than one shard
     /// only), the RTSJ verdict on the architectural mirror, every shard's
-    /// supervision tree, then the deferred substrate charges, and last,
-    /// with nothing left to refuse, the touched plan bindings' cross-scope
-    /// patterns ([`Deployment::repattern`]). The full
+    /// supervision tree, then the deferred substrate charges. The full
     /// validation report is rendered only for a refusal (a sharded one
     /// adds the SOL-015 couplings). Every charge is admitted before any
     /// is made, so a charge that does not fit refuses the transaction
@@ -1783,28 +1797,6 @@ impl<P: Payload> Reconfiguration<'_, P> {
         for c in std::mem::take(&mut self.pending_charges) {
             dep.shards[c.shard].system.charge(c.area, c.bytes)?;
         }
-        // Committed: re-derive the pattern of every plan binding the
-        // transaction re-pointed, or re-homed an end of. A refused
-        // transaction never gets here, so rollback has none of it to undo.
-        for undo in &self.journal {
-            match undo {
-                Undo::Rebind { plan, .. } | Undo::Rewire { plan, .. } => dep.repattern(plan.gbix),
-                Undo::Domain {
-                    at,
-                    rehome: Some(_),
-                    ..
-                } => {
-                    let g = dep.shards[at.shard()].globals[at.slot()];
-                    for gbix in 0..dep.spec.bindings.len() {
-                        let b = &dep.spec.bindings[gbix];
-                        if b.client == g || b.server == g {
-                            dep.repattern(gbix);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
         Ok(())
     }
 
@@ -1835,7 +1827,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
                     rehome,
                     edge,
                 } => {
-                    let g = dep.shards[at.shard()].globals[at.slot()];
+                    let g = dep.global(at);
                     let system = &mut dep.shards[at.shard()].system;
                     system.set_domain_at(at.slot(), old_domain_ix);
                     if let Some((undo, old_g)) = rehome {

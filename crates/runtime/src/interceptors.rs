@@ -1,13 +1,16 @@
 //! The paper's memory interceptor (§4.1), one pattern at a time.
 //!
-//! The interceptor has no object of its own: each binding row carries the
-//! pattern the one rule picked for it, and the engine's one crossing
-//! routine (`System::cross_scope_call`, with `invoke_in` for `EnterInner`)
-//! runs it in every generation mode. `system`'s table test drives every arm
-//! of that routine at once; the tests here take its scope-moving arms one
-//! by one, each in SOLEIL, MERGE-ALL and ULTRA-MERGE, and observe the scope
-//! stack the only way content can: a walked `ExecuteInOuter` into a scope
-//! succeeds only while that scope is on the caller's stack.
+//! The interceptor has no object of its own: the one rule compiles each
+//! binding row's pattern from where its ends are placed, and the engine's
+//! one crossing routine (`System::cross_scope_call`, with `invoke_in` for
+//! `EnterInner`) runs it in every generation mode. `system`'s table test
+//! drives every arm of that routine at once; the tests here take its
+//! scope-moving arms one by one, each in SOLEIL, MERGE-ALL and
+//! ULTRA-MERGE, and observe the scope stack the only ways content can: an
+//! immortal component's `EnterInner` into a scope is refused while any
+//! scope is on its caller's stack and admitted from an empty one, and an
+//! `ExecuteInOuter` into a scope succeeds only while that scope is on the
+//! caller's stack.
 
 #[cfg(test)]
 mod tests {
@@ -27,7 +30,7 @@ mod tests {
     type Trace = Vec<String>;
 
     /// Records its visit, then calls its client ports in order and records
-    /// how each call ended. The driver also publishes the finished trace.
+    /// how each call ended. The head also publishes the finished trace.
     #[derive(Debug)]
     struct Station {
         name: &'static str,
@@ -56,22 +59,17 @@ mod tests {
         }
     }
 
-    /// (client, port, server, pattern, enter path)
-    type Crossing = (
-        &'static str,
-        &'static str,
-        &'static str,
-        PatternKind,
-        &'static [usize],
-    );
+    /// (client, port, server, the pattern the rule picks)
+    type Crossing = (&'static str, &'static str, &'static str, PatternKind);
 
     /// Builds a system from `areas` (name and parent; area 0 is immortal,
     /// every other area scoped), the components `placed` in them and the
-    /// synchronous bindings of `table`, runs one transaction of the
-    /// periodic `driver` in every mode and returns the driver's trace.
-    /// Asserts that the modes agree and that the transaction leaves every
-    /// scope's entry and reclaim counts where the build's pins left them:
-    /// each crossing undoes what it entered, a refused one included.
+    /// synchronous bindings of `table`, checks that the rule picks each
+    /// row's pattern as tabled, runs one transaction of the periodic
+    /// `head` in every mode and returns the head's trace. Asserts that
+    /// the modes agree and that the transaction leaves every scope's entry
+    /// and reclaim counts where the build's pins left them: each crossing
+    /// undoes what it entered, a refused one included.
     fn crossing_trace(
         areas: &[(&'static str, Option<usize>)],
         placed: &[(&'static str, usize)],
@@ -103,36 +101,36 @@ mod tests {
                 .map(|&(name, area)| ComponentSpec {
                     name: name.into(),
                     content_class: name.into(),
-                    activation: if name == "driver" {
+                    activation: if name == "head" {
                         Activation::Periodic {
                             period: RelativeTime::from_millis(10),
                         }
                     } else {
                         Activation::Passive
                     },
-                    domain: (name == "driver").then_some(0),
+                    domain: (name == "head").then_some(0),
                     area,
-                    server_ports: if name == "driver" {
+                    server_ports: if name == "head" {
                         vec![]
                     } else {
                         vec!["svc".into()]
                     },
-                    ceiling: None,
                 })
                 .collect(),
             bindings: table
                 .iter()
-                .map(|&(client, port, server, pattern, path)| BindingSpec {
+                .map(|&(client, port, server, _)| BindingSpec {
                     client: index(client),
                     client_port: port.into(),
                     server: index(server),
                     server_port: "svc".into(),
                     protocol: ProtocolSpec::Sync,
-                    pattern,
-                    enter_path: path.to_vec(),
                 })
                 .collect(),
         };
+        for (bix, &(.., pattern)) in table.iter().enumerate() {
+            assert_eq!(spec.crossing(bix).0, pattern, "row {bix}");
+        }
 
         let mut runs = Vec::new();
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
@@ -141,7 +139,7 @@ mod tests {
             for &(name, _) in placed {
                 let calls: Vec<&'static str> =
                     table.iter().filter(|t| t.0 == name).map(|t| t.1).collect();
-                let trace = (name == "driver").then(|| trace.clone());
+                let trace = (name == "head").then(|| trace.clone());
                 reg.register(name, move || {
                     Box::new(Station {
                         name,
@@ -165,7 +163,7 @@ mod tests {
                     .collect()
             };
             let pinned = scopes(&sys);
-            let head = sys.slot_of("driver").unwrap();
+            let head = sys.slot_of("head").unwrap();
             sys.run_transaction(head).unwrap();
             assert_eq!(scopes(&sys), pinned, "{mode}: only the pins hold scopes");
             runs.push((mode, trace.lock().unwrap().clone()));
@@ -178,97 +176,116 @@ mod tests {
     }
 
     /// `EnterInner` enters the server's scope around the call and leaves
-    /// it after: the walk from the immortal `probe` into `S` succeeds
-    /// beneath the crossing and is refused when `probe` is called without
-    /// one.
+    /// it after: the immortal `probe`'s entry into `S` is refused beneath
+    /// the crossing, where `S` is on the stack, and admitted when the
+    /// head calls `probe` again after the crossing returned.
     #[test]
     fn memory_interceptor_enter_inner_roundtrip() {
         let trace = crossing_trace(
             &[("Imm", None), ("S", Some(0))],
-            &[("driver", 0), ("server", 1), ("probe", 0), ("peer", 1)],
+            &[("head", 0), ("server", 1), ("probe", 0), ("peer", 1)],
             &[
-                ("driver", "enter", "server", EnterInner, &[1]),
-                ("server", "down", "probe", Direct, &[]),
-                ("probe", "walk", "peer", ExecuteInOuter, &[]),
-                ("driver", "skip", "probe", Direct, &[]),
+                ("head", "enter", "server", EnterInner),
+                ("server", "down", "probe", Direct),
+                ("probe", "walk", "peer", EnterInner),
+                ("head", "again", "probe", Direct),
             ],
         );
-        let inside = ["driver", "server", "probe", "peer", "walk: ok", "down: ok"];
-        assert_eq!(trace[..6], inside, "{trace:?}");
-        assert_eq!(trace[6..8], ["enter: ok", "probe"], "{trace:?}");
+        assert_eq!(trace[..3], ["head", "server", "probe"], "{trace:?}");
         assert!(
-            trace[8].starts_with("walk: ") && trace[8].contains("not on the current scope stack"),
+            trace[3].starts_with("walk: ") && trace[3].contains("single parent rule"),
             "{trace:?}"
         );
-        assert_eq!(trace[9..], ["skip: ok"], "{trace:?}");
+        let after = [
+            "down: ok",
+            "enter: ok",
+            "probe",
+            "peer",
+            "walk: ok",
+            "again: ok",
+        ];
+        assert_eq!(trace[4..], after, "{trace:?}");
     }
 
-    /// A nested `EnterInner` enters the whole chain, outermost first, so
-    /// both scopes are on the stack during the call. A path that skips
-    /// `O` breaks the single parent rule the pins fixed: the entry is
-    /// refused before the server runs, and leaves the stack as it was, so
-    /// the full chain entered next on the same stack succeeds.
+    /// A nested `EnterInner` enters the whole chain, outermost first: during
+    /// the call `inner` reaches `O` outward and enters `L`, whose parent
+    /// `I` must be the innermost scope on the stack. The immortal `probe`'s
+    /// entry into `O` is refused there before its server runs and leaves
+    /// the stack as it was: the crossing still exits cleanly, and the same
+    /// entry from the head's empty stack succeeds.
     #[test]
     fn memory_interceptor_enters_nested_chains() {
         let trace = crossing_trace(
-            &[("Imm", None), ("O", Some(0)), ("I", Some(1))],
-            &[("driver", 0), ("inner", 2), ("probe", 0), ("outer", 1)],
             &[
-                ("driver", "refused", "inner", EnterInner, &[2]),
-                ("driver", "enter", "inner", EnterInner, &[1, 2]),
-                ("inner", "down", "probe", Direct, &[]),
-                ("probe", "walk", "outer", ExecuteInOuter, &[]),
+                ("Imm", None),
+                ("O", Some(0)),
+                ("I", Some(1)),
+                ("L", Some(2)),
+            ],
+            &[
+                ("head", 0),
+                ("inner", 2),
+                ("outer", 1),
+                ("leaf", 3),
+                ("probe", 0),
+            ],
+            &[
+                ("head", "enter", "inner", EnterInner),
+                ("inner", "up", "outer", ExecuteInOuter),
+                ("inner", "deep", "leaf", EnterInner),
+                ("inner", "down", "probe", Direct),
+                ("probe", "walk", "outer", EnterInner),
+                ("head", "again", "probe", Direct),
             ],
         );
-        assert_eq!(trace[0], "driver");
+        let nested = [
+            "head", "inner", "outer", "up: ok", "leaf", "deep: ok", "probe",
+        ];
+        assert_eq!(trace[..7], nested, "{trace:?}");
         assert!(
-            trace[1].starts_with("refused: ") && trace[1].contains("single parent rule"),
+            trace[7].starts_with("walk: ") && trace[7].contains("single parent rule"),
             "{trace:?}"
         );
-        let nested = [
-            "inner",
+        let after = [
+            "down: ok",
+            "enter: ok",
             "probe",
             "outer",
             "walk: ok",
-            "down: ok",
-            "enter: ok",
+            "again: ok",
         ];
-        assert_eq!(trace[2..], nested, "{trace:?}");
+        assert_eq!(trace[8..], after, "{trace:?}");
     }
 
-    /// `ExecuteInOuter` runs the server in an outer scope already on the
-    /// stack. The switch from `inner`, whose static chain holds `O`, is
-    /// prechecked at build time; the one from the immortal `probe` walks
-    /// the stack. Both behave alike on the legal path, and the walk
-    /// refuses a scope that is not on the stack before the server runs.
+    /// `ExecuteInOuter` runs the server in an outer scope only while that
+    /// scope is on the caller's stack. `a` (in `S1` under `P`) reaches `P`.
+    /// Its handoff to `b` (in `S2` under `Q` under `P`) runs `b` on `a`'s
+    /// stack, which holds `P` and `S1` but not `Q`: `b`'s switch into `Q`
+    /// is refused before `q` runs, and the handoff itself completes.
     #[test]
     fn memory_interceptor_execute_in_outer_roundtrip() {
         let trace = crossing_trace(
-            &[("Imm", None), ("O", Some(0)), ("I", Some(1))],
-            &[("driver", 0), ("inner", 2), ("outer", 1), ("probe", 0)],
             &[
-                ("driver", "stray", "outer", ExecuteInOuter, &[]),
-                ("driver", "enter", "inner", EnterInner, &[1, 2]),
-                ("inner", "up", "outer", ExecuteInOuter, &[]),
-                ("inner", "down", "probe", Direct, &[]),
-                ("probe", "walk", "outer", ExecuteInOuter, &[]),
+                ("Imm", None),
+                ("P", Some(0)),
+                ("S1", Some(1)),
+                ("Q", Some(1)),
+                ("S2", Some(3)),
+            ],
+            &[("head", 0), ("a", 2), ("outer", 1), ("b", 4), ("q", 3)],
+            &[
+                ("head", "enter", "a", EnterInner),
+                ("a", "up", "outer", ExecuteInOuter),
+                ("a", "side", "b", HandoffThroughParent),
+                ("b", "stray", "q", ExecuteInOuter),
             ],
         );
-        assert_eq!(trace[0], "driver");
+        let before = ["head", "a", "outer", "up: ok", "b"];
+        assert_eq!(trace[..5], before, "{trace:?}");
         assert!(
-            trace[1].starts_with("stray: ") && trace[1].contains("not on the current scope stack"),
+            trace[5].starts_with("stray: ") && trace[5].contains("not on the current scope stack"),
             "{trace:?}"
         );
-        let legal = [
-            "inner",
-            "outer",
-            "up: ok",
-            "probe",
-            "outer",
-            "walk: ok",
-            "down: ok",
-            "enter: ok",
-        ];
-        assert_eq!(trace[2..], legal, "{trace:?}");
+        assert_eq!(trace[6..], ["side: ok", "enter: ok"], "{trace:?}");
     }
 }

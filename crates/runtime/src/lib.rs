@@ -41,10 +41,16 @@
 //! A synchronous call crosses MemoryAreas the same way in every mode: one
 //! engine routine runs the RTSJ pattern settled into the binding's row
 //! (the paper's memory interceptor). The pattern comes from one rule,
-//! `soleil_core::validate::pattern_between`: the generator applies it to
-//! the architecture, and a rebind or a re-homing that recompiles a row
-//! applies it to the engine's own areas, so both pick the same pattern
-//! for the same placement.
+//! `soleil_core::validate::pattern_between`, applied where it is read:
+//! the validator applies it to the architecture, the engine's one row
+//! compiler to its own areas whenever build, a rebind or a re-homing
+//! compiles a row, and the plan to its areas when asked
+//! (`SystemSpec::crossing`), so all three pick the same pattern for the
+//! same placement. The plan stores placements only; a shared service's
+//! priority ceiling is derived from them the same way
+//! (`SystemSpec::ceiling`, by the rule behind SOL-014). An
+//! `ExecuteInOuter` call always runs the substrate's own scope-stack
+//! check.
 //!
 //! An asynchronous hop is the same in every mode: the message goes into
 //! the binding's `ExchangeBuffer`, and one packed `u128` key (consumer

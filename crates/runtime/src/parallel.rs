@@ -389,7 +389,6 @@ pub(crate) fn build_shards<P: Payload>(
             let mut local = b.clone();
             local.client = comp_map[cs][&b.client];
             local.server = comp_map[cs][&b.server];
-            local.enter_path = b.enter_path.iter().map(|a| area_map[cs][a]).collect();
             shard_bindings[cs].push(local);
             continue;
         }
@@ -940,7 +939,6 @@ mod tests {
     use soleil_core::Architecture;
     use soleil_membrane::content::{Content, InvokeResult, Ports};
     use soleil_membrane::interceptors::FaultInjector;
-    use soleil_patterns::PatternKind;
     use std::sync::Mutex;
 
     /// Records, per consumer, how many messages arrived and on which OS
@@ -1063,7 +1061,6 @@ mod tests {
                     domain: Some(0),
                     area: 0,
                     server_ports: vec![],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "consumerB".into(),
@@ -1072,7 +1069,6 @@ mod tests {
                     domain: Some(1),
                     area: 0,
                     server_ports: vec!["in".into()],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "consumerC".into(),
@@ -1081,7 +1077,6 @@ mod tests {
                     domain: Some(2),
                     area: 0,
                     server_ports: vec!["in".into()],
-                    ceiling: None,
                 },
             ],
             bindings: vec![
@@ -1094,8 +1089,6 @@ mod tests {
                         capacity: 64,
                         placement: BufferPlacement::Immortal,
                     },
-                    pattern: PatternKind::ImmortalExchange,
-                    enter_path: vec![],
                 },
                 BindingSpec {
                     client: 0,
@@ -1106,8 +1099,6 @@ mod tests {
                         capacity: 64,
                         placement: BufferPlacement::Immortal,
                     },
-                    pattern: PatternKind::ImmortalExchange,
-                    enter_path: vec![],
                 },
             ],
         }
@@ -1632,8 +1623,6 @@ mod tests {
             server: 2,
             server_port: "in".into(),
             protocol: ProtocolSpec::Sync,
-            pattern: PatternKind::Direct,
-            enter_path: vec![],
         });
         spec
     }

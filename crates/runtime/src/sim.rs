@@ -404,7 +404,6 @@ mod tests {
     use crate::spec::{AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec};
     use rtsj::memory::MemoryKind;
     use rtsj::time::AbsoluteTime;
-    use soleil_patterns::PatternKind;
 
     fn spec() -> SystemSpec {
         SystemSpec {
@@ -437,7 +436,6 @@ mod tests {
                     domain: Some(0),
                     area: 0,
                     server_ports: vec![],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "tail".into(),
@@ -446,7 +444,6 @@ mod tests {
                     domain: Some(1),
                     area: 0,
                     server_ports: vec!["in".into()],
-                    ceiling: None,
                 },
             ],
             bindings: vec![BindingSpec {
@@ -458,8 +455,6 @@ mod tests {
                     capacity: 8,
                     placement: BufferPlacement::Immortal,
                 },
-                pattern: PatternKind::Direct,
-                enter_path: vec![],
             }],
         }
     }

@@ -3,12 +3,17 @@
 //! A [`SystemSpec`] is the mode-independent description of everything the
 //! bootstrapper must materialize: memory areas (with nesting), thread
 //! domains, components (with their activation, domain and area), and
-//! bindings (with protocol, buffer placement and the cross-scope pattern
-//! selected at design time).
+//! bindings (with protocol and buffer placement). The plan stores
+//! placements only. What the RTSJ rules decide from them — a binding's
+//! cross-scope pattern and enter path ([`SystemSpec::crossing`]), a
+//! shared service's priority ceiling ([`SystemSpec::ceiling`]) — is
+//! derived where it is read, by the validator's own rules, so a plan that
+//! reconfiguration re-seats never carries a stale verdict.
 
 use rtsj::memory::MemoryKind;
 use rtsj::thread::ThreadKind;
 use rtsj::time::RelativeTime;
+use soleil_core::validate::{pattern_between, service_ceiling};
 use soleil_patterns::PatternKind;
 
 /// The three generation modes of §4.3.
@@ -90,9 +95,6 @@ pub struct ComponentSpec {
     pub area: usize,
     /// Server (provided) interface names, in declaration order.
     pub server_ports: Vec<String>,
-    /// Priority ceiling for shared passive services (RTSJ priority-ceiling
-    /// emulation); `None` when the component is not shared.
-    pub ceiling: Option<u8>,
 }
 
 /// Where an asynchronous binding's buffer lives.
@@ -131,12 +133,6 @@ pub struct BindingSpec {
     pub server_port: String,
     /// Protocol (and buffer settings).
     pub protocol: ProtocolSpec,
-    /// Cross-scope pattern the memory interceptor must execute.
-    pub pattern: PatternKind,
-    /// For [`PatternKind::EnterInner`]: indices into [`SystemSpec::areas`]
-    /// of the scoped areas to enter, outermost first, relative to the
-    /// client's scope chain (common ancestors excluded).
-    pub enter_path: Vec<usize>,
 }
 
 /// The complete deployment plan.
@@ -178,6 +174,79 @@ impl SystemSpec {
     /// first (area indices, see [`scoped_chain`]).
     pub fn scope_chain(&self, area: usize) -> Vec<usize> {
         scoped_chain(area, |ix| (self.areas[ix].kind, self.areas[ix].parent))
+    }
+
+    /// The crossing of binding `bix` as its ends are placed now: the
+    /// cross-scope pattern the memory interceptor runs, picked by the
+    /// validator's rule ([`pattern_between`]) over the plan's areas, and
+    /// for [`PatternKind::EnterInner`] the scoped areas to enter, outermost
+    /// first, past the client's own chain ([`enter_path`]; empty for every
+    /// other pattern). The engine compiles each row by the same rule.
+    pub fn crossing(&self, bix: usize) -> (PatternKind, Vec<usize>) {
+        let b = &self.bindings[bix];
+        let (client, server) = (
+            self.components[b.client].area,
+            self.components[b.server].area,
+        );
+        // The scope chains are walked only where the rule needs them: to
+        // relate two scoped ends, and for an enter-inner path.
+        let pattern = pattern_between(
+            (client, self.areas[client].kind),
+            (server, self.areas[server].kind),
+            !matches!(b.protocol, ProtocolSpec::Sync),
+            |outer, inner| self.scope_chain(inner).contains(&outer),
+        );
+        let path = match pattern {
+            PatternKind::EnterInner => {
+                enter_path(&self.scope_chain(client), &self.scope_chain(server)).to_vec()
+            }
+            _ => Vec::new(),
+        };
+        (pattern, path)
+    }
+
+    /// The priority ceiling of component `c`, by the validator's rule
+    /// ([`service_ceiling`]) over the domains of its synchronous callers
+    /// as they are seated now: RTSJ priority-ceiling emulation for a
+    /// passive service shared by two or more domains, `None` otherwise.
+    pub fn ceiling(&self, c: usize) -> Option<u8> {
+        let callers = self
+            .bindings
+            .iter()
+            .filter(|b| b.server == c && matches!(b.protocol, ProtocolSpec::Sync))
+            .filter_map(|b| self.components[b.client].domain)
+            .map(|d| (d, self.domains[d].priority));
+        service_ceiling(
+            matches!(self.components[c].activation, Activation::Passive),
+            callers,
+        )
+    }
+
+    /// Where the generator places the buffer of an asynchronous binding
+    /// between two ends seated at `(area, domain)`: on the heap only when
+    /// both ends stand in heap areas and neither runs in an NHRT domain,
+    /// in immortal memory (the exchange-buffer fallback) otherwise.
+    pub fn placement(
+        &self,
+        client: (usize, Option<usize>),
+        server: (usize, Option<usize>),
+    ) -> BufferPlacement {
+        let collectable = |(area, domain): (usize, Option<usize>)| {
+            self.areas[area].kind == MemoryKind::Heap
+                && domain.is_none_or(|d| self.domains[d].kind != ThreadKind::NoHeapRealtime)
+        };
+        if collectable(client) && collectable(server) {
+            BufferPlacement::Heap
+        } else {
+            BufferPlacement::Immortal
+        }
+    }
+
+    /// Where component `c` is seated: its area and domain indices, the
+    /// placement [`placement`](Self::placement) reads.
+    pub fn seat(&self, c: usize) -> (usize, Option<usize>) {
+        let comp = &self.components[c];
+        (comp.area, comp.domain)
     }
 
     /// Rough byte size of the spec itself (charged as reified metadata in
@@ -251,9 +320,6 @@ impl SystemSpec {
                     ));
                 }
             }
-            if b.enter_path.iter().any(|&a| a >= self.areas.len()) {
-                return Err("binding enter-path references an unknown area".to_string());
-            }
         }
         Ok(())
     }
@@ -322,7 +388,6 @@ mod tests {
                     domain: Some(0),
                     area: 0,
                     server_ports: vec![],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "b".into(),
@@ -331,7 +396,6 @@ mod tests {
                     domain: Some(0),
                     area: 0,
                     server_ports: vec!["in".into()],
-                    ceiling: None,
                 },
             ],
             bindings: vec![BindingSpec {
@@ -343,8 +407,6 @@ mod tests {
                     capacity: 4,
                     placement: BufferPlacement::Immortal,
                 },
-                pattern: PatternKind::Direct,
-                enter_path: vec![],
             }],
         }
     }
@@ -392,8 +454,6 @@ mod tests {
             server: 1,
             server_port: "in".into(),
             protocol: ProtocolSpec::Sync,
-            pattern: PatternKind::Direct,
-            enter_path: vec![],
         });
         s.bindings.push(BindingSpec {
             client: 1,
@@ -401,14 +461,74 @@ mod tests {
             server: 1,
             server_port: "in".into(),
             protocol: ProtocolSpec::Sync,
-            pattern: PatternKind::Direct,
-            enter_path: vec![],
         });
         let names = s.client_port_names();
         assert_eq!(
             names,
             vec![Box::<str>::from("out"), Box::<str>::from("log")],
             "distinct names only, first appearance wins"
+        );
+    }
+
+    /// Re-seating a component changes what the plan derives from it: the
+    /// crossing, the priority ceiling and the buffer placement.
+    #[test]
+    fn derived_verdicts_follow_the_placements() {
+        let mut s = tiny_spec();
+        s.areas.push(AreaSpec {
+            name: "scope".into(),
+            kind: MemoryKind::Scoped,
+            size: Some(1024),
+            parent: Some(0),
+        });
+        s.areas.push(AreaSpec {
+            name: "heap".into(),
+            kind: MemoryKind::Heap,
+            size: None,
+            parent: None,
+        });
+        s.domains.push(DomainSpec {
+            name: "hi".into(),
+            kind: ThreadKind::NoHeapRealtime,
+            priority: 30,
+        });
+        s.components.push(ComponentSpec {
+            name: "svc".into(),
+            content_class: "S".into(),
+            activation: Activation::Passive,
+            domain: None,
+            area: 0,
+            server_ports: vec!["svc".into()],
+        });
+        for client in [0, 1] {
+            s.bindings.push(BindingSpec {
+                client,
+                client_port: "svc".into(),
+                server: 2,
+                server_port: "svc".into(),
+                protocol: ProtocolSpec::Sync,
+            });
+        }
+        s.check().unwrap();
+        assert_eq!(s.crossing(1), (PatternKind::Direct, vec![]));
+        assert_eq!(s.ceiling(2), None, "both callers run in 'rt'");
+
+        s.components[2].area = 1;
+        s.components[1].domain = Some(1);
+        assert_eq!(s.crossing(1), (PatternKind::EnterInner, vec![1]));
+        assert_eq!(s.ceiling(2), Some(30), "callers in 'rt' and 'hi'");
+        assert_eq!(s.ceiling(0), None, "only passive services get one");
+
+        assert_eq!(s.placement((2, None), (2, Some(0))), BufferPlacement::Heap);
+        assert_eq!(
+            s.placement((2, None), (2, Some(1))),
+            BufferPlacement::Immortal,
+            "an NHRT end"
+        );
+        assert_eq!(
+            s.placement((2, None), (0, None)),
+            BufferPlacement::Immortal,
+            "an immortal end"
         );
     }
 

@@ -228,12 +228,6 @@ struct Node<P: Payload> {
     /// once at build time so releases never scan port names.
     release_ix: Option<u16>,
     priority: Priority,
-    /// Priority ceiling for shared passive services (introspection;
-    /// priority-ceiling emulation metadata from the validator).
-    ceiling: Option<Priority>,
-    /// Scoped areas enclosing this component, outermost first: the
-    /// component's thread executes inside this scope stack.
-    scope_chain: Vec<AreaId>,
 }
 
 impl<P: Payload> std::fmt::Debug for Node<P> {
@@ -265,8 +259,9 @@ struct CompiledBinding {
 
 /// One binding's dispatch decision, fully settled at deploy/rebind time
 /// and `Copy`: resolving a call copies a few machine words — no string, no
-/// `Arc` refcount, no heap traffic. `EnterInner` scope paths live in the
-/// deployment-wide [`System::enter_arena`] as `(offset, len)` ranges.
+/// `Arc` refcount, no heap traffic. An `EnterInner` scope path is a
+/// window of the server's scope chain in the deployment-wide
+/// [`System::enter_arena`], named by `(offset, len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DispatchHeader {
     /// Server slot; `usize::MAX` for cross-domain rings.
@@ -279,10 +274,6 @@ struct DispatchHeader {
     /// Range of this binding's `EnterInner` scope path in the arena.
     enter_off: u32,
     enter_len: u32,
-    /// Build-time access decision: for `ExecuteInOuter`, the server area is
-    /// statically on the client's scope chain, so the per-call scope-stack
-    /// containment walk is skipped (prechecked substrate entry).
-    outer_on_stack: bool,
     /// Build-time carrier decision: true when this binding leaves the
     /// engine's thread domain — `buffer_ix` then indexes `cross_out` (a
     /// wait-free SPSC ring to another shard) instead of `buffers`.
@@ -290,65 +281,31 @@ struct DispatchHeader {
 }
 
 impl DispatchHeader {
-    /// The single construction site for compiled dispatch state: build,
-    /// cross-ring wiring and runtime rebinding all funnel through here, so
-    /// plan fields cannot drift between them. `enter_path` is interned
-    /// into the deployment-wide arena with window reuse, so a rebind that
-    /// restores an earlier target reproduces the original header
-    /// byte-identically (the transactional-rollback guarantee).
-    #[allow(clippy::too_many_arguments)]
-    fn compile(
-        arena: &mut Vec<AreaId>,
-        target_slot: usize,
-        server_port_ix: u16,
-        is_async: bool,
-        buffer_ix: usize,
-        pattern: PatternKind,
-        server_area: AreaId,
-        enter_path: &[AreaId],
-        outer_on_stack: bool,
-        is_cross: bool,
-    ) -> DispatchHeader {
-        let (enter_off, enter_len) = intern_enter_path(arena, enter_path);
-        DispatchHeader {
-            target_slot,
-            server_port_ix,
-            is_async,
-            buffer_ix,
-            pattern,
-            server_area,
-            enter_off,
-            enter_len,
-            outer_on_stack,
-            is_cross,
-        }
-    }
-
     /// The header of a row routing into cross-domain ring `cross_ix`:
     /// asynchronous by construction, no scope choreography (the consumer
     /// re-enters its own chain in its own shard), `buffer_ix` indexes
-    /// `cross_out`. Build and runtime repointing share it.
-    fn cross(arena: &mut Vec<AreaId>, cross_ix: usize) -> DispatchHeader {
-        DispatchHeader::compile(
-            arena,
-            usize::MAX,
-            0,
-            true,
-            cross_ix,
-            PatternKind::ImmortalExchange,
-            AreaId::IMMORTAL,
-            &[],
-            false,
-            true,
-        )
+    /// `cross_out`. Build and runtime repointing share it; every local row
+    /// comes from [`System::compile_local`].
+    fn cross(cross_ix: usize) -> DispatchHeader {
+        DispatchHeader {
+            target_slot: usize::MAX,
+            server_port_ix: 0,
+            is_async: true,
+            buffer_ix: cross_ix,
+            pattern: PatternKind::ImmortalExchange,
+            server_area: AreaId::IMMORTAL,
+            enter_off: 0,
+            enter_len: 0,
+            is_cross: true,
+        }
     }
 }
 
-/// Interns `path` into the deployment's flattened enter-path arena,
+/// Interns `path` into the deployment's flattened scope-chain arena,
 /// reusing an existing window when an identical sequence is already
-/// present — so recompiling a binding back to a previous target yields
-/// the exact `(offset, len)` it had before.
-fn intern_enter_path(arena: &mut Vec<AreaId>, path: &[AreaId]) -> (u32, u32) {
+/// present — so re-homing a slot back to a previous region yields the
+/// exact `(offset, len)` its chain had before.
+fn intern_chain(arena: &mut Vec<AreaId>, path: &[AreaId]) -> (u32, u32) {
     if path.is_empty() {
         return (0, 0);
     }
@@ -361,9 +318,10 @@ fn intern_enter_path(arena: &mut Vec<AreaId>, path: &[AreaId]) -> (u32, u32) {
 }
 
 /// The per-slot transaction plan, settled at build time: where the slot's
-/// scope chain lives in the shared arena and which port its periodic
-/// release dispatches through — `run_transaction` and the activation path
-/// read straight out of this instead of walking `Node` state.
+/// scope chain lives in the shared arena — the only record of the chain —
+/// and which port its periodic release dispatches through;
+/// `run_transaction` and the activation path read straight out of this
+/// instead of walking `Node` state.
 #[derive(Debug, Clone, Copy)]
 struct ActivationPlan {
     /// Range of the slot's scope chain (outermost first) in the arena.
@@ -545,13 +503,12 @@ pub(crate) struct SupervisionPreImage {
 }
 
 /// Undo record of a [`System::rehome_area_at`], rolled back by
-/// [`System::restore_area`]: the slot's previous region, scope chain and
-/// chain range, plus the pre-image of every row the re-homing rewrote.
+/// [`System::restore_area`]: the slot's previous region and chain range,
+/// plus the pre-image of every row the re-homing rewrote.
 #[derive(Debug)]
 pub(crate) struct RehomeUndo {
     slot: usize,
     area_ix: usize,
-    scope_chain: Vec<AreaId>,
     /// `(chain_off, chain_len)` of the slot's activation plan.
     chain: (u32, u16),
     rows: Vec<RowPreImage>,
@@ -651,9 +608,9 @@ pub struct System<P: Payload> {
     /// `BindingController`, which maps to the same `compiled` rows.
     /// Compiled once at build: rows never move.
     port_jump: Vec<Box<[u32]>>,
-    /// Deployment-wide flattened arena of scope paths: binding
-    /// `EnterInner` paths and per-slot activation chains, addressed by
-    /// `(offset, len)` ranges out of the dispatch/activation plans.
+    /// Deployment-wide flattened arena of the per-slot scope chains,
+    /// addressed by `(offset, len)` ranges out of the activation plans; a
+    /// row's `EnterInner` path is a window of its server's chain.
     enter_arena: Vec<AreaId>,
     /// Per-slot transaction plans (release dispatch + scope-chain range).
     activation_plans: Vec<ActivationPlan>,
@@ -823,9 +780,6 @@ impl<P: Payload> System<P> {
                 server_ports,
                 release_ix,
                 priority,
-                ceiling: c.ceiling.map(Priority::new),
-                // The scoped chain this component's thread stands in.
-                scope_chain: scope_ids(&areas, c.area),
             });
         }
 
@@ -872,7 +826,8 @@ impl<P: Payload> System<P> {
 
         // --- The deployment-wide dispatch plan, shared by every mode:
         // the client-port intern universe (dense u16 ids by position), the
-        // flattened scope-path arena, and per-slot activation plans.
+        // flattened scope-path arena, and per-slot activation plans naming
+        // the scope chain each slot's thread stands in.
         let mut port_names: Vec<Box<str>> = spec.client_port_names();
         for (_, port) in &cross_requests {
             if !port_names.iter().any(|n| n.as_ref() == port.as_str()) {
@@ -883,7 +838,8 @@ impl<P: Payload> System<P> {
         let activation_plans: Vec<ActivationPlan> = nodes
             .iter()
             .map(|n| {
-                let (chain_off, chain_len) = intern_enter_path(&mut enter_arena, &n.scope_chain);
+                let chain = scope_ids(&areas, n.area_ix);
+                let (chain_off, chain_len) = intern_chain(&mut enter_arena, &chain);
                 ActivationPlan {
                     chain_off,
                     chain_len: chain_len as u16,
@@ -911,91 +867,6 @@ impl<P: Payload> System<P> {
             .unwrap_or(RelativeTime::from_millis(1));
         let timer_capacity = nodes.len().max(TIMER_SLOTS_MIN);
         let node_count = nodes.len();
-
-        // --- Mode-specific dispatch machinery.
-        let mut membranes: Vec<Option<Box<Membrane>>> = Vec::new();
-        let mut compiled: Vec<Vec<CompiledBinding>> = Vec::new();
-        let mut ultra_table: Vec<CompiledBinding> = Vec::new();
-        let mut ultra_ranges: Vec<(u32, u32)> = Vec::new();
-
-        // Both row constructors funnel through `DispatchHeader` — the
-        // constructors shared with runtime rebinding — and take the arena
-        // as a parameter so only the calling loop holds it mutably.
-        let compile_one = |arena: &mut Vec<AreaId>, b: &crate::spec::BindingSpec, bix: usize| {
-            let server_area = areas[spec.components[b.server].area].id;
-            CompiledBinding {
-                port: b.client_port.as_str().into(),
-                header: DispatchHeader::compile(
-                    arena,
-                    b.server,
-                    port_index(&nodes[b.server], &b.server_port).expect("checked by spec.check"),
-                    matches!(b.protocol, ProtocolSpec::Async { .. }),
-                    buffer_of_binding[bix].unwrap_or(usize::MAX),
-                    b.pattern,
-                    server_area,
-                    &b.enter_path
-                        .iter()
-                        .map(|&ix| areas[ix].id)
-                        .collect::<Vec<_>>(),
-                    outer_proof(&nodes[b.client].scope_chain, b.pattern, server_area),
-                    false,
-                ),
-            }
-        };
-        let cross_compiled =
-            |arena: &mut Vec<AreaId>, port: &str, cross_ix: usize| CompiledBinding {
-                port: port.into(),
-                header: DispatchHeader::cross(arena, cross_ix),
-            };
-        // One slot's rows: its spec bindings in spec order, then its
-        // cross-domain rings.
-        let rows_of = |arena: &mut Vec<AreaId>, slot: usize, rows: &mut Vec<CompiledBinding>| {
-            for (bix, b) in spec.bindings.iter().enumerate() {
-                if b.client == slot {
-                    rows.push(compile_one(arena, b, bix));
-                }
-            }
-            for (cross_ix, (client, port)) in cross_requests.iter().enumerate() {
-                if *client == slot {
-                    rows.push(cross_compiled(arena, port, cross_ix));
-                }
-            }
-        };
-
-        match mode {
-            Mode::Soleil | Mode::MergeAll => {
-                for slot in 0..nodes.len() {
-                    let mut rows = Vec::new();
-                    rows_of(&mut enter_arena, slot, &mut rows);
-                    compiled.push(rows);
-                }
-            }
-            Mode::UltraMerge => {
-                for slot in 0..nodes.len() {
-                    let start = ultra_table.len() as u32;
-                    rows_of(&mut enter_arena, slot, &mut ultra_table);
-                    ultra_ranges.push((start, ultra_table.len() as u32));
-                }
-            }
-        }
-        if mode == Mode::Soleil {
-            // The reified membranes resolve through their controllers to
-            // the same rows MERGE-ALL dispatches through.
-            for (c, rows) in spec.components.iter().zip(&compiled) {
-                let mut m = Membrane::new(c.name.clone());
-                if !matches!(c.activation, Activation::Passive) {
-                    // Deploy-time plan construction: the known guard
-                    // goes straight in as its compiled step (the boxed
-                    // `push_interceptor` route compiles to the same
-                    // plan; this just skips the cold downcast).
-                    m.push_step(InterceptStep::Active(ActiveInterceptor::new()));
-                }
-                for (row, b) in rows.iter().enumerate() {
-                    m.binding.bind(b.port.as_ref(), row);
-                }
-                membranes.push(Some(Box::new(m)));
-            }
-        }
 
         let mut system = System {
             name: spec.name.clone(),
@@ -1027,11 +898,69 @@ impl<P: Payload> System<P> {
             checkpoints: (0..node_count).map(|_| None).collect(),
             factories,
             injectors: (0..node_count).map(|_| None).collect(),
-            membranes,
-            compiled,
-            ultra_table,
-            ultra_ranges,
+            membranes: Vec::new(),
+            compiled: Vec::new(),
+            ultra_table: Vec::new(),
+            ultra_ranges: Vec::new(),
         };
+
+        // --- Mode-specific dispatch machinery: every slot's rows, its
+        // spec bindings in spec order (each compiled from the placements
+        // by the one rule) and then its cross-domain rings.
+        for slot in 0..node_count {
+            let mut rows = Vec::new();
+            for (bix, b) in spec.bindings.iter().enumerate() {
+                if b.client == slot {
+                    let port_ix = port_index(&system.nodes[b.server], &b.server_port)
+                        .expect("checked by spec.check");
+                    rows.push(CompiledBinding {
+                        port: b.client_port.as_str().into(),
+                        header: system.compile_local(
+                            slot,
+                            b.server,
+                            port_ix,
+                            matches!(b.protocol, ProtocolSpec::Async { .. }),
+                            buffer_of_binding[bix].unwrap_or(usize::MAX),
+                        ),
+                    });
+                }
+            }
+            for (cross_ix, (client, port)) in cross_requests.iter().enumerate() {
+                if *client == slot {
+                    rows.push(CompiledBinding {
+                        port: port.as_str().into(),
+                        header: DispatchHeader::cross(cross_ix),
+                    });
+                }
+            }
+            if mode == Mode::UltraMerge {
+                let start = system.ultra_table.len() as u32;
+                system.ultra_table.append(&mut rows);
+                system
+                    .ultra_ranges
+                    .push((start, system.ultra_table.len() as u32));
+            } else {
+                system.compiled.push(rows);
+            }
+        }
+        if mode == Mode::Soleil {
+            // The reified membranes resolve through their controllers to
+            // the same rows MERGE-ALL dispatches through.
+            for (c, rows) in spec.components.iter().zip(&system.compiled) {
+                let mut m = Membrane::new(c.name.clone());
+                if !matches!(c.activation, Activation::Passive) {
+                    // Deploy-time plan construction: the known guard
+                    // goes straight in as its compiled step (the boxed
+                    // `push_interceptor` route compiles to the same
+                    // plan; this just skips the cold downcast).
+                    m.push_step(InterceptStep::Active(ActiveInterceptor::new()));
+                }
+                for (row, b) in rows.iter().enumerate() {
+                    m.binding.bind(b.port.as_ref(), row);
+                }
+                system.membranes.push(Some(Box::new(m)));
+            }
+        }
 
         system.recompute_periodic_order();
         system.compile_port_jump();
@@ -1070,13 +999,6 @@ impl<P: Payload> System<P> {
             .iter()
             .map(|d| (d.name.clone(), d.kind, d.priority))
             .collect()
-    }
-
-    /// The priority ceiling of `slot`, when the validator assigned one to
-    /// a shared passive service (RTSJ priority-ceiling emulation
-    /// metadata).
-    pub(crate) fn ceiling_at(&self, slot: usize) -> Option<Priority> {
-        self.nodes[slot].ceiling
     }
 
     /// Resolves a component name to its engine slot.
@@ -1413,9 +1335,7 @@ impl<P: Payload> System<P> {
         };
         if result.is_ok() {
             // A component allocated in scoped memory executes inside its
-            // (wedge-pinned, so entry cannot reclaim) scope chain; having
-            // the chain on the stack is also the premise of the build-time
-            // `ExecuteInOuter` access proofs ([`outer_proof`]).
+            // (wedge-pinned, so entry cannot reclaim) scope chain.
             let chain = (plan.chain_off, u32::from(plan.chain_len));
             result = self.invoke_in(chain, slot, port_ix, msg, ctx);
         }
@@ -1715,11 +1635,13 @@ impl<P: Payload> System<P> {
     /// The one crossing routine: runs a compiled synchronous call through
     /// the pattern settled into its row at build or rebind time, in every
     /// generation mode — the paper's memory interceptor. `ExecuteInOuter`
-    /// switches the allocation context outward (prechecked when the
-    /// row's access proof holds, walked otherwise), `EnterInner` enters
-    /// the row's scope path around the call, and `HandoffThroughParent`
-    /// invokes on a deep copy of `msg` that is copied back, so no
-    /// reference crosses between sibling scopes.
+    /// switches the allocation context outward after the substrate checks
+    /// that the server's scope is on the caller's stack (it is not when a
+    /// `HandoffThroughParent` call is on the path: the handoff runs its
+    /// server on the caller's stack), `EnterInner` enters the row's scope
+    /// path around the call, and `HandoffThroughParent` invokes on a deep
+    /// copy of `msg` that is copied back, so no reference crosses between
+    /// sibling scopes.
     fn cross_scope_call(
         &mut self,
         r: DispatchHeader,
@@ -1731,14 +1653,7 @@ impl<P: Payload> System<P> {
                 self.invoke(r.target_slot, r.server_port_ix, msg, ctx)
             }
             PatternKind::ExecuteInOuter => {
-                // The build-time access decision replaces the scope-stack
-                // walk when the server area is provably on the stack.
-                if r.outer_on_stack {
-                    self.mm
-                        .begin_execute_in_area_prechecked(ctx, r.server_area)?;
-                } else {
-                    self.mm.begin_execute_in_area(ctx, r.server_area)?;
-                }
+                self.mm.begin_execute_in_area(ctx, r.server_area)?;
                 let out = self.invoke(r.target_slot, r.server_port_ix, msg, ctx);
                 self.mm.end_execute_in_area(ctx)?;
                 out
@@ -1870,50 +1785,65 @@ impl<P: Payload> System<P> {
             .ok_or_else(|| FrameworkError::Binding(format!("client port '{port}' is unbound")))
     }
 
+    /// The scope chain `slot`'s thread stands in, outermost first: the
+    /// arena window its activation plan names, and the window's offset.
+    fn chain(&self, slot: usize) -> (u32, &[AreaId]) {
+        let plan = self.activation_plans[slot];
+        let off = plan.chain_off as usize;
+        (
+            plan.chain_off,
+            &self.enter_arena[off..off + usize::from(plan.chain_len)],
+        )
+    }
+
     /// Compiles the header of a local binding from `client` to `server`
-    /// against the areas both live in now — the runtime counterpart of
-    /// build's `compile_one`, through the same constructor. The pattern
-    /// comes from the validator's one rule, decided over this engine's
-    /// areas, so it is the pattern the design procedure picks for the same
-    /// placement. The arena's window reuse means compiling back to an
-    /// earlier shape reproduces the old header byte-identically.
+    /// against the areas both live in now — the one row compiler, which
+    /// build, rebinds and re-homings all run. The pattern comes from the
+    /// validator's one rule, decided over this engine's areas, so it is
+    /// the pattern the design procedure picks for the same placement. An
+    /// `EnterInner` path is the tail of the server's chain window, so
+    /// compiling back to an earlier shape reproduces the old header
+    /// byte-identically.
     fn compile_local(
-        &mut self,
+        &self,
         client: usize,
         server: usize,
         server_port_ix: u16,
         is_async: bool,
         buffer_ix: usize,
     ) -> DispatchHeader {
-        let (c, s) = (&self.nodes[client], &self.nodes[server]);
-        let (c_area, s_area) = (&self.areas[c.area_ix], &self.areas[s.area_ix]);
+        let c_area = &self.areas[self.nodes[client].area_ix];
+        let s_area = &self.areas[self.nodes[server].area_ix];
+        let ((_, c_chain), (s_off, s_chain)) = (self.chain(client), self.chain(server));
         // Asked only of two scoped areas, each the client's or the
         // server's: one encloses the other when it is on the other's chain.
         let pattern = pattern_between(
             (c_area.id, c_area.kind),
             (s_area.id, s_area.kind),
             is_async,
-            |outer, inner| {
-                let inner = if inner == c_area.id { c } else { s };
-                inner.scope_chain.contains(&outer)
-            },
+            |outer, inner| if inner == c_area.id { c_chain } else { s_chain }.contains(&outer),
         );
-        let path = match pattern {
-            PatternKind::EnterInner => enter_path(&c.scope_chain, &s.scope_chain),
-            _ => &[],
+        let (enter_off, enter_len) = match pattern {
+            PatternKind::EnterInner => {
+                let path = enter_path(c_chain, s_chain);
+                (
+                    s_off + (s_chain.len() - path.len()) as u32,
+                    path.len() as u32,
+                )
+            }
+            _ => (0, 0),
         };
-        DispatchHeader::compile(
-            &mut self.enter_arena,
-            server,
+        DispatchHeader {
+            target_slot: server,
             server_port_ix,
             is_async,
             buffer_ix,
             pattern,
-            s_area.id,
-            path,
-            outer_proof(&c.scope_chain, pattern, s_area.id),
-            false,
-        )
+            server_area: s_area.id,
+            enter_off,
+            enter_len,
+            is_cross: false,
+        }
     }
 
     /// Replaces row `row` of `slot` with `header` in place — the one write
@@ -2068,7 +1998,6 @@ impl<P: Payload> System<P> {
         let mut undo = RehomeUndo {
             slot,
             area_ix: self.nodes[slot].area_ix,
-            scope_chain: self.nodes[slot].scope_chain.clone(),
             chain: (plan.chain_off, plan.chain_len),
             rows: Vec::new(),
         };
@@ -2077,9 +2006,8 @@ impl<P: Payload> System<P> {
         }
         // The scoped chain the component's thread now stands in.
         self.nodes[slot].area_ix = new_area_ix;
-        self.nodes[slot].scope_chain = scope_ids(&self.areas, new_area_ix);
-        let (chain_off, chain_len) =
-            intern_enter_path(&mut self.enter_arena, &self.nodes[slot].scope_chain);
+        let chain = scope_ids(&self.areas, new_area_ix);
+        let (chain_off, chain_len) = intern_chain(&mut self.enter_arena, &chain);
         self.activation_plans[slot].chain_off = chain_off;
         self.activation_plans[slot].chain_len = chain_len as u16;
         self.recompile_bindings_touching(slot, &mut undo.rows);
@@ -2088,15 +2016,12 @@ impl<P: Payload> System<P> {
 
     /// Rolls back a [`rehome_area_at`](Self::rehome_area_at): the rows it
     /// rewrote get their pre-images back, newest first, and the slot its
-    /// region, scope chain and chain range. Infallible: nothing is
-    /// recompiled.
+    /// region and chain range. Infallible: nothing is recompiled.
     pub(crate) fn restore_area(&mut self, undo: RehomeUndo) {
         for pre in undo.rows.into_iter().rev() {
             self.restore_row(pre);
         }
-        let node = &mut self.nodes[undo.slot];
-        node.area_ix = undo.area_ix;
-        node.scope_chain = undo.scope_chain;
+        self.nodes[undo.slot].area_ix = undo.area_ix;
         let plan = &mut self.activation_plans[undo.slot];
         (plan.chain_off, plan.chain_len) = undo.chain;
     }
@@ -2152,7 +2077,7 @@ impl<P: Payload> System<P> {
         }
         let cross_ix = self.cross_out.len();
         self.cross_out.push(tx);
-        let header = DispatchHeader::cross(&mut self.enter_arena, cross_ix);
+        let header = DispatchHeader::cross(cross_ix);
         Ok(AsyncRepointUndo {
             cross_ix,
             old: self.write_row(client_slot, row, header),
@@ -2174,7 +2099,7 @@ impl<P: Payload> System<P> {
     }
 
     /// A structural fingerprint of the reconfigurable state — lifecycle,
-    /// domains, areas, scope chains, activation plans, binding tables,
+    /// domains, areas, activation plans (scope chains included), binding tables,
     /// compiled dispatch headers, jump tables, contracts and fault
     /// policies. Deliberately **excludes** traffic state (ledgers,
     /// histograms, ring/buffer contents, supervision counters): a refused
@@ -2190,8 +2115,8 @@ impl<P: Payload> System<P> {
         for (i, n) in self.nodes.iter().enumerate() {
             let _ = write!(
                 s,
-                "n{i}:{};{:?};{};{:?};{:?};{:?}|",
-                n.name, n.domain_ix, n.area_ix, n.priority, n.ceiling, n.scope_chain
+                "n{i}:{};{:?};{};{:?}|",
+                n.name, n.domain_ix, n.area_ix, n.priority
             );
         }
         for (i, p) in self.activation_plans.iter().enumerate() {
@@ -3271,15 +3196,6 @@ fn scope_ids(areas: &[RuntimeArea], area: usize) -> Vec<AreaId> {
         .collect()
 }
 
-/// The build-time access proof of an `ExecuteInOuter` row: the server area
-/// sits on the client's static scope `chain`, so it is on the stack
-/// whenever the binding fires (the client entered its whole chain at
-/// activation) and the per-call containment walk may be skipped. Build and
-/// every row recompile decide it here.
-fn outer_proof(chain: &[AreaId], pattern: PatternKind, server_area: AreaId) -> bool {
-    pattern == PatternKind::ExecuteInOuter && chain.contains(&server_area)
-}
-
 fn port_index<P: Payload>(node: &Node<P>, port: &str) -> Result<u16, FrameworkError> {
     node.server_ports
         .iter()
@@ -3589,7 +3505,6 @@ mod tests {
                     domain: Some(0),
                     area: 0,
                     server_ports: vec![],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "middle".into(),
@@ -3598,7 +3513,6 @@ mod tests {
                     domain: Some(1),
                     area: 0,
                     server_ports: vec!["in".into()],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "service".into(),
@@ -3607,7 +3521,6 @@ mod tests {
                     domain: None,
                     area: 1,
                     server_ports: vec!["svc".into()],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "sink".into(),
@@ -3616,7 +3529,6 @@ mod tests {
                     domain: Some(2),
                     area: 2,
                     server_ports: vec!["log".into()],
-                    ceiling: None,
                 },
             ],
             bindings: vec![
@@ -3629,8 +3541,6 @@ mod tests {
                         capacity: 10,
                         placement: BufferPlacement::Immortal,
                     },
-                    pattern: PatternKind::ImmortalExchange,
-                    enter_path: vec![],
                 },
                 BindingSpec {
                     client: 1,
@@ -3638,8 +3548,6 @@ mod tests {
                     server: 2,
                     server_port: "svc".into(),
                     protocol: ProtocolSpec::Sync,
-                    pattern: PatternKind::EnterInner,
-                    enter_path: vec![1],
                 },
                 BindingSpec {
                     client: 1,
@@ -3650,8 +3558,6 @@ mod tests {
                         capacity: 10,
                         placement: BufferPlacement::Immortal,
                     },
-                    pattern: PatternKind::ImmortalExchange,
-                    enter_path: vec![],
                 },
             ],
         }
@@ -3867,7 +3773,6 @@ mod tests {
                 domain: None,
                 area: 0,
                 server_ports: vec!["svc".into()],
-                ceiling: None,
             });
             let mut sys = System::build(&spec, mode, &registry()).unwrap();
             let middle = sys.slot_of("middle").unwrap();
@@ -3941,7 +3846,6 @@ mod tests {
             domain: Some(3),
             area: 0,
             server_ports: vec![],
-            ceiling: None,
         });
         spec.bindings.push(BindingSpec {
             client: 4,
@@ -3952,8 +3856,6 @@ mod tests {
                 capacity: 10,
                 placement: BufferPlacement::Immortal,
             },
-            pattern: PatternKind::ImmortalExchange,
-            enter_path: vec![],
         });
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
         let heads = sys.periodic_heads();
@@ -3969,10 +3871,10 @@ mod tests {
 
     /// An async consumer living in a *nested* scoped area must execute
     /// inside its scope chain on the drain path — both for correct
-    /// allocation placement and because it is the premise of the
-    /// build-time `ExecuteInOuter` access proof (regression: `drain` used
-    /// to invoke consumers without entering their chain, which tripped the
-    /// prechecked substrate entry).
+    /// allocation placement and because its `ExecuteInOuter` call into
+    /// the enclosing scope is admitted only while that scope is on the
+    /// stack (regression: `drain` used to invoke consumers without
+    /// entering their chain).
     #[test]
     fn drained_consumer_executes_inside_its_scope_chain() {
         let spec = SystemSpec {
@@ -4024,7 +3926,6 @@ mod tests {
                     domain: Some(0),
                     area: 0,
                     server_ports: vec![],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "middle".into(),
@@ -4033,7 +3934,6 @@ mod tests {
                     domain: Some(1),
                     area: 2, // nested scope S2: chain is [S1, S2]
                     server_ports: vec!["in".into()],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "service".into(),
@@ -4042,7 +3942,6 @@ mod tests {
                     domain: None,
                     area: 1, // enclosing scope S1
                     server_ports: vec!["svc".into()],
-                    ceiling: None,
                 },
                 ComponentSpec {
                     name: "sink".into(),
@@ -4051,7 +3950,6 @@ mod tests {
                     domain: Some(2),
                     area: 0,
                     server_ports: vec!["log".into()],
-                    ceiling: None,
                 },
             ],
             bindings: vec![
@@ -4064,20 +3962,16 @@ mod tests {
                         capacity: 10,
                         placement: BufferPlacement::Immortal,
                     },
-                    pattern: PatternKind::ImmortalExchange,
-                    enter_path: vec![],
                 },
                 // The drained consumer's sync call switches outward into
-                // its enclosing scope: ExecuteInOuter, whose build-time
-                // proof requires the chain on the stack.
+                // its enclosing scope: ExecuteInOuter, admitted only with
+                // the chain on the stack.
                 BindingSpec {
                     client: 1,
                     client_port: "svc".into(),
                     server: 2,
                     server_port: "svc".into(),
                     protocol: ProtocolSpec::Sync,
-                    pattern: PatternKind::ExecuteInOuter,
-                    enter_path: vec![],
                 },
                 BindingSpec {
                     client: 1,
@@ -4088,8 +3982,6 @@ mod tests {
                         capacity: 10,
                         placement: BufferPlacement::Immortal,
                     },
-                    pattern: PatternKind::ImmortalExchange,
-                    enter_path: vec![],
                 },
             ],
         };
@@ -4221,7 +4113,6 @@ mod tests {
             domain: None,
             area: 0,
             server_ports: vec!["svc".into()],
-            ceiling: None,
         });
         for mode in [Mode::Soleil, Mode::MergeAll] {
             let mut sys = System::build(&spec, mode, &registry()).unwrap();
@@ -4277,7 +4168,6 @@ mod tests {
             domain: None,
             area: 0,
             server_ports: vec!["svc".into()],
-            ceiling: None,
         });
         let rows = |sys: &System<Token>| -> Vec<Vec<(String, DispatchHeader)>> {
             let row = |b: &CompiledBinding| (b.port.to_string(), b.header);
@@ -4340,7 +4230,7 @@ mod tests {
     }
 
     /// A station of the crossing table: records its visit, then calls its
-    /// client ports in order and records how each call ended. The driver
+    /// client ports in order and records how each call ended. The head
     /// also publishes the finished trace.
     #[derive(Debug)]
     struct Station {
@@ -4373,41 +4263,34 @@ mod tests {
 
     /// One table drives every arm of the one crossing routine, in every
     /// mode, through a hand-written spec (areas `Imm` ⊃ `Outer` ⊃ `Inner`,
-    /// and `Sib` beside `Outer`): `Direct`; a nested `EnterInner`;
-    /// `ExecuteInOuter` from a client whose static chain holds the server
-    /// area (prechecked) and from one whose does not (walked, the scope
-    /// being on the stack only dynamically); `HandoffThroughParent`
-    /// between sibling scopes, whose copy-back makes the server's changes
-    /// visible to the caller; and an `EnterInner` path that skips `Outer`,
-    /// which the substrate refuses. The refusal leaves the scope stack as
-    /// it was: the nested entry of `Outer` and `Inner` that follows it on
-    /// the same stack succeeds, and every scope ends the transaction held
-    /// by its wedge pins alone. The modes must agree on every call.
+    /// and `Sib` beside `Outer`) whose rows the one rule compiles from the
+    /// placements: `Direct`; a nested `EnterInner`; `ExecuteInOuter` into
+    /// a scope the caller's chain holds; `HandoffThroughParent` between
+    /// sibling scopes, whose copy-back makes the server's changes visible
+    /// to the caller; and the immortal `imm2`'s `EnterInner` into `Outer`,
+    /// which the substrate refuses while `Inner`'s call has `Outer` and
+    /// `Inner` on the stack and admits from the head's empty stack. The
+    /// refusal leaves the scope stack as it was, and every scope ends the
+    /// transaction held by its wedge pins alone. The modes must agree on
+    /// every call.
     #[test]
     fn one_crossing_routine_runs_every_pattern_alike_in_every_mode() {
         use PatternKind::*;
-        /// (client, port, server, pattern, enter path, prechecked)
-        type Crossing = (
-            &'static str,
-            &'static str,
-            &'static str,
-            PatternKind,
-            &'static [usize],
-            bool,
-        );
+        /// (client, port, server, the pattern the rule picks)
+        type Crossing = (&'static str, &'static str, &'static str, PatternKind);
         let table: [Crossing; 8] = [
-            ("driver", "direct", "imm", Direct, &[], false),
-            ("driver", "refused", "inner", EnterInner, &[2], false),
-            ("driver", "enter", "inner", EnterInner, &[1, 2], false),
-            ("inner", "up", "outer", ExecuteInOuter, &[], true),
-            ("inner", "down", "imm2", Direct, &[], false),
-            ("imm2", "walk", "outer", ExecuteInOuter, &[], false),
-            ("driver", "sib", "sib", EnterInner, &[3], false),
-            ("sib", "handoff", "outer", HandoffThroughParent, &[], false),
+            ("head", "direct", "imm", Direct),
+            ("head", "enter", "inner", EnterInner),
+            ("inner", "up", "outer", ExecuteInOuter),
+            ("inner", "down", "imm2", Direct),
+            ("imm2", "walk", "outer", EnterInner),
+            ("head", "again", "imm2", Direct),
+            ("head", "sib", "sib", EnterInner),
+            ("sib", "handoff", "outer", HandoffThroughParent),
         ];
         // (component, area)
         let placed = [
-            ("driver", 0),
+            ("head", 0),
             ("imm", 0),
             ("imm2", 0),
             ("outer", 1),
@@ -4439,33 +4322,30 @@ mod tests {
                 .map(|&(name, area)| ComponentSpec {
                     name: name.into(),
                     content_class: name.into(),
-                    activation: if name == "driver" {
+                    activation: if name == "head" {
                         Activation::Periodic {
                             period: RelativeTime::from_millis(10),
                         }
                     } else {
                         Activation::Passive
                     },
-                    domain: (name == "driver").then_some(0),
+                    domain: (name == "head").then_some(0),
                     area,
-                    server_ports: if name == "driver" {
+                    server_ports: if name == "head" {
                         vec![]
                     } else {
                         vec!["svc".into()]
                     },
-                    ceiling: None,
                 })
                 .collect(),
             bindings: table
                 .iter()
-                .map(|&(client, port, server, pattern, path, _)| BindingSpec {
+                .map(|&(client, port, server, _)| BindingSpec {
                     client: index(client),
                     client_port: port.into(),
                     server: index(server),
                     server_port: "svc".into(),
                     protocol: ProtocolSpec::Sync,
-                    pattern,
-                    enter_path: path.to_vec(),
                 })
                 .collect(),
         };
@@ -4477,7 +4357,7 @@ mod tests {
             for &(name, _) in &placed {
                 let calls: Vec<&'static str> =
                     table.iter().filter(|t| t.0 == name).map(|t| t.1).collect();
-                let trace = (name == "driver").then(|| trace.clone());
+                let trace = (name == "head").then(|| trace.clone());
                 reg.register(name, move || {
                     Box::new(Station {
                         name,
@@ -4487,7 +4367,7 @@ mod tests {
                 });
             }
             let mut sys = System::build(&spec, mode, &reg).unwrap();
-            for &(client, port, _, pattern, _, prechecked) in &table {
+            for (bix, &(client, port, _, pattern)) in table.iter().enumerate() {
                 let slot = sys.slot_of(client).unwrap();
                 let rows = match mode {
                     Mode::UltraMerge => {
@@ -4502,7 +4382,7 @@ mod tests {
                     .unwrap()
                     .header;
                 assert_eq!(h.pattern, pattern, "{mode}: {port}");
-                assert_eq!(h.outer_on_stack, prechecked, "{mode}: {port}");
+                assert_eq!(spec.crossing(bix).0, pattern, "{mode}: plan {port}");
             }
             let scopes = |sys: &System<Token>| {
                 ["Outer", "Inner", "Sib"].map(|name| {
@@ -4512,7 +4392,7 @@ mod tests {
                 })
             };
             let pinned = scopes(&sys);
-            let head = sys.slot_of("driver").unwrap();
+            let head = sys.slot_of("head").unwrap();
             sys.run_transaction(head).unwrap();
             assert_eq!(
                 scopes(&sys),
@@ -4524,25 +4404,34 @@ mod tests {
         }
 
         let (_, trace) = &runs[0];
-        let ended = |port: &str| {
-            let prefix = format!("{port}: ");
-            let entry = trace.iter().find(|h| h.starts_with(&prefix));
-            entry.map(|h| h[prefix.len()..].to_string()).unwrap()
-        };
-        for (_, port, ..) in table {
-            if port != "refused" {
-                assert_eq!(ended(port), "ok", "{port}");
-            }
-        }
         assert!(
-            ended("refused").contains("single parent rule"),
-            "{}",
-            ended("refused")
+            trace[7].starts_with("walk: ") && trace[7].contains("single parent rule"),
+            "{trace:?}"
         );
+        let mut expected = vec![
+            "head",
+            "imm",
+            "direct: ok",
+            "inner",
+            "outer",
+            "up: ok",
+            "imm2",
+            "",
+            "down: ok",
+            "enter: ok",
+            "imm2",
+            "outer",
+            "walk: ok",
+            "again: ok",
+            "sib",
+            "outer",
+            "handoff: ok",
+            "sib: ok",
+        ];
+        expected[7] = trace[7].as_str();
+        assert_eq!(*trace, expected, "{trace:?}");
         // The handoff server ran on a copy: its visit reached the caller
-        // only through the copy-back.
-        let sib = trace.iter().position(|h| h == "sib").unwrap();
-        assert_eq!(trace[sib + 1], "outer", "{trace:?}");
+        // only through the copy-back (the `outer` after `sib`).
         for (mode, other) in &runs[1..] {
             assert_eq!(other, trace, "{mode}");
         }
@@ -4961,7 +4850,6 @@ mod tests {
             } else {
                 vec!["in".into()]
             },
-            ceiling: None,
         };
         let binding = |port: &str, server| BindingSpec {
             client: 0,
@@ -4972,8 +4860,6 @@ mod tests {
                 capacity: 4,
                 placement: BufferPlacement::Immortal,
             },
-            pattern: PatternKind::ImmortalExchange,
-            enter_path: vec![],
         };
         let spec = SystemSpec {
             name: "contained-drain".into(),
@@ -5085,7 +4971,6 @@ mod tests {
             } else {
                 vec!["in".into()]
             },
-            ceiling: None,
         };
         let binding = |client, port: &str, server, server_port: &str, placement| BindingSpec {
             client,
@@ -5096,8 +4981,6 @@ mod tests {
                 capacity: 8,
                 placement,
             },
-            pattern: PatternKind::ImmortalExchange,
-            enter_path: vec![],
         };
         let (nhrt, regular) = (ThreadKind::NoHeapRealtime, ThreadKind::Regular);
         let spec = SystemSpec {
@@ -5142,7 +5025,6 @@ mod tests {
                     domain: Some(4),
                     area: 1,
                     server_ports: vec!["probe".into()],
-                    ceiling: None,
                 },
             ],
             bindings: vec![
@@ -5291,7 +5173,6 @@ mod tests {
             domain,
             area: 0,
             server_ports: vec![port.into()],
-            ceiling: None,
         };
         let sync = |client, client_port: &str, server, server_port: &str| BindingSpec {
             client,
@@ -5299,8 +5180,6 @@ mod tests {
             server,
             server_port: server_port.into(),
             protocol: ProtocolSpec::Sync,
-            pattern: PatternKind::Direct,
-            enter_path: vec![],
         };
         let spec = SystemSpec {
             name: "cycle".into(),
@@ -5532,7 +5411,6 @@ mod tests {
             domain: Some(2),
             area: 2,
             server_ports: vec![],
-            ceiling: None,
         });
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
         let producer = sys.slot_of("producer").unwrap();
@@ -5771,7 +5649,6 @@ mod tests {
                 domain: Some(0),
                 area: 0,
                 server_ports: vec![],
-                ceiling: None,
             }],
             bindings: vec![],
         }

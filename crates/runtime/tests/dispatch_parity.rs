@@ -16,7 +16,6 @@ use rtsj::memory::MemoryKind;
 use rtsj::thread::ThreadKind;
 use rtsj::time::RelativeTime;
 use soleil_membrane::content::{Content, ContentRegistry, InternedPort, InvokeResult, Ports};
-use soleil_patterns::PatternKind;
 use soleil_runtime::spec::{
     Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
     SystemSpec,
@@ -173,7 +172,6 @@ fn arch(n_services: usize, scoped: &[bool]) -> SystemSpec {
             domain: Some(0),
             area: 0,
             server_ports: vec![],
-            ceiling: None,
         },
         ComponentSpec {
             name: "sink".into(),
@@ -182,7 +180,6 @@ fn arch(n_services: usize, scoped: &[bool]) -> SystemSpec {
             domain: Some(0),
             area: 0,
             server_ports: vec!["in".into()],
-            ceiling: None,
         },
     ];
     let mut bindings = vec![BindingSpec {
@@ -194,8 +191,6 @@ fn arch(n_services: usize, scoped: &[bool]) -> SystemSpec {
             capacity: 64,
             placement: BufferPlacement::Immortal,
         },
-        pattern: PatternKind::ImmortalExchange,
-        enter_path: vec![],
     }];
     for i in 0..n_services {
         let area = if scoped[i] {
@@ -216,7 +211,6 @@ fn arch(n_services: usize, scoped: &[bool]) -> SystemSpec {
             domain: None,
             area,
             server_ports: vec![format!("s{i}")],
-            ceiling: None,
         });
         bindings.push(BindingSpec {
             client: 0,
@@ -224,12 +218,6 @@ fn arch(n_services: usize, scoped: &[bool]) -> SystemSpec {
             server: components.len() - 1,
             server_port: format!("s{i}"),
             protocol: ProtocolSpec::Sync,
-            pattern: if scoped[i] {
-                PatternKind::EnterInner
-            } else {
-                PatternKind::Direct
-            },
-            enter_path: if scoped[i] { vec![area] } else { vec![] },
         });
     }
     if n_services > 0 {
@@ -242,7 +230,6 @@ fn arch(n_services: usize, scoped: &[bool]) -> SystemSpec {
             domain: None,
             area: 0,
             server_ports: vec![],
-            ceiling: None,
         });
         bindings.push(BindingSpec {
             client: components.len() - 1,
@@ -250,8 +237,6 @@ fn arch(n_services: usize, scoped: &[bool]) -> SystemSpec {
             server: 2,
             server_port: "s0".into(),
             protocol: ProtocolSpec::Sync,
-            pattern: PatternKind::Direct,
-            enter_path: vec![],
         });
     }
     SystemSpec {
@@ -415,7 +400,6 @@ fn rebind_fixture(
                 domain: Some(0),
                 area: 0,
                 server_ports: vec![],
-                ceiling: None,
             },
             ComponentSpec {
                 name: "svcA".into(),
@@ -424,7 +408,6 @@ fn rebind_fixture(
                 domain: None,
                 area: 0,
                 server_ports: vec!["s".into()],
-                ceiling: None,
             },
             ComponentSpec {
                 name: "svcB".into(),
@@ -433,7 +416,6 @@ fn rebind_fixture(
                 domain: None,
                 area: 0,
                 server_ports: vec!["s".into()],
-                ceiling: None,
             },
         ],
         bindings: vec![BindingSpec {
@@ -442,8 +424,6 @@ fn rebind_fixture(
             server: 1,
             server_port: "s".into(),
             protocol: ProtocolSpec::Sync,
-            pattern: PatternKind::Direct,
-            enter_path: vec![],
         }],
     };
 

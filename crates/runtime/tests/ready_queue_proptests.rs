@@ -18,7 +18,6 @@ use rtsj::memory::MemoryKind;
 use rtsj::thread::{Priority, ThreadKind};
 use rtsj::time::RelativeTime;
 use soleil_membrane::content::{Content, ContentRegistry, InvokeResult, Ports};
-use soleil_patterns::PatternKind;
 use soleil_runtime::spec::{
     Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
     SystemSpec,
@@ -111,7 +110,6 @@ impl Script {
                 domain: Some(j),
                 area: 0,
                 server_ports: vec!["in".into()],
-                ceiling: None,
             })
             .collect();
         components.push(ComponentSpec {
@@ -123,7 +121,6 @@ impl Script {
             domain: Some(self.consumers),
             area: 0,
             server_ports: vec![],
-            ceiling: None,
         });
         SystemSpec {
             name: "ready-queue".into(),
@@ -147,8 +144,6 @@ impl Script {
                         capacity: 64,
                         placement: BufferPlacement::Immortal,
                     },
-                    pattern: PatternKind::ImmortalExchange,
-                    enter_path: vec![],
                 })
                 .collect(),
         }

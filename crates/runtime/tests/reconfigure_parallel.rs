@@ -29,7 +29,6 @@ use soleil_core::views::{BusinessView, DesignFlow};
 use soleil_core::Architecture;
 use soleil_membrane::content::{Content, ContentRegistry, InvokeResult, Ports};
 use soleil_membrane::FrameworkError;
-use soleil_patterns::PatternKind;
 use soleil_runtime::spec::{
     Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
     SystemSpec,
@@ -100,7 +99,6 @@ fn base_spec() -> SystemSpec {
         domain: Some(domain),
         area,
         server_ports: vec!["in".into()],
-        ceiling: None,
     };
     let ring = |port: &str, server: usize| BindingSpec {
         client: 0,
@@ -111,8 +109,6 @@ fn base_spec() -> SystemSpec {
             capacity: 64,
             placement: BufferPlacement::Immortal,
         },
-        pattern: PatternKind::ImmortalExchange,
-        enter_path: vec![],
     };
     SystemSpec {
         name: "fan".into(),
@@ -144,7 +140,6 @@ fn base_spec() -> SystemSpec {
                 domain: Some(0),
                 area: 0,
                 server_ports: vec![],
-                ceiling: None,
             },
             consumer("consumerB", "consumerB", 1, 1),
             consumer("consumerC", "consumerC", 2, 2),
@@ -158,8 +153,6 @@ fn base_spec() -> SystemSpec {
                 server: 2,
                 server_port: "in".into(),
                 protocol: ProtocolSpec::Sync,
-                pattern: PatternKind::Direct,
-                enter_path: vec![],
             },
         ],
     }
@@ -365,7 +358,6 @@ fn heap_store_spec() -> SystemSpec {
         domain: None,
         area: 3,
         server_ports: vec!["in".into()],
-        ceiling: None,
     });
     spec.bindings.push(BindingSpec {
         client: 2,
@@ -373,8 +365,6 @@ fn heap_store_spec() -> SystemSpec {
         server: 3,
         server_port: "in".into(),
         protocol: ProtocolSpec::Sync,
-        pattern: PatternKind::Direct,
-        enter_path: vec![],
     });
     spec
 }

@@ -25,7 +25,6 @@ use std::sync::Arc;
 mod alloc_probe;
 
 use soleil::membrane::content::{Content, ContentRegistry, InvokeResult, Ports};
-use soleil::patterns::PatternKind;
 use soleil::prelude::*;
 use soleil::rtsj::memory::{MemoryKind, MemoryManager, ScopedMemoryParams};
 use soleil::rtsj::thread::ThreadKind;
@@ -170,7 +169,6 @@ fn high_fanout_spec() -> SystemSpec {
             domain: Some(d),
             area: 0, // immortal
             server_ports: vec![],
-            ceiling: None,
         });
         let svc = components.len();
         components.push(ComponentSpec {
@@ -180,7 +178,6 @@ fn high_fanout_spec() -> SystemSpec {
             domain: None,
             area: scope_at(d, 0),
             server_ports: vec!["svc".into()],
-            ceiling: None,
         });
         let entry = components.len();
         components.push(ComponentSpec {
@@ -190,7 +187,6 @@ fn high_fanout_spec() -> SystemSpec {
             domain: Some(d),
             area: scope_at(d, 1),
             server_ports: vec!["xin".into()],
-            ceiling: None,
         });
         // Entry worker consults the service like everyone else.
         bindings.push(BindingSpec {
@@ -199,8 +195,6 @@ fn high_fanout_spec() -> SystemSpec {
             server: svc,
             server_port: "svc".into(),
             protocol: ProtocolSpec::Sync,
-            pattern: PatternKind::ExecuteInOuter,
-            enter_path: vec![],
         });
         for w in 0..WORKERS {
             let level = w % SCOPE_DEPTH;
@@ -212,7 +206,6 @@ fn high_fanout_spec() -> SystemSpec {
                 domain: Some(d),
                 area: scope_at(d, level),
                 server_ports: vec!["in".into()],
-                ceiling: None,
             });
             bindings.push(BindingSpec {
                 client: head,
@@ -223,8 +216,6 @@ fn high_fanout_spec() -> SystemSpec {
                     capacity: 4,
                     placement: BufferPlacement::Immortal,
                 },
-                pattern: PatternKind::ImmortalExchange,
-                enter_path: vec![],
             });
             bindings.push(BindingSpec {
                 client: worker,
@@ -232,12 +223,6 @@ fn high_fanout_spec() -> SystemSpec {
                 server: svc,
                 server_port: "svc".into(),
                 protocol: ProtocolSpec::Sync,
-                pattern: if level == 0 {
-                    PatternKind::Direct
-                } else {
-                    PatternKind::ExecuteInOuter
-                },
-                enter_path: vec![],
             });
         }
     }
@@ -258,8 +243,6 @@ fn high_fanout_spec() -> SystemSpec {
                 capacity: 256,
                 placement: BufferPlacement::Immortal,
             },
-            pattern: PatternKind::ImmortalExchange,
-            enter_path: vec![],
         });
     }
 
@@ -446,7 +429,6 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
                 domain: Some(0),
                 area: 0,
                 server_ports: vec![],
-                ceiling: None,
             },
             ComponentSpec {
                 name: "sink0".into(),
@@ -455,7 +437,6 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
                 domain: Some(1),
                 area: 0,
                 server_ports: vec!["in".into()],
-                ceiling: None,
             },
             ComponentSpec {
                 name: "sink1".into(),
@@ -464,7 +445,6 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
                 domain: Some(2),
                 area: 0,
                 server_ports: vec!["in".into()],
-                ceiling: None,
             },
         ],
         bindings: (0..2)
@@ -480,8 +460,6 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
                     capacity: 2048,
                     placement: BufferPlacement::Immortal,
                 },
-                pattern: PatternKind::ImmortalExchange,
-                enter_path: vec![],
             })
             .collect(),
     };

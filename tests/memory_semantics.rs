@@ -2,8 +2,11 @@
 //! must inherit every substrate guarantee — no layer may launder an
 //! illegal memory operation.
 
+use soleil::core::validate::cross_scope_pattern;
 use soleil::generator::deploy;
+use soleil::patterns::PatternKind;
 use soleil::prelude::*;
+use soleil::rtsj::RtsjError;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -224,4 +227,71 @@ fn nested_scopes_bootstrap_and_teardown() {
     sys.shutdown().expect("teardown");
     assert_eq!(sys.memory().stats(inner_id).expect("stats").consumed, 0);
     assert_eq!(sys.memory().stats(outer_id).expect("stats").consumed, 0);
+}
+
+/// A server reached through `HandoffThroughParent` runs on its caller's
+/// scope stack. Here `head` (immortal) enters `a`'s chain `P`, `S1`;
+/// `a` hands off to `b` in `S2` under `Q` under `P`; and `b`'s call into
+/// `q` in `Q` is an `ExecuteInOuter` whose scope is not on that stack. The
+/// substrate refuses it before `q` runs, and the transaction ends in that
+/// refusal, in every mode, in debug and release builds alike.
+#[test]
+fn execute_in_outer_behind_a_handoff_is_refused() {
+    let mut b = BusinessView::new("handoff-then-outer");
+    b.active_periodic("head", "10ms").unwrap();
+    for c in ["a", "b", "q"] {
+        b.passive(c).unwrap();
+        b.provide(c, "in", "ISvc").unwrap();
+    }
+    for c in ["head", "a", "b"] {
+        b.content(c, "SyncCaller").unwrap();
+        b.require(c, "svc", "ISvc").unwrap();
+    }
+    b.content("q", "Svc").unwrap();
+    for (client, server) in [("head", "a"), ("a", "b"), ("b", "q")] {
+        b.bind_sync(client, "svc", server, "in").unwrap();
+    }
+    let mut flow = DesignFlow::new(b);
+    flow.thread_domain("rt", ThreadKind::Realtime, 25, &["head"])
+        .unwrap();
+    for (area, members) in [
+        ("S2", &["b"][..]),
+        ("Q", &["S2", "q"]),
+        ("S1", &["a"]),
+        ("P", &["S1", "Q"]),
+    ] {
+        flow.memory_area(area, MemoryKind::Scoped, Some(16 * 1024), members)
+            .unwrap();
+    }
+    flow.memory_area("imm", MemoryKind::Immortal, Some(64 * 1024), &["rt", "P"])
+        .unwrap();
+    let arch = flow.merge().unwrap().into_validated().expect("compliant");
+    let patterns: Vec<_> = arch
+        .architecture()
+        .bindings()
+        .iter()
+        .map(|b| cross_scope_pattern(arch.architecture(), b))
+        .collect();
+    assert_eq!(
+        patterns,
+        [
+            Some(PatternKind::EnterInner),
+            Some(PatternKind::HandoffThroughParent),
+            Some(PatternKind::ExecuteInOuter),
+        ]
+    );
+
+    let seen = Arc::new(AtomicU32::new(0));
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        let mut dep = deploy(&arch, mode, &registry(&seen)).expect("deploys");
+        let head = dep.resolve("head").expect("head");
+        let err = dep.run_transaction(head).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FrameworkError::Rtsj(RtsjError::InaccessibleArea { .. })
+            ),
+            "{mode}: {err}"
+        );
+    }
 }

@@ -1631,10 +1631,7 @@ fn committed_plan_matches_a_fresh_deploy() {
             let arch = dep.architecture().clone().into_validated().unwrap();
             plan(&build(&arch, &plan_registry(false)))
         };
-        let crossing = |dep: &Deployment<Ping>| {
-            let b = plan(dep).bindings.swap_remove(0);
-            (b.pattern, b.enter_path)
-        };
+        let crossing = |dep: &Deployment<Ping>| plan(dep).crossing(0);
 
         // A rebind into a scope.
         let mut dep = build(&scoped_rebind_arch(), &plan_registry(false));
@@ -1685,5 +1682,146 @@ fn committed_plan_matches_a_fresh_deploy() {
             "sharded={sharded}: {err}"
         );
         assert_eq!(plan(&dep), before, "sharded={sharded}: refused commit");
+    }
+}
+
+/// The ceiling fixture: `c1` and `c3` (domain `hi`, priority 30) call
+/// `svc-a`; `c2` (domain `lo`, priority 20) calls `svc-b`, which `c1` also
+/// calls through `aux`, so `svc-b` starts shared and both domains share a
+/// shard; `other` runs alone in `solo`, so the partition has two shards.
+fn ceiling_arch() -> ValidatedArchitecture {
+    let mut bv = BusinessView::new("ceilings");
+    for c in ["c1", "c2", "c3", "other"] {
+        bv.active_periodic(c, "5ms").unwrap();
+        bv.content(c, "A").unwrap();
+    }
+    for s in ["svc-a", "svc-b"] {
+        bv.passive(s).unwrap();
+        bv.content(s, "B").unwrap();
+        bv.provide(s, "svc", "ISvc").unwrap();
+    }
+    for (client, port, server) in [
+        ("c1", "svc", "svc-a"),
+        ("c1", "aux", "svc-b"),
+        ("c2", "svc", "svc-b"),
+        ("c3", "svc", "svc-a"),
+    ] {
+        bv.require(client, port, "ISvc").unwrap();
+        bv.bind_sync(client, port, server, "svc").unwrap();
+    }
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("hi", ThreadKind::Realtime, 30, &["c1", "c3"])
+        .unwrap();
+    flow.thread_domain("lo", ThreadKind::Realtime, 20, &["c2"])
+        .unwrap();
+    flow.thread_domain("solo", ThreadKind::Realtime, 22, &["other"])
+        .unwrap();
+    flow.memory_area(
+        "imm",
+        MemoryKind::Immortal,
+        Some(64 * 1024),
+        &["hi", "lo", "solo", "svc-a", "svc-b"],
+    )
+    .unwrap();
+    flow.merge().unwrap().into_validated().unwrap()
+}
+
+/// A priority ceiling follows the callers a commit seats: after a
+/// committed rebind adds a second domain's caller to `svc-a`, and after a
+/// committed domain move does, every component's ceiling is what a fresh
+/// deploy of the committed architecture assigns, in SOLEIL and MERGE-ALL,
+/// on one shard and sharded.
+#[test]
+fn committed_ceilings_match_a_fresh_deploy() {
+    let names = ["c1", "c2", "c3", "other", "svc-a", "svc-b"];
+    for (mode, sharded) in PROBE_SHAPES {
+        let build = |arch: &ValidatedArchitecture| {
+            let registry = plan_registry(false);
+            if sharded {
+                deploy_parallel(arch, mode, &registry)
+            } else {
+                deploy(arch, mode, &registry)
+            }
+            .unwrap()
+        };
+        let ceilings = |dep: &Deployment<Ping>| names.map(|c| dep.ceiling_of(c).unwrap());
+        let fresh = |dep: &Deployment<Ping>| {
+            ceilings(&build(
+                &dep.architecture().clone().into_validated().unwrap(),
+            ))
+        };
+        let shape = format!("{mode} sharded={sharded}");
+        let hi = Some(Priority::new(30));
+
+        let mut dep = build(&ceiling_arch());
+        assert_eq!(dep.ceiling_of("svc-a").unwrap(), None, "{shape}");
+        assert_eq!(dep.ceiling_of("svc-b").unwrap(), hi, "{shape}");
+        dep.reconfigure(|txn| txn.rebind("c2", "svc", "svc-a"))
+            .unwrap();
+        assert_eq!(dep.ceiling_of("svc-a").unwrap(), hi, "{shape}: rebind");
+        assert_eq!(dep.ceiling_of("svc-b").unwrap(), None, "{shape}: rebind");
+        assert_eq!(ceilings(&dep), fresh(&dep), "{shape}: rebind");
+
+        let mut dep = build(&ceiling_arch());
+        dep.reconfigure(|txn| txn.reassign_domain("c3", "lo"))
+            .unwrap();
+        assert_eq!(dep.ceiling_of("svc-a").unwrap(), hi, "{shape}: move");
+        assert_eq!(ceilings(&dep), fresh(&dep), "{shape}: move");
+    }
+}
+
+/// `p` feeds `q` through a buffer that build places on the heap: both sit
+/// in the regular domain `reg` in a heap area. Moving `p` onto the NHRT
+/// domain `nhrt` in immortal memory would leave an NHRT producer pushing
+/// onto a heap buffer, where a fresh deploy would place the buffer in
+/// immortal memory, and a live buffer does not move: the move is refused
+/// with a typed error and changes nothing, and the pipeline keeps running.
+#[test]
+fn a_domain_move_that_would_strand_a_heap_buffer_is_refused() {
+    let mut bv = BusinessView::new("heap-buffer");
+    bv.active_periodic("p", "5ms").unwrap();
+    bv.active_sporadic("q").unwrap();
+    bv.content("p", "Sender").unwrap();
+    bv.content("q", "B").unwrap();
+    bv.require("p", "out", "I").unwrap();
+    bv.provide("q", "in", "I").unwrap();
+    bv.bind_async("p", "out", "q", "in", 4).unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("reg", ThreadKind::Regular, 5, &["p", "q"])
+        .unwrap();
+    flow.thread_domain("nhrt", ThreadKind::NoHeapRealtime, 30, &[])
+        .unwrap();
+    flow.memory_area("heap", MemoryKind::Heap, None, &["reg"])
+        .unwrap();
+    flow.memory_area("imm", MemoryKind::Immortal, Some(64 * 1024), &["nhrt"])
+        .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        let delivered = Arc::new(AtomicU32::new(0));
+        let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+        registry.register("Sender", || Box::new(Sender));
+        let counter = delivered.clone();
+        registry.register("B", move || Box::new(Counter(counter.clone())));
+        let mut dep = deploy(&arch, mode, &registry).unwrap();
+        let state = |dep: &Deployment<Ping>| {
+            (
+                dep.structural_digests(),
+                dep.reified_spec().cloned(),
+                soleil::core::adl::to_json(dep.architecture()),
+            )
+        };
+        let before = state(&dep);
+        let err = dep
+            .reconfigure(|txn| txn.reassign_domain("p", "nhrt"))
+            .unwrap_err();
+        assert!(
+            matches!(err, FrameworkError::Unsupported(_)),
+            "{mode}: {err}"
+        );
+        assert!(state(&dep) == before, "{mode}: the refusal changed nothing");
+        let p = dep.resolve("p").unwrap();
+        dep.run_transaction(p).unwrap();
+        assert_eq!(delivered.load(Ordering::Relaxed), 1, "{mode}");
     }
 }

@@ -231,16 +231,14 @@ fn ceiling_metadata_reaches_the_spec() {
     // The motivation example's Console is called from a single domain: no
     // ceiling. A variant with a second NHRT domain calling it gets one.
     let spec = compile(&motivation_validated().unwrap()).unwrap();
-    let console = &spec.components[spec.component_index("Console").unwrap()];
-    assert_eq!(console.ceiling, None);
+    assert_eq!(spec.ceiling(spec.component_index("Console").unwrap()), None);
 
     let arch = shared_console_arch();
     let report = arch.report();
     assert!(report.by_code("SOL-014").next().is_some(), "{report}");
     let spec = compile(&arch).unwrap();
-    let console = &spec.components[spec.component_index("console").unwrap()];
     assert_eq!(
-        console.ceiling,
+        spec.ceiling(spec.component_index("console").unwrap()),
         Some(31),
         "max of the two client priorities"
     );
