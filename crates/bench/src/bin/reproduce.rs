@@ -14,7 +14,8 @@
 //! contract records a miss, or when MERGE-ALL's median falls behind
 //! SOLEIL's by more than noise; never part of `all`), `chaos-gate`
 //! (fault-containment gate: deterministic seeded fault storms against all
-//! three modes must end with `pushed == delivered + counted-dropped` and
+//! three modes, on one shard and on three, must end with
+//! `pushed == delivered + counted-dropped` and
 //! every quarantine/drop verdict explained by SOL-020…022; exits non-zero
 //! otherwise, never part of `all`), `reconfig-gate` (live-reconfiguration
 //! gate: N committed transactions — cross-ring rebinds, domain
@@ -213,14 +214,15 @@ fn main() -> Result<(), SoleilError> {
     }
 
     // The fault-containment gate: deterministic seeded storms against
-    // every generation mode must end with a balanced ledger (pushed ==
-    // delivered + counted-dropped) and every verdict explained. Like
+    // every generation mode, one-shard and sharded, must end with a
+    // balanced ledger (pushed == delivered + counted-dropped) and every
+    // verdict explained. Like
     // `steady-gate`, it fails the process and is never part of `all`.
     if what == "chaos-gate" {
         const SEEDS: [u64; 3] = [7, 0xDEAD_BEEF, 0x5EED_CAFE];
         const STORM_TICKS: u64 = 200;
         eprintln!(
-            "running chaos gate ({} seeds x 3 modes x {STORM_TICKS} ticks)...",
+            "running chaos gate ({} seeds x 3 modes x 2 shapes x {STORM_TICKS} ticks)...",
             SEEDS.len()
         );
         // Injected panics are caught at the activation boundary; keep the

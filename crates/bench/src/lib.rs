@@ -655,11 +655,12 @@ pub fn steady_state_json(rows: &[SteadyStateRow], observations: usize) -> String
 // Chaos gate (fault containment under a seeded storm)
 // ---------------------------------------------------------------------------
 
-/// One seeded fault storm against one generation mode: the conservation
-/// ledger and the health verdicts it must explain.
+/// One seeded fault storm against one generation mode and deployment
+/// shape: the conservation ledger and the health verdicts it must explain.
 #[derive(Debug, Clone)]
 pub struct ChaosGateRow {
-    /// Generation mode the storm ran against.
+    /// Generation mode the storm ran against, suffixed ` sharded` for a
+    /// `deploy_parallel` deployment.
     pub mode: String,
     /// The storm's seed (drives both injectors).
     pub seed: u64,
@@ -679,23 +680,39 @@ pub struct ChaosGateRow {
     pub verdicts: Vec<String>,
 }
 
-/// Runs the chaos gate: for every seed and every generation mode, the
-/// motivation scenario weathers a deterministic fault storm — an
-/// error+panic injector on `MonitoringSystem` under a supervised-restart
-/// policy and one on `AuditLog` under isolation — then the injectors are
-/// disarmed and the system settles. Containment means no tick may error;
-/// the returned rows carry the ledger for [`chaos_gate_failures`].
+/// Runs the chaos gate: for every seed, every generation mode and both
+/// deployment shapes — one shard (`deploy`) and the thread-domain
+/// partition (`deploy_parallel`, three shards) — the motivation scenario
+/// weathers a deterministic fault storm — an error+panic injector on
+/// `MonitoringSystem` under a supervised-restart policy and one on
+/// `AuditLog` under isolation — then the injectors are disarmed and the
+/// system settles. Both shapes are driven by the same `run_tick` calls.
+/// Containment means no tick may error; the returned rows carry the
+/// ledger for [`chaos_gate_failures`].
 ///
 /// # Errors
 ///
 /// Deployment errors, or a fault escaping containment mid-storm.
 pub fn run_chaos_gate(seeds: &[u64], ticks: u64) -> HarnessResult<Vec<ChaosGateRow>> {
     let arch = motivation_validated()?;
-    let mut rows = Vec::with_capacity(seeds.len() * 3);
+    let mut rows = Vec::with_capacity(seeds.len() * 6);
     for &seed in seeds {
-        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        for (mode, sharded) in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge]
+            .into_iter()
+            .flat_map(|mode| [(mode, false), (mode, true)])
+        {
             let probe = ScenarioProbe::new();
-            let mut dep = deploy(&arch, mode, &registry_with_probe(&probe))?;
+            let registry = registry_with_probe(&probe);
+            let mut dep = if sharded {
+                deploy_parallel(&arch, mode, &registry)?
+            } else {
+                deploy(&arch, mode, &registry)?
+            };
+            let mode = if sharded {
+                format!("{mode} sharded")
+            } else {
+                mode.to_string()
+            };
             let monitor = dep.resolve("MonitoringSystem")?;
             let audit = dep.resolve("AuditLog")?;
             dep.set_fault_policy(
@@ -754,7 +771,7 @@ pub fn run_chaos_gate(seeds: &[u64], ticks: u64) -> HarnessResult<Vec<ChaosGateR
             let (m_faults, m_restarts, _) = dep.supervision_counts(monitor)?;
             let (a_faults, _, _) = dep.supervision_counts(audit)?;
             rows.push(ChaosGateRow {
-                mode: mode.to_string(),
+                mode,
                 seed,
                 pushed: stats.async_messages,
                 delivered: stats.delivered_messages,
@@ -810,13 +827,13 @@ pub fn chaos_gate_table(rows: &[ChaosGateRow]) -> String {
     out.push_str("chaos gate: seeded fault storms (pushed == delivered + counted-dropped)\n");
     let _ = writeln!(
         out,
-        "{:<12} {:>10} {:>8} {:>10} {:>8} {:>7} {:>8}  verdicts",
+        "{:<19} {:>10} {:>8} {:>10} {:>8} {:>7} {:>8}  verdicts",
         "mode", "seed", "pushed", "delivered", "dropped", "faults", "restarts"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<12} {:>10} {:>8} {:>10} {:>8} {:>7} {:>8}  {}",
+            "{:<19} {:>10} {:>8} {:>10} {:>8} {:>7} {:>8}  {}",
             r.mode,
             r.seed,
             r.pushed,
@@ -1735,7 +1752,12 @@ mod tests {
     #[test]
     fn chaos_gate_conserves_and_explains() {
         let rows = run_chaos_gate(&[7, 0xDEAD_BEEF], 60).unwrap();
-        assert_eq!(rows.len(), 6, "two seeds x three modes");
+        assert_eq!(rows.len(), 12, "two seeds x three modes x two shapes");
+        assert_eq!(
+            rows.iter().filter(|r| r.mode.ends_with(" sharded")).count(),
+            6,
+            "every seed and mode runs sharded too"
+        );
         let failures = chaos_gate_failures(&rows);
         assert!(failures.is_empty(), "chaos gate failed: {failures:?}");
         assert!(

@@ -285,6 +285,68 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
     );
 }
 
+/// A sharded deployment driven on the caller's thread obeys the same
+/// discipline: `run_tick` ticks every shard of the motivation scenario in
+/// shard order and drains the cross-shard rings to quiescence with zero
+/// Rust-heap and zero substrate allocations per steady-state tick, in
+/// every mode.
+#[test]
+fn sharded_run_tick_steady_state_is_allocation_free() {
+    let arch = motivation_validated().expect("fixture validates");
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        let probe = ScenarioProbe::new();
+        let mut dep = deploy_parallel(&arch, mode, &registry_with_probe(&probe)).expect("deploys");
+        assert_eq!(
+            dep.shard_count(),
+            3,
+            "{mode}: the motivation scenario shards"
+        );
+        dep.attach_contract("ProductionLine", jitter_bounded_contract())
+            .expect("contract attaches");
+        dep.schedule_release("ProductionLine", AbsoluteTime::MAX)
+            .expect("release arms");
+
+        for _ in 0..WARMUP {
+            dep.run_tick().expect("warmup tick");
+        }
+        let substrate = |dep: &Deployment<_>| {
+            (0..dep.shard_count())
+                .map(|s| dep.shard_system(s).memory().alloc_count())
+                .sum::<u64>()
+        };
+        let substrate_before = substrate(&dep);
+        let heap_before = alloc_probe::allocations();
+        let compares_before = dep.string_compares();
+        for _ in 0..OBSERVATIONS {
+            dep.run_tick().expect("steady tick");
+        }
+        let heap_allocs = alloc_probe::allocations() - heap_before;
+
+        assert_eq!(
+            heap_allocs, 0,
+            "{mode}: {OBSERVATIONS} sharded run_tick calls performed {heap_allocs} \
+             Rust-heap allocations on the caller's thread"
+        );
+        assert_eq!(
+            substrate(&dep),
+            substrate_before,
+            "{mode}: substrate allocations must stay pinned on every shard"
+        );
+        assert_eq!(
+            dep.string_compares() - compares_before,
+            0,
+            "{mode}: steady-state dispatch must not compare port names"
+        );
+        assert_eq!(
+            probe.audits(),
+            WARMUP as u64 + OBSERVATIONS,
+            "{mode}: every tick's measurement reached the audit log"
+        );
+        assert_eq!(dep.stats().dropped_messages, 0, "{mode}");
+        assert_eq!(dep.deadline_misses(), 0, "{mode}");
+    }
+}
+
 /// The scaling ablation's relay pipeline
 /// ([`soleil_bench::build_relay_pipeline`]) at every depth the bench
 /// measures: no heap allocation and no string compare per steady-state

@@ -68,9 +68,10 @@ pub fn deploy<P: Payload>(
 }
 
 /// Deploys the architecture **sharded by thread domain**: the same
-/// [`Deployment`] handle as [`deploy`], over one engine per independent
-/// domain group, each ticking on its own OS thread, with cross-shard
-/// bindings riding wait-free SPSC rings ([`soleil_runtime::parallel`]).
+/// [`Deployment`] handle as [`deploy`], taking the same calls, over one
+/// engine per independent domain group, with cross-shard bindings riding
+/// wait-free SPSC rings ([`soleil_runtime::parallel`]); `run_ticks` ticks
+/// each engine on its own OS thread.
 ///
 /// The partition is derived from the same structure the validator checks:
 /// synchronous bindings and shared scoped areas serialize the domains they

@@ -6,11 +6,12 @@
 //! *shard*, and keeps the plan ([`SystemSpec`]) and — when deployed through
 //! the generator — the validated architecture they implement. The shard
 //! count is chosen once, at build: [`Deployment::build`] (the generator's
-//! `deploy`) places every component on one shard, driven inline on the
-//! caller's thread; [`Deployment::build_parallel`] (`deploy_parallel`)
-//! partitions the components by thread domain ([`crate::parallel`]) into
-//! shards that tick on their own OS threads, with cross-shard bindings on
-//! wait-free SPSC rings. Everything else is one handle:
+//! `deploy`) places every component on one shard;
+//! [`Deployment::build_parallel`] (`deploy_parallel`) partitions them by
+//! thread domain ([`crate::parallel`]), with cross-shard bindings on
+//! wait-free SPSC rings. Every call runs on the caller's thread, draining
+//! the rings afterwards, but [`run_ticks`](Deployment::run_ticks), which
+//! ticks each shard on its own OS thread. Everything else is one handle:
 //!
 //! * **Resolve-once tokens** — [`resolve`](Deployment::resolve) turns a
 //!   name into a [`ComponentRef`] carrying the component's shard and engine
@@ -330,15 +331,13 @@ impl<P: Payload> Deployment<P> {
         f(&mut self.shards[c.shard()].system, c.slot())
     }
 
-    /// The one engine of a one-shard deployment; a sharded deployment's
-    /// engines tick on their own threads ([`run_ticks`](Self::run_ticks)).
-    fn serial(&mut self, what: &str) -> Result<&mut System<P>, FrameworkError> {
-        match self.shards.as_mut_slice() {
-            [only] => Ok(&mut only.system),
-            _ => Err(FrameworkError::Unsupported(format!(
-                "{what} drives one engine on the caller's thread; a sharded deployment \
-                 runs through run_ticks"
-            ))),
+    /// Drains a sharded deployment's rings to quiescence on the caller's
+    /// thread; a one-shard deployment has none and pays one compare.
+    fn quiesce(&mut self) -> Result<(), FrameworkError> {
+        if self.shards.len() > 1 {
+            parallel::quiesce(&mut self.shards, &self.rings)
+        } else {
+            Ok(())
         }
     }
 
@@ -348,38 +347,49 @@ impl<P: Payload> Deployment<P> {
 
     /// Drives one complete transaction from the periodic component `head`
     /// (release + synchronous nesting + asynchronous cascade to
-    /// quiescence). No name resolution, no allocation in steady state.
+    /// quiescence, on every shard it reaches) on the caller's thread. No
+    /// name resolution, no allocation in steady state.
     ///
     /// # Errors
     ///
-    /// Any framework or substrate error raised along the way;
-    /// [`FrameworkError::Unsupported`] on a sharded deployment.
+    /// Any framework or substrate error raised along the way, as the
+    /// engine raised it.
     pub fn run_transaction(&mut self, head: ComponentRef) -> Result<(), FrameworkError> {
         let head = head.locate(self)?;
-        self.serial("run_transaction")?.run_transaction(head.slot())
+        self.shards[head.shard()]
+            .system
+            .run_transaction(head.slot())?;
+        self.quiesce()
     }
 
-    /// Releases every periodic component once, in priority order.
+    /// Releases every periodic component once, in priority order, on the
+    /// caller's thread: each shard ticks in shard order, then cross-shard
+    /// traffic drains until no message is in flight.
     ///
     /// # Errors
     ///
-    /// The first transaction error aborts the tick;
-    /// [`FrameworkError::Unsupported`] on a sharded deployment.
+    /// The first transaction error aborts the tick, as the engine raised
+    /// it; later shards do not tick.
     pub fn run_tick(&mut self) -> Result<(), FrameworkError> {
-        self.serial("run_tick")?.run_tick()
+        for s in &mut self.shards {
+            s.system.run_tick()?;
+        }
+        self.quiesce()
     }
 
     /// Injects an external stimulus on a pre-resolved server port, then
-    /// drains the cascade.
+    /// drains the cascade on every shard it reaches, on the caller's thread.
     ///
     /// # Errors
     ///
-    /// Any framework or substrate error raised along the way;
-    /// [`FrameworkError::Unsupported`] on a sharded deployment.
+    /// Any framework or substrate error raised along the way, as the
+    /// engine raised it.
     pub fn inject(&mut self, port: PortRef, msg: P) -> Result<(), FrameworkError> {
         let c = port.component.locate(self)?;
-        self.serial("inject")?
-            .inject_at(c.slot(), port.port_ix, msg)
+        self.shards[c.shard()]
+            .system
+            .inject_at(c.slot(), port.port_ix, msg)?;
+        self.quiesce()
     }
 
     /// Releases every periodic head of every shard `ticks` times, each
@@ -390,21 +400,23 @@ impl<P: Payload> Deployment<P> {
     ///
     /// # Errors
     ///
-    /// The first engine error from any shard aborts the run everywhere.
+    /// The first engine error or panic on any shard thread aborts the run
+    /// everywhere, with an error naming that shard.
     pub fn run_ticks(&mut self, ticks: u64) -> Result<Vec<ShardRun>, FrameworkError> {
         self.run_ticks_instrumented(0, ticks, &|| 0)
     }
 
-    /// The instrumented tick loop: `warmup` unmeasured ticks per shard
-    /// (provisioning lazily-grown structures), a quiescence point, then
-    /// `ticks` measured ticks with per-tick timing. `probe` is sampled on
-    /// each shard's own thread around the measured phase — pass a
+    /// The instrumented tick loop, the one concurrent driver: `warmup`
+    /// unmeasured [`run_tick`](Self::run_tick)s on the caller's thread
+    /// (provisioning lazily-grown structures), then `ticks` measured ticks,
+    /// each shard on its own OS thread, with per-tick timing. `probe` is
+    /// sampled on each shard's thread around the measured phase — pass a
     /// per-thread allocation counter to gate the steady state at 0
     /// allocations, as `soleil-bench` does.
     ///
     /// # Errors
     ///
-    /// The first engine error from any shard aborts the run everywhere.
+    /// A warm-up tick's error, then as [`run_ticks`](Self::run_ticks).
     pub fn run_ticks_instrumented<F>(
         &mut self,
         warmup: u64,
@@ -414,7 +426,10 @@ impl<P: Payload> Deployment<P> {
     where
         F: Fn() -> u64 + Sync,
     {
-        parallel::run_shards(&mut self.shards, &self.rings, warmup, ticks, probe)
+        for _ in 0..warmup {
+            self.run_tick()?;
+        }
+        parallel::run_shards(&mut self.shards, &self.rings, ticks, probe)
     }
 
     // -----------------------------------------------------------------
@@ -623,20 +638,25 @@ impl<P: Payload> Deployment<P> {
                 .is_some_and(|s| s.system.cancel_release(handle))
     }
 
-    /// Advances the engine clock to `now` and fires every due scheduled
-    /// release as a full transaction. Returns the number fired.
+    /// Advances every shard's clock to `now`, in shard order, and fires
+    /// every due scheduled release as a full transaction, on the caller's
+    /// thread. Returns the number fired.
     ///
     /// # Errors
     ///
-    /// The first failing fired transaction aborts the advance;
-    /// [`FrameworkError::Unsupported`] on a sharded deployment, whose
-    /// shards fire their own timers inside their tick loops.
+    /// The first failing fired transaction aborts the advance, as the
+    /// engine raised it; later shards do not advance.
     pub fn fire_timers_until(&mut self, now: AbsoluteTime) -> Result<u64, FrameworkError> {
-        self.serial("fire_timers_until")?.advance_clock_to(now)
+        let mut fired = 0;
+        for s in &mut self.shards {
+            fired += s.system.advance_clock_to(now)?;
+        }
+        self.quiesce().map(|()| fired)
     }
 
-    /// Shard 0's virtual release clock (the clock of a one-shard
-    /// deployment).
+    /// The virtual release clock, read on shard 0: every shard advances
+    /// the whole plan's quantum per tick, so all agree, unless a
+    /// virtual-clock fault injector's latency spike moved one of them.
     pub fn timer_clock(&self) -> AbsoluteTime {
         self.shards[0].system.clock()
     }
@@ -1047,15 +1067,16 @@ impl<P: Payload> Deployment<P> {
     /// has run its `on_stop` once, and does not run `on_start` again.
     ///
     /// A sharded deployment is first driven to a quiescence epoch — every
-    /// ring drained, zero messages in flight — the parallel analogue of the
-    /// run-to-completion guarantee a one-shard deployment gets for free.
+    /// ring drained, zero messages in flight — on the caller's thread: the
+    /// parallel analogue of the run-to-completion guarantee a one-shard
+    /// deployment gets for free.
     ///
     /// # Errors
     ///
     /// * [`FrameworkError::Unsupported`] under ULTRA-MERGE (purely
     ///   static).
-    /// * The quiescence drain's error if a shard faults on a buffered
-    ///   message.
+    /// * The engine's own error if a drained message's activation
+    ///   escalates, before anything is applied.
     /// * The closure's error, after rollback.
     /// * [`FrameworkError::Rejected`] with the full validation report when
     ///   the resulting architecture violates RTSJ, after rollback.
@@ -1070,9 +1091,7 @@ impl<P: Payload> Deployment<P> {
                 "ULTRA-MERGE systems are purely static".into(),
             ));
         }
-        if self.shards.len() > 1 {
-            parallel::quiesce(&mut self.shards, &self.rings)?;
-        }
+        self.quiesce()?;
         let mut txn = Reconfiguration {
             dep: self,
             journal: Vec::new(),

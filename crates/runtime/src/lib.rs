@@ -63,16 +63,15 @@
 //! Running systems are driven through one handle, [`Deployment`], over
 //! one or more *shards* — one `System` (and one slab-backed memory
 //! manager) each. [`Deployment::build`] (the generator's `deploy`) puts
-//! every component on one shard, driven on the caller's thread;
-//! [`Deployment::build_parallel`] (`deploy_parallel`) shards the
-//! components by thread domain ([`parallel`]), each shard ticking on its
-//! own OS thread, with cross-shard bindings on wait-free SPSC rings.
-//! Payloads and content are `Send` to make that legal; the partition rules
-//! live in the [`parallel`] module docs. Either way, components are
-//! addressed by resolve-once [`ComponentRef`] tokens or by name, and
-//! reconfigured through one transactional journal of pre-images
-//! ([`Deployment::reconfigure`]) that rollback writes back without
-//! re-running an operation or a hook.
+//! every component on one shard; [`Deployment::build_parallel`]
+//! (`deploy_parallel`) shards them by thread domain ([`parallel`]), with
+//! cross-shard bindings on wait-free SPSC rings. Calls run on the caller's
+//! thread, but [`Deployment::run_ticks`] ticks each shard on its own OS
+//! thread: payloads and content are `Send` to make that legal. Either
+//! way, components are addressed by resolve-once [`ComponentRef`] tokens
+//! or by name, and reconfigured through one transactional journal of
+//! pre-images ([`Deployment::reconfigure`]) that rollback writes back
+//! without re-running an operation or a hook.
 //!
 //! The engine is also a **release engine**: [`timer`] provides a
 //! preallocated binary-heap timer queue over [`rtsj::time::AbsoluteTime`]

@@ -1,5 +1,5 @@
 //! Parallel domain sharding: the partition a sharded [`Deployment`] runs
-//! on, its cross-domain rings, quiescence and the per-shard worker loop.
+//! on, its cross-domain rings, the drain pass and its two drivers.
 //!
 //! The paper deploys one `RealtimeThread` per merged active composite —
 //! thread domains are its natural units of parallelism. This module turns
@@ -25,21 +25,31 @@
 //!    engine-local exchange buffers — the carrier is chosen here, at build
 //!    time, exactly like RTSJ's `WaitFreeWriteQueue` sits between a
 //!    no-heap producer and a heap consumer.
-//! 3. **Execution.** [`Deployment::run_ticks`] spawns one OS thread per
-//!    shard ([`std::thread::scope`]); each thread releases its own periodic
-//!    heads ([`System::run_tick`]) and drains its incoming rings (highest
-//!    consumer priority first) in **batches**: each drain pass snapshots a
-//!    ring's published head once and pops the whole visible run against
-//!    the cached value, amortizing the `Acquire` load over the batch
-//!    instead of paying it per message; every popped message injects as a
-//!    run-to-completion activation. A tick round ends with a quiescence
-//!    protocol: a shared in-flight counter is incremented *before* every
-//!    cross push and decremented **batch-wise** after the batch's
-//!    activations complete (later-than-necessary decrements are
-//!    conservative), so `all ticks done ∧ in-flight == 0` still proves no
-//!    message exists anywhere — only then do the workers exit.
+//! 3. **Execution.** Two drivers share one drain pass. A pass drains a
+//!    shard's incoming rings (highest consumer priority first) in
+//!    **batches**: it snapshots a ring's published head once and pops the
+//!    whole visible run against the cached value, amortizing the `Acquire`
+//!    load over the batch instead of paying it per message; every popped
+//!    message injects as a run-to-completion activation. A shared
+//!    in-flight counter is incremented *before* every cross push and
+//!    decremented **batch-wise** after the batch's activations complete
+//!    (later-than-necessary decrements are conservative), so it never
+//!    under-reports: `in-flight == 0` proves every ring empty.
+//!    - **On the caller's thread**, every call but `run_ticks`:
+//!      [`Deployment::run_transaction`] and `inject` run on the target's
+//!      shard, `run_tick` and `fire_timers_until` on every shard in shard
+//!      order, and each then quiesces — passes over every shard, in shard
+//!      order, until nothing is in flight (one load when nothing was), as
+//!      `reconfigure` does first. The order is fixed, so it replays
+//!      bit-identically.
+//!    - **One OS thread per shard**, [`Deployment::run_ticks`]
+//!      ([`std::thread::scope`]): each thread ticks its own engine and
+//!      runs one pass per tick, then passes until every shard has done its
+//!      ticks and nothing is in flight. An error or a panic on any shard
+//!      thread aborts the run everywhere, with an error naming that shard.
+//!
 //!    Steady-state ticks allocate nothing on any thread: rings, slabs and
-//!    scope stacks are provisioned at build/warmup time.
+//!    scope stacks are provisioned at build/warm-up time.
 //!
 //! A one-shard deployment ([`Deployment::build`], the generator's `deploy`)
 //! skips the planner and the rings: its one shard is exactly the engine
@@ -49,8 +59,10 @@
 //! [`Deployment::build`]: crate::Deployment::build
 //! [`Deployment::build_parallel`]: crate::Deployment::build_parallel
 //! [`Deployment::run_ticks`]: crate::Deployment::run_ticks
+//! [`Deployment::run_transaction`]: crate::Deployment::run_transaction
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
@@ -69,7 +81,9 @@ use soleil_patterns::spsc::{spsc_ring, SpscConsumer};
 use crate::spec::{
     AreaSpec, BindingSpec, ComponentSpec, DomainSpec, Mode, ProtocolSpec, SystemSpec,
 };
-use crate::system::{immortal_budget, AsyncRepointUndo, CrossOutput, EngineStats, System};
+use crate::system::{
+    immortal_budget, panic_text, AsyncRepointUndo, CrossOutput, EngineStats, System,
+};
 
 // ---------------------------------------------------------------------------
 // Planning
@@ -425,6 +439,9 @@ pub(crate) fn build_shards<P: Payload>(
     }
 
     // --- Materialize each shard. -----------------------------------
+    // Every shard ticks the whole plan's quantum, so the shards of one
+    // deployment keep one virtual clock.
+    let tick_quantum = spec.tick_quantum();
     let mut shards: Vec<Shard<P>> = Vec::with_capacity(shard_count);
     for shard in 0..shard_count {
         let sub = SystemSpec {
@@ -440,6 +457,7 @@ pub(crate) fn build_shards<P: Payload>(
             registry,
             std::mem::take(&mut cross_outputs[shard]),
             Arc::clone(&rings.in_flight),
+            tick_quantum,
         )?;
         let mut incoming = Vec::with_capacity(cross_inputs[shard].len());
         for (slot, port, rx, tag) in std::mem::take(&mut cross_inputs[shard]) {
@@ -603,20 +621,21 @@ pub struct ShardRun {
     /// steady state).
     pub substrate_allocs: u64,
     /// Drain passes executed over the shard's incoming rings across the
-    /// whole run (each pass snapshots every ring's published head once).
+    /// measured ticks and their quiescence (each pass snapshots every
+    /// ring's published head once).
     pub drain_passes: u64,
     /// Largest run of messages popped from one ring within a single drain
     /// pass — `> 1` proves the batched drain actually amortized an
     /// `Acquire` load over several messages.
     pub max_drain_batch: u64,
-    /// Messages drained from incoming rings across the whole run.
+    /// Messages drained from incoming rings across the measured ticks and
+    /// their quiescence.
     pub drained_messages: u64,
     /// Engine counters after the run (shard totals since build).
     pub stats: EngineStats,
 }
 
-/// Per-run drain accounting, threaded through every drain pass of one
-/// shard worker (warmup, measured and quiescence phases alike).
+/// Drain accounting, threaded through every drain pass of one run.
 #[derive(Debug, Clone, Copy, Default)]
 struct DrainStats {
     passes: u64,
@@ -624,172 +643,100 @@ struct DrainStats {
     messages: u64,
 }
 
-/// Releases every periodic head of every shard `ticks` times after
-/// `warmup` unmeasured ticks, each shard on its own OS thread, then runs
-/// cross-shard traffic to quiescence (see `Deployment::run_ticks_instrumented`).
+/// Releases every periodic head of every shard `ticks` times, each shard
+/// on its own OS thread, then runs cross-shard traffic to quiescence (see
+/// `Deployment::run_ticks_instrumented`).
 ///
 /// # Errors
 ///
-/// The first engine error from any shard aborts the run everywhere; the
-/// error names that shard and its root cause.
+/// The first engine error or panic on any shard thread aborts the run
+/// everywhere; the error names that shard and its root cause.
 pub(crate) fn run_shards<P: Payload, F>(
     shards: &mut [Shard<P>],
     rings: &Rings,
-    warmup: u64,
     ticks: u64,
     probe: &F,
 ) -> Result<Vec<ShardRun>, FrameworkError>
 where
     F: Fn() -> u64 + Sync,
 {
-    let ctl = &Ctl::new(shards.len(), rings);
-    let results: Vec<Result<ShardRun, FrameworkError>> = std::thread::scope(|scope| {
+    let ctl = &Ctl {
+        n: shards.len(),
+        in_flight: Arc::clone(&rings.in_flight),
+        ..Ctl::default()
+    };
+    let runs: Vec<Option<ShardRun>> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter_mut()
             .enumerate()
             .map(|(shard_ix, shard)| {
                 scope.spawn(move || {
-                    let out = shard_worker(shard, ctl, warmup, ticks, probe);
-                    if let Err(e) = &out {
-                        ctl.record_fault(shard_ix, &shard.label, e);
-                    }
-                    out
+                    // A panic outside the content boundary (a lifecycle
+                    // hook, say) aborts the siblings like an error does;
+                    // they would otherwise drain forever, waiting for this
+                    // shard's ticks.
+                    let cause = match catch_unwind(AssertUnwindSafe(|| {
+                        shard_worker(shard, ctl, ticks, probe)
+                    })) {
+                        Ok(Ok(run)) => return Some(run),
+                        Ok(Err(e)) => e.to_string(),
+                        Err(payload) => format!("panicked: {}", panic_text(payload.as_ref())),
+                    };
+                    ctl.record_fault(shard_ix, &shard.label, cause);
+                    None
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
+            .map(|h| h.join().ok().flatten())
             .collect()
     });
-    // On abort every shard returns an error, but only one of them is
-    // the root cause — surface that one (with its shard named), never
-    // whichever sibling happened to come first in shard order.
-    if results.iter().any(|r| r.is_err()) {
-        return Err(ctl.aborted());
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("checked above"))
-        .collect())
+    // On abort every shard fails, but only one of them is the root cause
+    // — surface that one (with its shard named), never whichever sibling
+    // happened to come first in shard order.
+    runs.into_iter()
+        .collect::<Option<_>>()
+        .ok_or_else(|| ctl.aborted())
 }
 
-/// Drives every shard to a quiescence epoch: no message in flight, no
-/// message in any cross-domain ring. Between runs the partition is
-/// normally already quiescent (run-to-completion drains before workers
-/// exit), so the fast path is two loads; otherwise the shards' own drain
-/// loops run — on each shard's data, priority order preserved — until the
-/// in-flight counter proves global silence.
+/// Drives every shard to a quiescence epoch — no message in flight, every
+/// cross-domain ring empty — on the caller's thread: drain passes over
+/// every shard, in shard order, until the in-flight counter reads 0 (one
+/// load when it already does) or a full pass moves nothing.
 ///
 /// # Errors
 ///
-/// A shard's fault while draining a buffered message.
+/// The engine's own error when an activation escalates; the messages not
+/// yet drained stay in their rings for the next call.
 pub(crate) fn quiesce<P: Payload>(
     shards: &mut [Shard<P>],
     rings: &Rings,
 ) -> Result<(), FrameworkError> {
-    if rings.in_flight.load(Ordering::SeqCst) == 0
-        && shards
-            .iter()
-            .all(|s| s.incoming.iter().all(|c| c.rx.is_empty()))
-    {
-        return Ok(());
-    }
-    let ctl = &Ctl::new(shards.len(), rings);
-    let failed = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter_mut()
-            .enumerate()
-            .map(|(shard_ix, shard)| {
-                scope.spawn(move || {
-                    let mut ds = DrainStats::default();
-                    ctl.warmup_done.fetch_add(1, Ordering::SeqCst);
-                    let out = drain_until_quiescent(shard, ctl, &ctl.warmup_done, &mut ds);
-                    if let Err(e) = &out {
-                        ctl.record_fault(shard_ix, &shard.label, e);
-                    }
-                    out.is_err()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .any(|h| h.join().expect("quiescence drainer panicked"))
-    });
-    if failed {
-        return Err(ctl.aborted());
+    let mut ds = DrainStats::default();
+    while rings.in_flight.load(Ordering::SeqCst) != 0 {
+        let mut moved = false;
+        for shard in shards.iter_mut() {
+            moved |= drain_pass(shard, &rings.in_flight, &mut ds)?;
+        }
+        if !moved {
+            break;
+        }
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// The per-shard worker
-// ---------------------------------------------------------------------------
-
-struct Ctl {
-    n: usize,
-    abort: AtomicBool,
-    warmup_done: AtomicUsize,
-    measure_gate: AtomicUsize,
-    ticks_done: AtomicUsize,
-    in_flight: Arc<AtomicU64>,
-    /// First root-cause fault of the run: `(shard index, shard label,
-    /// rendered engine error)`. Written once, by whichever worker faults
-    /// first; every sibling's abort error — and the run's final error —
-    /// names this instead of a generic "a sibling shard aborted".
-    fault: Mutex<Option<(usize, String, String)>>,
-}
-
-impl Ctl {
-    fn new(n: usize, rings: &Rings) -> Ctl {
-        Ctl {
-            n,
-            abort: AtomicBool::new(false),
-            warmup_done: AtomicUsize::new(0),
-            measure_gate: AtomicUsize::new(0),
-            ticks_done: AtomicUsize::new(0),
-            in_flight: Arc::clone(&rings.in_flight),
-            fault: Mutex::new(None),
-        }
-    }
-
-    /// Records the run's root cause (first writer wins) and raises the
-    /// abort flag that stops every sibling at its next check.
-    fn record_fault(&self, shard_ix: usize, label: &str, error: &FrameworkError) {
-        let mut slot = self.fault.lock().expect("fault slot poisoned");
-        if slot.is_none() {
-            *slot = Some((shard_ix, label.to_string(), error.to_string()));
-        }
-        drop(slot);
-        self.abort.store(true, Ordering::SeqCst);
-    }
-
-    /// The abort error siblings observe: names the originating shard and
-    /// its first root-cause error, not just "a sibling shard".
-    fn aborted(&self) -> FrameworkError {
-        let slot = self.fault.lock().expect("fault slot poisoned");
-        match &*slot {
-            Some((ix, label, cause)) => FrameworkError::RunToCompletion(format!(
-                "parallel run aborted by shard {ix} ('{label}'): {cause}"
-            )),
-            None => {
-                FrameworkError::RunToCompletion("parallel run aborted by a sibling shard".into())
-            }
-        }
-    }
 }
 
 /// One pass over the shard's incoming rings (consumer priority order):
 /// snapshots each ring's published head **once**, pops the visible run of
 /// messages against the cached value (amortizing the `Acquire` load over
-/// the whole batch) and runs every activation to completion. The in-flight
-/// quiescence counter is decremented batch-wise, after the batch's
-/// activations finish — never earlier than the per-message protocol, so it
-/// still never under-reports. Returns true when at least one message was
-/// processed.
+/// the whole batch) and runs every activation to completion. The
+/// `in_flight` quiescence counter is decremented batch-wise, after the
+/// batch's activations finish — never earlier than the per-message
+/// protocol, so it still never under-reports. Returns true when at least
+/// one message was processed.
 fn drain_pass<P: Payload>(
     shard: &mut Shard<P>,
-    ctl: &Ctl,
+    in_flight: &AtomicU64,
     ds: &mut DrainStats,
 ) -> Result<bool, FrameworkError> {
     let mut moved = false;
@@ -812,9 +759,9 @@ fn drain_pass<P: Payload>(
         }
         if popped > 0 {
             // Every popped message's activation (and any cross pushes it
-            // made) is complete — or the run is aborting on `result`:
+            // made) is complete — or the drain is stopping on `result`:
             // only now stop counting the batch as in flight.
-            ctl.in_flight.fetch_sub(popped, Ordering::SeqCst);
+            in_flight.fetch_sub(popped, Ordering::SeqCst);
             moved = true;
             ds.messages += popped;
             ds.max_batch = ds.max_batch.max(popped);
@@ -824,50 +771,55 @@ fn drain_pass<P: Payload>(
     Ok(moved)
 }
 
-/// Drains until global quiescence: every shard past `phase_done`, zero
-/// messages in flight, own rings empty. The in-flight counter is
-/// incremented before any push, so observing `done == n ∧ in_flight == 0`
-/// proves no message exists or can be created.
-fn drain_until_quiescent<P: Payload>(
-    shard: &mut Shard<P>,
-    ctl: &Ctl,
-    phase_done: &AtomicUsize,
-    ds: &mut DrainStats,
-) -> Result<(), FrameworkError> {
-    loop {
-        if ctl.abort.load(Ordering::SeqCst) {
-            return Err(ctl.aborted());
+// ---------------------------------------------------------------------------
+// The threaded driver's per-shard worker
+// ---------------------------------------------------------------------------
+
+#[derive(Default)]
+struct Ctl {
+    n: usize,
+    abort: AtomicBool,
+    ticks_done: AtomicUsize,
+    in_flight: Arc<AtomicU64>,
+    /// First root-cause fault of the run: `(shard index, shard label,
+    /// rendered cause)`. Written once, by whichever worker faults first;
+    /// every sibling's abort error — and the run's final error — names
+    /// this instead of a generic "a sibling shard aborted".
+    fault: Mutex<Option<(usize, String, String)>>,
+}
+
+impl Ctl {
+    /// Records the run's root cause (first writer wins) and raises the
+    /// abort flag that stops every sibling at its next check.
+    fn record_fault(&self, shard_ix: usize, label: &str, cause: String) {
+        let mut slot = self.fault.lock().expect("fault slot poisoned");
+        if slot.is_none() {
+            *slot = Some((shard_ix, label.to_string(), cause));
         }
-        let moved = drain_pass(shard, ctl, ds)?;
-        if !moved
-            && phase_done.load(Ordering::SeqCst) == ctl.n
-            && ctl.in_flight.load(Ordering::SeqCst) == 0
-            && shard.incoming.iter().all(|c| c.rx.is_empty())
-        {
-            return Ok(());
-        }
-        if !moved {
-            std::thread::yield_now();
+        drop(slot);
+        self.abort.store(true, Ordering::SeqCst);
+    }
+
+    /// The abort error siblings observe: names the originating shard and
+    /// its first root-cause error, not just "a sibling shard".
+    fn aborted(&self) -> FrameworkError {
+        let slot = self.fault.lock().expect("fault slot poisoned");
+        match &*slot {
+            Some((ix, label, cause)) => FrameworkError::RunToCompletion(format!(
+                "parallel run aborted by shard {ix} ('{label}'): {cause}"
+            )),
+            None => {
+                FrameworkError::RunToCompletion("parallel run aborted by a sibling shard".into())
+            }
         }
     }
 }
 
-/// An abort-aware rendezvous (all shards arrive before any proceeds).
-fn gate(counter: &AtomicUsize, ctl: &Ctl) -> Result<(), FrameworkError> {
-    counter.fetch_add(1, Ordering::SeqCst);
-    while counter.load(Ordering::SeqCst) < ctl.n {
-        if ctl.abort.load(Ordering::SeqCst) {
-            return Err(ctl.aborted());
-        }
-        std::thread::yield_now();
-    }
-    Ok(())
-}
-
+/// One shard's thread: `ticks` measured ticks, each a tick of the shard's
+/// engine and one drain pass, then drain passes until global quiescence.
 fn shard_worker<P: Payload, F>(
     shard: &mut Shard<P>,
     ctl: &Ctl,
-    warmup: u64,
     ticks: u64,
     probe: &F,
 ) -> Result<ShardRun, FrameworkError>
@@ -876,21 +828,8 @@ where
 {
     let thread = std::thread::current().id();
     let mut ds = DrainStats::default();
-
-    // Phase 1: warmup (provision pending heaps, ring laps, scope stacks).
-    for _ in 0..warmup {
-        if ctl.abort.load(Ordering::SeqCst) {
-            return Err(ctl.aborted());
-        }
-        shard.system.run_tick()?;
-        drain_pass(shard, ctl, &mut ds)?;
-    }
-    ctl.warmup_done.fetch_add(1, Ordering::SeqCst);
-    drain_until_quiescent(shard, ctl, &ctl.warmup_done, &mut ds)?;
-    gate(&ctl.measure_gate, ctl)?;
-
-    // Phase 2: measured ticks. The sample buffer exists before the probe
-    // baseline is read, so the measured region itself allocates nothing.
+    // The sample buffer exists before the probe baseline is read, so the
+    // measured region itself allocates nothing.
     let mut nanos: Vec<u64> = Vec::with_capacity(ticks as usize);
     let substrate_before = shard.system.memory().alloc_count();
     let probe_before = probe();
@@ -900,11 +839,29 @@ where
         }
         let t0 = Instant::now();
         shard.system.run_tick()?;
-        drain_pass(shard, ctl, &mut ds)?;
+        drain_pass(shard, &ctl.in_flight, &mut ds)?;
         nanos.push(t0.elapsed().as_nanos() as u64);
     }
     ctl.ticks_done.fetch_add(1, Ordering::SeqCst);
-    drain_until_quiescent(shard, ctl, &ctl.ticks_done, &mut ds)?;
+    // Quiescence: the in-flight counter is incremented before any push,
+    // so observing `done == n ∧ in_flight == 0` proves no message exists
+    // or can be created.
+    loop {
+        if ctl.abort.load(Ordering::SeqCst) {
+            return Err(ctl.aborted());
+        }
+        let moved = drain_pass(shard, &ctl.in_flight, &mut ds)?;
+        if !moved
+            && ctl.ticks_done.load(Ordering::SeqCst) == ctl.n
+            && ctl.in_flight.load(Ordering::SeqCst) == 0
+            && shard.incoming.iter().all(|c| c.rx.is_empty())
+        {
+            break;
+        }
+        if !moved {
+            std::thread::yield_now();
+        }
+    }
     let probe_delta = probe() - probe_before;
     let substrate_allocs = shard.system.memory().alloc_count() - substrate_before;
 

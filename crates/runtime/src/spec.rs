@@ -222,6 +222,19 @@ impl SystemSpec {
         )
     }
 
+    /// The release clock's advance per tick, on every shard: the shortest
+    /// period of any periodic component (1 ms when nothing is periodic).
+    pub(crate) fn tick_quantum(&self) -> RelativeTime {
+        self.components
+            .iter()
+            .filter_map(|c| match c.activation {
+                Activation::Periodic { period } => Some(period),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(RelativeTime::from_millis(1))
+    }
+
     /// Where the generator places the buffer of an asynchronous binding
     /// between two ends seated at `(area, domain)`: on the heap only when
     /// both ends stand in heap areas and neither runs in an NHRT domain,

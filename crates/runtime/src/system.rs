@@ -454,6 +454,18 @@ pub(crate) struct MonitorSlot {
     pub(crate) monitor: LatencyMonitor,
 }
 
+/// The text of a caught panic's payload: the message of a `&str` or
+/// `String` payload, a stable placeholder for any other type.
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// The immortal budget of an engine over `areas`: every declared immortal
 /// area plus a 256 KiB framework reserve (buffers, markers). Saturating,
 /// because area sizes come from an untrusted ADL.
@@ -617,9 +629,9 @@ pub struct System<P: Payload> {
     /// The release-engine clock: advances one `tick_quantum` per
     /// `run_tick` (or explicitly via `advance_clock_to`), driving `timers`.
     clock: AbsoluteTime,
-    /// Clock advance per tick: the smallest periodic period in the spec
-    /// (1 ms when nothing is periodic), so one `run_tick` models one
-    /// release cycle of the fastest component.
+    /// Clock advance per tick ([`SystemSpec::tick_quantum`] of the whole
+    /// deployment), so one `run_tick` models one release cycle of its
+    /// fastest component.
     tick_quantum: RelativeTime,
     /// The scheduled-release timer queue; payloads are engine slots. All
     /// storage preallocated at build — the armed steady state allocates
@@ -683,20 +695,23 @@ impl<P: Payload> System<P> {
         mode: Mode,
         registry: &ContentRegistry<P>,
     ) -> Result<System<P>, FrameworkError> {
-        Self::build_with_cross(spec, mode, registry, Vec::new(), Arc::default())
+        let quantum = spec.tick_quantum();
+        Self::build_with_cross(spec, mode, registry, Vec::new(), Arc::default(), quantum)
     }
 
     /// [`System::build`] plus a set of cross-domain outputs: client ports
     /// that route into wait-free SPSC rings whose consumers live in other
     /// thread-domain shards (the parallel runtime's carrier for bindings
     /// that leave this engine). The shared `in_flight` counter tracks
-    /// messages travelling between shards.
+    /// messages travelling between shards, and `tick_quantum` is the whole
+    /// deployment's ([`SystemSpec::tick_quantum`]), not `spec`'s.
     pub(crate) fn build_with_cross(
         spec: &SystemSpec,
         mode: Mode,
         registry: &ContentRegistry<P>,
         cross_outputs: Vec<CrossOutput<P>>,
         in_flight: Arc<AtomicU64>,
+        tick_quantum: RelativeTime,
     ) -> Result<System<P>, FrameworkError> {
         spec.check().map_err(FrameworkError::Content)?;
         for co in &cross_outputs {
@@ -852,19 +867,9 @@ impl<P: Payload> System<P> {
             })
             .collect();
 
-        // --- Release engine: the tick quantum is the fastest periodic
-        // period (one run_tick = one cycle of the fastest component); the
-        // timer queue is preallocated here, once, so arming/cancelling/
-        // firing in the steady state never touches the allocator.
-        let tick_quantum = spec
-            .components
-            .iter()
-            .filter_map(|c| match c.activation {
-                Activation::Periodic { period } => Some(period),
-                _ => None,
-            })
-            .min()
-            .unwrap_or(RelativeTime::from_millis(1));
+        // --- Release engine: the timer queue is preallocated here, once,
+        // so arming/cancelling/firing in the steady state never touches
+        // the allocator.
         let timer_capacity = nodes.len().max(TIMER_SLOTS_MIN);
         let node_count = nodes.len();
 
@@ -1595,18 +1600,10 @@ impl<P: Payload> System<P> {
     #[cold]
     #[inline(never)]
     fn caught_panic(&self, slot: usize, payload: Box<dyn std::any::Any + Send>) -> FrameworkError {
-        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            // Payload types are open-ended: a stable placeholder.
-            "non-string panic payload".to_string()
-        };
         FrameworkError::Faulted {
             component: self.nodes[slot].name.clone(),
             kind: FaultKind::Panic,
-            detail,
+            detail: panic_text(payload.as_ref()),
         }
     }
 

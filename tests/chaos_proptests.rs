@@ -1,9 +1,11 @@
 //! Chaos property tests: deterministic seeded fault schedules over
-//! randomly generated fan-out architectures. Whatever the schedule does —
-//! errors, panics, quarantines, supervised restarts — the engine must
-//! keep its books: every pushed message is either delivered or
-//! counted-dropped, quarantine is monotonic until a restart, and the
-//! whole run replays bit-identically from the same seeds.
+//! randomly generated fan-out architectures, deployed on one shard and
+//! sharded (the source's and the workers' domains shard apart, joined by
+//! cross-shard rings), both driven by the same `run_tick` calls. Whatever
+//! the schedule does — errors, panics, quarantines, supervised restarts —
+//! the engine must keep its books: every pushed message is either
+//! delivered or counted-dropped, quarantine is monotonic until a restart,
+//! and the whole run replays bit-identically from the same seeds.
 
 use proptest::prelude::*;
 use soleil::prelude::*;
@@ -165,13 +167,18 @@ struct RunRecord {
     quarantined: Vec<bool>,
 }
 
-/// Deploys the plan, drives `ticks` transactions under fault injection,
-/// then disarms every injector and settles so deferred messages drain.
-/// Panics inside are test failures; `prop_assert` happens in the caller.
-fn run_chaos(plan: &ChaosPlan) -> RunRecord {
+/// Deploys the plan's chaos fan on one shard, or `sharded` on two, with
+/// every worker's policy and injector armed.
+fn deploy_chaos(plan: &ChaosPlan, sharded: bool) -> (Deployment<u64>, Vec<ComponentRef>) {
     let n = plan.workers.len();
     let arch = build_arch(n).into_validated().expect("chaos fan validates");
-    let mut dep = deploy(&arch, mode_of(plan), &registry(n)).expect("chaos fan deploys");
+    let mut dep = if sharded {
+        deploy_parallel(&arch, mode_of(plan), &registry(n))
+    } else {
+        deploy(&arch, mode_of(plan), &registry(n))
+    }
+    .expect("chaos fan deploys");
+    assert_eq!(dep.shard_count(), if sharded { 2 } else { 1 });
     let workers: Vec<ComponentRef> = (0..n)
         .map(|i| dep.resolve(&format!("worker{i}")).unwrap())
         .collect();
@@ -181,6 +188,15 @@ fn run_chaos(plan: &ChaosPlan) -> RunRecord {
         dep.install_fault_injector(*w, injector_of(&name, cfg))
             .unwrap();
     }
+    (dep, workers)
+}
+
+/// Deploys the plan, drives `ticks` transactions under fault injection,
+/// then disarms every injector and settles so deferred messages drain.
+/// Panics inside are test failures; `prop_assert` happens in the caller.
+fn run_chaos(plan: &ChaosPlan, sharded: bool) -> RunRecord {
+    let n = plan.workers.len();
+    let (mut dep, workers) = deploy_chaos(plan, sharded);
 
     // Drive. Containment means no tick may error: Escalate workers have
     // idle injectors, Isolate contains, Restart never exhausts its budget.
@@ -242,52 +258,48 @@ proptest! {
     /// under any mix of policies, seeds and fault menus.
     #[test]
     fn chaos_conserves_every_message(plan in plan_strategy()) {
-        let r = run_chaos(&plan);
-        prop_assert_eq!(
-            r.stats.async_messages,
-            r.stats.delivered_messages + r.stats.dropped_messages,
-            "ledger leak: {:?} (plan {:?})", r.stats, plan
-        );
-        // The books cross-check the supervisors: a quarantined worker at
-        // end-of-chaos implies its policy allowed quarantine and at least
-        // one contained fault; contained faults imply injected ones.
-        for (i, cfg) in plan.workers.iter().enumerate() {
-            let (faults, restarts, _suppressed) = r.supervision[i];
-            let (_seen, injected) = r.injections[i];
-            prop_assert!(faults <= injected,
-                "worker{}: contained {} faults but injected only {}", i, faults, injected);
-            if r.quarantined[i] {
-                prop_assert!(cfg.policy != 0, "worker{}: Escalate never quarantines", i);
-                prop_assert!(faults > 0, "worker{}: quarantined without a fault", i);
-            }
-            if cfg.policy == 1 {
-                prop_assert_eq!(restarts, 0u64,
-                    "worker{}: Isolate must never self-restart", i);
-            }
-            if cfg.policy == 0 {
-                prop_assert_eq!((faults, injected), (0, 0),
-                    "worker{}: idle injector fired", i);
-            }
-        }
-        // Quarantine findings and the ledger agree.
-        let report = {
-            let n = plan.workers.len();
-            let arch = build_arch(n).into_validated().unwrap();
-            let mut dep = deploy(&arch, mode_of(&plan), &registry(n)).unwrap();
-            for (i, cfg) in plan.workers.iter().enumerate() {
-                let w = dep.resolve(&format!("worker{i}")).unwrap();
-                dep.set_fault_policy(w, policy_of(cfg)).unwrap();
-                dep.install_fault_injector(w, injector_of(&format!("worker{i}"), cfg)).unwrap();
-            }
-            for _ in 0..plan.ticks { dep.run_tick().unwrap(); }
-            dep.health_report()
-        };
-        for (i, q) in r.quarantined.iter().enumerate() {
-            let name = format!("worker{i}");
+        for sharded in [false, true] {
+            let r = run_chaos(&plan, sharded);
             prop_assert_eq!(
-                report.by_code("SOL-020").any(|d| d.subject == name), *q,
-                "worker{}: SOL-020 disagrees with quarantined()", i
+                r.stats.async_messages,
+                r.stats.delivered_messages + r.stats.dropped_messages,
+                "ledger leak: {:?} (plan {:?}, sharded {})", r.stats, plan, sharded
             );
+            // The books cross-check the supervisors: a quarantined worker at
+            // end-of-chaos implies its policy allowed quarantine and at least
+            // one contained fault; contained faults imply injected ones.
+            for (i, cfg) in plan.workers.iter().enumerate() {
+                let (faults, restarts, _suppressed) = r.supervision[i];
+                let (_seen, injected) = r.injections[i];
+                prop_assert!(faults <= injected,
+                    "worker{}: contained {} faults but injected only {}", i, faults, injected);
+                if r.quarantined[i] {
+                    prop_assert!(cfg.policy != 0, "worker{}: Escalate never quarantines", i);
+                    prop_assert!(faults > 0, "worker{}: quarantined without a fault", i);
+                }
+                if cfg.policy == 1 {
+                    prop_assert_eq!(restarts, 0u64,
+                        "worker{}: Isolate must never self-restart", i);
+                }
+                if cfg.policy == 0 {
+                    prop_assert_eq!((faults, injected), (0, 0),
+                        "worker{}: idle injector fired", i);
+                }
+            }
+            // Quarantine findings and the ledger agree, on a deployment of
+            // the same shape.
+            let report = {
+                let (mut dep, _) = deploy_chaos(&plan, sharded);
+                for _ in 0..plan.ticks { dep.run_tick().unwrap(); }
+                dep.health_report()
+            };
+            for (i, q) in r.quarantined.iter().enumerate() {
+                let name = format!("worker{i}");
+                prop_assert_eq!(
+                    report.by_code("SOL-020").any(|d| d.subject == name), *q,
+                    "worker{}: SOL-020 disagrees with quarantined() (sharded {})", i, sharded
+                );
+            }
         }
     }
 
@@ -297,9 +309,13 @@ proptest! {
     /// `(seed, activation index)`, never of wall-clock or iteration order.
     #[test]
     fn chaos_replays_bit_identically(plan in plan_strategy()) {
-        let first = run_chaos(&plan);
-        let second = run_chaos(&plan);
-        prop_assert_eq!(first, second, "replay diverged (plan {:?})", plan);
+        for sharded in [false, true] {
+            let first = run_chaos(&plan, sharded);
+            let second = run_chaos(&plan, sharded);
+            prop_assert_eq!(
+                first, second, "replay diverged (plan {:?}, sharded {})", plan, sharded
+            );
+        }
     }
 }
 

@@ -375,23 +375,15 @@ impl Content<u64> for Sink {
     }
 }
 
-/// Satellite stress for the batched ring drains: message conservation and
-/// the per-thread zero-allocation discipline hold when rings are drained
-/// in batches, and the batching is *actually exercised* — the drain-pass
-/// accounting must show a multi-message run (batch size > 1) popped
-/// against a single head snapshot.
-#[test]
-fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
-    const WARMUP: u64 = 25;
-    const MEASURED: u64 = 200;
-
-    let hits0 = Arc::new(AtomicU64::new(0));
-    let hits1 = Arc::new(AtomicU64::new(0));
+/// The bursting fixture: one producer shard feeding two sink shards, each
+/// through its own cross-domain ring, and a registry whose sinks count
+/// into `hits`.
+fn burst_deployment(mode: Mode, hits: &[Arc<AtomicU64>; 2]) -> Deployment<u64> {
     let mut registry: ContentRegistry<u64> = ContentRegistry::new();
     registry.register("BurstHead", || Box::new(BurstHead));
-    let h = hits0.clone();
+    let h = hits[0].clone();
     registry.register("Sink0", move || Box::new(Sink { hits: h.clone() }));
-    let h = hits1.clone();
+    let h = hits[1].clone();
     registry.register("Sink1", move || Box::new(Sink { hits: h.clone() }));
 
     let spec = SystemSpec {
@@ -456,25 +448,38 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
                 protocol: ProtocolSpec::Async {
                     // Sized for the whole run: the producer may burst an
                     // entire phase ahead of a consumer on a single-core
-                    // host, and this test asserts *exact* conservation.
+                    // host, and these tests assert *exact* conservation.
                     capacity: 2048,
                     placement: BufferPlacement::Immortal,
                 },
             })
             .collect(),
     };
-
-    let mut sys =
-        Deployment::build_parallel(&spec, Mode::MergeAll, &registry, None).expect("builds");
+    let sys = Deployment::build_parallel(&spec, mode, &registry, None).expect("builds");
     assert_eq!(sys.shard_count(), 3, "producer and both sinks shard apart");
+    sys
+}
+
+/// Satellite stress for the batched ring drains: message conservation and
+/// the per-thread zero-allocation discipline hold when rings are drained
+/// in batches, and the batching is *actually exercised* — the drain-pass
+/// accounting must show a multi-message run (batch size > 1) popped
+/// against a single head snapshot.
+#[test]
+fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
+    const WARMUP: u64 = 25;
+    const MEASURED: u64 = 200;
+
+    let hits: [Arc<AtomicU64>; 2] = Default::default();
+    let mut sys = burst_deployment(Mode::MergeAll, &hits);
     let runs = sys
         .run_ticks_instrumented(WARMUP, MEASURED, &alloc_probe::allocations)
         .expect("parallel run");
 
     // Conservation: every burst of every tick (warmup included) delivered.
     let expected = (WARMUP + MEASURED) * BURST;
-    assert_eq!(hits0.load(Ordering::Relaxed), expected);
-    assert_eq!(hits1.load(Ordering::Relaxed), expected);
+    assert_eq!(hits[0].load(Ordering::Relaxed), expected);
+    assert_eq!(hits[1].load(Ordering::Relaxed), expected);
     assert_eq!(sys.stats().dropped_messages, 0, "no backpressure drops");
 
     let consumer_runs: Vec<_> = runs.iter().filter(|r| r.label != "P").collect();
@@ -492,10 +497,14 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
             r.label
         );
     }
+    // The warm-up ticks drained on the caller's thread (`run_tick`), so a
+    // shard thread's drain accounting covers the measured ticks and their
+    // quiescence: exactly the measured bursts.
     for r in &consumer_runs {
         assert!(r.drain_passes > 0, "shard '{}' never drained", r.label);
         assert_eq!(
-            r.drained_messages, expected,
+            r.drained_messages,
+            MEASURED * BURST,
             "shard '{}' drain accounting matches delivery",
             r.label
         );
@@ -509,6 +518,58 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
         max_batch.unwrap() > 1,
         "no drain pass ever batched more than one message: {max_batch:?}"
     );
+}
+
+/// The two drivers agree: `run_ticks(n)`, one OS thread per shard, and
+/// `n` × `run_tick()`, every shard on the caller's thread, leave equal
+/// ledgers and equal per-consumer counts on the same deterministic
+/// deployment, in every mode. The rings hold the whole run, so the
+/// threads' interleaving cannot drop a message the sequential drain
+/// would deliver.
+#[test]
+fn threaded_and_sequential_drivers_agree() {
+    const TICKS: u64 = 100;
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        let threaded_hits: [Arc<AtomicU64>; 2] = Default::default();
+        let mut threaded = burst_deployment(mode, &threaded_hits);
+        threaded.run_ticks(TICKS).expect("threaded run");
+
+        let sequential_hits: [Arc<AtomicU64>; 2] = Default::default();
+        let mut sequential = burst_deployment(mode, &sequential_hits);
+        for tick in 0..TICKS {
+            sequential
+                .run_tick()
+                .unwrap_or_else(|e| panic!("{mode}: tick {tick}: {e}"));
+        }
+
+        let ledger = |dep: &Deployment<u64>| {
+            let st = dep.stats();
+            (
+                st.async_messages,
+                st.delivered_messages,
+                st.dropped_messages,
+                st.activations,
+            )
+        };
+        let counts =
+            |hits: &[Arc<AtomicU64>; 2]| hits.each_ref().map(|h| h.load(Ordering::Relaxed));
+        assert_eq!(ledger(&threaded), ledger(&sequential), "{mode}: ledgers");
+        assert_eq!(
+            ledger(&sequential),
+            (
+                2 * TICKS * BURST,
+                2 * TICKS * BURST,
+                0,
+                TICKS + 2 * TICKS * BURST
+            ),
+            "{mode}: every burst delivered once"
+        );
+        assert_eq!(
+            counts(&threaded_hits),
+            counts(&sequential_hits),
+            "{mode}: per-consumer counts"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

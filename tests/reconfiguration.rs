@@ -1252,7 +1252,9 @@ fn one_journal_commits_and_refuses_alike_on_one_and_many_shards() {
         .run_transaction(serial.resolve("caller").unwrap())
         .unwrap();
     assert_eq!(b.load(Ordering::Relaxed), 1);
-    sharded.run_ticks(1).unwrap();
+    sharded
+        .run_transaction(sharded.resolve("caller").unwrap())
+        .unwrap();
     assert_eq!(b.load(Ordering::Relaxed), 2);
 
     for dep in [&mut serial, &mut sharded] {
@@ -1409,7 +1411,7 @@ fn refused_stop_rolls_back_without_rerunning_on_start() {
         assert_eq!(probe_state(&dep), before, "{mode} sharded={sharded}");
         assert_eq!(hooks.counts(), (1, 1), "{mode}: on_start at build only");
         // The restored record admits calls again.
-        dep.run_ticks(1).unwrap();
+        dep.run_tick().unwrap();
     }
 }
 
