@@ -39,45 +39,38 @@ pub type InvokeResult = Result<(), FrameworkError>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PortId(pub u16);
 
-/// Memoization state of an [`InternedPort`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InternState {
-    /// Not yet resolved against the active deployment.
-    Unresolved,
-    /// Resolved to a dense id: dispatch through the jump table.
-    Interned(PortId),
-    /// The active `Ports` façade does not intern (or the name is outside
-    /// the deployment's intern universe): dispatch by name forever.
-    Fallback,
-}
-
 /// A client-port handle that interns its name on first use.
 ///
 /// Content classes hold one per client interface (`const`-constructible,
-/// so `static` handles work too) and route calls through it; the first
-/// call asks the façade to intern the name, and every later call reuses
-/// the dense id. Façades that don't intern — test doubles, the reified
-/// SOLEIL membrane before plan compilation — fall back to the string path
-/// transparently.
+/// so `static` handles work too) and route calls through it: each call is
+/// one virtual call, [`Ports::call_port`] or [`Ports::send_port`], and the
+/// façade behind it resolves the handle. An interning façade (the engine)
+/// reads the dense id memoized here and, on first use, interns the name
+/// and memoizes the id; façades that don't intern — test doubles, say —
+/// take the default methods, which dispatch by name.
 ///
-/// The memoized state lives in a `Cell`: content is `Send` but never
-/// shared between threads (each instance belongs to exactly one
-/// thread-domain engine), so no synchronization is needed.
+/// The memo lives in `Cell`s: content is `Send` but never shared between
+/// threads (each instance belongs to exactly one thread-domain engine), so
+/// no synchronization is needed.
 ///
 /// The memo is **generation-stamped**: ids are only meaningful against the
-/// dispatch plan that interned them, so the handle remembers the façade's
-/// [`Ports::intern_generation`] alongside the id and re-interns whenever
-/// the generations differ. That makes a memoized id safe across rebinds
-/// (the engine mints a fresh generation when it recompiles jump tables)
-/// and across deployments (a `static` handle reached from two deployments
-/// — or from two thread-domain shards, each with its own port universe —
-/// sees two distinct generations and never replays one plan's id against
-/// the other's table).
+/// dispatch plan that interned them, so the handle remembers the
+/// generation of that plan alongside the id, and [`InternedPort::id_in`]
+/// re-interns whenever the generations differ. That makes a memoized id
+/// safe across rebinds (the engine mints a fresh generation when it
+/// recompiles jump tables) and across deployments (a `static` handle
+/// reached from two deployments — or from two thread-domain shards, each
+/// with its own port universe — sees two distinct generations and never
+/// replays one plan's id against the other's table). Generation 0 is never
+/// minted: a fresh handle memoizes "no id" under it.
 #[derive(Debug)]
 pub struct InternedPort {
     name: &'static str,
-    state: Cell<InternState>,
+    /// The generation `id` was interned under.
     generation: Cell<u32>,
+    /// The memoized id; `None` when the name is outside that plan's intern
+    /// universe (dispatch by name).
+    id: Cell<Option<PortId>>,
 }
 
 impl InternedPort {
@@ -85,8 +78,8 @@ impl InternedPort {
     pub const fn new(name: &'static str) -> Self {
         InternedPort {
             name,
-            state: Cell::new(InternState::Unresolved),
             generation: Cell::new(0),
+            id: Cell::new(None),
         }
     }
 
@@ -95,43 +88,55 @@ impl InternedPort {
         self.name
     }
 
-    fn resolve<P: Payload>(&self, out: &mut dyn Ports<P>) -> InternState {
-        let generation = out.intern_generation();
-        let memoized = self.state.get();
-        if memoized == InternState::Unresolved || self.generation.get() != generation {
-            let next = match out.intern(self.name) {
-                Some(id) => InternState::Interned(id),
-                None => InternState::Fallback,
-            };
-            self.state.set(next);
-            self.generation.set(generation);
-            return next;
+    /// The id memoized under dispatch-plan `generation` — the façade side
+    /// of the memo. When the memo carries another generation, `intern`
+    /// resolves the name afresh and the memo is re-stamped. `None` means
+    /// dispatch by name.
+    #[inline]
+    pub fn id_in(
+        &self,
+        generation: u32,
+        intern: impl FnOnce(&str) -> Option<PortId>,
+    ) -> Option<PortId> {
+        if self.generation.get() == generation {
+            return self.id.get();
         }
-        memoized
+        self.reintern(generation, intern)
     }
 
-    /// Synchronous call through this port (interned when possible).
+    #[cold]
+    #[inline(never)]
+    fn reintern(
+        &self,
+        generation: u32,
+        intern: impl FnOnce(&str) -> Option<PortId>,
+    ) -> Option<PortId> {
+        let id = intern(self.name);
+        self.id.set(id);
+        self.generation.set(generation);
+        id
+    }
+
+    /// Synchronous call through this port: one call of
+    /// [`Ports::call_port`].
     ///
     /// # Errors
     ///
     /// As [`Ports::call`].
+    #[inline]
     pub fn call<P: Payload>(&self, out: &mut dyn Ports<P>, msg: &mut P) -> InvokeResult {
-        match self.resolve(out) {
-            InternState::Interned(id) => out.call_interned(id, msg),
-            _ => out.call(self.name, msg),
-        }
+        out.call_port(self, msg)
     }
 
-    /// Asynchronous send through this port (interned when possible).
+    /// Asynchronous send through this port: one call of
+    /// [`Ports::send_port`].
     ///
     /// # Errors
     ///
     /// As [`Ports::send`].
+    #[inline]
     pub fn send<P: Payload>(&self, out: &mut dyn Ports<P>, msg: P) -> InvokeResult {
-        match self.resolve(out) {
-            InternState::Interned(id) => out.send_interned(id, msg),
-            _ => out.send(self.name, msg),
-        }
+        out.send_port(self, msg)
     }
 }
 
@@ -159,53 +164,26 @@ pub trait Ports<P: Payload> {
     /// [`FrameworkError::Binding`] for unbound or synchronous ports.
     fn send(&mut self, client_port: &str, msg: P) -> InvokeResult;
 
-    /// Interns `client_port` into the deployment's dense id space, or
-    /// `None` when this façade dispatches by name only (the default).
-    fn intern(&self, client_port: &str) -> Option<PortId> {
-        let _ = client_port;
-        None
-    }
-
-    /// The generation of the dispatch plan behind this façade. An
-    /// [`InternedPort`] memo is valid only while this value matches the one
-    /// stamped at intern time: engines mint a globally unique generation
-    /// per compiled plan and re-mint on every rebind or jump-table
-    /// recompilation, so live memos re-intern instead of dispatching a
-    /// stale id through a shifted table. Name-only façades keep the
-    /// default `0`.
-    fn intern_generation(&self) -> u32 {
-        0
-    }
-
-    /// Synchronous call through an interned id. Façades that returned the
-    /// id from [`Ports::intern`] must accept it here; the default refuses,
-    /// keeping name-only façades honest.
+    /// Synchronous call through an [`InternedPort`] handle. An interning
+    /// façade resolves the handle's memo against its own dispatch plan
+    /// ([`InternedPort::id_in`]) and dispatches by id; the default
+    /// dispatches by name.
     ///
     /// # Errors
     ///
-    /// As [`Ports::call`]; additionally [`FrameworkError::Binding`] when
-    /// this façade does not intern.
-    fn call_interned(&mut self, id: PortId, msg: &mut P) -> InvokeResult {
-        let _ = msg;
-        Err(FrameworkError::Binding(format!(
-            "port id {} used against a name-only port façade",
-            id.0
-        )))
+    /// As [`Ports::call`].
+    fn call_port(&mut self, port: &InternedPort, msg: &mut P) -> InvokeResult {
+        self.call(port.name(), msg)
     }
 
-    /// Asynchronous send through an interned id (see
-    /// [`Ports::call_interned`]).
+    /// Asynchronous send through an [`InternedPort`] handle (see
+    /// [`Ports::call_port`]).
     ///
     /// # Errors
     ///
-    /// As [`Ports::send`]; additionally [`FrameworkError::Binding`] when
-    /// this façade does not intern.
-    fn send_interned(&mut self, id: PortId, msg: P) -> InvokeResult {
-        let _ = msg;
-        Err(FrameworkError::Binding(format!(
-            "port id {} used against a name-only port façade",
-            id.0
-        )))
+    /// As [`Ports::send`].
+    fn send_port(&mut self, port: &InternedPort, msg: P) -> InvokeResult {
+        self.send(port.name(), msg)
     }
 }
 
@@ -538,21 +516,23 @@ mod tests {
 
     #[test]
     fn interned_port_falls_back_on_name_only_facades() {
-        // NullPorts has no intern support: the handle must memoize the
-        // fallback and keep dispatching by name.
+        // NullPorts does not intern: its default port methods dispatch by
+        // name and leave the memo untouched.
         let port = InternedPort::new("out");
         assert_eq!(port.name(), "out");
         let mut v = 0u32;
         assert!(port.call(&mut NullPorts, &mut v).is_err());
-        assert_eq!(port.state.get(), InternState::Fallback);
         assert!(port.send(&mut NullPorts, 1).is_err());
+        assert_eq!((port.generation.get(), port.id.get()), (0, None));
     }
 
-    /// Counts interned vs. string dispatches.
+    /// Counts interned vs. string dispatches, and the interning scans.
+    /// One dispatch plan (generation 1) in which only "out" interns.
     #[derive(Default)]
     struct CountingPorts {
         interned_calls: u32,
         string_calls: u32,
+        interns: u32,
     }
     impl Ports<u32> for CountingPorts {
         fn call(&mut self, _port: &str, _msg: &mut u32) -> InvokeResult {
@@ -563,18 +543,24 @@ mod tests {
             self.string_calls += 1;
             Ok(())
         }
-        fn intern(&self, client_port: &str) -> Option<PortId> {
-            (client_port == "out").then_some(PortId(7))
+        fn call_port(&mut self, port: &InternedPort, msg: &mut u32) -> InvokeResult {
+            let interns = &mut self.interns;
+            let id = port.id_in(1, |name| {
+                *interns += 1;
+                (name == "out").then_some(PortId(7))
+            });
+            match id {
+                Some(id) => {
+                    assert_eq!(id, PortId(7));
+                    self.interned_calls += 1;
+                    Ok(())
+                }
+                None => self.call(port.name(), msg),
+            }
         }
-        fn call_interned(&mut self, id: PortId, _msg: &mut u32) -> InvokeResult {
-            assert_eq!(id, PortId(7));
-            self.interned_calls += 1;
-            Ok(())
-        }
-        fn send_interned(&mut self, id: PortId, _msg: u32) -> InvokeResult {
-            assert_eq!(id, PortId(7));
-            self.interned_calls += 1;
-            Ok(())
+        fn send_port(&mut self, port: &InternedPort, msg: u32) -> InvokeResult {
+            let mut m = msg;
+            self.call_port(port, &mut m)
         }
     }
 
@@ -585,15 +571,18 @@ mod tests {
         let mut v = 0u32;
         port.call(&mut p, &mut v).unwrap();
         port.send(&mut p, 1).unwrap();
-        assert_eq!(port.state.get(), InternState::Interned(PortId(7)));
+        assert_eq!(port.id.get(), Some(PortId(7)));
         assert_eq!(p.interned_calls, 2);
         assert_eq!(p.string_calls, 0);
+        assert_eq!(p.interns, 1, "the second dispatch reads the memo");
 
         // A name outside the intern universe memoizes the fallback.
         let stray = InternedPort::new("stray");
         stray.call(&mut p, &mut v).unwrap();
-        assert_eq!(stray.state.get(), InternState::Fallback);
-        assert_eq!(p.string_calls, 1);
+        stray.call(&mut p, &mut v).unwrap();
+        assert_eq!((stray.generation.get(), stray.id.get()), (1, None));
+        assert_eq!(p.string_calls, 2);
+        assert_eq!(p.interns, 2);
     }
 
     /// A façade whose dispatch plan can be "recompiled": each generation
@@ -601,6 +590,7 @@ mod tests {
     /// id belongs to the current generation.
     struct Regenerating {
         generation: u32,
+        interns: u32,
         calls: u32,
     }
     impl Ports<u32> for Regenerating {
@@ -614,24 +604,24 @@ mod tests {
                 "string dispatch of {port}"
             )))
         }
-        fn intern(&self, _client_port: &str) -> Option<PortId> {
-            Some(PortId(self.generation as u16))
-        }
-        fn intern_generation(&self) -> u32 {
-            self.generation
-        }
-        fn call_interned(&mut self, id: PortId, _msg: &mut u32) -> InvokeResult {
+        fn call_port(&mut self, port: &InternedPort, _msg: &mut u32) -> InvokeResult {
+            let generation = self.generation;
+            let interns = &mut self.interns;
+            let id = port.id_in(generation, |_| {
+                *interns += 1;
+                Some(PortId(generation as u16))
+            });
             assert_eq!(
-                u32::from(id.0),
-                self.generation,
+                id.map(|id| u32::from(id.0)),
+                Some(self.generation),
                 "memoized id from a stale generation reached dispatch"
             );
             self.calls += 1;
             Ok(())
         }
-        fn send_interned(&mut self, id: PortId, msg: u32) -> InvokeResult {
+        fn send_port(&mut self, port: &InternedPort, msg: u32) -> InvokeResult {
             let mut m = msg;
-            self.call_interned(id, &mut m)
+            self.call_port(port, &mut m)
         }
     }
 
@@ -640,36 +630,42 @@ mod tests {
         let port = InternedPort::new("out");
         let mut p = Regenerating {
             generation: 1,
+            interns: 0,
             calls: 0,
         };
         let mut v = 0u32;
         port.call(&mut p, &mut v).unwrap();
-        assert_eq!(port.state.get(), InternState::Interned(PortId(1)));
+        assert_eq!(port.id.get(), Some(PortId(1)));
+        assert_eq!(p.interns, 1);
 
         // "Rebind": the plan recompiles under a fresh generation. The memo
         // must be refused and re-interned, never replayed.
         p.generation = 2;
         port.call(&mut p, &mut v).unwrap();
         port.send(&mut p, 0).unwrap();
-        assert_eq!(port.state.get(), InternState::Interned(PortId(2)));
-        assert_eq!(p.calls, 3);
+        assert_eq!(port.id.get(), Some(PortId(2)));
+        assert_eq!((p.interns, p.calls), (2, 3));
 
-        // Same handle against a name-only façade (generation 0): the memo
-        // from generation 2 is stale there too — it falls back to strings
-        // instead of replaying id 2.
+        // A name-only façade dispatches by name and leaves the memo alone;
+        // generation 2 names one plan only, so its id stays valid there.
         assert!(port.call(&mut NullPorts, &mut v).is_err());
-        assert_eq!(port.state.get(), InternState::Fallback);
-
-        // And back: generation 2 is re-interned, not trusted.
         port.call(&mut p, &mut v).unwrap();
-        assert_eq!(port.state.get(), InternState::Interned(PortId(2)));
+        assert_eq!((p.interns, p.calls), (2, 4));
+
+        // Any other generation, an older one included, re-interns.
+        p.generation = 1;
+        port.call(&mut p, &mut v).unwrap();
+        assert_eq!(port.id.get(), Some(PortId(1)));
+        assert_eq!((p.interns, p.calls), (3, 5));
     }
 
     #[test]
-    fn default_interned_dispatch_refuses_with_id_in_message() {
+    fn default_port_dispatch_goes_by_name() {
+        let port = InternedPort::new("x");
         let mut v = 0u32;
-        let err = Ports::call_interned(&mut NullPorts, PortId(3), &mut v).unwrap_err();
-        assert!(err.to_string().contains("port id 3"));
-        assert!(Ports::send_interned(&mut NullPorts, PortId(3), 0).is_err());
+        let err = Ports::call_port(&mut NullPorts, &port, &mut v).unwrap_err();
+        assert_eq!(err.to_string(), "binding error: unbound port x");
+        let err = Ports::send_port(&mut NullPorts, &port, 0).unwrap_err();
+        assert_eq!(err.to_string(), "binding error: unbound port x");
     }
 }

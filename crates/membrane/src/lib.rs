@@ -38,9 +38,10 @@
 //! single pass with no chain walk at all — decide at deploy time, run
 //! straight-line code at tick time, exactly the erasable-framework claim
 //! the MERGE modes exist to demonstrate. [`Membrane::pre_invoke`] and
-//! [`Membrane::post_invoke`] are `#[inline]`, so that pass compiles into
-//! the engine's invoke routine rather than costing a cross-crate call on
-//! each side of every activation.
+//! [`Membrane::post_invoke`] are `#[inline(always)]`, so that pass compiles
+//! into the engine's invoke routine rather than costing a cross-crate call
+//! on each side of every activation (a plain `#[inline]` hint was not
+//! always taken once the engine inlined its invoke routine into the drain).
 //! `push_interceptor`/`remove_interceptor` remain the cold reconfiguration
 //! API; each call simply recompiles the plan.
 
@@ -234,7 +235,7 @@ impl Membrane {
     ///
     /// [`FrameworkError::Lifecycle`] when stopped; interceptor errors
     /// otherwise.
-    #[inline]
+    #[inline(always)]
     pub fn pre_invoke(
         &mut self,
         mm: &mut MemoryManager,
@@ -288,7 +289,7 @@ impl Membrane {
     ///
     /// The first interceptor error encountered (wrapping the suppressed
     /// count when later steps failed too).
-    #[inline]
+    #[inline(always)]
     pub fn post_invoke(
         &mut self,
         mm: &mut MemoryManager,

@@ -975,7 +975,10 @@ impl<P: Payload> Deployment<P> {
     /// tears the capability back out, leaving the deployment unchanged.
     ///
     /// After enabling, the engine captures the live state every `cadence`
-    /// successful activations and at every supervised-restart boundary;
+    /// activations whose `on_invoke` succeeded — inside the activation's
+    /// panic boundary, so a panicking `checkpoint` is a fault of the
+    /// component, handled by its policy — and at every supervised-restart
+    /// boundary;
     /// the fresh instance installed by a supervised restart then restores
     /// the boundary image (or, after a poisoning panic, the last healthy
     /// cadence image) before its first release.

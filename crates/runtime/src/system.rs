@@ -25,11 +25,13 @@ use std::time::Instant;
 use rtsj::memory::{AreaId, MemoryContext, MemoryKind, MemoryManager};
 use rtsj::thread::{Priority, ThreadKind};
 use rtsj::time::{AbsoluteTime, RelativeTime};
+use rtsj::RtsjError;
 use soleil_core::contract::{ContractObservation, TimingContract};
 use soleil_core::validate::{pattern_between, Diagnostic, Severity};
 use soleil_core::ValidationReport;
 use soleil_membrane::content::{
-    Content, ContentFactory, ContentRegistry, InvokeResult, Payload, PortId, StateImage,
+    Content, ContentFactory, ContentRegistry, InternedPort, InvokeResult, Payload, PortId,
+    StateImage,
 };
 use soleil_membrane::controllers::{LifecycleState, MemoryAreaController};
 use soleil_membrane::interceptors::{ActiveInterceptor, FaultInjector, InterceptStep};
@@ -64,7 +66,7 @@ const RESTART_TAG: u32 = 1 << 31;
 const MAX_BACKOFF_SHIFT: u32 = 20;
 
 /// Mints globally unique dispatch-plan generations (see
-/// [`Ports::intern_generation`]): one per compiled plan, re-minted on every
+/// [`InternedPort::id_in`]): one per compiled plan, re-minted on every
 /// binding-row write. Process-global so two deployments —
 /// or two shard engines of one parallel deployment, each with its own port
 /// universe — can never share a generation: a `static InternedPort` reached
@@ -350,6 +352,39 @@ struct ActivationPlan {
 }
 
 const _: () = assert!(std::mem::size_of::<ActivationPlan>() == 16);
+
+/// The engine's internal fault: the [`FrameworkError`] a failing hop
+/// carries, boxed, so that every routine between the ready queue and the
+/// content returns a result one pointer wide — a healthy hop hands back a
+/// null pointer in a register instead of a 56-byte error through memory.
+/// Only the cold [`From`] conversions below build one; the wide error is
+/// unboxed where a public call returns (`cascade`'s exit and the
+/// [`EnginePorts`] façade).
+struct Fault(Box<FrameworkError>);
+
+const _: () = assert!(std::mem::size_of::<Result<(), Fault>>() == std::mem::size_of::<usize>());
+
+impl From<FrameworkError> for Fault {
+    #[cold]
+    #[inline(never)]
+    fn from(e: FrameworkError) -> Fault {
+        Fault(Box::new(e))
+    }
+}
+
+impl From<RtsjError> for Fault {
+    #[cold]
+    fn from(e: RtsjError) -> Fault {
+        Fault::from(FrameworkError::Rtsj(e))
+    }
+}
+
+impl From<Fault> for FrameworkError {
+    #[cold]
+    fn from(f: Fault) -> FrameworkError {
+        *f.0
+    }
+}
 
 /// A slot's lifecycle record, packed into one byte of its
 /// [`ActivationPlan`]: started; quarantined by its fault policy; poisoned,
@@ -1037,8 +1072,7 @@ impl<P: Payload> System<P> {
     }
 
     /// Resolves a client-port name to its deployment-interned dense id —
-    /// the one-time cold scan [`InternedPort`](soleil_membrane::InternedPort)
-    /// memoizes away.
+    /// the one-time cold scan an [`InternedPort`] memoizes away.
     fn intern_port(&self, client_port: &str) -> Option<PortId> {
         self.string_compares.set(self.string_compares.get() + 1);
         self.port_names
@@ -1174,18 +1208,19 @@ impl<P: Payload> System<P> {
     fn cascade(&mut self, slot: usize, port_ix: u16, msg: &mut P) -> Result<(), FrameworkError> {
         // Monitored slots stamp the transaction; the sentinel keeps the
         // unmonitored path at one integer compare (no clock read).
-        let monitor_ix = self.activation_plans[slot].monitor_ix;
-        let t0 = (monitor_ix != u16::MAX).then(Instant::now);
+        let plan = self.activation_plans[slot];
+        let t0 = (plan.monitor_ix != u16::MAX).then(Instant::now);
         let domain_ix = self.nodes[slot].domain_ix;
         let mut held = (domain_ix, self.take_ctx(domain_ix)?);
         let activated = self
-            .activate(slot, port_ix, msg, &mut held.1)
+            .activate(slot, plan, port_ix, msg, &mut held.1)
             .and_then(|activated| self.drain(&mut held).map(|()| activated));
         self.restore_ctx(held.0, held.1);
+        // The public edge: an escalated fault is unboxed here.
         if activated? {
             self.stats.transactions += 1;
             if let Some(t0) = t0 {
-                self.observe_latency(monitor_ix, t0);
+                self.observe_latency(plan.monitor_ix, t0);
             }
         }
         Ok(())
@@ -1290,13 +1325,14 @@ impl<P: Payload> System<P> {
     /// Checks out the executing context for a slot: its domain's context,
     /// or the pooled anonymous context for undomained components (reused so
     /// steady-state activations never rebuild scope-stack storage).
-    fn take_ctx(&mut self, domain_ix: Option<usize>) -> Result<MemoryContext, FrameworkError> {
+    fn take_ctx(&mut self, domain_ix: Option<usize>) -> Result<MemoryContext, Fault> {
         match domain_ix {
             Some(d) => self.domains[d].ctx.take().ok_or_else(|| {
                 FrameworkError::RunToCompletion(format!(
                     "domain '{}' already executing",
                     self.domains[d].name
                 ))
+                .into()
             }),
             None => Ok(self
                 .anon_ctx
@@ -1315,21 +1351,22 @@ impl<P: Payload> System<P> {
 
     /// One activation of `slot` on `port_ix` under the checked-out `ctx` —
     /// the routine every release, timer fire, injection and drained message
-    /// runs: it counts the activation, draws the fault injector, enters the
-    /// slot's scope chain and invokes, runs the checkpoint cadence after a
-    /// healthy activation, and hands a fault to supervision. Returns
-    /// whether the activation was healthy; a contained fault is
-    /// `Ok(false)`, an escalated one `Err`.
+    /// runs, with the slot's `plan` its caller already read: it counts the
+    /// activation, draws the fault injector, enters the slot's scope chain
+    /// and invokes (the checkpoint cadence runs inside the content
+    /// boundary, after a successful `on_invoke`), and hands a fault to
+    /// supervision. Returns whether the activation was healthy; a contained
+    /// fault is `Ok(false)`, an escalated one `Err`.
     #[inline(always)]
     fn activate(
         &mut self,
         slot: usize,
+        plan: ActivationPlan,
         port_ix: u16,
         msg: &mut P,
         ctx: &mut MemoryContext,
-    ) -> Result<bool, FrameworkError> {
+    ) -> Result<bool, Fault> {
         self.stats.activations += 1;
-        let plan = self.activation_plans[slot];
         // Engine-level fault injection fires at the activation boundary,
         // before any mode-specific dispatch — the sentinel keeps the
         // uninjected path at one integer compare.
@@ -1340,19 +1377,14 @@ impl<P: Payload> System<P> {
         };
         if result.is_ok() {
             // A component allocated in scoped memory executes inside its
-            // (wedge-pinned, so entry cannot reclaim) scope chain.
+            // (wedge-pinned, so entry cannot reclaim) scope chain. A
+            // checkpoint-enabled slot pays one compare here.
             let chain = (plan.chain_off, u32::from(plan.chain_len));
-            result = self.invoke_in(chain, slot, port_ix, msg, ctx);
+            let cadence = plan.checkpoint_ix != u16::MAX;
+            result = self.invoke_in(chain, slot, port_ix, msg, ctx, cadence);
         }
         match result {
-            Ok(()) => {
-                // Healthy activation of a checkpoint-enabled slot: one
-                // compare, and a capture only on the configured cadence.
-                if plan.checkpoint_ix != u16::MAX {
-                    self.cadence_checkpoint(slot);
-                }
-                Ok(true)
-            }
+            Ok(()) => Ok(true),
             Err(e) => self.handle_fault(e).map(|()| false),
         }
     }
@@ -1362,11 +1394,11 @@ impl<P: Payload> System<P> {
     /// content panic produces. The injector is checked out around the draw
     /// (a pointer swap) so the catch boundary never holds a borrow of the
     /// engine.
-    fn run_injector(&mut self, slot: usize) -> Result<(), FrameworkError> {
+    fn run_injector(&mut self, slot: usize) -> Result<(), Fault> {
         let Some(mut fi) = self.injectors[slot].take() else {
             return Ok(());
         };
-        let drawn = catch_unwind(AssertUnwindSafe(|| fi.draw()));
+        let drawn = catch_unwind(AssertUnwindSafe(|| fi.draw().map_err(Fault::from)));
         // A virtual-clock injector records latency spikes instead of
         // busy-waiting; the engine clock absorbs them here, so simulated
         // timelines are wall-clock-independent.
@@ -1383,7 +1415,8 @@ impl<P: Payload> System<P> {
     /// Enters the arena window `(offset, len)` on `ctx`, invokes `slot` on
     /// `port_ix` inside it, and exits every scope it entered, on every
     /// path; the first error wins. An activation's scope chain and an
-    /// `EnterInner` binding's path both run through here.
+    /// `EnterInner` binding's path both run through here; `cadence` is
+    /// [`System::boundary`]'s.
     #[inline(always)]
     fn invoke_in(
         &mut self,
@@ -1392,7 +1425,8 @@ impl<P: Payload> System<P> {
         port_ix: u16,
         msg: &mut P,
         ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
+        cadence: bool,
+    ) -> Result<(), Fault> {
         // The window is read out of the arena: plain `AreaId` copies, no
         // per-slot `Vec` indirection and no `Arc` traffic.
         let mut entered = 0;
@@ -1406,11 +1440,13 @@ impl<P: Payload> System<P> {
             entered += 1;
         }
         if result.is_ok() {
-            result = self.invoke(slot, port_ix, msg, ctx);
+            result = self.invoke(slot, port_ix, msg, ctx, cadence);
         }
         for _ in 0..entered {
             if let Err(e) = self.mm.exit(ctx) {
-                result = result.and(Err(e.into()));
+                if result.is_ok() {
+                    result = Err(e.into());
+                }
             }
         }
         result
@@ -1421,7 +1457,7 @@ impl<P: Payload> System<P> {
     /// out across consecutive activations of that domain — one checkout per
     /// run, not per message — and is swapped when the domain changes. The
     /// caller returns it on every exit, an escalated fault included.
-    fn drain(&mut self, held: &mut (Option<usize>, MemoryContext)) -> Result<(), FrameworkError> {
+    fn drain(&mut self, held: &mut (Option<usize>, MemoryContext)) -> Result<(), Fault> {
         while let Some(key) = self.pending.pop() {
             let buffer_ix = ready_buffer(key);
             let (slot, port_ix) = {
@@ -1454,7 +1490,7 @@ impl<P: Payload> System<P> {
             };
             self.stats.delivered_messages += 1;
             let t0 = (plan.monitor_ix != u16::MAX).then(Instant::now);
-            if self.activate(slot, port_ix, &mut msg, &mut held.1)? {
+            if self.activate(slot, plan, port_ix, &mut msg, &mut held.1)? {
                 if let Some(t0) = t0 {
                     self.observe_latency(plan.monitor_ix, t0);
                 }
@@ -1463,32 +1499,21 @@ impl<P: Payload> System<P> {
         Ok(())
     }
 
-    fn enqueue(
-        &mut self,
-        buffer_ix: usize,
-        msg: P,
-        ctx: &MemoryContext,
-    ) -> Result<(), FrameworkError> {
-        match self.buffers[buffer_ix]
-            .buffer
-            .push(&mut self.mm, ctx, msg)?
-        {
+    /// Enqueues `msg` on same-engine exchange buffer `buffer_ix` and
+    /// schedules its consumer; a full buffer counts the drop.
+    #[inline(always)]
+    fn enqueue(&mut self, buffer_ix: usize, msg: P, ctx: &MemoryContext) -> Result<(), Fault> {
+        let b = &self.buffers[buffer_ix];
+        match b.buffer.push(&mut self.mm, ctx, msg)? {
             PushOutcome::Accepted => {
                 self.stats.async_messages += 1;
-                let consumer = self.buffers[buffer_ix].consumer_slot;
                 self.seq += 1;
-                self.pending.push(ready_key(
-                    self.nodes[consumer].priority,
-                    self.seq,
-                    buffer_ix,
-                ));
-                Ok(())
+                let priority = self.nodes[b.consumer_slot].priority;
+                self.pending.push(ready_key(priority, self.seq, buffer_ix));
             }
-            PushOutcome::Rejected => {
-                self.stats.dropped_messages += 1;
-                Ok(())
-            }
+            PushOutcome::Rejected => self.stats.dropped_messages += 1,
         }
+        Ok(())
     }
 
     /// Enqueues `msg` on a cross-domain ring: wait-free, no pending-heap
@@ -1496,17 +1521,13 @@ impl<P: Payload> System<P> {
     /// full ring. The shared in-flight counter is incremented *before* the
     /// push so the parallel quiescence check never observes a published
     /// message it is not counting.
-    fn enqueue_cross(&mut self, cross_ix: usize, msg: P) -> Result<(), FrameworkError> {
+    fn enqueue_cross(&mut self, cross_ix: usize, msg: P) {
         self.cross_in_flight.fetch_add(1, Ordering::SeqCst);
         match self.cross_out[cross_ix].push(msg) {
-            PushOutcome::Accepted => {
-                self.stats.async_messages += 1;
-                Ok(())
-            }
+            PushOutcome::Accepted => self.stats.async_messages += 1,
             PushOutcome::Rejected => {
                 self.cross_in_flight.fetch_sub(1, Ordering::SeqCst);
                 self.stats.dropped_messages += 1;
-                Ok(())
             }
         }
     }
@@ -1515,13 +1536,15 @@ impl<P: Payload> System<P> {
     /// the gate of the generation mode: SOLEIL's reified membrane runs its
     /// pre/post protocol around it, MERGE-ALL checks the inlined lifecycle
     /// state, and ULTRA-MERGE adds nothing.
+    #[inline(always)]
     fn invoke(
         &mut self,
         slot: usize,
         port_ix: u16,
         msg: &mut P,
         ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
+        cadence: bool,
+    ) -> Result<(), Fault> {
         match self.mode {
             Mode::Soleil => {
                 // The checked-out membrane is SOLEIL's re-entry guard; it
@@ -1532,17 +1555,18 @@ impl<P: Payload> System<P> {
                 // The pre-gate can panic (a `Dyn` interceptor is user
                 // code): the panic becomes the same typed fault a content
                 // panic does, and the slot's fault policy decides.
-                let gated =
-                    catch_unwind(AssertUnwindSafe(|| membrane.pre_invoke(&mut self.mm, ctx)))
-                        .unwrap_or_else(|payload| Err(self.caught_panic(slot, payload)));
+                let gated = catch_unwind(AssertUnwindSafe(|| {
+                    membrane.pre_invoke(&mut self.mm, ctx).map_err(Fault::from)
+                }))
+                .unwrap_or_else(|payload| Err(self.caught_panic(slot, payload)));
                 if let Err(e) = gated {
                     self.membranes[slot] = Some(membrane);
                     return Err(e);
                 }
-                let result = self.boundary(slot, port_ix, msg, ctx, Some(&mut *membrane));
+                let result = self.boundary(slot, port_ix, msg, ctx, Some(&mut *membrane), cadence);
                 let post = membrane.post_invoke(&mut self.mm, ctx);
                 self.membranes[slot] = Some(membrane);
-                result.and(post)
+                result.and(post.map_err(Fault::from))
             }
             Mode::MergeAll => {
                 // The inlined lifecycle gate: one test of the slot's record
@@ -1552,21 +1576,24 @@ impl<P: Payload> System<P> {
                 if !self.activation_plans[slot].life.admits() {
                     return Err(self.lifecycle_refusal(slot));
                 }
-                self.boundary(slot, port_ix, msg, ctx, None)
+                self.boundary(slot, port_ix, msg, ctx, None, cadence)
             }
-            Mode::UltraMerge => self.boundary(slot, port_ix, msg, ctx, None),
+            Mode::UltraMerge => self.boundary(slot, port_ix, msg, ctx, None, cadence),
         }
     }
 
     /// The content boundary of every mode: checks the content and the
     /// port name out of the slot (pointer swaps, no clone; the content
     /// checkout is the re-entry guard), runs `on_invoke` with the engine's
-    /// [`EnginePorts`] façade, and puts both back on every exit. A
-    /// panicking content becomes a typed fault and the unwind stops here,
-    /// so the engine's own invariants survive it (the component's may
-    /// not; that is the supervisor's call: a contained panic poisons the
-    /// slot's lifecycle record until a restart installs a fresh instance,
-    /// an escalated one changes no lifecycle state).
+    /// [`EnginePorts`] façade, and puts both back on every exit. When
+    /// `cadence` is set (an activation of a checkpoint-enabled slot), a
+    /// successful `on_invoke` is followed by the checkpoint cadence, under
+    /// the same catch. A panicking content or `checkpoint` hook becomes a
+    /// typed fault and the unwind stops here, so the engine's own
+    /// invariants survive it (the component's may not; that is the
+    /// supervisor's call: a contained panic poisons the slot's lifecycle
+    /// record until a restart installs a fresh instance, an escalated one
+    /// changes no lifecycle state).
     #[inline(always)]
     fn boundary(
         &mut self,
@@ -1575,7 +1602,8 @@ impl<P: Payload> System<P> {
         msg: &mut P,
         ctx: &mut MemoryContext,
         membrane: Option<&mut Membrane>,
-    ) -> Result<(), FrameworkError> {
+        cadence: bool,
+    ) -> Result<(), Fault> {
         let Some(mut content) = self.nodes[slot].content.take() else {
             return Err(self.reentrant(slot));
         };
@@ -1587,7 +1615,11 @@ impl<P: Payload> System<P> {
             ctx,
         };
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            content.on_invoke(&port, msg, &mut ports)
+            content.on_invoke(&port, msg, &mut ports)?;
+            if cadence {
+                ports.sys.cadence_checkpoint(slot, &*content);
+            }
+            Ok(())
         }));
         let node = &mut self.nodes[slot];
         node.server_ports[port_ix as usize] = port;
@@ -1599,34 +1631,37 @@ impl<P: Payload> System<P> {
     /// the payload rendering happen only on a panic).
     #[cold]
     #[inline(never)]
-    fn caught_panic(&self, slot: usize, payload: Box<dyn std::any::Any + Send>) -> FrameworkError {
+    fn caught_panic(&self, slot: usize, payload: Box<dyn std::any::Any + Send>) -> Fault {
         FrameworkError::Faulted {
             component: self.nodes[slot].name.clone(),
             kind: FaultKind::Panic,
             detail: panic_text(payload.as_ref()),
         }
+        .into()
     }
 
     /// The refusal of a component whose content is already checked out.
     #[cold]
     #[inline(never)]
-    fn reentrant(&self, slot: usize) -> FrameworkError {
+    fn reentrant(&self, slot: usize) -> Fault {
         FrameworkError::RunToCompletion(format!(
             "re-entrant invocation of '{}'",
             self.nodes[slot].name
         ))
+        .into()
     }
 
     /// MERGE-ALL's lifecycle refusal: quarantined or stopped.
     #[cold]
     #[inline(never)]
-    fn lifecycle_refusal(&self, slot: usize) -> FrameworkError {
+    fn lifecycle_refusal(&self, slot: usize) -> Fault {
         let state = if self.activation_plans[slot].life.quarantined() {
             "quarantined pending restart"
         } else {
             "stopped"
         };
         FrameworkError::Lifecycle(format!("component '{}' is {state}", self.nodes[slot].name))
+            .into()
     }
 
     /// The one crossing routine: runs a compiled synchronous call through
@@ -1638,37 +1673,30 @@ impl<P: Payload> System<P> {
     /// server on the caller's stack), `EnterInner` enters the row's scope
     /// path around the call, and `HandoffThroughParent` invokes on a deep
     /// copy of `msg` that is copied back, so no reference crosses between
-    /// sibling scopes.
+    /// sibling scopes. Only an `EnterInner` row has a non-empty scope
+    /// path, so every pattern invokes through the one `invoke_in`.
     fn cross_scope_call(
         &mut self,
         r: DispatchHeader,
         msg: &mut P,
         ctx: &mut MemoryContext,
-    ) -> Result<(), FrameworkError> {
+    ) -> Result<(), Fault> {
+        let mut handoff = None;
         match r.pattern {
-            PatternKind::Direct | PatternKind::ImmortalExchange => {
-                self.invoke(r.target_slot, r.server_port_ix, msg, ctx)
-            }
-            PatternKind::ExecuteInOuter => {
-                self.mm.begin_execute_in_area(ctx, r.server_area)?;
-                let out = self.invoke(r.target_slot, r.server_port_ix, msg, ctx);
-                self.mm.end_execute_in_area(ctx)?;
-                out
-            }
-            PatternKind::EnterInner => self.invoke_in(
-                (r.enter_off, r.enter_len),
-                r.target_slot,
-                r.server_port_ix,
-                msg,
-                ctx,
-            ),
-            PatternKind::HandoffThroughParent => {
-                let mut copy = msg.clone();
-                let out = self.invoke(r.target_slot, r.server_port_ix, &mut copy, ctx);
-                *msg = copy;
-                out
-            }
+            PatternKind::ExecuteInOuter => self.mm.begin_execute_in_area(ctx, r.server_area)?,
+            PatternKind::HandoffThroughParent => handoff = Some(msg.clone()),
+            PatternKind::Direct | PatternKind::ImmortalExchange | PatternKind::EnterInner => {}
         }
+        let target = handoff.as_mut().unwrap_or(&mut *msg);
+        let path = (r.enter_off, r.enter_len);
+        let out = self.invoke_in(path, r.target_slot, r.server_port_ix, target, ctx, false);
+        if let Some(copy) = handoff {
+            *msg = copy;
+        }
+        if r.pattern == PatternKind::ExecuteInOuter {
+            self.mm.end_execute_in_area(ctx)?;
+        }
+        out
     }
 
     // -----------------------------------------------------------------
@@ -2425,10 +2453,10 @@ impl<P: Payload> System<P> {
     /// restarted, or escalated per policy; every other error keeps the
     /// pre-supervision escalate behavior. Cold by construction — the
     /// healthy path never reaches here.
-    fn handle_fault(&mut self, e: FrameworkError) -> Result<(), FrameworkError> {
+    fn handle_fault(&mut self, e: Fault) -> Result<(), Fault> {
         let FrameworkError::Faulted {
             component, kind, ..
-        } = &e
+        } = &*e.0
         else {
             return Err(e);
         };
@@ -2457,7 +2485,7 @@ impl<P: Payload> System<P> {
     /// just the origin — exactly the flat pre-tree semantics. When every
     /// slot on the path escalates past the root, the fault aborts to the
     /// caller, preserving the original root-escalation semantics.
-    fn contain_fault(&mut self, origin: usize, e: FrameworkError) -> Result<(), FrameworkError> {
+    fn contain_fault(&mut self, origin: usize, e: Fault) -> Result<(), Fault> {
         // The handler is the first slot on the path origin -> root whose
         // policy contains; `scope` is the branch root just below it (the
         // origin itself when the origin contains its own fault).
@@ -2478,7 +2506,7 @@ impl<P: Payload> System<P> {
         // itself; every other member is taken down *with* it (counted
         // drops at their gates), un-poisoned — their state is intact, the
         // handler merely recovers them as one unit.
-        self.quarantine_slot(origin, &e);
+        self.quarantine_slot(origin, &e.0);
         self.stats.faults_contained += 1;
         let subtree = self.subtree_slots(scope);
         if handler != origin {
@@ -2916,11 +2944,13 @@ impl<P: Payload> System<P> {
     }
 
     /// The cadence gate behind `ActivationPlan::checkpoint_ix`: counts one
-    /// successful activation and, every `cadence` of them, captures the
-    /// live state into the preallocated healthy image. Off-cadence
-    /// activations cost one increment and one compare; on-cadence captures
-    /// reuse the image storage — no allocation either way.
-    fn cadence_checkpoint(&mut self, slot: usize) {
+    /// activation whose `on_invoke` succeeded and, every `cadence` of
+    /// them, captures `content` (checked out by the running
+    /// [`boundary`](Self::boundary), whose catch contains a panicking
+    /// hook) into the preallocated healthy image. Off-cadence activations
+    /// cost one increment and one compare; on-cadence captures reuse the
+    /// image storage — no allocation either way.
+    fn cadence_checkpoint(&mut self, slot: usize, content: &dyn Content<P>) {
         let Some(cp) = self.checkpoints[slot].as_deref_mut() else {
             return;
         };
@@ -2929,9 +2959,7 @@ impl<P: Payload> System<P> {
             return;
         }
         cp.since_capture = 0;
-        if let Some(c) = self.nodes[slot].content.as_deref() {
-            cp.capture(c);
-        }
+        cp.capture(content);
     }
 
     /// The fault policy declared for `slot`.
@@ -3271,14 +3299,24 @@ impl<P: Payload> EnginePorts<'_, P> {
         rows.get(row).map(|b| b.header)
     }
 
+    /// The id `port` memoized under this engine's dispatch plan; a memo
+    /// stamped under another plan is re-interned (the cold, counted name
+    /// scan). `None` when the name is outside the intern universe.
+    #[inline(always)]
+    fn interned(&self, port: &InternedPort) -> Option<PortId> {
+        let sys = &*self.sys;
+        port.id_in(sys.dispatch_generation, |name| sys.intern_port(name))
+    }
+
     /// The synchronous body behind both resolution paths: the one
-    /// crossing routine, in every mode.
+    /// crossing routine, in every mode. A fault is unboxed here, at the
+    /// façade's edge.
     #[inline(always)]
     fn call_row(&mut self, h: DispatchHeader, msg: &mut P) -> InvokeResult {
         if self.sys.mode != Mode::UltraMerge {
             self.sys.stats.sync_calls += 1;
         }
-        self.sys.cross_scope_call(h, msg, self.ctx)
+        Ok(self.sys.cross_scope_call(h, msg, self.ctx)?)
     }
 
     /// The asynchronous body: same-engine exchange buffer or cross-domain
@@ -3286,9 +3324,10 @@ impl<P: Payload> EnginePorts<'_, P> {
     #[inline(always)]
     fn send_row(&mut self, h: DispatchHeader, msg: P) -> InvokeResult {
         if h.is_cross {
-            return self.sys.enqueue_cross(h.buffer_ix, msg);
+            self.sys.enqueue_cross(h.buffer_ix, msg);
+            return Ok(());
         }
-        self.sys.enqueue(h.buffer_ix, msg, self.ctx)
+        Ok(self.sys.enqueue(h.buffer_ix, msg, self.ctx)?)
     }
 
     /// The error of a port that is unbound (`bound` false), or bound with
@@ -3326,22 +3365,20 @@ impl<P: Payload> Ports<P> for EnginePorts<'_, P> {
         }
     }
 
-    fn intern(&self, client_port: &str) -> Option<PortId> {
-        self.sys.intern_port(client_port)
-    }
-
-    fn intern_generation(&self) -> u32 {
-        self.sys.dispatch_generation
-    }
-
-    fn call_interned(&mut self, id: PortId, msg: &mut P) -> InvokeResult {
+    fn call_port(&mut self, port: &InternedPort, msg: &mut P) -> InvokeResult {
+        let Some(id) = self.interned(port) else {
+            return self.call(port.name(), msg);
+        };
         match self.by_id(id) {
             Some(h) if !h.is_async => self.call_row(h, msg),
             found => Err(self.refuse(self.sys.port_name(id), found.is_some(), false)),
         }
     }
 
-    fn send_interned(&mut self, id: PortId, msg: P) -> InvokeResult {
+    fn send_port(&mut self, port: &InternedPort, msg: P) -> InvokeResult {
+        let Some(id) = self.interned(port) else {
+            return self.send(port.name(), msg);
+        };
         match self.by_id(id) {
             Some(h) if h.is_async => self.send_row(h, msg),
             found => Err(self.refuse(self.sys.port_name(id), found.is_some(), true)),
@@ -4030,69 +4067,37 @@ mod tests {
     /// the merged modes' jump table alike.
     #[test]
     fn unbound_port_errors_report_the_name_after_interning() {
-        // "out" is in the deployment's intern universe (the producer's
-        // port) but is not bound on the middle slot.
-        let spec = pipeline_spec();
-        let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
-        let id = sys.intern_port("out").unwrap();
-        let mut ctx = sys.mm.context(ThreadKind::Realtime);
-        let mut ports = EnginePorts {
-            sys: &mut sys,
-            slot: middle,
-            membrane: None,
-            ctx: &mut ctx,
-        };
-        let mut tok = Token::default();
-        let interned = ports.call_interned(id, &mut tok).unwrap_err();
-        assert_eq!(
-            interned.to_string(),
-            "binding error: client port 'out' of 'middle' is unbound"
-        );
-        let by_name = ports.call("out", &mut tok).unwrap_err();
-        assert_eq!(
-            by_name.to_string(),
-            "binding error: client port 'out' of 'middle' is unbound"
-        );
-        assert_eq!(
-            ports
-                .send_interned(id, Token::default())
-                .unwrap_err()
-                .to_string(),
-            "binding error: client port 'out' of 'middle' is unbound"
-        );
-
-        // SOLEIL's reified membrane: same contract through the jump table.
-        let spec = pipeline_spec();
-        let mut sys = System::build(&spec, Mode::Soleil, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
-        let id = sys.intern_port("out").unwrap();
-        let mut membrane = sys.membranes[middle].take().unwrap();
-        let mut ctx = sys.mm.context(ThreadKind::Realtime);
-        let mut ports = EnginePorts {
-            sys: &mut sys,
-            slot: middle,
-            membrane: Some(&mut membrane),
-            ctx: &mut ctx,
-        };
-        let interned = ports.call_interned(id, &mut tok).unwrap_err();
-        assert_eq!(
-            interned.to_string(),
-            "binding error: client port 'out' of 'middle' is unbound"
-        );
-        let by_name = ports.call("out", &mut tok).unwrap_err();
-        assert_eq!(
-            by_name.to_string(),
-            "binding error: client port 'out' of 'middle' is unbound"
-        );
-        assert_eq!(
-            ports
-                .send_interned(id, Token::default())
-                .unwrap_err()
-                .to_string(),
-            "binding error: client port 'out' of 'middle' is unbound"
-        );
-        sys.membranes[middle] = Some(membrane);
+        const UNBOUND: &str = "binding error: client port 'out' of 'middle' is unbound";
+        for mode in [Mode::MergeAll, Mode::Soleil] {
+            // "out" is in the deployment's intern universe (the producer's
+            // port) but is not bound on the middle slot.
+            let spec = pipeline_spec();
+            let mut sys = System::build(&spec, mode, &registry()).unwrap();
+            let middle = sys.slot_of("middle").unwrap();
+            let mut membrane = sys.membranes.get_mut(middle).and_then(Option::take);
+            let mut ctx = sys.mm.context(ThreadKind::Realtime);
+            let mut ports = EnginePorts {
+                sys: &mut sys,
+                slot: middle,
+                membrane: membrane.as_deref_mut(),
+                ctx: &mut ctx,
+            };
+            let port = InternedPort::new("out");
+            let mut tok = Token::default();
+            let interned = ports.call_port(&port, &mut tok).unwrap_err();
+            assert_eq!(interned.to_string(), UNBOUND, "{mode}");
+            assert!(
+                ports.interned(&port).is_some(),
+                "{mode}: interned, not by name"
+            );
+            let by_name = ports.call("out", &mut tok).unwrap_err();
+            assert_eq!(by_name.to_string(), UNBOUND, "{mode}");
+            let sent = ports.send_port(&port, Token::default()).unwrap_err();
+            assert_eq!(sent.to_string(), UNBOUND, "{mode}");
+            if let Some(m) = membrane {
+                sys.membranes[middle] = Some(m);
+            }
+        }
     }
 
     /// A rebind-and-revert cycle must restore the dispatch plan
@@ -5139,6 +5144,188 @@ mod tests {
             };
             assert_eq!(component, "middle", "{mode}");
             assert_eq!(*kind, FaultKind::Panic, "{mode}");
+        }
+    }
+
+    /// Every fault source keeps its exact error through the engine's
+    /// one-pointer internal path, in every mode: a content `Err` crossing
+    /// a synchronous call, a drained consumer's panic, a re-entrant
+    /// synchronous cycle, a call into a stopped component and an unbound
+    /// interned port. Under `Escalate` the value `run_transaction` returns,
+    /// and under `Isolate` the returned value and every recorded fault,
+    /// equal the values pinned here.
+    #[test]
+    fn every_fault_source_carries_its_exact_error() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Source {
+            ContentErr,
+            Panic,
+            Cycle,
+            Stopped,
+            Unbound,
+        }
+        /// `middle`: calls the service through `port`, then logs.
+        #[derive(Debug)]
+        struct Caller(InternedPort);
+        impl Content<Token> for Caller {
+            fn on_invoke(
+                &mut self,
+                _port: &str,
+                msg: &mut Token,
+                out: &mut dyn Ports<Token>,
+            ) -> InvokeResult {
+                self.0.call(out, msg)?;
+                out.send("log", msg.clone())
+            }
+        }
+        #[derive(Debug)]
+        struct Svc(Source);
+        impl Content<Token> for Svc {
+            fn on_invoke(
+                &mut self,
+                _port: &str,
+                msg: &mut Token,
+                out: &mut dyn Ports<Token>,
+            ) -> InvokeResult {
+                match self.0 {
+                    Source::ContentErr => Err(FrameworkError::Faulted {
+                        component: "service".into(),
+                        kind: FaultKind::Error,
+                        detail: "service refused".into(),
+                    }),
+                    Source::Cycle => out.call("back", msg),
+                    _ => Ok(()),
+                }
+            }
+        }
+        #[derive(Debug)]
+        struct PanickingSink;
+        impl Content<Token> for PanickingSink {
+            fn on_invoke(
+                &mut self,
+                _port: &str,
+                _msg: &mut Token,
+                _out: &mut dyn Ports<Token>,
+            ) -> InvokeResult {
+                panic!("sink panicked")
+            }
+        }
+        let mut spec = pipeline_spec();
+        // The service can call back into `middle`: the cycle's way back.
+        spec.bindings.push(BindingSpec {
+            client: 2,
+            client_port: "back".into(),
+            server: 1,
+            server_port: "in".into(),
+            protocol: ProtocolSpec::Sync,
+        });
+        let faulted = |component: &str, kind, detail: &str| FrameworkError::Faulted {
+            component: component.into(),
+            kind,
+            detail: detail.into(),
+        };
+        let sources = [
+            Source::ContentErr,
+            Source::Panic,
+            Source::Cycle,
+            Source::Stopped,
+            Source::Unbound,
+        ];
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            for source in sources {
+                for policy in [FaultPolicy::Escalate, FaultPolicy::Isolate] {
+                    let mut registry = ContentRegistry::new();
+                    registry.register("Producer", || Box::new(Producer));
+                    registry.register("Middle", move || {
+                        // "out" is in the intern universe (the producer's
+                        // port) but unbound on `middle`.
+                        let port = if source == Source::Unbound {
+                            "out"
+                        } else {
+                            "svc"
+                        };
+                        Box::new(Caller(InternedPort::new(port)))
+                    });
+                    registry.register("Service", move || Box::new(Svc(source)));
+                    registry.register("Sink", move || -> Box<dyn Content<Token>> {
+                        if source == Source::Panic {
+                            Box::new(PanickingSink)
+                        } else {
+                            Box::new(Sink::default())
+                        }
+                    });
+                    let mut sys = System::build(&spec, mode, &registry).unwrap();
+                    for slot in 0..sys.nodes.len() {
+                        sys.set_fault_policy_at(slot, policy).unwrap();
+                    }
+                    let service = sys.slot_of("service").unwrap();
+                    let stop = (source == Source::Stopped).then(|| sys.stop_at(service).err());
+                    let producer = sys.slot_of("producer").unwrap();
+                    let returned = sys.run_transaction(producer).err();
+                    let recorded: Vec<(&str, &str)> = sys
+                        .supervisors
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(s, sup)| {
+                            Some((sys.nodes[s].name.as_str(), sup.fault_detail.as_deref()?))
+                        })
+                        .collect();
+
+                    let isolate = policy == FaultPolicy::Isolate;
+                    let (want_returned, want_recorded) = match source {
+                        Source::ContentErr if isolate => (
+                            None,
+                            vec![(
+                                "service",
+                                "component 'service' faulted (error): service refused",
+                            )],
+                        ),
+                        Source::ContentErr => (
+                            Some(faulted("service", FaultKind::Error, "service refused")),
+                            vec![],
+                        ),
+                        Source::Panic if isolate => (
+                            None,
+                            vec![("sink", "component 'sink' faulted (panic): sink panicked")],
+                        ),
+                        Source::Panic => (
+                            Some(faulted("sink", FaultKind::Panic, "sink panicked")),
+                            vec![],
+                        ),
+                        Source::Cycle => (
+                            Some(FrameworkError::RunToCompletion(
+                                "re-entrant invocation of 'middle'".into(),
+                            )),
+                            vec![],
+                        ),
+                        // ULTRA-MERGE refuses the stop; the call then runs.
+                        Source::Stopped if mode == Mode::UltraMerge => (None, vec![]),
+                        Source::Stopped => (
+                            Some(FrameworkError::Lifecycle(
+                                "component 'service' is stopped".into(),
+                            )),
+                            vec![],
+                        ),
+                        Source::Unbound => (
+                            Some(FrameworkError::Binding(
+                                "client port 'out' of 'middle' is unbound".into(),
+                            )),
+                            vec![],
+                        ),
+                    };
+                    let case = format!("{mode}, {source:?}, {policy:?}");
+                    assert_eq!(returned, want_returned, "{case}");
+                    assert_eq!(recorded, want_recorded, "{case}");
+                    if let Some(refused) = stop {
+                        let want = (mode == Mode::UltraMerge).then(|| {
+                            FrameworkError::Unsupported(
+                                "ULTRA-MERGE systems are purely static".into(),
+                            )
+                        });
+                        assert_eq!(refused, want, "{case}");
+                    }
+                }
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! milliseconds, because the injector charges the engine's release clock
 //! instead of busy-waiting the OS clock.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -298,5 +298,163 @@ fn an_escalated_panic_leaves_the_service_serving_in_every_mode() {
         assert!(!dep.quarantined(svc).unwrap(), "{mode}");
         dep.run_transaction(caller).unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 2, "{mode}: still served");
+    }
+}
+
+/// A counter that publishes its count to `seen` and checkpoints it. Its
+/// `checkpoint` hook panics once: on the first capture after `armed` is
+/// set.
+#[derive(Debug)]
+struct Checkpointed {
+    count: u64,
+    seen: Arc<AtomicU64>,
+    armed: Arc<AtomicBool>,
+}
+
+impl Content<u64> for Checkpointed {
+    fn on_invoke(&mut self, _p: &str, _m: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+        self.count += 1;
+        self.seen.store(self.count, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn state_bytes(&self) -> usize {
+        8
+    }
+
+    fn checkpoint(&self, image: &mut StateImage) -> bool {
+        if self.armed.swap(false, Ordering::Relaxed) {
+            panic!("checkpoint panics");
+        }
+        image.write_u64(self.count)
+    }
+
+    fn restore(&mut self, image: &StateImage) {
+        if let Some(count) = image.read_u64(0) {
+            self.count = count;
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Idle;
+
+impl Content<u64> for Idle {
+    fn on_invoke(&mut self, _p: &str, _m: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+        Ok(())
+    }
+}
+
+/// The periodic `work` counter in domain `d` and an idle periodic
+/// component in domain `e`: one shard, or two under `deploy_parallel`.
+fn checkpointed_counter(
+    mode: Mode,
+    sharded: bool,
+    seen: &Arc<AtomicU64>,
+    armed: &Arc<AtomicBool>,
+) -> Deployment<u64> {
+    let mut bv = BusinessView::new("checkpointed-counter");
+    bv.active_periodic("work", "10ms").unwrap();
+    bv.active_periodic("idle", "10ms").unwrap();
+    bv.content("work", "Checkpointed").unwrap();
+    bv.content("idle", "Idle").unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("d", ThreadKind::Realtime, 20, &["work"])
+        .unwrap();
+    flow.thread_domain("e", ThreadKind::Realtime, 15, &["idle"])
+        .unwrap();
+    flow.memory_area("imm", MemoryKind::Immortal, Some(64 * 1024), &["d", "e"])
+        .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+    let mut registry: ContentRegistry<u64> = ContentRegistry::new();
+    let (seen, armed) = (seen.clone(), armed.clone());
+    registry.register("Checkpointed", move || {
+        Box::new(Checkpointed {
+            count: 0,
+            seen: seen.clone(),
+            armed: armed.clone(),
+        })
+    });
+    registry.register("Idle", || Box::new(Idle));
+    let dep = if sharded {
+        deploy_parallel(&arch, mode, &registry)
+    } else {
+        deploy(&arch, mode, &registry)
+    }
+    .unwrap();
+    assert_eq!(dep.shard_count(), if sharded { 2 } else { 1 });
+    dep
+}
+
+/// A `checkpoint` hook that panics on a cadence capture is a fault of its
+/// component, caught at the activation boundary like a panicking
+/// `on_invoke`, and the domain's memory context is handed back. Under
+/// `Escalate` the call returns the typed fault and the next call runs.
+/// Under `Isolate` the component is quarantined poisoned, so a restart
+/// restores the last healthy image instead of capturing the outgoing
+/// instance; the supervised restart of `Restart` does the same. In every
+/// mode, on one shard and on two.
+#[test]
+fn a_panicking_cadence_checkpoint_is_a_contained_fault() {
+    let restart = FaultPolicy::Restart {
+        max_restarts: 3,
+        window: RelativeTime::from_millis(1_000),
+        backoff: RelativeTime::from_millis(1),
+    };
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        for sharded in [false, true] {
+            for policy in [FaultPolicy::Escalate, FaultPolicy::Isolate, restart] {
+                let case = format!("{mode}, sharded: {sharded}, {policy:?}");
+                let seen = Arc::new(AtomicU64::new(0));
+                let armed = Arc::new(AtomicBool::new(false));
+                let mut dep = checkpointed_counter(mode, sharded, &seen, &armed);
+                let work = dep.resolve("work").unwrap();
+                dep.set_fault_policy(work, policy).unwrap();
+                for _ in 0..3 {
+                    dep.run_transaction(work).unwrap();
+                }
+                // Enabling captures count 3: the last healthy image.
+                dep.enable_checkpoint(work, 1).unwrap();
+                assert_eq!(dep.checkpoint_counts(work).unwrap(), Some((1, 0)), "{case}");
+                armed.store(true, Ordering::Relaxed);
+                let first = dep.run_transaction(work);
+                assert_eq!(seen.load(Ordering::Relaxed), 4, "{case}");
+                match policy {
+                    FaultPolicy::Escalate => {
+                        let panicked = FrameworkError::Faulted {
+                            component: "work".into(),
+                            kind: FaultKind::Panic,
+                            detail: "checkpoint panics".into(),
+                        };
+                        assert_eq!(first, Err(panicked), "{case}");
+                        assert!(!dep.quarantined(work).unwrap(), "{case}");
+                        dep.run_transaction(work).unwrap();
+                        assert_eq!(seen.load(Ordering::Relaxed), 5, "{case}");
+                    }
+                    FaultPolicy::Isolate => {
+                        first.unwrap();
+                        assert!(dep.quarantined(work).unwrap(), "{case}");
+                        dep.restart_component(work).unwrap();
+                        // Poisoned: no capture of the outgoing instance (4);
+                        // the fresh one restores 3.
+                        assert_eq!(dep.checkpoint_counts(work).unwrap(), Some((1, 1)), "{case}");
+                        dep.run_transaction(work).unwrap();
+                        assert_eq!(seen.load(Ordering::Relaxed), 4, "{case}");
+                    }
+                    FaultPolicy::Restart { .. } => {
+                        first.unwrap();
+                        assert!(dep.quarantined(work).unwrap(), "{case}");
+                        // The backoff expires within one tick: the restart
+                        // restores 3, then the tick's release counts 4.
+                        dep.run_tick().unwrap();
+                        assert!(!dep.quarantined(work).unwrap(), "{case}");
+                        assert_eq!(dep.supervision_counts(work).unwrap().1, 1, "{case}");
+                        assert_eq!(seen.load(Ordering::Relaxed), 4, "{case}");
+                        assert_eq!(dep.checkpoint_counts(work).unwrap(), Some((2, 1)), "{case}");
+                    }
+                }
+                dep.run_tick().unwrap();
+            }
+        }
     }
 }
