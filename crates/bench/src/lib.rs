@@ -1,7 +1,7 @@
 //! # soleil-bench — the evaluation harness (§5 / Fig. 7)
 //!
 //! One runner per table/figure of the paper's evaluation, shared by the
-//! `reproduce` binary, the Criterion benches and the integration tests:
+//! `reproduce` binary and the integration tests:
 //!
 //! | Experiment | Paper artifact | Runner |
 //! |---|---|---|
@@ -1391,7 +1391,8 @@ pub fn reconfig_gate_table(rows: &[ReconfigGateRow]) -> String {
 /// Builds an `stages`-deep asynchronous relay pipeline (periodic head, then
 /// `stages` sporadic relays, all NHRT in immortal memory) and returns the
 /// running system. Every stage but the tail relays its message on; the
-/// tail only consumes it. Used by the scaling ablation bench and tests.
+/// tail only consumes it. Used by the zero-alloc gate and this crate's
+/// tests.
 ///
 /// # Errors
 ///

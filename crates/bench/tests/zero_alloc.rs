@@ -347,10 +347,9 @@ fn sharded_run_tick_steady_state_is_allocation_free() {
     }
 }
 
-/// The scaling ablation's relay pipeline
-/// ([`soleil_bench::build_relay_pipeline`]) at every depth the bench
-/// measures: no heap allocation and no string compare per steady-state
-/// transaction, in every mode.
+/// The zero-work relay pipeline ([`soleil_bench::build_relay_pipeline`])
+/// at 1, 4 and 16 stages: no heap allocation and no string compare per
+/// steady-state transaction, in every mode.
 #[test]
 fn relay_pipeline_steady_state_is_allocation_free_at_every_depth() {
     for stages in [1usize, 4, 16] {
@@ -390,11 +389,17 @@ fn oo_baseline_is_equally_allocation_free() {
     for _ in 0..WARMUP {
         oo.run_transaction().expect("warmup transaction");
     }
+    let substrate_before = oo.alloc_count();
     let before = alloc_probe::allocations();
     for _ in 0..OBSERVATIONS {
         oo.run_transaction().expect("steady transaction");
     }
     assert_eq!(alloc_probe::allocations() - before, 0);
+    assert_eq!(
+        oo.alloc_count(),
+        substrate_before,
+        "OO: substrate allocations must stay pinned at their bootstrap value"
+    );
 }
 
 /// Heap allocations one `validate` of the motivation architecture may

@@ -529,14 +529,6 @@ impl Architecture {
             .collect()
     }
 
-    /// The activation kind of an active component.
-    pub fn activation_of(&self, id: ComponentId) -> Option<ActivationKind> {
-        match self.components.get(id.0 as usize)?.kind {
-            ComponentKind::Active(a) => Some(a),
-            _ => None,
-        }
-    }
-
     // -----------------------------------------------------------------
     // JSON form (used by `adl::to_json` / `adl::from_json`)
     // -----------------------------------------------------------------

@@ -4,15 +4,15 @@
 //! the component cannot run without, from optional units providing
 //! introspection and reconfiguration (§4.2): **LifecycleController** and
 //! **BindingController** belong to the optional group (present in SOLEIL
-//! mode, merged away otherwise); **ThreadDomainController** and
-//! **MemoryAreaController** sit in the membranes of non-functional
-//! components and superimpose RTSJ concerns over their members.
+//! mode, merged away otherwise); the **MemoryAreaController** sits in the
+//! membrane of a MemoryArea component and superimposes its RTSJ memory
+//! concern over the members. A ThreadDomain's thread policy needs no
+//! controller object: the engine keeps each domain's name, thread kind and
+//! priority in its own domain table.
 
 use std::fmt;
 
 use rtsj::memory::AreaId;
-use rtsj::thread::{Priority, ReleaseParameters, RtThread, ThreadKind};
-use rtsj::time::RelativeTime;
 use soleil_patterns::ScopePin;
 
 use crate::content::PortId;
@@ -190,88 +190,6 @@ impl BindingController {
 }
 
 // ---------------------------------------------------------------------------
-// Content controller
-// ---------------------------------------------------------------------------
-
-/// Lists a composite's sub-components (pure introspection).
-#[derive(Debug, Clone, Default)]
-pub struct ContentController {
-    subs: Vec<String>,
-}
-
-impl ContentController {
-    /// Creates a controller listing `subs`.
-    pub fn new(subs: Vec<String>) -> Self {
-        ContentController { subs }
-    }
-
-    /// The sub-component names.
-    pub fn sub_components(&self) -> &[String] {
-        &self.subs
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ThreadDomain controller
-// ---------------------------------------------------------------------------
-
-/// The membrane of a ThreadDomain component: holds the thread policy its
-/// members execute under and manufactures their [`RtThread`] descriptors.
-#[derive(Debug, Clone)]
-pub struct ThreadDomainController {
-    /// Domain name.
-    pub name: String,
-    /// Thread class for every member.
-    pub kind: ThreadKind,
-    /// Dispatch priority for every member.
-    pub priority: Priority,
-    members: Vec<String>,
-}
-
-impl ThreadDomainController {
-    /// Creates the controller.
-    pub fn new(
-        name: impl Into<String>,
-        kind: ThreadKind,
-        priority: Priority,
-        members: Vec<String>,
-    ) -> Self {
-        ThreadDomainController {
-            name: name.into(),
-            kind,
-            priority,
-            members,
-        }
-    }
-
-    /// The member component names.
-    pub fn members(&self) -> &[String] {
-        &self.members
-    }
-
-    /// Builds the thread descriptor for a member with the given release
-    /// pattern (periodic members pass their period; sporadic members a
-    /// minimum interarrival; `None` gives an aperiodic server thread).
-    pub fn thread_for(
-        &self,
-        member: &str,
-        period: Option<RelativeTime>,
-        cost: RelativeTime,
-    ) -> RtThread {
-        let release = match period {
-            Some(p) => ReleaseParameters::periodic(p, cost),
-            None => ReleaseParameters::aperiodic(cost),
-        };
-        RtThread::new(
-            format!("{}/{}", self.name, member),
-            self.kind,
-            self.priority,
-            release,
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
 // MemoryArea controller
 // ---------------------------------------------------------------------------
 
@@ -388,26 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_domain_builds_descriptors() {
-        let td = ThreadDomainController::new(
-            "NHRT1",
-            ThreadKind::NoHeapRealtime,
-            Priority::new(30),
-            vec!["ProductionLine".into()],
-        );
-        let t = td.thread_for(
-            "ProductionLine",
-            Some(RelativeTime::from_millis(10)),
-            RelativeTime::from_micros(40),
-        );
-        assert_eq!(t.name, "NHRT1/ProductionLine");
-        assert!(t.is_consistent());
-        assert!(t.release.is_periodic());
-        let s = td.thread_for("X", None, RelativeTime::from_micros(10));
-        assert!(!s.release.is_periodic());
-    }
-
-    #[test]
     fn memory_area_controller_pin_lifecycle() {
         use rtsj::memory::{MemoryManager, ScopedMemoryParams};
         let mut mm = MemoryManager::default();
@@ -422,11 +320,5 @@ mod tests {
         let mut pin = mac.take_pin().unwrap();
         pin.release(&mut mm).unwrap();
         assert!(mac.pin().is_none());
-    }
-
-    #[test]
-    fn content_controller_lists_subs() {
-        let cc = ContentController::new(vec!["a".into(), "b".into()]);
-        assert_eq!(cc.sub_components().len(), 2);
     }
 }

@@ -8,8 +8,8 @@
 //! * [`content`] — the [`content::Content`] trait functional implementations
 //!   ("content classes") write against, and the [`content::Ports`] façade
 //!   they emit calls through;
-//! * [`controllers`] — Lifecycle, Binding, Content, ThreadDomain and
-//!   MemoryArea controllers (the introspection / reconfiguration surface);
+//! * [`controllers`] — Lifecycle, Binding and MemoryArea controllers (the
+//!   introspection / reconfiguration surface);
 //! * [`interceptors`] — the **ActiveInterceptor** enforcing
 //!   run-to-completion activation, the compiled interceptor steps and the
 //!   engine's seeded fault injector (the cross-scope pattern a binding

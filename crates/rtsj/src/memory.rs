@@ -1137,17 +1137,6 @@ impl MemoryManager {
         Err(RtsjError::IllegalAssignment { holder, target })
     }
 
-    /// Convenience form of [`MemoryManager::check_assignment`] for handles:
-    /// verifies that the object behind `holder` may reference the object
-    /// behind `target`.
-    ///
-    /// # Errors
-    ///
-    /// [`RtsjError::IllegalAssignment`] when the rule forbids the store.
-    pub fn check_reference(&self, holder: RawHandle, target: RawHandle) -> Result<()> {
-        self.check_assignment(holder.area, target.area)
-    }
-
     // ---------------------------------------------------------------------
     // Portals
     // ---------------------------------------------------------------------
@@ -1217,13 +1206,6 @@ impl MemoryManager {
             reclaim_count: a.reclaim_count,
             total_allocs: a.total_allocs,
         })
-    }
-
-    /// Footprint statistics for every area, in id order.
-    pub fn all_stats(&self) -> Vec<AreaStats> {
-        (0..self.areas.len() as u32)
-            .map(|i| self.stats(AreaId(i)).expect("iterating known areas"))
-            .collect()
     }
 
     /// Total bytes currently consumed across all areas.

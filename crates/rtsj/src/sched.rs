@@ -96,8 +96,6 @@ pub struct TaskStats {
     pub deadline_misses: u64,
     /// Response time (completion − release) of every completed job.
     pub response_times: Vec<RelativeTime>,
-    /// Dispatch latency (first dispatch − release) of every job.
-    pub start_latencies: Vec<RelativeTime>,
 }
 
 impl TaskStats {
@@ -105,18 +103,12 @@ impl TaskStats {
     pub fn response_summary(&self) -> Option<SampleSummary> {
         SampleSummary::compute(&self.response_times)
     }
-
-    /// Summary of dispatch latencies, if any job started.
-    pub fn start_summary(&self) -> Option<SampleSummary> {
-        SampleSummary::compute(&self.start_latencies)
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Job {
     release: AbsoluteTime,
     remaining: RelativeTime,
-    started: bool,
     /// Release instant of the transaction head that (transitively) caused
     /// this job; used for end-to-end pipeline latency.
     txn_start: AbsoluteTime,
@@ -358,14 +350,6 @@ impl Simulator {
                         }
                         self.trace.push(self.now, TraceEvent::Dispatch(id));
                         self.running = Some(id);
-                        let now = self.now;
-                        let task = self.task_mut(id).expect("picked task exists");
-                        let job = task.current.as_mut().expect("runnable implies current");
-                        if !job.started {
-                            job.started = true;
-                            let lat = now.since(job.release);
-                            task.stats.start_latencies.push(lat);
-                        }
                     }
                     // 3. Run until the job ends or the next event intervenes.
                     let task = self.task(id).expect("picked task exists");
@@ -423,7 +407,6 @@ impl Simulator {
                 let job = Job {
                     release: now,
                     remaining: cost,
-                    started: false,
                     txn_start: now,
                 };
                 if task.current.is_none() {
@@ -456,7 +439,6 @@ impl Simulator {
                 let job = Job {
                     release: now,
                     remaining: cost,
-                    started: false,
                     txn_start,
                 };
                 if task.current.is_none() {

@@ -1032,8 +1032,8 @@ impl<P: Payload> System<P> {
         &self.mm
     }
 
-    /// Thread-domain roster: name, thread kind and priority of each domain
-    /// (introspection; mirrors the ThreadDomain controllers).
+    /// Thread-domain roster: name, thread kind and priority of each domain,
+    /// read from the engine's domain table (introspection).
     pub fn domain_info(&self) -> Vec<(String, ThreadKind, Priority)> {
         self.domains
             .iter()
@@ -2256,11 +2256,6 @@ impl<P: Payload> System<P> {
     /// Currently armed (scheduled, unfired, uncancelled) timers.
     pub fn armed_timers(&self) -> usize {
         self.timers.armed()
-    }
-
-    /// Preallocated timer-queue capacity.
-    pub fn timer_capacity(&self) -> usize {
-        self.timers.capacity()
     }
 
     /// Schedules an extra release of the periodic component in `slot` at
