@@ -1385,6 +1385,88 @@ pub fn reconfig_gate_table(rows: &[ReconfigGateRow]) -> String {
 }
 
 // ---------------------------------------------------------------------------
+// The churn shape (reconfiguration without end)
+// ---------------------------------------------------------------------------
+
+/// Ring depth of [`churn_fixture`]'s asynchronous bindings.
+pub const CHURN_RING: usize = 64;
+
+/// The shape perfbench's `churn` workload reconfigures: a periodic
+/// `producer` (NHRT domain `A`, immortal area `ImmA`) sends each release
+/// on `out1` to a sporadic `worker` (NHRT `B`, `ImmB`) and on `out2` to
+/// `sink`; `worker` calls `peer` (`sink`) synchronously; `sink` and
+/// `spare` (real-time `C`, `ImmC`) serve `in`. The three immortal areas
+/// fold into one immortal budget per engine. Sharded, `producer` runs
+/// alone and the synchronous `peer` couples `B` and `C` into one shard,
+/// so `out2` rides a ring that `rebind_async` moves between `sink` and
+/// `spare`, and moving `spare` between `B` and `C` re-homes it between
+/// `ImmB` and `ImmC`.
+///
+/// # Errors
+///
+/// Propagates design errors (none expected).
+pub fn churn_fixture() -> HarnessResult<(ValidatedArchitecture, ContentRegistry<u64>)> {
+    use soleil::membrane::content::InternedPort;
+
+    let mut b = BusinessView::new("churn");
+    b.active_periodic("producer", "10ms")?;
+    b.active_sporadic("worker")?;
+    b.active_sporadic("sink")?;
+    b.active_sporadic("spare")?;
+    b.content("producer", "Fan")?;
+    b.content("worker", "Worker")?;
+    b.content("sink", "Service")?;
+    b.content("spare", "Service")?;
+    b.require("producer", "out1", "I")?;
+    b.require("producer", "out2", "I")?;
+    b.require("worker", "peer", "I")?;
+    b.provide("worker", "in", "I")?;
+    b.provide("sink", "in", "I")?;
+    b.provide("spare", "in", "I")?;
+    b.bind_async("producer", "out1", "worker", "in", CHURN_RING)?;
+    b.bind_async("producer", "out2", "sink", "in", CHURN_RING)?;
+    b.bind_sync("worker", "peer", "sink", "in")?;
+    let mut flow = DesignFlow::new(b);
+    flow.thread_domain("A", ThreadKind::NoHeapRealtime, 30, &["producer"])?;
+    flow.thread_domain("B", ThreadKind::NoHeapRealtime, 25, &["worker"])?;
+    flow.thread_domain("C", ThreadKind::Realtime, 20, &["sink", "spare"])?;
+    flow.memory_area("ImmA", MemoryKind::Immortal, Some(1 << 20), &["A"])?;
+    flow.memory_area("ImmB", MemoryKind::Immortal, Some(1 << 20), &["B"])?;
+    flow.memory_area("ImmC", MemoryKind::Immortal, Some(1 << 20), &["C"])?;
+
+    #[derive(Debug)]
+    struct Fan([InternedPort; 2]);
+    impl Content<u64> for Fan {
+        fn on_invoke(&mut self, _p: &str, msg: &mut u64, out: &mut dyn Ports<u64>) -> InvokeResult {
+            *msg += 1;
+            self.0[0].send(out, *msg)?;
+            self.0[1].send(out, *msg)
+        }
+    }
+    #[derive(Debug)]
+    struct Worker(InternedPort);
+    impl Content<u64> for Worker {
+        fn on_invoke(&mut self, _p: &str, msg: &mut u64, out: &mut dyn Ports<u64>) -> InvokeResult {
+            self.0.call(out, msg)
+        }
+    }
+    #[derive(Debug)]
+    struct Service;
+    impl Content<u64> for Service {
+        fn on_invoke(&mut self, _p: &str, _m: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+            Ok(())
+        }
+    }
+    let mut registry: ContentRegistry<u64> = ContentRegistry::new();
+    registry.register("Fan", || {
+        Box::new(Fan([InternedPort::new("out1"), InternedPort::new("out2")]))
+    });
+    registry.register("Worker", || Box::new(Worker(InternedPort::new("peer"))));
+    registry.register("Service", || Box::new(Service));
+    Ok((flow.merge()?.into_validated()?, registry))
+}
+
+// ---------------------------------------------------------------------------
 // Synthetic pipelines (ablation: overhead vs. pipeline depth)
 // ---------------------------------------------------------------------------
 

@@ -9,8 +9,11 @@
 //! allocations per steady-state transaction in every generation mode, and
 //! the substrate's own allocation counter must stay pinned at its
 //! bootstrap value. Commit-time validation, which every live
-//! reconfiguration pays, has an allocation bound of its own, and so do the
-//! full validation report, a committed and a refused synchronous rebind.
+//! reconfiguration pays, has an allocation bound of its own when cold, and
+//! so does the full validation report; a warm commit, a committed and a
+//! refused synchronous rebind, every warm batch of the churn shape — on
+//! one shard and sharded — and a warm re-homing between scoped areas make
+//! none, but for the monitor a batch that attaches a contract installs.
 //!
 //! Run in release (CI's `bench-smoke` job does):
 //! `cargo test -p soleil-bench --release --test zero_alloc`
@@ -407,15 +410,18 @@ fn oo_baseline_is_equally_allocation_free() {
 /// it reports.
 const VALIDATE_ALLOCS: u64 = 9;
 
-/// Heap allocations a compliant empty transaction on the motivation
-/// architecture may make — nothing journaled, nothing charged: the facts
-/// table of the commit's RTSJ verdict, which renders no finding.
+/// Heap allocations the first compliant empty transaction on the
+/// motivation architecture may make — nothing journaled, nothing charged:
+/// the storage of the commit's RTSJ verdict's facts table, which renders
+/// no finding. The deployment keeps that storage, so a warm empty commit
+/// makes none.
 const EMPTY_COMMIT_ALLOCS: u64 = 3;
 
 /// Commit-time validation is bounded too. Live reconfiguration re-checks
-/// RTSJ conformance on every commit through the verdict alone, so an empty
-/// commit stays within [`EMPTY_COMMIT_ALLOCS`] however many findings the
-/// full report of `validate` (bounded by [`VALIDATE_ALLOCS`]) renders.
+/// RTSJ conformance on every commit through the verdict alone, so a cold
+/// empty commit stays within [`EMPTY_COMMIT_ALLOCS`] however many findings
+/// the full report of `validate` (bounded by [`VALIDATE_ALLOCS`]) renders,
+/// and a warm one allocates nothing.
 #[test]
 fn commit_time_validation_allocates_within_its_bound() {
     let arch = motivation_validated().expect("fixture validates");
@@ -439,6 +445,16 @@ fn commit_time_validation_allocates_within_its_bound() {
         commit_allocs <= EMPTY_COMMIT_ALLOCS,
         "an empty MERGE-ALL commit made {commit_allocs} heap allocations \
          (bound {EMPTY_COMMIT_ALLOCS})"
+    );
+
+    let before = alloc_probe::allocations();
+    dep.reconfigure(|_| Ok(()))
+        .expect("a warm empty transaction commits");
+    let warm_allocs = alloc_probe::allocations() - before;
+    assert_eq!(
+        warm_allocs, 0,
+        "a warm empty MERGE-ALL commit made {warm_allocs} heap allocations; it reuses the \
+         facts table storage of the first"
     );
 }
 
@@ -481,24 +497,23 @@ fn rebind_fixture() -> (ValidatedArchitecture, ContentRegistry<u64>) {
     (build().expect("fixture validates"), registry)
 }
 
-/// Heap allocations of one committed and one refused synchronous
-/// `rebind` transaction, `(mode, committed, refused)`. The committed one
-/// includes the commit-time RTSJ verdict (an empty commit of the fixture
-/// makes 3, its facts table); the refused one never reaches commit. In
+/// Heap allocations of one warm committed and one warm refused
+/// synchronous `rebind` transaction, `(mode, committed, refused)`. In
 /// SOLEIL and MERGE-ALL alike, the engine half of a rebind writes one
 /// binding row in place and the architectural model swaps the binding's
-/// server in place; both journal `Copy` pre-images, so the one allocation
-/// left is the journal's own.
-const REBIND_ALLOCS: [(Mode, u64, u64); 2] = [(Mode::Soleil, 4, 1), (Mode::MergeAll, 4, 1)];
+/// server in place; both journal `Copy` pre-images into the journal the
+/// deployment keeps, and the commit's RTSJ verdict builds its facts table
+/// in storage the deployment keeps too, so neither allocates.
+const REBIND_ALLOCS: [(Mode, u64, u64); 2] = [(Mode::Soleil, 0, 0), (Mode::MergeAll, 0, 0)];
 
-/// The write path is bounded too: after two warm-up rebinds, one
+/// The write path is pinned too: after two warm-up rebinds, one
 /// committed rebind and one refused one (the closure fails after the
-/// rebind, so rollback writes the pre-image back) each stay within their
-/// allocation bound.
+/// rebind, so rollback writes the pre-image back) each make exactly their
+/// pinned number of allocations.
 #[test]
 fn rebind_transactions_allocate_within_their_bounds() {
     let (arch, registry) = rebind_fixture();
-    for (mode, committed_bound, refused_bound) in REBIND_ALLOCS {
+    for (mode, committed_pin, refused_pin) in REBIND_ALLOCS {
         let mut dep = deploy(&arch, mode, &registry).expect("deploys");
         let caller = dep.resolve("caller").expect("caller exists");
         let a = dep.resolve("svc-a").expect("svc-a exists");
@@ -527,14 +542,243 @@ fn rebind_transactions_allocate_within_their_bounds() {
             "{mode}: refusal restored the row"
         );
 
-        assert!(
-            committed <= committed_bound,
+        assert_eq!(
+            committed, committed_pin,
             "{mode}: a committed rebind made {committed} heap allocations \
-             (bound {committed_bound})"
+             (pinned at {committed_pin})"
         );
-        assert!(
-            refused <= refused_bound,
-            "{mode}: a refused rebind made {refused} heap allocations (bound {refused_bound})"
+        assert_eq!(
+            refused, refused_pin,
+            "{mode}: a refused rebind made {refused} heap allocations (pinned at {refused_pin})"
         );
+    }
+}
+
+/// The components of [`soleil_bench::churn_fixture`] a churn batch moves.
+#[derive(Clone, Copy)]
+struct ChurnRig {
+    producer: ComponentRef,
+    worker: ComponentRef,
+    sink: ComponentRef,
+    spare: ComponentRef,
+}
+
+impl ChurnRig {
+    fn resolve(dep: &Deployment<u64>) -> ChurnRig {
+        let at = |name| dep.resolve(name).expect("fixture component");
+        ChurnRig {
+            producer: at("producer"),
+            worker: at("worker"),
+            sink: at("sink"),
+            spare: at("spare"),
+        }
+    }
+}
+
+/// One batch of perfbench's churn workload, towards the `flip` state:
+/// stop and start `sink`, rebind `worker.peer` (to `spare` when `flip`),
+/// swap `sink`'s fault policy, attach `sink`'s contract (when `flip`) or
+/// detach it, move `spare` into domain `B` (when `flip`) or `C` — which
+/// re-homes it between `ImmB` and `ImmC` — and, sharded, move
+/// `producer.out2` onto a ring to `spare` (when `flip`) or `sink`.
+fn churn_batch(
+    txn: &mut Reconfiguration<'_, u64>,
+    rig: ChurnRig,
+    flip: bool,
+    sharded: bool,
+) -> Result<(), FrameworkError> {
+    let (target, policy, domain) = if flip {
+        (rig.spare, FaultPolicy::Isolate, "B")
+    } else {
+        (rig.sink, FaultPolicy::Escalate, "C")
+    };
+    txn.stop(rig.sink)?;
+    txn.start(rig.sink)?;
+    txn.rebind(rig.worker, "peer", target)?;
+    txn.set_fault_policy(rig.sink, policy)?;
+    if flip {
+        txn.attach_contract(rig.sink, soleil_bench::baseline_contract())?;
+    } else {
+        txn.detach_contract(rig.sink)?;
+    }
+    txn.reassign_domain(rig.spare, domain)?;
+    if sharded {
+        txn.rebind_async(rig.producer, "out2", target)?;
+    }
+    Ok(())
+}
+
+/// Reconfiguration runs without the allocator: once warm, a churn batch
+/// — committed, or refused at its end — makes no heap allocation and no
+/// substrate charge, in SOLEIL and MERGE-ALL, on one shard and sharded,
+/// except that a batch attaching `sink`'s contract allocates the one
+/// monitor it installs. The re-homing moves `spare` between two areas of
+/// the one immortal budget it has lived in since build, and a sharded
+/// rewire reuses the ring its previous flip retired.
+#[test]
+fn warm_churn_batches_allocate_only_the_monitor_they_attach() {
+    let (arch, registry) = soleil_bench::churn_fixture().expect("fixture validates");
+    for sharded in [false, true] {
+        for mode in [Mode::Soleil, Mode::MergeAll] {
+            let mut dep = if sharded {
+                deploy_parallel(&arch, mode, &registry)
+            } else {
+                deploy(&arch, mode, &registry)
+            }
+            .expect("deploys");
+            assert_eq!(dep.shard_count(), if sharded { 2 } else { 1 });
+            let rig = ChurnRig::resolve(&dep);
+            let refusal = || FrameworkError::Unsupported(String::new());
+            let consumed = |dep: &Deployment<u64>| -> Vec<usize> {
+                (0..dep.shard_count())
+                    .map(|s| dep.shard_system(s).memory().total_consumed())
+                    .collect()
+            };
+
+            // Warm-up: every batch shape, committed and refused, twice.
+            for round in 0..4 {
+                let flip = round % 2 == 0;
+                dep.reconfigure(|txn| {
+                    churn_batch(txn, rig, !flip, sharded)?;
+                    Err::<(), _>(refusal())
+                })
+                .expect_err("the warm-up refusal refuses");
+                dep.reconfigure(|txn| churn_batch(txn, rig, flip, sharded))
+                    .expect("warm-up batch commits");
+                dep.run_tick().expect("warm-up tick");
+            }
+
+            let label = format!("{mode}, sharded={sharded}");
+            let charged = consumed(&dep);
+            for flip in [true, false] {
+                let digests = dep.structural_digests();
+                let before = alloc_probe::allocations();
+                dep.reconfigure(|txn| {
+                    churn_batch(txn, rig, flip, sharded)?;
+                    Err::<(), _>(refusal())
+                })
+                .expect_err("the failing closure refuses the batch");
+                let refused = alloc_probe::allocations() - before;
+                assert_eq!(
+                    dep.structural_digests(),
+                    digests,
+                    "{label}: refusal restored"
+                );
+
+                let before = alloc_probe::allocations();
+                dep.reconfigure(|txn| churn_batch(txn, rig, flip, sharded))
+                    .expect("batch commits");
+                let committed = alloc_probe::allocations() - before;
+
+                let monitor = u64::from(flip);
+                assert_eq!(
+                    (committed, refused),
+                    (monitor, monitor),
+                    "{label}, flip={flip}: (committed, refused) batch heap allocations"
+                );
+                dep.run_tick().expect("tick after the batch");
+            }
+            assert_eq!(
+                consumed(&dep),
+                charged,
+                "{label}: warm batches charged nothing"
+            );
+            assert_eq!(dep.stats().dropped_messages, 0, "{label}");
+        }
+    }
+}
+
+/// Two sibling scopes, `s1` and `s3`, under one immortal area: the
+/// periodic `a` (domain `d1`, in `s1`) sends to `b` (`d2`, in `s2`), and
+/// domain `d3` lives in `s3`. Moving `a` between `d1` and `d3` re-homes it
+/// between the two scopes and recompiles its row each way.
+fn scoped_rehome_fixture() -> (ValidatedArchitecture, ContentRegistry<u64>) {
+    #[derive(Debug, Default)]
+    struct Noop;
+    impl Content<u64> for Noop {
+        fn on_invoke(&mut self, _p: &str, _m: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+            Ok(())
+        }
+    }
+    let build = || -> SoleilResult<ValidatedArchitecture> {
+        let mut b = BusinessView::new("scoped-rehome");
+        b.active_periodic("a", "5ms")?;
+        b.active_sporadic("b")?;
+        b.content("a", "N")?;
+        b.content("b", "N")?;
+        b.require("a", "out", "I")?;
+        b.provide("b", "in", "I")?;
+        b.bind_async("a", "out", "b", "in", 4)?;
+        let mut flow = DesignFlow::new(b);
+        for (domain, priority, members) in
+            [("d1", 22, &["a"][..]), ("d2", 21, &["b"]), ("d3", 22, &[])]
+        {
+            flow.thread_domain(domain, ThreadKind::Realtime, priority, members)?;
+        }
+        for (scope, domain) in [("s1", "d1"), ("s2", "d2"), ("s3", "d3")] {
+            flow.memory_area(scope, MemoryKind::Scoped, Some(16 * 1024), &[domain])?;
+        }
+        flow.memory_area(
+            "imm",
+            MemoryKind::Immortal,
+            Some(64 * 1024),
+            &["s1", "s2", "s3"],
+        )?;
+        Ok(flow.merge()?.into_validated()?)
+    };
+    let mut registry: ContentRegistry<u64> = ContentRegistry::new();
+    registry.register("N", || Box::new(Noop));
+    (build().expect("fixture validates"), registry)
+}
+
+/// A warm re-homing between scoped areas allocates nothing either: the
+/// new scope chain is interned into the engine's arena in place, and the
+/// state is charged to each scope once, on the first move into it. After
+/// two warm-up round trips, a committed move each way and a refused one
+/// make no heap allocation and consume no substrate bytes.
+#[test]
+fn warm_scoped_rehoming_allocates_nothing() {
+    let (arch, registry) = scoped_rehome_fixture();
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        let mut dep = deploy(&arch, mode, &registry).expect("deploys");
+        let a = dep.resolve("a").expect("a exists");
+        for _ in 0..2 {
+            for domain in ["d3", "d1"] {
+                dep.reconfigure(|txn| txn.reassign_domain(a, domain))
+                    .expect("warm-up move commits");
+            }
+        }
+        let consumed = dep.memory().total_consumed();
+        let digests = dep.structural_digests();
+        let before = alloc_probe::allocations();
+        dep.reconfigure(|txn| {
+            txn.reassign_domain(a, "d3")?;
+            Err::<(), _>(FrameworkError::Unsupported(String::new()))
+        })
+        .expect_err("the failing closure refuses the move");
+        let refused = alloc_probe::allocations() - before;
+        assert_eq!(
+            dep.structural_digests(),
+            digests,
+            "{mode}: refusal restored"
+        );
+        let mut committed = [0; 2];
+        for (allocs, domain) in committed.iter_mut().zip(["d3", "d1"]) {
+            let before = alloc_probe::allocations();
+            dep.reconfigure(|txn| txn.reassign_domain(a, domain))
+                .expect("move commits");
+            *allocs = alloc_probe::allocations() - before;
+        }
+        assert_eq!(
+            (committed, refused),
+            ([0, 0], 0),
+            "{mode}: (committed there and back, refused) re-homing heap allocations"
+        );
+        assert_eq!(
+            dep.memory().total_consumed(),
+            consumed,
+            "{mode}: warm re-homings charged nothing"
+        );
+        dep.run_transaction(a).expect("the re-homed caller runs");
     }
 }

@@ -172,6 +172,22 @@ impl Architecture {
     /// * [`ModelError::KindMismatch`] if `parent` is Active or Passive
     ///   (only composites contain).
     pub fn add_child(&mut self, parent: ComponentId, child: ComponentId) -> Result<()> {
+        self.add_child_in(parent, child, &mut Vec::new())
+    }
+
+    /// [`add_child`](Self::add_child), with its cycle check walking in
+    /// `walk`'s storage: no allocation once `walk` has held a walk over
+    /// every component.
+    ///
+    /// # Errors
+    ///
+    /// As [`add_child`](Self::add_child).
+    pub fn add_child_in(
+        &mut self,
+        parent: ComponentId,
+        child: ComponentId,
+        walk: &mut Vec<ComponentId>,
+    ) -> Result<()> {
         let pc = self.component(parent)?;
         if matches!(pc.kind, ComponentKind::Active(_) | ComponentKind::Passive) {
             return Err(ModelError::KindMismatch {
@@ -180,7 +196,7 @@ impl Architecture {
             });
         }
         self.component(child)?;
-        if parent == child || self.is_reachable(child, parent) {
+        if parent == child || self.is_reachable_in(child, parent, walk) {
             return Err(ModelError::HierarchyCycle(
                 self.components[child.0 as usize].name.clone(),
             ));
@@ -422,7 +438,17 @@ impl Architecture {
 
     /// True when `to` is reachable from `from` following child edges.
     pub fn is_reachable(&self, from: ComponentId, to: ComponentId) -> bool {
-        Walk::new(&self.children, &[from], Vec::new()).any(|c| c == to)
+        self.is_reachable_in(from, to, &mut Vec::new())
+    }
+
+    /// [`is_reachable`](Self::is_reachable), walking in `walk`.
+    fn is_reachable_in(
+        &self,
+        from: ComponentId,
+        to: ComponentId,
+        walk: &mut Vec<ComponentId>,
+    ) -> bool {
+        Walk::new(&self.children, &[from], walk).any(|c| c == to)
     }
 
     /// Every ancestor of `id` (transitive supers, deduplicated, BFS order).
@@ -442,23 +468,23 @@ impl Architecture {
     /// [`ancestors`](Self::ancestors) into `out`, replacing its contents
     /// and reusing its capacity.
     pub(crate) fn ancestors_into(&self, id: ComponentId, out: &mut Vec<ComponentId>) {
-        let seeds = &self.parents[id.0 as usize];
-        *out = Walk::new(&self.parents, seeds, std::mem::take(out)).into_visited();
+        Walk::new(&self.parents, &self.parents[id.0 as usize], out).finish();
     }
 
     /// [`descendants`](Self::descendants) into `out`, replacing its
     /// contents and reusing its capacity.
     pub(crate) fn descendants_into(&self, id: ComponentId, out: &mut Vec<ComponentId>) {
-        let seeds = &self.children[id.0 as usize];
-        *out = Walk::new(&self.children, seeds, std::mem::take(out)).into_visited();
+        Walk::new(&self.children, &self.children[id.0 as usize], out).finish();
     }
 
-    /// The ancestors of `id`, nearest first, paired with their kinds.
-    fn ancestor_kinds(
-        &self,
+    /// The ancestors of `id`, nearest first, paired with their kinds: a
+    /// walk in `walk`.
+    fn ancestor_kinds<'a>(
+        &'a self,
         id: ComponentId,
-    ) -> impl Iterator<Item = (ComponentId, ComponentKind)> + '_ {
-        Walk::new(&self.parents, &self.parents[id.0 as usize], Vec::new())
+        walk: &'a mut Vec<ComponentId>,
+    ) -> impl Iterator<Item = (ComponentId, ComponentKind)> + 'a {
+        Walk::new(&self.parents, &self.parents[id.0 as usize], walk)
             .map(|a| (a, self.components[a.0 as usize].kind))
     }
 
@@ -485,10 +511,23 @@ impl Architecture {
 
     /// The unique ThreadDomain governing `id`, when exactly one exists.
     pub fn thread_domain_of(&self, id: ComponentId) -> Option<(ComponentId, ThreadDomainDesc)> {
-        let mut domains = self.ancestor_kinds(id).filter_map(|(a, kind)| match kind {
-            ComponentKind::ThreadDomain(desc) => Some((a, desc)),
-            _ => None,
-        });
+        self.thread_domain_of_in(id, &mut Vec::new())
+    }
+
+    /// [`thread_domain_of`](Self::thread_domain_of), walking in `walk`'s
+    /// storage: no allocation once `walk` has held a walk over every
+    /// component.
+    pub fn thread_domain_of_in(
+        &self,
+        id: ComponentId,
+        walk: &mut Vec<ComponentId>,
+    ) -> Option<(ComponentId, ThreadDomainDesc)> {
+        let mut domains = self
+            .ancestor_kinds(id, walk)
+            .filter_map(|(a, kind)| match kind {
+                ComponentKind::ThreadDomain(desc) => Some((a, desc)),
+                _ => None,
+            });
         match (domains.next(), domains.next()) {
             (Some(domain), None) => Some(domain),
             _ => None,
@@ -504,11 +543,23 @@ impl Architecture {
     /// (memory areas may nest, so a component's allocation region is the
     /// innermost enclosing area).
     pub fn memory_area_of(&self, id: ComponentId) -> Option<(ComponentId, MemoryAreaDesc)> {
+        self.memory_area_of_in(id, &mut Vec::new())
+    }
+
+    /// [`memory_area_of`](Self::memory_area_of), walking in `walk`'s
+    /// storage: no allocation once `walk` has held a walk over every
+    /// component.
+    pub fn memory_area_of_in(
+        &self,
+        id: ComponentId,
+        walk: &mut Vec<ComponentId>,
+    ) -> Option<(ComponentId, MemoryAreaDesc)> {
         // BFS over supers yields nearest-first.
-        self.ancestor_kinds(id).find_map(|(a, kind)| match kind {
-            ComponentKind::MemoryArea(desc) => Some((a, desc)),
-            _ => None,
-        })
+        self.ancestor_kinds(id, walk)
+            .find_map(|(a, kind)| match kind {
+                ComponentKind::MemoryArea(desc) => Some((a, desc)),
+                _ => None,
+            })
     }
 
     /// All active components, in insertion order.
@@ -729,7 +780,7 @@ impl Architecture {
 /// and the walk ends on any table, cyclic ones included.
 struct Walk<'a> {
     edges: &'a [Vec<ComponentId>],
-    visited: Vec<ComponentId>,
+    visited: &'a mut Vec<ComponentId>,
     head: usize,
 }
 
@@ -740,7 +791,7 @@ impl<'a> Walk<'a> {
     fn new(
         edges: &'a [Vec<ComponentId>],
         seeds: &[ComponentId],
-        mut visited: Vec<ComponentId>,
+        visited: &'a mut Vec<ComponentId>,
     ) -> Self {
         visited.clear();
         if !seeds.is_empty() {
@@ -754,10 +805,10 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Runs the walk to the end and returns everything it reached.
-    fn into_visited(mut self) -> Vec<ComponentId> {
+    /// Runs the walk to the end, leaving everything it reached in
+    /// `visited`.
+    fn finish(mut self) {
         while self.next().is_some() {}
-        self.visited
     }
 }
 

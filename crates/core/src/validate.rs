@@ -9,8 +9,10 @@
 //! implement (the paper's "guidance for implementations of interfaces that
 //! cross different concerns").
 //!
-//! [`is_compliant`] gives the same verdict without the report. Both entry
-//! points run one rule pass, and each rule is written once:
+//! [`is_compliant`] gives the same verdict without the report, and
+//! [`is_compliant_in`] gives it on a facts table whose storage the caller
+//! keeps between passes. Every entry point runs one rule pass, and each
+//! rule is written once:
 //!
 //! * the pass first builds a facts table — every component's ThreadDomain
 //!   ancestors (how many, and the nearest) and MemoryArea ancestors — from
@@ -20,7 +22,9 @@
 //!   that renders its text. [`validate`]'s sink renders every finding into
 //!   the report; [`is_compliant`]'s renders none and stops the pass at the
 //!   first *Error*, so a compliant architecture costs no diagnostic text.
-//!   That is the check a live reconfiguration's commit runs.
+//!   That is the check a live reconfiguration's commit runs, through
+//!   [`is_compliant_in`] on storage its deployment keeps, so a warm commit
+//!   allocates nothing.
 //!
 //! | Code | Severity | Rule |
 //! |------|----------|------|
@@ -352,17 +356,24 @@ impl Architecture {
 pub fn validate(arch: &Architecture) -> ValidationReport {
     let mut report = ValidationReport::default();
     // A report keeps every finding, so it never stops the pass.
-    let _ = rules(arch, &mut report);
+    let _ = rules(arch, &mut FactsStorage::default(), &mut report);
     report
 }
 
 /// The verdict of [`validate`] without its report: true when no rule finds
 /// an *Error*, exactly when `validate(arch).is_compliant()`. The same rule
 /// pass runs, but no finding is rendered and the pass stops at the first
-/// *Error* — the check a live reconfiguration's commit makes, which
-/// renders the report only when it refuses.
+/// *Error* — the check a live reconfiguration's commit makes (through
+/// [`is_compliant_in`]), which renders the report only when it refuses.
 pub fn is_compliant(arch: &Architecture) -> bool {
-    rules(arch, &mut Verdict).is_continue()
+    is_compliant_in(arch, &mut FactsStorage::default())
+}
+
+/// [`is_compliant`] with its facts table built in `storage`, which keeps
+/// its capacity for the next pass: once the storage has held a table as
+/// large as `arch`'s, the verdict allocates nothing.
+pub fn is_compliant_in(arch: &Architecture, storage: &mut FactsStorage) -> bool {
+    rules(arch, storage, &mut Verdict).is_continue()
 }
 
 /// Computes the cross-scope pattern a binding needs, from the client's and
@@ -724,18 +735,30 @@ impl Sink for Verdict {
     }
 }
 
+/// Storage for the facts table of a rule pass (see [`is_compliant_in`]):
+/// each pass rebuilds the table in it, keeping the capacity earlier passes
+/// grew.
+#[derive(Debug, Default)]
+pub struct FactsStorage {
+    rows: Vec<Row>,
+    areas: Vec<ComponentId>,
+    /// The scratch every hierarchy walk of the pass runs in.
+    walk: Vec<ComponentId>,
+}
+
 /// What the rules ask of the containment hierarchy, answered for every
 /// component by one upward walk each.
 struct Facts<'a> {
     arch: &'a Architecture,
     /// One row per component, indexed by id.
-    rows: Vec<Row>,
+    rows: &'a [Row],
     /// Every component's MemoryArea ancestors, nearest first, one run per
     /// component.
-    areas: Vec<ComponentId>,
+    areas: &'a [ComponentId],
 }
 
 /// One component's ancestry.
+#[derive(Debug)]
 struct Row {
     /// How many ThreadDomains are its ancestors.
     domains: usize,
@@ -746,10 +769,18 @@ struct Row {
 }
 
 impl<'a> Facts<'a> {
-    /// Walks up from every component once, each walk into `walk`.
-    fn build(arch: &'a Architecture, walk: &mut Vec<ComponentId>) -> Self {
-        let mut rows = Vec::with_capacity(arch.components().len());
-        let mut areas = Vec::with_capacity(arch.components().len());
+    /// Walks up from every component once, each walk into the storage's
+    /// scratch, and builds the table in the storage. Returns the table and
+    /// the scratch, free for the rules' own walks.
+    fn build(
+        arch: &'a Architecture,
+        storage: &'a mut FactsStorage,
+    ) -> (Self, &'a mut Vec<ComponentId>) {
+        let FactsStorage { rows, areas, walk } = storage;
+        rows.clear();
+        rows.reserve(arch.components().len());
+        areas.clear();
+        areas.reserve(arch.components().len());
         for c in arch.components() {
             arch.ancestors_into(c.id(), walk);
             let start = areas.len();
@@ -771,7 +802,7 @@ impl<'a> Facts<'a> {
             row.areas.end = areas.len();
             rows.push(row);
         }
-        Facts { arch, rows, areas }
+        (Facts { arch, rows, areas }, walk)
     }
 
     fn row(&self, id: ComponentId) -> &Row {
@@ -830,13 +861,12 @@ fn name(arch: &Architecture, id: ComponentId) -> Cow<'_, str> {
 }
 
 /// The rule pass: every rule once, in report order, reading one facts
-/// table and handing each finding to `sink`.
-fn rules(arch: &Architecture, sink: &mut impl Sink) -> ControlFlow<()> {
-    let mut walk = Vec::with_capacity(arch.components().len());
-    let facts = Facts::build(arch, &mut walk);
+/// table built in `storage` and handing each finding to `sink`.
+fn rules(arch: &Architecture, storage: &mut FactsStorage, sink: &mut impl Sink) -> ControlFlow<()> {
+    let (facts, walk) = Facts::build(arch, storage);
     thread_domains(&facts, sink)?;
     memory_areas(&facts, sink)?;
-    nhrt_heap(&facts, &mut walk, sink)?;
+    nhrt_heap(&facts, walk, sink)?;
     bindings(&facts, sink)?;
     shared_services(&facts, sink)
 }
@@ -1896,7 +1926,8 @@ mod tests {
             binds in proptest::collection::vec((0..64usize, 0..64usize, 0..2u8), 0..16),
         ) {
             let a = random_arch(&picks, &edges, &binds);
-            let facts = Facts::build(&a, &mut Vec::new());
+            let mut storage = FactsStorage::default();
+            let (facts, _) = Facts::build(&a, &mut storage);
             for c in a.components() {
                 let id = c.id();
                 let domains = a.thread_domains_of(id);
@@ -1927,6 +1958,15 @@ mod tests {
                 proptest::prop_assert_eq!(facts.pattern(b), cross_scope_pattern(&a, b));
             }
             proptest::prop_assert_eq!(is_compliant(&a), validate(&a).is_compliant());
+            // Storage a pass over another architecture left behind holds
+            // no stale fact.
+            let other = random_arch(&picks[..1 + picks.len() / 2], &edges, &binds);
+            let mut storage = FactsStorage::default();
+            is_compliant_in(&other, &mut storage);
+            proptest::prop_assert_eq!(
+                is_compliant_in(&a, &mut storage),
+                validate(&a).is_compliant()
+            );
         }
     }
 }

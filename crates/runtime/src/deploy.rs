@@ -29,7 +29,12 @@
 //!   the partition invariants; a refusal then lists the SOL-015 couplings),
 //!   and any failure — an operation error, a validator refusal or deferred
 //!   substrate charges that do not fit — rolls everything back: engines,
-//!   rings, plan and architectural model.
+//!   rings, plan and architectural model. The journal, the deferred
+//!   charges, the verdict's facts table and the walks of the architecture
+//!   live in the deployment between transactions, cleared but not
+//!   dropped, and a rewire reuses a retired ring of the binding's capacity
+//!   before it builds one, so a warm transaction of the supported
+//!   operations allocates nothing and charges no new immortal memory.
 //!
 //! Tokens are deployment-scoped: every `ComponentRef`/`PortRef`, and every
 //! `TimerHandle` a deployment issues, carries the identity of the
@@ -46,7 +51,7 @@ use rtsj::time::AbsoluteTime;
 use soleil_core::arch::{ChildEdge, ServerSwap};
 use soleil_core::contract::TimingContract;
 use soleil_core::model::{ComponentId, ComponentKind};
-use soleil_core::validate::{is_compliant, parallel_coupling, validate};
+use soleil_core::validate::{is_compliant_in, parallel_coupling, validate, FactsStorage};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
 use soleil_membrane::interceptors::FaultInjector;
@@ -140,6 +145,8 @@ pub struct Deployment<P: Payload> {
     ids: Vec<ComponentId>,
     /// Names resolved by [`resolve`](Self::resolve).
     lookups: Cell<u64>,
+    /// What [`reconfigure`](Self::reconfigure) lends each transaction.
+    scratch: Scratch,
 }
 
 /// The sharded deployment's former name. Kept so existing callers (the
@@ -252,6 +259,7 @@ impl<P: Payload> Deployment<P> {
             arch,
             ids,
             lookups: Cell::new(0),
+            scratch: Scratch::default(),
         })
     }
 
@@ -1052,7 +1060,7 @@ impl<P: Payload> Deployment<P> {
     /// re-validated — the plan's partition invariants when there is more
     /// than one shard, and, for architecture-carrying deployments, the
     /// full RTSJ rule set — and commits only if compliant. The rule set
-    /// runs as [`is_compliant`], which renders no diagnostic; the full
+    /// runs as [`is_compliant_in`], which renders no diagnostic; the full
     /// report is built only when the verdict refuses. Substrate charges
     /// for rings and re-homed state are deferred to the commit and
     /// admitted together before the first is made, so a transaction
@@ -1068,6 +1076,13 @@ impl<P: Payload> Deployment<P> {
     /// it re-runs no operation, re-checks nothing and calls no hook, so it
     /// cannot fail halfway. A refused transaction that stopped a component
     /// has run its `on_stop` once, and does not run `on_start` again.
+    ///
+    /// The journal, the deferred charges, the verdict's facts table and
+    /// the architecture walks are the deployment's, lent to the
+    /// transaction and cleared, not dropped, when it ends. So once a
+    /// transaction of the same shape has run, a committed or refused one
+    /// makes no heap allocation — only attaching a contract allocates its
+    /// monitor.
     ///
     /// A sharded deployment is first driven to a quiescence epoch — every
     /// ring drained, zero messages in flight — on the caller's thread: the
@@ -1095,21 +1110,19 @@ impl<P: Payload> Deployment<P> {
             ));
         }
         self.quiesce()?;
-        let mut txn = Reconfiguration {
-            dep: self,
-            journal: Vec::new(),
-            pending_charges: Vec::new(),
-        };
+        let mut txn = Reconfiguration { dep: self };
         let result = match catch_unwind(AssertUnwindSafe(|| f(&mut txn))) {
             Ok(result) => result.and_then(|value| txn.commit().map(|()| value)),
             Err(payload) => {
                 txn.rollback();
+                txn.dep.scratch.clear();
                 resume_unwind(payload)
             }
         };
         if result.is_err() {
             txn.rollback();
         }
+        self.scratch.clear();
         result
     }
 
@@ -1189,19 +1202,49 @@ impl DomainEdge {
 /// reach the allocator, so they are charge-neutral (the paper's memory
 /// model makes immortal/scoped charges permanent — a speculative charge
 /// could never be given back). Either the state bytes of a re-homed
-/// component, charged to its new region, or the slot array of a freshly
-/// installed cross-domain ring, charged to immortal memory on the producer
-/// shard.
+/// component, charged to a region it has not lived in before, or the slot
+/// array of a freshly built cross-domain ring, charged to immortal memory
+/// on the producer shard.
 struct PendingCharge {
     shard: usize,
     area: AreaId,
     bytes: usize,
+    /// The re-homed slot whose state the charge is; `None` for a ring.
+    home_of: Option<usize>,
+}
+
+/// What a transaction accumulates as it runs, kept by its deployment
+/// between transactions: empty whenever none runs, with the capacity the
+/// largest one grew, so a warm transaction allocates nothing.
+#[derive(Default)]
+struct Scratch {
+    /// The undo journal, oldest entry first.
+    journal: Vec<Undo>,
+    /// Substrate charges deferred to the commit.
+    charges: Vec<PendingCharge>,
+    /// Row pre-images of the transaction's re-homings, newest last: each
+    /// re-homing [`Undo::Domain`] takes its own back off the end.
+    rows: Vec<RowPreImage>,
+    /// The commit verdict's facts table.
+    facts: FactsStorage,
+    /// The scratch of the transaction's architecture walks.
+    walk: Vec<ComponentId>,
+}
+
+impl Scratch {
+    /// Ends a transaction: what it accumulated goes, the capacity stays.
+    /// The facts table and the walk are rebuilt wherever they are read.
+    fn clear(&mut self) {
+        self.journal.clear();
+        self.charges.clear();
+        self.rows.clear();
+    }
 }
 
 /// One applied operation's undo record: a pre-image. Rollback writes
 /// these back in reverse, restoring engines, rings, plan and architectural
 /// model, and re-runs no operation.
-enum Undo<P> {
+enum Undo {
     /// Undo of `stop`/`start`: the component's lifecycle record before
     /// the hook ran.
     Lifecycle {
@@ -1215,14 +1258,11 @@ enum Undo<P> {
         old: RowPreImage,
         plan: PlanRebind,
     },
-    /// Undo of `rebind_async`: retire the installed ring, restore the
-    /// client's compiled binding and re-seat the retired ring, plus the
-    /// plan and architecture pre-images. Boxed: the ring record is several
-    /// times the size of every other arm.
-    Rewire {
-        ring: Box<Rewire<P>>,
-        plan: PlanRebind,
-    },
+    /// Undo of `rebind_async`: take the installed ring off its consumer,
+    /// restore the client's compiled binding, re-seat the retired ring and
+    /// return a pooled one to the pool, plus the plan and architecture
+    /// pre-images.
+    Rewire { ring: Rewire, plan: PlanRebind },
     /// Undo of `reassign_domain`: re-seat the domain (and, for a re-homed
     /// component, migrate the allocation region back).
     Domain {
@@ -1254,8 +1294,6 @@ enum Undo<P> {
 /// revert together on failure.
 pub struct Reconfiguration<'d, P: Payload> {
     dep: &'d mut Deployment<P>,
-    journal: Vec<Undo<P>>,
-    pending_charges: Vec<PendingCharge>,
 }
 
 impl<P: Payload> Reconfiguration<'_, P> {
@@ -1303,7 +1341,10 @@ impl<P: Payload> Reconfiguration<'_, P> {
         } else {
             system.stop_at(at.slot())
         }?;
-        self.journal.push(Undo::Lifecycle { at, previous });
+        self.dep
+            .scratch
+            .journal
+            .push(Undo::Lifecycle { at, previous });
         Ok(())
     }
 
@@ -1400,7 +1441,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
             .plan_binding(gclient, port, true)
             .and_then(|gbix| self.rebind_plan(gbix, port, gserver))
             .inspect_err(|_| self.engine(c).restore_row(old))?;
-        self.journal.push(Undo::Rebind {
+        self.dep.scratch.journal.push(Undo::Rebind {
             client: c,
             old,
             plan,
@@ -1411,9 +1452,12 @@ impl<P: Payload> Reconfiguration<'_, P> {
     /// Rebinds `client`'s **asynchronous** `port` to `new_server`,
     /// anywhere in the partition — the cross-ring rewiring operation of a
     /// sharded deployment. The new server must provide a server interface
-    /// of the same name as the old target. A fresh SPSC ring (the old
-    /// binding's capacity) replaces the old carrier; its immortal charge is
-    /// deferred to commit.
+    /// of the same name as the old target. An SPSC ring of the binding's
+    /// capacity replaces the old carrier, which retires into a pool on the
+    /// client's shard: the newest pooled ring of that capacity when there
+    /// is one — charged when it was built, so it charges nothing — or a
+    /// fresh one, whose immortal charge is deferred to commit. A deployment
+    /// that flips a binding back and forth therefore builds one ring, once.
     ///
     /// # Errors
     ///
@@ -1449,7 +1493,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
 
         let plan = self.rebind_plan(gbix, port, gserver)?;
         let dep = &mut *self.dep;
-        let (ring, bytes) = dep
+        let (ring, fresh_bytes) = dep
             .rings
             .rewire(
                 &mut dep.shards,
@@ -1460,15 +1504,15 @@ impl<P: Payload> Reconfiguration<'_, P> {
                 (s.shard(), s.slot(), port_ix),
             )
             .inspect_err(|_| dep.restore_plan(plan))?;
-        self.pending_charges.push(PendingCharge {
-            shard: c.shard(),
-            area: AreaId::IMMORTAL,
-            bytes,
-        });
-        self.journal.push(Undo::Rewire {
-            ring: Box::new(ring),
-            plan,
-        });
+        if let Some(bytes) = fresh_bytes {
+            dep.scratch.charges.push(PendingCharge {
+                shard: c.shard(),
+                area: AreaId::IMMORTAL,
+                bytes,
+                home_of: None,
+            });
+        }
+        dep.scratch.journal.push(Undo::Rewire { ring, plan });
         Ok(())
     }
 
@@ -1484,8 +1528,12 @@ impl<P: Payload> Reconfiguration<'_, P> {
     /// scope chain and every dispatch plan touching it are recompiled
     /// against the new region through the same constructors build uses,
     /// and the migrated state's substrate charge is deferred to commit,
-    /// so a refused transaction stays charge-neutral. The live placement,
-    /// the plan and the architectural model stay in lock-step either way.
+    /// so a refused transaction stays charge-neutral. The state is charged
+    /// once per substrate area it has lived in: a move back, or into
+    /// another declared area of the same substrate area (every immortal
+    /// area is the one immortal budget), charges nothing. The live
+    /// placement, the plan and the architectural model stay in lock-step
+    /// either way.
     ///
     /// The domain partition itself is static: a reassignment onto a
     /// domain materialized on another shard would migrate the component
@@ -1532,15 +1580,18 @@ impl<P: Payload> Reconfiguration<'_, P> {
             .position(|d| d.name == domain)
             .expect("shard domains are a subset of the plan's");
 
-        // Move the containment edge in the architectural model. The
-        // `remove_child` result guards against indirect membership (the
-        // component sits inside a composite inside the domain): moving the
-        // direct edge would not actually re-home it, so refuse. An edge
-        // that changes the effective memory area names the region to
-        // re-home onto.
+        // Move the containment edge in the architectural model, walking
+        // in the transaction's scratch. The `remove_child` result guards
+        // against indirect membership (the component sits inside a
+        // composite inside the domain): moving the direct edge would not
+        // actually re-home it, so refuse. An edge that changes the
+        // effective memory area names the region to re-home onto, in the
+        // engine and the plan, whose areas are named after the
+        // architecture's.
         let mut edge = None;
-        let mut rehome_onto = None;
+        let mut onto = None;
         if let Some(arch) = dep.arch.as_mut() {
+            let walk = &mut dep.scratch.walk;
             let comp = dep.ids[g];
             let new = arch
                 .id_of(domain)
@@ -1553,8 +1604,8 @@ impl<P: Payload> Reconfiguration<'_, P> {
                     "'{domain}' is not a ThreadDomain"
                 )));
             }
-            let old_area = arch.memory_area_of(comp).map(|(id, _)| id);
-            let removed = match arch.thread_domain_of(comp) {
+            let old_area = arch.memory_area_of_in(comp, walk).map(|(id, _)| id);
+            let removed = match arch.thread_domain_of_in(comp, walk) {
                 Some((old, _)) => Some(arch.remove_child(old, comp).ok_or_else(|| {
                     FrameworkError::Binding(format!(
                         "'{name}' is only an indirect member of its ThreadDomain; reassignment \
@@ -1563,14 +1614,14 @@ impl<P: Payload> Reconfiguration<'_, P> {
                 })?),
                 None => None,
             };
-            if let Err(e) = arch.add_child(new, comp) {
+            if let Err(e) = arch.add_child_in(new, comp, walk) {
                 if let Some(edge) = removed {
                     arch.restore_child(edge);
                 }
                 return Err(FrameworkError::Binding(e.to_string()));
             }
             let moved = DomainEdge { comp, removed, new };
-            let new_area = arch.memory_area_of(comp).map(|(id, _)| id);
+            let new_area = arch.memory_area_of_in(comp, walk).map(|(id, _)| id);
             if new_area != old_area {
                 let Some(area) = new_area.and_then(|id| arch.component(id).ok()) else {
                     moved.restore(arch);
@@ -1579,7 +1630,20 @@ impl<P: Payload> Reconfiguration<'_, P> {
                          memory area; components keep an allocation region"
                     )));
                 };
-                rehome_onto = Some(area.name.clone());
+                let found = dep.shards[shard]
+                    .system
+                    .area_ix_by_name(&area.name)
+                    .zip(dep.spec.areas.iter().position(|a| a.name == area.name));
+                let Some(pair) = found else {
+                    let err = FrameworkError::Unsupported(format!(
+                        "reassigning '{name}' to domain '{domain}' re-homes it onto memory area \
+                         '{}', which is not materialized on its shard",
+                        area.name
+                    ));
+                    moved.restore(arch);
+                    return Err(err);
+                };
+                onto = Some(pair);
             }
             edge = Some(moved);
         }
@@ -1588,25 +1652,6 @@ impl<P: Payload> Reconfiguration<'_, P> {
         let restore_edge = move |dep: &mut Deployment<P>| {
             if let (Some(edge), Some(arch)) = (edge, dep.arch.as_mut()) {
                 edge.restore(arch);
-            }
-        };
-        // The region a re-homing moves onto, in the engine and the plan.
-        let onto = match rehome_onto {
-            None => None,
-            Some(area_name) => {
-                let found = dep.shards[shard]
-                    .system
-                    .area_ix_by_name(&area_name)
-                    .zip(dep.spec.areas.iter().position(|a| a.name == area_name));
-                let Some(pair) = found else {
-                    let err = FrameworkError::Unsupported(format!(
-                        "reassigning '{name}' to domain '{domain}' re-homes it onto memory area \
-                         '{area_name}', which is not materialized on its shard"
-                    ));
-                    restore_edge(dep);
-                    return Err(err);
-                };
-                Some(pair)
             }
         };
 
@@ -1640,22 +1685,36 @@ impl<P: Payload> Reconfiguration<'_, P> {
         }
 
         // Engine half: re-home the allocation region first (it can
-        // refuse), then the domain seat (infallible).
+        // refuse), then the domain seat (infallible). The state is charged
+        // to its new region at commit, unless it has lived there before
+        // or an earlier move of this transaction already charges it there.
         let mut rehome = None;
         if let Some((new_ix, new_g)) = onto {
-            let system = &mut dep.shards[shard].system;
-            let undo = match system.rehome_area_at(slot, new_ix) {
+            let owner = &mut dep.shards[shard];
+            let undo = match owner
+                .system
+                .rehome_area_at(slot, new_ix, &mut dep.scratch.rows)
+            {
                 Ok(undo) => undo,
                 Err(e) => {
                     restore_edge(dep);
                     return Err(e);
                 }
             };
-            self.pending_charges.push(PendingCharge {
-                shard,
-                area: system.area_id(new_ix),
-                bytes: system.state_bytes_at(slot),
-            });
+            let area = owner.system.area_id(new_ix);
+            let charges = &mut dep.scratch.charges;
+            let charged = owner.has_lived_in(slot, area)
+                || charges
+                    .iter()
+                    .any(|c| (c.shard, c.area, c.home_of) == (shard, area, Some(slot)));
+            if !charged {
+                charges.push(PendingCharge {
+                    shard,
+                    area,
+                    bytes: owner.system.state_bytes_at(slot),
+                    home_of: Some(slot),
+                });
+            }
             rehome = Some((
                 undo,
                 std::mem::replace(&mut dep.spec.components[g].area, new_g),
@@ -1669,7 +1728,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
         // The slot's priority changed with its domain: re-sort the drain
         // order its shard serves rings in.
         dep.shards[shard].resort_incoming();
-        self.journal.push(Undo::Domain {
+        dep.scratch.journal.push(Undo::Domain {
             at,
             old_domain_ix,
             old_domain_g,
@@ -1695,7 +1754,10 @@ impl<P: Payload> Reconfiguration<'_, P> {
     ) -> Result<(), FrameworkError> {
         let at = component.locate(self.dep)?;
         let previous = self.engine(at).attach_contract_at(at.slot(), contract)?;
-        self.journal.push(Undo::Contract { at, previous });
+        self.dep
+            .scratch
+            .journal
+            .push(Undo::Contract { at, previous });
         Ok(())
     }
 
@@ -1711,7 +1773,10 @@ impl<P: Payload> Reconfiguration<'_, P> {
         let previous = self.engine(at).detach_contract_at(at.slot());
         let detached = previous.is_some();
         if detached {
-            self.journal.push(Undo::Contract { at, previous });
+            self.dep
+                .scratch
+                .journal
+                .push(Undo::Contract { at, previous });
         }
         Ok(detached)
     }
@@ -1769,7 +1834,10 @@ impl<P: Payload> Reconfiguration<'_, P> {
         let system = self.engine(at);
         let previous = system.supervision_at(at.slot());
         write(system, at.slot())?;
-        self.journal.push(Undo::Supervision { at, previous });
+        self.dep
+            .scratch
+            .journal
+            .push(Undo::Supervision { at, previous });
         Ok(())
     }
 
@@ -1777,17 +1845,23 @@ impl<P: Payload> Reconfiguration<'_, P> {
     /// only), the RTSJ verdict on the architectural mirror, every shard's
     /// supervision tree, then the deferred substrate charges. The full
     /// validation report is rendered only for a refusal (a sharded one
-    /// adds the SOL-015 couplings). Every charge is admitted before any
-    /// is made, so a charge that does not fit refuses the transaction
-    /// with nothing charged — immortal/scoped accounting is monotonic,
-    /// so a charge once made could never be given back.
+    /// adds the SOL-015 couplings); the verdict builds its facts table in
+    /// the deployment's storage. Every charge is admitted before any is
+    /// made, so a charge that does not fit refuses the transaction with
+    /// nothing charged — immortal/scoped accounting is monotonic, so a
+    /// charge once made could never be given back.
     fn commit(&mut self) -> Result<(), FrameworkError> {
         let dep = &mut *self.dep;
         let sharded = dep.shards.len() > 1;
         if sharded {
             dep.check_partition()?;
         }
-        if let Some(arch) = dep.arch.as_ref().filter(|arch| !is_compliant(arch)) {
+        let facts = &mut dep.scratch.facts;
+        if let Some(arch) = dep
+            .arch
+            .as_ref()
+            .filter(|arch| !is_compliant_in(arch, facts))
+        {
             let mut report = validate(arch);
             if sharded {
                 report.merge(parallel_coupling(arch));
@@ -1800,7 +1874,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
             s.system.check_supervision()?;
         }
         // Admit each area's charges together, at the first charge into it.
-        let charges = &self.pending_charges;
+        let charges = &dep.scratch.charges;
         for (i, first) in charges.iter().enumerate() {
             let site = (first.shard, first.area);
             if charges[..i].iter().any(|c| (c.shard, c.area) == site) {
@@ -1816,8 +1890,12 @@ impl<P: Payload> Reconfiguration<'_, P> {
                 .system
                 .admit_charges(first.area, blocks, bytes)?;
         }
-        for c in std::mem::take(&mut self.pending_charges) {
-            dep.shards[c.shard].system.charge(c.area, c.bytes)?;
+        for c in charges {
+            let shard = &mut dep.shards[c.shard];
+            shard.system.charge(c.area, c.bytes)?;
+            if let Some(slot) = c.home_of {
+                shard.record_home(slot, c.area);
+            }
         }
         Ok(())
     }
@@ -1827,7 +1905,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
     /// here can fail.
     fn rollback(&mut self) {
         let dep = &mut *self.dep;
-        while let Some(undo) = self.journal.pop() {
+        while let Some(undo) = dep.scratch.journal.pop() {
             match undo {
                 Undo::Lifecycle { at, previous } => {
                     dep.shards[at.shard()]
@@ -1839,7 +1917,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
                     dep.restore_plan(plan);
                 }
                 Undo::Rewire { ring, plan } => {
-                    dep.rings.unwire(&mut dep.shards, *ring);
+                    dep.rings.unwire(&mut dep.shards, ring);
                     dep.restore_plan(plan);
                 }
                 Undo::Domain {
@@ -1853,7 +1931,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
                     let system = &mut dep.shards[at.shard()].system;
                     system.set_domain_at(at.slot(), old_domain_ix);
                     if let Some((undo, old_g)) = rehome {
-                        system.restore_area(undo);
+                        system.restore_area(undo, &mut dep.scratch.rows);
                         dep.spec.components[g].area = old_g;
                     }
                     dep.spec.components[g].domain = old_domain_g;

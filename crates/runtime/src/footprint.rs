@@ -10,10 +10,12 @@ use std::fmt;
 
 use rtsj::memory::{AreaId, MemoryManager};
 
-/// Footprint of one architecture-level memory area.
+/// Footprint of one substrate area, under the architecture-level names
+/// of the areas it backs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AreaFootprint {
-    /// Architecture-level area name.
+    /// Architecture-level area name; the names joined with `+` when
+    /// several declared areas share the substrate area.
     pub name: String,
     /// Bytes currently consumed in the substrate area.
     pub consumed: usize,
@@ -46,7 +48,11 @@ pub struct FootprintReport {
 
 impl FootprintReport {
     /// Collects a report from the substrate plus framework- and
-    /// release-engine-byte figures computed by the caller.
+    /// release-engine-byte figures computed by the caller. Declared areas
+    /// that share one substrate area — every immortal area folds into the
+    /// one immortal budget, every heap area into the heap — are listed
+    /// once, under their names joined with `+`, so that area's bytes
+    /// count once.
     pub fn collect(
         label: String,
         mm: &MemoryManager,
@@ -54,21 +60,26 @@ impl FootprintReport {
         framework_bytes: usize,
         release_engine_bytes: usize,
     ) -> Self {
-        let areas = areas
-            .into_iter()
-            .map(|(name, id)| {
-                let s = mm.stats(id).expect("area registered at bootstrap");
-                AreaFootprint {
-                    name,
-                    consumed: s.consumed,
-                    high_watermark: s.high_watermark,
-                    budget: s.size_limit,
-                }
-            })
-            .collect();
+        let mut ids: Vec<AreaId> = Vec::with_capacity(areas.len());
+        let mut listed: Vec<AreaFootprint> = Vec::with_capacity(areas.len());
+        for (name, id) in areas {
+            if let Some(seen) = ids.iter().position(|&s| s == id) {
+                listed[seen].name.push('+');
+                listed[seen].name.push_str(&name);
+                continue;
+            }
+            let s = mm.stats(id).expect("area registered at bootstrap");
+            ids.push(id);
+            listed.push(AreaFootprint {
+                name,
+                consumed: s.consumed,
+                high_watermark: s.high_watermark,
+                budget: s.size_limit,
+            });
+        }
         FootprintReport {
             label,
-            areas,
+            areas: listed,
             framework_bytes,
             release_engine_bytes,
         }
@@ -137,6 +148,29 @@ mod tests {
         assert!(display.contains("imm"));
         assert!(display.contains("framework"));
         assert!(display.contains("release eng"));
+    }
+
+    /// Two declared immortal areas are one substrate area: listed once,
+    /// under both names, and counted once.
+    #[test]
+    fn a_shared_substrate_area_counts_once() {
+        let mut mm = MemoryManager::new(0, 1 << 20);
+        let ctx = mm.context(ThreadKind::Realtime);
+        mm.alloc_raw(&ctx, AreaId::IMMORTAL, 500).unwrap();
+        let report = FootprintReport::collect(
+            "TEST".into(),
+            &mm,
+            vec![
+                ("immA".into(), AreaId::IMMORTAL),
+                ("heap".into(), AreaId::HEAP),
+                ("immB".into(), AreaId::IMMORTAL),
+            ],
+            0,
+            0,
+        );
+        let names: Vec<&str> = report.areas.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, ["immA+immB", "heap"]);
+        assert_eq!(report.application_bytes(), mm.total_consumed());
     }
 
     #[test]

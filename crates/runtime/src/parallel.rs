@@ -82,7 +82,7 @@ use crate::spec::{
     AreaSpec, BindingSpec, ComponentSpec, DomainSpec, Mode, ProtocolSpec, SystemSpec,
 };
 use crate::system::{
-    immortal_budget, panic_text, AsyncRepointUndo, CrossOutput, EngineStats, System,
+    immortal_budget, panic_text, AsyncRepointUndo, CrossOutput, CrossTx, EngineStats, System,
 };
 
 // ---------------------------------------------------------------------------
@@ -200,7 +200,17 @@ struct CrossIn<P> {
     tag: u64,
 }
 
-/// One engine of a deployment, with the rings it drains.
+/// A ring a rewire retired, pooled on its producer's shard: its producer
+/// stays at `cross_ix` in that shard's engine, where no row routes to it,
+/// and its consumer endpoint waits here. The quiescence epoch before the
+/// rewire emptied it, and nothing pushes into it while it waits.
+struct PooledRing<P> {
+    cross_ix: usize,
+    ring: CrossIn<P>,
+}
+
+/// One engine of a deployment, with the rings it drains and what its
+/// reconfigurations reuse instead of charging again.
 pub(crate) struct Shard<P: Payload> {
     /// Thread-domain names joined with `+` (`shard{N}` without any).
     pub(crate) label: String,
@@ -210,6 +220,15 @@ pub(crate) struct Shard<P: Payload> {
     pub(crate) globals: Vec<usize>,
     pub(crate) system: System<P>,
     incoming: Vec<CrossIn<P>>,
+    /// Retired rings this shard produces into, newest last: a rewire of
+    /// one of its ports takes one of the binding's capacity before it
+    /// builds a fresh ring.
+    pool: Vec<PooledRing<P>>,
+    /// `(slot, area)` for every substrate area a slot's state has been
+    /// charged to: its build area, then each one a committed re-homing
+    /// moved it into. A move back into one of them charges nothing, since
+    /// the state charged there still stands (charges are permanent).
+    homes: Vec<(usize, AreaId)>,
 }
 
 impl<P: Payload> Shard<P> {
@@ -229,15 +248,34 @@ impl<P: Payload> Shard<P> {
         } else {
             domains.join("+")
         };
+        let homes = (0..globals.len())
+            .map(|slot| (slot, system.area_id(system.area_ix_at(slot))))
+            .collect();
         let mut shard = Shard {
             label,
             domains,
             globals,
             system,
             incoming,
+            pool: Vec::new(),
+            homes,
         };
         shard.resort_incoming();
         shard
+    }
+
+    /// Whether the state of `slot` has been charged to substrate area
+    /// `area`: at build, or by a committed re-homing into it.
+    pub(crate) fn has_lived_in(&self, slot: usize, area: AreaId) -> bool {
+        self.homes.contains(&(slot, area))
+    }
+
+    /// Records that the state of `slot` is now charged to `area` too — the
+    /// commit-time half of a re-homing charge, made with it.
+    pub(crate) fn record_home(&mut self, slot: usize, area: AreaId) {
+        if !self.has_lived_in(slot, area) {
+            self.homes.push((slot, area));
+        }
     }
 
     /// Re-sorts the incoming rings to the consumer-priority drain order
@@ -476,30 +514,38 @@ pub(crate) fn build_shards<P: Payload>(
 }
 
 /// Undo record of [`Rings::rewire`].
-pub(crate) struct Rewire<P> {
+pub(crate) struct Rewire {
     gbix: usize,
     old_carrier: Carrier,
     producer_shard: usize,
     consumer_shard: usize,
     installed_tag: u64,
     engine: AsyncRepointUndo,
-    /// The old ring's consumer endpoint and its shard, when the binding
-    /// already rode a ring.
-    retired: Option<(usize, CrossIn<P>)>,
+    /// Where in the producer shard's pool the installed ring was taken
+    /// from, and the consumer seat (slot, port index) it had there;
+    /// `None` when it was built fresh.
+    taken_at: Option<(usize, (usize, u16))>,
+    /// The shard the retired ring was drained on, when the binding
+    /// already rode a ring; the ring itself waits last in the producer
+    /// shard's pool.
+    retired_from: Option<usize>,
 }
 
 impl Rings {
-    /// The ring half of `rebind_async`: installs a fresh SPSC ring of
-    /// `capacity` for spec binding `gbix`. The row of the client's `port`
-    /// at `client = (shard, slot)` is rewritten in place to the producer
-    /// endpoint with `is_cross` set — exactly the shape deploy-time rings
-    /// get, in SOLEIL and MERGE-ALL alike — and the consumer endpoint is
-    /// seated on `server = (shard, slot, port index)`, priority-sorted. If
-    /// the binding already rode a ring, that ring's consumer endpoint is
-    /// retired (the quiescence epoch guarantees it is empty; its producer
-    /// entry stays tombstoned in its engine, where nothing routes to it).
-    /// Returns the undo record and the bytes to charge to the producer
-    /// shard's immortal area at commit.
+    /// The ring half of `rebind_async`: installs a ring of `capacity` for
+    /// spec binding `gbix` — the newest ring of that capacity pooled on the
+    /// producer shard, or a fresh one when none is. The row of the client's
+    /// `port` at `client = (shard, slot)` is rewritten in place to the
+    /// producer endpoint with `is_cross` set — exactly the shape
+    /// deploy-time rings get, in SOLEIL and MERGE-ALL alike — and the
+    /// consumer endpoint is seated on `server = (shard, slot, port index)`,
+    /// priority-sorted. If the binding already rode a ring, that ring
+    /// retires into the producer shard's pool (the quiescence epoch
+    /// guarantees it is empty; its producer keeps its `cross_out` index,
+    /// where nothing routes to it until a rewire takes it again). Returns
+    /// the undo record, and for a fresh ring the bytes to charge to the
+    /// producer shard's immortal area at commit; a pooled ring was charged
+    /// when it was built.
     ///
     /// # Errors
     ///
@@ -513,16 +559,49 @@ impl Rings {
         client: (usize, usize),
         port: &str,
         server: (usize, usize, u16),
-    ) -> Result<(Rewire<P>, usize), FrameworkError> {
+    ) -> Result<(Rewire, Option<usize>), FrameworkError> {
         let (producer_shard, client_slot) = client;
         let (consumer_shard, server_slot, port_ix) = server;
-        let (tx, rx) = spsc_ring::<P>(capacity)?;
-        let engine = shards[producer_shard]
-            .system
-            .repoint_async_to_cross(client_slot, port, tx)?;
+        let producer = &mut shards[producer_shard];
+        let taken_at = producer
+            .pool
+            .iter()
+            .rposition(|p| p.ring.rx.capacity() == capacity)
+            .map(|at| {
+                (
+                    at,
+                    (producer.pool[at].ring.slot, producer.pool[at].ring.port_ix),
+                )
+            });
+        let (engine, mut ring, charge) = match taken_at {
+            Some((at, _)) => {
+                let tx = CrossTx::Pooled(producer.pool[at].cross_ix);
+                let engine = producer
+                    .system
+                    .repoint_async_to_cross(client_slot, port, tx)?;
+                (engine, producer.pool.remove(at).ring, None)
+            }
+            None => {
+                let (tx, rx) = spsc_ring::<P>(capacity)?;
+                let engine = producer.system.repoint_async_to_cross(
+                    client_slot,
+                    port,
+                    CrossTx::Fresh(tx),
+                )?;
+                let tag = self.next_tag;
+                self.next_tag += 1;
+                let ring = CrossIn {
+                    rx,
+                    slot: server_slot,
+                    port_ix,
+                    tag,
+                };
+                (engine, ring, Some(ring_charge_bytes::<P>(capacity)))
+            }
+        };
 
         let old_carrier = self.carriers[gbix];
-        let retired = if let Carrier::Ring {
+        let retired_from = if let Carrier::Ring {
             consumer_shard: old_cs,
             tag,
         } = old_carrier
@@ -536,25 +615,28 @@ impl Rings {
                 incoming[pos].rx.is_empty(),
                 "retiring a non-empty ring inside a quiescence epoch"
             );
-            Some((old_cs, incoming.remove(pos)))
+            let cross_ix = engine
+                .replaced_cross_ix()
+                .expect("a ring carrier's row routes into a ring");
+            let retired = incoming.remove(pos);
+            shards[producer_shard].pool.push(PooledRing {
+                cross_ix,
+                ring: retired,
+            });
+            Some(old_cs)
         } else {
             None
         };
 
         // Self-rings — producer and consumer on one shard — are allowed:
         // the drain pass serves them like any other ring.
-        let installed_tag = self.next_tag;
-        self.next_tag += 1;
-        shards[consumer_shard].incoming.push(CrossIn {
-            rx,
-            slot: server_slot,
-            port_ix,
-            tag: installed_tag,
-        });
+        let installed_tag = ring.tag;
+        (ring.slot, ring.port_ix) = (server_slot, port_ix);
+        shards[consumer_shard].incoming.push(ring);
         shards[consumer_shard].resort_incoming();
-        if let Some((old_cs, _)) = &retired {
-            if *old_cs != consumer_shard {
-                shards[*old_cs].resort_incoming();
+        if let Some(old_cs) = retired_from {
+            if old_cs != consumer_shard {
+                shards[old_cs].resort_incoming();
             }
         }
         self.carriers[gbix] = Carrier::Ring {
@@ -568,28 +650,54 @@ impl Rings {
             consumer_shard,
             installed_tag,
             engine,
-            retired,
+            taken_at,
+            retired_from,
         };
-        Ok((undo, ring_charge_bytes::<P>(capacity)))
+        Ok((undo, charge))
     }
 
-    /// Rolls back a [`Rings::rewire`]: retires the installed ring, writes
-    /// the client row's pre-image back and re-seats the retired consumer
-    /// endpoint. Infallible: it only writes pre-images back.
-    pub(crate) fn unwire<P: Payload>(&mut self, shards: &mut [Shard<P>], undo: Rewire<P>) {
+    /// Rolls back a [`Rings::rewire`]: takes the installed ring off its
+    /// consumer's drain set, writes the client row's pre-image back,
+    /// re-seats the retired ring from the pool and returns a pooled ring,
+    /// with the seat it had there, to where it was taken — in that order,
+    /// the reverse of the rewire, so the pool ends as it began, ring by
+    /// ring and seat by seat. Infallible: it only writes pre-images back.
+    pub(crate) fn unwire<P: Payload>(&mut self, shards: &mut [Shard<P>], undo: Rewire) {
         let incoming = &mut shards[undo.consumer_shard].incoming;
+        let pos = incoming
+            .iter()
+            .position(|c| c.tag == undo.installed_tag)
+            .expect("rollback of a ring that vanished inside the epoch");
+        let installed = incoming.remove(pos);
         debug_assert!(
-            incoming
-                .iter()
-                .any(|c| c.tag == undo.installed_tag && c.rx.is_empty()),
-            "rollback of a ring that vanished or carried traffic inside the epoch"
+            installed.rx.is_empty(),
+            "rollback of a ring that carried traffic inside the epoch"
         );
-        incoming.retain(|c| c.tag != undo.installed_tag);
-        shards[undo.producer_shard]
-            .system
-            .restore_async_binding(undo.engine);
-        if let Some((old_cs, cin)) = undo.retired {
-            shards[old_cs].incoming.push(cin);
+        let producer = &mut shards[undo.producer_shard];
+        producer.system.restore_async_binding(undo.engine);
+        let retired = undo.retired_from.map(|old_cs| {
+            let pooled = producer
+                .pool
+                .pop()
+                .expect("the retired ring is pooled last");
+            (old_cs, pooled.ring)
+        });
+        if let Some((at, (slot, port_ix))) = undo.taken_at {
+            let ring = CrossIn {
+                slot,
+                port_ix,
+                ..installed
+            };
+            producer.pool.insert(
+                at,
+                PooledRing {
+                    cross_ix: undo.engine.cross_ix(),
+                    ring,
+                },
+            );
+        }
+        if let Some((old_cs, ring)) = retired {
+            shards[old_cs].incoming.push(ring);
             shards[old_cs].resort_incoming();
         }
         shards[undo.consumer_shard].resort_incoming();

@@ -340,24 +340,38 @@ impl SystemSpec {
 
 /// The scoped areas area `area` stands in — itself when scoped, then every
 /// scoped ancestor reached through the `parent` links — outermost first,
-/// where `link` gives an area's kind and parent. The one walk up an area
-/// tree: the engine's scope chains and wedge-pin paths, the parallel
-/// planner's scope ownership and the generator's enter paths all take it.
+/// where `link` gives an area's kind and parent: [`scoped_ancestry`],
+/// reversed.
 pub fn scoped_chain(
     area: usize,
     link: impl Fn(usize) -> (MemoryKind, Option<usize>),
 ) -> Vec<usize> {
-    let mut chain = Vec::new();
-    let mut cursor = Some(area);
-    while let Some(ix) = cursor {
-        let (kind, parent) = link(ix);
-        if kind == MemoryKind::Scoped {
-            chain.push(ix);
-        }
-        cursor = parent;
-    }
+    let mut chain: Vec<usize> = scoped_ancestry(area, link).collect();
     chain.reverse();
     chain
+}
+
+/// The scoped areas area `area` stands in, innermost first: itself when
+/// scoped, then every scoped ancestor reached through the `parent` links,
+/// where `link` gives an area's kind and parent. The one walk up an area
+/// tree: the engine's scope chains and wedge-pin paths, the parallel
+/// planner's scope ownership and the generator's enter paths all take it,
+/// most through [`scoped_chain`].
+pub fn scoped_ancestry(
+    area: usize,
+    link: impl Fn(usize) -> (MemoryKind, Option<usize>),
+) -> impl Iterator<Item = usize> {
+    let mut cursor = Some(area);
+    std::iter::from_fn(move || {
+        while let Some(ix) = cursor {
+            let (kind, parent) = link(ix);
+            cursor = parent;
+            if kind == MemoryKind::Scoped {
+                return Some(ix);
+            }
+        }
+        None
+    })
 }
 
 /// The `EnterInner` path of a call from a client standing in scope chain

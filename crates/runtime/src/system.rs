@@ -42,7 +42,8 @@ use soleil_patterns::{ExchangeBuffer, PatternKind, PushOutcome, ScopePin};
 
 use crate::footprint::FootprintReport;
 use crate::spec::{
-    enter_path, scoped_chain, Activation, AreaSpec, BufferPlacement, Mode, ProtocolSpec, SystemSpec,
+    enter_path, scoped_ancestry, scoped_chain, Activation, AreaSpec, BufferPlacement, Mode,
+    ProtocolSpec, SystemSpec,
 };
 use crate::timer::{TimerHandle, TimerQueue};
 
@@ -303,20 +304,30 @@ impl DispatchHeader {
     }
 }
 
-/// Interns `path` into the deployment's flattened scope-chain arena,
-/// reusing an existing window when an identical sequence is already
-/// present — so re-homing a slot back to a previous region yields the
-/// exact `(offset, len)` its chain had before.
-fn intern_chain(arena: &mut Vec<AreaId>, path: &[AreaId]) -> (u32, u32) {
-    if path.is_empty() {
+/// Interns the scope chain a thread standing in runtime area `area`
+/// enters (outermost first, as substrate ids) into the deployment's
+/// flattened scope-chain arena, reusing an existing window when an
+/// identical sequence is already present — so re-homing a slot back to a
+/// previous region yields the exact `(offset, len)` its chain had before.
+/// The chain is written at the arena's end and taken off again when it is
+/// found earlier, so interning a chain the arena holds allocates nothing
+/// once the arena has room for it.
+fn intern_chain(arena: &mut Vec<AreaId>, areas: &[RuntimeArea], area: usize) -> (u32, u32) {
+    let start = arena.len();
+    arena.extend(
+        scoped_ancestry(area, |ix| (areas[ix].kind, areas[ix].parent)).map(|ix| areas[ix].id),
+    );
+    arena[start..].reverse();
+    let len = arena.len() - start;
+    if len == 0 {
         return (0, 0);
     }
-    if let Some(off) = arena.windows(path.len()).position(|w| w == path) {
-        return (off as u32, path.len() as u32);
+    let (known, chain) = arena.split_at(start);
+    if let Some(off) = known.windows(len).position(|w| w == chain) {
+        arena.truncate(start);
+        return (off as u32, len as u32);
     }
-    let off = arena.len() as u32;
-    arena.extend_from_slice(path);
-    (off, path.len() as u32)
+    (start as u32, len as u32)
 }
 
 /// The per-slot transaction plan, settled at build time: where the slot's
@@ -551,24 +562,53 @@ pub(crate) struct SupervisionPreImage {
 
 /// Undo record of a [`System::rehome_area_at`], rolled back by
 /// [`System::restore_area`]: the slot's previous region and chain range,
-/// plus the pre-image of every row the re-homing rewrote.
-#[derive(Debug)]
+/// and how many row pre-images the re-homing pushed onto its caller's
+/// list.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct RehomeUndo {
     slot: usize,
     area_ix: usize,
     /// `(chain_off, chain_len)` of the slot's activation plan.
     chain: (u32, u16),
-    rows: Vec<RowPreImage>,
+    rows: usize,
+}
+
+/// The producer of the ring a [`System::repoint_async_to_cross`] routes a
+/// port into.
+pub(crate) enum CrossTx<P> {
+    /// A retired ring's producer, still at this `cross_out` index, where
+    /// no row routed to it since it retired.
+    Pooled(usize),
+    /// A fresh ring's producer, appended to `cross_out`.
+    Fresh(SpscProducer<P>),
 }
 
 /// Undo record of a [`System::repoint_async_to_cross`], rolled back by
 /// [`System::restore_async_binding`].
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct AsyncRepointUndo {
-    /// Index the repoint appended to `cross_out` (LIFO rollback truncates
-    /// back to it).
+    /// The `cross_out` index the row routes into now.
     cross_ix: usize,
+    /// Whether the repoint appended that index (LIFO rollback truncates
+    /// back to it) or reused a pooled one.
+    appended: bool,
     old: RowPreImage,
+}
+
+impl AsyncRepointUndo {
+    /// The `cross_out` index of the ring the row routed into before, if
+    /// it rode one: that ring retires.
+    pub(crate) fn replaced_cross_ix(&self) -> Option<usize> {
+        self.old
+            .header
+            .is_cross
+            .then_some(self.old.header.buffer_ix)
+    }
+
+    /// The `cross_out` index the row routes into now.
+    pub(crate) fn cross_ix(&self) -> usize {
+        self.cross_ix
+    }
 }
 
 /// A cross-domain output requested at build time: the named client port of
@@ -888,8 +928,7 @@ impl<P: Payload> System<P> {
         let activation_plans: Vec<ActivationPlan> = nodes
             .iter()
             .map(|n| {
-                let chain = scope_ids(&areas, n.area_ix);
-                let (chain_off, chain_len) = intern_chain(&mut enter_arena, &chain);
+                let (chain_off, chain_len) = intern_chain(&mut enter_arena, &areas, n.area_ix);
                 ActivationPlan {
                     chain_off,
                     chain_len: chain_len as u16,
@@ -1246,16 +1285,22 @@ impl<P: Payload> System<P> {
     /// Rebuilds the cached periodic release order. Called at build and
     /// whenever reconfiguration changes a component's priority (domain
     /// reassignment); periodic-ness itself is fixed at design time.
+    /// The order is rebuilt in place, in the storage build gave it.
     fn recompute_periodic_order(&mut self) {
-        self.periodic_order = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n.activation, Activation::Periodic { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        self.periodic_order
-            .sort_by_key(|&i| std::cmp::Reverse(self.nodes[i].priority));
+        let System {
+            nodes,
+            periodic_order,
+            ..
+        } = self;
+        periodic_order.clear();
+        periodic_order.extend(
+            nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| matches!(n.activation, Activation::Periodic { .. }))
+                .map(|(i, _)| i),
+        );
+        periodic_order.sort_by_key(|&i| std::cmp::Reverse(nodes[i].priority));
     }
 
     /// Releases every periodic component once, in priority order, each with
@@ -1995,14 +2040,17 @@ impl<P: Payload> System<P> {
     /// moves the component under a different memory area. Recomputes the
     /// slot's scope chain and activation plan, then rewrites in place the
     /// row of every local binding touching the slot at either end, through
-    /// the same constructors build uses. Returns the undo record:
-    /// [`restore_area`](Self::restore_area) puts the previous region,
-    /// chain and row pre-images back byte-identically.
+    /// the same constructors build uses, pushing each replaced row's
+    /// pre-image onto `rows`. Returns the undo record:
+    /// [`restore_area`](Self::restore_area) takes those pre-images back
+    /// off `rows` and puts them, the previous region and the chain back
+    /// byte-identically.
     ///
     /// The substrate charge for the migrated state is **not** made here:
     /// callers defer it to commit time (see [`System::charge`]) so a
-    /// refused transaction is charge-neutral. The old region's charge
-    /// stands either way — monotonic accounting, like build.
+    /// refused transaction is charge-neutral, and make it only into an
+    /// area the state has not lived in. The old region's charge stands
+    /// either way — monotonic accounting, like build.
     ///
     /// # Errors
     ///
@@ -2012,6 +2060,7 @@ impl<P: Payload> System<P> {
         &mut self,
         slot: usize,
         new_area_ix: usize,
+        rows: &mut Vec<RowPreImage>,
     ) -> Result<RehomeUndo, FrameworkError> {
         self.reject_static()?;
         if new_area_ix >= self.areas.len() {
@@ -2024,26 +2073,31 @@ impl<P: Payload> System<P> {
             slot,
             area_ix: self.nodes[slot].area_ix,
             chain: (plan.chain_off, plan.chain_len),
-            rows: Vec::new(),
+            rows: 0,
         };
         if new_area_ix == undo.area_ix {
             return Ok(undo);
         }
         // The scoped chain the component's thread now stands in.
         self.nodes[slot].area_ix = new_area_ix;
-        let chain = scope_ids(&self.areas, new_area_ix);
-        let (chain_off, chain_len) = intern_chain(&mut self.enter_arena, &chain);
+        let (chain_off, chain_len) = intern_chain(&mut self.enter_arena, &self.areas, new_area_ix);
         self.activation_plans[slot].chain_off = chain_off;
         self.activation_plans[slot].chain_len = chain_len as u16;
-        self.recompile_bindings_touching(slot, &mut undo.rows);
+        let before = rows.len();
+        self.recompile_bindings_touching(slot, rows);
+        undo.rows = rows.len() - before;
         Ok(undo)
     }
 
     /// Rolls back a [`rehome_area_at`](Self::rehome_area_at): the rows it
-    /// rewrote get their pre-images back, newest first, and the slot its
-    /// region and chain range. Infallible: nothing is recompiled.
-    pub(crate) fn restore_area(&mut self, undo: RehomeUndo) {
-        for pre in undo.rows.into_iter().rev() {
+    /// rewrote get their pre-images back, newest first — popped off `rows`,
+    /// where they are the newest entries — and the slot its region and
+    /// chain range. Infallible: nothing is recompiled.
+    pub(crate) fn restore_area(&mut self, undo: RehomeUndo, rows: &mut Vec<RowPreImage>) {
+        for _ in 0..undo.rows {
+            let pre = rows
+                .pop()
+                .expect("re-homing pre-images popped out of order");
             self.restore_row(pre);
         }
         self.nodes[undo.slot].area_ix = undo.area_ix;
@@ -2074,12 +2128,12 @@ impl<P: Payload> System<P> {
         }
     }
 
-    /// Repoints a client's **asynchronous** port onto a freshly installed
-    /// cross-domain ring whose producer endpoint is `tx` — the engine half
-    /// of cross-ring rewiring when a parallel rebind moves a binding
-    /// across the domain partition. The ring index is appended to
-    /// `cross_out` and the port's row is rewritten with the header build
-    /// gives deploy-time rings. Returns the undo record for the
+    /// Repoints a client's **asynchronous** port onto a cross-domain ring
+    /// whose producer is `tx` — the engine half of cross-ring rewiring
+    /// when a parallel rebind moves a binding across the domain
+    /// partition. A fresh producer is appended to `cross_out`; a pooled
+    /// one is already there. The port's row is rewritten with the header
+    /// build gives deploy-time rings. Returns the undo record for the
     /// reconfiguration journal.
     ///
     /// # Errors
@@ -2090,7 +2144,7 @@ impl<P: Payload> System<P> {
         &mut self,
         client_slot: usize,
         port: &str,
-        tx: SpscProducer<P>,
+        tx: CrossTx<P>,
     ) -> Result<AsyncRepointUndo, FrameworkError> {
         self.reject_static()?;
         let row = self.row_of(client_slot, port)?;
@@ -2100,26 +2154,35 @@ impl<P: Payload> System<P> {
                  asynchronous bindings only"
             )));
         }
-        let cross_ix = self.cross_out.len();
-        self.cross_out.push(tx);
+        let (cross_ix, appended) = match tx {
+            CrossTx::Pooled(cross_ix) => (cross_ix, false),
+            CrossTx::Fresh(tx) => {
+                self.cross_out.push(tx);
+                (self.cross_out.len() - 1, true)
+            }
+        };
         let header = DispatchHeader::cross(cross_ix);
         Ok(AsyncRepointUndo {
             cross_ix,
+            appended,
             old: self.write_row(client_slot, row, header),
         })
     }
 
-    /// Rolls back a [`System::repoint_async_to_cross`]: the appended ring
-    /// producer is retired (journals replay LIFO, so it is necessarily the
+    /// Rolls back a [`System::repoint_async_to_cross`]: an appended ring
+    /// producer is dropped (journals replay LIFO, so it is necessarily the
     /// newest `cross_out` entry — truncation cannot disturb ring indices
-    /// baked into other rows) and the row's pre-image is written back.
+    /// baked into other rows; a pooled one stays where it was) and the
+    /// row's pre-image is written back.
     pub(crate) fn restore_async_binding(&mut self, undo: AsyncRepointUndo) {
-        debug_assert_eq!(
-            undo.cross_ix + 1,
-            self.cross_out.len(),
-            "async repoint rollback out of journal order"
-        );
-        self.cross_out.truncate(undo.cross_ix);
+        if undo.appended {
+            debug_assert_eq!(
+                undo.cross_ix + 1,
+                self.cross_out.len(),
+                "async repoint rollback out of journal order"
+            );
+            self.cross_out.truncate(undo.cross_ix);
+        }
         self.restore_row(undo.old);
     }
 
@@ -4186,7 +4249,7 @@ mod tests {
         }
         assert_eq!(rows(&soleil), rows(&merged), "after rebind_at");
         for sys in [&mut soleil, &mut merged] {
-            sys.rehome_area_at(service2, heap).unwrap();
+            sys.rehome_area_at(service2, heap, &mut Vec::new()).unwrap();
         }
         assert_eq!(rows(&soleil), rows(&merged), "after rehome_area_at");
         assert_eq!(
@@ -4215,9 +4278,14 @@ mod tests {
             };
             let (rows0, digest0) = (rows(&sys), sys.structural_digest());
 
-            let undo = sys.rehome_area_at(middle, heap).unwrap();
+            let mut pre_images = Vec::new();
+            let undo = sys.rehome_area_at(middle, heap, &mut pre_images).unwrap();
             assert_ne!(rows(&sys), rows0, "{mode}: re-homing rewrote rows");
-            sys.restore_area(undo);
+            sys.restore_area(undo, &mut pre_images);
+            assert!(
+                pre_images.is_empty(),
+                "{mode}: every pre-image was taken back"
+            );
 
             assert_eq!(rows(&sys), rows0, "{mode}: every row is back");
             assert_eq!(sys.structural_digest(), digest0, "{mode}");
