@@ -7,12 +7,14 @@
 //!
 //! Artifacts: `fig7a`, `fig7b`, `fig7c`, `codegen` (E4), `determinism`
 //! (E5), `steady` (the zero-allocation perf gate, emitting
-//! `BENCH_steady_state.json`), `steady-gate` (CI regression gate: re-runs
+//! `BENCH_steady_state.json`; it exits non-zero, writing nothing, when a
+//! row dropped a message), `steady-gate` (CI regression gate: re-runs
 //! the steady measurement and exits non-zero when any mode's median
 //! regresses >25% vs the committed artifact, when allocs or string
 //! compares per transaction leave 0, when the baseline scenario's deadline
-//! contract records a miss, or when MERGE-ALL's median falls behind
-//! SOLEIL's by more than noise; never part of `all`), `chaos-gate`
+//! contract records a miss, when a row dropped a message, or when
+//! MERGE-ALL's median falls behind SOLEIL's by more than noise; never part
+//! of `all`), `chaos-gate`
 //! (fault-containment gate: deterministic seeded fault storms against all
 //! three modes, on one shard and on three, must end with
 //! `pushed == delivered + counted-dropped` and
@@ -64,17 +66,19 @@ const WARMUP: usize = 2_000;
 fn print_steady_rows(rows: &[SteadyStateRow]) {
     println!(
         "steady-state transaction (median ns, allocs/txn, substrate allocs/txn, \
-         string compares/txn, deadline misses):"
+         string compares/txn, deadline misses, dropped messages):"
     );
     for r in rows {
         println!(
-            "  {:<12} {:>10} ns   {:>6} heap   {:>6} substrate   {:>6} compares   {:>6} misses",
+            "  {:<12} {:>10} ns   {:>6} heap   {:>6} substrate   {:>6} compares   {:>6} misses   \
+             {:>6} dropped",
             r.label,
             r.median_ns,
             r.allocs_per_transaction,
             r.substrate_allocs_per_transaction,
             r.string_compares_per_transaction,
-            r.deadline_misses
+            r.deadline_misses,
+            r.dropped_messages
         );
     }
 }
@@ -168,6 +172,18 @@ fn main() -> Result<(), SoleilError> {
         );
         let rows = run_steady_state(WARMUP, observations, alloc_probe::allocations)?;
         print_steady_rows(&rows);
+        // A baseline must time the whole scenario: a row that dropped work
+        // is never written.
+        let lossy: Vec<&SteadyStateRow> = rows.iter().filter(|r| r.dropped_messages > 0).collect();
+        if !lossy.is_empty() {
+            for r in lossy {
+                eprintln!(
+                    "steady-state run FAILED: {}: {} message(s) dropped",
+                    r.label, r.dropped_messages
+                );
+            }
+            std::process::exit(1);
+        }
         let json = steady_state_json(&rows, observations);
         fs::write("BENCH_steady_state.json", &json)?;
         fs::write(out_dir.join("BENCH_steady_state.json"), &json)?;
@@ -201,7 +217,7 @@ fn main() -> Result<(), SoleilError> {
                 "steady-state gate passed: no mode regressed >{THRESHOLD_PCT}% vs the \
                  committed artifact; allocs and string compares per transaction \
                  are 0 everywhere; no deadline miss under the baseline contract; \
-                 MERGE-ALL kept its lead on SOLEIL"
+                 no message dropped; MERGE-ALL kept its lead on SOLEIL"
             );
         } else {
             eprintln!("steady-state gate FAILED:");

@@ -372,6 +372,9 @@ pub struct SteadyStateRow {
     /// run arms a generous deadline contract plus an unfired release
     /// timer, so the zero-alloc claim covers the monitored hot path).
     pub deadline_misses: u64,
+    /// Messages dropped across the measured observations (0 is the gate:
+    /// a run that dropped work timed less than the whole scenario).
+    pub dropped_messages: u64,
 }
 
 /// Runs the steady-state perf gate: warms each implementation, then times
@@ -389,7 +392,7 @@ pub struct SteadyStateRow {
 pub fn run_steady_state(
     warmup: usize,
     observations: usize,
-    heap_allocs: impl Fn() -> u64 + Sync,
+    heap_allocs: impl Fn() -> u64,
 ) -> HarnessResult<Vec<SteadyStateRow>> {
     use std::time::Instant;
 
@@ -401,6 +404,7 @@ pub fn run_steady_state(
                    substrate: &mut dyn FnMut() -> u64,
                    dispatch: &mut dyn FnMut() -> u64,
                    misses: &mut dyn FnMut() -> u64,
+                   dropped: &mut dyn FnMut() -> u64,
                    op: &mut dyn FnMut() -> HarnessResult<()>|
      -> HarnessResult<SteadyStateRow> {
         for _ in 0..warmup {
@@ -410,6 +414,7 @@ pub fn run_steady_state(
         let substrate_before = substrate();
         let compares_before = dispatch();
         let misses_before = misses();
+        let dropped_before = dropped();
         let heap_before = heap_allocs();
         for _ in 0..observations {
             let start = Instant::now();
@@ -428,6 +433,7 @@ pub fn run_steady_state(
             string_compares_per_transaction: (compares_after - compares_before) as f64
                 / observations as f64,
             deadline_misses: misses() - misses_before,
+            dropped_messages: dropped() - dropped_before,
         })
     };
 
@@ -436,6 +442,7 @@ pub fn run_steady_state(
     rows.push(measure(
         "OO",
         &mut || oo.borrow().alloc_count(),
+        &mut || 0,
         &mut || 0,
         &mut || 0,
         &mut || Ok(oo.borrow_mut().run_transaction()?),
@@ -458,6 +465,7 @@ pub fn run_steady_state(
             &mut || dep.borrow().memory().alloc_count(),
             &mut || dep.borrow().string_compares(),
             &mut || dep.borrow().deadline_misses(),
+            &mut || dep.borrow().stats().dropped_messages,
             &mut || Ok(dep.borrow_mut().run_transaction(head)?),
         )?);
     }
@@ -475,12 +483,14 @@ pub fn baseline_contract() -> TimingContract {
 }
 
 /// The `PARALLEL` row of the steady-state artifact: the motivation
-/// scenario sharded by thread domain ([`deploy_parallel`]), every shard
-/// ticking on its own OS thread, cross-domain messages on wait-free SPSC
-/// rings. One tick of the producer shard is the analogue of one serial
-/// transaction; the reported median is the *slowest* shard's (the
-/// parallel critical path). Allocation counters are per-thread and summed
-/// across shards — the zero-alloc gate applies to every thread.
+/// scenario sharded by thread domain ([`deploy_parallel`]), cross-domain
+/// messages on wait-free SPSC rings, every shard ticking on the caller's
+/// thread through `run_ticks_instrumented`. Each shard's tick median
+/// covers its own tick and drain passes, so the producer shard's tick is
+/// the head's release and each consumer shard's is the activation its
+/// message triggers; the reported median is the *slowest* shard's (the
+/// consumer `NHRT2`'s monitoring). Allocation counters are charged per
+/// shard and summed, and the row counts the messages the run dropped.
 ///
 /// # Errors
 ///
@@ -488,7 +498,7 @@ pub fn baseline_contract() -> TimingContract {
 pub fn run_parallel_steady(
     warmup: usize,
     observations: usize,
-    heap_allocs: impl Fn() -> u64 + Sync,
+    heap_allocs: impl Fn() -> u64,
 ) -> HarnessResult<SteadyStateRow> {
     let arch = motivation_validated()?;
     let probe = ScenarioProbe::new();
@@ -503,6 +513,7 @@ pub fn run_parallel_steady(
     sys.run_ticks(warmup as u64)?;
     let compares_before = sys.string_compares();
     let misses_before = sys.deadline_misses();
+    let dropped_before = sys.stats().dropped_messages;
     let runs = sys.run_ticks_instrumented(0, observations as u64, &heap_allocs)?;
     Ok(SteadyStateRow {
         label: "PARALLEL".into(),
@@ -515,6 +526,7 @@ pub fn run_parallel_steady(
         string_compares_per_transaction: (sys.string_compares() - compares_before) as f64
             / observations as f64,
         deadline_misses: sys.deadline_misses() - misses_before,
+        dropped_messages: sys.stats().dropped_messages - dropped_before,
     })
 }
 
@@ -525,7 +537,8 @@ pub fn run_parallel_steady(
 /// the committed median by more than `threshold_pct` percent, for any
 /// fresh row whose allocs/transaction (Rust heap or substrate) leave 0,
 /// for any fresh row reporting a deadline miss under the baseline
-/// scenario's generous contract, and for modes present in the committed
+/// scenario's generous contract or a dropped message, and for modes
+/// present in the committed
 /// artifact but missing from the fresh run (artifact drift). An empty
 /// result means the gate passes.
 ///
@@ -600,6 +613,12 @@ pub fn steady_state_regressions(
             failures.push(format!(
                 "{}: {} deadline miss(es); the baseline scenario's contract must never miss",
                 row.label, row.deadline_misses
+            ));
+        }
+        if row.dropped_messages != 0 {
+            failures.push(format!(
+                "{}: {} message(s) dropped; a row must time the whole scenario",
+                row.label, row.dropped_messages
             ));
         }
     }
@@ -1221,7 +1240,7 @@ fn reconfig_registry() -> ContentRegistry<u64> {
 pub fn run_reconfig_gate(
     transactions: usize,
     ticks_per_txn: u64,
-    heap_allocs: impl Fn() -> u64 + Sync,
+    heap_allocs: impl Fn() -> u64,
 ) -> HarnessResult<Vec<ReconfigGateRow>> {
     let arch = reconfig_fixture()?;
     let mut rows = Vec::with_capacity(2);
@@ -1625,6 +1644,7 @@ mod tests {
                 substrate_allocs_per_transaction: 0.0,
                 string_compares_per_transaction: 0.0,
                 deadline_misses: 0,
+                dropped_messages: 0,
             },
             SteadyStateRow {
                 label: "PARALLEL".into(),
@@ -1633,6 +1653,7 @@ mod tests {
                 substrate_allocs_per_transaction: 0.0,
                 string_compares_per_transaction: 0.0,
                 deadline_misses: 0,
+                dropped_messages: 0,
             },
         ];
         let json = steady_state_json(&rows, 1234);
@@ -1669,6 +1690,7 @@ mod tests {
             substrate_allocs_per_transaction: 0.0,
             string_compares_per_transaction: 0.0,
             deadline_misses: 0,
+            dropped_messages: 0,
         };
 
         // Within threshold, allocation-free, all modes present: clean.
@@ -1724,6 +1746,7 @@ mod tests {
             substrate_allocs_per_transaction: 0.0,
             string_compares_per_transaction: compares,
             deadline_misses: 0,
+            dropped_messages: 0,
         };
 
         // A deadline miss is its own failure line, even with every other
@@ -1735,6 +1758,18 @@ mod tests {
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(
             failures[0].contains("SOLEIL") && failures[0].contains("deadline miss"),
+            "{failures:?}"
+        );
+
+        // So is a dropped message: a row that lost work timed less than
+        // the whole scenario.
+        let mut lossy = row("MERGE-ALL", 1000, 0.0);
+        lossy.dropped_messages = 4940;
+        let fresh = vec![row("SOLEIL", 1000, 0.0), lossy];
+        let failures = steady_state_regressions(committed, &fresh, 25.0).unwrap();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].contains("MERGE-ALL") && failures[0].contains("4940 message(s) dropped"),
             "{failures:?}"
         );
 
@@ -1786,6 +1821,7 @@ mod tests {
                 substrate_allocs_per_transaction: 0.0,
                 string_compares_per_transaction: 0.0,
                 deadline_misses: 0,
+                dropped_messages: 0,
             })
             .collect();
         assert!(steady_state_regressions(committed, &fresh, 25.0)
@@ -1799,6 +1835,7 @@ mod tests {
         assert_eq!(row.label, "PARALLEL");
         assert_eq!(row.substrate_allocs_per_transaction, 0.0);
         assert_eq!(row.deadline_misses, 0, "generous contract must hold");
+        assert_eq!(row.dropped_messages, 0, "every shard does its share");
     }
 
     #[test]

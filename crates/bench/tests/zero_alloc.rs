@@ -164,10 +164,11 @@ fn steady_state_transactions_never_touch_the_rust_heap() {
     }
 }
 
-/// The parallel mode obeys the same discipline on *every* shard thread:
-/// the motivation scenario sharded by thread domain performs zero
-/// Rust-heap and zero substrate allocations per steady-state tick, while
-/// demonstrably ticking distinct domains on distinct OS threads.
+/// The parallel mode obeys the same discipline on *every* shard: the
+/// motivation scenario sharded by thread domain performs zero Rust-heap
+/// and zero substrate allocations per steady-state tick, charged shard by
+/// shard, while every consumer shard drains its one message per tick and
+/// nothing is dropped.
 #[test]
 fn parallel_steady_state_is_allocation_free_on_every_thread() {
     let arch = motivation_validated().expect("fixture validates");
@@ -206,8 +207,8 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
     sys.set_fault_policy("MonitoringSystem", FaultPolicy::Isolate)
         .expect("policy attaches");
 
-    // Supervision trees are shard-local by design — escalation must never
-    // block on another shard's thread — and every active component of the
+    // Supervision trees are shard-local by design — escalation never
+    // leaves its shard's engine — and every active component of the
     // motivation scenario owns its domain, so the cross-shard edge is
     // refused (the recorded limit) while the warm-state Checkpoint
     // capability, being per-component, arms fine on the head's shard.
@@ -225,16 +226,26 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
     // the measured steady phase (interning pays its name scans here).
     sys.run_ticks(WARMUP as u64).expect("parallel warmup");
     let compares_before = sys.string_compares();
+    let dropped_before = sys.stats().dropped_messages;
     let runs = sys
         .run_ticks_instrumented(0, OBSERVATIONS, &alloc_probe::allocations)
         .expect("parallel run");
 
-    // Distinct OS threads, none of them this one.
-    let mut threads: Vec<_> = runs.iter().map(|r| format!("{:?}", r.thread)).collect();
-    threads.sort();
-    threads.dedup();
-    assert_eq!(threads.len(), runs.len(), "every shard on its own thread");
-    assert!(runs.iter().all(|r| r.thread != std::thread::current().id()));
+    // The measured run did the whole scenario's work: nothing dropped, and
+    // each consumer shard drained its one message of every tick.
+    assert_eq!(
+        sys.stats().dropped_messages - dropped_before,
+        0,
+        "the measured run dropped messages"
+    );
+    let head = sys.shard_of_component("ProductionLine").expect("placed");
+    for (s, r) in runs.iter().enumerate().filter(|&(s, _)| s != head) {
+        assert_eq!(
+            r.drained_messages, OBSERVATIONS,
+            "consumer shard {s} ('{}') drains one message per tick",
+            r.label
+        );
+    }
 
     for r in &runs {
         assert_eq!(

@@ -546,7 +546,7 @@ pub fn parallel_coupling(arch: &Architecture) -> ValidationReport {
                     ),
                     Some(
                         "make the binding asynchronous (bounded buffer) to let the domains \
-                         tick on separate OS threads"
+                         tick on separate engine shards"
                             .into(),
                     ),
                 );
@@ -654,7 +654,7 @@ pub fn parallel_coupling(arch: &Architecture) -> ValidationReport {
             ),
             Some(
                 "decouple with asynchronous bindings and per-domain scoped areas to let \
-                 each domain tick on its own OS thread"
+                 each domain tick on its own engine shard"
                     .into(),
             ),
         );

@@ -70,8 +70,9 @@ pub fn deploy<P: Payload>(
 /// Deploys the architecture **sharded by thread domain**: the same
 /// [`Deployment`] handle as [`deploy`], taking the same calls, over one
 /// engine per independent domain group, with cross-shard bindings riding
-/// wait-free SPSC rings ([`soleil_runtime::parallel`]); `run_ticks` ticks
-/// each engine on its own OS thread.
+/// wait-free SPSC rings ([`soleil_runtime::parallel`]). Every call runs on
+/// the caller's thread, each shard in turn, and drains the rings before it
+/// returns.
 ///
 /// The partition is derived from the same structure the validator checks:
 /// synchronous bindings and shared scoped areas serialize the domains they

@@ -19,10 +19,10 @@ use crate::error::FrameworkError;
 /// Blanket-implemented: any `'static` type that is `Clone + Default +
 /// Debug + Send` qualifies. `Clone` enables the handoff (deep-copy)
 /// pattern; `Default` gives the engine a neutral value for buffer priming;
-/// `Send` lets messages cross thread-domain shards — under the parallel
-/// runtime every domain ticks on its own OS thread and cross-domain
-/// messages move through wait-free SPSC rings, so a payload must be safe
-/// to hand to another thread by value.
+/// `Send` lets a deployment, with the messages waiting in its buffers and
+/// in the wait-free SPSC rings between its thread-domain shards, move to
+/// another thread, so a payload must be safe to hand to another thread by
+/// value.
 pub trait Payload: Any + Clone + Default + Debug + Send + 'static {}
 
 impl<T: Any + Clone + Default + Debug + Send + 'static> Payload for T {}
@@ -206,9 +206,9 @@ pub trait Ports<P: Payload> {
 /// ```
 ///
 /// Content is `Send`: a component instance lives inside exactly one
-/// thread-domain engine, and the parallel runtime moves that engine (and
-/// everything in it) onto its own OS thread. Shared observation state in a
-/// content class therefore uses `Arc` + atomics, not `Rc<Cell<_>>`.
+/// thread-domain engine, and a deployment (with every engine in it) may
+/// move to another thread. Shared observation state in a content class
+/// therefore uses `Arc` + atomics, not `Rc<Cell<_>>`.
 pub trait Content<P: Payload>: Debug + Send {
     /// Handles an invocation arriving on server interface `port`.
     ///
@@ -368,8 +368,8 @@ impl StateImage {
 ///
 /// `Arc` rather than `Box` so the runtime can keep a per-slot clone for
 /// supervised restarts (a quarantined component is rebuilt from a *fresh*
-/// instance); `Send + Sync` because the engine holding those clones moves
-/// onto its own OS thread under the parallel runtime.
+/// instance); `Send + Sync` because the engine holding those clones may
+/// move to another thread with its deployment.
 pub type ContentFactory<P> = Arc<dyn Fn() -> Box<dyn Content<P>> + Send + Sync>;
 
 /// A factory registry mapping content-class names (the ADL's

@@ -25,8 +25,8 @@ use crate::error::FrameworkError;
 /// A control component deployed on a component interface.
 ///
 /// `Send` is a supertrait: interceptors live inside a membrane, membranes
-/// live inside a thread-domain engine, and the parallel runtime moves each
-/// engine onto its own OS thread.
+/// live inside a thread-domain engine, and a deployment may move its
+/// engines to another thread.
 pub trait Interceptor: Debug + Send {
     /// Stable name for introspection.
     fn name(&self) -> &str;

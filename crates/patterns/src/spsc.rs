@@ -6,7 +6,7 @@
 //! both ends complete in a bounded number of steps regardless of what the
 //! peer is doing. This module mirrors that contract for bindings whose
 //! endpoints live in *different thread domains* (and therefore, under the
-//! parallel runtime, on different OS threads). Same-domain bindings keep
+//! parallel runtime, in different engine shards). Same-domain bindings keep
 //! the non-atomic [`ExchangeBuffer`](crate::ExchangeBuffer) fast path; the
 //! carrier is chosen at build time from the deployment plan.
 //!

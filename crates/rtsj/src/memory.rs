@@ -275,10 +275,10 @@ impl<T> TypedSlab<T> {
 /// Type-erased slab surface: the per-area bookkeeping that does not need
 /// the payload type (bulk reclaim, live counts, individual frees).
 ///
-/// `Send` is a supertrait so the whole [`MemoryManager`] is `Send`: the
-/// parallel runtime moves one manager per thread-domain shard onto its own
-/// OS thread, and the per-area slab ownership is exactly the sharding
-/// boundary. The payload bound this induces (`T: Send` on allocation) is
+/// `Send` is a supertrait so the whole [`MemoryManager`] is `Send`: a
+/// sharded deployment holds one manager per thread-domain shard and may
+/// move to another thread, and the per-area slab ownership is exactly the
+/// sharding boundary. The payload bound this induces (`T: Send` on allocation) is
 /// the substrate half of the framework-wide `Send` payload requirement.
 trait AnySlab: Any + Send {
     fn as_any(&self) -> &dyn Any;

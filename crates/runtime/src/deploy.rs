@@ -9,9 +9,10 @@
 //! `deploy`) places every component on one shard;
 //! [`Deployment::build_parallel`] (`deploy_parallel`) partitions them by
 //! thread domain ([`crate::parallel`]), with cross-shard bindings on
-//! wait-free SPSC rings. Every call runs on the caller's thread, draining
-//! the rings afterwards, but [`run_ticks`](Deployment::run_ticks), which
-//! ticks each shard on its own OS thread. Everything else is one handle:
+//! wait-free SPSC rings. Every call runs on the caller's thread and drains
+//! the rings afterwards; [`run_ticks`](Deployment::run_ticks) is
+//! [`run_tick`](Deployment::run_tick) repeated. Everything else is one
+//! handle:
 //!
 //! * **Resolve-once tokens** — [`resolve`](Deployment::resolve) turns a
 //!   name into a [`ComponentRef`] carrying the component's shard and engine
@@ -342,11 +343,7 @@ impl<P: Payload> Deployment<P> {
     /// Drains a sharded deployment's rings to quiescence on the caller's
     /// thread; a one-shard deployment has none and pays one compare.
     fn quiesce(&mut self) -> Result<(), FrameworkError> {
-        if self.shards.len() > 1 {
-            parallel::quiesce(&mut self.shards, &self.rings)
-        } else {
-            Ok(())
-        }
+        parallel::quiesce(&mut self.shards, |_, _| {})
     }
 
     // -----------------------------------------------------------------
@@ -372,17 +369,14 @@ impl<P: Payload> Deployment<P> {
 
     /// Releases every periodic component once, in priority order, on the
     /// caller's thread: each shard ticks in shard order, then cross-shard
-    /// traffic drains until no message is in flight.
+    /// traffic drains until a pass over every shard pops nothing.
     ///
     /// # Errors
     ///
     /// The first transaction error aborts the tick, as the engine raised
     /// it; later shards do not tick.
     pub fn run_tick(&mut self) -> Result<(), FrameworkError> {
-        for s in &mut self.shards {
-            s.system.run_tick()?;
-        }
-        self.quiesce()
+        parallel::tick(&mut self.shards, |_, _| {})
     }
 
     /// Injects an external stimulus on a pre-resolved server port, then
@@ -400,31 +394,29 @@ impl<P: Payload> Deployment<P> {
         self.quiesce()
     }
 
-    /// Releases every periodic head of every shard `ticks` times, each
-    /// shard on its own OS thread, then runs cross-shard traffic to
-    /// quiescence. Equivalent to
+    /// `ticks` × [`run_tick`](Self::run_tick), with a report per shard.
+    /// Equivalent to
     /// [`run_ticks_instrumented`](Self::run_ticks_instrumented) with no
     /// warmup and a constant probe.
     ///
     /// # Errors
     ///
-    /// The first engine error or panic on any shard thread aborts the run
-    /// everywhere, with an error naming that shard.
+    /// As [`run_tick`](Self::run_tick): the first error ends the run.
     pub fn run_ticks(&mut self, ticks: u64) -> Result<Vec<ShardRun>, FrameworkError> {
         self.run_ticks_instrumented(0, ticks, &|| 0)
     }
 
-    /// The instrumented tick loop, the one concurrent driver: `warmup`
-    /// unmeasured [`run_tick`](Self::run_tick)s on the caller's thread
-    /// (provisioning lazily-grown structures), then `ticks` measured ticks,
-    /// each shard on its own OS thread, with per-tick timing. `probe` is
-    /// sampled on each shard's thread around the measured phase — pass a
-    /// per-thread allocation counter to gate the steady state at 0
-    /// allocations, as `soleil-bench` does.
+    /// The instrumented tick loop: `warmup` unmeasured
+    /// [`run_tick`](Self::run_tick)s (provisioning lazily-grown
+    /// structures), then `ticks` measured ones, on the same tick path and
+    /// the caller's thread. Each shard's own tick and drain passes are
+    /// timed, and `probe` is sampled around them, so every [`ShardRun`]
+    /// figure is that shard's share: pass an allocation counter to gate the
+    /// steady state at 0 allocations, as `soleil-bench` does.
     ///
     /// # Errors
     ///
-    /// A warm-up tick's error, then as [`run_ticks`](Self::run_ticks).
+    /// As [`run_tick`](Self::run_tick): the first error ends the run.
     pub fn run_ticks_instrumented<F>(
         &mut self,
         warmup: u64,
@@ -432,12 +424,12 @@ impl<P: Payload> Deployment<P> {
         probe: &F,
     ) -> Result<Vec<ShardRun>, FrameworkError>
     where
-        F: Fn() -> u64 + Sync,
+        F: Fn() -> u64,
     {
         for _ in 0..warmup {
             self.run_tick()?;
         }
-        parallel::run_shards(&mut self.shards, &self.rings, ticks, probe)
+        parallel::run_shards(&mut self.shards, ticks, probe)
     }
 
     // -----------------------------------------------------------------
@@ -547,7 +539,7 @@ impl<P: Payload> Deployment<P> {
         &self.shards[0].system
     }
 
-    /// Number of shards (engines; OS threads per tick run).
+    /// Number of shards (engines).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -576,14 +568,13 @@ impl<P: Payload> Deployment<P> {
         &self.shards[shard].system
     }
 
-    /// Per-shard structural digests (see [`System::structural_digest`]):
-    /// the byte-identical-rollback witness. A refused
+    /// Per-shard structural digests: each engine's
+    /// [`System::structural_digest`] folded with the rings the shard drains
+    /// and pools, each with the consumer seat it serves — the
+    /// byte-identical-rollback witness. A refused
     /// [`reconfigure`](Self::reconfigure) leaves every entry unchanged.
     pub fn structural_digests(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.system.structural_digest())
-            .collect()
+        self.shards.iter().map(Shard::structural_digest).collect()
     }
 
     /// Membrane-level introspection — SOLEIL mode only, per the paper.
@@ -802,8 +793,10 @@ impl<P: Payload> Deployment<P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components, content
-    /// `on_start` failures.
+    /// [`FrameworkError::Content`] for unknown components;
+    /// [`FrameworkError::Faulted`] with `FaultKind::Panic` when the
+    /// factory or a restart hook (`checkpoint`, `on_start`, `restore`)
+    /// panics — the component then stays quarantined, poisoned.
     pub fn restart_component(&mut self, component: impl Address) -> Result<(), FrameworkError> {
         self.on_mut(component, |system, slot| system.restart_slot(slot))
     }
@@ -883,7 +876,7 @@ impl<P: Payload> Deployment<P> {
     /// eagerly here and again at every transactional commit. Allowed in
     /// every mode, ULTRA-MERGE included — supervision is engine-level
     /// recovery machinery, not structural reconfiguration. Trees are
-    /// **shard-local**: each engine walks its own tree with no cross-thread
+    /// **shard-local**: each engine walks its own tree with no cross-shard
     /// coordination.
     ///
     /// # Errors
@@ -918,7 +911,7 @@ impl<P: Payload> Deployment<P> {
         if s.shard != c.shard {
             return Err(FrameworkError::Unsupported(format!(
                 "supervisor edge '{}' -> '{}' crosses shards ({} -> {}); supervision trees \
-                 are shard-local — escalation must never block on another shard's thread",
+                 are shard-local — escalation never leaves its shard's engine",
                 self.name_of(c)?,
                 self.name_of(s)?,
                 c.shard,
@@ -1165,6 +1158,15 @@ impl<P: Payload> Deployment<P> {
         if let (Some(swap), Some(arch)) = (plan.arch, self.arch.as_mut()) {
             arch.restore_server(swap);
         }
+    }
+}
+
+#[cfg(test)]
+impl<P: Payload> Deployment<P> {
+    /// One shard, mutably: lets a test mis-seat a ring the way a faulty
+    /// rollback would.
+    pub(crate) fn shard_mut(&mut self, shard: usize) -> &mut Shard<P> {
+        &mut self.shards[shard]
     }
 }
 
@@ -1537,7 +1539,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
     ///
     /// The domain partition itself is static: a reassignment onto a
     /// domain materialized on another shard would migrate the component
-    /// across OS threads and is refused, as is a re-homing onto a memory
+    /// across engines and is refused, as is a re-homing onto a memory
     /// area the component's shard does not hold. A live exchange buffer
     /// does not move either: a move after which the generator would place
     /// the buffer of one of the component's asynchronous bindings

@@ -65,43 +65,44 @@
 //! manager) each. [`Deployment::build`] (the generator's `deploy`) puts
 //! every component on one shard; [`Deployment::build_parallel`]
 //! (`deploy_parallel`) shards them by thread domain ([`parallel`]), with
-//! cross-shard bindings on wait-free SPSC rings. Calls run on the caller's
-//! thread, but [`Deployment::run_ticks`] ticks each shard on its own OS
-//! thread: payloads and content are `Send` to make that legal. Either
-//! way, components are addressed by resolve-once [`ComponentRef`] tokens
-//! or by name, and reconfigured through one transactional journal of
-//! pre-images ([`Deployment::reconfigure`]) that rollback writes back
-//! without re-running an operation or a hook.
+//! cross-shard bindings on wait-free SPSC rings. Every call runs on the
+//! caller's thread: a tick runs every shard to completion in shard order,
+//! then drains the rings, and [`Deployment::run_ticks`] is that tick
+//! repeated, so a sharded run replays exactly. Either way, components are
+//! addressed by resolve-once [`ComponentRef`] tokens or by name, and
+//! reconfigured through one transactional journal of pre-images
+//! ([`Deployment::reconfigure`]) that rollback writes back without
+//! re-running an operation or a hook.
 //!
 //! The engine is also a **release engine**: [`timer`] provides a
 //! preallocated binary-heap timer queue over [`rtsj::time::AbsoluteTime`]
-//! (schedule/fire/cancel with generation-checked handles; earliest
-//! deadline first, ties by priority then FIFO), driven by
-//! `System::run_tick` — serially or per parallel shard — so components
-//! can schedule releases at absolute times. Deployed components can carry
-//! declarative timing contracts (`soleil_core::contract`): an
-//! allocation-free latency/jitter histogram with deadline-miss detection
-//! is compiled into each component's activation plan — a `u16` sentinel,
-//! so unmonitored components pay a single integer compare — and verdicts
-//! surface through the design-time `ValidationReport` machinery.
+//! (schedule/fire/cancel with generation-checked handles; earliest deadline
+//! first, ties by priority then FIFO), driven by `System::run_tick` — on
+//! one shard or each shard in turn — so components can schedule releases at
+//! absolute times. Deployed components can carry declarative timing
+//! contracts (`soleil_core::contract`): an allocation-free latency/jitter
+//! histogram with deadline-miss detection is compiled into each component's
+//! activation plan — a `u16` sentinel, so unmonitored components pay a
+//! single integer compare — and verdicts surface through the design-time
+//! `ValidationReport` machinery.
 //!
 //! Faults are first-class: every component carries a
 //! [`system::FaultPolicy`] (escalate / isolate / supervised restart with
 //! exponential backoff on the timer queue), panics are caught at the
-//! activation boundary and converted into typed `Faulted` errors, and a
-//! deterministic seeded fault injector can be compiled into any
-//! component's plan. Quarantined components count-drop their messages
-//! (never silently lost) and surface through `health_report()` as
-//! SOL-020…022 findings. Components additionally form **supervision
-//! trees** (`Deployment::set_supervisor`): a fault escalating out of an
-//! `Escalate` component walks up the tree, and the first supervisor with
-//! a containing policy applies it to the failed *subtree* — isolating it
-//! with counted drops or restarting it as a unit through the timer queue
-//! — while sibling branches keep running; the walked path surfaces as a
-//! SOL-023 verdict. Components opting into the warm-state **Checkpoint
-//! capability** (`Deployment::enable_checkpoint`) carry their counters
-//! across supervised restarts through bounded, preallocated state images
-//! charged to their allocation area.
+//! activation boundary and in a restart's hooks and converted into typed
+//! `Faulted` errors, and a deterministic seeded fault injector can be
+//! compiled into any component's plan. Quarantined components count-drop
+//! their messages (never silently lost) and surface through
+//! `health_report()` as SOL-020…022 findings. Components additionally form
+//! **supervision trees** (`Deployment::set_supervisor`): a fault escalating
+//! out of an `Escalate` component walks up the tree, and the first
+//! supervisor with a containing policy applies it to the failed *subtree* —
+//! isolating it with counted drops or restarting it as a unit through the
+//! timer queue — while sibling branches keep running; the walked path
+//! surfaces as a SOL-023 verdict. Components opting into the warm-state
+//! **Checkpoint capability** (`Deployment::enable_checkpoint`) carry their
+//! counters across supervised restarts through bounded, preallocated state
+//! images charged to their allocation area.
 //!
 //! Supporting modules: [`instrument`] (steady-state latency measurement for
 //! Fig. 7(a)/(b)), [`footprint`] (Fig. 7(c) accounting) and [`sim`]

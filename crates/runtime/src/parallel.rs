@@ -1,15 +1,15 @@
-//! Parallel domain sharding: the partition a sharded [`Deployment`] runs
-//! on, its cross-domain rings, the drain pass and its two drivers.
+//! Domain sharding: the partition a sharded [`Deployment`] runs on, its
+//! cross-domain rings, the drain pass and the one tick path.
 //!
 //! The paper deploys one `RealtimeThread` per merged active composite —
-//! thread domains are its natural units of parallelism. This module turns
-//! that design-time structure into runtime parallelism for
+//! thread domains are its natural units of concurrency. This module turns
+//! that design-time structure into the shards of
 //! [`Deployment::build_parallel`] (the generator's `deploy_parallel`):
 //!
 //! 1. **Planning.** The spec's components are partitioned into *shards*
 //!    with a union-find: components in the same domain stay together;
-//!    synchronous bindings (nested run-to-completion calls cannot cross
-//!    threads) and shared scoped memory areas (a scope is owned by exactly
+//!    synchronous bindings (nested run-to-completion calls stay within one
+//!    engine) and shared scoped memory areas (a scope is owned by exactly
 //!    one engine — the slab substrate's per-area ownership is the sharding
 //!    boundary) merge the groups they connect; domainless components
 //!    attach to the shard of a binding peer. What remains independent runs
@@ -25,31 +25,18 @@
 //!    engine-local exchange buffers — the carrier is chosen here, at build
 //!    time, exactly like RTSJ's `WaitFreeWriteQueue` sits between a
 //!    no-heap producer and a heap consumer.
-//! 3. **Execution.** Two drivers share one drain pass. A pass drains a
-//!    shard's incoming rings (highest consumer priority first) in
-//!    **batches**: it snapshots a ring's published head once and pops the
-//!    whole visible run against the cached value, amortizing the `Acquire`
-//!    load over the batch instead of paying it per message; every popped
-//!    message injects as a run-to-completion activation. A shared
-//!    in-flight counter is incremented *before* every cross push and
-//!    decremented **batch-wise** after the batch's activations complete
-//!    (later-than-necessary decrements are conservative), so it never
-//!    under-reports: `in-flight == 0` proves every ring empty.
-//!    - **On the caller's thread**, every call but `run_ticks`:
-//!      [`Deployment::run_transaction`] and `inject` run on the target's
-//!      shard, `run_tick` and `fire_timers_until` on every shard in shard
-//!      order, and each then quiesces — passes over every shard, in shard
-//!      order, until nothing is in flight (one load when nothing was), as
-//!      `reconfigure` does first. The order is fixed, so it replays
-//!      bit-identically.
-//!    - **One OS thread per shard**, [`Deployment::run_ticks`]
-//!      ([`std::thread::scope`]): each thread ticks its own engine and
-//!      runs one pass per tick, then passes until every shard has done its
-//!      ticks and nothing is in flight. An error or a panic on any shard
-//!      thread aborts the run everywhere, with an error naming that shard.
-//!
-//!    Steady-state ticks allocate nothing on any thread: rings, slabs and
-//!    scope stacks are provisioned at build/warm-up time.
+//! 3. **Execution.** Every call runs on the caller's thread.
+//!    [`Deployment::run_transaction`] and `inject` run on the target's
+//!    shard, `run_tick` (and so `run_ticks`) and `fire_timers_until` on
+//!    every shard in shard order; each then quiesces, as `reconfigure`
+//!    does first: drain passes over every shard, in shard order, until a
+//!    full pass pops nothing. A pass pops each incoming ring's visible run
+//!    as one **batch** (one `Acquire` snapshot of its head), highest
+//!    consumer priority first, and injects every message as a
+//!    run-to-completion activation. The order is fixed, so a run replays
+//!    exactly, and a ring drops only what one tick overflows it with.
+//!    Steady-state ticks allocate nothing: rings, slabs and scope stacks
+//!    are provisioned at build/warm-up time.
 //!
 //! A one-shard deployment ([`Deployment::build`], the generator's `deploy`)
 //! skips the planner and the rings: its one shard is exactly the engine
@@ -58,14 +45,10 @@
 //! [`Deployment`]: crate::Deployment
 //! [`Deployment::build`]: crate::Deployment::build
 //! [`Deployment::build_parallel`]: crate::Deployment::build_parallel
-//! [`Deployment::run_ticks`]: crate::Deployment::run_ticks
 //! [`Deployment::run_transaction`]: crate::Deployment::run_transaction
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::ThreadId;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use rtsj::memory::AreaId;
@@ -81,9 +64,7 @@ use soleil_patterns::spsc::{spsc_ring, SpscConsumer};
 use crate::spec::{
     AreaSpec, BindingSpec, ComponentSpec, DomainSpec, Mode, ProtocolSpec, SystemSpec,
 };
-use crate::system::{
-    immortal_budget, panic_text, AsyncRepointUndo, CrossOutput, CrossTx, EngineStats, System,
-};
+use crate::system::{immortal_budget, AsyncRepointUndo, CrossOutput, CrossTx, EngineStats, System};
 
 // ---------------------------------------------------------------------------
 // Planning
@@ -278,14 +259,32 @@ impl<P: Payload> Shard<P> {
         }
     }
 
-    /// Re-sorts the incoming rings to the consumer-priority drain order
-    /// (build does the same once; reconfiguration re-establishes it after a
-    /// priority or ring change).
+    /// Re-sorts the incoming rings to the drain order: highest consumer
+    /// priority first, then by ring tag, so the order depends on the set of
+    /// rings alone and a rollback that re-seats a ring restores it (build
+    /// sorts once; reconfiguration re-sorts after a priority or ring
+    /// change).
     pub(crate) fn resort_incoming(&mut self) {
-        let Shard {
-            system, incoming, ..
-        } = self;
-        incoming.sort_by_key(|c| std::cmp::Reverse(system.node_priority(c.slot)));
+        let system = &self.system;
+        self.incoming
+            .sort_unstable_by_key(|c| (std::cmp::Reverse(system.node_priority(c.slot)), c.tag));
+    }
+
+    /// The shard's rollback witness: its engine's
+    /// [`System::structural_digest`] folded with the seat of every ring it
+    /// drains — tag, consumer slot and port index, in drain order — and of
+    /// every ring in its pool, with the producer index each keeps. A
+    /// rollback that re-seats a ring on the wrong consumer changes it.
+    pub(crate) fn structural_digest(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let seat = |c: &CrossIn<P>| (c.tag, c.slot, c.port_ix);
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.system.structural_digest().hash(&mut h);
+        let drained = self.incoming.iter().map(seat);
+        let pooled = self.pool.iter().map(|p| (p.cross_ix, seat(&p.ring)));
+        drained.collect::<Vec<_>>().hash(&mut h);
+        pooled.collect::<Vec<_>>().hash(&mut h);
+        h.finish()
     }
 }
 
@@ -302,12 +301,10 @@ enum Carrier {
 }
 
 /// The ring topology of a deployment: per global spec binding, its
-/// carrier; the ring-tag mint; and the in-flight counter every engine
-/// shares (the quiescence condition).
+/// carrier; and the ring-tag mint.
 pub(crate) struct Rings {
     carriers: Vec<Carrier>,
     next_tag: u64,
-    in_flight: Arc<AtomicU64>,
 }
 
 /// Backing-store bytes of a ring of `capacity` messages: the ring
@@ -339,7 +336,6 @@ pub(crate) fn build_shards<P: Payload>(
     let mut rings = Rings {
         carriers: vec![Carrier::Local; spec.bindings.len()],
         next_tag: 1,
-        in_flight: Arc::default(),
     };
     if !sharded {
         let system = System::build(spec, mode, registry)?;
@@ -494,7 +490,6 @@ pub(crate) fn build_shards<P: Payload>(
             mode,
             registry,
             std::mem::take(&mut cross_outputs[shard]),
-            Arc::clone(&rings.in_flight),
             tick_quantum,
         )?;
         let mut incoming = Vec::with_capacity(cross_inputs[shard].len());
@@ -709,109 +704,73 @@ impl Rings {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Per-shard report of one `Deployment::run_ticks_instrumented` run.
+/// Per-shard report of one `Deployment::run_ticks_instrumented` run: every
+/// figure is the shard's own share of the run, its engine's ticks and its
+/// drain passes.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
     /// Shard label (its thread-domain names joined with `+`).
     pub label: String,
-    /// The OS thread the shard ticked on.
-    pub thread: ThreadId,
     /// Measured ticks driven.
     pub ticks: u64,
-    /// Median wall-clock nanoseconds per measured tick (tick + drain).
+    /// Median wall-clock nanoseconds per measured tick: the shard's own
+    /// tick plus its drain passes of that tick.
     pub median_tick_ns: u64,
     /// Total wall-clock nanoseconds across the measured ticks.
     pub total_ns: u64,
-    /// Delta of the caller's probe across the measured phase (the
-    /// zero-alloc gate passes a per-thread heap-allocation counter).
+    /// Delta of the caller's probe across the shard's work in the measured
+    /// phase (the zero-alloc gate passes a heap-allocation counter).
     pub probe_delta: u64,
     /// Substrate allocations performed during the measured phase (0 in
     /// steady state).
     pub substrate_allocs: u64,
     /// Drain passes executed over the shard's incoming rings across the
-    /// measured ticks and their quiescence (each pass snapshots every
-    /// ring's published head once).
+    /// measured ticks (each pass snapshots every ring's published head
+    /// once).
     pub drain_passes: u64,
     /// Largest run of messages popped from one ring within a single drain
     /// pass — `> 1` proves the batched drain actually amortized an
     /// `Acquire` load over several messages.
     pub max_drain_batch: u64,
-    /// Messages drained from incoming rings across the measured ticks and
-    /// their quiescence.
+    /// Messages drained from incoming rings across the measured ticks.
     pub drained_messages: u64,
     /// Engine counters after the run (shard totals since build).
     pub stats: EngineStats,
 }
 
-/// Drain accounting, threaded through every drain pass of one run.
+/// What one drain pass over a shard's incoming rings popped.
 #[derive(Debug, Clone, Copy, Default)]
-struct DrainStats {
-    passes: u64,
-    max_batch: u64,
+pub(crate) struct Pass {
     messages: u64,
+    max_batch: u64,
 }
 
-/// Releases every periodic head of every shard `ticks` times, each shard
-/// on its own OS thread, then runs cross-shard traffic to quiescence (see
-/// `Deployment::run_ticks_instrumented`).
+/// The one tick path, on the caller's thread: every shard ticks its
+/// engine, in shard order, then drain passes run to quiescence
+/// ([`quiesce`]). `after(shard, pass)` runs after each piece of a shard's
+/// work: its tick (`None`) and each of its drain passes.
 ///
 /// # Errors
 ///
-/// The first engine error or panic on any shard thread aborts the run
-/// everywhere; the error names that shard and its root cause.
-pub(crate) fn run_shards<P: Payload, F>(
+/// The first engine error, as the engine raised it; later shards do not
+/// tick, and the messages not yet drained stay in their rings for the next
+/// call.
+pub(crate) fn tick<P: Payload>(
     shards: &mut [Shard<P>],
-    rings: &Rings,
-    ticks: u64,
-    probe: &F,
-) -> Result<Vec<ShardRun>, FrameworkError>
-where
-    F: Fn() -> u64 + Sync,
-{
-    let ctl = &Ctl {
-        n: shards.len(),
-        in_flight: Arc::clone(&rings.in_flight),
-        ..Ctl::default()
-    };
-    let runs: Vec<Option<ShardRun>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter_mut()
-            .enumerate()
-            .map(|(shard_ix, shard)| {
-                scope.spawn(move || {
-                    // A panic outside the content boundary (a lifecycle
-                    // hook, say) aborts the siblings like an error does;
-                    // they would otherwise drain forever, waiting for this
-                    // shard's ticks.
-                    let cause = match catch_unwind(AssertUnwindSafe(|| {
-                        shard_worker(shard, ctl, ticks, probe)
-                    })) {
-                        Ok(Ok(run)) => return Some(run),
-                        Ok(Err(e)) => e.to_string(),
-                        Err(payload) => format!("panicked: {}", panic_text(payload.as_ref())),
-                    };
-                    ctl.record_fault(shard_ix, &shard.label, cause);
-                    None
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().ok().flatten())
-            .collect()
-    });
-    // On abort every shard fails, but only one of them is the root cause
-    // — surface that one (with its shard named), never whichever sibling
-    // happened to come first in shard order.
-    runs.into_iter()
-        .collect::<Option<_>>()
-        .ok_or_else(|| ctl.aborted())
+    mut after: impl FnMut(usize, Option<Pass>),
+) -> Result<(), FrameworkError> {
+    for (ix, shard) in shards.iter_mut().enumerate() {
+        shard.system.run_tick()?;
+        after(ix, None);
+    }
+    quiesce(shards, after)
 }
 
-/// Drives every shard to a quiescence epoch — no message in flight, every
-/// cross-domain ring empty — on the caller's thread: drain passes over
-/// every shard, in shard order, until the in-flight counter reads 0 (one
-/// load when it already does) or a full pass moves nothing.
+/// Drives every shard to a quiescence epoch — every cross-domain ring
+/// empty — on the caller's thread: drain passes over every shard, in shard
+/// order, until a full pass pops nothing. Nothing else pushes meanwhile, so
+/// that empty pass proves every ring empty. One shard has no rings and
+/// pays one compare.
 ///
 /// # Errors
 ///
@@ -819,176 +778,101 @@ where
 /// yet drained stay in their rings for the next call.
 pub(crate) fn quiesce<P: Payload>(
     shards: &mut [Shard<P>],
-    rings: &Rings,
+    mut after: impl FnMut(usize, Option<Pass>),
 ) -> Result<(), FrameworkError> {
-    let mut ds = DrainStats::default();
-    while rings.in_flight.load(Ordering::SeqCst) != 0 {
+    if shards.len() < 2 {
+        return Ok(());
+    }
+    loop {
         let mut moved = false;
-        for shard in shards.iter_mut() {
-            moved |= drain_pass(shard, &rings.in_flight, &mut ds)?;
+        for (ix, shard) in shards.iter_mut().enumerate() {
+            let pass = drain_pass(shard)?;
+            moved |= pass.messages > 0;
+            after(ix, Some(pass));
         }
         if !moved {
-            break;
+            return Ok(());
         }
     }
-    Ok(())
 }
 
 /// One pass over the shard's incoming rings (consumer priority order):
 /// snapshots each ring's published head **once**, pops the visible run of
 /// messages against the cached value (amortizing the `Acquire` load over
-/// the whole batch) and runs every activation to completion. The
-/// `in_flight` quiescence counter is decremented batch-wise, after the
-/// batch's activations finish — never earlier than the per-message
-/// protocol, so it still never under-reports. Returns true when at least
-/// one message was processed.
-fn drain_pass<P: Payload>(
-    shard: &mut Shard<P>,
-    in_flight: &AtomicU64,
-    ds: &mut DrainStats,
-) -> Result<bool, FrameworkError> {
-    let mut moved = false;
-    ds.passes += 1;
-    let Shard {
-        system, incoming, ..
-    } = shard;
-    for cin in incoming.iter_mut() {
-        let CrossIn {
-            rx, slot, port_ix, ..
-        } = cin;
-        let mut popped: u64 = 0;
-        let mut result = Ok(());
-        for msg in rx.drain_batch() {
+/// the whole batch) and runs every activation to completion.
+fn drain_pass<P: Payload>(shard: &mut Shard<P>) -> Result<Pass, FrameworkError> {
+    let mut pass = Pass::default();
+    for cin in &mut shard.incoming {
+        let mut popped = 0;
+        for msg in cin.rx.drain_batch() {
             popped += 1;
-            if let Err(e) = system.inject_at(*slot, *port_ix, msg) {
-                result = Err(e);
-                break;
-            }
+            shard.system.inject_at(cin.slot, cin.port_ix, msg)?;
         }
-        if popped > 0 {
-            // Every popped message's activation (and any cross pushes it
-            // made) is complete — or the drain is stopping on `result`:
-            // only now stop counting the batch as in flight.
-            in_flight.fetch_sub(popped, Ordering::SeqCst);
-            moved = true;
-            ds.messages += popped;
-            ds.max_batch = ds.max_batch.max(popped);
-        }
-        result?;
+        pass.messages += popped;
+        pass.max_batch = pass.max_batch.max(popped);
     }
-    Ok(moved)
+    Ok(pass)
 }
 
-// ---------------------------------------------------------------------------
-// The threaded driver's per-shard worker
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct Ctl {
-    n: usize,
-    abort: AtomicBool,
-    ticks_done: AtomicUsize,
-    in_flight: Arc<AtomicU64>,
-    /// First root-cause fault of the run: `(shard index, shard label,
-    /// rendered cause)`. Written once, by whichever worker faults first;
-    /// every sibling's abort error — and the run's final error — names
-    /// this instead of a generic "a sibling shard aborted".
-    fault: Mutex<Option<(usize, String, String)>>,
-}
-
-impl Ctl {
-    /// Records the run's root cause (first writer wins) and raises the
-    /// abort flag that stops every sibling at its next check.
-    fn record_fault(&self, shard_ix: usize, label: &str, cause: String) {
-        let mut slot = self.fault.lock().expect("fault slot poisoned");
-        if slot.is_none() {
-            *slot = Some((shard_ix, label.to_string(), cause));
-        }
-        drop(slot);
-        self.abort.store(true, Ordering::SeqCst);
-    }
-
-    /// The abort error siblings observe: names the originating shard and
-    /// its first root-cause error, not just "a sibling shard".
-    fn aborted(&self) -> FrameworkError {
-        let slot = self.fault.lock().expect("fault slot poisoned");
-        match &*slot {
-            Some((ix, label, cause)) => FrameworkError::RunToCompletion(format!(
-                "parallel run aborted by shard {ix} ('{label}'): {cause}"
-            )),
-            None => {
-                FrameworkError::RunToCompletion("parallel run aborted by a sibling shard".into())
-            }
-        }
-    }
-}
-
-/// One shard's thread: `ticks` measured ticks, each a tick of the shard's
-/// engine and one drain pass, then drain passes until global quiescence.
-fn shard_worker<P: Payload, F>(
-    shard: &mut Shard<P>,
-    ctl: &Ctl,
+/// `ticks` iterations of [`tick`], charging each shard the wall-clock time
+/// and the `probe` delta of its own tick and drain passes (see
+/// `Deployment::run_ticks_instrumented`).
+///
+/// # Errors
+///
+/// As [`tick`]: the first engine error ends the run.
+pub(crate) fn run_shards<P: Payload>(
+    shards: &mut [Shard<P>],
     ticks: u64,
-    probe: &F,
-) -> Result<ShardRun, FrameworkError>
-where
-    F: Fn() -> u64 + Sync,
-{
-    let thread = std::thread::current().id();
-    let mut ds = DrainStats::default();
-    // The sample buffer exists before the probe baseline is read, so the
-    // measured region itself allocates nothing.
-    let mut nanos: Vec<u64> = Vec::with_capacity(ticks as usize);
-    let substrate_before = shard.system.memory().alloc_count();
-    let probe_before = probe();
-    for _ in 0..ticks {
-        if ctl.abort.load(Ordering::SeqCst) {
-            return Err(ctl.aborted());
-        }
-        let t0 = Instant::now();
-        shard.system.run_tick()?;
-        drain_pass(shard, &ctl.in_flight, &mut ds)?;
-        nanos.push(t0.elapsed().as_nanos() as u64);
+    probe: &impl Fn() -> u64,
+) -> Result<Vec<ShardRun>, FrameworkError> {
+    let n = shards.len();
+    // Every record exists before the probe baseline is read, so the
+    // measured region allocates nothing: `nanos[t * n + s]` is shard `s`'s
+    // share of tick `t`, and `substrate_allocs` holds the baseline until
+    // the run ends.
+    let mut nanos = vec![0; ticks as usize * n];
+    let mut runs: Vec<ShardRun> = shards
+        .iter()
+        .map(|s| ShardRun {
+            label: s.label.clone(),
+            ticks,
+            median_tick_ns: 0,
+            total_ns: 0,
+            probe_delta: 0,
+            substrate_allocs: s.system.memory().alloc_count(),
+            drain_passes: 0,
+            max_drain_batch: 0,
+            drained_messages: 0,
+            stats: EngineStats::default(),
+        })
+        .collect();
+    // One clock read and one probe sample per piece of work: its end is
+    // the next piece's start.
+    let mut mark = (Instant::now(), probe());
+    for t in 0..ticks as usize {
+        tick(shards, |s, pass| {
+            let now = (Instant::now(), probe());
+            nanos[t * n + s] += now.0.duration_since(mark.0).as_nanos() as u64;
+            let run = &mut runs[s];
+            run.probe_delta += now.1 - mark.1;
+            mark = now;
+            if let Some(pass) = pass {
+                run.drain_passes += 1;
+                run.drained_messages += pass.messages;
+                run.max_drain_batch = run.max_drain_batch.max(pass.max_batch);
+            }
+        })?;
     }
-    ctl.ticks_done.fetch_add(1, Ordering::SeqCst);
-    // Quiescence: the in-flight counter is incremented before any push,
-    // so observing `done == n ∧ in_flight == 0` proves no message exists
-    // or can be created.
-    loop {
-        if ctl.abort.load(Ordering::SeqCst) {
-            return Err(ctl.aborted());
-        }
-        let moved = drain_pass(shard, &ctl.in_flight, &mut ds)?;
-        if !moved
-            && ctl.ticks_done.load(Ordering::SeqCst) == ctl.n
-            && ctl.in_flight.load(Ordering::SeqCst) == 0
-            && shard.incoming.iter().all(|c| c.rx.is_empty())
-        {
-            break;
-        }
-        if !moved {
-            std::thread::yield_now();
-        }
+    for (s, (run, shard)) in runs.iter_mut().zip(shards.iter()).enumerate() {
+        let mut mine: Vec<u64> = nanos.iter().skip(s).step_by(n).copied().collect();
+        mine.sort_unstable();
+        run.median_tick_ns = mine.get(mine.len() / 2).copied().unwrap_or(0);
+        run.total_ns = mine.iter().sum();
+        run.substrate_allocs = shard.system.memory().alloc_count() - run.substrate_allocs;
+        run.stats = shard.system.stats();
     }
-    let probe_delta = probe() - probe_before;
-    let substrate_allocs = shard.system.memory().alloc_count() - substrate_before;
-
-    nanos.sort_unstable();
-    let median_tick_ns = nanos.get(nanos.len() / 2).copied().unwrap_or(0);
-    let total_ns = nanos.iter().sum();
-    Ok(ShardRun {
-        label: shard.label.clone(),
-        thread,
-        ticks,
-        median_tick_ns,
-        total_ns,
-        probe_delta,
-        substrate_allocs,
-        drain_passes: ds.passes,
-        max_drain_batch: ds.max_batch,
-        drained_messages: ds.messages,
-        stats: shard.system.stats(),
-    })
+    Ok(runs)
 }
 
 #[cfg(test)]
@@ -1004,27 +888,18 @@ mod tests {
     use soleil_core::Architecture;
     use soleil_membrane::content::{Content, InvokeResult, Ports};
     use soleil_membrane::interceptors::FaultInjector;
-    use std::sync::Mutex;
+    use soleil_membrane::FaultKind;
+    use std::sync::Arc;
 
-    /// Records, per consumer, how many messages arrived and on which OS
-    /// thread they were processed.
+    /// Records, per consumer, how many messages arrived.
     #[derive(Debug, Clone, Default)]
-    struct ThreadProbe {
-        seen: Arc<Mutex<HashMap<String, (u64, ThreadId)>>>,
+    struct CountProbe {
+        seen: Arc<Mutex<HashMap<String, u64>>>,
     }
 
-    impl ThreadProbe {
+    impl CountProbe {
         fn count(&self, name: &str) -> u64 {
-            self.seen
-                .lock()
-                .unwrap()
-                .get(name)
-                .map(|(n, _)| *n)
-                .unwrap_or(0)
-        }
-
-        fn thread_of(&self, name: &str) -> Option<ThreadId> {
-            self.seen.lock().unwrap().get(name).map(|(_, t)| *t)
+            self.seen.lock().unwrap().get(name).copied().unwrap_or(0)
         }
     }
 
@@ -1045,7 +920,7 @@ mod tests {
     #[derive(Debug)]
     struct Recorder {
         name: String,
-        probe: ThreadProbe,
+        probe: CountProbe,
     }
     impl Content<u64> for Recorder {
         fn on_invoke(
@@ -1054,17 +929,18 @@ mod tests {
             _msg: &mut u64,
             _out: &mut dyn Ports<u64>,
         ) -> InvokeResult {
-            let mut seen = self.probe.seen.lock().unwrap();
-            let entry = seen
+            *self
+                .probe
+                .seen
+                .lock()
+                .unwrap()
                 .entry(self.name.clone())
-                .or_insert((0, std::thread::current().id()));
-            entry.0 += 1;
-            entry.1 = std::thread::current().id();
+                .or_default() += 1;
             Ok(())
         }
     }
 
-    fn registry(probe: &ThreadProbe) -> ContentRegistry<u64> {
+    fn registry(probe: &CountProbe) -> ContentRegistry<u64> {
         let mut r = ContentRegistry::new();
         r.register("Fan2", || {
             Box::new(Fan {
@@ -1171,7 +1047,7 @@ mod tests {
 
     #[test]
     fn independent_domains_get_independent_shards() {
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let sys = Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
             .unwrap();
         assert_eq!(sys.shard_count(), 3);
@@ -1187,30 +1063,15 @@ mod tests {
     #[test]
     fn shards_tick_on_distinct_os_threads_in_every_mode() {
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
-            let probe = ThreadProbe::default();
+            let probe = CountProbe::default();
             let mut sys =
                 Deployment::build_parallel(&fan_spec(), mode, &registry(&probe), None).unwrap();
             let runs = sys.run_ticks(25).unwrap();
             assert_eq!(runs.len(), 3, "{mode}");
 
-            // Every shard ran on its own OS thread, none on the test thread.
-            let main = std::thread::current().id();
-            let mut threads: Vec<ThreadId> = runs.iter().map(|r| r.thread).collect();
-            assert!(threads.iter().all(|&t| t != main), "{mode}");
-            threads.dedup();
-            threads.sort_by_key(|t| format!("{t:?}"));
-            threads.dedup();
-            assert_eq!(threads.len(), 3, "{mode}: shards must not share threads");
-
-            // Message conservation: each consumer saw all 25 fan-outs, on
-            // the thread of its own shard.
+            // Message conservation: each consumer saw all 25 fan-outs.
             assert_eq!(probe.count("consumerB"), 25, "{mode}");
             assert_eq!(probe.count("consumerC"), 25, "{mode}");
-            assert_ne!(
-                probe.thread_of("consumerB").unwrap(),
-                probe.thread_of("consumerC").unwrap(),
-                "{mode}: consumers ran on different shards' threads"
-            );
             assert_eq!(sys.stats().dropped_messages, 0, "{mode}");
 
             // The producer shard counted its cross sends; consumer shards
@@ -1226,7 +1087,7 @@ mod tests {
         // Make producer→consumerB synchronous: B can no longer shard apart.
         spec.bindings[0].protocol = ProtocolSpec::Sync;
         spec.bindings[0].server_port = "in".into();
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let sys =
             Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         assert_eq!(sys.shard_count(), 2);
@@ -1251,7 +1112,7 @@ mod tests {
         // one engine must own the scope, so A and C merge.
         spec.components[0].area = 1;
         spec.components[2].area = 1;
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let sys =
             Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         assert_eq!(sys.shard_count(), 2);
@@ -1279,7 +1140,7 @@ mod tests {
             parent: Some(1),
         });
         spec.components[2].area = 1; // consumerC into S_owned
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         assert_eq!(sys.shard_count(), 3);
@@ -1307,7 +1168,7 @@ mod tests {
         for c in &mut spec.components {
             c.domain = Some(0);
         }
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         assert_eq!(sys.shard_count(), 1);
@@ -1331,7 +1192,7 @@ mod tests {
             capacity: 1,
             placement: BufferPlacement::Immortal,
         };
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         sys.run_ticks(10).unwrap();
@@ -1354,26 +1215,21 @@ mod tests {
         }
     }
 
-    /// Satellite regression: an aborted parallel run must name the shard
-    /// that faulted and its root-cause error — not a generic "aborted by a
-    /// sibling shard" that loses the diagnosis.
+    /// An engine error ends a `run_ticks` run as the engine raised it —
+    /// the root cause, exactly the error the same tick returns through
+    /// `run_tick`.
     #[test]
     fn abort_reports_originating_shard_and_root_cause() {
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut reg = registry(&probe);
         reg.register("Boom", || Box::new(Exploder));
         let mut spec = fan_spec();
         spec.components[1].content_class = "Boom".into();
         let mut sys = Deployment::build_parallel(&spec, Mode::MergeAll, &reg, None).unwrap();
-        let b = sys.shard_of_component("consumerB").unwrap();
         let err = sys.run_ticks(10).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            format!(
-                "run-to-completion violated: parallel run aborted by shard {b} ('B'): \
-                 content error: boom"
-            )
-        );
+        assert_eq!(err.to_string(), "content error: boom");
+        let mut fresh = Deployment::build_parallel(&spec, Mode::MergeAll, &reg, None).unwrap();
+        assert_eq!(fresh.run_tick().unwrap_err().to_string(), err.to_string());
     }
 
     /// Tentpole: a panic injected into one shard under `Isolate` leaves
@@ -1382,7 +1238,7 @@ mod tests {
     /// report naming it.
     #[test]
     fn isolate_contains_a_panic_to_its_own_shard() {
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
                 .unwrap();
@@ -1431,7 +1287,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_reports_quiescent_counters() {
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
                 .unwrap();
@@ -1454,7 +1310,7 @@ mod tests {
 
     #[test]
     fn reconfigure_is_refused_under_ultra_merge() {
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&fan_spec(), Mode::UltraMerge, &registry(&probe), None)
                 .unwrap();
@@ -1468,7 +1324,7 @@ mod tests {
     #[test]
     fn rebind_async_rewires_the_ring_across_shards() {
         for mode in [Mode::Soleil, Mode::MergeAll] {
-            let probe = ThreadProbe::default();
+            let probe = CountProbe::default();
             let mut sys =
                 Deployment::build_parallel(&fan_spec(), mode, &registry(&probe), None).unwrap();
             sys.run_ticks(10).unwrap();
@@ -1502,7 +1358,7 @@ mod tests {
 
     #[test]
     fn refused_transaction_restores_the_partition_byte_identically() {
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&fan_spec(), Mode::Soleil, &registry(&probe), None).unwrap();
         sys.run_ticks(10).unwrap();
@@ -1547,7 +1403,7 @@ mod tests {
         let mut spec = fan_spec();
         spec.bindings[0].protocol = ProtocolSpec::Sync;
         spec.bindings[0].server_port = "in".into();
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
         let digests = sys.structural_digests();
@@ -1565,7 +1421,7 @@ mod tests {
 
     #[test]
     fn reassign_domain_across_the_partition_is_refused() {
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
                 .unwrap();
@@ -1584,7 +1440,7 @@ mod tests {
     /// live parallel reconfiguration transaction.
     #[test]
     fn health_verdicts_are_exact_after_a_live_policy_swap() {
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&fan_spec(), Mode::MergeAll, &registry(&probe), None)
                 .unwrap();
@@ -1655,7 +1511,14 @@ mod tests {
         )
         .unwrap();
         let err = sys.run_ticks(10).unwrap_err();
-        assert!(err.to_string().contains("aborted by shard"), "{err}");
+        assert!(
+            matches!(
+                &err,
+                FrameworkError::Faulted { component, kind: FaultKind::Error, .. }
+                    if component == "consumerC"
+            ),
+            "{err}"
+        );
         let report = sys.health_report();
         assert_eq!(report.by_code("SOL-021").count(), 1, "{report}");
         assert!(report.by_code("SOL-021").all(|d| d.subject == "consumerC"));
@@ -1744,7 +1607,7 @@ mod tests {
     #[test]
     fn committed_transaction_combines_rewiring_rehoming_and_policy() {
         for mode in [Mode::Soleil, Mode::MergeAll] {
-            let probe = ThreadProbe::default();
+            let probe = CountProbe::default();
             let mut sys = Deployment::build_parallel(
                 &coupled_spec(),
                 mode,
@@ -1801,7 +1664,7 @@ mod tests {
     /// by traffic flowing exactly as before.
     #[test]
     fn refused_combined_transaction_rolls_back_rehoming_and_rewiring() {
-        let probe = ThreadProbe::default();
+        let probe = CountProbe::default();
         let mut sys = Deployment::build_parallel(
             &coupled_spec(),
             Mode::MergeAll,
@@ -1836,5 +1699,60 @@ mod tests {
         assert_eq!(probe.count("consumerB"), 20);
         assert_eq!(probe.count("consumerC"), 20);
         assert_eq!(sys.stats().dropped_messages, 0);
+    }
+
+    /// The digests witness ring seats: a ring re-seated on the wrong
+    /// consumer — what a rollback that restored the rows but not the seat
+    /// would leave — changes its shard's digest, in the drain set and in
+    /// the pool, though every engine row is untouched.
+    #[test]
+    fn a_mis_seated_ring_changes_its_shards_digest() {
+        let probe = CountProbe::default();
+        let mut sys = Deployment::build_parallel(
+            &coupled_spec(),
+            Mode::MergeAll,
+            &registry(&probe),
+            Some(coupled_arch()),
+        )
+        .unwrap();
+        let (a, bc) = (
+            sys.shard_of_component("producer").unwrap(),
+            sys.shard_of_component("consumerB").unwrap(),
+        );
+        assert_eq!(sys.shard_of_component("consumerC"), Some(bc));
+        let slot_in = |shard: &Shard<u64>, global: usize| {
+            shard.globals.iter().position(|&g| g == global).unwrap()
+        };
+
+        // Seat the producer→consumerB ring on consumerC instead.
+        let digests = sys.structural_digests();
+        let shard = sys.shard_mut(bc);
+        let (b_slot, c_slot) = (slot_in(shard, 1), slot_in(shard, 2));
+        let ring = shard
+            .incoming
+            .iter_mut()
+            .find(|r| r.slot == b_slot)
+            .unwrap();
+        ring.slot = c_slot;
+        assert_ne!(sys.structural_digests(), digests, "a drain seat moved");
+        sys.run_ticks(10).unwrap();
+        assert_eq!(
+            (probe.count("consumerB"), probe.count("consumerC")),
+            (0, 20),
+            "the mis-seated ring feeds the wrong consumer"
+        );
+
+        // A rewire retires the ring into the producer shard's pool, seat
+        // and all: moving the pooled ring's seat shows too.
+        sys.reconfigure(|txn| txn.rebind_async("producer", "out1", "consumerC"))
+            .unwrap();
+        let digests = sys.structural_digests();
+        let pooled = &mut sys.shard_mut(a).pool[0].ring;
+        pooled.slot = if pooled.slot == b_slot {
+            c_slot
+        } else {
+            b_slot
+        };
+        assert_ne!(sys.structural_digests(), digests, "a pooled seat moved");
     }
 }

@@ -18,8 +18,7 @@
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 use rtsj::memory::{AreaId, MemoryContext, MemoryKind, MemoryManager};
@@ -658,11 +657,6 @@ pub struct System<P: Payload> {
     /// Producer endpoints of cross-domain rings, indexed by the
     /// `buffer_ix` of compiled bindings whose `is_cross` flag is set.
     cross_out: Vec<SpscProducer<P>>,
-    /// Messages currently travelling between shards (shared with every
-    /// sibling engine of a parallel deployment; the quiescence condition
-    /// of the parallel tick protocol). Incremented *before* the ring push
-    /// so the counter never under-reports in-flight work.
-    cross_in_flight: Arc<AtomicU64>,
     /// The ready queue: one [`ready_key`] per message waiting in
     /// `buffers`.
     pending: BinaryHeap<u128>,
@@ -771,21 +765,19 @@ impl<P: Payload> System<P> {
         registry: &ContentRegistry<P>,
     ) -> Result<System<P>, FrameworkError> {
         let quantum = spec.tick_quantum();
-        Self::build_with_cross(spec, mode, registry, Vec::new(), Arc::default(), quantum)
+        Self::build_with_cross(spec, mode, registry, Vec::new(), quantum)
     }
 
     /// [`System::build`] plus a set of cross-domain outputs: client ports
     /// that route into wait-free SPSC rings whose consumers live in other
     /// thread-domain shards (the parallel runtime's carrier for bindings
-    /// that leave this engine). The shared `in_flight` counter tracks
-    /// messages travelling between shards, and `tick_quantum` is the whole
-    /// deployment's ([`SystemSpec::tick_quantum`]), not `spec`'s.
+    /// that leave this engine). `tick_quantum` is the whole deployment's
+    /// ([`SystemSpec::tick_quantum`]), not `spec`'s.
     pub(crate) fn build_with_cross(
         spec: &SystemSpec,
         mode: Mode,
         registry: &ContentRegistry<P>,
         cross_outputs: Vec<CrossOutput<P>>,
-        in_flight: Arc<AtomicU64>,
         tick_quantum: RelativeTime,
     ) -> Result<System<P>, FrameworkError> {
         spec.check().map_err(FrameworkError::Content)?;
@@ -956,7 +948,6 @@ impl<P: Payload> System<P> {
             nodes,
             buffers,
             cross_out,
-            cross_in_flight: in_flight,
             pending: BinaryHeap::new(),
             seq: 0,
             periodic_order: Vec::new(),
@@ -1562,18 +1553,15 @@ impl<P: Payload> System<P> {
     }
 
     /// Enqueues `msg` on a cross-domain ring: wait-free, no pending-heap
-    /// entry (the consumer shard schedules it), bounded backpressure on a
-    /// full ring. The shared in-flight counter is incremented *before* the
-    /// push so the parallel quiescence check never observes a published
-    /// message it is not counting.
+    /// entry (the consumer shard's drain pass schedules it), bounded
+    /// backpressure on a full ring. Kept out of line: inlined into the send
+    /// path, it made SOLEIL's one-shard relay transaction about 5% slower
+    /// (perfbench relay, 2-vCPU host).
+    #[inline(never)]
     fn enqueue_cross(&mut self, cross_ix: usize, msg: P) {
-        self.cross_in_flight.fetch_add(1, Ordering::SeqCst);
         match self.cross_out[cross_ix].push(msg) {
             PushOutcome::Accepted => self.stats.async_messages += 1,
-            PushOutcome::Rejected => {
-                self.cross_in_flight.fetch_sub(1, Ordering::SeqCst);
-                self.stats.dropped_messages += 1;
-            }
+            PushOutcome::Rejected => self.stats.dropped_messages += 1,
         }
     }
 
@@ -2701,9 +2689,19 @@ impl<P: Payload> System<P> {
     /// interceptor state with it), `on_start` runs. Idempotent — a restart
     /// timer firing after a manual restart is a no-op.
     ///
+    /// The boundary `checkpoint` capture, the factory, `on_start` and
+    /// `restore` are user code outside any activation, so they run under
+    /// one `catch_unwind`, and the fresh instance is installed only once
+    /// all of them returned. A panic in any of them becomes the same typed
+    /// fault a content panic does; the slot stays quarantined, now
+    /// poisoned, with the outgoing instance in place, and nothing is
+    /// restarted.
+    ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for a bad slot.
+    /// [`FrameworkError::Content`] for a bad slot;
+    /// [`FrameworkError::Faulted`] with [`FaultKind::Panic`] when a hook or
+    /// the factory panicked.
     pub(crate) fn restart_slot(&mut self, slot: usize) -> Result<(), FrameworkError> {
         if slot >= self.nodes.len() {
             return Err(FrameworkError::Content(format!("bad slot {slot}")));
@@ -2712,48 +2710,54 @@ impl<P: Payload> System<P> {
         if !plan.life.quarantined() {
             return Ok(());
         }
-        // Warm-state handoff, capture half: a checkpoint-enabled slot
-        // checkpoints the *outgoing* instance at the activation boundary —
-        // unless the slot is poisoned (a panic may have left half-mutated
-        // state), in which case the last healthy cadence image is the only
-        // trustworthy source.
-        if plan.checkpoint_ix != u16::MAX && !plan.life.poisoned() {
-            // The boundary capture of a *healthy* fault is by definition
-            // the freshest healthy state: it becomes the new healthy image.
-            if let (Some(cp), Some(c)) = (
-                self.checkpoints[slot].as_deref_mut(),
-                self.nodes[slot].content.as_deref(),
-            ) {
-                cp.capture(c);
+        let checkpointed = plan.checkpoint_ix != u16::MAX;
+        let System {
+            nodes,
+            checkpoints,
+            factories,
+            ..
+        } = self;
+        let fresh = catch_unwind(AssertUnwindSafe(|| {
+            let mut cp = checkpoints[slot].as_deref_mut().filter(|_| checkpointed);
+            // Warm-state handoff, capture half: a checkpoint-enabled slot
+            // checkpoints the *outgoing* instance at the activation
+            // boundary — unless the slot is poisoned (a panic may have
+            // left half-mutated state), in which case the last healthy
+            // cadence image is the only trustworthy source. The boundary
+            // capture of a *healthy* fault is by definition the freshest
+            // healthy state: it becomes the new healthy image.
+            if !plan.life.poisoned() {
+                if let (Some(cp), Some(c)) = (cp.as_deref_mut(), nodes[slot].content.as_deref()) {
+                    cp.capture(c);
+                }
             }
-        }
-        // Fresh instance, same class: the original deploy-time state
-        // charge stands (same content class, same `state_bytes`), so no
-        // re-charge against the area budget.
-        self.nodes[slot].content = Some((self.factories[slot])());
-        self.set_lifecycle(slot, Lifecycle(Lifecycle::STARTED));
-        if let Some(c) = self.nodes[slot].content.as_mut() {
-            c.on_start();
-        }
-        // Warm-state handoff, restore half: the fresh instance starts,
-        // then the last healthy image is installed (just captured at the
-        // boundary for healthy faults; the last cadence capture when the
-        // slot was poisoned).
-        if plan.checkpoint_ix != u16::MAX {
-            let System {
-                nodes, checkpoints, ..
-            } = self;
-            if let (Some(cp), Some(c)) = (
-                checkpoints[slot].as_deref_mut(),
-                nodes[slot].content.as_deref_mut(),
-            ) {
+            // Fresh instance, same class: the original deploy-time state
+            // charge stands (same content class, same `state_bytes`), so
+            // no re-charge against the area budget.
+            let mut content = (factories[slot])();
+            content.on_start();
+            // Warm-state handoff, restore half: the fresh instance starts,
+            // then the last healthy image is installed (just captured at
+            // the boundary for healthy faults; the last cadence capture
+            // when the slot was poisoned).
+            if let Some(cp) = cp {
                 if cp.valid {
-                    c.restore(&cp.image);
+                    content.restore(&cp.image);
                     cp.restores += 1;
                 }
                 cp.since_capture = 0;
             }
+            content
+        }));
+        match fresh {
+            Ok(content) => nodes[slot].content = Some(content),
+            Err(payload) => {
+                let fault = FrameworkError::from(self.caught_panic(slot, payload));
+                self.quarantine(slot, true, fault.to_string());
+                return Err(fault);
+            }
         }
+        self.set_lifecycle(slot, Lifecycle(Lifecycle::STARTED));
         let sup = &mut self.supervisors[slot];
         sup.fault_detail = None;
         sup.restarts += 1;
@@ -3453,6 +3457,8 @@ mod tests {
     use crate::spec::{AreaSpec, BindingSpec, ComponentSpec, DomainSpec};
     use rtsj::time::RelativeTime;
     use soleil_membrane::content::{InternedPort, InvokeResult};
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     impl<P: Payload> System<P> {
         /// True when the Checkpoint capability is enabled for `slot`.
@@ -3663,8 +3669,8 @@ mod tests {
         }
     }
 
-    /// The parallel runtime moves one engine per thread-domain shard onto
-    /// its own OS thread: the whole `System` must be `Send` (no `Rc`, no
+    /// A deployment, with its engine per thread-domain shard, may move to
+    /// another thread: the whole `System` must be `Send` (no `Rc`, no
     /// thread-bound interior mutability anywhere in the object graph).
     #[test]
     fn system_is_send() {

@@ -75,9 +75,8 @@ pub mod work {
 /// can assert functional equivalence across implementations.
 ///
 /// Counters are atomics behind `Arc` (not `Rc<Cell<_>>`): content classes
-/// must be `Send` so a deployment can be sharded across thread-domain
-/// engines running on distinct OS threads, and the probe travels with
-/// them. The `f64` fingerprint is stored as IEEE-754 bits in an
+/// must be `Send` so a deployment can move to another thread, and the
+/// probe travels with them. The `f64` fingerprint is stored as IEEE-754 bits in an
 /// [`AtomicU64`] and accumulated with a CAS loop.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioProbe {

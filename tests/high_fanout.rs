@@ -9,8 +9,7 @@
 //! stresses exactly what the roadmap asked for — the per-area slab map
 //! (hundreds of areas and payload types) and the pending-message heap
 //! (dozens of pending activations per tick, drained in priority order) —
-//! and asserts per-domain tick counts, exact message conservation and
-//! distinct OS threads per shard.
+//! and asserts per-domain tick counts and exact message conservation.
 //!
 //! A companion battery churns the substrate directly: hundreds of nested
 //! scopes entered, filled, reclaimed and re-entered, with stale-handle
@@ -33,6 +32,7 @@ use soleil::runtime::spec::{
     Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
 };
 use soleil::runtime::Deployment;
+use soleil::scenario::{motivation_validated, registry_with_probe, Measurement, ScenarioProbe};
 
 const DOMAINS: usize = 6;
 const WORKERS: usize = 38; // + head + entry + svc = 41 per domain = 246 total
@@ -287,13 +287,8 @@ fn high_fanout_ticks_conserve_messages_across_threads() {
                 .expect("builds");
         let runs = sys.run_ticks(TICKS).expect("parallel run");
 
-        // Per-domain tick counts: every shard drove exactly TICKS ticks on
-        // its own OS thread.
+        // Per-domain tick counts: every shard drove exactly TICKS ticks.
         assert_eq!(runs.len(), DOMAINS, "{mode}");
-        let mut threads: Vec<String> = runs.iter().map(|r| format!("{:?}", r.thread)).collect();
-        threads.sort();
-        threads.dedup();
-        assert_eq!(threads.len(), DOMAINS, "{mode}: distinct OS threads");
         for r in &runs {
             assert_eq!(r.ticks, TICKS, "{mode} {}", r.label);
         }
@@ -497,9 +492,8 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
             r.label
         );
     }
-    // The warm-up ticks drained on the caller's thread (`run_tick`), so a
-    // shard thread's drain accounting covers the measured ticks and their
-    // quiescence: exactly the measured bursts.
+    // The warm-up ticks are unmeasured `run_tick`s, so a shard's drain
+    // accounting covers the measured ticks: exactly the measured bursts.
     for r in &consumer_runs {
         assert!(r.drain_passes > 0, "shard '{}' never drained", r.label);
         assert_eq!(
@@ -511,8 +505,7 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
     }
     // The batching must actually trigger: 8 back-to-back pushes per tick
     // into each ring mean some drain pass pops a run > 1 against a single
-    // head snapshot (on any realistic scheduling, and deterministically on
-    // a single-core host).
+    // head snapshot: the producer shard ticks before any drain pass.
     let max_batch = consumer_runs.iter().map(|r| r.max_drain_batch).max();
     assert!(
         max_batch.unwrap() > 1,
@@ -520,29 +513,33 @@ fn batched_ring_drains_conserve_messages_and_stay_allocation_free() {
     );
 }
 
-/// The two drivers agree: `run_ticks(n)`, one OS thread per shard, and
-/// `n` × `run_tick()`, every shard on the caller's thread, leave equal
-/// ledgers and equal per-consumer counts on the same deterministic
-/// deployment, in every mode. The rings hold the whole run, so the
-/// threads' interleaving cannot drop a message the sequential drain
-/// would deliver.
+/// `run_ticks(n)` is `n` × `run_tick()`: on the 3-shard motivation
+/// example, whose 10-slot rings are shallower than a batch of 50 ticks,
+/// both leave equal ledgers with nothing dropped, equal per-shard counters
+/// (each consumer owns a shard) and equal shard clocks, in every mode.
 #[test]
 fn threaded_and_sequential_drivers_agree() {
-    const TICKS: u64 = 100;
+    const TICKS: u64 = 50;
+    let arch = motivation_validated().expect("fixture validates");
     for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
-        let threaded_hits: [Arc<AtomicU64>; 2] = Default::default();
-        let mut threaded = burst_deployment(mode, &threaded_hits);
-        threaded.run_ticks(TICKS).expect("threaded run");
+        let deployment = |probe: &ScenarioProbe| {
+            let dep = deploy_parallel(&arch, mode, &registry_with_probe(probe)).expect("deploys");
+            assert_eq!(dep.shard_count(), 3, "{mode}");
+            dep
+        };
+        let batched_probe = ScenarioProbe::new();
+        let mut batched = deployment(&batched_probe);
+        batched.run_ticks(TICKS).expect("run_ticks");
 
-        let sequential_hits: [Arc<AtomicU64>; 2] = Default::default();
-        let mut sequential = burst_deployment(mode, &sequential_hits);
+        let sequential_probe = ScenarioProbe::new();
+        let mut sequential = deployment(&sequential_probe);
         for tick in 0..TICKS {
             sequential
                 .run_tick()
                 .unwrap_or_else(|e| panic!("{mode}: tick {tick}: {e}"));
         }
 
-        let ledger = |dep: &Deployment<u64>| {
+        let ledger = |dep: &Deployment<Measurement>| {
             let st = dep.stats();
             (
                 st.async_messages,
@@ -551,23 +548,32 @@ fn threaded_and_sequential_drivers_agree() {
                 st.activations,
             )
         };
-        let counts =
-            |hits: &[Arc<AtomicU64>; 2]| hits.each_ref().map(|h| h.load(Ordering::Relaxed));
-        assert_eq!(ledger(&threaded), ledger(&sequential), "{mode}: ledgers");
+        let shards = |dep: &Deployment<Measurement>| {
+            (0..dep.shard_count())
+                .map(|s| (dep.shard_stats(s), dep.shard_system(s).clock()))
+                .collect::<Vec<_>>()
+        };
+        let consumers = |probe: &ScenarioProbe| (probe.audits(), probe.consoles(), probe.max_seq());
+        assert_eq!(ledger(&batched), ledger(&sequential), "{mode}: ledgers");
         assert_eq!(
-            ledger(&sequential),
-            (
-                2 * TICKS * BURST,
-                2 * TICKS * BURST,
-                0,
-                TICKS + 2 * TICKS * BURST
-            ),
-            "{mode}: every burst delivered once"
+            ledger(&sequential).2,
+            0,
+            "{mode}: one tick's traffic fits the 10-slot rings"
         );
         assert_eq!(
-            counts(&threaded_hits),
-            counts(&sequential_hits),
+            consumers(&batched_probe),
+            consumers(&sequential_probe),
             "{mode}: per-consumer counts"
+        );
+        assert_eq!(
+            consumers(&sequential_probe).0,
+            TICKS,
+            "{mode}: every release audited"
+        );
+        assert_eq!(
+            shards(&batched),
+            shards(&sequential),
+            "{mode}: shards and clocks"
         );
     }
 }

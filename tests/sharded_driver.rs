@@ -1,12 +1,11 @@
 //! One handle over 1..N shards: a sharded deployment takes every call a
 //! one-shard deployment takes, on the caller's thread, and ends each in
-//! the same state; its shards keep one virtual clock; and a panic on a
-//! shard thread of the threaded driver aborts the run instead of hanging
-//! it.
+//! the same state; its shards keep one virtual clock; and a panic in a
+//! restart's user code is a typed fault on either shape, through every
+//! driver.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
 
 use soleil::prelude::*;
 use soleil::scenario::{motivation_validated, registry_with_probe, Measurement, ScenarioProbe};
@@ -68,8 +67,8 @@ fn every_call_runs_sharded_and_matches_one_shard() {
 }
 
 /// Every shard advances the whole plan's quantum per tick: after `n`
-/// ticks, sequential or threaded, each shard's clock reads what a
-/// one-shard deployment's does, though only one shard holds a periodic
+/// ticks, through `run_ticks` or `run_tick`, each shard's clock reads what
+/// a one-shard deployment's does, though only one shard holds a periodic
 /// component.
 #[test]
 fn shards_keep_one_virtual_clock() {
@@ -103,14 +102,14 @@ fn shards_keep_one_virtual_clock() {
             .map(|s| dep.shard_system(s).clock())
             .collect::<Vec<_>>()
     };
-    let mut threaded = sharded();
-    threaded.run_ticks(TICKS).unwrap();
-    assert_eq!(clocks(&threaded), vec![expected; 3], "threaded ticks");
+    let mut batched = sharded();
+    batched.run_ticks(TICKS).unwrap();
+    assert_eq!(clocks(&batched), vec![expected; 3], "run_ticks");
     let mut sequential = sharded();
     for _ in 0..TICKS {
         sequential.run_tick().unwrap();
     }
-    assert_eq!(clocks(&sequential), vec![expected; 3], "sequential ticks");
+    assert_eq!(clocks(&sequential), vec![expected; 3], "run_tick");
 }
 
 /// A source whose every activation panics, and whose every instance after
@@ -133,78 +132,233 @@ impl Content<u64> for Relapsing {
     }
 }
 
-/// Regression: a panic on a shard thread outside the content boundary
-/// used to panic the caller at the join while the sibling shard drained
-/// forever, so `run_ticks` never returned. It now aborts every shard and
-/// returns a typed error naming the shard and the panic. The run happens
-/// on a helper thread, so a hang fails this test instead of hanging it.
+/// A counting-free sink on the second domain.
+#[derive(Debug)]
+struct Sink;
+
+impl Content<u64> for Sink {
+    fn on_invoke(&mut self, _p: &str, _m: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+        Ok(())
+    }
+}
+
+/// `source` (its own domain) feeding `worker` (another domain)
+/// asynchronously: two shards when deployed in parallel.
+fn relapse_arch() -> ValidatedArchitecture {
+    let mut b = BusinessView::new("relapse");
+    b.active_periodic("source", "10ms").unwrap();
+    b.content("source", "Source").unwrap();
+    b.active_sporadic("worker").unwrap();
+    b.content("worker", "Sink").unwrap();
+    b.require("source", "out", "I").unwrap();
+    b.provide("worker", "in", "I").unwrap();
+    b.bind_async("source", "out", "worker", "in", 8).unwrap();
+    let mut flow = DesignFlow::new(b);
+    flow.thread_domain("dhead", ThreadKind::NoHeapRealtime, 30, &["source"])
+        .unwrap();
+    flow.memory_area("mhead", MemoryKind::Immortal, Some(64 * 1024), &["dhead"])
+        .unwrap();
+    flow.thread_domain("dwork", ThreadKind::NoHeapRealtime, 20, &["worker"])
+        .unwrap();
+    flow.memory_area("mwork", MemoryKind::Immortal, Some(64 * 1024), &["dwork"])
+        .unwrap();
+    flow.merge().unwrap().into_validated().unwrap()
+}
+
+/// [`relapse_arch`] deployed on one shard or two, with `source` built by
+/// `factory` and supervised by `policy`.
+fn relapse_deployment(
+    mode: Mode,
+    sharded: bool,
+    policy: FaultPolicy,
+    factory: impl Fn() -> Box<dyn Content<u64>> + Send + Sync + 'static,
+) -> Deployment<u64> {
+    let mut registry: ContentRegistry<u64> = ContentRegistry::new();
+    registry.register("Source", factory);
+    registry.register("Sink", || Box::new(Sink));
+    let arch = relapse_arch();
+    let mut dep = if sharded {
+        deploy_parallel(&arch, mode, &registry)
+    } else {
+        deploy(&arch, mode, &registry)
+    }
+    .unwrap();
+    assert_eq!(dep.shard_count(), if sharded { 2 } else { 1 });
+    dep.set_fault_policy("source", policy).unwrap();
+    dep
+}
+
+/// Restart after a 1 ms backoff, well inside one 10 ms tick.
+fn restart_policy() -> FaultPolicy {
+    FaultPolicy::Restart {
+        max_restarts: 10,
+        window: RelativeTime::from_millis(3_600_000),
+        backoff: RelativeTime::from_millis(1),
+    }
+}
+
+/// Asserts `result` is the typed panic fault of `source` whose detail
+/// contains `detail`.
+fn assert_restart_panic<T: std::fmt::Debug>(
+    result: Result<T, FrameworkError>,
+    detail: &str,
+    tag: &str,
+) {
+    let err = result.expect_err(tag);
+    assert!(
+        matches!(
+            &err,
+            FrameworkError::Faulted { component, kind: FaultKind::Panic, detail: d }
+                if component == "source" && d.contains(detail)
+        ),
+        "{tag}: {err}"
+    );
+}
+
+/// A supervised restart whose `on_start` panics is the typed panic fault
+/// of the restarted component, through `run_tick` and `run_ticks`, on one
+/// shard and sharded; the component stays quarantined, and the next call
+/// runs.
 #[test]
 fn a_shard_thread_panic_aborts_the_run() {
-    let (tx, rx) = mpsc::channel();
-    let helper = std::thread::spawn(move || {
-        let mut b = BusinessView::new("relapse");
-        b.active_periodic("source", "10ms").unwrap();
-        b.content("source", "Relapsing").unwrap();
-        b.active_sporadic("worker").unwrap();
-        b.content("worker", "Sink").unwrap();
-        b.require("source", "out", "I").unwrap();
-        b.provide("worker", "in", "I").unwrap();
-        b.bind_async("source", "out", "worker", "in", 8).unwrap();
-        let mut flow = DesignFlow::new(b);
-        flow.thread_domain("dhead", ThreadKind::NoHeapRealtime, 30, &["source"])
-            .unwrap();
-        flow.memory_area("mhead", MemoryKind::Immortal, Some(64 * 1024), &["dhead"])
-            .unwrap();
-        flow.thread_domain("dwork", ThreadKind::NoHeapRealtime, 20, &["worker"])
-            .unwrap();
-        flow.memory_area("mwork", MemoryKind::Immortal, Some(64 * 1024), &["dwork"])
-            .unwrap();
-        let arch = flow.merge().unwrap().into_validated().unwrap();
-
-        let instances = Arc::new(AtomicU64::new(0));
-        let mut registry: ContentRegistry<u64> = ContentRegistry::new();
-        registry.register("Relapsing", move || {
-            Box::new(Relapsing {
-                instance: instances.fetch_add(1, Ordering::Relaxed),
-            })
-        });
-        registry.register("Sink", || {
-            #[derive(Debug)]
-            struct Sink;
-            impl Content<u64> for Sink {
-                fn on_invoke(
-                    &mut self,
-                    _p: &str,
-                    _m: &mut u64,
-                    _o: &mut dyn Ports<u64>,
-                ) -> InvokeResult {
-                    Ok(())
-                }
+    for sharded in [false, true] {
+        let relapsing = || {
+            let instances = Arc::new(AtomicU64::new(0));
+            move || -> Box<dyn Content<u64>> {
+                Box::new(Relapsing {
+                    instance: instances.fetch_add(1, Ordering::Relaxed),
+                })
             }
-            Box::new(Sink)
-        });
-        let mut dep = deploy_parallel(&arch, Mode::MergeAll, &registry).unwrap();
-        assert_eq!(dep.shard_count(), 2);
-        dep.set_fault_policy(
-            "source",
-            FaultPolicy::Restart {
-                max_restarts: 10,
-                window: RelativeTime::from_millis(3_600_000),
-                backoff: RelativeTime::from_millis(1),
-            },
-        )
-        .unwrap();
-        let result = dep.run_ticks(10).map(|runs| runs.len());
-        let _ = tx.send(result.map_err(|e| e.to_string()));
-    });
-    let result = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("run_ticks hung after a shard thread panicked");
-    helper.join().expect("the helper thread returned");
-    let err = result.expect_err("the panic aborts the run");
-    assert!(
-        err.contains("parallel run aborted by shard 0 ('dhead')")
-            && err.contains("on_start panics on restart"),
-        "{err}"
-    );
+        };
+        let tag = format!("sharded={sharded}");
+
+        let mut dep = relapse_deployment(Mode::MergeAll, sharded, restart_policy(), relapsing());
+        dep.run_tick().expect("the first panic is contained");
+        assert_restart_panic(dep.run_tick(), "on_start panics on restart", &tag);
+        assert!(dep.quarantined("source").unwrap(), "{tag}");
+        dep.run_tick().expect("the next tick runs");
+
+        let mut dep = relapse_deployment(Mode::MergeAll, sharded, restart_policy(), relapsing());
+        assert_restart_panic(dep.run_ticks(10), "on_start panics on restart", &tag);
+        assert!(dep.quarantined("source").unwrap(), "{tag}");
+        dep.run_ticks(10).expect("the next run runs");
+    }
+}
+
+/// Where a restart's user code panics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Site {
+    Factory,
+    OnStart,
+    Checkpoint,
+    Restore,
+}
+
+/// A checkpointing source whose every activation fails with a typed error
+/// (an unpoisoned quarantine, so a restart captures the outgoing
+/// instance's state), and whose restart panics at `site`: the factory or
+/// `on_start` of every instance after the first, the boundary
+/// `checkpoint` of a faulted instance, or the `restore` into a fresh one.
+#[derive(Debug)]
+struct Fragile {
+    site: Site,
+    instance: u64,
+    faulted: bool,
+}
+
+impl Content<u64> for Fragile {
+    fn on_invoke(&mut self, _p: &str, _m: &mut u64, _o: &mut dyn Ports<u64>) -> InvokeResult {
+        self.faulted = true;
+        Err(FrameworkError::Faulted {
+            component: "source".into(),
+            kind: FaultKind::Error,
+            detail: "source refused".into(),
+        })
+    }
+
+    fn on_start(&mut self) {
+        if self.site == Site::OnStart && self.instance > 0 {
+            panic!("OnStart panics");
+        }
+    }
+
+    fn checkpoint(&self, image: &mut StateImage) -> bool {
+        if self.site == Site::Checkpoint && self.faulted {
+            panic!("Checkpoint panics");
+        }
+        image.write_u64(self.instance)
+    }
+
+    fn restore(&mut self, _image: &StateImage) {
+        if self.site == Site::Restore {
+            panic!("Restore panics");
+        }
+    }
+}
+
+/// A panic in the factory, `on_start`, the boundary `checkpoint` or
+/// `restore` of a supervised or manual restart is the typed panic fault
+/// of the restarted component — from `run_tick`, `run_ticks` and
+/// `restart_component`, in every mode, on one shard and sharded. The slot
+/// stays quarantined and poisoned, and the next call runs: a later manual
+/// restart skips the boundary capture of the poisoned instance, so only
+/// the checkpoint site then restarts.
+#[test]
+fn a_panicking_restart_is_a_typed_fault_at_every_site() {
+    for site in [
+        Site::Factory,
+        Site::OnStart,
+        Site::Checkpoint,
+        Site::Restore,
+    ] {
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            for sharded in [false, true] {
+                let tag = format!("{site:?} {mode} sharded={sharded}");
+                let detail = format!("{site:?} panics");
+                let deployment = |policy| {
+                    let instances = Arc::new(AtomicU64::new(0));
+                    let mut dep = relapse_deployment(mode, sharded, policy, move || {
+                        let instance = instances.fetch_add(1, Ordering::Relaxed);
+                        if site == Site::Factory && instance > 0 {
+                            panic!("Factory panics");
+                        }
+                        Box::new(Fragile {
+                            site,
+                            instance,
+                            faulted: false,
+                        })
+                    });
+                    dep.enable_checkpoint("source", 1).unwrap();
+                    dep
+                };
+
+                // Supervised, through `run_tick`; then by hand.
+                let mut dep = deployment(restart_policy());
+                dep.run_tick().expect("the first fault is contained");
+                assert_restart_panic(dep.run_tick(), &detail, &tag);
+                assert!(dep.quarantined("source").unwrap(), "{tag}");
+                dep.run_tick().expect("the next tick runs");
+                let manual = dep.restart_component("source");
+                if site == Site::Checkpoint {
+                    manual.expect("a poisoned slot skips the boundary capture");
+                    assert!(!dep.quarantined("source").unwrap(), "{tag}");
+                } else {
+                    assert_restart_panic(manual, &detail, &tag);
+                    assert!(dep.quarantined("source").unwrap(), "{tag}");
+                }
+
+                // Supervised, through `run_ticks`.
+                let mut dep = deployment(restart_policy());
+                assert_restart_panic(dep.run_ticks(3), &detail, &tag);
+                dep.run_ticks(3).expect("the next run runs");
+
+                // Manual.
+                let mut dep = deployment(FaultPolicy::Isolate);
+                dep.run_tick().expect("the fault is isolated");
+                assert_restart_panic(dep.restart_component("source"), &detail, &tag);
+                assert!(dep.quarantined("source").unwrap(), "{tag}");
+                dep.run_tick().expect("the next tick runs");
+            }
+        }
+    }
 }
