@@ -48,7 +48,8 @@ pub struct LatencyMonitor {
     max_ns: u64,
     deadline_misses: u64,
     jitter_violations: u64,
-    /// Previous release gap in nanoseconds ([`NO_GAP`] until two starts).
+    /// Previous release gap in nanoseconds ([`NO_GAP`] until two starts;
+    /// tracked only under a jitter bound, like `last_start`).
     prev_gap_ns: u64,
     /// Start stamp of the previous monitored activation.
     last_start: Option<Instant>,
@@ -79,21 +80,25 @@ impl LatencyMonitor {
 
     /// Records one completed activation that *started* at `start` and ran
     /// for `latency_ns`. Returns `true` when the activation missed its
-    /// deadline. Never allocates.
+    /// deadline. Never allocates. Release gaps are tracked only under a
+    /// jitter bound: the bound is fixed at construction, and only
+    /// [`jitter_violations`](Self::jitter_violations) reads the gaps.
     #[inline]
     pub fn observe(&mut self, start: Instant, latency_ns: u64) -> bool {
         // Jitter: deviation between consecutive release gaps.
-        if let Some(prev) = self.last_start {
-            let gap = start.saturating_duration_since(prev).as_nanos() as u64;
-            if self.prev_gap_ns != NO_GAP {
-                let deviation = gap.abs_diff(self.prev_gap_ns);
-                if deviation > self.max_jitter_ns {
-                    self.jitter_violations += 1;
+        if self.max_jitter_ns != u64::MAX {
+            if let Some(prev) = self.last_start {
+                let gap = start.saturating_duration_since(prev).as_nanos() as u64;
+                if self.prev_gap_ns != NO_GAP {
+                    let deviation = gap.abs_diff(self.prev_gap_ns);
+                    if deviation > self.max_jitter_ns {
+                        self.jitter_violations += 1;
+                    }
                 }
+                self.prev_gap_ns = gap;
             }
-            self.prev_gap_ns = gap;
+            self.last_start = Some(start);
         }
-        self.last_start = Some(start);
 
         // Histogram + running aggregates.
         let bucket = (64 - latency_ns.leading_zeros() as usize).min(BUCKETS - 1);
@@ -264,6 +269,39 @@ mod tests {
             100,
         );
         assert_eq!(m.jitter_violations(), 2);
+    }
+
+    #[test]
+    fn without_a_jitter_bound_only_the_gaps_go_untracked() {
+        let mut bounded = LatencyMonitor::new(Some(1_000), Some(1_000));
+        let mut unbounded = LatencyMonitor::new(Some(1_000), None);
+        let t0 = Instant::now();
+        // Steady 10 µs gaps around one 5 ms stall: two gap deviations
+        // beyond the bounded monitor's 1 µs.
+        let starts = [0u64, 10, 20, 5_030, 5_040].map(|us| t0 + Duration::from_micros(us));
+        let latencies = [500u64, 1_000, 1_001, 70, 3_000_000];
+        for (start, latency) in starts.into_iter().zip(latencies) {
+            assert_eq!(
+                bounded.observe(start, latency),
+                unbounded.observe(start, latency)
+            );
+        }
+        assert_eq!(bounded.jitter_violations(), 2);
+        assert_eq!(unbounded.jitter_violations(), 0);
+        assert_eq!(unbounded.buckets, bounded.buckets);
+        let (b, u) = (bounded.snapshot(), unbounded.snapshot());
+        let recorded = |s: LatencySnapshot| {
+            (
+                s.activations,
+                s.min_ns,
+                s.max_ns,
+                s.mean_ns,
+                s.deadline_misses,
+                (s.p50_ns, s.p95_ns, s.p99_ns),
+            )
+        };
+        assert_eq!(recorded(u), recorded(b));
+        assert_eq!((u.activations, u.deadline_misses), (5, 2));
     }
 
     #[test]

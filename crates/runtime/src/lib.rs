@@ -30,8 +30,8 @@
 //! how a port resolves to its row. Every release, timer fire, injection
 //! and drained message runs one activation routine (activation count,
 //! injector draw, scope chain and invoke, checkpoint cadence,
-//! supervision) into one content boundary (content and port-name
-//! checkout, `catch_unwind`, restore). Around it sit SOLEIL's membrane
+//! supervision) into one content boundary (one checkout of the slot's
+//! instance record, `catch_unwind`, restore). Around it sit SOLEIL's membrane
 //! pre/post, MERGE-ALL's lifecycle check, or nothing under ULTRA-MERGE.
 //! Both gates read one lifecycle record per component (started,
 //! quarantined, poisoned), which one engine routine writes and a SOLEIL

@@ -1178,27 +1178,33 @@ mod tests {
         assert_eq!(probe.count("consumerC"), 10);
     }
 
+    /// A producer sending three messages per release into a capacity-1
+    /// cross-shard ring: the driver drains only after every shard has
+    /// ticked, so each tick delivers one message and the ring rejects two,
+    /// each counted as a drop.
     #[test]
     fn ring_backpressure_counts_drops() {
         let mut spec = fan_spec();
-        // Tiny ring + a consumer that cannot drain mid-tick burst: drive
-        // several sends per tick through a capacity-1 ring by fanning the
-        // same port... simplest: capacity 1 with 25 ticks is fine (one
-        // message per tick per ring drains); instead shrink to capacity 1
-        // and send a burst by running many ticks while the consumer shard
-        // is slow is nondeterministic — so just assert the accounting hook
-        // exists via stats on a normal run.
+        spec.components[0].content_class = "Fan3".into();
         spec.bindings[0].protocol = ProtocolSpec::Async {
             capacity: 1,
             placement: BufferPlacement::Immortal,
         };
-        let probe = CountProbe::default();
-        let mut sys =
-            Deployment::build_parallel(&spec, Mode::MergeAll, &registry(&probe), None).unwrap();
-        sys.run_ticks(10).unwrap();
-        let delivered = probe.count("consumerB");
-        let dropped = sys.stats().dropped_messages;
-        assert_eq!(delivered + dropped, 10, "conservation: delivered + dropped");
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            let probe = CountProbe::default();
+            let mut reg = registry(&probe);
+            reg.register("Fan3", || {
+                Box::new(Fan {
+                    ports: vec!["out1"; 3],
+                })
+            });
+            let mut sys = Deployment::build_parallel(&spec, mode, &reg, None).unwrap();
+            assert_eq!(sys.shard_count(), 3, "{mode}");
+            sys.run_ticks(10).unwrap();
+            let delivered = probe.count("consumerB");
+            let dropped = sys.stats().dropped_messages;
+            assert_eq!((delivered, dropped), (10, 20), "{mode}");
+        }
     }
 
     /// A consumer that fails every invocation with a recognizable error.

@@ -213,21 +213,31 @@ struct DomainRt {
     ctx: Option<MemoryContext>,
 }
 
+/// A slot's component instance: its content and its server-port names,
+/// boxed together so that an activation checks out one pointer. The
+/// checkout is the re-entry guard in every mode (a slot whose instance is
+/// out is executing), and the activation borrows the invoked port's name
+/// from the checked-out record instead of cloning it. Outside an
+/// activation the record is always in place, and it holds the only copy
+/// of the names: port resolution at build, rebinds, restarts (which swap
+/// a fresh content in place), the lifecycle hooks and checkpoints all
+/// read it here.
+struct Instance<P: Payload> {
+    content: Box<dyn Content<P>>,
+    /// Server-port names in port-index order, the implicit
+    /// [`RELEASE_PORT`] last on a periodic slot.
+    server_ports: Box<[Box<str>]>,
+}
+
 struct Node<P: Payload> {
     name: String,
-    content: Option<Box<dyn Content<P>>>,
+    /// `None` only while an activation of the slot runs.
+    instance: Option<Box<Instance<P>>>,
     activation: Activation,
     domain_ix: Option<usize>,
     area_ix: usize,
-    /// Server-port names, interned at build time as plain owned strings.
-    /// An invocation *checks the name out* of its slot (a pointer swap, no
-    /// clone, no refcount) and restores it afterwards — legal because the
-    /// content checkout before it refuses re-entry, so a slot is never
-    /// checked out twice. This drops the former per-invocation `Rc<str>`
-    /// clone and, with it, the last `!Send` member of the engine.
-    server_ports: Vec<Box<str>>,
-    /// Index of the implicit [`RELEASE_PORT`] in `server_ports`, resolved
-    /// once at build time so releases never scan port names.
+    /// Index of the implicit [`RELEASE_PORT`] among the server ports,
+    /// resolved once at build time so releases never scan port names.
     release_ix: Option<u16>,
     priority: Priority,
 }
@@ -241,11 +251,20 @@ impl<P: Payload> std::fmt::Debug for Node<P> {
     }
 }
 
+/// One same-engine exchange buffer and the facts of its consumer that the
+/// hop reads: `enqueue` keys the ready queue by `consumer_priority` and
+/// `drain` switches to `consumer_domain`'s context, so neither touches the
+/// consumer's [`Node`]. The consumer slot and port never change after
+/// build; the priority and domain are copies of the consumer node's,
+/// written at build and by [`System::set_domain_at`], the one writer of a
+/// node's domain and priority (rollback included).
 #[derive(Debug)]
 struct BufferRt<P> {
     buffer: ExchangeBuffer<P>,
     consumer_slot: usize,
     consumer_port_ix: u16,
+    consumer_priority: Priority,
+    consumer_domain: Option<usize>,
 }
 
 /// A compiled binding row: the port name, kept for the cold
@@ -855,11 +874,13 @@ impl<P: Payload> System<P> {
                 .unwrap_or(Priority::NORM);
             nodes.push(Node {
                 name: c.name.clone(),
-                content: Some(content),
+                instance: Some(Box::new(Instance {
+                    content,
+                    server_ports: server_ports.into(),
+                })),
                 activation: c.activation,
                 domain_ix: c.domain,
                 area_ix: c.area,
-                server_ports,
                 release_ix,
                 priority,
             });
@@ -885,12 +906,15 @@ impl<P: Payload> System<P> {
                     &boot_ctx
                 };
                 let buffer = ExchangeBuffer::create(&mut mm, ctx, area, capacity)?;
-                let consumer_port_ix = port_index(&nodes[b.server], &b.server_port)?;
+                let consumer = &nodes[b.server];
+                let consumer_port_ix = port_index(consumer, &b.server_port)?;
                 buffer_of_binding[bix] = Some(buffers.len());
                 buffers.push(BufferRt {
                     buffer,
                     consumer_slot: b.server,
                     consumer_port_ix,
+                    consumer_priority: consumer.priority,
+                    consumer_domain: consumer.domain_ix,
                 });
             }
         }
@@ -1496,9 +1520,9 @@ impl<P: Payload> System<P> {
     fn drain(&mut self, held: &mut (Option<usize>, MemoryContext)) -> Result<(), Fault> {
         while let Some(key) = self.pending.pop() {
             let buffer_ix = ready_buffer(key);
-            let (slot, port_ix) = {
+            let (slot, port_ix, domain_ix) = {
                 let b = &self.buffers[buffer_ix];
-                (b.consumer_slot, b.consumer_port_ix)
+                (b.consumer_slot, b.consumer_port_ix, b.consumer_domain)
             };
             let plan = self.activation_plans[slot];
             // Messages addressed to a quarantined consumer are popped and
@@ -1513,7 +1537,6 @@ impl<P: Payload> System<P> {
                 }
                 continue;
             }
-            let domain_ix = self.nodes[slot].domain_ix;
             if held.0 != domain_ix {
                 let ctx = self.take_ctx(domain_ix)?;
                 let (d, ctx) = std::mem::replace(held, (domain_ix, ctx));
@@ -1544,8 +1567,8 @@ impl<P: Payload> System<P> {
             PushOutcome::Accepted => {
                 self.stats.async_messages += 1;
                 self.seq += 1;
-                let priority = self.nodes[b.consumer_slot].priority;
-                self.pending.push(ready_key(priority, self.seq, buffer_ix));
+                self.pending
+                    .push(ready_key(b.consumer_priority, self.seq, buffer_ix));
             }
             PushOutcome::Rejected => self.stats.dropped_messages += 1,
         }
@@ -1585,16 +1608,15 @@ impl<P: Payload> System<P> {
                 let Some(mut membrane) = self.membranes[slot].take() else {
                     return Err(self.reentrant(slot));
                 };
-                // The pre-gate can panic (a `Dyn` interceptor is user
-                // code): the panic becomes the same typed fault a content
-                // panic does, and the slot's fault policy decides.
-                let gated = catch_unwind(AssertUnwindSafe(|| {
-                    membrane.pre_invoke(&mut self.mm, ctx).map_err(Fault::from)
-                }))
-                .unwrap_or_else(|payload| Err(self.caught_panic(slot, payload)));
-                if let Err(e) = gated {
+                // The gates run outside any catch: build gives every
+                // engine membrane compiled steps only (`Active` or none),
+                // no API installs an interceptor into a deployed one, and
+                // reconfiguration and restarts keep that plan — so a gate
+                // is a lifecycle test, a poison test and
+                // `ActiveInterceptor::pre`/`post`, none of which panics.
+                if let Err(e) = membrane.pre_invoke(&mut self.mm, ctx) {
                     self.membranes[slot] = Some(membrane);
-                    return Err(e);
+                    return Err(e.into());
                 }
                 let result = self.boundary(slot, port_ix, msg, ctx, Some(&mut *membrane), cadence);
                 let post = membrane.post_invoke(&mut self.mm, ctx);
@@ -1615,10 +1637,10 @@ impl<P: Payload> System<P> {
         }
     }
 
-    /// The content boundary of every mode: checks the content and the
-    /// port name out of the slot (pointer swaps, no clone; the content
-    /// checkout is the re-entry guard), runs `on_invoke` with the engine's
-    /// [`EnginePorts`] façade, and puts both back on every exit. When
+    /// The content boundary of every mode: checks the slot's [`Instance`]
+    /// out (one pointer; the checkout is the re-entry guard), runs
+    /// `on_invoke` with the port name borrowed from it and the engine's
+    /// [`EnginePorts`] façade, and puts it back on every exit. When
     /// `cadence` is set (an activation of a checkpoint-enabled slot), a
     /// successful `on_invoke` is followed by the checkpoint cadence, under
     /// the same catch. A panicking content or `checkpoint` hook becomes a
@@ -1637,10 +1659,9 @@ impl<P: Payload> System<P> {
         membrane: Option<&mut Membrane>,
         cadence: bool,
     ) -> Result<(), Fault> {
-        let Some(mut content) = self.nodes[slot].content.take() else {
+        let Some(mut instance) = self.nodes[slot].instance.take() else {
             return Err(self.reentrant(slot));
         };
-        let port = std::mem::take(&mut self.nodes[slot].server_ports[port_ix as usize]);
         let mut ports = EnginePorts {
             sys: self,
             slot,
@@ -1648,15 +1669,22 @@ impl<P: Payload> System<P> {
             ctx,
         };
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            content.on_invoke(&port, msg, &mut ports)?;
+            let Instance {
+                content,
+                server_ports,
+            } = &mut *instance;
+            content.on_invoke(&server_ports[port_ix as usize], msg, &mut ports)?;
             if cadence {
-                ports.sys.cadence_checkpoint(slot, &*content);
+                ports.sys.cadence_checkpoint(slot, &**content);
             }
             Ok(())
         }));
-        let node = &mut self.nodes[slot];
-        node.server_ports[port_ix as usize] = port;
-        node.content = Some(content);
+        // The slot is empty: nothing refills a checked-out slot (re-entry
+        // and restarts refuse it), so the replaced value is `None`, and
+        // forgetting it spares the hop the drop glue of an assignment.
+        let vacated = self.nodes[slot].instance.replace(instance);
+        debug_assert!(vacated.is_none(), "a checked-out slot was refilled");
+        std::mem::forget(vacated);
         caught.unwrap_or_else(|payload| Err(self.caught_panic(slot, payload)))
     }
 
@@ -1673,7 +1701,7 @@ impl<P: Payload> System<P> {
         .into()
     }
 
-    /// The refusal of a component whose content is already checked out.
+    /// The refusal of a component whose instance is already checked out.
     #[cold]
     #[inline(never)]
     fn reentrant(&self, slot: usize) -> Fault {
@@ -1753,11 +1781,11 @@ impl<P: Payload> System<P> {
     /// `start_at`/`stop_at` and `shutdown` share. A quarantine survives
     /// both: only a restart lifts it. Returns the replaced record.
     fn set_started(&mut self, slot: usize, started: bool) -> Lifecycle {
-        if let Some(c) = self.nodes[slot].content.as_mut() {
+        if let Some(instance) = self.nodes[slot].instance.as_mut() {
             if started {
-                c.on_start();
+                instance.content.on_start();
             } else {
-                c.on_stop();
+                instance.content.on_stop();
             }
         }
         let life = self.activation_plans[slot].life;
@@ -1828,7 +1856,7 @@ impl<P: Payload> System<P> {
                 "cannot rebind asynchronous bindings at runtime".into(),
             ));
         }
-        let server_port = &self.nodes[old.target_slot].server_ports[old.server_port_ix as usize];
+        let server_port = &server_ports(&self.nodes[old.target_slot])[old.server_port_ix as usize];
         let server_port_ix = port_index(&self.nodes[server_slot], server_port)?;
         let header =
             self.compile_local(client_slot, server_slot, server_port_ix, false, usize::MAX);
@@ -1944,13 +1972,20 @@ impl<P: Payload> System<P> {
 
     /// Re-homes a slot onto another thread domain, adopting its priority
     /// (`None` detaches — the component then runs on an anonymous regular
-    /// context, like an undeployed passive). Invalidates the cached
-    /// periodic release order, which is priority-sorted.
+    /// context, like an undeployed passive). The one writer of a node's
+    /// domain and priority: it rewrites the copies on the rows of the
+    /// buffers the slot consumes, and invalidates the cached periodic
+    /// release order, which is priority-sorted.
     pub(crate) fn set_domain_at(&mut self, slot: usize, domain_ix: Option<usize>) {
-        self.nodes[slot].domain_ix = domain_ix;
-        self.nodes[slot].priority = domain_ix
+        let priority = domain_ix
             .map(|d| self.domains[d].priority)
             .unwrap_or(Priority::NORM);
+        self.nodes[slot].domain_ix = domain_ix;
+        self.nodes[slot].priority = priority;
+        for b in self.buffers.iter_mut().filter(|b| b.consumer_slot == slot) {
+            b.consumer_priority = priority;
+            b.consumer_domain = domain_ix;
+        }
         self.recompute_periodic_order();
     }
 
@@ -1965,9 +2000,9 @@ impl<P: Payload> System<P> {
     /// of a re-homing migration (same floor as the build-time charge).
     pub(crate) fn state_bytes_at(&self, slot: usize) -> usize {
         self.nodes[slot]
-            .content
+            .instance
             .as_ref()
-            .map_or(1, |c| c.state_bytes())
+            .map_or(1, |i| i.content.state_bytes())
             .max(1)
     }
 
@@ -2176,9 +2211,11 @@ impl<P: Payload> System<P> {
 
     /// A structural fingerprint of the reconfigurable state — lifecycle,
     /// domains, areas, activation plans (scope chains included), binding tables,
-    /// compiled dispatch headers, jump tables, contracts and fault
-    /// policies. Deliberately **excludes** traffic state (ledgers,
-    /// histograms, ring/buffer contents, supervision counters): a refused
+    /// compiled dispatch headers, jump tables, each exchange buffer's
+    /// consumer row (slot, port and the cached priority and domain),
+    /// contracts and fault policies. Deliberately **excludes** traffic
+    /// state (ledgers, histograms, ring/buffer contents, supervision
+    /// counters): a refused
     /// transaction must restore this digest bit-for-bit even though the
     /// quiescence epoch that preceded it legitimately delivered messages.
     /// The reconfiguration suites and the `reconfig-gate` artifact assert
@@ -2208,6 +2245,13 @@ impl<P: Payload> System<P> {
             for b in row {
                 let _ = write!(s, "c{i}:{}:{:?}|", b.port, b.header);
             }
+        }
+        for (i, b) in self.buffers.iter().enumerate() {
+            let _ = write!(
+                s,
+                "b{i}:{}:{}:{:?}:{:?}|",
+                b.consumer_slot, b.consumer_port_ix, b.consumer_priority, b.consumer_domain
+            );
         }
         for (i, r) in self.ultra_ranges.iter().enumerate() {
             let _ = write!(s, "u{i}:{r:?}|");
@@ -2691,17 +2735,18 @@ impl<P: Payload> System<P> {
     ///
     /// The boundary `checkpoint` capture, the factory, `on_start` and
     /// `restore` are user code outside any activation, so they run under
-    /// one `catch_unwind`, and the fresh instance is installed only once
-    /// all of them returned. A panic in any of them becomes the same typed
-    /// fault a content panic does; the slot stays quarantined, now
-    /// poisoned, with the outgoing instance in place, and nothing is
-    /// restarted.
+    /// one `catch_unwind`, and the fresh content is swapped into the slot's
+    /// [`Instance`] in place only once all of them returned. A panic in any
+    /// of them becomes the same typed fault a content panic does; the slot
+    /// stays quarantined, now poisoned, with the outgoing content in
+    /// place, and nothing is restarted.
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Content`] for a bad slot;
-    /// [`FrameworkError::Faulted`] with [`FaultKind::Panic`] when a hook or
-    /// the factory panicked.
+    /// [`FrameworkError::RunToCompletion`] while an activation of the slot
+    /// runs; [`FrameworkError::Faulted`] with [`FaultKind::Panic`] when a
+    /// hook or the factory panicked.
     pub(crate) fn restart_slot(&mut self, slot: usize) -> Result<(), FrameworkError> {
         if slot >= self.nodes.len() {
             return Err(FrameworkError::Content(format!("bad slot {slot}")));
@@ -2717,6 +2762,9 @@ impl<P: Payload> System<P> {
             factories,
             ..
         } = self;
+        let Some(instance) = nodes[slot].instance.as_deref_mut() else {
+            return Err(self.reentrant(slot).into());
+        };
         let fresh = catch_unwind(AssertUnwindSafe(|| {
             let mut cp = checkpoints[slot].as_deref_mut().filter(|_| checkpointed);
             // Warm-state handoff, capture half: a checkpoint-enabled slot
@@ -2727,8 +2775,8 @@ impl<P: Payload> System<P> {
             // capture of a *healthy* fault is by definition the freshest
             // healthy state: it becomes the new healthy image.
             if !plan.life.poisoned() {
-                if let (Some(cp), Some(c)) = (cp.as_deref_mut(), nodes[slot].content.as_deref()) {
-                    cp.capture(c);
+                if let Some(cp) = cp.as_deref_mut() {
+                    cp.capture(&*instance.content);
                 }
             }
             // Fresh instance, same class: the original deploy-time state
@@ -2750,7 +2798,7 @@ impl<P: Payload> System<P> {
             content
         }));
         match fresh {
-            Ok(content) => nodes[slot].content = Some(content),
+            Ok(content) => instance.content = content,
             Err(payload) => {
                 let fault = FrameworkError::from(self.caught_panic(slot, payload));
                 self.quarantine(slot, true, fault.to_string());
@@ -2949,7 +2997,7 @@ impl<P: Payload> System<P> {
                 "checkpoint cadence must be at least 1 activation".into(),
             ));
         }
-        let Some(content) = self.nodes[slot].content.as_deref() else {
+        let Some(content) = self.nodes[slot].instance.as_ref().map(|i| &*i.content) else {
             return Err(FrameworkError::Content(format!(
                 "component '{}' has no content instance",
                 self.nodes[slot].name
@@ -3283,8 +3331,14 @@ fn scope_ids(areas: &[RuntimeArea], area: usize) -> Vec<AreaId> {
         .collect()
 }
 
+/// `node`'s server-port names, read from its [`Instance`] (none while an
+/// activation of it runs; every caller is a cold path outside one).
+fn server_ports<P: Payload>(node: &Node<P>) -> &[Box<str>] {
+    node.instance.as_ref().map_or(&[], |i| &i.server_ports)
+}
+
 fn port_index<P: Payload>(node: &Node<P>, port: &str) -> Result<u16, FrameworkError> {
-    node.server_ports
+    server_ports(node)
         .iter()
         .position(|p| p.as_ref() == port)
         .map(|i| i as u16)

@@ -801,6 +801,94 @@ fn domain_round_trip_between_sibling_scopes_restores_the_engine() {
     }
 }
 
+/// Sends on `to_b`, then on `to_a`.
+#[derive(Debug)]
+struct ForkBA;
+impl Content<Ping> for ForkBA {
+    fn on_invoke(&mut self, _p: &str, msg: &mut Ping, out: &mut dyn Ports<Ping>) -> InvokeResult {
+        out.send("to_b", *msg)?;
+        out.send("to_a", *msg)
+    }
+}
+
+/// Appends its component's name to a shared activation log.
+#[derive(Debug)]
+struct Logged(&'static str, Arc<std::sync::Mutex<Vec<&'static str>>>);
+impl Content<Ping> for Logged {
+    fn on_invoke(&mut self, _p: &str, _m: &mut Ping, _o: &mut dyn Ports<Ping>) -> InvokeResult {
+        self.1.lock().unwrap().push(self.0);
+        Ok(())
+    }
+}
+
+/// The ready queue orders drained messages by the consumer priority
+/// cached on each exchange buffer's row, so a domain move must rewrite
+/// that cache. One release feeds `b` (domain `lo`, priority 20) and then
+/// `a` (domain `hi`, priority 30): `a` runs first. Moving `a` to `lo`
+/// makes the order FIFO, so `b` runs first after the commit. A refused
+/// move leaves the order and the structural digests as they were, and
+/// moving back restores the digests.
+#[test]
+fn domain_move_reorders_drained_consumers_and_a_refusal_does_not() {
+    let mut bv = BusinessView::new("consumer-facts");
+    bv.active_periodic("head", "5ms").unwrap();
+    bv.active_sporadic("a").unwrap();
+    bv.active_sporadic("b").unwrap();
+    bv.content("head", "Fork").unwrap();
+    bv.content("a", "A").unwrap();
+    bv.content("b", "B").unwrap();
+    for (port, server) in [("to_a", "a"), ("to_b", "b")] {
+        bv.require("head", port, "I").unwrap();
+        bv.provide(server, "in", "I").unwrap();
+        bv.bind_async("head", port, server, "in", 4).unwrap();
+    }
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("hi", ThreadKind::Realtime, 30, &["head", "a"])
+        .unwrap();
+    flow.thread_domain("lo", ThreadKind::Realtime, 20, &["b"])
+        .unwrap();
+    flow.memory_area("imm", MemoryKind::Immortal, Some(64 * 1024), &["hi", "lo"])
+        .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+        registry.register("Fork", || Box::new(ForkBA));
+        let l = log.clone();
+        registry.register("A", move || Box::new(Logged("a", l.clone())));
+        let l = log.clone();
+        registry.register("B", move || Box::new(Logged("b", l.clone())));
+        let mut dep = deploy(&arch, mode, &registry).unwrap();
+        let head = dep.resolve("head").unwrap();
+        let order = |dep: &mut Deployment<Ping>| {
+            log.lock().unwrap().clear();
+            dep.run_transaction(head).unwrap();
+            log.lock().unwrap().clone()
+        };
+        assert_eq!(order(&mut dep), ["a", "b"], "{mode}: by priority");
+        let before = dep.structural_digests();
+
+        let refused = dep.reconfigure(|txn| {
+            txn.reassign_domain("a", "lo")?;
+            Err::<(), _>(FrameworkError::Content("refused".into()))
+        });
+        assert!(refused.is_err(), "{mode}");
+        assert_eq!(dep.structural_digests(), before, "{mode}: refused");
+        assert_eq!(order(&mut dep), ["a", "b"], "{mode}: refused");
+
+        dep.reconfigure(|txn| txn.reassign_domain("a", "lo"))
+            .unwrap();
+        assert_ne!(dep.structural_digests(), before, "{mode}: moved");
+        assert_eq!(order(&mut dep), ["b", "a"], "{mode}: one priority, FIFO");
+
+        dep.reconfigure(|txn| txn.reassign_domain("a", "hi"))
+            .unwrap();
+        assert_eq!(dep.structural_digests(), before, "{mode}: moved back");
+        assert_eq!(order(&mut dep), ["a", "b"], "{mode}: moved back");
+    }
+}
+
 /// Runtime contracts are engine-level observability: they attach in any
 /// reconfigurable mode through the same journaled transaction machinery as
 /// structural operations, and a failed or refused transaction restores the

@@ -362,3 +362,64 @@ fn a_panicking_restart_is_a_typed_fault_at_every_site() {
         }
     }
 }
+
+/// A healthy source: one message on `out` per release.
+#[derive(Debug)]
+struct Emit;
+
+impl Content<u64> for Emit {
+    fn on_invoke(&mut self, _p: &str, m: &mut u64, out: &mut dyn Ports<u64>) -> InvokeResult {
+        out.send("out", *m)
+    }
+}
+
+/// Every SOLEIL membrane keeps the plan build gave it (compiled steps
+/// only, with build's fusion) through a committed `reconfigure`, a
+/// refused one and a supervised restart, on one shard and sharded. The
+/// engine runs a membrane's pre- and post-gate outside any
+/// `catch_unwind` on the strength of this invariant: a compiled gate
+/// cannot panic.
+#[test]
+fn membrane_plans_stay_compiled_through_reconfiguration_and_restarts() {
+    use soleil::membrane::ChainFusion;
+    for sharded in [false, true] {
+        let mut dep =
+            relapse_deployment(Mode::Soleil, sharded, restart_policy(), || Box::new(Emit));
+        let plans = |dep: &Deployment<u64>| {
+            ["source", "worker"].map(|c| {
+                let info = dep.membrane_info(c).unwrap();
+                (info.plan_fully_compiled, info.plan_fusion)
+            })
+        };
+        let built = plans(&dep);
+        assert_eq!(built, [(true, ChainFusion::FusedActive); 2], "{sharded}");
+
+        dep.reconfigure(|txn| {
+            txn.stop("worker")?;
+            txn.set_fault_policy("worker", FaultPolicy::Isolate)?;
+            txn.start("worker")
+        })
+        .unwrap();
+        assert_eq!(plans(&dep), built, "{sharded}: after a commit");
+
+        let refused = dep.reconfigure(|txn| {
+            txn.stop("worker")?;
+            Err::<(), _>(FrameworkError::Content("refused".into()))
+        });
+        assert!(refused.is_err(), "{sharded}");
+        assert_eq!(plans(&dep), built, "{sharded}: after a refusal");
+
+        dep.install_fault_injector(
+            "source",
+            FaultInjector::new("source", 7, 1).with_menu(FaultInjector::MENU_PANIC),
+        )
+        .unwrap();
+        dep.run_tick().expect("the panic is contained");
+        assert!(dep.quarantined("source").unwrap(), "{sharded}");
+        dep.remove_fault_injector("source").unwrap();
+        dep.run_tick().expect("the restart runs");
+        assert!(!dep.quarantined("source").unwrap(), "{sharded}");
+        assert_eq!(dep.supervision_counts("source").unwrap().1, 1, "{sharded}");
+        assert_eq!(plans(&dep), built, "{sharded}: after a restart");
+    }
+}
