@@ -39,6 +39,14 @@ pub struct ServerSwap {
     server: ComponentId,
 }
 
+impl ServerSwap {
+    /// The index of the re-pointed binding in
+    /// [`Architecture::bindings`].
+    pub fn binding(&self) -> usize {
+        self.binding
+    }
+}
+
 /// A complete (or in-progress) component architecture.
 ///
 /// Construction is incremental: add components, connect hierarchy edges,

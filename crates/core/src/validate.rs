@@ -15,16 +15,48 @@
 //! rule is written once:
 //!
 //! * the pass first builds a facts table — every component's ThreadDomain
-//!   ancestors (how many, and the nearest) and MemoryArea ancestors — from
-//!   one upward walk per component, and the rules read the table instead
-//!   of walking the hierarchy per question;
+//!   ancestors (how many, the nearest, and the nearest NHRT one) and
+//!   MemoryArea ancestors — from one upward walk per component, and the
+//!   rules read the table instead of walking the hierarchy per question;
 //! * each finding reaches a sink as its code, its severity and a closure
 //!   that renders its text. [`validate`]'s sink renders every finding into
 //!   the report; [`is_compliant`]'s renders none and stops the pass at the
 //!   first *Error*, so a compliant architecture costs no diagnostic text.
-//!   That is the check a live reconfiguration's commit runs, through
-//!   [`is_compliant_in`] on storage its deployment keeps, so a warm commit
-//!   allocates nothing.
+//!   The advisory rules whose test reads past the component or binding
+//!   they visit (SOL-007, SOL-009, SOL-013's unbound check, SOL-014) ask
+//!   the sink first, so a verdict never runs them.
+//!
+//! # The scoped verdict
+//!
+//! [`is_compliant_after`] is the check a live reconfiguration's commit
+//! runs, on storage its deployment keeps, so a warm commit allocates
+//! nothing. It re-checks only what an edit could have changed, and its
+//! precondition is that the architecture was compliant before the edit.
+//! A reconfiguration edits the architecture in two ways only: it points
+//! a binding at another server ([`Architecture::rebind_server`]), and it
+//! moves the containment edge into one component `m` from one
+//! ThreadDomain to another. Moving an edge into `m` changes only `m`'s
+//! parents, so a component's upward walk can change only if the component
+//! is `m` or lies below `m` in the edited architecture: on any walk that
+//! changed, the lowest changed edge enters some moved `m`, and the
+//! unchanged edges below it still lead from the component up to `m`.
+//!
+//! The *Error* rules read the following:
+//!
+//! * SOL-001, SOL-002, SOL-003 and SOL-004: a component's ancestry (and
+//!   SOL-004 that of the areas on it, which lie above the component);
+//! * SOL-006: a binding's protocol, its client's ancestry and its server's;
+//! * SOL-005, SOL-010 and SOL-013's duplicate-client check: nothing an
+//!   edit writes.
+//!
+//! So an architecture that was compliant before the edit is compliant
+//! after it exactly when no *Error* rule fires on the edit's scope: every
+//! moved component and its descendants, and every binding that was
+//! rebound or has an endpoint among them. The scoped pass visits only
+//! those, builds facts rows only for them, for the endpoints of the
+//! synchronous bindings among them (SOL-006 reads no others) and for the
+//! areas SOL-004 compares, and runs the same rules as the full pass. An
+//! edit that moved nothing and rebound nothing runs no rule and no walk.
 //!
 //! | Code | Severity | Rule |
 //! |------|----------|------|
@@ -60,7 +92,8 @@ use rtsj::thread::{Priority, ThreadKind};
 
 use crate::arch::Architecture;
 use crate::model::{
-    Binding, ComponentId, ComponentKind, MemoryAreaDesc, Protocol, Role, ThreadDomainDesc,
+    Binding, Component, ComponentId, ComponentKind, MemoryAreaDesc, Protocol, Role,
+    ThreadDomainDesc,
 };
 
 /// Diagnostic severity.
@@ -355,16 +388,17 @@ impl Architecture {
 /// Runs every conformance rule against `arch` and renders every finding.
 pub fn validate(arch: &Architecture) -> ValidationReport {
     let mut report = ValidationReport::default();
+    let mut storage = FactsStorage::default();
+    let (facts, walk) = Facts::build(arch, &mut storage);
     // A report keeps every finding, so it never stops the pass.
-    let _ = rules(arch, &mut FactsStorage::default(), &mut report);
+    let _ = rules(&facts, walk, &mut report);
     report
 }
 
 /// The verdict of [`validate`] without its report: true when no rule finds
 /// an *Error*, exactly when `validate(arch).is_compliant()`. The same rule
 /// pass runs, but no finding is rendered and the pass stops at the first
-/// *Error* — the check a live reconfiguration's commit makes (through
-/// [`is_compliant_in`]), which renders the report only when it refuses.
+/// *Error*.
 pub fn is_compliant(arch: &Architecture) -> bool {
     is_compliant_in(arch, &mut FactsStorage::default())
 }
@@ -373,7 +407,40 @@ pub fn is_compliant(arch: &Architecture) -> bool {
 /// its capacity for the next pass: once the storage has held a table as
 /// large as `arch`'s, the verdict allocates nothing.
 pub fn is_compliant_in(arch: &Architecture, storage: &mut FactsStorage) -> bool {
-    rules(arch, storage, &mut Verdict).is_continue()
+    let (facts, walk) = Facts::build(arch, storage);
+    rules(&facts, walk, &mut Verdict).is_continue()
+}
+
+/// The scoped verdict (see the [module docs](self#the-scoped-verdict)):
+/// [`is_compliant_in`] for an architecture that was compliant before an
+/// edit which moved the containment edges into the components `moved`
+/// from one ThreadDomain to another and pointed the bindings at the
+/// indices `rebound` at other servers, and changed nothing else. Under
+/// that precondition it equals `is_compliant(arch)`, but the rules visit
+/// only the moved components, their descendants and the bindings the edit
+/// touched, so its cost follows the size of the edit, not of `arch`. An
+/// edit that moved nothing and rebound nothing runs no rule and no walk.
+/// Like [`is_compliant_in`], it allocates nothing once `storage` has held
+/// a pass of the same size.
+///
+/// Without the precondition the answer means nothing: a violation outside
+/// the edit's scope goes unseen.
+///
+/// # Panics
+///
+/// When an id in `moved` is not a component of `arch`, or an index in
+/// `rebound` not one of its bindings.
+pub fn is_compliant_after(
+    arch: &Architecture,
+    moved: &[ComponentId],
+    rebound: &[usize],
+    storage: &mut FactsStorage,
+) -> bool {
+    if moved.is_empty() && rebound.is_empty() {
+        return true;
+    }
+    let (facts, walk) = Facts::build_touched(arch, storage, moved, rebound);
+    rules(&facts, walk, &mut Verdict).is_continue()
 }
 
 /// Computes the cross-scope pattern a binding needs, from the client's and
@@ -691,6 +758,11 @@ impl Text {
 /// Where the rule pass hands its findings, in report order.
 /// [`ControlFlow::Break`] ends the pass.
 trait Sink {
+    /// Whether findings of `severity` matter to the sink. An advisory rule
+    /// whose test reads past the component or binding it visits asks
+    /// first, and skips its test when they do not.
+    fn keeps(&self, severity: Severity) -> bool;
+
     fn emit(
         &mut self,
         code: &'static str,
@@ -701,6 +773,10 @@ trait Sink {
 
 /// [`validate`]'s sink: every finding, rendered.
 impl Sink for ValidationReport {
+    fn keeps(&self, _severity: Severity) -> bool {
+        true
+    }
+
     fn emit(
         &mut self,
         code: &'static str,
@@ -721,6 +797,10 @@ impl Sink for ValidationReport {
 struct Verdict;
 
 impl Sink for Verdict {
+    fn keeps(&self, severity: Severity) -> bool {
+        severity == Severity::Error
+    }
+
     fn emit(
         &mut self,
         _code: &'static str,
@@ -744,28 +824,84 @@ pub struct FactsStorage {
     areas: Vec<ComponentId>,
     /// The scratch every hierarchy walk of the pass runs in.
     walk: Vec<ComponentId>,
+    /// A scoped pass's components: the moved ones and their descendants.
+    components: Vec<ComponentId>,
+    /// A scoped pass's bindings: the rebound ones and those with an
+    /// endpoint among its components.
+    bindings: Vec<usize>,
+    /// The components whose rows a scoped pass built.
+    built: Vec<ComponentId>,
 }
 
 /// What the rules ask of the containment hierarchy, answered for every
-/// component by one upward walk each.
+/// component the pass reads by one upward walk each.
 struct Facts<'a> {
     arch: &'a Architecture,
     /// One row per component, indexed by id.
     rows: &'a [Row],
-    /// Every component's MemoryArea ancestors, nearest first, one run per
-    /// component.
+    /// Every built row's MemoryArea ancestors, nearest first, one run per
+    /// row.
     areas: &'a [ComponentId],
+    /// What a scoped pass visits; `None` when the pass visits everything.
+    scope: Option<Scope<'a>>,
+}
+
+/// The part of the architecture a scoped pass visits, and the rows it
+/// built: those of its components, of its synchronous bindings'
+/// endpoints (a verdict reads no other binding's) and of the areas
+/// SOL-004 compares. Every other row is left from an earlier pass and is
+/// never read.
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    components: &'a [ComponentId],
+    bindings: &'a [usize],
+    built: &'a [ComponentId],
 }
 
 /// One component's ancestry.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 struct Row {
     /// How many ThreadDomains are its ancestors.
     domains: usize,
     /// The nearest of them.
     domain: Option<(ComponentId, ThreadDomainDesc)>,
+    /// The nearest NHRT one.
+    nhrt: Option<ComponentId>,
     /// Its run of [`Facts::areas`].
     areas: Range<usize>,
+}
+
+impl Row {
+    /// Walks up from `id` in `walk` and appends its MemoryArea ancestors,
+    /// nearest first, to `areas`.
+    fn walk(
+        arch: &Architecture,
+        id: ComponentId,
+        walk: &mut Vec<ComponentId>,
+        areas: &mut Vec<ComponentId>,
+    ) -> Row {
+        arch.ancestors_into(id, walk);
+        let start = areas.len();
+        let mut row = Row {
+            areas: start..start,
+            ..Row::default()
+        };
+        for &a in walk.iter() {
+            match kind(arch, a) {
+                ComponentKind::ThreadDomain(desc) => {
+                    row.domains += 1;
+                    row.domain.get_or_insert((a, desc));
+                    if desc.kind == ThreadKind::NoHeapRealtime {
+                        row.nhrt.get_or_insert(a);
+                    }
+                }
+                ComponentKind::MemoryArea(_) => areas.push(a),
+                _ => {}
+            }
+        }
+        row.areas.end = areas.len();
+        row
+    }
 }
 
 impl<'a> Facts<'a> {
@@ -776,36 +912,134 @@ impl<'a> Facts<'a> {
         arch: &'a Architecture,
         storage: &'a mut FactsStorage,
     ) -> (Self, &'a mut Vec<ComponentId>) {
-        let FactsStorage { rows, areas, walk } = storage;
+        let FactsStorage {
+            rows, areas, walk, ..
+        } = storage;
         rows.clear();
         rows.reserve(arch.components().len());
         areas.clear();
         areas.reserve(arch.components().len());
         for c in arch.components() {
-            arch.ancestors_into(c.id(), walk);
-            let start = areas.len();
-            let mut row = Row {
-                domains: 0,
-                domain: None,
-                areas: start..start,
-            };
-            for &a in walk.iter() {
-                match kind(arch, a) {
-                    ComponentKind::ThreadDomain(desc) => {
-                        row.domains += 1;
-                        row.domain.get_or_insert((a, desc));
-                    }
-                    ComponentKind::MemoryArea(_) => areas.push(a),
-                    _ => {}
+            rows.push(Row::walk(arch, c.id(), walk, areas));
+        }
+        let facts = Facts {
+            arch,
+            rows,
+            areas,
+            scope: None,
+        };
+        (facts, walk)
+    }
+
+    /// The table of a scoped pass over the edit that moved the edges into
+    /// `moved` and rebound the bindings `rebound`: collects the pass's
+    /// components and bindings, then walks up only from the components
+    /// whose rows the rules read on them.
+    fn build_touched(
+        arch: &'a Architecture,
+        storage: &'a mut FactsStorage,
+        moved: &[ComponentId],
+        rebound: &[usize],
+    ) -> (Self, &'a mut Vec<ComponentId>) {
+        let FactsStorage {
+            rows,
+            areas,
+            walk,
+            components,
+            bindings,
+            built,
+        } = storage;
+        components.clear();
+        for &m in moved {
+            arch.descendants_into(m, walk);
+            for &c in std::iter::once(&m).chain(walk.iter()) {
+                if !components.contains(&c) {
+                    components.push(c);
                 }
             }
-            row.areas.end = areas.len();
-            rows.push(row);
         }
-        (Facts { arch, rows, areas }, walk)
+        bindings.clear();
+        for (ix, b) in arch.bindings().iter().enumerate() {
+            if rebound.contains(&ix)
+                || components.contains(&b.client.component)
+                || components.contains(&b.server.component)
+            {
+                bindings.push(ix);
+            }
+        }
+
+        rows.resize_with(arch.components().len(), Row::default);
+        areas.clear();
+        built.clear();
+        let mut build = |id: ComponentId, rows: &mut [Row], areas: &mut Vec<ComponentId>| {
+            if !built.contains(&id) {
+                rows[id.0 as usize] = Row::walk(arch, id, walk, areas);
+                built.push(id);
+            }
+        };
+        for &c in components.iter() {
+            build(c, rows, areas);
+        }
+        for &ix in bindings.iter() {
+            let b = &arch.bindings()[ix];
+            if !b.protocol.is_async() {
+                build(b.client.component, rows, areas);
+                build(b.server.component, rows, areas);
+            }
+        }
+        // SOL-004 compares the areas of a component that has several.
+        for &c in components.iter() {
+            let run = rows[c.0 as usize].areas.clone();
+            if run.len() > 1 {
+                for i in run {
+                    build(areas[i], rows, areas);
+                }
+            }
+        }
+        let facts = Facts {
+            arch,
+            rows,
+            areas,
+            scope: Some(Scope {
+                components,
+                bindings,
+                built,
+            }),
+        };
+        (facts, walk)
+    }
+
+    /// The components the pass visits, in id order when it visits all.
+    fn components(&self) -> impl Iterator<Item = &'a Component> + 'a {
+        let all = self.arch.components();
+        let (every, touched) = match self.scope {
+            None => (all, &[][..]),
+            Some(scope) => (&all[..0], scope.components),
+        };
+        every
+            .iter()
+            .chain(touched.iter().map(move |c| &all[c.0 as usize]))
+    }
+
+    /// The bindings the pass visits, with their indices, in index order
+    /// when it visits all.
+    fn bindings(&self) -> impl Iterator<Item = (usize, &'a Binding)> + 'a {
+        let all = self.arch.bindings();
+        let (every, touched) = match self.scope {
+            None => (all, &[][..]),
+            Some(scope) => (&all[..0], scope.bindings),
+        };
+        every
+            .iter()
+            .enumerate()
+            .chain(touched.iter().map(move |&ix| (ix, &all[ix])))
     }
 
     fn row(&self, id: ComponentId) -> &Row {
+        debug_assert!(
+            self.scope.is_none_or(|scope| scope.built.contains(&id)),
+            "a scoped pass read the row of {id}, which it did not build"
+        );
         &self.rows[id.0 as usize]
     }
 
@@ -860,20 +1094,19 @@ fn name(arch: &Architecture, id: ComponentId) -> Cow<'_, str> {
     )
 }
 
-/// The rule pass: every rule once, in report order, reading one facts
-/// table built in `storage` and handing each finding to `sink`.
-fn rules(arch: &Architecture, storage: &mut FactsStorage, sink: &mut impl Sink) -> ControlFlow<()> {
-    let (facts, walk) = Facts::build(arch, storage);
-    thread_domains(&facts, sink)?;
-    memory_areas(&facts, sink)?;
-    nhrt_heap(&facts, walk, sink)?;
-    bindings(&facts, sink)?;
-    shared_services(&facts, sink)
+/// The rule pass: every rule once, in report order, over what `facts`
+/// visits, handing each finding to `sink`; `walk` is the facts' scratch.
+fn rules(facts: &Facts<'_>, walk: &mut Vec<ComponentId>, sink: &mut impl Sink) -> ControlFlow<()> {
+    thread_domains(facts, sink)?;
+    memory_areas(facts, sink)?;
+    nhrt_heap(facts, walk, sink)?;
+    bindings(facts, sink)?;
+    shared_services(facts, sink)
 }
 
 fn thread_domains(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
     let arch = facts.arch;
-    for c in arch.components() {
+    for c in facts.components() {
         match c.kind {
             ComponentKind::Active(_) => {
                 // SOL-001: exactly one governing ThreadDomain.
@@ -955,7 +1188,7 @@ fn thread_domains(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
 
 fn memory_areas(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
     let arch = facts.arch;
-    for c in arch.components() {
+    for c in facts.components() {
         if c.kind.is_functional() && !matches!(c.kind, ComponentKind::Composite) {
             let areas = facts.areas_of(c.id());
             if areas.is_empty() {
@@ -1016,55 +1249,73 @@ fn memory_areas(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
     ControlFlow::Continue(())
 }
 
-/// SOL-003, in the order the NHRT domain's descendants are walked; `walk`
-/// is the facts' reused scratch.
+/// SOL-003. Over everything, in the order each NHRT domain's descendants
+/// are walked (`walk` is the facts' reused scratch); in a scoped pass,
+/// each visited component below an NHRT domain, against the nearest.
 fn nhrt_heap(
     facts: &Facts<'_>,
     walk: &mut Vec<ComponentId>,
     sink: &mut impl Sink,
 ) -> ControlFlow<()> {
     let arch = facts.arch;
-    for c in arch.components() {
-        let ComponentKind::ThreadDomain(desc) = c.kind else {
-            continue;
-        };
-        if desc.kind != ThreadKind::NoHeapRealtime {
+    let all = arch.components();
+    if facts.scope.is_some() {
+        for dc in facts.components() {
+            if let Some(domain) = facts.row(dc.id()).nhrt {
+                nhrt_member(facts, &all[domain.0 as usize], dc, sink)?;
+            }
+        }
+        return ControlFlow::Continue(());
+    }
+    for c in all {
+        if !matches!(c.kind, ComponentKind::ThreadDomain(desc) if desc.kind == ThreadKind::NoHeapRealtime)
+        {
             continue;
         }
         arch.descendants_into(c.id(), walk);
         for &d in walk.iter() {
-            let dc = &arch.components()[d.0 as usize];
-            // SOL-003a: no heap MemoryArea anywhere below an NHRT domain.
-            if let ComponentKind::MemoryArea(adesc) = dc.kind {
-                if adesc.kind == MemoryKind::Heap {
-                    sink.emit("SOL-003", Severity::Error, || {
-                        Text::new(
-                            &c.name,
-                            format!(
-                                "NHRT ThreadDomain encapsulates heap MemoryArea '{}'",
-                                dc.name
-                            ),
-                        )
-                        .suggest("move the heap area outside the NHRT domain")
-                    })?;
-                }
-            }
-            // SOL-003b: members whose effective area is the heap.
-            if dc.kind.is_functional() {
-                if let Some((_, adesc)) = facts.area_of(d) {
-                    if adesc.kind == MemoryKind::Heap {
-                        sink.emit("SOL-003", Severity::Error, || {
-                            Text::new(
-                                &dc.name,
-                                format!(
-                                    "member of NHRT domain '{}' is allocated in heap memory",
-                                    c.name
-                                ),
-                            )
-                            .suggest("allocate NHRT members in immortal or scoped memory")
-                        })?;
-                    }
-                }
+            nhrt_member(facts, c, &all[d.0 as usize], sink)?;
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// SOL-003 for `dc`, a descendant of the NHRT domain `domain`.
+fn nhrt_member(
+    facts: &Facts<'_>,
+    domain: &Component,
+    dc: &Component,
+    sink: &mut impl Sink,
+) -> ControlFlow<()> {
+    // SOL-003a: no heap MemoryArea anywhere below an NHRT domain.
+    if let ComponentKind::MemoryArea(adesc) = dc.kind {
+        if adesc.kind == MemoryKind::Heap {
+            sink.emit("SOL-003", Severity::Error, || {
+                Text::new(
+                    &domain.name,
+                    format!(
+                        "NHRT ThreadDomain encapsulates heap MemoryArea '{}'",
+                        dc.name
+                    ),
+                )
+                .suggest("move the heap area outside the NHRT domain")
+            })?;
+        }
+    }
+    // SOL-003b: members whose effective area is the heap.
+    if dc.kind.is_functional() {
+        if let Some((_, adesc)) = facts.area_of(dc.id()) {
+            if adesc.kind == MemoryKind::Heap {
+                sink.emit("SOL-003", Severity::Error, || {
+                    Text::new(
+                        &dc.name,
+                        format!(
+                            "member of NHRT domain '{}' is allocated in heap memory",
+                            domain.name
+                        ),
+                    )
+                    .suggest("allocate NHRT members in immortal or scoped memory")
+                })?;
             }
         }
     }
@@ -1075,7 +1326,7 @@ fn bindings(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
     let arch = facts.arch;
     let bindings = arch.bindings();
     // SOL-013: client interface bound at most once, and every client bound.
-    for (i, b) in bindings.iter().enumerate() {
+    for (i, b) in facts.bindings() {
         if bindings[..i]
             .iter()
             .any(|earlier| earlier.client == b.client)
@@ -1089,23 +1340,25 @@ fn bindings(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
             })?;
         }
     }
-    for c in arch.components() {
-        for i in c.interfaces_with_role(Role::Client) {
-            let bound = bindings
-                .iter()
-                .any(|b| b.client.component == c.id() && b.client.interface == i.name);
-            if !bound {
-                sink.emit("SOL-013", Severity::Warning, || {
-                    Text::new(
-                        format!("{}.{}", c.name, i.name),
-                        "client interface is unbound",
-                    )
-                })?;
+    if sink.keeps(Severity::Warning) {
+        for c in facts.components() {
+            for i in c.interfaces_with_role(Role::Client) {
+                let bound = bindings
+                    .iter()
+                    .any(|b| b.client.component == c.id() && b.client.interface == i.name);
+                if !bound {
+                    sink.emit("SOL-013", Severity::Warning, || {
+                        Text::new(
+                            format!("{}.{}", c.name, i.name),
+                            "client interface is unbound",
+                        )
+                    })?;
+                }
             }
         }
     }
 
-    for b in bindings {
+    for (_, b) in facts.bindings() {
         let subject = || {
             format!(
                 "{}.{} -> {}.{}",
@@ -1124,8 +1377,9 @@ fn bindings(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
             })?;
         }
 
+        let synchronous = !b.protocol.is_async();
         // SOL-008: active servers want async activation.
-        if kind(arch, b.server.component).is_active() && !b.protocol.is_async() {
+        if synchronous && kind(arch, b.server.component).is_active() {
             sink.emit("SOL-008", Severity::Warning, || {
                 Text::new(
                     subject(),
@@ -1136,28 +1390,30 @@ fn bindings(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
         }
 
         // SOL-006: NHRT caller must never need heap data synchronously.
-        if let (Some((_, ddesc)), Some((_, adesc))) = (
-            facts.domain_of(b.client.component),
-            facts.area_of(b.server.component),
-        ) {
-            if ddesc.kind == ThreadKind::NoHeapRealtime
-                && adesc.kind == MemoryKind::Heap
-                && !b.protocol.is_async()
-            {
-                sink.emit("SOL-006", Severity::Error, || {
-                    Text::new(
-                        subject(),
-                        "NHRT client calls synchronously into heap-allocated server",
-                    )
-                    .suggest(
-                        "make the binding asynchronous with the buffer outside the heap, \
-                         or move the server out of heap memory",
-                    )
-                })?;
+        if synchronous {
+            if let (Some((_, ddesc)), Some((_, adesc))) = (
+                facts.domain_of(b.client.component),
+                facts.area_of(b.server.component),
+            ) {
+                if ddesc.kind == ThreadKind::NoHeapRealtime && adesc.kind == MemoryKind::Heap {
+                    sink.emit("SOL-006", Severity::Error, || {
+                        Text::new(
+                            subject(),
+                            "NHRT client calls synchronously into heap-allocated server",
+                        )
+                        .suggest(
+                            "make the binding asynchronous with the buffer outside the heap, \
+                             or move the server out of heap memory",
+                        )
+                    })?;
+                }
             }
         }
 
         // SOL-007: record the pattern for every cross-area binding.
+        if !sink.keeps(Severity::Info) {
+            continue;
+        }
         if let Some(pattern) = facts.pattern(b) {
             if pattern != CrossScopePattern::Direct {
                 sink.emit("SOL-007", Severity::Info, || {
@@ -1172,7 +1428,10 @@ fn bindings(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
     }
 
     // SOL-009: sporadic actives need a trigger.
-    for c in arch.components() {
+    if !sink.keeps(Severity::Warning) {
+        return ControlFlow::Continue(());
+    }
+    for c in facts.components() {
         if matches!(
             c.kind,
             ComponentKind::Active(crate::model::ActivationKind::Sporadic)
@@ -1197,7 +1456,10 @@ fn bindings(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
 
 fn shared_services(facts: &Facts<'_>, sink: &mut impl Sink) -> ControlFlow<()> {
     let arch = facts.arch;
-    for c in arch.components() {
+    if !sink.keeps(Severity::Info) {
+        return ControlFlow::Continue(());
+    }
+    for c in facts.components() {
         if let Some(ceiling) = ceiling_in(arch, c.id(), |client| facts.domain_of(client)) {
             sink.emit("SOL-014", Severity::Info, || {
                 Text::new(
@@ -1966,6 +2228,272 @@ mod tests {
             proptest::prop_assert_eq!(
                 is_compliant_in(&a, &mut storage),
                 validate(&a).is_compliant()
+            );
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The scoped verdict against the full one
+    // -----------------------------------------------------------------
+
+    /// A compliant architecture, by construction:
+    /// * the areas `heap`, `imm`, `s1` and `s2` (scoped, in `imm`) and `s3`
+    ///   (scoped, in `s1`);
+    /// * the Realtime domain `d0` in `imm`, and one domain per `domains`
+    ///   pick, of the kind and in the area the pick names. An NHRT domain
+    ///   in `heap` stays empty: it is there to be moved into;
+    /// * one component per `members` pick `(kind, host, extra)`: an active
+    ///   in a domain or in a composite made before it, sometimes also
+    ///   directly in an area of its host's chain; a passive directly in an
+    ///   area; or a composite in a domain. Actives and passives serve `in`
+    ///   and require `out`;
+    /// * one binding per `binds` pick `(client, server, sync)` whose client
+    ///   is still unbound, unless it is an NHRT client's synchronous call
+    ///   into the heap.
+    fn compliant_base(
+        domains: &[u8],
+        members: &[(u8, u8, u8)],
+        binds: &[(usize, usize, u8)],
+    ) -> Architecture {
+        let mut a = Architecture::new("scoped");
+        let heap = a
+            .add_component("heap", area(MemoryKind::Heap, None))
+            .unwrap();
+        let imm = a
+            .add_component("imm", area(MemoryKind::Immortal, Some(1 << 16)))
+            .unwrap();
+        let scoped = |a: &mut Architecture, name: &str, parent| {
+            let s = a
+                .add_component(name, area(MemoryKind::Scoped, Some(1024)))
+                .unwrap();
+            a.add_child(parent, s).unwrap();
+            s
+        };
+        let s1 = scoped(&mut a, "s1", imm);
+        let s2 = scoped(&mut a, "s2", imm);
+        let s3 = scoped(&mut a, "s3", s1);
+        // Each area with the areas enclosing it, innermost first.
+        let chains = [
+            vec![heap],
+            vec![imm],
+            vec![s1, imm],
+            vec![s2, imm],
+            vec![s3, s1, imm],
+        ];
+
+        // (container, its area's chain index): the hosts of actives.
+        let mut hosts: Vec<(ComponentId, usize)> = Vec::new();
+        let d0 = a
+            .add_component("d0", domain(ThreadKind::Realtime, 20))
+            .unwrap();
+        a.add_child(imm, d0).unwrap();
+        hosts.push((d0, 1));
+        for (i, &pick) in domains.iter().enumerate() {
+            let (kind, priority) = [
+                (ThreadKind::NoHeapRealtime, 30),
+                (ThreadKind::Realtime, 20),
+                (ThreadKind::Regular, 5),
+            ][usize::from(pick % 3)];
+            let chain = usize::from(pick / 3) % chains.len();
+            let d = a
+                .add_component(format!("d{}", i + 1), domain(kind, priority))
+                .unwrap();
+            a.add_child(chains[chain][0], d).unwrap();
+            if !(kind == ThreadKind::NoHeapRealtime && chain == 0) {
+                hosts.push((d, chain));
+            }
+        }
+        let domain_hosts = hosts.len();
+
+        let mut ends = Vec::new();
+        for (i, &(kind, host, extra)) in members.iter().enumerate() {
+            let name = format!("m{i}");
+            match kind % 4 {
+                0 | 1 => {
+                    let c = a
+                        .add_component(name, ComponentKind::Active(ActivationKind::Sporadic))
+                        .unwrap();
+                    let (container, chain) = hosts[usize::from(host) % hosts.len()];
+                    a.add_child(container, c).unwrap();
+                    if extra % 3 == 0 {
+                        let chain = &chains[chain];
+                        a.add_child(chain[usize::from(extra / 3) % chain.len()], c)
+                            .unwrap();
+                    }
+                    ends.push(c);
+                }
+                2 => {
+                    let c = a.add_component(name, ComponentKind::Passive).unwrap();
+                    a.add_child(chains[usize::from(host) % chains.len()][0], c)
+                        .unwrap();
+                    ends.push(c);
+                }
+                _ => {
+                    let c = a.add_component(name, ComponentKind::Composite).unwrap();
+                    let (d, chain) = hosts[usize::from(host) % domain_hosts];
+                    a.add_child(d, c).unwrap();
+                    hosts.push((c, chain));
+                }
+            }
+        }
+        for &c in &ends {
+            a.add_interface(c, "in", Role::Server, "I").unwrap();
+            a.add_interface(c, "out", Role::Client, "I").unwrap();
+        }
+        for &(client, server, sync) in binds {
+            if ends.is_empty() {
+                break;
+            }
+            let (client, server) = (ends[client % ends.len()], ends[server % ends.len()]);
+            let nhrt_into_heap = a
+                .thread_domain_of(client)
+                .is_some_and(|(_, d)| d.kind == ThreadKind::NoHeapRealtime)
+                && a.memory_area_of(server)
+                    .is_some_and(|(_, d)| d.kind == MemoryKind::Heap);
+            let bound = a.bindings().iter().any(|b| b.client.component == client);
+            if bound || (sync == 0 && nhrt_into_heap) {
+                continue;
+            }
+            let protocol = if sync == 0 {
+                Protocol::Synchronous
+            } else {
+                Protocol::Asynchronous { buffer_size: 4 }
+            };
+            a.bind(client, "out", server, "in", protocol).unwrap();
+        }
+        a
+    }
+
+    /// One edit of the scoped property, with its undo.
+    enum Edit {
+        /// The containment edge into `comp` moved from the edge `removed`
+        /// to the domain `new`.
+        Move {
+            comp: ComponentId,
+            removed: Option<crate::arch::ChildEdge>,
+            new: ComponentId,
+        },
+        Rebind(crate::arch::ServerSwap),
+    }
+
+    /// Random compliant architectures take random transactions of the two
+    /// edits a reconfiguration makes: a functional component's domain edge
+    /// moved to another ThreadDomain, and a binding pointed at another
+    /// server. After every edit, the verdict over what the transaction
+    /// touched equals the full verdict. A compliant transaction commits;
+    /// any other is undone and the next one starts from the last commit.
+    /// Over the run, both outcomes occur, and SOL-003, SOL-004 and SOL-006
+    /// each refuse some transaction.
+    #[test]
+    fn the_scoped_verdict_equals_the_full_one() {
+        use proptest::collection::vec;
+        use proptest::strategy::Strategy;
+
+        let strategy = (
+            vec(0..15u8, 0..5),
+            vec((0..4u8, 0..255u8, 0..255u8), 1..10),
+            vec((0..64usize, 0..64usize, 0..2u8), 0..10),
+            vec(vec((0..2u8, 0..64usize, 0..64usize), 1..4), 1..8),
+        );
+        let mut rng =
+            proptest::test_runner::TestRng::deterministic("the_scoped_verdict_equals_the_full_one");
+        let (mut committed, mut refused) = (0, 0);
+        let mut refused_by = [("SOL-003", 0), ("SOL-004", 0), ("SOL-006", 0)];
+        // One storage for every pass, as a deployment keeps one.
+        let mut storage = FactsStorage::default();
+        for _ in 0..256 {
+            let (domains, members, binds, transactions) = strategy.generate(&mut rng);
+            let mut a = compliant_base(&domains, &members, &binds);
+            assert!(is_compliant(&a), "the base is compliant:\n{}", validate(&a));
+            let domain_ids: Vec<ComponentId> = a
+                .components()
+                .iter()
+                .filter(|c| matches!(c.kind, ComponentKind::ThreadDomain(_)))
+                .map(|c| c.id())
+                .collect();
+            let movable: Vec<ComponentId> = a
+                .components()
+                .iter()
+                .filter(|c| c.kind.is_functional())
+                .map(|c| c.id())
+                .collect();
+            let servers: Vec<ComponentId> = a
+                .components()
+                .iter()
+                .filter(|c| c.interface("in").is_some())
+                .map(|c| c.id())
+                .collect();
+            for edits in transactions {
+                let (mut moved, mut rebound, mut undo) = (Vec::new(), Vec::new(), Vec::new());
+                for (kind, x, y) in edits {
+                    if kind == 0 {
+                        // What `reassign_domain` does to the architecture.
+                        let (comp, new) =
+                            (movable[x % movable.len()], domain_ids[y % domain_ids.len()]);
+                        let removed = match a.thread_domain_of(comp) {
+                            Some((old, _)) => match a.remove_child(old, comp) {
+                                Some(edge) => Some(edge),
+                                None => continue,
+                            },
+                            None => None,
+                        };
+                        if a.parents_of(comp).contains(&new) {
+                            if let Some(edge) = removed {
+                                a.restore_child(edge);
+                            }
+                            continue;
+                        }
+                        a.add_child(new, comp).unwrap();
+                        moved.push(comp);
+                        undo.push(Edit::Move { comp, removed, new });
+                    } else if !a.bindings().is_empty() {
+                        let client = a.bindings()[x % a.bindings().len()].client.component;
+                        let swap = a
+                            .rebind_server(client, "out", servers[y % servers.len()])
+                            .unwrap();
+                        rebound.push(swap.binding());
+                        undo.push(Edit::Rebind(swap));
+                    }
+                    assert_eq!(
+                        is_compliant_after(&a, &moved, &rebound, &mut storage),
+                        is_compliant(&a),
+                        "moved {moved:?}, rebound {rebound:?}:\n{}",
+                        validate(&a)
+                    );
+                }
+                if is_compliant(&a) {
+                    committed += 1;
+                    continue;
+                }
+                refused += 1;
+                let report = validate(&a);
+                for (code, n) in &mut refused_by {
+                    if report.by_code(code).any(|d| d.severity == Severity::Error) {
+                        *n += 1;
+                    }
+                }
+                while let Some(edit) = undo.pop() {
+                    match edit {
+                        Edit::Move { comp, removed, new } => {
+                            assert!(a.remove_child(new, comp).is_some());
+                            if let Some(edge) = removed {
+                                a.restore_child(edge);
+                            }
+                        }
+                        Edit::Rebind(swap) => a.restore_server(swap),
+                    }
+                }
+                assert!(is_compliant(&a), "the undo restores a compliant base");
+            }
+        }
+        assert!(
+            committed > 0 && refused > 0,
+            "{committed} committed, {refused} refused"
+        );
+        for (code, n) in refused_by {
+            assert!(
+                n > 0,
+                "no transaction was refused by {code}: {refused_by:?}"
             );
         }
     }

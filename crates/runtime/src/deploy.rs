@@ -25,9 +25,10 @@
 //! * **One journal** — [`Deployment::reconfigure`] replaces piecewise
 //!   mutation with an all-or-nothing transaction: operations apply eagerly
 //!   against the live engines while an undo journal accumulates; when the
-//!   closure finishes, the result is re-validated against the *same* rules
-//!   the design-time validator enforces (plus, with more than one shard,
-//!   the partition invariants; a refusal then lists the SOL-015 couplings),
+//!   closure finishes, what the journal touched is re-validated against
+//!   the *same* rules the design-time validator enforces (plus, with more
+//!   than one shard, the partition invariants; a refusal then lists the
+//!   SOL-015 couplings),
 //!   and any failure — an operation error, a validator refusal or deferred
 //!   substrate charges that do not fit — rolls everything back: engines,
 //!   rings, plan and architectural model. The journal, the deferred
@@ -52,7 +53,9 @@ use rtsj::time::AbsoluteTime;
 use soleil_core::arch::{ChildEdge, ServerSwap};
 use soleil_core::contract::TimingContract;
 use soleil_core::model::{ComponentId, ComponentKind};
-use soleil_core::validate::{is_compliant_in, parallel_coupling, validate, FactsStorage};
+use soleil_core::validate::{
+    is_compliant_after, is_compliant_in, parallel_coupling, validate, FactsStorage,
+};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
 use soleil_membrane::interceptors::FaultInjector;
@@ -144,6 +147,12 @@ pub struct Deployment<P: Payload> {
     /// global component index, the component's id in it.
     arch: Option<Architecture>,
     ids: Vec<ComponentId>,
+    /// Whether the architecture is known to pass the RTSJ verdict: set at
+    /// build by one full verdict and by every commit, and kept by a
+    /// rollback, which restores the state it describes. While it is false,
+    /// a commit checks the whole architecture instead of what its
+    /// transaction touched.
+    compliant: bool,
     /// Names resolved by [`resolve`](Self::resolve).
     lookups: Cell<u64>,
     /// What [`reconfigure`](Self::reconfigure) lends each transaction.
@@ -232,6 +241,12 @@ impl<P: Payload> Deployment<P> {
                 .collect::<Result<_, _>>()?,
             None => Vec::new(),
         };
+        // `build` takes a raw architecture, and a witness may come from
+        // `assume_valid`: what a commit may assume is checked here, once.
+        let mut scratch = Scratch::default();
+        let compliant = arch
+            .as_ref()
+            .is_some_and(|arch| is_compliant_in(arch, &mut scratch.facts));
         let nonce = NEXT_DEPLOYMENT.fetch_add(1, Ordering::Relaxed);
         let mut refs = vec![
             ComponentRef {
@@ -259,8 +274,9 @@ impl<P: Payload> Deployment<P> {
             refs,
             arch,
             ids,
+            compliant,
             lookups: Cell::new(0),
-            scratch: Scratch::default(),
+            scratch,
         })
     }
 
@@ -1031,16 +1047,19 @@ impl<P: Payload> Deployment<P> {
         report
     }
 
-    /// Tears every shard down (see [`System::shutdown`]).
+    /// Tears every shard down (see [`System::shutdown`]), each one even
+    /// when an earlier one failed.
     ///
     /// # Errors
     ///
-    /// Substrate errors releasing pins.
+    /// The first shard's error: a substrate error releasing pins, or a
+    /// panicking `on_stop` as [`FrameworkError::Faulted`].
     pub fn shutdown(&mut self) -> Result<(), FrameworkError> {
+        let mut first = Ok(());
         for s in &mut self.shards {
-            s.system.shutdown()?;
+            first = first.and(s.system.shutdown());
         }
-        Ok(())
+        first
     }
 
     // -----------------------------------------------------------------
@@ -1052,9 +1071,17 @@ impl<P: Payload> Deployment<P> {
     /// [`Reconfiguration`] handle; when it returns `Ok`, the result is
     /// re-validated — the plan's partition invariants when there is more
     /// than one shard, and, for architecture-carrying deployments, the
-    /// full RTSJ rule set — and commits only if compliant. The rule set
-    /// runs as [`is_compliant_in`], which renders no diagnostic; the full
-    /// report is built only when the verdict refuses. Substrate charges
+    /// RTSJ rule set — and commits only if compliant. The rules re-check
+    /// only what the journal touched ([`is_compliant_after`]): the
+    /// components whose domain edge moved, everything below them, and the
+    /// bindings rebound or with an endpoint among them. That is exact
+    /// because the deployment knows its architecture passed the verdict
+    /// before the transaction: one full verdict at build, and every commit
+    /// since. Until one passed (a raw architecture given to
+    /// [`build`](Self::build) that does not comply), a commit checks the
+    /// whole architecture. A transaction that moved and rebound nothing
+    /// runs no rule. The verdict renders no diagnostic; the full report is
+    /// built only when it refuses. Substrate charges
     /// for rings and re-homed state are deferred to the commit and
     /// admitted together before the first is made, so a transaction
     /// refused at any step, the charges included, is charge-neutral. On a
@@ -1062,8 +1089,10 @@ impl<P: Payload> Deployment<P> {
     /// back, leaving engines, rings, plan and architecture exactly as
     /// before the call (witness:
     /// [`structural_digests`](Self::structural_digests)). A closure that
-    /// panics — or an `on_start`/`on_stop` hook it ran — is rolled back the
-    /// same way before its unwind continues out of this call.
+    /// panics is rolled back the same way before its unwind continues out
+    /// of this call. An `on_start`/`on_stop` hook an operation runs is
+    /// caught: its panic is the typed fault the operation returns, and
+    /// the transaction rolls back before this call returns it.
     ///
     /// Every journal entry is a pre-image that rollback only writes back:
     /// it re-runs no operation, re-checks nothing and calls no hook, so it
@@ -1088,7 +1117,8 @@ impl<P: Payload> Deployment<P> {
     ///   static).
     /// * The engine's own error if a drained message's activation
     ///   escalates, before anything is applied.
-    /// * The closure's error, after rollback.
+    /// * The closure's error, after rollback: among them
+    ///   [`FrameworkError::Faulted`] for a panicking `on_start`/`on_stop`.
     /// * [`FrameworkError::Rejected`] with the full validation report when
     ///   the resulting architecture violates RTSJ, after rollback.
     /// * The substrate's error when the deferred charges do not fit their
@@ -1231,15 +1261,40 @@ struct Scratch {
     facts: FactsStorage,
     /// The scratch of the transaction's architecture walks.
     walk: Vec<ComponentId>,
+    /// The components whose containment edge the journal moved.
+    moved: Vec<ComponentId>,
+    /// The architecture's bindings the journal re-pointed.
+    rebound: Vec<usize>,
 }
 
 impl Scratch {
     /// Ends a transaction: what it accumulated goes, the capacity stays.
-    /// The facts table and the walk are rebuilt wherever they are read.
+    /// The facts table, the walk and the journal's edit are rebuilt
+    /// wherever they are read.
     fn clear(&mut self) {
         self.journal.clear();
         self.charges.clear();
         self.rows.clear();
+    }
+
+    /// Reads the journal's edit of the architecture into `moved` and
+    /// `rebound`: nothing else a transaction does changes it.
+    fn collect_edit(&mut self) {
+        self.moved.clear();
+        self.rebound.clear();
+        for undo in &self.journal {
+            match undo {
+                Undo::Domain {
+                    edge: Some(edge), ..
+                } => self.moved.push(edge.comp),
+                Undo::Rebind { plan, .. } | Undo::Rewire { plan, .. } => {
+                    if let Some(swap) = plan.arch {
+                        self.rebound.push(swap.binding());
+                    }
+                }
+                _ => {}
+            }
+        }
     }
 }
 
@@ -1553,7 +1608,8 @@ impl<P: Payload> Reconfiguration<'_, P> {
     /// hierarchy violations, [`FrameworkError::Unsupported`] for
     /// cross-shard moves, a move that would leave the component outside
     /// every materialized memory area, or one that would move a live
-    /// buffer.
+    /// buffer; [`FrameworkError::Faulted`] when the content's
+    /// `state_bytes`, read for a re-homing's charge, panicked.
     pub fn reassign_domain(
         &mut self,
         component: impl Address,
@@ -1690,30 +1746,42 @@ impl<P: Payload> Reconfiguration<'_, P> {
         // refuse), then the domain seat (infallible). The state is charged
         // to its new region at commit, unless it has lived there before
         // or an earlier move of this transaction already charges it there.
+        // Its size comes from user code, so it is read before the engine
+        // changes: a panic there refuses the move like any other error.
         let mut rehome = None;
         if let Some((new_ix, new_g)) = onto {
-            let owner = &mut dep.shards[shard];
-            let undo = match owner
-                .system
-                .rehome_area_at(slot, new_ix, &mut dep.scratch.rows)
-            {
+            let owner = &dep.shards[shard];
+            let area = owner.system.area_id(new_ix);
+            let charged = owner.has_lived_in(slot, area)
+                || dep
+                    .scratch
+                    .charges
+                    .iter()
+                    .any(|c| (c.shard, c.area, c.home_of) == (shard, area, Some(slot)));
+            let bytes = if charged {
+                None
+            } else {
+                match owner.system.state_bytes_at(slot) {
+                    Ok(bytes) => Some(bytes),
+                    Err(e) => {
+                        restore_edge(dep);
+                        return Err(e);
+                    }
+                }
+            };
+            let system = &mut dep.shards[shard].system;
+            let undo = match system.rehome_area_at(slot, new_ix, &mut dep.scratch.rows) {
                 Ok(undo) => undo,
                 Err(e) => {
                     restore_edge(dep);
                     return Err(e);
                 }
             };
-            let area = owner.system.area_id(new_ix);
-            let charges = &mut dep.scratch.charges;
-            let charged = owner.has_lived_in(slot, area)
-                || charges
-                    .iter()
-                    .any(|c| (c.shard, c.area, c.home_of) == (shard, area, Some(slot)));
-            if !charged {
-                charges.push(PendingCharge {
+            if let Some(bytes) = bytes {
+                dep.scratch.charges.push(PendingCharge {
                     shard,
                     area,
-                    bytes: owner.system.state_bytes_at(slot),
+                    bytes,
                     home_of: Some(slot),
                 });
             }
@@ -1845,30 +1913,45 @@ impl<P: Payload> Reconfiguration<'_, P> {
 
     /// The commit routine: partition invariants (more than one shard
     /// only), the RTSJ verdict on the architectural mirror, every shard's
-    /// supervision tree, then the deferred substrate charges. The full
-    /// validation report is rendered only for a refusal (a sharded one
-    /// adds the SOL-015 couplings); the verdict builds its facts table in
-    /// the deployment's storage. Every charge is admitted before any is
-    /// made, so a charge that does not fit refuses the transaction with
-    /// nothing charged — immortal/scoped accounting is monotonic, so a
-    /// charge once made could never be given back.
+    /// supervision tree, then the deferred substrate charges. The verdict
+    /// covers what the journal's domain moves and rebinds touched when the
+    /// architecture is known to have passed it before, and everything
+    /// otherwise; debug builds also run the full verdict and assert that
+    /// both agree. The full validation report is rendered only for a
+    /// refusal (a sharded one adds the SOL-015 couplings); the verdict
+    /// builds its facts table in the deployment's storage. Every charge is
+    /// admitted before any is made, so a charge that does not fit refuses
+    /// the transaction with nothing charged — immortal/scoped accounting
+    /// is monotonic, so a charge once made could never be given back. A
+    /// commit that passes leaves the architecture known to pass.
     fn commit(&mut self) -> Result<(), FrameworkError> {
         let dep = &mut *self.dep;
         let sharded = dep.shards.len() > 1;
         if sharded {
             dep.check_partition()?;
         }
-        let facts = &mut dep.scratch.facts;
-        if let Some(arch) = dep
-            .arch
-            .as_ref()
-            .filter(|arch| !is_compliant_in(arch, facts))
-        {
-            let mut report = validate(arch);
-            if sharded {
-                report.merge(parallel_coupling(arch));
+        if let Some(arch) = &dep.arch {
+            let scratch = &mut dep.scratch;
+            let compliant = if dep.compliant {
+                scratch.collect_edit();
+                let verdict =
+                    is_compliant_after(arch, &scratch.moved, &scratch.rebound, &mut scratch.facts);
+                debug_assert_eq!(
+                    verdict,
+                    is_compliant_in(arch, &mut scratch.facts),
+                    "the verdict over what the journal touched disagrees with the full one"
+                );
+                verdict
+            } else {
+                is_compliant_in(arch, &mut scratch.facts)
+            };
+            if !compliant {
+                let mut report = validate(arch);
+                if sharded {
+                    report.merge(parallel_coupling(arch));
+                }
+                return Err(FrameworkError::Rejected(report));
             }
-            return Err(FrameworkError::Rejected(report));
         }
         // Eager checks in `set_supervisor` make a failure here a framework
         // bug, but commits re-assert the invariant like the RTSJ rules.
@@ -1899,6 +1982,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
                 shard.record_home(slot, c.area);
             }
         }
+        dep.compliant = true;
         Ok(())
     }
 

@@ -1061,7 +1061,7 @@ impl<P: Payload> System<P> {
 
         // --- Start everything (paper: activation is framework-managed).
         for slot in 0..system.nodes.len() {
-            system.set_started(slot, true);
+            system.set_started(slot, true)?;
         }
         Ok(system)
     }
@@ -1780,16 +1780,29 @@ impl<P: Payload> System<P> {
     /// the started bit — the one start and the one stop that build,
     /// `start_at`/`stop_at` and `shutdown` share. A quarantine survives
     /// both: only a restart lifts it. Returns the replaced record.
-    fn set_started(&mut self, slot: usize, started: bool) -> Lifecycle {
+    ///
+    /// The hook is user code outside any activation, so it runs under a
+    /// `catch_unwind`: a panic becomes the typed fault a content panic
+    /// does, and the record stays as it was.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Faulted`] with [`FaultKind::Panic`] when the hook
+    /// panicked.
+    fn set_started(&mut self, slot: usize, started: bool) -> Result<Lifecycle, FrameworkError> {
         if let Some(instance) = self.nodes[slot].instance.as_mut() {
-            if started {
-                instance.content.on_start();
-            } else {
-                instance.content.on_stop();
-            }
+            let content = &mut instance.content;
+            catch_unwind(AssertUnwindSafe(|| {
+                if started {
+                    content.on_start();
+                } else {
+                    content.on_stop();
+                }
+            }))
+            .map_err(|payload| self.caught_panic(slot, payload))?;
         }
         let life = self.activation_plans[slot].life;
-        self.set_lifecycle(slot, life.with(Lifecycle::STARTED, started))
+        Ok(self.set_lifecycle(slot, life.with(Lifecycle::STARTED, started)))
     }
 
     fn reject_static(&self) -> Result<(), FrameworkError> {
@@ -1805,7 +1818,7 @@ impl<P: Payload> System<P> {
     /// replaced lifecycle record.
     pub(crate) fn stop_at(&mut self, slot: usize) -> Result<Lifecycle, FrameworkError> {
         self.reject_static()?;
-        let previous = self.set_started(slot, false);
+        let previous = self.set_started(slot, false)?;
         // An explicit stop overrides supervision: a pending supervised
         // restart must not revive the component behind the user's back.
         self.cancel_restart_timer(slot);
@@ -1828,7 +1841,7 @@ impl<P: Payload> System<P> {
     /// (Re)starts `slot`. Returns the replaced lifecycle record.
     pub(crate) fn start_at(&mut self, slot: usize) -> Result<Lifecycle, FrameworkError> {
         self.reject_static()?;
-        Ok(self.set_started(slot, true))
+        self.set_started(slot, true)
     }
 
     /// Rebinds `client_slot`'s **synchronous** `port` to `server_slot`'s
@@ -1998,12 +2011,19 @@ impl<P: Payload> System<P> {
 
     /// Bytes the slot's checkpointed state occupies — the handoff charge
     /// of a re-homing migration (same floor as the build-time charge).
-    pub(crate) fn state_bytes_at(&self, slot: usize) -> usize {
-        self.nodes[slot]
-            .instance
-            .as_ref()
-            .map_or(1, |i| i.content.state_bytes())
-            .max(1)
+    /// `state_bytes` is user code, so it runs under a `catch_unwind`.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Faulted`] with [`FaultKind::Panic`] when
+    /// `state_bytes` panicked.
+    pub(crate) fn state_bytes_at(&self, slot: usize) -> Result<usize, FrameworkError> {
+        let Some(instance) = self.nodes[slot].instance.as_ref() else {
+            return Ok(1);
+        };
+        let bytes = catch_unwind(AssertUnwindSafe(|| instance.content.state_bytes()))
+            .map_err(|payload| self.caught_panic(slot, payload))?;
+        Ok(bytes.max(1))
     }
 
     /// The substrate area behind runtime area `area_ix`.
@@ -2272,21 +2292,26 @@ impl<P: Payload> System<P> {
 
     /// Tears the system down: stops every component (running `on_stop`
     /// hooks) and releases the wedge pins of scoped areas, which reclaims
-    /// their storage. The system cannot be used afterwards.
+    /// their storage. The system cannot be used afterwards. A panicking
+    /// `on_stop` does not stop the teardown: every other component still
+    /// stops and every pin is still released.
     ///
     /// # Errors
     ///
-    /// Substrate errors releasing pins (double shutdown).
+    /// Substrate errors releasing pins (double shutdown); otherwise the
+    /// first panicking `on_stop`, as [`FrameworkError::Faulted`] with
+    /// [`FaultKind::Panic`].
     pub fn shutdown(&mut self) -> Result<(), FrameworkError> {
+        let mut stopped = Ok(());
         for slot in 0..self.nodes.len() {
-            self.set_started(slot, false);
+            stopped = stopped.and(self.set_started(slot, false).map(drop));
         }
         for area in &mut self.areas {
             if let Some(mut pin) = area.controller.take_pin() {
                 pin.release(&mut self.mm)?;
             }
         }
-        Ok(())
+        stopped
     }
 
     /// The single SOLEIL-only gate: merged modes have no reified
@@ -2980,10 +3005,17 @@ impl<P: Payload> System<P> {
     /// area (both images) — callers make that charge, deferred or
     /// immediate, through the usual monotonic accounting.
     ///
+    /// The probe's `state_bytes` and `checkpoint` are user code outside
+    /// any activation, so they run under one `catch_unwind`, and a panic
+    /// in either becomes the typed fault a content panic does, with
+    /// nothing enabled.
+    ///
     /// # Errors
     ///
     /// [`FrameworkError::Content`] for a bad slot, a zero cadence, or
-    /// content that does not implement the capability.
+    /// content that does not implement the capability;
+    /// [`FrameworkError::Faulted`] with [`FaultKind::Panic`] when the probe
+    /// panicked.
     pub(crate) fn enable_checkpoint_at(
         &mut self,
         slot: usize,
@@ -3003,9 +3035,14 @@ impl<P: Payload> System<P> {
                 self.nodes[slot].name
             )));
         };
-        let limit = content.state_bytes().max(1);
-        let mut image = StateImage::with_limit(limit);
-        if !content.checkpoint(&mut image) {
+        let (limit, image, implemented) = catch_unwind(AssertUnwindSafe(|| {
+            let limit = content.state_bytes().max(1);
+            let mut image = StateImage::with_limit(limit);
+            let implemented = content.checkpoint(&mut image);
+            (limit, image, implemented)
+        }))
+        .map_err(|payload| self.caught_panic(slot, payload))?;
+        if !implemented {
             return Err(FrameworkError::Content(format!(
                 "content of '{}' does not implement the Checkpoint capability \
                  (Content::checkpoint returned false)",

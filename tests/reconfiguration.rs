@@ -9,7 +9,8 @@
 //! | reconfigure (stop/start/rebind/domain) | yes | yes | no |
 //! | reified deployment spec | yes | no | no |
 
-use soleil::generator::{deploy, deploy_parallel};
+use soleil::core::validate::Diagnostic;
+use soleil::generator::{deploy, deploy_parallel, GeneratorError};
 use soleil::patterns::PatternKind;
 use soleil::prelude::*;
 use soleil::rtsj::RtsjError;
@@ -1365,13 +1366,14 @@ fn one_journal_commits_and_refuses_alike_on_one_and_many_shards() {
 }
 
 /// Hook counters shared by every instance of the `Hooked` content class:
-/// `on_start` and `on_stop` calls, and the number of the `on_start` call
-/// that panics (0: none does).
+/// `on_start` and `on_stop` calls, and the numbers of the `on_start` and
+/// the `on_stop` call that panic (0: none does).
 #[derive(Debug, Default)]
 struct Hooks {
     starts: AtomicU32,
     stops: AtomicU32,
     panic_on_start: AtomicU32,
+    panic_on_stop: AtomicU32,
 }
 
 impl Hooks {
@@ -1399,8 +1401,21 @@ impl Content<Ping> for Hooked {
     }
 
     fn on_stop(&mut self) {
-        self.0.stops.fetch_add(1, Ordering::Relaxed);
+        let n = self.0.stops.fetch_add(1, Ordering::Relaxed) + 1;
+        if n == self.0.panic_on_stop.load(Ordering::Relaxed) {
+            panic!("on_stop call {n} panicked");
+        }
     }
+}
+
+/// Whether `err` is the typed fault a panicking hook of `component`
+/// becomes.
+fn is_hook_panic(err: &FrameworkError, component: &str) -> bool {
+    matches!(
+        err,
+        FrameworkError::Faulted { component: c, kind: FaultKind::Panic, detail }
+            if c == component && detail.contains("panicked")
+    )
 }
 
 /// The deployments every rollback probe runs on: one shard and the
@@ -1418,6 +1433,17 @@ const PROBE_SHAPES: [(Mode, bool); 4] = [
 /// an empty domain to move into; `other` runs alone in `rt-other`, so the
 /// partition has at least two shards. `svc-a` runs the `Hooked` class.
 fn probe_fixture(mode: Mode, sharded: bool, hooks: &Arc<Hooks>) -> Deployment<Ping> {
+    let dep = probe_deploy(mode, sharded, hooks).unwrap();
+    assert_eq!(dep.shard_count() > 1, sharded, "{mode}");
+    dep
+}
+
+/// Deploys the [`probe_fixture`], returning the deploy's error.
+fn probe_deploy(
+    mode: Mode,
+    sharded: bool,
+    hooks: &Arc<Hooks>,
+) -> Result<Deployment<Ping>, GeneratorError> {
     let mut bv = BusinessView::new("rollback-probes");
     for periodic in ["caller", "ticker", "other"] {
         bv.active_periodic(periodic, "5ms").unwrap();
@@ -1457,13 +1483,11 @@ fn probe_fixture(mode: Mode, sharded: bool, hooks: &Arc<Hooks>) -> Deployment<Pi
     registry.register("Counter", || Box::new(Counter(Arc::default())));
     let h = hooks.clone();
     registry.register("Hooked", move || Box::new(Hooked(h.clone())));
-    let dep = if sharded {
-        deploy_parallel(&arch, mode, &registry).unwrap()
+    if sharded {
+        deploy_parallel(&arch, mode, &registry)
     } else {
-        deploy(&arch, mode, &registry).unwrap()
-    };
-    assert_eq!(dep.shard_count() > 1, sharded, "{mode}");
-    dep
+        deploy(&arch, mode, &registry)
+    }
 }
 
 /// What a refused transaction must leave byte-identical: every shard's
@@ -1503,9 +1527,11 @@ fn refused_stop_rolls_back_without_rerunning_on_start() {
     }
 }
 
-/// A panic inside the transaction — the closure's own, or a hook an
-/// operation ran — rolls back the operations already applied before the
-/// unwind leaves `reconfigure`.
+/// A panic of the closure inside the transaction rolls back the
+/// operations already applied before the unwind leaves `reconfigure`. A
+/// hook an operation ran runs under a catch: its panic is a typed fault
+/// the operation returns, and the transaction rolls back before
+/// `reconfigure` returns it.
 #[test]
 fn a_panicking_transaction_rolls_back_before_its_unwind_continues() {
     for (mode, sharded) in PROBE_SHAPES {
@@ -1524,13 +1550,13 @@ fn a_panicking_transaction_rolls_back_before_its_unwind_continues() {
 
         dep.reconfigure(|txn| txn.stop("svc-a")).unwrap();
         let before = probe_state(&dep);
-        let unwind = catch_unwind(AssertUnwindSafe(|| {
-            dep.reconfigure(|txn| {
+        let err = dep
+            .reconfigure(|txn| {
                 txn.stop("other")?;
                 txn.start("svc-a")
             })
-        }));
-        assert!(unwind.is_err(), "{mode}: the on_start panic propagates");
+            .unwrap_err();
+        assert!(is_hook_panic(&err, "svc-a"), "{mode}: {err}");
         assert_eq!(probe_state(&dep), before, "{mode} sharded={sharded}");
         assert_eq!(hooks.counts(), (2, 2), "{mode}");
     }
@@ -1913,5 +1939,384 @@ fn a_domain_move_that_would_strand_a_heap_buffer_is_refused() {
         let p = dep.resolve("p").unwrap();
         dep.run_transaction(p).unwrap();
         assert_eq!(delivered.load(Ordering::Relaxed), 1, "{mode}");
+    }
+}
+
+/// `on_start` and `on_stop` run under a catch wherever they run. Inside a
+/// transaction, a panicking `on_stop` is a typed fault the operation
+/// returns, and the transaction rolls back, leaving the digests and the
+/// architecture byte-identical (SOLEIL and MERGE-ALL). At build, `deploy`
+/// returns a panicking `on_start`, and at teardown `shutdown` returns a
+/// panicking `on_stop` (every mode). On one shard and sharded.
+#[test]
+fn panicking_lifecycle_hooks_are_typed_faults_at_every_site() {
+    for (mode, sharded) in PROBE_SHAPES {
+        let hooks = Arc::new(Hooks::default());
+        hooks.panic_on_stop.store(1, Ordering::Relaxed);
+        let mut dep = probe_fixture(mode, sharded, &hooks);
+        let before = probe_state(&dep);
+        let err = dep
+            .reconfigure(|txn| {
+                txn.rebind("caller", "svc", "svc-b")?;
+                txn.reassign_domain("caller", "rt-low")?;
+                txn.stop("svc-a")
+            })
+            .unwrap_err();
+        assert!(is_hook_panic(&err, "svc-a"), "{mode}: {err}");
+        assert_eq!(probe_state(&dep), before, "{mode} sharded={sharded}");
+        assert_eq!(hooks.counts(), (1, 1), "{mode}");
+        // The stop did not happen: the caller still reaches `svc-a`.
+        dep.run_tick().unwrap();
+    }
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        for sharded in [false, true] {
+            let hooks = Arc::new(Hooks::default());
+            hooks.panic_on_start.store(1, Ordering::Relaxed);
+            match probe_deploy(mode, sharded, &hooks) {
+                Err(GeneratorError::Build(err)) => {
+                    assert!(is_hook_panic(&err, "svc-a"), "{mode}: {err}");
+                }
+                Err(err) => panic!("{mode} sharded={sharded}: {err}"),
+                Ok(_) => panic!("{mode} sharded={sharded}: the build ignored the panic"),
+            }
+
+            let hooks = Arc::new(Hooks::default());
+            hooks.panic_on_stop.store(1, Ordering::Relaxed);
+            let mut dep = probe_fixture(mode, sharded, &hooks);
+            let err = dep.shutdown().unwrap_err();
+            assert!(is_hook_panic(&err, "svc-a"), "{mode}: {err}");
+            assert_eq!(hooks.counts(), (1, 1), "{mode} sharded={sharded}");
+        }
+    }
+}
+
+/// What [`CheckpointProbe`]'s `state_bytes` and `checkpoint` do: 0 work,
+/// 1 panics in `state_bytes`, 2 panics in `checkpoint`. Deploy reads
+/// `state_bytes` while it is 0.
+#[derive(Debug)]
+struct CheckpointProbe(Arc<AtomicU32>);
+impl Content<Ping> for CheckpointProbe {
+    fn on_invoke(&mut self, _p: &str, _m: &mut Ping, _o: &mut dyn Ports<Ping>) -> InvokeResult {
+        Ok(())
+    }
+
+    fn state_bytes(&self) -> usize {
+        assert_ne!(self.0.load(Ordering::Relaxed), 1, "state_bytes panicked");
+        16
+    }
+
+    fn checkpoint(&self, _image: &mut StateImage) -> bool {
+        assert_ne!(self.0.load(Ordering::Relaxed), 2, "checkpoint panicked");
+        true
+    }
+}
+
+/// `enable_checkpoint`'s probe runs under a catch: a panicking
+/// `state_bytes` or `checkpoint` is a typed fault, with nothing enabled,
+/// charged or changed, in every mode, on one shard and sharded. Once the
+/// probe stops panicking, the capability enables.
+#[test]
+fn a_panicking_checkpoint_probe_is_a_typed_fault() {
+    let mut bv = BusinessView::new("checkpoint-probe");
+    for c in ["probe", "other"] {
+        bv.active_periodic(c, "5ms").unwrap();
+    }
+    bv.content("probe", "Probe").unwrap();
+    bv.content("other", "Counter").unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("rt", ThreadKind::Realtime, 20, &["probe"])
+        .unwrap();
+    flow.thread_domain("rt-other", ThreadKind::Realtime, 22, &["other"])
+        .unwrap();
+    flow.memory_area(
+        "imm",
+        MemoryKind::Immortal,
+        Some(64 * 1024),
+        &["rt", "rt-other"],
+    )
+    .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        for sharded in [false, true] {
+            let arm = Arc::new(AtomicU32::new(0));
+            let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+            let a = arm.clone();
+            registry.register("Probe", move || Box::new(CheckpointProbe(a.clone())));
+            registry.register("Counter", || Box::new(Counter(Arc::default())));
+            let mut dep = if sharded {
+                deploy_parallel(&arch, mode, &registry).unwrap()
+            } else {
+                deploy(&arch, mode, &registry).unwrap()
+            };
+            assert_eq!(dep.shard_count() > 1, sharded, "{mode}");
+            let state = |dep: &Deployment<Ping>| {
+                (
+                    dep.structural_digests(),
+                    dep.memory().total_consumed(),
+                    dep.checkpoint_counts("probe").unwrap(),
+                )
+            };
+            let before = state(&dep);
+            for hook in [1, 2] {
+                arm.store(hook, Ordering::Relaxed);
+                let err = dep.enable_checkpoint("probe", 4).unwrap_err();
+                assert!(
+                    is_hook_panic(&err, "probe"),
+                    "{mode} sharded={sharded}: {err}"
+                );
+                assert_eq!(state(&dep), before, "{mode} sharded={sharded}");
+            }
+            arm.store(0, Ordering::Relaxed);
+            dep.enable_checkpoint("probe", 4).unwrap();
+            assert_eq!(
+                dep.checkpoint_counts("probe").unwrap(),
+                Some((1, 0)),
+                "{mode}"
+            );
+        }
+    }
+}
+
+/// One architectural edit of a scoped-refusal case: a synchronous rebind
+/// `(client, port, server)` or a domain move `(component, domain)`.
+#[derive(Debug, Clone, Copy)]
+enum ArchEdit {
+    Rebind(&'static str, &'static str, &'static str),
+    Move(&'static str, &'static str),
+}
+
+impl ArchEdit {
+    /// Applies the edit inside a transaction.
+    fn apply(self, txn: &mut Reconfiguration<'_, Ping>) -> Result<(), FrameworkError> {
+        match self {
+            ArchEdit::Rebind(client, port, server) => txn.rebind(client, port, server),
+            ArchEdit::Move(component, domain) => txn.reassign_domain(component, domain),
+        }
+    }
+
+    /// The architecture `arch` would be after the edit.
+    fn applied_to(self, arch: &Architecture) -> Architecture {
+        let mut arch = arch.clone();
+        let id = |name| arch.id_of(name).unwrap();
+        match self {
+            ArchEdit::Rebind(client, port, server) => {
+                let (client, server) = (id(client), id(server));
+                let _ = arch.rebind_server(client, port, server).unwrap();
+            }
+            ArchEdit::Move(component, domain) => {
+                let (component, domain) = (id(component), id(domain));
+                let (old, _) = arch.thread_domain_of(component).unwrap();
+                let _ = arch.remove_child(old, component).unwrap();
+                arch.add_child(domain, component).unwrap();
+            }
+        }
+        arch
+    }
+}
+
+/// A scoped-refusal case on `dep`: one transaction of `warm` commits, then
+/// one of `edit` is refused with `Rejected`. Its *Error* findings are
+/// those `validate` finds on the architecture the edit would have left,
+/// `code` among them, and the rollback leaves the digests and the
+/// architecture's JSON form byte-identical.
+fn assert_scoped_refusal(
+    dep: &mut Deployment<Ping>,
+    warm: ArchEdit,
+    edit: ArchEdit,
+    code: &str,
+    label: &str,
+) {
+    dep.reconfigure(|txn| warm.apply(txn))
+        .unwrap_or_else(|e| panic!("{label}: the warm-up {warm:?} commits: {e}"));
+    let before = probe_state(dep);
+    let expected: Vec<Diagnostic> = validate(&edit.applied_to(dep.architecture()))
+        .with_severity(Severity::Error)
+        .cloned()
+        .collect();
+    assert!(
+        expected.iter().any(|d| d.code == code),
+        "{label}: {edit:?} breaks {code}: {expected:?}"
+    );
+    match dep.reconfigure(|txn| edit.apply(txn)) {
+        Err(FrameworkError::Rejected(report)) => {
+            let errors: Vec<Diagnostic> = report.with_severity(Severity::Error).cloned().collect();
+            assert_eq!(errors, expected, "{label}: {edit:?}");
+        }
+        other => panic!("{label}: {edit:?} must be rejected, got {other:?}"),
+    }
+    assert_eq!(probe_state(dep), before, "{label}: the rollback");
+}
+
+/// The scoped-refusal fixture. `caller` (domain `rt`) calls the heap-held
+/// `svc-heap` through `svc` and the immortal `svc-imm` through `aux`; `n`
+/// (NHRT domain `nhrt`, in immortal memory) calls `svc-imm`; `x` runs in
+/// `rt`, and so does `y`, which also sits directly in `imm`. The empty
+/// domains `nhrt-heap` (NHRT, in the heap) and `rt-scope` (in the scoped
+/// root area `scope`) are there to move into. The synchronous calls keep
+/// all of these on the first shard; `other` runs alone in `rt-other`, so
+/// the partition has a second one.
+fn scoped_refusal_fixture(mode: Mode, sharded: bool) -> Deployment<Ping> {
+    let mut bv = BusinessView::new("scoped-refusals");
+    bv.active_periodic("caller", "5ms").unwrap();
+    for passive in ["svc-heap", "svc-imm"] {
+        bv.passive(passive).unwrap();
+        bv.provide(passive, "svc", "ISvc").unwrap();
+        bv.content(passive, "Counter").unwrap();
+    }
+    for periodic in ["n", "x", "y", "other"] {
+        bv.active_periodic(periodic, "5ms").unwrap();
+    }
+    bv.content("caller", "Caller").unwrap();
+    bv.content("n", "Caller").unwrap();
+    for c in ["x", "y", "other"] {
+        bv.content(c, "Counter").unwrap();
+    }
+    bv.require("caller", "svc", "ISvc").unwrap();
+    bv.require("caller", "aux", "ISvc").unwrap();
+    bv.require("n", "svc", "ISvc").unwrap();
+    bv.bind_sync("caller", "svc", "svc-heap", "svc").unwrap();
+    bv.bind_sync("caller", "aux", "svc-imm", "svc").unwrap();
+    bv.bind_sync("n", "svc", "svc-imm", "svc").unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("rt", ThreadKind::Realtime, 20, &["caller", "x", "y"])
+        .unwrap();
+    flow.thread_domain("nhrt", ThreadKind::NoHeapRealtime, 30, &["n"])
+        .unwrap();
+    flow.thread_domain("nhrt-heap", ThreadKind::NoHeapRealtime, 32, &[])
+        .unwrap();
+    flow.thread_domain("rt-scope", ThreadKind::Realtime, 24, &[])
+        .unwrap();
+    flow.thread_domain("rt-other", ThreadKind::Realtime, 22, &["other"])
+        .unwrap();
+    flow.memory_area(
+        "imm",
+        MemoryKind::Immortal,
+        Some(64 * 1024),
+        &["rt", "nhrt", "rt-other", "svc-imm", "y"],
+    )
+    .unwrap();
+    flow.memory_area("heap", MemoryKind::Heap, None, &["svc-heap", "nhrt-heap"])
+        .unwrap();
+    flow.memory_area("scope", MemoryKind::Scoped, Some(16 * 1024), &["rt-scope"])
+        .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+
+    let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+    registry.register("Caller", || Box::new(Caller));
+    registry.register("Counter", || Box::new(Counter(Arc::default())));
+    let dep = if sharded {
+        deploy_parallel(&arch, mode, &registry).unwrap()
+    } else {
+        deploy(&arch, mode, &registry).unwrap()
+    };
+    assert_eq!(dep.shard_count() > 1, sharded, "{mode}");
+    dep
+}
+
+/// A commit after a committed transaction re-checks only what its journal
+/// touched, and still refuses each rule's violation as `validate` does,
+/// with a byte-identical rollback: SOL-006 through a rebind of an NHRT
+/// client onto a heap-held service, on the [`heap_rebind_fixture`] (one
+/// shard only: its heap-held service joins the caller's shard); then on
+/// the [`scoped_refusal_fixture`], after a transaction that moves `x` to
+/// the domain it is in, one case per rule, on one shard and sharded.
+#[test]
+fn a_scoped_commit_refuses_what_validate_refuses() {
+    for mode in [Mode::Soleil, Mode::MergeAll] {
+        let mut dep = heap_rebind_fixture(mode).dep;
+        assert_scoped_refusal(
+            &mut dep,
+            ArchEdit::Rebind("caller", "svc", "svc-imm"),
+            ArchEdit::Rebind("caller", "svc", "svc-heap"),
+            "SOL-006",
+            &format!("{mode}, heap_rebind_fixture"),
+        );
+    }
+    let cases = [
+        // SOL-006 through a rebind: the NHRT `n` onto the heap.
+        (ArchEdit::Rebind("n", "svc", "svc-heap"), "SOL-006"),
+        // SOL-006 through a move: the binding is not rebound, only its
+        // client, a synchronous caller of `svc-heap`, moves into NHRT.
+        (ArchEdit::Move("caller", "nhrt"), "SOL-006"),
+        // SOL-003: into an NHRT domain whose area is the heap, re-homing
+        // `x` onto the heap.
+        (ArchEdit::Move("x", "nhrt-heap"), "SOL-003"),
+        // SOL-004: `y` also sits directly in `imm`, which is unrelated to
+        // `rt-scope`'s area `scope`.
+        (ArchEdit::Move("y", "rt-scope"), "SOL-004"),
+    ];
+    for (mode, sharded) in PROBE_SHAPES {
+        for (edit, code) in cases {
+            let mut dep = scoped_refusal_fixture(mode, sharded);
+            assert_scoped_refusal(
+                &mut dep,
+                ArchEdit::Move("x", "rt"),
+                edit,
+                code,
+                &format!("{mode} sharded={sharded}"),
+            );
+        }
+    }
+}
+
+/// A re-homing move reads the moved state's size from user code before
+/// the engine changes: a panicking `state_bytes` is a typed fault, and
+/// the transaction rolls back with the digests and the architecture
+/// byte-identical and the deployment still reconfigurable, on one shard
+/// and sharded. Without the catch the unwind left the move half applied.
+#[test]
+fn a_panicking_state_bytes_on_a_rehoming_move_is_a_typed_fault() {
+    let mut bv = BusinessView::new("rehome-probe");
+    for c in ["x", "other"] {
+        bv.active_periodic(c, "5ms").unwrap();
+    }
+    bv.content("x", "Sized").unwrap();
+    bv.content("other", "Counter").unwrap();
+    let mut flow = DesignFlow::new(bv);
+    flow.thread_domain("rt", ThreadKind::Realtime, 20, &["x"])
+        .unwrap();
+    flow.thread_domain("rt-scope", ThreadKind::Realtime, 22, &[])
+        .unwrap();
+    flow.thread_domain("rt-other", ThreadKind::Realtime, 24, &["other"])
+        .unwrap();
+    flow.memory_area(
+        "imm",
+        MemoryKind::Immortal,
+        Some(64 * 1024),
+        &["rt", "rt-other"],
+    )
+    .unwrap();
+    flow.memory_area("scope", MemoryKind::Scoped, Some(16 * 1024), &["rt-scope"])
+        .unwrap();
+    let arch = flow.merge().unwrap().into_validated().unwrap();
+
+    for (mode, sharded) in PROBE_SHAPES {
+        let arm = Arc::new(AtomicU32::new(0));
+        let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+        let a = arm.clone();
+        registry.register("Sized", move || Box::new(CheckpointProbe(a.clone())));
+        registry.register("Counter", || Box::new(Counter(Arc::default())));
+        let mut dep = if sharded {
+            deploy_parallel(&arch, mode, &registry).unwrap()
+        } else {
+            deploy(&arch, mode, &registry).unwrap()
+        };
+        assert_eq!(dep.shard_count() > 1, sharded, "{mode}");
+        let before = (probe_state(&dep), dep.memory().total_consumed());
+        arm.store(1, Ordering::Relaxed);
+        let err = dep
+            .reconfigure(|txn| txn.reassign_domain("x", "rt-scope"))
+            .unwrap_err();
+        assert!(is_hook_panic(&err, "x"), "{mode} sharded={sharded}: {err}");
+        assert_eq!(
+            (probe_state(&dep), dep.memory().total_consumed()),
+            before,
+            "{mode} sharded={sharded}"
+        );
+        arm.store(0, Ordering::Relaxed);
+        dep.reconfigure(|txn| txn.reassign_domain("x", "rt-scope"))
+            .unwrap();
+        dep.run_tick().unwrap();
     }
 }
