@@ -25,7 +25,8 @@
 //! parallel deployment under traffic must conserve every message, keep the
 //! post-commit steady state allocation-free, miss no deadline and restore
 //! a refused probe transaction byte-identically, while ULTRA-MERGE refuses
-//! to reconfigure at all; exits non-zero otherwise, never part of `all`),
+//! every structural operation with nothing changed and commits a policy
+//! swap; exits non-zero otherwise, never part of `all`),
 //! `recovery-gate` (supervision-tree gate: seeded virtual-time fault
 //! campaigns against all three modes must recover every quarantine within
 //! the declared backoff budget, witness warm state across at least one
@@ -277,7 +278,7 @@ fn main() -> Result<(), SoleilError> {
         const TICKS_PER_TXN: u64 = 20;
         eprintln!(
             "running reconfiguration gate ({TRANSACTIONS} transactions x \
-             {TICKS_PER_TXN} ticks, 2 modes + ULTRA-MERGE refusal)..."
+             {TICKS_PER_TXN} ticks, 2 modes + ULTRA-MERGE probe)..."
         );
         let rows = run_reconfig_gate(TRANSACTIONS, TICKS_PER_TXN, alloc_probe::allocations)?;
         let table = reconfig_gate_table(&rows);
@@ -289,7 +290,8 @@ fn main() -> Result<(), SoleilError> {
                 "reconfiguration gate passed: every transaction committed with exact \
                  message conservation, the post-commit steady state is \
                  allocation-free, the refused probe rolled back byte-identically \
-                 and ULTRA-MERGE refused to reconfigure"
+                 and ULTRA-MERGE refused every structural operation and committed a \
+                 policy swap"
             );
         } else {
             eprintln!("reconfiguration gate FAILED:");

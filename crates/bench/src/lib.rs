@@ -1225,7 +1225,8 @@ fn reconfig_registry() -> ContentRegistry<u64> {
 }
 
 /// Runs the reconfiguration gate: for SOLEIL and MERGE-ALL (ULTRA-MERGE is
-/// checked to *refuse*), a live parallel deployment under a baseline
+/// checked to refuse every structural operation and to commit a policy
+/// swap), a live parallel deployment under a baseline
 /// deadline contract first weathers a refused probe transaction (its
 /// structural digests must round-trip byte-identically), then commits
 /// `transactions` live transactions — each combining a cross-ring rebind,
@@ -1236,7 +1237,8 @@ fn reconfig_registry() -> ContentRegistry<u64> {
 /// # Errors
 ///
 /// Deployment/validation errors, a transaction failing to commit, or
-/// ULTRA-MERGE accepting a reconfiguration.
+/// ULTRA-MERGE accepting a structural operation, changing anything by
+/// refusing one, or failing to commit a policy swap and tick after it.
 pub fn run_reconfig_gate(
     transactions: usize,
     ticks_per_txn: u64,
@@ -1305,15 +1307,57 @@ pub fn run_reconfig_gate(
         });
     }
 
-    // ULTRA-MERGE is purely static: accepting a transaction would be a
-    // containment hole, not a feature.
-    let mut ultra = deploy_parallel(&arch, Mode::UltraMerge, &reconfig_registry())?;
-    if ultra.reconfigure(|_txn| Ok(())).is_ok() {
-        return Err(SoleilError::Framework(
-            "ULTRA-MERGE accepted a reconfiguration transaction".into(),
+    ultra_merge_probe(&arch, ticks_per_txn)?;
+    Ok(rows)
+}
+
+/// A structural operation of the reconfiguration gate's ULTRA-MERGE probe.
+type StructuralOp = fn(&mut Reconfiguration<'_, u64>) -> Result<(), FrameworkError>;
+
+/// ULTRA-MERGE fuses the membranes away: each structural operation must
+/// be refused with `Unsupported`, leaving the digests and the
+/// architecture byte-identical (accepting one would be a containment
+/// hole, not a feature). The engine-level operations run in every mode: a
+/// one-op policy transaction must commit, and the deployment must still
+/// tick, delivering every message.
+fn ultra_merge_probe(arch: &ValidatedArchitecture, ticks: u64) -> HarnessResult<()> {
+    let structural: [(&str, StructuralOp); 5] = [
+        ("stop", |t| t.stop("consumerC")),
+        ("start", |t| t.start("consumerC")),
+        ("rebind", |t| t.rebind("consumerB", "peer", "consumerC")),
+        ("rebind_async", |t| {
+            t.rebind_async("producer", "out1", "consumerC")
+        }),
+        ("reassign_domain", |t| t.reassign_domain("consumerB", "C")),
+    ];
+    let fail = |what: String| Err(SoleilError::Framework(format!("ULTRA-MERGE {what}")));
+    let mut ultra = deploy_parallel(arch, Mode::UltraMerge, &reconfig_registry())?;
+    let digests = ultra.structural_digests();
+    let arch_json = soleil::core::adl::to_json(ultra.architecture());
+    for (name, op) in structural {
+        match ultra.reconfigure(op) {
+            Err(FrameworkError::Unsupported(_)) => {}
+            other => return fail(format!("{name}: expected Unsupported, got {other:?}")),
+        }
+        if ultra.structural_digests() != digests
+            || soleil::core::adl::to_json(ultra.architecture()) != arch_json
+        {
+            return fail(format!("{name}: the refusal changed the deployment"));
+        }
+    }
+    ultra.reconfigure(|t| t.set_fault_policy("consumerC", FaultPolicy::Isolate))?;
+    if ultra.fault_policy("consumerC")? != FaultPolicy::Isolate {
+        return fail("committed a policy transaction that did not take".into());
+    }
+    ultra.run_ticks(ticks)?;
+    let stats = ultra.stats();
+    if stats.async_messages != 2 * ticks || stats.delivered_messages != stats.async_messages {
+        return fail(format!(
+            "ticked {ticks} times after the policy commit: pushed {}, delivered {}",
+            stats.async_messages, stats.delivered_messages
         ));
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// Judges the reconfiguration-gate rows: a failure line per mode that lost

@@ -335,7 +335,7 @@ fn emit_ultra(spec: &SystemSpec) -> GeneratedUnit {
     let _ = writeln!(src, "/// The entire system fused into one static unit.");
     let _ = writeln!(
         src,
-        "/// No reconfiguration: dispatch is a flat jump table."
+        "/// No structural reconfiguration: dispatch is a flat jump table."
     );
     let _ = writeln!(src, "pub struct UltraSystem {{");
     for c in &spec.components {

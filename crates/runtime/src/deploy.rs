@@ -682,36 +682,30 @@ impl<P: Payload> Deployment<P> {
         self.shards.iter().map(|s| s.system.armed_timers()).sum()
     }
 
-    /// Attaches a declarative timing contract to a component (any mode —
-    /// engine-level observability, unlike the SOLEIL-only membrane
-    /// interceptors), replacing any previous contract. From then on every
-    /// activation of the component is stamped into an allocation-free
-    /// latency histogram with online deadline/jitter checking; components
-    /// without a contract keep paying a single integer compare.
+    /// [`Reconfiguration::attach_contract`] as a one-operation transaction,
+    /// committed in every mode. Like every commit, it is refused on a
+    /// deployment whose architecture never passed the RTSJ verdict.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
+    /// Those of [`reconfigure`](Self::reconfigure) running that operation.
     pub fn attach_contract(
         &mut self,
         component: impl Address,
         contract: TimingContract,
     ) -> Result<(), FrameworkError> {
-        self.on_mut(component, |system, slot| {
-            system.attach_contract_at(slot, contract).map(|_| ())
-        })
+        self.reconfigure(|txn| txn.attach_contract(component, contract))
     }
 
-    /// Detaches a component's timing contract (discarding its recorded
-    /// histogram); `true` when one was attached.
+    /// [`Reconfiguration::detach_contract`] as a one-operation transaction,
+    /// committed in every mode. Like every commit, it is refused on a
+    /// deployment whose architecture never passed the RTSJ verdict.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
+    /// Those of [`reconfigure`](Self::reconfigure) running that operation.
     pub fn detach_contract(&mut self, component: impl Address) -> Result<bool, FrameworkError> {
-        self.on_mut(component, |system, slot| {
-            Ok(system.detach_contract_at(slot).is_some())
-        })
+        self.reconfigure(|txn| txn.detach_contract(component))
     }
 
     /// The timing contract attached to a component, if any.
@@ -764,24 +758,19 @@ impl<P: Payload> Deployment<P> {
     // Fault containment & supervision
     // -----------------------------------------------------------------
 
-    /// Declares a component's [`FaultPolicy`], returning the previous one.
-    /// Allowed in **every** mode, ULTRA-MERGE included — supervision is
-    /// engine-level recovery machinery like timing contracts, not
-    /// structural reconfiguration. Under `Isolate` or `Restart`, a fault in
-    /// the component quarantines it on its own shard while every sibling
-    /// shard keeps ticking.
+    /// [`Reconfiguration::set_fault_policy`] as a one-operation transaction,
+    /// committed in every mode. Like every commit, it is refused on a
+    /// deployment whose architecture never passed the RTSJ verdict.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
+    /// Those of [`reconfigure`](Self::reconfigure) running that operation.
     pub fn set_fault_policy(
         &mut self,
         component: impl Address,
         policy: FaultPolicy,
-    ) -> Result<FaultPolicy, FrameworkError> {
-        self.on_mut(component, |system, slot| {
-            system.set_fault_policy_at(slot, policy)
-        })
+    ) -> Result<(), FrameworkError> {
+        self.reconfigure(|txn| txn.set_fault_policy(component, policy))
     }
 
     /// The fault policy declared for a component
@@ -881,70 +870,24 @@ impl<P: Payload> Deployment<P> {
         })
     }
 
-    /// Declares (or clears, with `None`) a component's supervisor,
-    /// returning the previous edge. Supervisors form a tree: when a fault
-    /// escalates out of a component whose policy is
-    /// [`FaultPolicy::Escalate`], the engine walks up this tree and the
-    /// first supervisor with a containing policy applies it to the
-    /// **failed subtree** — isolating it with counted drops or restarting
-    /// it as a unit through the timer queue — while the supervisor itself
-    /// and its other branches keep running. Cycle and validity checks run
-    /// eagerly here and again at every transactional commit. Allowed in
-    /// every mode, ULTRA-MERGE included — supervision is engine-level
-    /// recovery machinery, not structural reconfiguration. Trees are
-    /// **shard-local**: each engine walks its own tree with no cross-shard
-    /// coordination.
+    /// [`Reconfiguration::set_supervisor`] as a one-operation transaction,
+    /// committed in every mode. Like every commit, it is refused on a
+    /// deployment whose architecture never passed the RTSJ verdict.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components,
-    /// self-supervision, or an edge that would close a cycle;
-    /// [`FrameworkError::Unsupported`] for an edge between shards.
+    /// Those of [`reconfigure`](Self::reconfigure) running that operation.
     pub fn set_supervisor<A: Address>(
         &mut self,
         component: A,
         supervisor: Option<A>,
-    ) -> Result<Option<ComponentRef>, FrameworkError> {
-        let (c, sup_slot) = self.supervisor_edge(component, supervisor)?;
-        let previous = self.shards[c.shard()]
-            .system
-            .set_supervisor_at(c.slot(), sup_slot)?;
-        Ok(previous.map(|slot| self.local_ref(c.shard(), slot)))
-    }
-
-    /// Resolves a supervisor edge to its component and the supervisor's
-    /// slot on the same shard.
-    fn supervisor_edge<A: Address>(
-        &self,
-        component: A,
-        supervisor: Option<A>,
-    ) -> Result<(ComponentRef, Option<usize>), FrameworkError> {
-        let c = component.locate(self)?;
-        let Some(sup) = supervisor else {
-            return Ok((c, None));
-        };
-        let s = sup.locate(self)?;
-        if s.shard != c.shard {
-            return Err(FrameworkError::Unsupported(format!(
-                "supervisor edge '{}' -> '{}' crosses shards ({} -> {}); supervision trees \
-                 are shard-local — escalation never leaves its shard's engine",
-                self.name_of(c)?,
-                self.name_of(s)?,
-                c.shard,
-                s.shard
-            )));
-        }
-        Ok((c, Some(s.slot())))
+    ) -> Result<(), FrameworkError> {
+        self.reconfigure(|txn| txn.set_supervisor(component, supervisor))
     }
 
     /// The global spec component index a token addresses.
     fn global(&self, at: ComponentRef) -> usize {
         self.shards[at.shard()].globals[at.slot()]
-    }
-
-    /// The token of engine slot `slot` on `shard`.
-    fn local_ref(&self, shard: usize, slot: usize) -> ComponentRef {
-        self.refs[self.shards[shard].globals[slot]]
     }
 
     /// A component's declared supervisor, if any.
@@ -957,10 +900,9 @@ impl<P: Payload> Deployment<P> {
         component: impl Address,
     ) -> Result<Option<ComponentRef>, FrameworkError> {
         let c = component.locate(self)?;
-        Ok(self.shards[c.shard()]
-            .system
-            .supervisor_of_at(c.slot())
-            .map(|slot| self.local_ref(c.shard(), slot)))
+        let shard = &self.shards[c.shard()];
+        let supervisor = shard.system.supervisor_of_at(c.slot());
+        Ok(supervisor.map(|slot| self.refs[shard.globals[slot]]))
     }
 
     /// The rendered escalation path (`origin -> … -> supervisor`) of the
@@ -1067,7 +1009,7 @@ impl<P: Payload> Deployment<P> {
     // -----------------------------------------------------------------
 
     /// Runs a reconfiguration transaction: the closure applies lifecycle,
-    /// binding, domain and supervision operations through the
+    /// binding, domain, contract and supervision operations through the
     /// [`Reconfiguration`] handle; when it returns `Ok`, the result is
     /// re-validated — the plan's partition invariants when there is more
     /// than one shard, and, for architecture-carrying deployments, the
@@ -1111,14 +1053,20 @@ impl<P: Payload> Deployment<P> {
     /// parallel analogue of the run-to-completion guarantee a one-shard
     /// deployment gets for free.
     ///
+    /// Every mode commits transactions. ULTRA-MERGE fuses the membranes
+    /// away, so there its structural operations (`stop`, `start`,
+    /// `rebind`, `rebind_async`, `reassign_domain`) refuse, while
+    /// contracts, fault policies and supervisor edges, which the engine
+    /// runs in every mode, commit.
+    ///
     /// # Errors
     ///
-    /// * [`FrameworkError::Unsupported`] under ULTRA-MERGE (purely
-    ///   static).
     /// * The engine's own error if a drained message's activation
     ///   escalates, before anything is applied.
     /// * The closure's error, after rollback: among them
-    ///   [`FrameworkError::Faulted`] for a panicking `on_start`/`on_stop`.
+    ///   [`FrameworkError::Unsupported`] for a structural operation under
+    ///   ULTRA-MERGE, and [`FrameworkError::Faulted`] for a panicking
+    ///   `on_start`/`on_stop`.
     /// * [`FrameworkError::Rejected`] with the full validation report when
     ///   the resulting architecture violates RTSJ, after rollback.
     /// * The substrate's error when the deferred charges do not fit their
@@ -1127,11 +1075,6 @@ impl<P: Payload> Deployment<P> {
         &mut self,
         f: impl FnOnce(&mut Reconfiguration<'_, P>) -> Result<T, FrameworkError>,
     ) -> Result<T, FrameworkError> {
-        if self.mode == Mode::UltraMerge {
-            return Err(FrameworkError::Unsupported(
-                "ULTRA-MERGE systems are purely static".into(),
-            ));
-        }
         self.quiesce()?;
         let mut txn = Reconfiguration { dep: self };
         let result = match catch_unwind(AssertUnwindSafe(|| f(&mut txn))) {
@@ -1359,12 +1302,21 @@ impl<P: Payload> Reconfiguration<'_, P> {
         &mut self.dep.shards[at.shard()].system
     }
 
+    /// The guard every structural operation passes before it changes
+    /// anything: the engines' refusal under ULTRA-MERGE
+    /// ([`System::reject_static`]), asked first because an operation
+    /// writes the plan and the architecture before it reaches an engine.
+    fn structural(&self) -> Result<(), FrameworkError> {
+        self.dep.shards[0].system.reject_static()
+    }
+
     /// Stops a component (no-op if already stopped): its `on_stop` runs
     /// once. Journaled as the component's lifecycle record, so a rollback
     /// writes the record back and runs no hook.
     ///
     /// # Errors
     ///
+    /// [`FrameworkError::Unsupported`] under ULTRA-MERGE;
     /// [`FrameworkError::Content`] for unknown components.
     pub fn stop(&mut self, component: impl Address) -> Result<(), FrameworkError> {
         self.set_started(component, false)
@@ -1377,6 +1329,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
     ///
     /// # Errors
     ///
+    /// [`FrameworkError::Unsupported`] under ULTRA-MERGE;
     /// [`FrameworkError::Content`] for unknown components.
     pub fn start(&mut self, component: impl Address) -> Result<(), FrameworkError> {
         self.set_started(component, true)
@@ -1388,6 +1341,7 @@ impl<P: Payload> Reconfiguration<'_, P> {
         component: impl Address,
         started: bool,
     ) -> Result<(), FrameworkError> {
+        self.structural()?;
         let at = component.locate(self.dep)?;
         let system = self.engine(at);
         if system.node_started(at.slot()) == started {
@@ -1465,15 +1419,17 @@ impl<P: Payload> Reconfiguration<'_, P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Unsupported`] for a target on another shard,
-    /// [`FrameworkError::Binding`] for unbound/asynchronous ports, missing
-    /// interfaces or signature mismatches.
+    /// [`FrameworkError::Unsupported`] under ULTRA-MERGE or for a target
+    /// on another shard, [`FrameworkError::Binding`] for
+    /// unbound/asynchronous ports, missing interfaces or signature
+    /// mismatches.
     pub fn rebind(
         &mut self,
         client: impl Address,
         port: &str,
         new_server: impl Address,
     ) -> Result<(), FrameworkError> {
+        self.structural()?;
         let c = client.locate(self.dep)?;
         let s = new_server.locate(self.dep)?;
         if c.shard != s.shard {
@@ -1518,15 +1474,17 @@ impl<P: Payload> Reconfiguration<'_, P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Unsupported`] on a one-shard deployment (its
-    /// transactions never drain rings); [`FrameworkError::Binding`] for
-    /// unbound or synchronous ports or a missing server interface.
+    /// [`FrameworkError::Unsupported`] under ULTRA-MERGE or on a one-shard
+    /// deployment (its transactions never drain rings);
+    /// [`FrameworkError::Binding`] for unbound or synchronous ports or a
+    /// missing server interface.
     pub fn rebind_async(
         &mut self,
         client: impl Address,
         port: &str,
         new_server: impl Address,
     ) -> Result<(), FrameworkError> {
+        self.structural()?;
         if self.dep.shards.len() == 1 {
             return Err(FrameworkError::Unsupported(
                 "rebind_async rewires cross-shard rings; a one-shard deployment has none \
@@ -1605,16 +1563,17 @@ impl<P: Payload> Reconfiguration<'_, P> {
     ///
     /// [`FrameworkError::Content`] for unknown domains,
     /// [`FrameworkError::Binding`] for indirect domain membership or
-    /// hierarchy violations, [`FrameworkError::Unsupported`] for
-    /// cross-shard moves, a move that would leave the component outside
-    /// every materialized memory area, or one that would move a live
-    /// buffer; [`FrameworkError::Faulted`] when the content's
+    /// hierarchy violations, [`FrameworkError::Unsupported`] under
+    /// ULTRA-MERGE, for cross-shard moves, a move that would leave the
+    /// component outside every materialized memory area, or one that would
+    /// move a live buffer; [`FrameworkError::Faulted`] when the content's
     /// `state_bytes`, read for a re-homing's charge, panicked.
     pub fn reassign_domain(
         &mut self,
         component: impl Address,
         domain: &str,
     ) -> Result<(), FrameworkError> {
+        self.structural()?;
         let at = component.locate(self.dep)?;
         let g = self.dep.global(at);
         let dep = &mut *self.dep;
@@ -1810,9 +1769,12 @@ impl<P: Payload> Reconfiguration<'_, P> {
 
     /// Attaches (or replaces) a declarative timing contract on a live
     /// component, journaled: rollback restores the previous monitor slot —
-    /// recorded histogram included — or removes the new one. Works in any
-    /// reconfigurable mode, since contracts are engine-level observability
-    /// rather than membrane machinery.
+    /// recorded histogram included — or removes the new one. From then on
+    /// every activation of the component is stamped into an
+    /// allocation-free latency histogram with online deadline/jitter
+    /// checking; components without a contract keep paying a single
+    /// integer compare. Works in every mode, since contracts are
+    /// engine-level observability rather than membrane machinery.
     ///
     /// # Errors
     ///
@@ -1831,9 +1793,10 @@ impl<P: Payload> Reconfiguration<'_, P> {
         Ok(())
     }
 
-    /// Detaches a component's timing contract; `true` when one was
-    /// attached. Journaled: rollback restores the exact monitor slot,
-    /// recorded histogram included.
+    /// Detaches a component's timing contract, discarding its recorded
+    /// histogram once committed; `true` when one was attached. Journaled:
+    /// rollback restores the exact monitor slot, recorded histogram
+    /// included. Works in every mode.
     ///
     /// # Errors
     ///
@@ -1853,9 +1816,11 @@ impl<P: Payload> Reconfiguration<'_, P> {
 
     /// Declares (or changes) a component's [`FaultPolicy`], journaled:
     /// rollback writes the pre-transaction policy and supervisor edge back
-    /// (a restart timer the change cancelled stays cancelled). Like
-    /// contracts, this works in any reconfigurable mode — the policy is
-    /// engine-level supervision, not membrane structure.
+    /// (a restart timer the change cancelled stays cancelled). Under
+    /// `Isolate` or `Restart`, a fault in the component quarantines it on
+    /// its own shard while every sibling shard keeps ticking. Like
+    /// contracts, this works in every mode — the policy is engine-level
+    /// supervision, not membrane structure.
     ///
     /// # Errors
     ///
@@ -1866,17 +1831,22 @@ impl<P: Payload> Reconfiguration<'_, P> {
         policy: FaultPolicy,
     ) -> Result<(), FrameworkError> {
         let at = component.locate(self.dep)?;
-        self.supervise(at, |system, slot| {
-            system.set_fault_policy_at(slot, policy).map(drop)
-        })
+        self.supervise(at, |system, slot| system.set_fault_policy_at(slot, policy))
     }
 
-    /// Declares (or clears) a component's supervisor edge, journaled:
-    /// rollback restores the pre-transaction edge. Cycle, validity and
-    /// shard-locality checks run eagerly here (see
-    /// [`Deployment::set_supervisor`]), and every shard's tree is
-    /// re-validated at commit time, so a committed transaction can never
-    /// leave a broken supervision tree behind.
+    /// Declares (or clears, with `None`) a component's supervisor edge,
+    /// journaled: rollback restores the pre-transaction edge. Supervisors
+    /// form a tree: when a fault escalates out of a component whose policy
+    /// is [`FaultPolicy::Escalate`], the engine walks up this tree and the
+    /// first supervisor with a containing policy applies it to the
+    /// **failed subtree** — isolating it with counted drops or restarting
+    /// it as a unit through the timer queue — while the supervisor itself
+    /// and its other branches keep running. Trees are **shard-local**:
+    /// each engine walks its own tree with no cross-shard coordination.
+    /// Cycle, validity and shard-locality checks run eagerly here, and
+    /// every shard's tree is re-validated at commit time, so a committed
+    /// transaction can never leave a broken supervision tree behind. Works
+    /// in every mode — supervision is engine-level recovery machinery.
     ///
     /// # Errors
     ///
@@ -1888,7 +1858,19 @@ impl<P: Payload> Reconfiguration<'_, P> {
         component: A,
         supervisor: Option<A>,
     ) -> Result<(), FrameworkError> {
-        let (at, sup_slot) = self.dep.supervisor_edge(component, supervisor)?;
+        let at = component.locate(self.dep)?;
+        let sup = supervisor.map(|s| s.locate(self.dep)).transpose()?;
+        if let Some(s) = sup.filter(|s| s.shard != at.shard) {
+            return Err(FrameworkError::Unsupported(format!(
+                "supervisor edge '{}' -> '{}' crosses shards ({} -> {}); supervision trees \
+                 are shard-local — escalation never leaves its shard's engine",
+                self.dep.name_of(at)?,
+                self.dep.name_of(s)?,
+                at.shard,
+                s.shard
+            )));
+        }
+        let sup_slot = sup.map(ComponentRef::slot);
         self.supervise(at, |system, slot| {
             system.set_supervisor_at(slot, sup_slot).map(drop)
         })

@@ -19,7 +19,8 @@
 //! stay valid) and journals the replaced header; rollback writes that
 //! pre-image back.
 //! * **ULTRA-MERGE** — the whole system fused into one flat dispatch table;
-//!   purely static, no reconfiguration.
+//!   structurally static: only contracts, fault policies and supervisor
+//!   edges reconfigure.
 //!
 //! All three execute the same RTSJ semantics against
 //! [`rtsj::memory::MemoryManager`] (scope entry/exit, assignment checks,

@@ -1314,17 +1314,21 @@ mod tests {
 
     // -- Live reconfiguration of the partition --------------------------
 
+    /// A structural operation is refused under ULTRA-MERGE, before it
+    /// changes anything.
     #[test]
     fn reconfigure_is_refused_under_ultra_merge() {
         let probe = CountProbe::default();
         let mut sys =
             Deployment::build_parallel(&fan_spec(), Mode::UltraMerge, &registry(&probe), None)
                 .unwrap();
-        let err = sys.reconfigure(|_txn| Ok(())).unwrap_err();
+        let digests = sys.structural_digests();
+        let err = sys.reconfigure(|txn| txn.stop("consumerB")).unwrap_err();
         assert_eq!(
             err.to_string(),
             "unsupported in this mode: ULTRA-MERGE systems are purely static"
         );
+        assert_eq!(sys.structural_digests(), digests);
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub enum Mode {
     /// Membrane merged into its component: one unit per functional
     /// component, reconfiguration at functional level only.
     MergeAll,
-    /// Whole system in a single static unit: no reconfiguration.
+    /// Whole system in a single static unit: only contracts, fault
+    /// policies and supervisor edges reconfigure.
     UltraMerge,
 }
 

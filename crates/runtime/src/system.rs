@@ -858,10 +858,19 @@ impl<P: Payload> System<P> {
             // from the same factory the deploy used (one Arc clone, here,
             // at build — the transaction path never touches it).
             let factory = registry.factory(&c.content_class)?;
-            let content = factory();
+            // The factory and `state_bytes` are user code: a panic in
+            // either is the component's typed fault.
+            let (state, content) = catch_unwind(AssertUnwindSafe(|| {
+                let content = factory();
+                (content.state_bytes(), content)
+            }))
+            .map_err(|payload| FrameworkError::Faulted {
+                component: c.name.clone(),
+                kind: FaultKind::Panic,
+                detail: panic_text(payload.as_ref()),
+            })?;
             factories.push(factory);
-            let state = content.state_bytes().max(1);
-            mm.alloc_raw(&boot_ctx, areas[c.area].id, state)?;
+            mm.alloc_raw(&boot_ctx, areas[c.area].id, state.max(1))?;
             let mut server_ports: Vec<Box<str>> =
                 c.server_ports.iter().map(|p| p.as_str().into()).collect();
             let release_ix = matches!(c.activation, Activation::Periodic { .. }).then(|| {
@@ -1805,7 +1814,9 @@ impl<P: Payload> System<P> {
         Ok(self.set_lifecycle(slot, life.with(Lifecycle::STARTED, started)))
     }
 
-    fn reject_static(&self) -> Result<(), FrameworkError> {
+    /// Refuses structural reconfiguration under ULTRA-MERGE: its fused
+    /// dispatch table is never rewritten after build.
+    pub(crate) fn reject_static(&self) -> Result<(), FrameworkError> {
         if self.mode == Mode::UltraMerge {
             return Err(FrameworkError::Unsupported(
                 "ULTRA-MERGE systems are purely static".into(),
@@ -2857,8 +2868,7 @@ impl<P: Payload> System<P> {
         Ok(())
     }
 
-    /// Declares `slot`'s fault policy, returning the previous one (the
-    /// reconfiguration journal's undo token). Allowed in **every** mode —
+    /// Declares `slot`'s fault policy. Allowed in **every** mode —
     /// supervision is engine-level observability-and-recovery machinery
     /// like timing contracts, not structural reconfiguration, so even
     /// ULTRA-MERGE systems can be supervised.
@@ -2870,18 +2880,17 @@ impl<P: Payload> System<P> {
         &mut self,
         slot: usize,
         policy: FaultPolicy,
-    ) -> Result<FaultPolicy, FrameworkError> {
+    ) -> Result<(), FrameworkError> {
         if slot >= self.nodes.len() {
             return Err(FrameworkError::Content(format!("bad slot {slot}")));
         }
-        let prev = self.supervisors[slot].policy;
-        if prev != policy {
+        if self.supervisors[slot].policy != policy {
             // The old policy's pending restart must not fire under the new
             // one.
             self.cancel_restart_timer(slot);
         }
         self.supervisors[slot].policy = policy;
-        Ok(prev)
+        Ok(())
     }
 
     /// Declares (or clears, with `None`) `slot`'s supervisor in the

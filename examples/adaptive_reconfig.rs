@@ -7,8 +7,9 @@
 //! same RTSJ validation the design-time flow enforces, and rolls back
 //! as a unit otherwise. The same operations are then attempted under
 //! MERGE-ALL (functional-level rebinding still works, membrane
-//! introspection does not) and ULTRA-MERGE (purely static: everything is
-//! refused), matching the paper's capability matrix. Finally a transaction
+//! introspection does not) and ULTRA-MERGE (structurally static: the
+//! rebind is refused, while a fault-policy swap, engine-level supervision,
+//! commits), matching the paper's capability matrix. Finally a transaction
 //! is driven into a validator refusal to demonstrate the rollback.
 //!
 //! ```text
@@ -313,7 +314,9 @@ fn main() -> Result<(), SoleilError> {
         (5, 5)
     );
 
-    // --- ULTRA-MERGE: purely static --------------------------------------
+    // --- ULTRA-MERGE: structurally static ---------------------------------
+    // The membranes are fused away, so a rebind is refused with nothing
+    // changed; a fault policy is engine-level supervision and commits.
     println!("\n== ULTRA-MERGE mode ==");
     let (mut dep, primary, _backup) = build(Mode::UltraMerge)?;
     let producer = dep.resolve("producer")?;
@@ -321,10 +324,22 @@ fn main() -> Result<(), SoleilError> {
     for _ in 0..5 {
         dep.run_transaction(producer)?;
     }
+    let digests = dep.structural_digests();
     match dep.reconfigure(|txn| txn.rebind(producer, "console", backup_ref)) {
-        Err(FrameworkError::Unsupported(msg)) => println!("  reconfigure refused: {msg}"),
+        Err(FrameworkError::Unsupported(msg)) => println!("  rebind refused: {msg}"),
         other => panic!("expected Unsupported, got {other:?}"),
     }
+    assert_eq!(
+        dep.structural_digests(),
+        digests,
+        "the refusal changed nothing"
+    );
+    dep.reconfigure(|txn| txn.set_fault_policy(backup_ref, FaultPolicy::Isolate))?;
+    assert_eq!(dep.fault_policy(backup_ref)?, FaultPolicy::Isolate);
+    println!(
+        "  policy swap committed: backup now {:?}",
+        dep.fault_policy(backup_ref)?
+    );
     println!(
         "  static system kept running: primary={}",
         primary.load(std::sync::atomic::Ordering::Relaxed)

@@ -103,7 +103,8 @@
 //! | `system.inject("name", "port", msg)` | [`Deployment::inject`](runtime::Deployment::inject) with a pre-resolved `PortRef` |
 //! | `system.stop(…)` / `rebind(…)` / `start(…)` | [`Deployment::reconfigure`](runtime::Deployment::reconfigure) transaction |
 //! | `ParallelSystem` / `ParallelReconfiguration` (now type aliases) | [`Deployment`](runtime::Deployment) / [`Reconfiguration`](runtime::Reconfiguration): one handle over 1..N shards, built by [`deploy`] (one shard) or [`deploy_parallel`] (the thread-domain partition) |
-//! | `enable_jitter_monitoring` / `disable_jitter_monitoring` / `jitter_observations`, `txn.install_jitter_monitor` / `remove_jitter_monitor` (SOLEIL only) | [`attach_contract`](runtime::Deployment::attach_contract)`(c, TimingContract::new().with_max_jitter(bound))` / `detach_contract(c)`, directly or in a transaction, in every mode; read [`latency_snapshot`](runtime::Deployment::latency_snapshot)`(c)?.jitter_violations` or `contract_report()` |
+//! | `enable_jitter_monitoring` / `disable_jitter_monitoring` / `jitter_observations`, `txn.install_jitter_monitor` / `remove_jitter_monitor` (SOLEIL only) | [`attach_contract`](runtime::Reconfiguration::attach_contract)`(c, TimingContract::new().with_max_jitter(bound))` / `detach_contract(c)` in a transaction, or as the one-op `Deployment` shorthands, in every mode; read [`latency_snapshot`](runtime::Deployment::latency_snapshot)`(c)?.jitter_violations` or `contract_report()` |
+//! | `dep.set_fault_policy(c, p)?` / `dep.set_supervisor(c, s)?` returning the previous value | read [`fault_policy`](runtime::Deployment::fault_policy)`(c)` / [`supervisor_of`](runtime::Deployment::supervisor_of)`(c)` first: both are one-op transactions now, returning `()` like their [`Reconfiguration`](runtime::Reconfiguration) twins |
 //!
 //! The crates underneath (also usable standalone): [`rtsj`] (substrate),
 //! [`core`] (metamodel/ADL/validator), [`patterns`] (cross-scope patterns),

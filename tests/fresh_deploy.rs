@@ -3,18 +3,24 @@
 //! would be, and a refused transaction changes nothing.
 //!
 //! Random transactions of `rebind`, `reassign_domain` (with and without
-//! re-homing the allocation region) and `stop`/`start` — some ending in
-//! the closure's own error, others refused by the validator, the domain
-//! partition or the buffer-placement rule — run against one architecture
-//! with nested scopes, a heap area and domains of several priorities, in
-//! SOLEIL and MERGE-ALL, on one shard and sharded. After every commit the
-//! deployment is compared with a fresh deploy of `architecture()` that
-//! has the same components stopped: the reified plan (SOLEIL), every
-//! component's priority ceiling, every binding's cross-scope pattern
-//! against the validator's rule on the committed architecture, and the
-//! outcome of one tick. After every refusal the structural digests, the
-//! reified plan and the architecture's JSON form are byte-identical to
-//! before.
+//! re-homing the allocation region), `stop`/`start`, `attach_contract`/
+//! `detach_contract`, `set_fault_policy` and `set_supervisor` — some
+//! ending in the closure's own error, others refused by the validator, the
+//! domain partition, the buffer-placement rule or the supervision tree —
+//! run against one architecture with nested scopes, a heap area and
+//! domains of several priorities, in every mode, on one shard and sharded.
+//! After every commit the deployment is compared with a fresh deploy of
+//! `architecture()` that has the same components stopped and the committed
+//! contracts, policies and supervisor edges applied through the
+//! `Deployment` shorthands: the reified plan (SOLEIL), every component's
+//! priority ceiling, contract, fault policy and supervisor, every
+//! binding's cross-scope pattern against the validator's rule on the
+//! committed architecture, and the outcome of one tick. After every
+//! refusal the structural digests, the reified plan, the architecture's
+//! JSON form and every component's contract, policy and supervisor are
+//! as before. Under ULTRA-MERGE every transaction with a structural
+//! operation is refused, and one of valid engine-level operations
+//! commits.
 
 use proptest::prelude::*;
 use soleil::core::validate::cross_scope_pattern;
@@ -152,13 +158,133 @@ fn registry() -> ContentRegistry<Ping> {
     r
 }
 
+/// The fault policies a transaction may declare.
+const POLICIES: [FaultPolicy; 3] = [
+    FaultPolicy::Escalate,
+    FaultPolicy::Isolate,
+    FaultPolicy::Restart {
+        max_restarts: 2,
+        window: RelativeTime::from_millis(1000),
+        backoff: RelativeTime::from_millis(5),
+    },
+];
+
+/// The contract a transaction may attach.
+fn contract() -> TimingContract {
+    TimingContract::new().with_deadline(RelativeTime::from_millis(500))
+}
+
 /// One operation of a transaction, by index into the name tables.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Rebind { caller: usize, service: usize },
-    Move { component: usize, domain: usize },
+    Rebind {
+        caller: usize,
+        service: usize,
+    },
+    Move {
+        component: usize,
+        domain: usize,
+    },
     Stop(usize),
     Start(usize),
+    Attach(usize),
+    Detach(usize),
+    Policy {
+        component: usize,
+        policy: usize,
+    },
+    Supervise {
+        component: usize,
+        supervisor: Option<usize>,
+    },
+}
+
+impl Op {
+    /// Whether the operation changes structure, which ULTRA-MERGE refuses.
+    fn structural(self) -> bool {
+        matches!(
+            self,
+            Op::Rebind { .. } | Op::Move { .. } | Op::Stop(_) | Op::Start(_)
+        )
+    }
+}
+
+/// The engine-level state the committed transactions declared: per
+/// component, an attached contract, the fault policy and the supervisor.
+#[derive(Debug, Clone, Copy, Default)]
+struct Declared {
+    contract: [bool; COMPONENTS.len()],
+    policy: [usize; COMPONENTS.len()],
+    supervisor: [Option<usize>; COMPONENTS.len()],
+}
+
+impl Declared {
+    /// Applies an engine-level operation; structural ones change nothing
+    /// here.
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Attach(c) => self.contract[c] = true,
+            Op::Detach(c) => self.contract[c] = false,
+            Op::Policy { component, policy } => self.policy[component] = policy,
+            Op::Supervise {
+                component,
+                supervisor,
+            } => self.supervisor[component] = supervisor,
+            _ => {}
+        }
+    }
+
+    /// Whether `component → supervisor` is an edge the engine accepts
+    /// now: not onto itself, within one shard, closing no cycle.
+    fn accepts(&self, dep: &Deployment<Ping>, component: usize, supervisor: usize) -> bool {
+        let mut up = Some(supervisor);
+        while let Some(s) = up {
+            if s == component {
+                return false;
+            }
+            up = self.supervisor[s];
+        }
+        same_shard(dep, component, supervisor)
+    }
+
+    /// `component`'s declared supervisor, unless `dep`'s partition splits
+    /// the edge: a rebind can uncouple two domains, and a fresh deploy
+    /// then partitions them apart, while the live partition is static.
+    fn supervisor_on(&self, dep: &Deployment<Ping>, component: usize) -> Option<usize> {
+        self.supervisor[component].filter(|&s| same_shard(dep, component, s))
+    }
+
+    /// Declares this state on `dep` through the `Deployment` shorthands,
+    /// in component order: every prefix of an acyclic set of edges is
+    /// acyclic, so each edge commits.
+    fn declare_on(&self, dep: &mut Deployment<Ping>) {
+        for (c, name) in COMPONENTS.iter().enumerate() {
+            if self.contract[c] {
+                dep.attach_contract(*name, contract()).unwrap();
+            }
+            dep.set_fault_policy(*name, POLICIES[self.policy[c]])
+                .unwrap();
+            let supervisor = self.supervisor_on(dep, c).map(|s| COMPONENTS[s]);
+            dep.set_supervisor(*name, supervisor).unwrap();
+        }
+    }
+
+    /// What [`engine_level`] must read on `dep`.
+    fn expected_on(&self, dep: &Deployment<Ping>) -> Vec<EngineLevel> {
+        (0..COMPONENTS.len())
+            .map(|c| {
+                (
+                    self.contract[c].then(contract),
+                    POLICIES[self.policy[c]],
+                    self.supervisor_on(dep, c).map(|s| COMPONENTS[s].to_owned()),
+                )
+            })
+            .collect()
+    }
+}
+
+fn same_shard(dep: &Deployment<Ping>, a: usize, b: usize) -> bool {
+    dep.shard_of_component(COMPONENTS[a]) == dep.shard_of_component(COMPONENTS[b])
 }
 
 /// A transaction: its operations, and whether its closure then fails.
@@ -169,17 +295,32 @@ struct Txn {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..4, 0usize..COMPONENTS.len(), 0usize..SERVICES.len()).prop_map(|(kind, a, b)| match kind {
+    (0u8..9, 0usize..COMPONENTS.len(), 0usize..COMPONENTS.len()).prop_map(|(kind, a, b)| match kind
+    {
         0 => Op::Rebind {
             caller: a % CALLERS.len(),
-            service: b,
+            service: b % SERVICES.len(),
         },
         1 => Op::Move {
             component: a % MOVABLE.len(),
             domain: b % DOMAINS.len(),
         },
         2 => Op::Stop(a),
-        _ => Op::Start(a),
+        3 => Op::Start(a),
+        4 => Op::Attach(a),
+        5 => Op::Detach(a),
+        6 => Op::Policy {
+            component: a,
+            policy: b % POLICIES.len(),
+        },
+        7 => Op::Supervise {
+            component: a,
+            supervisor: Some(b),
+        },
+        _ => Op::Supervise {
+            component: a,
+            supervisor: None,
+        },
     })
 }
 
@@ -199,12 +340,33 @@ fn build(arch: &ValidatedArchitecture, mode: Mode, sharded: bool) -> Deployment<
     .unwrap()
 }
 
-/// What a refused transaction must leave byte-identical.
-fn snapshot(dep: &Deployment<Ping>) -> (Vec<u64>, Option<SystemSpec>, String) {
+/// A component's contract, fault policy and supervisor's name.
+type EngineLevel = (Option<TimingContract>, FaultPolicy, Option<String>);
+
+/// Every component's [`EngineLevel`] state.
+fn engine_level(dep: &Deployment<Ping>) -> Vec<EngineLevel> {
+    COMPONENTS
+        .iter()
+        .map(|c| {
+            let supervisor = dep.supervisor_of(*c).unwrap();
+            (
+                dep.contract_of(*c).unwrap(),
+                dep.fault_policy(*c).unwrap(),
+                supervisor.map(|s| dep.name_of(s).unwrap().to_owned()),
+            )
+        })
+        .collect()
+}
+
+/// What a refused transaction must leave unchanged.
+type Snapshot = (Vec<u64>, Option<SystemSpec>, String, Vec<EngineLevel>);
+
+fn snapshot(dep: &Deployment<Ping>) -> Snapshot {
     (
         dep.structural_digests(),
         dep.reified_spec().cloned(),
         soleil::core::adl::to_json(dep.architecture()),
+        engine_level(dep),
     )
 }
 
@@ -215,6 +377,7 @@ fn check_against_fresh_deploys(mode: Mode, sharded: bool, txns: &[Txn]) {
     let mut dep = build(&oracle_arch(), mode, sharded);
     assert_eq!(dep.shard_count(), if sharded { 3 } else { 1 }, "{shape}");
     let mut stopped = [false; COMPONENTS.len()];
+    let mut declared = Declared::default();
     for (t, txn) in txns.iter().enumerate() {
         let before = snapshot(&dep);
         let result = dep.reconfigure(|r| {
@@ -228,6 +391,19 @@ fn check_against_fresh_deploys(mode: Mode, sharded: bool, txns: &[Txn]) {
                     }
                     Op::Stop(c) => r.stop(COMPONENTS[c])?,
                     Op::Start(c) => r.start(COMPONENTS[c])?,
+                    Op::Attach(c) => r.attach_contract(COMPONENTS[c], contract())?,
+                    Op::Detach(c) => {
+                        r.detach_contract(COMPONENTS[c])?;
+                    }
+                    Op::Policy { component, policy } => {
+                        r.set_fault_policy(COMPONENTS[component], POLICIES[policy])?
+                    }
+                    Op::Supervise {
+                        component,
+                        supervisor,
+                    } => {
+                        r.set_supervisor(COMPONENTS[component], supervisor.map(|s| COMPONENTS[s]))?
+                    }
                 }
             }
             if txn.fails {
@@ -236,6 +412,32 @@ fn check_against_fresh_deploys(mode: Mode, sharded: bool, txns: &[Txn]) {
             Ok(())
         });
         let at = format!("{shape}, transaction {t} {txn:?}");
+        if mode == Mode::UltraMerge {
+            // The first operation that must fail, if any: a structural
+            // one, or a supervisor edge the engine does not accept.
+            let mut model = declared;
+            let first_refusal = txn.ops.iter().find(|op| {
+                let refused = match **op {
+                    Op::Supervise {
+                        component,
+                        supervisor: Some(s),
+                    } => !model.accepts(&dep, component, s),
+                    op => op.structural(),
+                };
+                model.apply(**op);
+                refused
+            });
+            match (first_refusal, &result) {
+                (Some(op), Err(e)) if op.structural() => assert_eq!(
+                    e.to_string(),
+                    "unsupported in this mode: ULTRA-MERGE systems are purely static",
+                    "{at}"
+                ),
+                (Some(_), Err(_)) => {}
+                (None, _) => assert_eq!(result.is_ok(), !txn.fails, "{at}: {result:?}"),
+                (Some(op), Ok(())) => panic!("{at}: committed, but {op:?} must refuse"),
+            }
+        }
         if let Err(e) = result {
             assert!(snapshot(&dep) == before, "{at}: refused ({e}) but changed");
             continue;
@@ -244,7 +446,7 @@ fn check_against_fresh_deploys(mode: Mode, sharded: bool, txns: &[Txn]) {
             match op {
                 Op::Stop(c) => stopped[c] = true,
                 Op::Start(c) => stopped[c] = false,
-                _ => {}
+                op => declared.apply(op),
             }
         }
 
@@ -256,9 +458,20 @@ fn check_against_fresh_deploys(mode: Mode, sharded: bool, txns: &[Txn]) {
                 names.try_for_each(|(c, _)| r.stop(*c))
             })
             .unwrap();
+        declared.declare_on(&mut fresh);
         assert!(
             dep.reified_spec() == fresh.reified_spec(),
             "{at}: the plan drifted from a fresh deploy's"
+        );
+        assert_eq!(
+            engine_level(&dep),
+            declared.expected_on(&dep),
+            "{at}: committed contracts, policies and supervisors"
+        );
+        assert_eq!(
+            engine_level(&fresh),
+            declared.expected_on(&fresh),
+            "{at}: the fresh deploy's contracts, policies and supervisors"
         );
         for c in COMPONENTS {
             assert_eq!(
@@ -292,8 +505,10 @@ proptest! {
         for (mode, sharded) in [
             (Mode::Soleil, false),
             (Mode::MergeAll, false),
+            (Mode::UltraMerge, false),
             (Mode::Soleil, true),
             (Mode::MergeAll, true),
+            (Mode::UltraMerge, true),
         ] {
             check_against_fresh_deploys(mode, sharded, &txns);
         }

@@ -7,6 +7,7 @@
 //! |---|---|---|---|
 //! | membrane introspection | yes | no | no |
 //! | reconfigure (stop/start/rebind/domain) | yes | yes | no |
+//! | reconfigure (contracts/policies/supervisors) | yes | yes | yes |
 //! | reified deployment spec | yes | no | no |
 
 use soleil::core::validate::Diagnostic;
@@ -979,8 +980,9 @@ fn contracts_attach_and_detach_transactionally() {
         assert_eq!(dep.deadline_misses(), 0, "{mode}");
     }
 
-    // ULTRA-MERGE refuses reconfiguration, but deploy-time attachment is
-    // engine-level observability and still works.
+    // ULTRA-MERGE refuses structural operations, but a contract is
+    // engine-level observability: the shorthand's one-op transaction
+    // commits there too.
     let Fixture { mut dep, .. } = fixture(Mode::UltraMerge);
     let caller = dep.resolve("caller").unwrap();
     dep.attach_contract(
@@ -1158,28 +1160,31 @@ fn refused_policy_swap_mid_backoff_leaves_no_stale_restart_handle() {
     assert_eq!(restarts, 0);
 }
 
-/// Supervisor edges are journaled reconfiguration ops: a committed
-/// transaction installs the declared tree, an edge that would close a
-/// cycle is refused eagerly, and a failing transaction rolls the
-/// pre-transaction edges back exactly. ULTRA-MERGE refuses `reconfigure`
-/// wholesale (purely static), but the *direct* `set_supervisor` still
-/// works there — supervision is engine-level recovery machinery, not
-/// structural reconfiguration.
+/// Supervisor edges are journaled reconfiguration ops in every mode,
+/// ULTRA-MERGE included — supervision is engine-level recovery machinery,
+/// not structural reconfiguration. The shorthand and a transaction install
+/// the same edge; a committed transaction installs the declared tree, an
+/// edge that would close a cycle is refused eagerly, and a failing
+/// transaction rolls the pre-transaction edges back exactly.
 #[test]
 fn supervisor_edges_reconfigure_transactionally() {
-    // ULTRA-MERGE: no transactions, but the direct edge API is open.
-    {
-        let Fixture { mut dep, .. } = fixture(Mode::UltraMerge);
-        let caller = dep.resolve("caller").unwrap();
-        let svc_a = dep.resolve("svc-a").unwrap();
-        let err = dep
-            .reconfigure(|txn| txn.set_supervisor(caller, Some(svc_a)))
-            .unwrap_err();
-        assert!(matches!(err, FrameworkError::Unsupported(_)), "got {err}");
-        dep.set_supervisor(caller, Some(svc_a)).unwrap();
-        assert_eq!(dep.supervisor_of(caller).unwrap(), Some(svc_a));
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        let mut txn = fixture(mode).dep;
+        let mut shorthand = fixture(mode).dep;
+        txn.reconfigure(|t| t.set_supervisor("caller", Some("svc-a")))
+            .unwrap();
+        shorthand.set_supervisor("caller", Some("svc-a")).unwrap();
+        for dep in [&txn, &shorthand] {
+            let sup = dep.supervisor_of("caller").unwrap();
+            assert_eq!(sup, Some(dep.resolve("svc-a").unwrap()), "{mode}");
+        }
+        assert_eq!(
+            txn.structural_digests(),
+            shorthand.structural_digests(),
+            "{mode}"
+        );
     }
-    for mode in [Mode::Soleil, Mode::MergeAll] {
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
         let Fixture { mut dep, .. } = fixture(mode);
         let caller = dep.resolve("caller").unwrap();
         let svc_a = dep.resolve("svc-a").unwrap();
@@ -2011,12 +2016,9 @@ impl Content<Ping> for CheckpointProbe {
     }
 }
 
-/// `enable_checkpoint`'s probe runs under a catch: a panicking
-/// `state_bytes` or `checkpoint` is a typed fault, with nothing enabled,
-/// charged or changed, in every mode, on one shard and sharded. Once the
-/// probe stops panicking, the capability enables.
-#[test]
-fn a_panicking_checkpoint_probe_is_a_typed_fault() {
+/// `probe` (class `Probe`) and `other` (class `Counter`), each periodic in
+/// its own domain, so the partition has two shards.
+fn checkpoint_probe_arch() -> ValidatedArchitecture {
     let mut bv = BusinessView::new("checkpoint-probe");
     for c in ["probe", "other"] {
         bv.active_periodic(c, "5ms").unwrap();
@@ -2035,8 +2037,16 @@ fn a_panicking_checkpoint_probe_is_a_typed_fault() {
         &["rt", "rt-other"],
     )
     .unwrap();
-    let arch = flow.merge().unwrap().into_validated().unwrap();
+    flow.merge().unwrap().into_validated().unwrap()
+}
 
+/// `enable_checkpoint`'s probe runs under a catch: a panicking
+/// `state_bytes` or `checkpoint` is a typed fault, with nothing enabled,
+/// charged or changed, in every mode, on one shard and sharded. Once the
+/// probe stops panicking, the capability enables.
+#[test]
+fn a_panicking_checkpoint_probe_is_a_typed_fault() {
+    let arch = checkpoint_probe_arch();
     for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
         for sharded in [false, true] {
             let arm = Arc::new(AtomicU32::new(0));
@@ -2318,5 +2328,235 @@ fn a_panicking_state_bytes_on_a_rehoming_move_is_a_typed_fault() {
         dep.reconfigure(|txn| txn.reassign_domain("x", "rt-scope"))
             .unwrap();
         dep.run_tick().unwrap();
+    }
+}
+
+/// The registry factory and the content's `state_bytes` run under one
+/// catch at build: a panic in either reaches `deploy` and
+/// `deploy_parallel` as the component's typed fault, in every mode.
+#[test]
+fn a_panicking_factory_or_state_bytes_at_build_is_a_typed_fault() {
+    let arch = checkpoint_probe_arch();
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        for sharded in [false, true] {
+            for in_factory in [true, false] {
+                let mut registry: ContentRegistry<Ping> = ContentRegistry::new();
+                if in_factory {
+                    registry.register("Probe", || panic!("the factory panicked"));
+                } else {
+                    let arm = Arc::new(AtomicU32::new(1));
+                    registry.register("Probe", move || Box::new(CheckpointProbe(arm.clone())));
+                }
+                registry.register("Counter", || Box::new(Counter(Arc::default())));
+                let shape = format!("{mode} sharded={sharded} in_factory={in_factory}");
+                let built = if sharded {
+                    deploy_parallel(&arch, mode, &registry)
+                } else {
+                    deploy(&arch, mode, &registry)
+                };
+                match built {
+                    Err(GeneratorError::Build(err)) => {
+                        assert!(is_hook_panic(&err, "probe"), "{shape}: {err}");
+                    }
+                    Err(err) => panic!("{shape}: {err}"),
+                    Ok(_) => panic!("{shape}: the build ignored the panic"),
+                }
+            }
+        }
+    }
+}
+
+/// One of the four engine-level writes, on components of the
+/// [`probe_fixture`].
+#[derive(Debug, Clone, Copy)]
+enum Write {
+    Attach(&'static str),
+    Detach(&'static str),
+    Policy(&'static str, FaultPolicy),
+    Supervise(&'static str, Option<&'static str>),
+}
+
+/// What a [`Write`] must do on a shape: commit, or be refused with an
+/// error whose text contains the given words (everywhere, or only when
+/// sharded, committing on one shard).
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    Commits,
+    Refused(&'static str),
+    RefusedWhenSharded(&'static str),
+}
+
+/// The probe fixture's components.
+const PROBE_COMPONENTS: [&str; 6] = ["caller", "ticker", "other", "svc-a", "svc-b", "svc-c"];
+
+fn probe_contract() -> TimingContract {
+    TimingContract::new().with_deadline(RelativeTime::from_millis(500))
+}
+
+impl Write {
+    /// Applies the write through its `Deployment` shorthand or as a
+    /// one-op transaction: `Ok` with detach's flag, or the error's text.
+    fn apply(self, dep: &mut Deployment<Ping>, as_txn: bool) -> Result<Option<bool>, String> {
+        let result = match (self, as_txn) {
+            (Write::Attach(c), false) => dep.attach_contract(c, probe_contract()).map(|_| None),
+            (Write::Attach(c), true) => dep
+                .reconfigure(|t| t.attach_contract(c, probe_contract()))
+                .map(|_| None),
+            (Write::Detach(c), false) => dep.detach_contract(c).map(Some),
+            (Write::Detach(c), true) => dep.reconfigure(|t| t.detach_contract(c)).map(Some),
+            (Write::Policy(c, p), false) => dep.set_fault_policy(c, p).map(|_| None),
+            (Write::Policy(c, p), true) => {
+                dep.reconfigure(|t| t.set_fault_policy(c, p)).map(|_| None)
+            }
+            (Write::Supervise(c, s), false) => dep.set_supervisor(c, s).map(|_| None),
+            (Write::Supervise(c, s), true) => {
+                dep.reconfigure(|t| t.set_supervisor(c, s)).map(|_| None)
+            }
+        };
+        result.map_err(|e| e.to_string())
+    }
+
+    /// Whether `dep` shows the write's effect.
+    fn took(self, dep: &Deployment<Ping>) -> bool {
+        match self {
+            Write::Attach(c) => dep.contract_of(c).unwrap() == Some(probe_contract()),
+            Write::Detach(c) => dep.contract_of(c).unwrap().is_none(),
+            Write::Policy(c, p) => dep.fault_policy(c).unwrap() == p,
+            Write::Supervise(c, s) => supervisor_name(dep, c) == s.map(str::to_owned),
+        }
+    }
+}
+
+fn supervisor_name(dep: &Deployment<Ping>, component: &str) -> Option<String> {
+    let sup = dep.supervisor_of(component).unwrap()?;
+    Some(dep.name_of(sup).unwrap().to_owned())
+}
+
+/// What the four writes change, per probe component, and every shard's
+/// structural digest.
+type WriteState = (
+    Vec<(Option<TimingContract>, FaultPolicy, Option<String>)>,
+    Vec<u64>,
+);
+
+fn write_state(dep: &Deployment<Ping>) -> WriteState {
+    let per_component = PROBE_COMPONENTS.map(|c| {
+        (
+            dep.contract_of(c).unwrap(),
+            dep.fault_policy(c).unwrap(),
+            supervisor_name(dep, c),
+        )
+    });
+    (per_component.to_vec(), dep.structural_digests())
+}
+
+/// Each of the four engine-level writes has one implementation, the
+/// journaled operation: its `Deployment` shorthand and a one-op
+/// `reconfigure` give the same `Ok` or the same error text, and leave the
+/// same contracts, policies, supervisor edges and structural digests, in
+/// every mode (ULTRA-MERGE included), on one shard and sharded. A refused
+/// write leaves all of these as they were. Under ULTRA-MERGE every
+/// structural operation is refused with the digests and the architecture
+/// unchanged.
+#[test]
+fn shorthands_and_one_op_transactions_agree_in_every_mode() {
+    let restart = FaultPolicy::Restart {
+        max_restarts: 2,
+        window: RelativeTime::from_millis(1000),
+        backoff: RelativeTime::from_millis(5),
+    };
+    let writes = [
+        (Write::Attach("caller"), Expect::Commits),
+        (
+            Write::Attach("ghost"),
+            Expect::Refused("unknown component 'ghost'"),
+        ),
+        (
+            Write::Policy("svc-a", FaultPolicy::Isolate),
+            Expect::Commits,
+        ),
+        (
+            Write::Policy("ghost", FaultPolicy::Isolate),
+            Expect::Refused("unknown component 'ghost'"),
+        ),
+        (Write::Supervise("caller", Some("ticker")), Expect::Commits),
+        (Write::Supervise("ticker", Some("svc-a")), Expect::Commits),
+        (
+            Write::Supervise("ticker", Some("ticker")),
+            Expect::Refused("cannot supervise itself"),
+        ),
+        (
+            Write::Supervise("svc-a", Some("caller")),
+            Expect::Refused("supervision cycle"),
+        ),
+        (
+            Write::Supervise("ghost", None),
+            Expect::Refused("unknown component 'ghost'"),
+        ),
+        (
+            Write::Supervise("caller", Some("other")),
+            Expect::RefusedWhenSharded("crosses shards"),
+        ),
+        (Write::Supervise("caller", None), Expect::Commits),
+        (Write::Detach("caller"), Expect::Commits),
+        (Write::Detach("caller"), Expect::Commits),
+        (
+            Write::Detach("ghost"),
+            Expect::Refused("unknown component 'ghost'"),
+        ),
+        (Write::Policy("caller", restart), Expect::Commits),
+    ];
+    for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+        for sharded in [false, true] {
+            let hooks = Arc::new(Hooks::default());
+            let mut shorthand = probe_fixture(mode, sharded, &hooks);
+            let mut txn = probe_fixture(mode, sharded, &hooks);
+            for (write, expect) in writes {
+                let at = format!("{mode} sharded={sharded}: {write:?}");
+                let before = write_state(&shorthand);
+                let got = write.apply(&mut shorthand, false);
+                assert_eq!(got, write.apply(&mut txn, true), "{at}");
+                assert_eq!(write_state(&shorthand), write_state(&txn), "{at}");
+                let refused_with = match expect {
+                    Expect::Refused(words) => Some(words),
+                    Expect::RefusedWhenSharded(words) if sharded => Some(words),
+                    _ => None,
+                };
+                match (refused_with, &got) {
+                    (None, Ok(_)) => assert!(write.took(&shorthand), "{at}"),
+                    (Some(words), Err(e)) => {
+                        assert!(e.contains(words), "{at}: {e}");
+                        assert_eq!(write_state(&shorthand), before, "{at}");
+                    }
+                    _ => panic!("{at}: expected {expect:?}, got {got:?}"),
+                }
+            }
+            if mode == Mode::UltraMerge {
+                assert_structural_refusals(&mut txn, &format!("sharded={sharded}"));
+            }
+        }
+    }
+}
+
+/// Every structural operation of an ULTRA-MERGE deployment is refused,
+/// before it changes anything.
+fn assert_structural_refusals(dep: &mut Deployment<Ping>, shape: &str) {
+    type Op = fn(&mut Reconfiguration<'_, Ping>) -> Result<(), FrameworkError>;
+    let ops: [(&str, Op); 5] = [
+        ("stop", |t| t.stop("svc-b")),
+        ("start", |t| t.start("svc-b")),
+        ("rebind", |t| t.rebind("caller", "svc", "svc-b")),
+        ("rebind_async", |t| t.rebind_async("caller", "svc", "svc-b")),
+        ("reassign_domain", |t| t.reassign_domain("caller", "rt-low")),
+    ];
+    let before = probe_state(dep);
+    for (name, op) in ops {
+        let err = dep.reconfigure(op).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unsupported in this mode: ULTRA-MERGE systems are purely static",
+            "{shape}: {name}"
+        );
+        assert_eq!(probe_state(dep), before, "{shape}: {name}");
     }
 }
