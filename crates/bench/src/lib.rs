@@ -377,13 +377,68 @@ pub struct SteadyStateRow {
     pub dropped_messages: u64,
 }
 
-/// Runs the steady-state perf gate: warms each implementation, then times
-/// `observations` transactions while counting heap allocations through
-/// `heap_allocs` (a reading of the caller's counting global allocator —
-/// binaries include `alloc_probe.rs` to get one; passing a constant
-/// function degrades gracefully to timing only).
+/// Observations a serial steady-state row takes per turn: the rows take
+/// turns in blocks of this many, so a host's ramp-up or a slow phase
+/// spreads over every row instead of landing on whichever row runs first.
+const STEADY_BLOCK: usize = 250;
+
+/// One serial row of the steady-state artifact: the transaction it times
+/// and the counters its gate reads.
+trait SteadySubject {
+    /// One steady-state transaction.
+    fn transaction(&mut self) -> HarnessResult<()>;
+
+    /// Substrate allocations, string compares, deadline misses and dropped
+    /// messages so far.
+    fn counters(&self) -> [u64; 4];
+}
+
+impl SteadySubject for OoSystem {
+    fn transaction(&mut self) -> HarnessResult<()> {
+        Ok(self.run_transaction()?)
+    }
+
+    // The OO row runs no framework code: nothing to compare, miss or drop.
+    fn counters(&self) -> [u64; 4] {
+        [self.alloc_count(), 0, 0, 0]
+    }
+}
+
+/// A generated deployment of the motivation scenario and its head.
+struct Deployed {
+    dep: Deployment<soleil::scenario::Measurement>,
+    head: ComponentRef,
+}
+
+impl SteadySubject for Deployed {
+    fn transaction(&mut self) -> HarnessResult<()> {
+        Ok(self.dep.run_transaction(self.head)?)
+    }
+
+    fn counters(&self) -> [u64; 4] {
+        [
+            self.dep.memory().alloc_count(),
+            self.dep.string_compares(),
+            self.dep.deadline_misses(),
+            self.dep.stats().dropped_messages,
+        ]
+    }
+}
+
+/// Runs the steady-state perf gate: warms every implementation, then times
+/// `observations` transactions of each while counting heap allocations
+/// through `heap_allocs` (a reading of the caller's counting global
+/// allocator — binaries include `alloc_probe.rs` to get one; passing a
+/// constant function degrades gracefully to timing only).
 ///
-/// The measured loop itself is allocation-free: the sample buffer is
+/// The serial rows (OO and the three modes) are timed interleaved: after
+/// every row is warm, they take turns in blocks of `STEADY_BLOCK` (250)
+/// observations, in an order that rotates by one row per round, and each
+/// row's counters sum its blocks. The `PARALLEL` row is timed after them,
+/// in one run: its tick loop reports a median per run, not per call, so
+/// blocks of it would not merge into one median.
+///
+/// The measured loop itself is allocation-free: the sample buffers are
 /// provisioned before counting starts.
 ///
 /// # Errors
@@ -396,82 +451,80 @@ pub fn run_steady_state(
 ) -> HarnessResult<Vec<SteadyStateRow>> {
     use std::time::Instant;
 
-    let mut rows = Vec::with_capacity(4);
-    // `dispatch` reads the engine's string-compare counter; warm-up
-    // precedes the baseline reading, so one-time interning scans are
-    // excluded from the steady-state deltas.
-    let measure = |label: &str,
-                   substrate: &mut dyn FnMut() -> u64,
-                   dispatch: &mut dyn FnMut() -> u64,
-                   misses: &mut dyn FnMut() -> u64,
-                   dropped: &mut dyn FnMut() -> u64,
-                   op: &mut dyn FnMut() -> HarnessResult<()>|
-     -> HarnessResult<SteadyStateRow> {
-        for _ in 0..warmup {
-            op()?;
-        }
-        let mut nanos: Vec<u64> = Vec::with_capacity(observations);
-        let substrate_before = substrate();
-        let compares_before = dispatch();
-        let misses_before = misses();
-        let dropped_before = dropped();
-        let heap_before = heap_allocs();
-        for _ in 0..observations {
-            let start = Instant::now();
-            op()?;
-            nanos.push(start.elapsed().as_nanos() as u64);
-        }
-        let heap_delta = heap_allocs() - heap_before;
-        let substrate_delta = substrate() - substrate_before;
-        let compares_after = dispatch();
-        let samples = soleil::runtime::instrument::LatencySamples::from_nanos(nanos);
-        Ok(SteadyStateRow {
-            label: label.to_string(),
-            median_ns: samples.percentile(50.0).unwrap_or(0),
-            allocs_per_transaction: heap_delta as f64 / observations as f64,
-            substrate_allocs_per_transaction: substrate_delta as f64 / observations as f64,
-            string_compares_per_transaction: (compares_after - compares_before) as f64
-                / observations as f64,
-            deadline_misses: misses() - misses_before,
-            dropped_messages: dropped() - dropped_before,
-        })
-    };
-
     let probe = ScenarioProbe::new();
-    let oo = std::cell::RefCell::new(OoSystem::new(&probe)?);
-    rows.push(measure(
-        "OO",
-        &mut || oo.borrow().alloc_count(),
-        &mut || 0,
-        &mut || 0,
-        &mut || 0,
-        &mut || Ok(oo.borrow_mut().run_transaction()?),
-    )?);
-
+    let mut subjects: Vec<(String, Box<dyn SteadySubject>)> =
+        vec![("OO".into(), Box::new(OoSystem::new(&probe)?))];
     let arch = motivation_validated()?;
     for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
         let probe = ScenarioProbe::new();
-        let dep = std::cell::RefCell::new(deploy(&arch, mode, &registry_with_probe(&probe))?);
-        let head = dep.borrow().resolve("ProductionLine")?;
+        let mut dep = deploy(&arch, mode, &registry_with_probe(&probe))?;
+        let head = dep.resolve("ProductionLine")?;
         // The gate covers the *monitored* hot path: a deadline contract on
         // the head (generous enough that a healthy run never misses) plus
         // an armed-but-unfired release keep the release engine live
         // through every measured transaction.
-        dep.borrow_mut()
-            .attach_contract(head, baseline_contract())?;
-        dep.borrow_mut().schedule_release(head, AbsoluteTime::MAX)?;
-        rows.push(measure(
-            &mode.to_string(),
-            &mut || dep.borrow().memory().alloc_count(),
-            &mut || dep.borrow().string_compares(),
-            &mut || dep.borrow().deadline_misses(),
-            &mut || dep.borrow().stats().dropped_messages,
-            &mut || Ok(dep.borrow_mut().run_transaction(head)?),
-        )?);
+        dep.attach_contract(head, baseline_contract())?;
+        dep.schedule_release(head, AbsoluteTime::MAX)?;
+        subjects.push((mode.to_string(), Box::new(Deployed { dep, head })));
     }
 
-    rows.push(run_parallel_steady(warmup, observations, &heap_allocs)?);
-    Ok(rows)
+    // Warm-up precedes every counter reading, so one-time interning scans
+    // are excluded from the steady-state deltas.
+    for (_, subject) in &mut subjects {
+        for _ in 0..warmup {
+            subject.transaction()?;
+        }
+    }
+    let rows = subjects.len();
+    let mut nanos: Vec<Vec<u64>> = (0..rows)
+        .map(|_| Vec::with_capacity(observations))
+        .collect();
+    // Per row: heap allocations, then the subject's four counters.
+    let mut deltas = vec![[0u64; 5]; rows];
+    let (mut taken, mut round) = (0, 0);
+    while taken < observations {
+        let block = STEADY_BLOCK.min(observations - taken);
+        for turn in 0..rows {
+            let r = (round + turn) % rows;
+            let subject = &mut subjects[r].1;
+            let before = subject.counters();
+            let heap_before = heap_allocs();
+            for _ in 0..block {
+                let start = Instant::now();
+                subject.transaction()?;
+                nanos[r].push(start.elapsed().as_nanos() as u64);
+            }
+            deltas[r][0] += heap_allocs() - heap_before;
+            for (total, (after, before)) in deltas[r][1..]
+                .iter_mut()
+                .zip(subject.counters().into_iter().zip(before))
+            {
+                *total += after - before;
+            }
+        }
+        taken += block;
+        round += 1;
+    }
+
+    let per_txn = |count: u64| count as f64 / observations as f64;
+    let mut out = Vec::with_capacity(rows + 1);
+    for (((label, _), nanos), [heap, substrate, compares, misses, dropped]) in
+        subjects.iter().zip(nanos).zip(deltas)
+    {
+        out.push(SteadyStateRow {
+            label: label.clone(),
+            median_ns: LatencySamples::from_nanos(nanos)
+                .percentile(50.0)
+                .unwrap_or(0),
+            allocs_per_transaction: per_txn(heap),
+            substrate_allocs_per_transaction: per_txn(substrate),
+            string_compares_per_transaction: per_txn(compares),
+            deadline_misses: misses,
+            dropped_messages: dropped,
+        });
+    }
+    out.push(run_parallel_steady(warmup, observations, &heap_allocs)?);
+    Ok(out)
 }
 
 /// The timing contract armed on the baseline scenario's head during every

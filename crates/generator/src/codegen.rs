@@ -197,6 +197,10 @@ fn emit_soleil(spec: &SystemSpec) -> Vec<GeneratedUnit> {
             src,
             "    chain: CompiledChain,  // deploy-time plan: {plan}"
         );
+        let _ = writeln!(
+            src,
+            "    poisoned: bool,  // set by a contained panic until a restart"
+        );
         let _ = writeln!(src, "    // binding table:");
         emit_bindings_table(spec, slot, &mut src);
         let _ = writeln!(src, "}}");
@@ -211,10 +215,15 @@ fn emit_soleil(spec: &SystemSpec) -> Vec<GeneratedUnit> {
             "        self.lifecycle.assert_started(\"{}\")?;",
             c.name
         );
+        let _ = writeln!(
+            src,
+            "        if self.poisoned {{ return Err(poisoned(\"{}\")); }}  // restart required",
+            c.name
+        );
         if !matches!(c.activation, Activation::Passive) {
             let _ = writeln!(
                 src,
-                "        self.chain.steps[0].pre(mm, ctx)  // InterceptStep::Active, fused: no dyn dispatch"
+                "        self.chain.guard.pre(mm, ctx)  // ActiveInterceptor inline, fused: no walk, no dyn dispatch"
             );
         } else {
             let _ = writeln!(src, "        Ok(())  // empty compiled plan");

@@ -100,6 +100,13 @@ impl ActiveInterceptor {
     pub fn reset(&mut self) {
         self.busy = false;
     }
+
+    /// The refusal of a second activation while one is in flight.
+    #[cold]
+    #[inline(never)]
+    fn reentrant() -> FrameworkError {
+        FrameworkError::RunToCompletion("re-entrant activation of an active component".into())
+    }
 }
 
 impl Interceptor for ActiveInterceptor {
@@ -115,21 +122,23 @@ impl Interceptor for ActiveInterceptor {
         self
     }
 
+    // Inlinable across crates: a fused membrane runs these in the
+    // engine's invoke routine, not through a call.
+    #[inline]
     fn pre(
         &mut self,
         _mm: &mut MemoryManager,
         _ctx: &mut MemoryContext,
     ) -> Result<(), FrameworkError> {
         if self.busy {
-            return Err(FrameworkError::RunToCompletion(
-                "re-entrant activation of an active component".into(),
-            ));
+            return Err(Self::reentrant());
         }
         self.busy = true;
         self.activations += 1;
         Ok(())
     }
 
+    #[inline]
     fn post(
         &mut self,
         _mm: &mut MemoryManager,

@@ -27,23 +27,35 @@
 //!
 //! The membrane's *structure* stays dynamic — interceptors can be pushed
 //! and removed on a live component — but its *execution* is compiled. At
-//! every structural change the chain is flattened into a [`CompiledChain`]:
+//! every structural change the chain is compiled into a [`CompiledChain`]:
 //! a dense array of [`interceptors::InterceptStep`] enum variants executed
 //! by a branch-predictable `match` loop, so no `Box<dyn Interceptor>`
 //! virtual call remains on the steady-state invoke path (unknown
 //! interceptor types fall back to a `Dyn` step and keep the old dynamic
 //! behavior). The overwhelmingly common deployed shape — a lifecycle gate
 //! plus one run-to-completion guard — is fused further
-//! ([`ChainFusion::FusedActive`]): `pre_invoke`/`post_invoke` collapse to a
-//! single pass with no chain walk at all — decide at deploy time, run
-//! straight-line code at tick time, exactly the erasable-framework claim
-//! the MERGE modes exist to demonstrate. [`Membrane::pre_invoke`] and
-//! [`Membrane::post_invoke`] are `#[inline(always)]`, so that pass compiles
-//! into the engine's invoke routine rather than costing a cross-crate call
-//! on each side of every activation (a plain `#[inline]` hint was not
-//! always taken once the engine inlined its invoke routine into the drain).
-//! `push_interceptor`/`remove_interceptor` remain the cold reconfiguration
-//! API; each call simply recompiles the plan.
+//! ([`ChainFusion::FusedActive`]): the plan holds that one
+//! [`interceptors::ActiveInterceptor`] inline, and `pre_invoke`/`post_invoke`
+//! collapse to a lifecycle test, a poison test and the guard's own
+//! `pre`/`post` — no step array, no chain walk, the guard's code inlined
+//! — decide at deploy time, run straight-line code at tick time, exactly
+//! the erasable-framework claim the MERGE modes exist to demonstrate. The
+//! plan's shape is an explicit tag byte, so the gate picks it with one
+//! compare. [`Membrane::pre_invoke`] and [`Membrane::post_invoke`] are
+//! `#[inline(always)]`, so that pass compiles into the engine's invoke
+//! routine rather than costing a cross-crate call on each side of every
+//! activation (a plain `#[inline]` hint was not always taken once the
+//! engine inlined its invoke routine into the drain); their refusals are
+//! built out of line. The membrane stays reified all the same: its
+//! lifecycle controller, binding controller and the guard's activation
+//! count are there to inspect. `push_interceptor`/`remove_interceptor`
+//! remain the cold reconfiguration API; each call simply recompiles the
+//! plan.
+//!
+//! Only SOLEIL runs this code. The engine compiles its activation path
+//! once per generation mode, chosen once per cascade from the
+//! deployment's mode, so the MERGE-ALL and ULTRA-MERGE instances hold no
+//! membrane code at all (see `soleil-runtime`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +73,7 @@ pub use monitor::{LatencyMonitor, LatencySnapshot};
 use rtsj::memory::{MemoryContext, MemoryManager};
 
 use controllers::{BindingController, LifecycleController, LifecycleState};
-use interceptors::{InterceptStep, Interceptor};
+use interceptors::{ActiveInterceptor, InterceptStep, Interceptor};
 
 /// How a [`CompiledChain`] executes the pre/post protocol — settled when
 /// the plan is compiled, never per invocation.
@@ -78,51 +90,97 @@ pub enum ChainFusion {
     Walk,
 }
 
-/// The deploy-time compiled form of a membrane's interceptor chain: a flat
-/// [`InterceptStep`] array plus the fusion decision. Built by
+/// The deploy-time compiled form of a membrane's interceptor chain: the
+/// fused shapes held directly, the general shape as a flat
+/// [`InterceptStep`] array. Built by
 /// [`Membrane::push_interceptor`]/[`push_step`](Membrane::push_step) and
 /// recompiled on every structural change (the cold reconfiguration path).
 #[derive(Debug, Default)]
 pub struct CompiledChain {
-    steps: Vec<InterceptStep>,
-    fusion: ChainFusion,
+    plan: Plan,
+}
+
+/// The shapes a [`CompiledChain`] executes, one per [`ChainFusion`]. The
+/// tag is an explicit byte: the gate tests it with one compare, where the
+/// niche a `Vec` offers would cost a decode on every invocation.
+#[derive(Debug, Default)]
+#[repr(u8)]
+enum Plan {
+    #[default]
+    Empty,
+    /// The one run-to-completion guard, held inline: the gate runs it by
+    /// a direct call, with no step lookup.
+    FusedActive(ActiveInterceptor),
+    Walk(Vec<InterceptStep>),
 }
 
 impl CompiledChain {
-    /// Recomputes the fusion decision from the current step array.
-    fn recompile(&mut self) {
-        self.fusion = match self.steps.as_slice() {
-            [] => ChainFusion::Empty,
-            [InterceptStep::Active(_)] => ChainFusion::FusedActive,
-            _ => ChainFusion::Walk,
+    /// The plan of `steps`, in chain order.
+    fn compile(mut steps: Vec<InterceptStep>) -> CompiledChain {
+        let plan = match steps.as_slice() {
+            [] => Plan::Empty,
+            [InterceptStep::Active(_)] => match steps.pop() {
+                Some(InterceptStep::Active(guard)) => Plan::FusedActive(guard),
+                _ => unreachable!("matched a single Active step"),
+            },
+            _ => Plan::Walk(steps),
         };
+        CompiledChain { plan }
+    }
+
+    /// The steps in chain order, handed back for a structural change.
+    fn into_steps(self) -> Vec<InterceptStep> {
+        match self.plan {
+            Plan::Empty => Vec::new(),
+            Plan::FusedActive(guard) => vec![InterceptStep::Active(guard)],
+            Plan::Walk(steps) => steps,
+        }
+    }
+
+    /// The step array of the general shape; empty for the fused shapes.
+    fn walk(&self) -> &[InterceptStep] {
+        match &self.plan {
+            Plan::Walk(steps) => steps,
+            Plan::Empty | Plan::FusedActive(_) => &[],
+        }
     }
 
     /// The compiled fusion decision.
     pub fn fusion(&self) -> ChainFusion {
-        self.fusion
+        match self.plan {
+            Plan::Empty => ChainFusion::Empty,
+            Plan::FusedActive(_) => ChainFusion::FusedActive,
+            Plan::Walk(_) => ChainFusion::Walk,
+        }
     }
 
     /// Number of steps in the plan.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        match &self.plan {
+            Plan::Empty => 0,
+            Plan::FusedActive(_) => 1,
+            Plan::Walk(steps) => steps.len(),
+        }
     }
 
     /// True when the plan has no steps.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.len() == 0
     }
 
-    /// The compiled steps, in chain order.
-    pub fn steps(&self) -> &[InterceptStep] {
-        &self.steps
+    /// The interceptor names, in chain order.
+    fn names(&self) -> Vec<&str> {
+        match &self.plan {
+            Plan::FusedActive(guard) => vec![guard.name()],
+            _ => self.walk().iter().map(InterceptStep::name).collect(),
+        }
     }
 
     /// True when every step dispatches without a virtual call — the
     /// property the steady-state invoke path is gated on (only the `Dyn`
     /// fallback for unknown interceptor types breaks it).
     pub fn is_fully_compiled(&self) -> bool {
-        self.steps.iter().all(InterceptStep::is_compiled)
+        self.walk().iter().all(InterceptStep::is_compiled)
     }
 }
 
@@ -168,10 +226,16 @@ impl Membrane {
     /// their `post`); the caller replaces the content instance itself.
     pub fn set_lifecycle(&mut self, state: LifecycleState, poisoned: bool) {
         if self.poisoned && !poisoned {
-            for step in &mut self.chain.steps {
-                if let InterceptStep::Active(a) = step {
-                    a.reset();
+            match &mut self.chain.plan {
+                Plan::FusedActive(guard) => guard.reset(),
+                Plan::Walk(steps) => {
+                    for step in steps {
+                        if let InterceptStep::Active(a) = step {
+                            a.reset();
+                        }
+                    }
                 }
+                Plan::Empty => {}
             }
         }
         self.lifecycle.set(state);
@@ -192,8 +256,9 @@ impl Membrane {
 
     /// Appends an already-compiled step (deploy-time construction).
     pub fn push_step(&mut self, step: InterceptStep) {
-        self.chain.steps.push(step);
-        self.chain.recompile();
+        let mut steps = std::mem::take(&mut self.chain).into_steps();
+        steps.push(step);
+        self.chain = CompiledChain::compile(steps);
     }
 
     /// The compiled interceptor plan (introspection; the unit the
@@ -204,18 +269,19 @@ impl Membrane {
 
     /// Names of the installed interceptors, in chain order (introspection).
     pub fn interceptor_names(&self) -> Vec<&str> {
-        self.chain.steps.iter().map(|s| s.name()).collect()
+        self.chain.names()
     }
 
     /// Removes the first interceptor with the given name; true when one was
     /// removed (membrane-level reconfiguration; recompiles the plan).
     pub fn remove_interceptor(&mut self, name: &str) -> bool {
-        let Some(ix) = self.chain.steps.iter().position(|s| s.name() == name) else {
-            return false;
-        };
-        self.chain.steps.remove(ix);
-        self.chain.recompile();
-        true
+        let mut steps = std::mem::take(&mut self.chain).into_steps();
+        let found = steps.iter().position(|s| s.name() == name);
+        if let Some(ix) = found {
+            steps.remove(ix);
+        }
+        self.chain = CompiledChain::compile(steps);
+        found.is_some()
     }
 
     /// Number of control units (controllers + interceptors) in this
@@ -233,44 +299,51 @@ impl Membrane {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Lifecycle`] when stopped; interceptor errors
-    /// otherwise.
+    /// [`FrameworkError::Lifecycle`] when stopped, quarantined or
+    /// poisoned; interceptor errors otherwise.
     #[inline(always)]
     pub fn pre_invoke(
         &mut self,
         mm: &mut MemoryManager,
         ctx: &mut MemoryContext,
     ) -> Result<(), FrameworkError> {
-        self.lifecycle.assert_started(&self.component)?;
-        // Belt-and-braces behind the lifecycle gate: quarantine already
-        // refuses invocations, but a plain `start` on a poisoned membrane
-        // must not re-admit a half-mutated component either.
-        if self.poisoned {
-            return Err(FrameworkError::Lifecycle(format!(
+        // The poison test is belt-and-braces behind the lifecycle gate:
+        // quarantine already refuses invocations, but a plain `start` on a
+        // poisoned membrane must not re-admit a half-mutated component.
+        if self.lifecycle.state() != LifecycleState::Started || self.poisoned {
+            return Err(self.refusal());
+        }
+        match &mut self.chain.plan {
+            Plan::Empty => Ok(()),
+            Plan::FusedActive(guard) => guard.pre(mm, ctx),
+            Plan::Walk(steps) => Self::pre_walk(steps, mm, ctx),
+        }
+    }
+
+    /// The gate's refusal: the lifecycle controller's when it is not
+    /// started, the poison's otherwise.
+    #[cold]
+    #[inline(never)]
+    fn refusal(&self) -> FrameworkError {
+        match self.lifecycle.assert_started(&self.component) {
+            Err(e) => e,
+            Ok(()) => FrameworkError::Lifecycle(format!(
                 "component '{}' is poisoned by a caught panic; restart required",
                 self.component
-            )));
-        }
-        match self.chain.fusion() {
-            ChainFusion::Empty => Ok(()),
-            ChainFusion::FusedActive => match self.chain.steps.first_mut() {
-                Some(InterceptStep::Active(a)) => a.pre(mm, ctx),
-                _ => unreachable!("FusedActive proves a single Active step"),
-            },
-            ChainFusion::Walk => self.pre_walk(mm, ctx),
+            )),
         }
     }
 
     fn pre_walk(
-        &mut self,
+        steps: &mut [InterceptStep],
         mm: &mut MemoryManager,
         ctx: &mut MemoryContext,
     ) -> Result<(), FrameworkError> {
-        for i in 0..self.chain.steps.len() {
-            if let Err(e) = self.chain.steps[i].pre(mm, ctx) {
+        for i in 0..steps.len() {
+            if let Err(e) = steps[i].pre(mm, ctx) {
                 let mut suppressed = 0u32;
                 for j in (0..i).rev() {
-                    if self.chain.steps[j].post(mm, ctx).is_err() {
+                    if steps[j].post(mm, ctx).is_err() {
                         suppressed += 1;
                     }
                 }
@@ -295,17 +368,14 @@ impl Membrane {
         mm: &mut MemoryManager,
         ctx: &mut MemoryContext,
     ) -> Result<(), FrameworkError> {
-        match self.chain.fusion() {
-            ChainFusion::Empty => Ok(()),
-            ChainFusion::FusedActive => match self.chain.steps.first_mut() {
-                Some(InterceptStep::Active(a)) => a.post(mm, ctx),
-                _ => unreachable!("FusedActive proves a single Active step"),
-            },
-            ChainFusion::Walk => {
+        match &mut self.chain.plan {
+            Plan::Empty => Ok(()),
+            Plan::FusedActive(guard) => guard.post(mm, ctx),
+            Plan::Walk(steps) => {
                 let mut first_err = None;
                 let mut suppressed = 0u32;
-                for i in (0..self.chain.steps.len()).rev() {
-                    if let Err(e) = self.chain.steps[i].post(mm, ctx) {
+                for step in steps.iter_mut().rev() {
+                    if let Err(e) = step.post(mm, ctx) {
                         if first_err.is_none() {
                             first_err = Some(e);
                         } else {
@@ -330,7 +400,7 @@ impl Membrane {
             + self.binding.footprint_bytes()
             + self
                 .chain
-                .steps
+                .walk()
                 .iter()
                 .map(InterceptStep::footprint_bytes)
                 .sum::<usize>()

@@ -1141,6 +1141,17 @@ impl<P: Payload> Deployment<P> {
     pub(crate) fn shard_mut(&mut self, shard: usize) -> &mut Shard<P> {
         &mut self.shards[shard]
     }
+
+    /// `spec` on one shard with no architecture — the engine
+    /// [`System::build`] makes, behind the transactional path: the engine
+    /// unit tests reconfigure through it.
+    pub(crate) fn one_shard(
+        spec: &SystemSpec,
+        mode: Mode,
+        registry: &ContentRegistry<P>,
+    ) -> Result<Deployment<P>, FrameworkError> {
+        Self::assemble(spec, mode, registry, None, false)
+    }
 }
 
 /// The plan and architecture half of a rebind's undo: plan binding

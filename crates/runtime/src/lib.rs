@@ -39,6 +39,18 @@
 //! membrane mirrors. One `Ports` façade resolves a client port to its row
 //! through SOLEIL's binding controller or the merged modes' jump table.
 //!
+//! That path is one source compiled once per mode, the way the paper
+//! generates one infrastructure per level. The mode is a type parameter
+//! of the engine's activation path — the cascade, the drain, the
+//! activation routine, the gate, the content boundary, the crossing
+//! routine and the `Ports` façade — and `System::cascade`, which every
+//! release, timer fire and injection enters through, reads the deployed
+//! mode once and runs that mode's instance. Each instance holds its own
+//! gate and port resolution and none of the other two modes' code: the
+//! MERGE-ALL and ULTRA-MERGE instances hold no membrane code at all, and
+//! MERGE-ALL's gate tests the lifecycle byte of the activation plan its
+//! caller already read.
+//!
 //! A synchronous call crosses MemoryAreas the same way in every mode: one
 //! engine routine runs the RTSJ pattern settled into the binding's row
 //! (the paper's memory interceptor). The pattern comes from one rule,

@@ -13,10 +13,13 @@
 //! and one content boundary; they differ in the gate around the boundary
 //! (a reified membrane, an inlined lifecycle check, nothing) and in how a
 //! port resolves to its row (a binding controller, the per-component
-//! rows' jump table, a flat static table) — see the crate docs.
+//! rows' jump table, a flat static table) — see the crate docs. The
+//! activation path takes the mode as a type parameter (`Generated`):
+//! `System::cascade` reads the mode once and runs that mode's instance.
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
@@ -415,6 +418,38 @@ impl From<Fault> for FrameworkError {
     }
 }
 
+/// A generation mode as a type. The activation path — [`System::cascade`]
+/// down through the drain, the activation routine, the scope chain, the
+/// gate and the content boundary, plus the crossing routine and the
+/// [`EnginePorts`] façade — is one source instantiated once per mode, so
+/// each mode's hop holds its own gate and port resolution and none of the
+/// other two modes'. `cascade` reads [`System::mode`] once and runs the
+/// matching instance.
+trait Generated {
+    const MODE: Mode;
+}
+
+/// SOLEIL's activation path: the reified membrane around the boundary.
+enum GenSoleil {}
+
+/// MERGE-ALL's activation path: the inlined lifecycle check.
+enum GenMergeAll {}
+
+/// ULTRA-MERGE's activation path: no gate.
+enum GenUltraMerge {}
+
+impl Generated for GenSoleil {
+    const MODE: Mode = Mode::Soleil;
+}
+
+impl Generated for GenMergeAll {
+    const MODE: Mode = Mode::MergeAll;
+}
+
+impl Generated for GenUltraMerge {
+    const MODE: Mode = Mode::UltraMerge;
+}
+
 /// A slot's lifecycle record, packed into one byte of its
 /// [`ActivationPlan`]: started; quarantined by its fault policy; poisoned,
 /// when the quarantining fault was a panic — the instance state may then
@@ -539,6 +574,17 @@ pub(crate) fn immortal_budget(areas: &[AreaSpec]) -> usize {
         .filter(|a| a.kind == MemoryKind::Immortal)
         .map(|a| a.size.unwrap_or(0))
         .fold(256 * 1024, usize::saturating_add)
+}
+
+/// Puts a value checked out of `slot` for an activation back. The slot
+/// is empty: nothing refills a checked-out slot (re-entry and restarts
+/// refuse it), so the replaced value is `None`, and forgetting it spares
+/// the hop the drop glue of an assignment.
+#[inline(always)]
+fn check_in<T>(slot: &mut Option<T>, value: T) {
+    let vacated = slot.replace(value);
+    debug_assert!(vacated.is_none(), "a checked-out slot was refilled");
+    std::mem::forget(vacated);
 }
 
 /// A ready-queue entry packed into one `u128` that the max-heap orders
@@ -1269,6 +1315,22 @@ impl<P: Payload> System<P> {
     /// one records the latency of the whole cascade, while a drained
     /// message's latency covers only its own activation.
     fn cascade(&mut self, slot: usize, port_ix: u16, msg: &mut P) -> Result<(), FrameworkError> {
+        // The hot path's one read of the mode: everything below runs the
+        // mode's own instance of the activation path.
+        match self.mode {
+            Mode::Soleil => self.cascade_in::<GenSoleil>(slot, port_ix, msg),
+            Mode::MergeAll => self.cascade_in::<GenMergeAll>(slot, port_ix, msg),
+            Mode::UltraMerge => self.cascade_in::<GenUltraMerge>(slot, port_ix, msg),
+        }
+    }
+
+    /// [`System::cascade`] in generation mode `G`.
+    fn cascade_in<G: Generated>(
+        &mut self,
+        slot: usize,
+        port_ix: u16,
+        msg: &mut P,
+    ) -> Result<(), FrameworkError> {
         // Monitored slots stamp the transaction; the sentinel keeps the
         // unmonitored path at one integer compare (no clock read).
         let plan = self.activation_plans[slot];
@@ -1276,8 +1338,8 @@ impl<P: Payload> System<P> {
         let domain_ix = self.nodes[slot].domain_ix;
         let mut held = (domain_ix, self.take_ctx(domain_ix)?);
         let activated = self
-            .activate(slot, plan, port_ix, msg, &mut held.1)
-            .and_then(|activated| self.drain(&mut held).map(|()| activated));
+            .activate::<G>(slot, plan, port_ix, msg, &mut held.1)
+            .and_then(|activated| self.drain::<G>(&mut held).map(|()| activated));
         self.restore_ctx(held.0, held.1);
         // The public edge: an escalated fault is unboxed here.
         if activated? {
@@ -1427,7 +1489,7 @@ impl<P: Payload> System<P> {
     /// supervision. Returns whether the activation was healthy; a contained
     /// fault is `Ok(false)`, an escalated one `Err`.
     #[inline(always)]
-    fn activate(
+    fn activate<G: Generated>(
         &mut self,
         slot: usize,
         plan: ActivationPlan,
@@ -1447,10 +1509,12 @@ impl<P: Payload> System<P> {
         if result.is_ok() {
             // A component allocated in scoped memory executes inside its
             // (wedge-pinned, so entry cannot reclaim) scope chain. A
-            // checkpoint-enabled slot pays one compare here.
+            // checkpoint-enabled slot pays one compare here, and MERGE-ALL's
+            // gate tests the lifecycle byte of the plan in hand.
             let chain = (plan.chain_off, u32::from(plan.chain_len));
             let cadence = plan.checkpoint_ix != u16::MAX;
-            result = self.invoke_in(chain, slot, port_ix, msg, ctx, cadence);
+            let life = Some(plan.life);
+            result = self.invoke_in::<G>(chain, slot, port_ix, life, msg, ctx, cadence);
         }
         match result {
             Ok(()) => Ok(true),
@@ -1484,14 +1548,16 @@ impl<P: Payload> System<P> {
     /// Enters the arena window `(offset, len)` on `ctx`, invokes `slot` on
     /// `port_ix` inside it, and exits every scope it entered, on every
     /// path; the first error wins. An activation's scope chain and an
-    /// `EnterInner` binding's path both run through here; `cadence` is
-    /// [`System::boundary`]'s.
+    /// `EnterInner` binding's path both run through here; `life` is
+    /// [`System::invoke`]'s and `cadence` [`System::boundary`]'s.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn invoke_in(
+    fn invoke_in<G: Generated>(
         &mut self,
         (off, len): (u32, u32),
         slot: usize,
         port_ix: u16,
+        life: Option<Lifecycle>,
         msg: &mut P,
         ctx: &mut MemoryContext,
         cadence: bool,
@@ -1509,7 +1575,7 @@ impl<P: Payload> System<P> {
             entered += 1;
         }
         if result.is_ok() {
-            result = self.invoke(slot, port_ix, msg, ctx, cadence);
+            result = self.invoke::<G>(slot, port_ix, life, msg, ctx, cadence);
         }
         for _ in 0..entered {
             if let Err(e) = self.mm.exit(ctx) {
@@ -1526,7 +1592,10 @@ impl<P: Payload> System<P> {
     /// out across consecutive activations of that domain — one checkout per
     /// run, not per message — and is swapped when the domain changes. The
     /// caller returns it on every exit, an escalated fault included.
-    fn drain(&mut self, held: &mut (Option<usize>, MemoryContext)) -> Result<(), Fault> {
+    fn drain<G: Generated>(
+        &mut self,
+        held: &mut (Option<usize>, MemoryContext),
+    ) -> Result<(), Fault> {
         while let Some(key) = self.pending.pop() {
             let buffer_ix = ready_buffer(key);
             let (slot, port_ix, domain_ix) = {
@@ -1558,7 +1627,7 @@ impl<P: Payload> System<P> {
             };
             self.stats.delivered_messages += 1;
             let t0 = (plan.monitor_ix != u16::MAX).then(Instant::now);
-            if self.activate(slot, plan, port_ix, &mut msg, &mut held.1)? {
+            if self.activate::<G>(slot, plan, port_ix, &mut msg, &mut held.1)? {
                 if let Some(t0) = t0 {
                     self.observe_latency(plan.monitor_ix, t0);
                 }
@@ -1598,19 +1667,23 @@ impl<P: Payload> System<P> {
     }
 
     /// Invokes `slot` on `port_ix` through the one content boundary, under
-    /// the gate of the generation mode: SOLEIL's reified membrane runs its
+    /// the gate of generation mode `G`: SOLEIL's reified membrane runs its
     /// pre/post protocol around it, MERGE-ALL checks the inlined lifecycle
-    /// state, and ULTRA-MERGE adds nothing.
+    /// state, and ULTRA-MERGE adds nothing. MERGE-ALL tests `life`, the
+    /// slot's lifecycle record when the caller holds it (an activation's
+    /// plan), and reads the record otherwise (a synchronous call).
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn invoke(
+    fn invoke<G: Generated>(
         &mut self,
         slot: usize,
         port_ix: u16,
+        life: Option<Lifecycle>,
         msg: &mut P,
         ctx: &mut MemoryContext,
         cadence: bool,
     ) -> Result<(), Fault> {
-        match self.mode {
+        match G::MODE {
             Mode::Soleil => {
                 // The checked-out membrane is SOLEIL's re-entry guard; it
                 // is boxed, so checking it out and back swaps a pointer.
@@ -1624,12 +1697,13 @@ impl<P: Payload> System<P> {
                 // is a lifecycle test, a poison test and
                 // `ActiveInterceptor::pre`/`post`, none of which panics.
                 if let Err(e) = membrane.pre_invoke(&mut self.mm, ctx) {
-                    self.membranes[slot] = Some(membrane);
+                    check_in(&mut self.membranes[slot], membrane);
                     return Err(e.into());
                 }
-                let result = self.boundary(slot, port_ix, msg, ctx, Some(&mut *membrane), cadence);
+                let result =
+                    self.boundary::<G>(slot, port_ix, msg, ctx, Some(&mut *membrane), cadence);
                 let post = membrane.post_invoke(&mut self.mm, ctx);
-                self.membranes[slot] = Some(membrane);
+                check_in(&mut self.membranes[slot], membrane);
                 result.and(post.map_err(Fault::from))
             }
             Mode::MergeAll => {
@@ -1637,12 +1711,13 @@ impl<P: Payload> System<P> {
                 // refuses stopped and quarantined components (ULTRA-MERGE
                 // checks activation boundaries only — its sync path is
                 // contractually check-free).
-                if !self.activation_plans[slot].life.admits() {
-                    return Err(self.lifecycle_refusal(slot));
+                let life = life.unwrap_or_else(|| self.activation_plans[slot].life);
+                if !life.admits() {
+                    return Err(self.lifecycle_refusal(slot, life));
                 }
-                self.boundary(slot, port_ix, msg, ctx, None, cadence)
+                self.boundary::<G>(slot, port_ix, msg, ctx, None, cadence)
             }
-            Mode::UltraMerge => self.boundary(slot, port_ix, msg, ctx, None, cadence),
+            Mode::UltraMerge => self.boundary::<G>(slot, port_ix, msg, ctx, None, cadence),
         }
     }
 
@@ -1657,9 +1732,10 @@ impl<P: Payload> System<P> {
     /// invariants survive it (the component's may not; that is the
     /// supervisor's call: a contained panic poisons the slot's lifecycle
     /// record until a restart installs a fresh instance, an escalated one
-    /// changes no lifecycle state).
+    /// changes no lifecycle state). The catch runs a [`Frame`] of the
+    /// call, so its closure captures one pointer.
     #[inline(always)]
-    fn boundary(
+    fn boundary<G: Generated>(
         &mut self,
         slot: usize,
         port_ix: u16,
@@ -1668,32 +1744,25 @@ impl<P: Payload> System<P> {
         membrane: Option<&mut Membrane>,
         cadence: bool,
     ) -> Result<(), Fault> {
-        let Some(mut instance) = self.nodes[slot].instance.take() else {
+        let Some(instance) = self.nodes[slot].instance.take() else {
             return Err(self.reentrant(slot));
         };
-        let mut ports = EnginePorts {
-            sys: self,
-            slot,
-            membrane,
-            ctx,
+        let mut frame: Frame<'_, P, G> = Frame {
+            instance,
+            msg,
+            ports: EnginePorts {
+                sys: self,
+                slot,
+                membrane,
+                ctx,
+                generated: PhantomData,
+            },
+            port_ix,
+            cadence,
         };
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let Instance {
-                content,
-                server_ports,
-            } = &mut *instance;
-            content.on_invoke(&server_ports[port_ix as usize], msg, &mut ports)?;
-            if cadence {
-                ports.sys.cadence_checkpoint(slot, &**content);
-            }
-            Ok(())
-        }));
-        // The slot is empty: nothing refills a checked-out slot (re-entry
-        // and restarts refuse it), so the replaced value is `None`, and
-        // forgetting it spares the hop the drop glue of an assignment.
-        let vacated = self.nodes[slot].instance.replace(instance);
-        debug_assert!(vacated.is_none(), "a checked-out slot was refilled");
-        std::mem::forget(vacated);
+        let caught = catch_unwind(AssertUnwindSafe(|| frame.call()));
+        let instance = frame.instance;
+        check_in(&mut self.nodes[slot].instance, instance);
         caught.unwrap_or_else(|payload| Err(self.caught_panic(slot, payload)))
     }
 
@@ -1721,11 +1790,12 @@ impl<P: Payload> System<P> {
         .into()
     }
 
-    /// MERGE-ALL's lifecycle refusal: quarantined or stopped.
+    /// MERGE-ALL's lifecycle refusal of `slot`, whose record `life` is:
+    /// quarantined or stopped.
     #[cold]
     #[inline(never)]
-    fn lifecycle_refusal(&self, slot: usize) -> Fault {
-        let state = if self.activation_plans[slot].life.quarantined() {
+    fn lifecycle_refusal(&self, slot: usize, life: Lifecycle) -> Fault {
+        let state = if life.quarantined() {
             "quarantined pending restart"
         } else {
             "stopped"
@@ -1745,7 +1815,7 @@ impl<P: Payload> System<P> {
     /// copy of `msg` that is copied back, so no reference crosses between
     /// sibling scopes. Only an `EnterInner` row has a non-empty scope
     /// path, so every pattern invokes through the one `invoke_in`.
-    fn cross_scope_call(
+    fn cross_scope_call<G: Generated>(
         &mut self,
         r: DispatchHeader,
         msg: &mut P,
@@ -1759,7 +1829,8 @@ impl<P: Payload> System<P> {
         }
         let target = handoff.as_mut().unwrap_or(&mut *msg);
         let path = (r.enter_off, r.enter_len);
-        let out = self.invoke_in(path, r.target_slot, r.server_port_ix, target, ctx, false);
+        let (slot, port_ix) = (r.target_slot, r.server_port_ix);
+        let out = self.invoke_in::<G>(path, slot, port_ix, None, target, ctx, false);
         if let Some(copy) = handoff {
             *msg = copy;
         }
@@ -1815,7 +1886,12 @@ impl<P: Payload> System<P> {
     }
 
     /// Refuses structural reconfiguration under ULTRA-MERGE: its fused
-    /// dispatch table is never rewritten after build.
+    /// dispatch table is never rewritten after build. The deployment's
+    /// transaction asks this before every structural operation
+    /// (`Reconfiguration::structural`), so the engine's structural writers
+    /// — `stop_at`, `start_at`, `rebind_at`, `rehome_area_at` and
+    /// `repoint_async_to_cross` — are never reached under ULTRA-MERGE and
+    /// do not ask again.
     pub(crate) fn reject_static(&self) -> Result<(), FrameworkError> {
         if self.mode == Mode::UltraMerge {
             return Err(FrameworkError::Unsupported(
@@ -1828,7 +1904,6 @@ impl<P: Payload> System<P> {
     /// Stops `slot`: invocations refused until restarted. Returns the
     /// replaced lifecycle record.
     pub(crate) fn stop_at(&mut self, slot: usize) -> Result<Lifecycle, FrameworkError> {
-        self.reject_static()?;
         let previous = self.set_started(slot, false)?;
         // An explicit stop overrides supervision: a pending supervised
         // restart must not revive the component behind the user's back.
@@ -1851,7 +1926,6 @@ impl<P: Payload> System<P> {
 
     /// (Re)starts `slot`. Returns the replaced lifecycle record.
     pub(crate) fn start_at(&mut self, slot: usize) -> Result<Lifecycle, FrameworkError> {
-        self.reject_static()?;
         self.set_started(slot, true)
     }
 
@@ -1864,15 +1938,13 @@ impl<P: Payload> System<P> {
     /// # Errors
     ///
     /// [`FrameworkError::Binding`] for unbound or asynchronous ports or a
-    /// server without the port; [`FrameworkError::Unsupported`] under
-    /// ULTRA-MERGE.
+    /// server without the port.
     pub(crate) fn rebind_at(
         &mut self,
         client_slot: usize,
         port: &str,
         server_slot: usize,
     ) -> Result<RowPreImage, FrameworkError> {
-        self.reject_static()?;
         let row = self.row_of(client_slot, port)?;
         let old = self.compiled[client_slot][row].header;
         if old.is_async {
@@ -2108,7 +2180,6 @@ impl<P: Payload> System<P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Unsupported`] under ULTRA-MERGE;
     /// [`FrameworkError::Content`] for an unknown area index.
     pub(crate) fn rehome_area_at(
         &mut self,
@@ -2116,7 +2187,6 @@ impl<P: Payload> System<P> {
         new_area_ix: usize,
         rows: &mut Vec<RowPreImage>,
     ) -> Result<RehomeUndo, FrameworkError> {
-        self.reject_static()?;
         if new_area_ix >= self.areas.len() {
             return Err(FrameworkError::Content(format!(
                 "re-home target area index {new_area_ix} out of range"
@@ -2192,15 +2262,13 @@ impl<P: Payload> System<P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Binding`] for unbound or synchronous ports;
-    /// [`FrameworkError::Unsupported`] under ULTRA-MERGE.
+    /// [`FrameworkError::Binding`] for unbound or synchronous ports.
     pub(crate) fn repoint_async_to_cross(
         &mut self,
         client_slot: usize,
         port: &str,
         tx: CrossTx<P>,
     ) -> Result<AsyncRepointUndo, FrameworkError> {
-        self.reject_static()?;
         let row = self.row_of(client_slot, port)?;
         if !self.compiled[client_slot][row].header.is_async {
             return Err(FrameworkError::Binding(format!(
@@ -3400,12 +3468,44 @@ fn port_index<P: Payload>(node: &Node<P>, port: &str) -> Result<u16, FrameworkEr
 // The Ports façade
 // ---------------------------------------------------------------------------
 
-/// The [`Ports`] façade handed to content during an invocation, one for
-/// every mode. A client port resolves to a compiled row of the invoking
-/// slot — through SOLEIL's binding controller or the merged modes' jump
-/// table — and the row's header routes the call or send. The only other
-/// mode branch is ULTRA-MERGE's uncounted synchronous call.
-struct EnginePorts<'a, P: Payload> {
+/// One content call, gathered where [`System::boundary`] checks the
+/// instance out: the catch around it runs [`Frame::call`] through a
+/// closure that captures a single pointer to the frame.
+struct Frame<'a, P: Payload, G: Generated> {
+    instance: Box<Instance<P>>,
+    msg: &'a mut P,
+    ports: EnginePorts<'a, P, G>,
+    port_ix: u16,
+    cadence: bool,
+}
+
+impl<P: Payload, G: Generated> Frame<'_, P, G> {
+    /// `on_invoke` on the checked-out instance, then the checkpoint
+    /// cadence when the frame carries it.
+    #[inline(always)]
+    fn call(&mut self) -> Result<(), Fault> {
+        let Instance {
+            content,
+            server_ports,
+        } = &mut *self.instance;
+        let port = &server_ports[usize::from(self.port_ix)];
+        content.on_invoke(port, self.msg, &mut self.ports)?;
+        if self.cadence {
+            self.ports
+                .sys
+                .cadence_checkpoint(self.ports.slot, &**content);
+        }
+        Ok(())
+    }
+}
+
+/// The [`Ports`] façade handed to content during an invocation, one
+/// source for every mode, instantiated per mode `G` like the rest of the
+/// activation path. A client port resolves to a compiled row of the
+/// invoking slot — through SOLEIL's binding controller or the merged
+/// modes' jump table — and the row's header routes the call or send. The
+/// only other mode branch is ULTRA-MERGE's uncounted synchronous call.
+struct EnginePorts<'a, P: Payload, G: Generated> {
     sys: &'a mut System<P>,
     /// The invoking component.
     slot: usize,
@@ -3414,17 +3514,20 @@ struct EnginePorts<'a, P: Payload> {
     /// `sys.compiled[slot]`. `None` in the merged modes.
     membrane: Option<&'a mut Membrane>,
     ctx: &'a mut MemoryContext,
+    generated: PhantomData<G>,
 }
 
-impl<P: Payload> EnginePorts<'_, P> {
+impl<P: Payload, G: Generated> EnginePorts<'_, P, G> {
     /// Interned resolution: one index into the controller's or the slot's
     /// jump table yields the row — no string compare, no scan, no
     /// refcount. `None` when unbound here.
     #[inline(always)]
     fn by_id(&self, id: PortId) -> Option<DispatchHeader> {
-        let row = match &self.membrane {
-            Some(m) => m.binding.resolve_id(id)?,
-            None => *self.sys.port_jump[self.slot].get(id.0 as usize)? as usize,
+        let row = match G::MODE {
+            Mode::Soleil => self.membrane.as_ref()?.binding.resolve_id(id)?,
+            Mode::MergeAll | Mode::UltraMerge => {
+                *self.sys.port_jump[self.slot].get(id.0 as usize)? as usize
+            }
         };
         self.row(row)
     }
@@ -3436,16 +3539,16 @@ impl<P: Payload> EnginePorts<'_, P> {
     fn by_name(&self, port: &str) -> Option<DispatchHeader> {
         let sys = &*self.sys;
         sys.string_compares.set(sys.string_compares.get() + 1);
-        let row = match (&self.membrane, sys.mode) {
-            (Some(m), _) => m.binding.resolve(port)?,
-            (None, Mode::UltraMerge) => {
+        let row = match G::MODE {
+            Mode::Soleil => self.membrane.as_ref()?.binding.resolve(port)?,
+            Mode::MergeAll => sys.compiled[self.slot]
+                .iter()
+                .position(|b| b.port.as_ref() == port)?,
+            Mode::UltraMerge => {
                 let (s, e) = sys.ultra_ranges[self.slot];
                 let mut scan = sys.ultra_table[s as usize..e as usize].iter();
                 s as usize + scan.position(|b| b.port.as_ref() == port)?
             }
-            (None, _) => sys.compiled[self.slot]
-                .iter()
-                .position(|b| b.port.as_ref() == port)?,
         };
         self.row(row)
     }
@@ -3454,7 +3557,7 @@ impl<P: Payload> EnginePorts<'_, P> {
     /// absolute `ultra_table` index under ULTRA-MERGE.
     #[inline(always)]
     fn row(&self, row: usize) -> Option<DispatchHeader> {
-        let rows = match self.sys.mode {
+        let rows = match G::MODE {
             Mode::UltraMerge => &self.sys.ultra_table,
             Mode::Soleil | Mode::MergeAll => &self.sys.compiled[self.slot],
         };
@@ -3475,10 +3578,10 @@ impl<P: Payload> EnginePorts<'_, P> {
     /// façade's edge.
     #[inline(always)]
     fn call_row(&mut self, h: DispatchHeader, msg: &mut P) -> InvokeResult {
-        if self.sys.mode != Mode::UltraMerge {
+        if G::MODE != Mode::UltraMerge {
             self.sys.stats.sync_calls += 1;
         }
-        Ok(self.sys.cross_scope_call(h, msg, self.ctx)?)
+        Ok(self.sys.cross_scope_call::<G>(h, msg, self.ctx)?)
     }
 
     /// The asynchronous body: same-engine exchange buffer or cross-domain
@@ -3512,7 +3615,7 @@ impl<P: Payload> EnginePorts<'_, P> {
     }
 }
 
-impl<P: Payload> Ports<P> for EnginePorts<'_, P> {
+impl<P: Payload, G: Generated> Ports<P> for EnginePorts<'_, P, G> {
     fn call(&mut self, client_port: &str, msg: &mut P) -> InvokeResult {
         match self.by_name(client_port) {
             Some(h) if !h.is_async => self.call_row(h, msg),
@@ -3555,6 +3658,7 @@ impl<P: Payload> Ports<P> for EnginePorts<'_, P> {
 mod tests {
     use super::*;
     use crate::spec::{AreaSpec, BindingSpec, ComponentSpec, DomainSpec};
+    use crate::Deployment;
     use rtsj::time::RelativeTime;
     use soleil_membrane::content::{InternedPort, InvokeResult};
     use std::sync::atomic::AtomicU64;
@@ -3849,22 +3953,43 @@ mod tests {
         });
     }
 
+    /// The refusal every structural operation meets under ULTRA-MERGE.
+    fn purely_static() -> FrameworkError {
+        FrameworkError::Unsupported("ULTRA-MERGE systems are purely static".into())
+    }
+
+    /// A stop and a start, each a transaction on the deployment path,
+    /// take effect in the reconfigurable modes; under ULTRA-MERGE both are
+    /// refused with the exact text and change nothing. A transaction runs
+    /// after either.
     #[test]
     fn lifecycle_stop_start_roundtrip() {
-        run_modes(|mode, sys| {
-            let middle = sys.slot_of("middle").unwrap();
-            if mode == Mode::UltraMerge {
-                assert!(matches!(
-                    sys.stop_at(middle),
-                    Err(FrameworkError::Unsupported(_))
-                ));
-                return;
+        for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
+            let mut dep = Deployment::one_shard(&pipeline_spec(), mode, &registry()).unwrap();
+            let middle = dep.resolve("middle").unwrap();
+            let head = dep.resolve("producer").unwrap();
+            let slot = dep.system().slot_of("middle").unwrap();
+            let digests = dep.structural_digests();
+            for started in [false, true] {
+                let set = dep.reconfigure(|txn| {
+                    if started {
+                        txn.start(middle)
+                    } else {
+                        txn.stop(middle)
+                    }
+                });
+                if mode == Mode::UltraMerge {
+                    assert_eq!(set, Err(purely_static()), "{mode} started={started}");
+                    assert_eq!(dep.structural_digests(), digests, "{mode}");
+                    assert!(dep.system().node_started(slot), "{mode}");
+                } else {
+                    set.unwrap();
+                    assert_eq!(dep.system().node_started(slot), started, "{mode}");
+                }
             }
-            sys.stop_at(middle).unwrap();
-            sys.start_at(middle).unwrap();
-            let head = sys.slot_of("producer").unwrap();
-            sys.run_transaction(head).unwrap();
-        });
+            dep.run_transaction(head).unwrap();
+            assert_eq!(dep.stats().transactions, 1, "{mode}");
+        }
     }
 
     /// The tentpole acceptance property: a freshly deployed SOLEIL system
@@ -3987,13 +4112,15 @@ mod tests {
     #[test]
     fn ultra_merge_rejects_reconfiguration() {
         let spec = pipeline_spec();
-        let mut sys = System::build(&spec, Mode::UltraMerge, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
-        let service = sys.slot_of("service").unwrap();
-        assert!(matches!(
-            sys.rebind_at(middle, "svc", service),
-            Err(FrameworkError::Unsupported(_))
-        ));
+        let mut dep = Deployment::one_shard(&spec, Mode::UltraMerge, &registry()).unwrap();
+        let middle = dep.resolve("middle").unwrap();
+        let service = dep.resolve("service").unwrap();
+        let digests = dep.structural_digests();
+        assert_eq!(
+            dep.reconfigure(|txn| txn.rebind(middle, "svc", service)),
+            Err(purely_static())
+        );
+        assert_eq!(dep.structural_digests(), digests);
     }
 
     #[test]
@@ -4228,11 +4355,13 @@ mod tests {
     /// The cold error path must survive interning: an unbound port id maps
     /// back to its *name* in the error, and the string-scan fallback
     /// reports the same text — with SOLEIL's controller resolution and
-    /// the merged modes' jump table alike.
+    /// the merged modes' jump tables alike, in each mode's instance of the
+    /// façade.
     #[test]
     fn unbound_port_errors_report_the_name_after_interning() {
-        const UNBOUND: &str = "binding error: client port 'out' of 'middle' is unbound";
-        for mode in [Mode::MergeAll, Mode::Soleil] {
+        fn check<G: Generated>() {
+            const UNBOUND: &str = "binding error: client port 'out' of 'middle' is unbound";
+            let mode = G::MODE;
             // "out" is in the deployment's intern universe (the producer's
             // port) but is not bound on the middle slot.
             let spec = pipeline_spec();
@@ -4240,11 +4369,12 @@ mod tests {
             let middle = sys.slot_of("middle").unwrap();
             let mut membrane = sys.membranes.get_mut(middle).and_then(Option::take);
             let mut ctx = sys.mm.context(ThreadKind::Realtime);
-            let mut ports = EnginePorts {
+            let mut ports: EnginePorts<'_, Token, G> = EnginePorts {
                 sys: &mut sys,
                 slot: middle,
                 membrane: membrane.as_deref_mut(),
                 ctx: &mut ctx,
+                generated: PhantomData,
             };
             let port = InternedPort::new("out");
             let mut tok = Token::default();
@@ -4262,6 +4392,9 @@ mod tests {
                 sys.membranes[middle] = Some(m);
             }
         }
+        check::<GenMergeAll>();
+        check::<GenSoleil>();
+        check::<GenUltraMerge>();
     }
 
     /// A rebind-and-revert cycle must restore the dispatch plan
@@ -5423,14 +5556,15 @@ mod tests {
                             Box::new(Sink::default())
                         }
                     });
-                    let mut sys = System::build(&spec, mode, &registry).unwrap();
-                    for slot in 0..sys.nodes.len() {
-                        sys.set_fault_policy_at(slot, policy).unwrap();
+                    let mut dep = Deployment::one_shard(&spec, mode, &registry).unwrap();
+                    for c in &spec.components {
+                        dep.set_fault_policy(c.name.as_str(), policy).unwrap();
                     }
-                    let service = sys.slot_of("service").unwrap();
-                    let stop = (source == Source::Stopped).then(|| sys.stop_at(service).err());
-                    let producer = sys.slot_of("producer").unwrap();
-                    let returned = sys.run_transaction(producer).err();
+                    let stop = (source == Source::Stopped)
+                        .then(|| dep.reconfigure(|txn| txn.stop("service")).err());
+                    let producer = dep.resolve("producer").unwrap();
+                    let returned = dep.run_transaction(producer).err();
+                    let sys = dep.system();
                     let recorded: Vec<(&str, &str)> = sys
                         .supervisors
                         .iter()
@@ -5486,11 +5620,7 @@ mod tests {
                     assert_eq!(returned, want_returned, "{case}");
                     assert_eq!(recorded, want_recorded, "{case}");
                     if let Some(refused) = stop {
-                        let want = (mode == Mode::UltraMerge).then(|| {
-                            FrameworkError::Unsupported(
-                                "ULTRA-MERGE systems are purely static".into(),
-                            )
-                        });
+                        let want = (mode == Mode::UltraMerge).then(purely_static);
                         assert_eq!(refused, want, "{case}");
                     }
                 }
